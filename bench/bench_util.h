@@ -20,7 +20,7 @@ namespace bench {
  * PR 5 one-index-build-per-run invariant, enforced and reported in
  * one place. record() PP_CHECKs the allowed build range per
  * scenario; print_trailer() emits the machine-readable line
- * tools/run_benches.py scrapes into BENCH_pr8.json, so the format
+ * tools/run_benches.py scrapes into BENCH_pr10.json, so the format
  * lives here and nowhere else.
  */
 struct ViewBuildTally {

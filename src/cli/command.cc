@@ -41,8 +41,6 @@ render_flag_line(std::ostream &os, const FlagSpec &spec)
     os << "  " << syntax << " " << spec.help;
     if (!spec.default_text.empty())
         os << " [default " << spec.default_text << "]";
-    for (const auto &alias : spec.aliases)
-        os << " (alias --" << alias << ")";
     os << "\n";
 }
 
@@ -53,10 +51,7 @@ render_flag_row(std::ostream &os, const FlagSpec &spec)
     os << "| `" << flag_syntax(spec) << "` | "
        << (spec.default_text.empty() ? std::string("–")
                                      : "`" + spec.default_text + "`")
-       << " | " << spec.help;
-    for (const auto &alias : spec.aliases)
-        os << " (alias `--" << alias << "`)";
-    os << " |\n";
+       << " | " << spec.help << " |\n";
 }
 
 }  // namespace
@@ -66,28 +61,15 @@ CommandRegistry::add(Command command)
 {
     PP_CHECK(find(command.name) == nullptr,
              "duplicate command '" << command.name << "'");
-    // Aliases share the name space: a colliding alias would be
-    // unreachable (find() returns the first match) while help and
-    // the generated docs still advertised it.
-    for (const auto &alias : command.aliases)
-        PP_CHECK(find(alias) == nullptr,
-                 "alias '" << alias << "' of command '"
-                           << command.name
-                           << "' collides with an existing "
-                              "command or alias");
     commands_.push_back(std::move(command));
 }
 
 const Command *
 CommandRegistry::find(const std::string &name) const
 {
-    for (const auto &command : commands_) {
+    for (const auto &command : commands_)
         if (command.name == name)
             return &command;
-        for (const auto &alias : command.aliases)
-            if (alias == name)
-                return &command;
-    }
     return nullptr;
 }
 
@@ -103,44 +85,39 @@ workload_flag_specs(const std::string &default_model)
     const api::WorkloadSpec defaults;
     std::vector<FlagSpec> specs = {
         {"model", FlagKind::kValue, "NAME", default_model,
-         "model registry name (see 'models')", {}},
+         "model registry name (see 'models')"},
         {"batch", FlagKind::kValue, "N",
-         std::to_string(defaults.batch), "batch size", {}},
+         std::to_string(defaults.batch), "batch size"},
         {"iterations", FlagKind::kValue, "K",
          std::to_string(defaults.iterations),
-         "training iterations to simulate", {}},
+         "training iterations to simulate"},
         {"allocator", FlagKind::kValue, "KIND",
          runtime::allocator_kind_name(defaults.allocator),
-         "allocator: " + join_names(runtime::allocator_names()),
-         {}},
+         "allocator: " + join_names(runtime::allocator_names())},
         {"device", FlagKind::kValue, "D", defaults.device,
-         "device preset: " + join_names(sim::device_spec_names()),
-         {}},
+         "device preset: " + join_names(sim::device_spec_names())},
         {"micro-batches", FlagKind::kValue, "K",
          std::to_string(defaults.micro_batches),
-         "gradient-accumulation micro-batches", {}},
+         "gradient-accumulation micro-batches"},
         {"devices", FlagKind::kValue, "N",
          std::to_string(defaults.devices),
-         "data-parallel replica count", {}},
+         "data-parallel replica count"},
         {"topology", FlagKind::kValue, "T", defaults.topology,
          "interconnect preset: " +
-             join_names(sim::interconnect_names()),
-         {}},
+             join_names(sim::interconnect_names())},
         {"mode", FlagKind::kValue, "M",
          runtime::session_mode_name(defaults.mode),
          "session mode: " +
-             join_names(runtime::session_mode_names()),
-         {}},
+             join_names(runtime::session_mode_names())},
         {"dtype", FlagKind::kValue, "T", dtype_name(defaults.dtype),
-         "tensor dtype: f32, f16, i8", {}},
+         "tensor dtype: f32, f16, i8"},
         {"requests", FlagKind::kValue, "N",
          std::to_string(defaults.requests),
-         "serving requests to replay (infer mode)", {}},
+         "serving requests to replay (infer mode)"},
         {"arrival", FlagKind::kValue, "A",
          runtime::arrival_kind_name(defaults.arrival),
          "request arrival process: " +
-             join_names(runtime::arrival_kind_names()),
-         {}},
+             join_names(runtime::arrival_kind_names())},
     };
     PP_ASSERT(specs.size() == api::WorkloadSpec::flag_names().size(),
               "workload flag help table out of sync with "
@@ -178,12 +155,6 @@ help_text(const Command &command)
     if (!command.description.empty())
         os << command.description << "\n\n";
     os << "usage: pinpoint_cli " << command.name << " [options]\n";
-    if (!command.aliases.empty()) {
-        os << "aliases:";
-        for (const auto &alias : command.aliases)
-            os << " " << alias;
-        os << "\n";
-    }
     if (command.workload) {
         os << "\nworkload options (shared; parsed by "
               "api::WorkloadSpec):\n";
@@ -251,12 +222,6 @@ render_cli_markdown(const CommandRegistry &registry)
             os << "Takes the shared workload options (default "
                   "`--model "
                << command.default_model << "`).\n\n";
-        if (!command.aliases.empty()) {
-            os << "Aliases:";
-            for (const auto &alias : command.aliases)
-                os << " `" << alias << "`";
-            os << ".\n\n";
-        }
         if (!command.flags.empty()) {
             os << "| Flag | Default | Meaning |\n|------|---------|"
                   "---------|\n";

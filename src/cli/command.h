@@ -50,8 +50,6 @@ struct Command {
     std::string summary;
     /** Longer description for help and the generated docs. */
     std::string description;
-    /** Compatibility aliases, e.g. "swap-plan". */
-    std::vector<std::string> aliases;
     /** Accepts the shared workload flags (model/batch/...). */
     bool workload = false;
     /** Default --model shown in help when workload is true. */
@@ -71,7 +69,7 @@ class CommandRegistry
     /** Registers @p command (names must be unique). */
     void add(Command command);
 
-    /** @return the command named (or aliased) @p name, or null. */
+    /** @return the command named @p name, or null. */
     const Command *find(const std::string &name) const;
 
     /** @return every command, in registration order. */

@@ -844,13 +844,13 @@ make_default_registry()
         c.default_model = "mlp";
         c.flags = {
             {"csv", FlagKind::kValue, "PATH", "",
-             "export the raw event trace as CSV", {}},
+             "export the raw event trace as CSV"},
             {"chrome", FlagKind::kValue, "PATH", "",
-             "export a Chrome trace (load in chrome://tracing)", {}},
+             "export a Chrome trace (load in chrome://tracing)"},
             {"series", FlagKind::kValue, "PATH", "",
-             "export the occupancy time series as CSV", {}},
+             "export the occupancy time series as CSV"},
             {"no-gantt", FlagKind::kBool, "", "",
-             "suppress the ASCII Gantt chart", {}},
+             "suppress the ASCII Gantt chart"},
         };
         c.example = "pinpoint_cli characterize --model resnet50 "
                     "--batch 32 --chrome trace.json";
@@ -866,32 +866,25 @@ make_default_registry()
             "Plans Eq. 1 swapping for a workload and (optionally) "
             "validates the\nplan by executing it on the shared "
             "full-duplex PCIe link.";
-        c.aliases = {"swap-plan"};
         c.workload = true;
         c.default_model = "resnet50";
         c.flags = {
             {"safety-factor", FlagKind::kValue, "F", "1.0",
              "required headroom: a gap qualifies when gap >= F * "
-             "round_trip(size)",
-             {"safety"}},
+             "round_trip(size)"},
             {"min-block", FlagKind::kValue, "MiB", "8",
-             "ignore blocks smaller than this many MiB",
-             {"min-block-mb"}},
+             "ignore blocks smaller than this many MiB"},
             {"allow-overhead", FlagKind::kBool, "", "",
              "also schedule non-hideable swaps and price their "
-             "stall",
-             {"aggressive"}},
+             "stall"},
             {"validate", FlagKind::kBool, "", "",
              "execute on the shared link; report measured savings, "
-             "stall, queue delay, link occupancy",
-             {}},
+             "stall, queue delay, link occupancy"},
             {"csv", FlagKind::kValue, "PATH", "",
              "per-decision schedule export (measured columns when "
-             "validating)",
-             {}},
+             "validating)"},
             {"json", FlagKind::kValue, "PATH", "",
-             "plan + execution summary and per-decision schedule",
-             {}},
+             "plan + execution summary and per-decision schedule"},
         };
         c.example = "pinpoint_cli swap --model resnet50 --batch 16 "
                     "--validate --csv schedule.csv";
@@ -921,25 +914,22 @@ make_default_registry()
             {"strategy", FlagKind::kValue, "S", "hybrid",
              "swap, recompute, peer, or hybrid — which strategy's "
              "detail/export to select (every available one is "
-             "printed; peer needs --devices >= 2)",
-             {}},
+             "printed; peer needs --devices >= 2)"},
             {"budget-ms", FlagKind::kValue, "N", "unlimited",
              "total predicted overhead the selection may spend, in "
-             "milliseconds; hideable swaps are free and exempt",
-             {}},
+             "milliseconds; hideable swaps are free and exempt"},
             {"slo-ms", FlagKind::kValue, "N", "stream p50",
              "per-request latency SLO for --mode infer workloads, "
              "in milliseconds; no single overhead-bearing decision "
-             "may stall a request beyond it",
-             {}},
+             "may stall a request beyond it"},
             {"safety-factor", FlagKind::kValue, "F", "1.0",
-             "Eq. 1 headroom for the swap legs", {}},
+             "Eq. 1 headroom for the swap legs"},
             {"min-block", FlagKind::kValue, "MiB", "8",
-             "ignore blocks smaller than this many MiB", {}},
+             "ignore blocks smaller than this many MiB"},
             {"csv", FlagKind::kValue, "PATH", "",
-             "per-decision schedule of the selected strategy", {}},
+             "per-decision schedule of the selected strategy"},
             {"json", FlagKind::kValue, "PATH", "",
-             "plan + scheduled-execution summary and decisions", {}},
+             "plan + scheduled-execution summary and decisions"},
         };
         c.example = "pinpoint_cli relief --model resnet50 --batch "
                     "16 --strategy hybrid --budget-ms 50";
@@ -958,8 +948,7 @@ make_default_registry()
         c.flags = {
             {"device", FlagKind::kValue, "D", "titan-x",
              "device preset: " +
-                 join_names(sim::device_spec_names()),
-             {}},
+                 join_names(sim::device_spec_names())},
         };
         c.example = "pinpoint_cli bandwidth --device a100";
         c.run = cmd_bandwidth;
@@ -997,66 +986,57 @@ make_default_registry()
             "still exits 0.\nOnly scenario *errors* exit 1.";
         c.flags = {
             {"jobs", FlagKind::kValue, "N", "1",
-             "worker threads; results are byte-identical for any N",
-             {}},
+             "worker threads; results are byte-identical for any N"},
             {"models", FlagKind::kValue, "a,b", "full zoo",
-             "comma-separated model filter", {}},
+             "comma-separated model filter"},
             {"batches", FlagKind::kValue, "16,32", "16,32,64",
-             "batch-size axis", {}},
+             "batch-size axis"},
             {"allocators", FlagKind::kValue, "a,b", "all three",
-             "allocator axis", {}},
+             "allocator axis"},
             {"device-presets", FlagKind::kValue, "a,b", "titan-x",
-             "device preset axis", {"device-preset"}},
+             "device preset axis"},
             {"devices", FlagKind::kValue, "1,2", "1",
-             "data-parallel replica-count axis", {}},
+             "data-parallel replica-count axis"},
             {"topologies", FlagKind::kValue, "a,b", "pcie",
              "interconnect preset axis: " +
-                 join_names(sim::interconnect_names()),
-             {}},
+                 join_names(sim::interconnect_names())},
             {"modes", FlagKind::kValue, "a,b", "train",
              "session-mode axis: " +
-                 join_names(runtime::session_mode_names()),
-             {}},
+                 join_names(runtime::session_mode_names())},
             {"dtypes", FlagKind::kValue, "a,b", "f32",
-             "tensor-dtype axis: f32, f16, i8", {}},
+             "tensor-dtype axis: f32, f16, i8"},
             {"iterations", FlagKind::kValue, "K", "5",
-             "iterations per scenario", {}},
+             "iterations per scenario"},
             {"requests", FlagKind::kValue, "N", "32",
-             "requests per infer-mode scenario", {}},
+             "requests per infer-mode scenario"},
             {"arrival", FlagKind::kValue, "A", "bursty",
              "arrival process for infer-mode scenarios: " +
-                 join_names(runtime::arrival_kind_names()),
-             {}},
+                 join_names(runtime::arrival_kind_names())},
             {"csv", FlagKind::kValue, "PATH", "",
-             "full-report CSV export", {}},
+             "full-report CSV export"},
             {"json", FlagKind::kValue, "PATH", "",
-             "full-report JSON export", {}},
+             "full-report JSON export"},
             {"no-swap-plan", FlagKind::kBool, "", "",
-             "skip swap *and* relief planning per trace", {}},
+             "skip swap *and* relief planning per trace"},
             {"quiet", FlagKind::kBool, "", "",
-             "suppress per-scenario progress on stderr", {}},
+             "suppress per-scenario progress on stderr"},
             {"cache-dir", FlagKind::kValue, "DIR", "",
              "on-disk result cache: scenarios seen before (same "
              "full spec, planner toggle, and result schema) are "
-             "answered from disk instead of re-simulated",
-             {}},
+             "answered from disk instead of re-simulated"},
             {"no-cache", FlagKind::kBool, "", "",
              "ignore --cache-dir for this run (force fresh "
-             "simulation)",
-             {}},
+             "simulation)"},
             {"shard", FlagKind::kValue, "i/N", "",
              "run only scenarios with index % N == i, streaming "
              "rows to a spill file in --spill-dir; a re-run "
-             "resumes, skipping rows already on disk",
-             {}},
+             "resumes, skipping rows already on disk"},
             {"spill-dir", FlagKind::kValue, "DIR", "",
              "where sharded runs append their spill files "
-             "(required with --shard; merge with 'sweep-merge')",
-             {}},
+             "(required with --shard; merge with 'sweep-merge')"},
             {"progress", FlagKind::kBool, "", "",
              "stderr ticker: scenarios done/total, cache hits, "
-             "ETA (never touches stdout exports)",
-             {}},
+             "ETA (never touches stdout exports)"},
         };
         c.example = "pinpoint_cli sweep --jobs 8 --models "
                     "resnet50,vgg16 --batches 16,32 --devices 1,2,4 "
@@ -1080,12 +1060,11 @@ make_default_registry()
             "the grid or result schema.";
         c.flags = {
             {"spill-dir", FlagKind::kValue, "DIR", "",
-             "directory holding the shard-*.spill files (required)",
-             {}},
+             "directory holding the shard-*.spill files (required)"},
             {"csv", FlagKind::kValue, "PATH", "",
-             "full-report CSV export", {}},
+             "full-report CSV export"},
             {"json", FlagKind::kValue, "PATH", "",
-             "full-report JSON export", {}},
+             "full-report JSON export"},
         };
         c.example =
             "pinpoint_cli sweep-merge --spill-dir spills --csv "
@@ -1106,8 +1085,7 @@ make_default_registry()
         c.flags = {
             {"markdown", FlagKind::kBool, "", "",
              "print the full CLI reference as Markdown "
-             "(docs/CLI.md is this output)",
-             {}},
+             "(docs/CLI.md is this output)"},
         };
         c.example = "pinpoint_cli help sweep";
         // Dispatched inside run_cli (needs the registry itself).

@@ -7,17 +7,13 @@ namespace pinpoint {
 namespace cli {
 namespace {
 
-/** @return the spec owning @p name (canonical or alias), or null. */
+/** @return the spec named @p name, or null. */
 const FlagSpec *
 find_spec(const std::vector<FlagSpec> &specs, const std::string &name)
 {
-    for (const auto &spec : specs) {
+    for (const auto &spec : specs)
         if (spec.name == name)
             return &spec;
-        for (const auto &alias : spec.aliases)
-            if (alias == name)
-                return &spec;
-    }
     return nullptr;
 }
 

@@ -41,8 +41,6 @@ struct FlagSpec {
     std::string default_text;
     /** One-line description for help and the generated docs. */
     std::string help;
-    /** Accepted alternate spellings (compatibility aliases). */
-    std::vector<std::string> aliases;
 };
 
 /**
@@ -86,8 +84,8 @@ class ParsedArgs
 };
 
 /**
- * Parses @p tokens against @p specs. Aliases are folded onto the
- * canonical name; a repeated flag keeps the last value.
+ * Parses @p tokens against @p specs. A repeated flag keeps the last
+ * value.
  *
  * @throws UsageError for an unknown flag, a positional token, or a
  * value flag with no following value (end of line or another flag).

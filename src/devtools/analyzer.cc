@@ -1,16 +1,17 @@
 #include "devtools/analyzer.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <ostream>
-#include <regex>
 #include <sstream>
 #include <tuple>
 
 #include "core/check.h"
 #include "devtools/include_graph.h"
+#include "devtools/invariants.h"
 #include "devtools/layering.h"
 #include "devtools/symbol_index.h"
 #include "devtools/tokenizer.h"
@@ -411,73 +412,6 @@ hygiene_pass(const IncludeGraph &graph,
 
 // ----------------------------------------------- suppression audit
 
-/**
- * Pattern-level mirror of one tools/pinpoint_lint.py rule: enough
- * to decide whether a `// lint: allow(<rule>)` still sits on a
- * line its rule matches. The authoritative check lives in the
- * linter's own stale-suppression self-check; this mirror closes
- * the loop from the compiled analyzer's side.
- */
-struct LintRuleMirror {
-    const char *id;
-    /// Path prefix the rule applies under ("" = everywhere).
-    const char *prefix;
-    /// Paths the rule explicitly exempts.
-    std::vector<std::string> exempt;
-    const char *pattern;
-};
-
-const std::vector<LintRuleMirror> &
-lint_mirrors()
-{
-    static const std::vector<LintRuleMirror> mirrors = {
-        {"timeline-construction",
-         "",
-         {"src/analysis/timeline.h", "src/analysis/timeline.cc",
-          "src/analysis/trace_view.cc"},
-         R"(\bnew\s+Timeline\b|\bTimeline\s*[({])"},
-        {"raw-number-parse",
-         "",
-         {"src/core/parse.cc"},
-         R"(std\s*::\s*sto(i|l|ll|ul|ull|f|d|ld)\s*\()"
-         R"(|\b(strtol|strtoll|strtoul|strtoull|strtod|strtof)"
-         R"(|atoi|atol|atoll|atof|sscanf)\s*\()"},
-        {"nondeterminism-source",
-         "src/",
-         {},
-         R"(std\s*::\s*random_device|\brandom_device\b)"
-         R"(|\bs?rand\s*\(|std\s*::\s*time\s*\(|system_clock)"
-         R"(|(^|[^A-Za-z0-9_.>:])time\s*\(\s*(NULL|nullptr|0)?\s*\))"},
-        {"unordered-export-iteration",
-         "src/",
-         {},
-         R"(for\s*\([^;]*:|\.\s*c?begin\s*\()"},
-        {"positional-strategy-index",
-         "",
-         {},
-         R"(\[\s*[0-9]+\s*\])"},
-        {"deprecated-recorder-api",
-         "src/",
-         {},
-         R"(\.\s*(count|filter)\s*\()"},
-        {"inference-plan-purity",
-         "src/runtime/request_stream",
-         {},
-         R"(\bkBackward\b|\bkOptimizer\b|\bemit_backward\b)"
-         R"(|\bemit_optimizer\b|\bsgd_momentum\b)"},
-    };
-    return mirrors;
-}
-
-const LintRuleMirror *
-find_mirror(const std::string &id)
-{
-    for (const LintRuleMirror &m : lint_mirrors())
-        if (id == m.id)
-            return &m;
-    return nullptr;
-}
-
 /** One pending `analyze: allow` awaiting a violation to consume. */
 struct AnalyzeSuppression {
     std::string path;
@@ -493,76 +427,29 @@ audit_pass(const IncludeGraph &graph,
            std::vector<Violation> &out)
 {
     std::vector<AnalyzeSuppression> analyze_sups;
+    const auto &known = check_ids();
     for (const auto &entry : graph.files()) {
         const SourceFile &file = entry.second;
-        const std::vector<std::string> masked_lines =
-            split_lines(file.scan.masked);
-        const auto line_text =
-            [&](int no) -> const std::string & {
-            static const std::string empty;
-            return no >= 1 &&
-                           no <= static_cast<int>(
-                                     masked_lines.size())
-                       ? masked_lines[no - 1]
-                       : empty;
-        };
         for (const SuppressionComment &sup :
              file.scan.suppressions) {
-            std::set<int> lines = {sup.line};
-            if (sup.standalone)
-                lines.insert(sup.line + 1);
             for (const std::string &id : sup.ids) {
-                if (sup.tool == "analyze") {
-                    const auto &known = check_ids();
-                    if (std::find(known.begin(), known.end(),
-                                  id) == known.end()) {
-                        add(out, "stale-suppression", file.path,
-                            sup.line,
-                            "suppression names unknown analyzer "
-                            "check '" +
-                                id + "'");
-                        continue;
-                    }
-                    AnalyzeSuppression pending;
-                    pending.path = file.path;
-                    pending.check = id;
-                    pending.lines = lines;
-                    pending.comment_line = sup.line;
-                    analyze_sups.push_back(std::move(pending));
-                    continue;
-                }
-                // lint suppression: mirror the rule's pattern.
-                if (id == "stale-suppression")
-                    continue;  // only the linter can judge this
-                const LintRuleMirror *mirror = find_mirror(id);
-                if (mirror == nullptr) {
+                if (std::find(known.begin(), known.end(), id) ==
+                    known.end()) {
                     add(out, "stale-suppression", file.path,
                         sup.line,
-                        "suppression names unknown lint rule '" +
+                        "suppression names unknown analyzer "
+                        "check '" +
                             id + "'");
                     continue;
                 }
-                bool applies =
-                    file.path.compare(0,
-                                      std::string(mirror->prefix)
-                                          .size(),
-                                      mirror->prefix) == 0;
-                for (const std::string &exempt : mirror->exempt)
-                    if (file.path == exempt)
-                        applies = false;
-                bool live = false;
-                if (applies) {
-                    const std::regex re(mirror->pattern);
-                    for (int no : lines)
-                        if (std::regex_search(line_text(no), re))
-                            live = true;
-                }
-                if (!live)
-                    add(out, "stale-suppression", file.path,
-                        sup.line,
-                        "lint rule '" + std::string(id) +
-                            "' no longer matches the suppressed "
-                            "line; remove the allow comment");
+                AnalyzeSuppression pending;
+                pending.path = file.path;
+                pending.check = id;
+                pending.lines = {sup.line};
+                if (sup.standalone)
+                    pending.lines.insert(sup.line + 1);
+                pending.comment_line = sup.line;
+                analyze_sups.push_back(std::move(pending));
             }
         }
     }
@@ -605,6 +492,40 @@ read_text_file(const fs::path &path)
     return buf.str();
 }
 
+const char kDocBegin[] = "<!-- layering:begin -->";
+const char kDocEnd[] = "<!-- layering:end -->";
+
+/** The generated Layering block, both markers included. */
+std::string
+render_layering_block(const LayerTable &table)
+{
+    std::ostringstream os;
+    os << kDocBegin << "\n"
+       << "<!-- Generated from tools/layering.txt by\n"
+          "     pinpoint_analyze --layering-doc --write. Do not\n"
+          "     edit by hand; the layering_doc_drift test diffs\n"
+          "     this block against the table. -->\n\n"
+          "| Layer | May include |\n| --- | --- |\n";
+    for (const Layer &layer : table.layers()) {
+        os << "| `" << layer.name << "` | ";
+        // Deps in declaration (lowest-first) order, as in the table.
+        std::string deps;
+        for (const Layer &dep : table.layers())
+            if (table.allows(layer.name, dep.name) &&
+                dep.name != layer.name)
+                deps += (deps.empty() ? "`" : ", `") + dep.name + "`";
+        os << (deps.empty() ? "(nothing)" : deps) << " |\n";
+    }
+    if (!table.umbrellas().empty()) {
+        os << "\nUmbrella (forwarding) headers, exempt from the "
+              "unused-include check as includers:\n\n";
+        for (const std::string &u : table.umbrellas())
+            os << "- `" << u << "`\n";
+    }
+    os << kDocEnd;
+    return os.str();
+}
+
 }  // namespace
 
 bool
@@ -618,13 +539,19 @@ Violation::operator<(const Violation &other) const
 const std::vector<std::string> &
 check_ids()
 {
-    static const std::vector<std::string> ids = {
-        "computed-include",       "include-cycle",
-        "layer-table-drift",      "layer-violation",
-        "missing-direct-include", "pragma-once",
-        "relative-include",       "stale-suppression",
-        "unused-include",         "using-namespace-header",
-    };
+    static const std::vector<std::string> ids = [] {
+        std::vector<std::string> out = {
+            "computed-include",       "include-cycle",
+            "layer-table-drift",      "layer-violation",
+            "missing-direct-include", "pragma-once",
+            "relative-include",       "stale-suppression",
+            "unused-include",         "using-namespace-header",
+        };
+        out.insert(out.end(), invariant_check_ids().begin(),
+                   invariant_check_ids().end());
+        std::sort(out.begin(), out.end());
+        return out;
+    }();
     return ids;
 }
 
@@ -643,6 +570,9 @@ analyze(const AnalyzerConfig &config)
     CycleFinder(graph, raw).run();
     iwyu_pass(graph, result.table, raw);
     hygiene_pass(graph, raw);
+    for (const auto &entry : graph.files())
+        invariant_pass(entry.first,
+                       tokenize(entry.second.scan.masked), raw);
 
     std::vector<Violation> audit;
     audit_pass(graph, raw, audit);
@@ -660,6 +590,16 @@ analyze(const AnalyzerConfig &config)
                                      a.detail == b.detail;
                           }),
               raw.end());
+    if (!config.checks.empty())
+        raw.erase(std::remove_if(raw.begin(), raw.end(),
+                                 [&](const Violation &v) {
+                                     return std::find(
+                                                config.checks.begin(),
+                                                config.checks.end(),
+                                                v.check) ==
+                                            config.checks.end();
+                                 }),
+                  raw.end());
     result.violations = std::move(raw);
     result.edges = graph.edges();
     for (const auto &entry : graph.files())
@@ -722,8 +662,46 @@ render_json(const AnalysisResult &result, std::ostream &out)
 }
 
 int
-run_self_test(const std::string &root, std::ostream &out)
+check_layering_doc(const AnalyzerConfig &config, bool write,
+                   std::ostream &out)
 {
+    const std::string expected =
+        render_layering_block(LayerTable::parse(read_text_file(
+            fs::path(config.root) / config.layering_path)));
+    const fs::path doc_path =
+        fs::path(config.root) / "docs" / "ARCHITECTURE.md";
+    const std::string doc = read_text_file(doc_path);
+    const auto begin = doc.find(kDocBegin);
+    const auto end = doc.find(kDocEnd);
+    if (begin == std::string::npos || end == std::string::npos ||
+        end < begin)
+        throw Error(doc_path.generic_string() + " has no " +
+                    kDocBegin + " .. " + kDocEnd + " block");
+    const auto stop = end + std::strlen(kDocEnd);
+    if (doc.compare(begin, stop - begin, expected) == 0) {
+        out << "layering doc in sync\n";
+        return 0;
+    }
+    if (write) {
+        std::ofstream file(doc_path, std::ios::binary);
+        file << doc.substr(0, begin) << expected << doc.substr(stop);
+        if (!file.flush())
+            throw Error("cannot write " + doc_path.generic_string());
+        out << "updated " << doc_path.generic_string() << "\n";
+        return 0;
+    }
+    out << "layering doc drift; the block should read:\n"
+        << expected << "\nrun `pinpoint_analyze --layering-doc "
+        << "--write` to regenerate it\n";
+    return 1;
+}
+
+int
+run_self_test(const std::string &root, std::ostream &out,
+              const std::vector<std::string> &checks)
+{
+    const std::vector<std::string> &selected =
+        checks.empty() ? check_ids() : checks;
     const fs::path fixtures =
         fs::path(root) / "tests" / "devtools" / "fixtures";
     std::error_code ec;
@@ -742,6 +720,7 @@ run_self_test(const std::string &root, std::ostream &out)
     std::vector<std::string> failures;
     std::set<std::string> bad_seen;
     std::set<std::string> ok_seen;
+    std::size_t run = 0;
     for (const std::string &name : names) {
         bool expect_bad = false;
         std::string stem;
@@ -771,6 +750,10 @@ run_self_test(const std::string &root, std::ostream &out)
                                check + "'");
             continue;
         }
+        if (std::find(selected.begin(), selected.end(), check) ==
+            selected.end())
+            continue;
+        ++run;
         AnalyzerConfig config;
         config.root = (fixtures / name).generic_string();
         AnalysisResult result;
@@ -801,7 +784,7 @@ run_self_test(const std::string &root, std::ostream &out)
                                    v.detail);
         }
     }
-    for (const std::string &check : check_ids()) {
+    for (const std::string &check : selected) {
         if (bad_seen.count(check) == 0)
             failures.push_back("no must-trigger fixture for [" +
                                check + "]");
@@ -814,8 +797,8 @@ run_self_test(const std::string &root, std::ostream &out)
             out << "self-test FAIL: " << f << "\n";
         return 1;
     }
-    out << "pinpoint_analyze self-test: " << names.size()
-        << " fixtures, " << check_ids().size() << " checks OK\n";
+    out << "pinpoint_analyze self-test: " << run << " fixtures, "
+        << selected.size() << " checks OK\n";
     return 0;
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * The pinpoint_analyze pass pipeline: four static-analysis passes
- * over the include graph, each producing Violations with a stable
+ * The pinpoint_analyze pass pipeline: five static-analysis passes
+ * over the scanned tree, each producing Violations with a stable
  * check id, filtered through `// analyze: allow(<check>)`
- * suppressions and rendered as a human report or deterministic
- * JSON (sorted violations and edges; byte-identical across runs).
+ * suppressions (on the line, or alone on the line above) and
+ * rendered as a human report or deterministic JSON (sorted
+ * violations and edges; byte-identical across runs).
  *
  * Passes and their check ids:
  *
@@ -12,6 +13,7 @@
  *   IWYU-lite     unused-include, missing-direct-include
  *   hygiene       pragma-once, using-namespace-header,
  *                 relative-include, computed-include
+ *   invariants    the code-shape rules of devtools/invariants.h
  *   suppressions  stale-suppression
  */
 #pragma once
@@ -44,10 +46,14 @@ struct AnalyzerConfig {
     std::string layering_path = "tools/layering.txt";
     std::vector<std::string> graph_dirs = {"src", "tools", "bench",
                                            "examples"};
+    /// Outside the include graph: invariants and suppressions only.
     std::vector<std::string> audit_dirs = {"tests"};
     /// Deliberate-violation fixture trees, never analyzed.
     std::vector<std::string> skip_prefixes = {
-        "tests/lint/", "tests/devtools/fixtures/"};
+        "tests/devtools/fixtures/"};
+    /// When non-empty, only these checks' findings are reported;
+    /// the suppression audit still sees every finding.
+    std::vector<std::string> checks;
 };
 
 /** Result of one analyzer run. */
@@ -63,7 +69,7 @@ struct AnalysisResult {
 const std::vector<std::string> &check_ids();
 
 /**
- * Runs all four passes. @throws pinpoint::Error when the layering
+ * Runs every pass. @throws pinpoint::Error when the layering
  * table is missing or malformed (a configuration error, not a
  * finding).
  */
@@ -76,13 +82,26 @@ int render_human(const AnalysisResult &result, std::ostream &out);
 void render_json(const AnalysisResult &result, std::ostream &out);
 
 /**
+ * Compares the generated "Layering" block of docs/ARCHITECTURE.md
+ * (between the layering:begin/end markers) with the block rendered
+ * from the layer table, or rewrites it when @p write is set.
+ * @returns 0 in sync (or rewritten), 1 drift. @throws
+ * pinpoint::Error when either file is missing or malformed.
+ */
+int check_layering_doc(const AnalyzerConfig &config, bool write,
+                       std::ostream &out);
+
+/**
  * Runs the fixture self-test: every directory under
  * tests/devtools/fixtures/ named <check>_bad must produce only
  * that check's violations and every <check>_ok directory must
  * analyze clean, with every check id covered by at least one bad
- * and one ok fixture. @returns the process exit code.
+ * and one ok fixture. A non-empty @p checks restricts the run, and
+ * the coverage requirement, to those checks' fixtures.
+ * @returns the process exit code.
  */
-int run_self_test(const std::string &root, std::ostream &out);
+int run_self_test(const std::string &root, std::ostream &out,
+                  const std::vector<std::string> &checks = {});
 
 }  // namespace devtools
 }  // namespace pinpoint

@@ -2,9 +2,9 @@
  * @file
  * Parser for tools/layering.txt — the one committed source of
  * truth for the architecture's layer DAG. The analyzer enforces
- * it, tools/check_layering_doc.py renders the ARCHITECTURE.md
- * "Layering" section from it, and the drift check diffs the two;
- * nothing else encodes the layer order.
+ * it and renders the ARCHITECTURE.md "Layering" section from it
+ * (check_layering_doc in devtools/analyzer.h); nothing else
+ * encodes the layer order.
  *
  * Format (one declaration per line, '#' starts a comment):
  *

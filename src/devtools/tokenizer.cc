@@ -344,9 +344,9 @@ void
 Scanner::record_suppressions(const std::string &comment, int line,
                              bool standalone)
 {
-    // Matches "<tool>: allow(id, id2)" with tool lint or analyze.
-    // Hand-rolled: std::regex is the only alternative and this runs
-    // on every comment of every file.
+    // Matches "analyze: allow(<id>, <id>)". Hand-rolled: std::regex is
+    // the only alternative and this runs on every comment of every
+    // file.
     std::size_t pos = 0;
     while (pos < comment.size()) {
         std::size_t at = comment.find("allow(", pos);
@@ -371,9 +371,8 @@ Scanner::record_suppressions(const std::string &comment, int line,
                 --ts;
             tool = comment.substr(ts, te - ts);
         }
-        // Mirror the linter's regex: the id list is [\w,\s-]+ —
-        // anything else (e.g. prose like "allow(<rule>)" in a doc
-        // comment) is not a suppression.
+        // The id list is [\w,\s-]+ — anything else (e.g. prose like
+        // "allow(<check>)" in a doc comment) is not a suppression.
         bool well_formed = close > at + 6;
         for (std::size_t k = at + 6; k < close; ++k) {
             const char c = comment[k];
@@ -381,11 +380,10 @@ Scanner::record_suppressions(const std::string &comment, int line,
                 c != ' ' && c != '\t')
                 well_formed = false;
         }
-        if (well_formed && (tool == "lint" || tool == "analyze")) {
+        if (well_formed && tool == "analyze") {
             SuppressionComment sup;
             sup.line = line;
             sup.standalone = standalone;
-            sup.tool = tool;
             std::string id;
             for (std::size_t k = at + 6; k <= close; ++k) {
                 char c = k < close ? comment[k] : ',';

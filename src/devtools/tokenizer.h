@@ -42,16 +42,14 @@ struct DefineDirective {
 };
 
 /**
- * One `// ... allow(...)` suppression comment. The scanner records
- * every comment matching `<tool>: allow(<ids>)` where tool is
- * `lint` or `analyze`; the suppression-audit pass decides which are
- * stale.
+ * One `analyze: allow(<ids>)` suppression comment. The scanner
+ * records every such comment; the suppression-audit pass decides
+ * which are stale.
  */
 struct SuppressionComment {
     int line = 0;
     bool standalone = false;  ///< Comment is alone on its line.
-    std::string tool;         ///< "lint" or "analyze".
-    std::vector<std::string> ids;  ///< Rule/check ids named.
+    std::vector<std::string> ids;  ///< Check ids named.
 };
 
 /**

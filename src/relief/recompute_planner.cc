@@ -8,9 +8,6 @@
 namespace pinpoint {
 namespace relief {
 
-// is_forward_op / index_producers moved to analysis/producers.cc:
-// the producer index is a shared TraceView sub-index now.
-
 RecomputePlanner::RecomputePlanner(RecomputeOptions options)
     : options_(options)
 {

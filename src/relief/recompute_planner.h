@@ -20,8 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/producers.h"
-#include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "core/types.h"
 
@@ -33,14 +31,6 @@ struct RecomputeOptions {
     /** Ignore blocks smaller than this (re-launch isn't free). */
     std::size_t min_block_bytes = 1024 * 1024;
 };
-
-// The producer index is a TraceView sub-index now (built once per
-// run, shared by both relief planners); the types and builders live
-// in analysis/producers.h. These aliases keep relief-facing code
-// and tests on their historical names.
-using Producer = analysis::Producer;
-using analysis::index_producers;
-using analysis::is_forward_op;
 
 /** One drop-and-recompute assignment for a block's access gap. */
 struct RecomputeDecision {

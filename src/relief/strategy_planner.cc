@@ -7,7 +7,6 @@
 #include "analysis/timeline.h"
 #include "core/check.h"
 #include "core/types.h"
-#include "relief/recompute_planner.h"
 #include "sim/link_scheduler.h"
 #include "swap/executor.h"
 #include "swap/planner.h"
@@ -31,7 +30,7 @@ struct Candidate {
     bool rec_ok = false;
     TimeNs rec_cost = 0;
     bool rec_covers = false;
-    const Producer *producer = nullptr;
+    const analysis::Producer *producer = nullptr;
     // Peer-offload option (multi-device topologies only).
     bool peer_ok = false;
     TimeNs peer_overhead = 0;

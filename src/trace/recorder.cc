@@ -15,26 +15,5 @@ TraceRecorder::record(MemoryEvent event)
     events_.push_back(std::move(event));
 }
 
-std::size_t
-TraceRecorder::count(EventKind k) const
-{
-    std::size_t n = 0;
-    for (const auto &e : events_)
-        if (e.kind == k)
-            ++n;
-    return n;
-}
-
-std::vector<MemoryEvent>
-TraceRecorder::filter(
-    const std::function<bool(const MemoryEvent &)> &pred) const
-{
-    std::vector<MemoryEvent> out;
-    for (const auto &e : events_)
-        if (pred(e))
-            out.push_back(e);
-    return out;
-}
-
 }  // namespace trace
 }  // namespace pinpoint

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <vector>
 
 #include "trace/event.h"
@@ -45,24 +44,6 @@ class TraceRecorder
 
     /** Pre-allocates capacity for @p n events. */
     void reserve(std::size_t n) { events_.reserve(n); }
-
-    /**
-     * @return count of events of kind @p k.
-     * @deprecated O(n) rescan per call. Analysis code must read the
-     * cached per-kind counts at analysis::TraceView::count()
-     * instead; this stays for tests and trace-layer tooling only.
-     */
-    std::size_t count(EventKind k) const;
-
-    /**
-     * @return events satisfying @p pred, in order.
-     * @deprecated Copies the matching events on every call. Analysis
-     * code must iterate analysis::TraceView columns (or its
-     * indices_of(kind) offsets) instead; this stays for tests and
-     * ad-hoc exploration only.
-     */
-    std::vector<MemoryEvent>
-    filter(const std::function<bool(const MemoryEvent &)> &pred) const;
 
   private:
     std::vector<MemoryEvent> events_;

@@ -1,5 +1,6 @@
 #include "trace/slice.h"
 
+#include <algorithm>
 #include <unordered_map>
 #include <unordered_set>
 

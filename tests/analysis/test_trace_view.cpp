@@ -24,6 +24,7 @@
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
+#include "support/trace_counts.h"
 #include "swap/planner.h"
 
 namespace pinpoint {
@@ -103,7 +104,7 @@ TEST(TraceView, PerKindCountsAndOffsets)
     for (auto k :
          {trace::EventKind::kMalloc, trace::EventKind::kFree,
           trace::EventKind::kRead, trace::EventKind::kWrite})
-        EXPECT_EQ(view.count(k), r.count(k));
+        EXPECT_EQ(view.count(k), test_support::count_kind(r, k));
 }
 
 TEST(TraceView, SubIndicesAreLazyAndBuiltOnce)

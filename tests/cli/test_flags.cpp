@@ -3,7 +3,7 @@
  * The strict CLI flag parser: regression tests for the three silent
  * failure modes of the old ad-hoc cursor — ignored unknown flags,
  * dangling value flags falling back to defaults, and std::stoll
- * accepting garbage — plus aliases and typed getters.
+ * accepting garbage — plus typed getters.
  */
 #include <gtest/gtest.h>
 
@@ -18,12 +18,10 @@ std::vector<FlagSpec>
 specs()
 {
     return {
-        {"batch", FlagKind::kValue, "N", "32", "batch size", {}},
-        {"safety-factor", FlagKind::kValue, "F", "1.0", "headroom",
-         {"safety"}},
-        {"validate", FlagKind::kBool, "", "", "execute the plan",
-         {"aggressive"}},
-        {"csv", FlagKind::kValue, "PATH", "", "export", {}},
+        {"batch", FlagKind::kValue, "N", "32", "batch size"},
+        {"safety-factor", FlagKind::kValue, "F", "1.0", "headroom"},
+        {"validate", FlagKind::kBool, "", "", "execute the plan"},
+        {"csv", FlagKind::kValue, "PATH", "", "export"},
     };
 }
 
@@ -37,12 +35,10 @@ TEST(ParseArgs, ValueAndBoolFlags)
     EXPECT_FALSE(parsed.has("safety-factor"));
 }
 
-TEST(ParseArgs, AliasesFoldOntoTheCanonicalName)
+TEST(ParseArgs, RetiredAliasSpellingsAreUnknownFlags)
 {
-    const ParsedArgs parsed =
-        parse_args(specs(), {"--safety", "1.5", "--aggressive"});
-    EXPECT_EQ(parsed.value("safety-factor", ""), "1.5");
-    EXPECT_TRUE(parsed.flag("validate"));
+    EXPECT_THROW(parse_args(specs(), {"--safety", "1.5"}), UsageError);
+    EXPECT_THROW(parse_args(specs(), {"--aggressive"}), UsageError);
 }
 
 TEST(ParseArgs, RepeatedFlagKeepsTheLastValue)

@@ -118,17 +118,6 @@ TEST(GoldenOutput, RepeatedRunsAreByteIdenticalThroughTheSharedView)
     EXPECT_EQ(first, run_out(args));
 }
 
-TEST(GoldenOutput, SwapPlanAliasMatchesTheNewSpelling)
-{
-    const std::vector<std::string> tail = {
-        "--model", "mlp", "--batch", "16", "--iterations", "2"};
-    std::vector<std::string> as_swap = {"swap"};
-    std::vector<std::string> as_alias = {"swap-plan"};
-    as_swap.insert(as_swap.end(), tail.begin(), tail.end());
-    as_alias.insert(as_alias.end(), tail.begin(), tail.end());
-    EXPECT_EQ(run_out(as_swap), run_out(as_alias));
-}
-
 }  // namespace
 }  // namespace cli
 }  // namespace pinpoint

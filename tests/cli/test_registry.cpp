@@ -46,12 +46,12 @@ TEST(Registry, ShipsEveryCommand)
     EXPECT_EQ(registry.commands().size(), 8u);
 }
 
-TEST(Registry, FindsCompatibilityAliases)
+TEST(Registry, UnknownNamesAreNotFound)
 {
     const CommandRegistry registry = make_default_registry();
-    ASSERT_NE(registry.find("swap-plan"), nullptr);
-    EXPECT_EQ(registry.find("swap-plan")->name, "swap");
     EXPECT_EQ(registry.find("frobnicate"), nullptr);
+    // The retired swap-plan alias is gone; `swap` is the one name.
+    EXPECT_EQ(registry.find("swap-plan"), nullptr);
 }
 
 TEST(Registry, RejectsDuplicateNames)
@@ -61,17 +61,6 @@ TEST(Registry, RejectsDuplicateNames)
     c.name = "dup";
     registry.add(c);
     EXPECT_THROW(registry.add(Command{c}), Error);
-
-    // Aliases share the name space in both directions.
-    Command aliased;
-    aliased.name = "other";
-    aliased.aliases = {"dup"};
-    EXPECT_THROW(registry.add(aliased), Error);
-    aliased.aliases = {"alt"};
-    registry.add(aliased);
-    Command steals_alias;
-    steals_alias.name = "alt";
-    EXPECT_THROW(registry.add(steals_alias), Error);
 }
 
 TEST(ExitCodes, EmptyCommandLineIsAUsageError)
@@ -216,8 +205,6 @@ TEST(Docs, HelpTextCoversWorkloadAndCommandFlags)
          {"--model", "--batch", "--safety-factor F", "--validate",
           "--min-block MiB"})
         EXPECT_NE(help.find(flag), std::string::npos) << flag;
-    EXPECT_NE(help.find("alias --safety"), std::string::npos);
-    EXPECT_NE(help.find("aliases: swap-plan"), std::string::npos);
 }
 
 TEST(Docs, CliMarkdownMatchesTheCommittedReference)

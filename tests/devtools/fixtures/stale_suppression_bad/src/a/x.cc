@@ -1,3 +1,3 @@
 namespace a {
-int plain_value = 0;  // lint: allow(positional-strategy-index)
+int plain_value = 0;  // analyze: allow(positional-strategy-index)
 }  // namespace a

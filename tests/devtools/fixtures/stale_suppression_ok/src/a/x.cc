@@ -1,4 +1,9 @@
+#include <array>
+
 namespace a {
-int values[4];
-int third_value = values[2];  // lint: allow(positional-strategy-index)
+struct ReliefReport {
+    int saved = 0;
+};
+std::array<ReliefReport, 4> reports;
+int third_value = reports[2].saved;  // analyze: allow(positional-strategy-index)
 }  // namespace a

@@ -150,22 +150,19 @@ TEST(Tokenizer, PragmaOnceDetected)
 TEST(Tokenizer, SuppressionCommentsParsed)
 {
     const ScanResult scan = scan_source(
-        // The literal is split so the Python linter (which reads
-        // raw lines) does not take this test input for a real
-        // suppression comment.
-        "int a = v[0];  // lint"
-        ": allow(positional-strategy-index)\n"
+        "int a = v[0];  // analyze: allow(positional-strategy-index)\n"
         "// analyze: allow(unused-include, pragma-once)\n"
-        "int b = 0;\n");
+        "int b = 0;\n"
+        "int c = 0;  // lint: allow(raw-number-parse)\n");
+    // The retired `lint:` spelling is prose, not a suppression.
     ASSERT_EQ(scan.suppressions.size(), 2u);
-    EXPECT_EQ(scan.suppressions[0].tool, "lint");
     EXPECT_FALSE(scan.suppressions[0].standalone);
     ASSERT_EQ(scan.suppressions[0].ids.size(), 1u);
     EXPECT_EQ(scan.suppressions[0].ids[0],
               "positional-strategy-index");
-    EXPECT_EQ(scan.suppressions[1].tool, "analyze");
     EXPECT_TRUE(scan.suppressions[1].standalone);
     ASSERT_EQ(scan.suppressions[1].ids.size(), 2u);
+    EXPECT_EQ(scan.suppressions[1].ids[1], "pragma-once");
 }
 
 TEST(Tokenizer, ProseAllowMentionIsNotASuppression)
@@ -173,7 +170,7 @@ TEST(Tokenizer, ProseAllowMentionIsNotASuppression)
     // Doc comments talking about the syntax (ids outside [\w,-])
     // must not register as suppressions.
     const ScanResult scan = scan_source(
-        "// write lint: allow(<rule>) to suppress\n"
+        "// write analyze: allow(<check>) to suppress\n"
         "// or analyze: allow(...) for analyzer checks\n"
         "int x = 0;\n");
     EXPECT_TRUE(scan.suppressions.empty());

@@ -16,6 +16,7 @@
 #include "alloc/device_memory.h"
 #include "nn/models.h"
 #include "runtime/session.h"
+#include "support/trace_counts.h"
 
 namespace pinpoint {
 namespace {
@@ -201,10 +202,12 @@ TEST(PaperObservations, TraceIsSelfConsistentAcrossAllocators)
     config.allocator = runtime::AllocatorKind::kDirect;
     const auto direct = runtime::run_training(nn::mlp(), config);
 
-    EXPECT_EQ(caching.trace.count(trace::EventKind::kMalloc),
-              direct.trace.count(trace::EventKind::kMalloc));
-    EXPECT_EQ(caching.trace.count(trace::EventKind::kRead),
-              direct.trace.count(trace::EventKind::kRead));
+    EXPECT_EQ(
+        test_support::count_kind(caching.trace, trace::EventKind::kMalloc),
+        test_support::count_kind(direct.trace, trace::EventKind::kMalloc));
+    EXPECT_EQ(
+        test_support::count_kind(caching.trace, trace::EventKind::kRead),
+        test_support::count_kind(direct.trace, trace::EventKind::kRead));
     // Caching rounds block sizes up, so peaks may differ slightly
     // but within the rounding slack.
     const auto bc = analysis::occupation_breakdown(caching.view());

@@ -20,6 +20,7 @@
 #include "nn/model_registry.h"
 #include "nn/shape_infer.h"
 #include "runtime/session.h"
+#include "support/trace_counts.h"
 #include "sweep/driver.h"
 #include "sweep/scenario.h"
 #include "trace/slice.h"
@@ -49,8 +50,9 @@ TEST_P(ZooSweep, TrainingRunSatisfiesInvariants)
     const auto r = runtime::run_training(model, config);
 
     // 1. Balanced allocation lifecycle.
-    ASSERT_EQ(r.trace.count(trace::EventKind::kMalloc),
-              r.trace.count(trace::EventKind::kFree));
+    ASSERT_EQ(
+        test_support::count_kind(r.trace, trace::EventKind::kMalloc),
+        test_support::count_kind(r.trace, trace::EventKind::kFree));
     ASSERT_EQ(r.alloc_stats.alloc_count, r.alloc_stats.free_count);
 
     // 2. The trace replays consistently.

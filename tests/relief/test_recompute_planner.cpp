@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include "analysis/producers.h"
 #include "analysis/trace_view.h"
 #include "relief/recompute_planner.h"
 
@@ -64,7 +65,7 @@ activation_trace()
 TEST(IndexProducers, FindsForwardWriterWithMeasuredDuration)
 {
     const auto producers =
-        index_producers(analysis::TraceView(activation_trace()));
+        analysis::index_producers(analysis::TraceView(activation_trace()));
     ASSERT_EQ(producers.count(2), 1u);
     EXPECT_EQ(producers.at(2).op, "conv1.forward");
     EXPECT_EQ(producers.at(2).forward_ns, 100u);
@@ -81,16 +82,16 @@ TEST(IndexProducers, SkipsBackwardAndOptimizerWriters)
     r.record(ev(110, trace::EventKind::kWrite, 1, 64 * kMB,
                 "fc.backward.wgrad", 7));
     r.record(ev(200, trace::EventKind::kFree, 1, 64 * kMB));
-    EXPECT_TRUE(index_producers(analysis::TraceView(r)).empty());
+    EXPECT_TRUE(analysis::index_producers(analysis::TraceView(r)).empty());
 
-    EXPECT_FALSE(is_forward_op("fc.backward.wgrad"));
-    EXPECT_FALSE(is_forward_op("layer1.0.out.grad_accum"));
-    EXPECT_FALSE(is_forward_op("sgd.fc.weight"));
-    EXPECT_FALSE(is_forward_op("data.h2d"));
-    EXPECT_FALSE(is_forward_op(""));
-    EXPECT_TRUE(is_forward_op("layer1.0.conv2.forward"));
-    EXPECT_TRUE(is_forward_op("fc1.mat_mul"));
-    EXPECT_TRUE(is_forward_op("fc1.add_bias"));
+    EXPECT_FALSE(analysis::is_forward_op("fc.backward.wgrad"));
+    EXPECT_FALSE(analysis::is_forward_op("layer1.0.out.grad_accum"));
+    EXPECT_FALSE(analysis::is_forward_op("sgd.fc.weight"));
+    EXPECT_FALSE(analysis::is_forward_op("data.h2d"));
+    EXPECT_FALSE(analysis::is_forward_op(""));
+    EXPECT_TRUE(analysis::is_forward_op("layer1.0.conv2.forward"));
+    EXPECT_TRUE(analysis::is_forward_op("fc1.mat_mul"));
+    EXPECT_TRUE(analysis::is_forward_op("fc1.add_bias"));
 }
 
 TEST(IndexProducers, SkipsNonIntermediateCategories)
@@ -104,7 +105,8 @@ TEST(IndexProducers, SkipsNonIntermediateCategories)
                 "bn1.forward", 3, Category::kParameter));
     r.record(ev(200, trace::EventKind::kFree, 1, 64 * kMB, "", -1,
                 Category::kParameter));
-    EXPECT_EQ(index_producers(analysis::TraceView(r)).count(1), 0u);
+    EXPECT_EQ(
+        analysis::index_producers(analysis::TraceView(r)).count(1), 0u);
 }
 
 TEST(RecomputePlanner, PlansGapAtMeasuredForwardCost)

@@ -23,7 +23,7 @@ namespace {
 constexpr std::size_t kMB = 1024 * 1024;
 
 /** Per-Strategy arrays are read by enumerator, never by position
- * (the PR 6 bug class; enforced repo-wide by pinpoint_lint). */
+ * (the PR 6 bug class; enforced repo-wide by pinpoint_analyze). */
 constexpr std::size_t
 at(Strategy s)
 {

@@ -9,6 +9,7 @@
 #include "nn/models.h"
 #include "runtime/engine.h"
 #include "runtime/plan_builder.h"
+#include "support/trace_counts.h"
 
 namespace pinpoint {
 namespace runtime {
@@ -68,8 +69,9 @@ TEST_F(EngineTest, MallocsAndFreesBalanceAfterTeardown)
         engine.run(3);
         engine.teardown();
     }
-    EXPECT_EQ(trace_.count(trace::EventKind::kMalloc),
-              trace_.count(trace::EventKind::kFree));
+    EXPECT_EQ(
+        test_support::count_kind(trace_, trace::EventKind::kMalloc),
+        test_support::count_kind(trace_, trace::EventKind::kFree));
     EXPECT_EQ(alloc_.live_blocks(), 0u);
     EXPECT_EQ(alloc_.stats().allocated_bytes, 0u);
 }

@@ -6,6 +6,7 @@
 #include "nn/models.h"
 #include "runtime/plan_builder.h"
 #include "runtime/session.h"
+#include "support/trace_counts.h"
 
 namespace pinpoint {
 namespace runtime {
@@ -127,8 +128,9 @@ TEST(MicroBatching, EngineRunsKGreaterOne)
     config.iterations = 3;
     config.plan.micro_batches = 2;
     const auto r = run_training(nn::mlp(), config);
-    EXPECT_EQ(r.trace.count(trace::EventKind::kMalloc),
-              r.trace.count(trace::EventKind::kFree));
+    EXPECT_EQ(
+        test_support::count_kind(r.trace, trace::EventKind::kMalloc),
+        test_support::count_kind(r.trace, trace::EventKind::kFree));
     // Two loss fetches per iteration → two loss.item read events.
     std::size_t loss_reads = 0;
     for (const auto &e : r.trace.events())

@@ -37,33 +37,6 @@ TEST(TraceRecorder, RejectsTimeTravel)
     EXPECT_THROW(r.record(event_at(9)), Error);
 }
 
-TEST(TraceRecorder, CountsByKind)
-{
-    TraceRecorder r;
-    r.record(event_at(1, EventKind::kMalloc));
-    r.record(event_at(2, EventKind::kWrite));
-    r.record(event_at(3, EventKind::kRead));
-    r.record(event_at(4, EventKind::kRead));
-    r.record(event_at(5, EventKind::kFree));
-    EXPECT_EQ(r.count(EventKind::kRead), 2u);
-    EXPECT_EQ(r.count(EventKind::kMalloc), 1u);
-    EXPECT_EQ(r.count(EventKind::kWrite), 1u);
-    EXPECT_EQ(r.count(EventKind::kFree), 1u);
-}
-
-TEST(TraceRecorder, FilterSelectsMatching)
-{
-    TraceRecorder r;
-    r.record(event_at(1, EventKind::kRead, 7));
-    r.record(event_at(2, EventKind::kRead, 8));
-    r.record(event_at(3, EventKind::kRead, 7));
-    const auto picked = r.filter(
-        [](const MemoryEvent &e) { return e.block == 7; });
-    ASSERT_EQ(picked.size(), 2u);
-    EXPECT_EQ(picked[0].time, 1u);
-    EXPECT_EQ(picked[1].time, 3u);
-}
-
 TEST(TraceRecorder, ClearEmptiesAndAllowsReuse)
 {
     TraceRecorder r;

@@ -7,6 +7,7 @@
 #include "core/check.h"
 #include "nn/models.h"
 #include "runtime/session.h"
+#include "support/trace_counts.h"
 #include "trace/slice.h"
 
 namespace pinpoint {
@@ -43,8 +44,8 @@ TEST(Slice, ResultReplaysThroughAnalyses)
     EXPECT_NO_THROW(analysis::TraceView(window).timeline());
     EXPECT_NO_THROW(analysis::occupation_breakdown(
         analysis::TraceView(window)));
-    EXPECT_EQ(window.count(EventKind::kMalloc),
-              window.count(EventKind::kFree))
+    EXPECT_EQ(test_support::count_kind(window, EventKind::kMalloc),
+              test_support::count_kind(window, EventKind::kFree))
         << "open blocks must be closed";
 }
 

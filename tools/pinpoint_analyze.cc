@@ -1,20 +1,22 @@
 /**
  * @file
- * pinpoint_analyze — include-graph static analysis for this repo.
+ * pinpoint_analyze — the repo's static checker.
  *
- * Four passes over src/, tools/, bench/, and examples/ (tests/ is
- * audited for suppressions only):
+ * Five passes over src/, tools/, bench/, and examples/ (tests/ gets
+ * only the last two):
  *
  *   1. layer DAG enforcement against tools/layering.txt
  *   2. IWYU-lite (unused includes, transitive-only use)
  *   3. header hygiene (#pragma once, using-namespace, ../ paths,
  *      computed includes)
- *   4. suppression audit (`// analyze: allow(...)` and
- *      `// lint: allow(...)` comments that shield nothing fail)
+ *   4. repo invariants (code-shape rules, devtools/invariants.h)
+ *   5. suppression audit (`// analyze: allow(...)` comments that
+ *      shield nothing fail)
  *
  * Exit codes follow the repo contract: 0 clean, 1 violations or
  * self-test failure, 2 usage/configuration error.
  */
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -22,6 +24,7 @@
 
 #include "core/check.h"
 #include "devtools/analyzer.h"
+#include "devtools/invariants.h"
 
 namespace {
 
@@ -35,11 +38,46 @@ usage(std::ostream &out, int code)
            "  --layering <file> layer table, relative to the root\n"
            "                    (default tools/layering.txt)\n"
            "  --json            emit the deterministic JSON report\n"
+           "  --checks <ids>    report only these checks (comma\n"
+           "                    separated; 'invariants' names every\n"
+           "                    repo-invariant rule); with\n"
+           "                    --self-test, run only their fixtures\n"
            "  --self-test       run the fixture self-test under\n"
            "                    <root>/tests/devtools/fixtures\n"
+           "  --layering-doc    check the generated Layering block\n"
+           "                    of docs/ARCHITECTURE.md against the\n"
+           "                    layer table\n"
+           "  --write           with --layering-doc: regenerate the\n"
+           "                    block instead of checking it\n"
            "  --list-checks     print every check id and exit\n"
            "  --help            show this help\n";
     return code;
+}
+
+/** Expands a --checks value; throws UsageError on unknown ids. */
+std::vector<std::string>
+parse_checks(const std::string &value)
+{
+    using namespace pinpoint;
+    std::vector<std::string> out;
+    std::istringstream in(value);
+    std::string id;
+    while (std::getline(in, id, ',')) {
+        const auto &known = devtools::check_ids();
+        if (id == "invariants") {
+            const auto &rules = devtools::invariant_check_ids();
+            out.insert(out.end(), rules.begin(), rules.end());
+        } else if (std::find(known.begin(), known.end(), id) !=
+                   known.end()) {
+            out.push_back(id);
+        } else {
+            throw UsageError("unknown check '" + id +
+                             "' (see --list-checks)");
+        }
+    }
+    if (out.empty())
+        throw UsageError("--checks needs at least one check id");
+    return out;
 }
 
 }  // namespace
@@ -52,7 +90,10 @@ main(int argc, char **argv)
     std::string layering;
     bool json = false;
     bool self_test = false;
+    bool layering_doc = false;
+    bool write = false;
     bool list_checks = false;
+    std::vector<std::string> checks;
 
     const std::vector<std::string> args(argv + 1, argv + argc);
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -67,10 +108,16 @@ main(int argc, char **argv)
                 root = value();
             else if (arg == "--layering")
                 layering = value();
+            else if (arg == "--checks")
+                checks = parse_checks(value());
             else if (arg == "--json")
                 json = true;
             else if (arg == "--self-test")
                 self_test = true;
+            else if (arg == "--layering-doc")
+                layering_doc = true;
+            else if (arg == "--write")
+                write = true;
             else if (arg == "--list-checks")
                 list_checks = true;
             else if (arg == "--help" || arg == "-h")
@@ -89,14 +136,22 @@ main(int argc, char **argv)
             std::cout << id << "\n";
         return 0;
     }
+    if (write && !layering_doc) {
+        std::cerr << "pinpoint_analyze: --write needs --layering-doc\n";
+        return usage(std::cerr, 2);
+    }
     if (self_test)
-        return devtools::run_self_test(root, std::cout);
+        return devtools::run_self_test(root, std::cout, checks);
 
     devtools::AnalyzerConfig config;
     config.root = root;
+    config.checks = checks;
     if (!layering.empty())
         config.layering_path = layering;
     try {
+        if (layering_doc)
+            return devtools::check_layering_doc(config, write,
+                                                std::cout);
         const devtools::AnalysisResult result =
             devtools::analyze(config);
         if (json) {
