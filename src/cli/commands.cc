@@ -35,7 +35,6 @@
 #include "sweep/driver.h"
 #include "sweep/export.h"
 #include "sweep/scenario.h"
-#include "sweep/shard.h"
 #include "trace/chrome_trace.h"
 #include "trace/csv.h"
 
@@ -633,23 +632,6 @@ parse_shard(const std::string &text, int &shard, int &of)
     of = n;
 }
 
-/** Writes the optional --csv/--json exports of a sweep report. */
-void
-write_sweep_exports(const ParsedArgs &args, CommandIo &io,
-                    const sweep::SweepReport &report)
-{
-    const std::string csv = args.value("csv", "");
-    if (!csv.empty()) {
-        sweep::write_sweep_csv_file(report, csv);
-        oprintf(io.out, "wrote sweep CSV to %s\n", csv.c_str());
-    }
-    const std::string json = args.value("json", "");
-    if (!json.empty()) {
-        sweep::write_sweep_json_file(report, json);
-        oprintf(io.out, "wrote sweep JSON to %s\n", json.c_str());
-    }
-}
-
 int
 cmd_sweep(const ParsedArgs &args, CommandIo &io)
 {
@@ -689,10 +671,39 @@ cmd_sweep(const ParsedArgs &args, CommandIo &io)
         };
     }
 
+    // Sharded mode runs one slice of the grid into the result
+    // cache, so it needs a cache and has no exports of its own.
+    auto scenarios = sweep::expand_grid(grid);
+    const std::string shard_text = args.value("shard", "");
+    const std::string cache_dir = args.value("cache-dir", "");
+    const bool sharded = !shard_text.empty();
+    int shard = 0;
+    int shard_of = 1;
+    if (sharded) {
+        parse_shard(shard_text, shard, shard_of);
+        if (cache_dir.empty())
+            throw UsageError("--shard requires --cache-dir DIR "
+                             "(where this shard stores its rows)");
+        if (args.flag("no-cache"))
+            throw UsageError("--shard cannot be combined with "
+                             "--no-cache (the cache is where the "
+                             "shard's rows go)");
+        if (!args.value("csv", "").empty() ||
+            !args.value("json", "").empty())
+            throw UsageError(
+                "--csv/--json are not valid with --shard; gather "
+                "the exports with a plain 'sweep' over the same "
+                "grid and --cache-dir");
+        std::vector<sweep::Scenario> slice;
+        for (std::size_t index :
+             sweep::shard_indices(scenarios.size(), shard, shard_of))
+            slice.push_back(scenarios[index]);
+        scenarios = std::move(slice);
+    }
+
     // Result cache: --no-cache wins over --cache-dir so a script
     // with a baked-in cache directory can force a fresh run.
     std::unique_ptr<sweep::ResultCache> cache;
-    const std::string cache_dir = args.value("cache-dir", "");
     if (!cache_dir.empty() && !args.flag("no-cache")) {
         cache.reset(new sweep::ResultCache(cache_dir));
         opts.cache = cache.get();
@@ -721,72 +732,11 @@ cmd_sweep(const ParsedArgs &args, CommandIo &io)
         };
     }
 
-    const auto scenarios = sweep::expand_grid(grid);
-
-    const std::string shard_text = args.value("shard", "");
-    const std::string spill_dir = args.value("spill-dir", "");
-    if (!shard_text.empty()) {
-        // Sharded mode: stream rows to a spill file; exports come
-        // from `sweep-merge` once every shard finished.
-        if (spill_dir.empty())
-            throw UsageError("--shard requires --spill-dir DIR "
-                             "(where this shard spills its rows)");
-        if (!args.value("csv", "").empty() ||
-            !args.value("json", "").empty())
-            throw UsageError(
-                "--csv/--json are not valid with --shard; run "
-                "'sweep-merge' over the spill directory instead");
-        int shard = 0;
-        int shard_of = 1;
-        parse_shard(shard_text, shard, shard_of);
-        const auto indices =
-            sweep::shard_indices(scenarios.size(), shard, shard_of);
-        sweep::SpillWriter writer(spill_dir, shard, shard_of,
-                                  scenarios, opts.swap_plan);
-        std::vector<std::size_t> todo;
-        for (std::size_t index : indices)
-            if (writer.completed().count(index) == 0)
-                todo.push_back(index);
-        const std::size_t resumed = indices.size() - todo.size();
-        oprintf(io.err,
-                "sweeping shard %d/%d: %zu of %zu scenarios "
-                "(%zu already spilled) on %d worker%s...\n",
-                shard, shard_of, todo.size(), indices.size(),
-                resumed, opts.jobs, opts.jobs == 1 ? "" : "s");
-        const auto report = sweep::run_sweep_subset(
-            scenarios, todo, opts,
-            [&writer](std::size_t index,
-                      const sweep::ScenarioResult &r) {
-                writer.append(index, r);
-            });
-        if (opts.cache && !quiet)
-            oprintf(io.err, "cache: %zu hit%s, %zu miss%s\n",
-                    report.cache_hits,
-                    report.cache_hits == 1 ? "" : "s",
-                    report.cache_misses,
-                    report.cache_misses == 1 ? "" : "es");
-        // Exit code covers the whole shard, resumed rows included —
-        // rerunning a finished shard must not flip a failure to 0.
-        std::size_t ok = 0;
-        std::size_t oom = 0;
-        std::size_t failed = 0;
-        for (const auto &row : writer.completed()) {
-            switch (row.second.status) {
-              case sweep::ScenarioStatus::kOk: ++ok; break;
-              case sweep::ScenarioStatus::kOom: ++oom; break;
-              case sweep::ScenarioStatus::kError: ++failed; break;
-            }
-        }
-        oprintf(io.out,
-                "shard %d/%d: %zu scenarios: %zu ok, %zu oom, "
-                "%zu failed; spilled to %s\n",
-                shard, shard_of, indices.size(), ok, oom, failed,
-                writer.path().c_str());
-        return failed == 0 ? kExitOk : kExitRuntimeError;
-    }
-    if (!spill_dir.empty())
-        throw UsageError("--spill-dir requires --shard i/N");
-
+    // A shard is a warm-restartable slice: rows already in the cache
+    // are hits, so re-running a killed shard simulates only what it
+    // lost. The gather is a plain sweep over the same cache.
+    if (sharded)
+        oprintf(io.err, "shard %d/%d: ", shard, shard_of);
     oprintf(io.err, "sweeping %zu scenarios on %d worker%s...\n",
             scenarios.size(), opts.jobs, opts.jobs == 1 ? "" : "s");
     const auto report = sweep::run_sweep(scenarios, opts);
@@ -795,30 +745,32 @@ cmd_sweep(const ParsedArgs &args, CommandIo &io)
                 report.cache_hits, report.cache_hits == 1 ? "" : "s",
                 report.cache_misses,
                 report.cache_misses == 1 ? "" : "es");
+    if (sharded) {
+        oprintf(io.out,
+                "shard %d/%d: %zu scenarios: %zu ok, %zu oom, "
+                "%zu failed; cached in %s\n",
+                shard, shard_of, scenarios.size(), report.succeeded,
+                report.oom, report.failed, cache_dir.c_str());
+        // The exit code covers the whole slice, cached rows
+        // included: re-running a finished shard must not flip a
+        // failure to 0.
+        return report.failed == 0 ? kExitOk : kExitRuntimeError;
+    }
 
     sweep::write_sweep_table(report, io.out);
-    write_sweep_exports(args, io, report);
+    const std::string csv = args.value("csv", "");
+    if (!csv.empty()) {
+        sweep::write_sweep_csv_file(report, csv);
+        oprintf(io.out, "wrote sweep CSV to %s\n", csv.c_str());
+    }
+    const std::string json = args.value("json", "");
+    if (!json.empty()) {
+        sweep::write_sweep_json_file(report, json);
+        oprintf(io.out, "wrote sweep JSON to %s\n", json.c_str());
+    }
     // Deterministic simulated OOMs are findings, not failures; only
     // scenario *errors* make the sweep fail (exit 1 — the run was
     // valid, the workload broke).
-    return report.failed == 0 ? kExitOk : kExitRuntimeError;
-}
-
-// ----------------------------------------------------------------
-// sweep-merge
-// ----------------------------------------------------------------
-
-int
-cmd_sweep_merge(const ParsedArgs &args, CommandIo &io)
-{
-    const std::string spill_dir = args.value("spill-dir", "");
-    if (spill_dir.empty())
-        throw UsageError("sweep-merge needs --spill-dir DIR (the "
-                         "directory the sharded sweep spilled "
-                         "into)");
-    const auto report = sweep::merge_spills(spill_dir);
-    sweep::write_sweep_table(report, io.out);
-    write_sweep_exports(args, io, report);
     return report.failed == 0 ? kExitOk : kExitRuntimeError;
 }
 
@@ -983,7 +935,14 @@ make_default_registry()
             "add interconnect busy-fraction and\nall-reduce stall "
             "columns. A deterministic simulated OOM is a capacity\n"
             "*finding*: the row gets status `oom` and the sweep "
-            "still exits 0.\nOnly scenario *errors* exit 1.";
+            "still exits 0.\nOnly scenario *errors* exit 1.\n\n"
+            "A sharded sweep runs `--shard i/N --cache-dir DIR` once "
+            "per shard;\neach shard stores its rows in the result "
+            "cache, and re-running a\nkilled shard simulates only "
+            "the rows it lost. A plain `sweep` over\nthe same grid "
+            "and `--cache-dir` then gathers every row (simulating\n"
+            "any a missing shard never wrote); its exports are "
+            "byte-identical\nto a single-process run.";
         c.flags = {
             {"jobs", FlagKind::kValue, "N", "1",
              "worker threads; results are byte-identical for any N"},
@@ -1028,12 +987,10 @@ make_default_registry()
              "ignore --cache-dir for this run (force fresh "
              "simulation)"},
             {"shard", FlagKind::kValue, "i/N", "",
-             "run only scenarios with index % N == i, streaming "
-             "rows to a spill file in --spill-dir; a re-run "
-             "resumes, skipping rows already on disk"},
-            {"spill-dir", FlagKind::kValue, "DIR", "",
-             "where sharded runs append their spill files "
-             "(required with --shard; merge with 'sweep-merge')"},
+             "run only scenarios with index % N == i into "
+             "--cache-dir (required); a re-run simulates only rows "
+             "not yet cached, and a plain sweep over the same grid "
+             "and cache gathers the exports"},
             {"progress", FlagKind::kBool, "", "",
              "stderr ticker: scenarios done/total, cache hits, "
              "ETA (never touches stdout exports)"},
@@ -1042,34 +999,6 @@ make_default_registry()
                     "resnet50,vgg16 --batches 16,32 --devices 1,2,4 "
                     "--csv zoo.csv";
         c.run = cmd_sweep;
-        registry.add(std::move(c));
-    }
-    {
-        Command c;
-        c.name = "sweep-merge";
-        c.summary = "merge sharded-sweep spill files into the "
-                    "canonical report";
-        c.description =
-            "Folds the spill files of a completed N-way sharded "
-            "sweep (`sweep\n--shard i/N --spill-dir DIR`) back into "
-            "one report in canonical grid\norder. The CSV/JSON "
-            "exports are byte-identical to a single-process\n"
-            "`sweep` over the same grid. Refuses to merge when a "
-            "shard is\nmissing, incomplete, or crashed mid-write "
-            "(torn trailing record),\nor when shards disagree on "
-            "the grid or result schema.";
-        c.flags = {
-            {"spill-dir", FlagKind::kValue, "DIR", "",
-             "directory holding the shard-*.spill files (required)"},
-            {"csv", FlagKind::kValue, "PATH", "",
-             "full-report CSV export"},
-            {"json", FlagKind::kValue, "PATH", "",
-             "full-report JSON export"},
-        };
-        c.example =
-            "pinpoint_cli sweep-merge --spill-dir spills --csv "
-            "zoo.csv";
-        c.run = cmd_sweep_merge;
         registry.add(std::move(c));
     }
     {

@@ -2,9 +2,9 @@
  * @file
  * FNV-1a 64-bit hashing. Used wherever the repo needs a stable,
  * platform-independent content key (sweep result-cache file names,
- * spill-file grid signatures, the result-schema salt) — never for
- * security. The constants and byte order are fixed by the FNV spec,
- * so a key hashed today matches a key hashed by any future build.
+ * the result-schema salt) — never for security. The constants and
+ * byte order are fixed by the FNV spec, so a key hashed today
+ * matches a key hashed by any future build.
  */
 #pragma once
 

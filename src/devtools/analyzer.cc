@@ -590,16 +590,6 @@ analyze(const AnalyzerConfig &config)
                                      a.detail == b.detail;
                           }),
               raw.end());
-    if (!config.checks.empty())
-        raw.erase(std::remove_if(raw.begin(), raw.end(),
-                                 [&](const Violation &v) {
-                                     return std::find(
-                                                config.checks.begin(),
-                                                config.checks.end(),
-                                                v.check) ==
-                                            config.checks.end();
-                                 }),
-                  raw.end());
     result.violations = std::move(raw);
     result.edges = graph.edges();
     for (const auto &entry : graph.files())
@@ -697,11 +687,8 @@ check_layering_doc(const AnalyzerConfig &config, bool write,
 }
 
 int
-run_self_test(const std::string &root, std::ostream &out,
-              const std::vector<std::string> &checks)
+run_self_test(const std::string &root, std::ostream &out)
 {
-    const std::vector<std::string> &selected =
-        checks.empty() ? check_ids() : checks;
     const fs::path fixtures =
         fs::path(root) / "tests" / "devtools" / "fixtures";
     std::error_code ec;
@@ -750,9 +737,6 @@ run_self_test(const std::string &root, std::ostream &out,
                                check + "'");
             continue;
         }
-        if (std::find(selected.begin(), selected.end(), check) ==
-            selected.end())
-            continue;
         ++run;
         AnalyzerConfig config;
         config.root = (fixtures / name).generic_string();
@@ -784,7 +768,7 @@ run_self_test(const std::string &root, std::ostream &out,
                                    v.detail);
         }
     }
-    for (const std::string &check : selected) {
+    for (const std::string &check : check_ids()) {
         if (bad_seen.count(check) == 0)
             failures.push_back("no must-trigger fixture for [" +
                                check + "]");
@@ -798,7 +782,7 @@ run_self_test(const std::string &root, std::ostream &out,
         return 1;
     }
     out << "pinpoint_analyze self-test: " << run << " fixtures, "
-        << selected.size() << " checks OK\n";
+        << check_ids().size() << " checks OK\n";
     return 0;
 }
 

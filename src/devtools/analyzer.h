@@ -51,9 +51,6 @@ struct AnalyzerConfig {
     /// Deliberate-violation fixture trees, never analyzed.
     std::vector<std::string> skip_prefixes = {
         "tests/devtools/fixtures/"};
-    /// When non-empty, only these checks' findings are reported;
-    /// the suppression audit still sees every finding.
-    std::vector<std::string> checks;
 };
 
 /** Result of one analyzer run. */
@@ -96,12 +93,10 @@ int check_layering_doc(const AnalyzerConfig &config, bool write,
  * tests/devtools/fixtures/ named <check>_bad must produce only
  * that check's violations and every <check>_ok directory must
  * analyze clean, with every check id covered by at least one bad
- * and one ok fixture. A non-empty @p checks restricts the run, and
- * the coverage requirement, to those checks' fixtures.
+ * and one ok fixture.
  * @returns the process exit code.
  */
-int run_self_test(const std::string &root, std::ostream &out,
-                  const std::vector<std::string> &checks = {});
+int run_self_test(const std::string &root, std::ostream &out);
 
 }  // namespace devtools
 }  // namespace pinpoint

@@ -282,26 +282,6 @@ positional_strategy_index(const Tokens &t, Hits &hits)
 }
 
 void
-deprecated_recorder_api(const Tokens &t, Hits &hits)
-{
-    std::set<std::string> names;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (t[i].text != "TraceRecorder")
-            continue;
-        const std::string name = declared_name(t, i + 1, ";,)=({");
-        if (!name.empty())
-            names.insert(name);
-    }
-    for (std::size_t i = 0; i + 3 < t.size(); ++i)
-        if (names.count(t[i].text) != 0 && t[i + 1].text == "." &&
-            one_of(t[i + 2].text, {"count", "filter"}) &&
-            t[i + 3].text == "(")
-            hits.emplace_back(t[i].line, "deprecated TraceRecorder::" +
-                                             t[i + 2].text + " on '" +
-                                             t[i].text + "' in src/");
-}
-
-void
 inference_plan_purity(const Tokens &t, Hits &hits)
 {
     for (const Token &tok : t)
@@ -382,7 +362,6 @@ rules()
         {"positional-strategy-index",
          [](const std::string &) { return true; },
          positional_strategy_index},
-        {"deprecated-recorder-api", in_src, deprecated_recorder_api},
         {"inference-plan-purity",
          [](const std::string &p) {
              return p.compare(0, 26, "src/runtime/request_stream") == 0;

@@ -11,7 +11,6 @@
  *   nondeterminism-source       no wall clock or unseeded RNG in src/
  *   unordered-export-iteration  no hash-order iteration in export paths
  *   positional-strategy-index   per-Strategy arrays use enumerators
- *   deprecated-recorder-api     no TraceRecorder count/filter in src/
  *   inference-plan-purity       no training work in the serving driver
  *   result-field-serialization  ScenarioResult metrics leave the
  *                               process only through sweep/export.cc

@@ -73,6 +73,16 @@ struct PlanContext {
 };
 
 /**
+ * @return true when @p e fits its gap without stall yet misses the
+ * @p safety_factor headroom: neither hideable nor priced.
+ */
+bool
+unsafe(const swap::GapEvaluation &e, double safety_factor)
+{
+    return e.hide_ratio < safety_factor && e.overhead == 0;
+}
+
+/**
  * Enumerates every (block, gap) candidate with both options priced:
  * the Eq. 1 swap evaluation (shared with swap::SwapPlanner) and the
  * measured-forward-time recompute.
@@ -101,7 +111,11 @@ enumerate_candidates(PlanContext &ctx, const StrategyOptions &options)
             const swap::GapEvaluation e = swap::evaluate_swap_gap(
                 b.size, gap_start, gap_end, options.link,
                 options.safety_factor);
-            c.swap_ok = true;
+            // A round trip that fits the gap but misses the
+            // safety headroom has zero raw stall; offering it would
+            // make it free and void the factor, so it is not an
+            // option at all (the swap planner rejects it too).
+            c.swap_ok = !unsafe(e, options.safety_factor);
             c.hide_ratio = e.hide_ratio;
             c.swap_overhead = e.overhead;
             c.swap_covers = e.out_done <= ctx.peak_time &&
@@ -134,7 +148,7 @@ enumerate_candidates(PlanContext &ctx, const StrategyOptions &options)
                         b.size, gap_start, gap_end, peer_link,
                         options.safety_factor,
                         options.interconnect.latency_ns);
-                c.peer_ok = true;
+                c.peer_ok = !unsafe(pe, options.safety_factor);
                 c.peer_hide_ratio = pe.hide_ratio;
                 c.peer_overhead = pe.overhead;
                 c.peer_covers = pe.out_done <= ctx.peak_time &&

@@ -87,7 +87,11 @@ inline constexpr TimeNs kUnlimitedBudget =
 struct StrategyOptions {
     /** Shared-link bandwidths for the swap legs. */
     analysis::LinkBandwidth link;
-    /** Eq. 1 headroom required for a swap to count as hideable. */
+    /**
+     * Eq. 1 headroom required for a swap or peer offload to count
+     * as hideable. One whose round trip fits its gap but misses
+     * this headroom is not offered at all, as in swap::SwapPlanner.
+     */
     double safety_factor = 1.0;
     /** Ignore blocks smaller than this. */
     std::size_t min_block_bytes = 1024 * 1024;

@@ -224,39 +224,15 @@ validate_swap_plan(const SessionResult &result,
     return v;
 }
 
-namespace {
-
-/** Fills unset relief link bandwidths from the device spec. */
-relief::StrategyOptions
-relief_options_for(const SessionResult &result,
-                   const sim::DeviceSpec &device,
-                   relief::StrategyOptions options)
-{
-    PP_CHECK(!result.trace.empty(),
-             "relief planning needs a recorded trace (run with "
-             "record_trace = true)");
-    options.link = fill_link_bandwidth(options.link, device);
-    return options;
-}
-
-}  // namespace
-
-relief::ReliefReport
-plan_relief(const SessionResult &result, const sim::DeviceSpec &device,
-            relief::Strategy strategy,
-            relief::StrategyOptions options)
-{
-    options = relief_options_for(result, device, options);
-    return relief::StrategyPlanner(options).plan(result.view(),
-                                                 strategy);
-}
-
 std::array<relief::ReliefReport, relief::kNumStrategies>
 plan_relief_all(const SessionResult &result,
                 const sim::DeviceSpec &device,
                 relief::StrategyOptions options)
 {
-    options = relief_options_for(result, device, options);
+    PP_CHECK(!result.trace.empty(),
+             "relief planning needs a recorded trace (run with "
+             "record_trace = true)");
+    options.link = fill_link_bandwidth(options.link, device);
     return relief::StrategyPlanner(options).plan_all(result.view());
 }
 

@@ -128,7 +128,7 @@ struct SessionResult {
      * The run's shared analysis::TraceView: built from `trace` on
      * first call (one build per run, OnceFlag), then returned
      * by reference forever after. Everything downstream —
-     * validate_swap_plan, plan_relief*, every api::Study facet —
+     * validate_swap_plan, plan_relief_all, every api::Study facet —
      * routes through this one snapshot. Call only after the run is
      * complete (the trace must be frozen).
      */
@@ -220,24 +220,17 @@ SwapValidation validate_swap_plan(const SessionResult &result,
                                   swap::PlannerOptions options = {});
 
 /**
- * Unified-relief step of the pipeline: plans @p strategy (swap-only,
- * recompute-only, peer-only, or hybrid) for @p result's trace and
- * schedules the plan's swap legs on a shared full-duplex link with
- * @p device's bandwidths (peer legs ride @p options' interconnect).
- * When @p options carries zero link bandwidths (the
- * default-constructed state) they are filled from @p device.
+ * Unified-relief step of the pipeline: plans every strategy
+ * (swap-only, recompute-only, peer-only, hybrid) for @p result's
+ * trace from one shared trace analysis, and schedules each plan's
+ * swap legs on a shared full-duplex link with @p device's
+ * bandwidths (peer legs ride @p options' interconnect). When
+ * @p options carries zero link bandwidths (the default-constructed
+ * state) they are filled from @p device. Reports come in Strategy
+ * enumerator order; peer-only is marked unavailable on
+ * single-device topologies.
  *
  * @throws Error when the session recorded no trace.
- */
-relief::ReliefReport plan_relief(const SessionResult &result,
-                                 const sim::DeviceSpec &device,
-                                 relief::Strategy strategy,
-                                 relief::StrategyOptions options = {});
-
-/**
- * Same as plan_relief, but plans every strategy from one shared
- * trace analysis (reports in Strategy enumerator order; peer-only
- * is marked unavailable on single-device topologies).
  */
 std::array<relief::ReliefReport, relief::kNumStrategies>
 plan_relief_all(const SessionResult &result,

@@ -253,30 +253,25 @@ submission_order(const std::vector<Scenario> &scenarios,
 }
 
 SweepReport
-run_sweep_subset(
-    const std::vector<Scenario> &scenarios,
-    const std::vector<std::size_t> &indices,
-    const SweepOptions &options,
-    const std::function<void(std::size_t, const ScenarioResult &)>
-        &sink)
+run_sweep(const std::vector<Scenario> &scenarios,
+          const SweepOptions &options)
 {
     SweepReport report;
     report.jobs = options.jobs < 1 ? 1 : options.jobs;
-    report.results.resize(indices.size());
+    report.results.resize(scenarios.size());
 
     const auto start = std::chrono::steady_clock::now();
 
     SweepProgress progress;
-    progress.total = indices.size();
+    progress.total = scenarios.size();
     std::mutex mutex;
-    std::exception_ptr sink_error;
 
-    // Publishes one finished result: slot write, counters, sink,
-    // progress callbacks. The lock serializes everything observable
-    // from outside the driver; the slot itself has exactly one
-    // writer, so it is written outside the lock.
-    const auto finish = [&](std::size_t slot, std::size_t global,
-                            ScenarioResult r, bool from_cache) {
+    // Publishes one finished result: slot write, counters, progress
+    // callbacks. The lock serializes everything observable from
+    // outside the driver; the slot itself has exactly one writer,
+    // so it is written outside the lock.
+    const auto finish = [&](std::size_t slot, ScenarioResult r,
+                            bool from_cache) {
         {
             std::lock_guard<std::mutex> lock(mutex);
             if (from_cache) {
@@ -284,16 +279,6 @@ run_sweep_subset(
                 ++progress.cache_hits;
             }
             ++progress.done;
-            if (sink && !sink_error) {
-                try {
-                    sink(global, r);
-                } catch (...) {
-                    // A sink failure means results are being lost
-                    // (e.g. the spill file went bad): remember the
-                    // first one and abort after workers drain.
-                    sink_error = std::current_exception();
-                }
-            }
             notify(options, r);
             if (options.on_progress) {
                 try {
@@ -310,15 +295,15 @@ run_sweep_subset(
     // immediately and the misses keep their deterministic order.
     std::vector<std::size_t> pending;
     std::vector<std::uint64_t> hints;
-    for (std::size_t k = 0; k < indices.size(); ++k) {
+    for (std::size_t k = 0; k < scenarios.size(); ++k) {
         std::uint64_t hint = 0;
         if (options.cache) {
             ScenarioResult cached;
             const CacheLookup lookup =
-                options.cache->load(scenarios[indices[k]],
-                                    options.swap_plan, cached, hint);
+                options.cache->load(scenarios[k], options.swap_plan,
+                                    cached, hint);
             if (lookup == CacheLookup::kHit) {
-                finish(k, indices[k], std::move(cached), true);
+                finish(k, std::move(cached), true);
                 continue;
             }
         }
@@ -331,45 +316,33 @@ run_sweep_subset(
         // Each worker owns its scenario's entire session — device
         // arena, clock, allocator, recorder — so runs share nothing
         // and every slot is written exactly once.
-        const std::size_t global = indices[k];
         const auto t0 = std::chrono::steady_clock::now();
-        ScenarioResult r =
-            run_scenario(scenarios[global], options.swap_plan);
+        ScenarioResult r = run_scenario(scenarios[k], options.swap_plan);
         const auto t1 = std::chrono::steady_clock::now();
         if (options.cache) {
             const auto wall_ns =
                 std::chrono::duration_cast<std::chrono::nanoseconds>(
                     t1 - t0)
                     .count();
-            options.cache->store(
-                scenarios[global], options.swap_plan, r,
-                static_cast<std::uint64_t>(wall_ns));
+            options.cache->store(scenarios[k], options.swap_plan, r,
+                                 static_cast<std::uint64_t>(wall_ns));
         }
-        finish(k, global, std::move(r), false);
+        finish(k, std::move(r), false);
     };
 
     if (report.jobs == 1) {
-        for (std::size_t k : pending) {
+        for (std::size_t k : pending)
             run_one(k);
-            if (sink_error)
-                break;
-        }
     } else {
-        std::vector<std::size_t> pending_global(pending.size());
-        for (std::size_t p = 0; p < pending.size(); ++p)
-            pending_global[p] = indices[pending[p]];
         std::vector<std::size_t> order(pending.size());
         std::iota(order.begin(), order.end(), std::size_t{0});
         if (options.cost_order)
-            order = submission_order(scenarios, pending_global,
-                                     hints);
+            order = submission_order(scenarios, pending, hints);
         ThreadPool pool(report.jobs);
         for (std::size_t p : order)
             pool.submit([&, p] { run_one(pending[p]); });
         pool.wait();
     }
-    if (sink_error)
-        std::rethrow_exception(sink_error);
 
     const auto end = std::chrono::steady_clock::now();
     report.wall_seconds =
@@ -383,17 +356,6 @@ run_sweep_subset(
         }
     }
     return report;
-}
-
-SweepReport
-run_sweep(const std::vector<Scenario> &scenarios,
-          const SweepOptions &options)
-{
-    std::vector<std::size_t> indices(scenarios.size());
-    std::iota(indices.begin(), indices.end(), std::size_t{0});
-    // The full index set makes "results in indices order" exactly
-    // the grid order every exporter relies on.
-    return run_sweep_subset(scenarios, indices, options);
 }
 
 SweepReport

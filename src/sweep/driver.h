@@ -218,23 +218,6 @@ SweepReport run_sweep(const SweepGrid &grid,
                       const SweepOptions &options = {});
 
 /**
- * Runs the subset of @p scenarios selected by @p indices (positions
- * into @p scenarios, e.g. one shard of the grid). The report's
- * results vector holds the selected scenarios in @p indices order;
- * @p sink — when set — additionally receives every result with its
- * *global* scenario index, in completion order under the driver's
- * lock. Unlike on_result, a sink exception aborts the sweep and is
- * rethrown (it means results are being lost, e.g. a spill file went
- * bad), after in-flight workers drain.
- */
-SweepReport run_sweep_subset(
-    const std::vector<Scenario> &scenarios,
-    const std::vector<std::size_t> &indices,
-    const SweepOptions &options,
-    const std::function<void(std::size_t, const ScenarioResult &)>
-        &sink = nullptr);
-
-/**
  * @return positions into @p indices, reordered by descending
  * estimated scenario cost — the order the parallel driver feeds the
  * pool so the most expensive scenarios start first and no cheap

@@ -47,8 +47,8 @@ void write_sweep_table(const SweepReport &report, std::ostream &os);
 
 // --- ScenarioResult record codec ---------------------------------
 //
-// The one serialization of a ScenarioResult, shared by the result
-// cache and the shard spill files. A record is result_record_lines()
+// The one serialization of a ScenarioResult, written by the result
+// cache (sharded sweeps included). A record is result_record_lines()
 // text lines, each "field=value" in a fixed field order; values are
 // rendered with the same locale-independent formatting the CSV/JSON
 // exporters use (format_fixed6 for doubles), so a result that
@@ -75,8 +75,7 @@ std::string encode_result_record(const ScenarioResult &result);
 /**
  * Decodes a record from @p lines starting at @p first. Strict: every
  * field must be present, in order, with a parseable value.
- * @throws Error on any mismatch (callers degrade to a cache miss or
- * a torn spill tail).
+ * @throws Error on any mismatch (the cache degrades it to a miss).
  */
 ScenarioResult
 decode_result_record(const std::vector<std::string> &lines,

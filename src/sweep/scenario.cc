@@ -112,6 +112,23 @@ expand_grid(const SweepGrid &grid)
     return scenarios;
 }
 
+std::vector<std::size_t>
+shard_indices(std::size_t total, int shard, int of)
+{
+    if (of < 1)
+        throw UsageError("shard count must be >= 1, got " +
+                         std::to_string(of));
+    if (shard < 0 || shard >= of)
+        throw UsageError("shard index must be in [0, " +
+                         std::to_string(of) + "), got " +
+                         std::to_string(shard));
+    std::vector<std::size_t> indices;
+    for (std::size_t j = static_cast<std::size_t>(shard); j < total;
+         j += static_cast<std::size_t>(of))
+        indices.push_back(j);
+    return indices;
+}
+
 std::vector<std::string>
 split_list(const std::string &csv)
 {

@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -75,6 +76,15 @@ struct SweepGrid {
  * with multi-device replica counts.
  */
 std::vector<Scenario> expand_grid(const SweepGrid &grid);
+
+/**
+ * @return the scenario indices shard @p shard of @p of owns:
+ * every j in [0, total) with j % of == shard, ascending.
+ * @throws UsageError unless 0 <= shard < of (the pair is user
+ * input, e.g. "--shard 2/4").
+ */
+std::vector<std::size_t> shard_indices(std::size_t total, int shard,
+                                       int of);
 
 /**
  * Parses a comma-separated list ("a,b,c") into its elements,

@@ -8,6 +8,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -41,9 +42,9 @@ TEST(Registry, ShipsEveryCommand)
     const CommandRegistry registry = make_default_registry();
     for (const char *name :
          {"characterize", "swap", "relief", "bandwidth", "models",
-          "sweep", "sweep-merge", "help"})
+          "sweep", "help"})
         EXPECT_NE(registry.find(name), nullptr) << name;
-    EXPECT_EQ(registry.commands().size(), 8u);
+    EXPECT_EQ(registry.commands().size(), 7u);
 }
 
 TEST(Registry, UnknownNamesAreNotFound)
@@ -127,6 +128,9 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
         std::vector<std::string> args;
         const char *expect_in_err;
     };
+    // Every --shard refusal fires before the cache directory is
+    // created, so this path is never written.
+    const std::string cache = ::testing::TempDir() + "/pp_no_cache";
     const Case cases[] = {
         {{"characterize", "--batch", "abc"},
          "--batch needs an integer, got 'abc'"},
@@ -169,9 +173,23 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
         {{"sweep", "--devices", "2x"}, "bad device count '2x'"},
         {{"sweep", "--topologies", "infiniband"},
          "unknown topology"},
+        {{"sweep", "--models", "mlp", "--shard", "0/2"},
+         "--shard requires --cache-dir"},
+        {{"sweep", "--models", "mlp", "--shard", "0/2", "--cache-dir",
+          cache, "--no-cache"},
+         "--shard cannot be combined with --no-cache"},
+        {{"sweep", "--models", "mlp", "--shard", "0/2", "--cache-dir",
+          cache, "--csv", cache + ".csv"},
+         "--csv/--json are not valid with --shard"},
+        {{"sweep", "--models", "mlp", "--shard", "2/2", "--cache-dir",
+          cache},
+         "shard index must be in [0, 2)"},
+        {{"sweep", "--models", "mlp", "--shard", "half"},
+         "--shard must look like i/N"},
     };
     for (const Case &c : cases) {
         const CliRun r = run(c.args);
+        EXPECT_FALSE(std::filesystem::exists(cache)) << c.args[1];
         EXPECT_EQ(r.exit_code, kExitUsage) << c.args[1];
         EXPECT_NE(r.err.find(c.expect_in_err), std::string::npos)
             << "missing '" << c.expect_in_err << "' in: " << r.err;

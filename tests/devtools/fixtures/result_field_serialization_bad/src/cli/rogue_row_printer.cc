@@ -1,6 +1,6 @@
 // Fixture: MUST trigger [result-field-serialization].
 // Streaming a ScenarioResult metric field outside the export codec
-// creates a second byte format the cache/spill salt cannot see.
+// creates a second byte format the cache salt cannot see.
 #include <ostream>
 
 #include "sweep/driver.h"

@@ -1,14 +1,15 @@
 /**
  * @file
- * Unit tests for the recomputation planner: producer indexing from
- * the trace, measured-forward-time costing, gap walking, and the
- * zero-gap regression.
+ * Unit tests for recomputation relief: producer indexing from the
+ * trace, and the StrategyPlanner's recompute-only report —
+ * measured-forward-time costing, gap walking, and the zero-gap
+ * regression.
  */
 #include <gtest/gtest.h>
 
 #include "analysis/producers.h"
 #include "analysis/trace_view.h"
-#include "relief/recompute_planner.h"
+#include "relief/strategy_planner.h"
 
 namespace pinpoint {
 namespace relief {
@@ -109,22 +110,39 @@ TEST(IndexProducers, SkipsNonIntermediateCategories)
         analysis::index_producers(analysis::TraceView(r)).count(1), 0u);
 }
 
-TEST(RecomputePlanner, PlansGapAtMeasuredForwardCost)
+/**
+ * The recompute-only relief report of @p r at unlimited budget,
+ * ignoring blocks under @p min_block_bytes. The link is irrelevant
+ * to recomputation; it only has to be valid.
+ */
+ReliefReport
+recompute_plan(const trace::TraceRecorder &r,
+               std::size_t min_block_bytes = kMB)
 {
-    RecomputePlanner planner(RecomputeOptions{});
-    const auto plan = planner.plan(analysis::TraceView(activation_trace()));
+    StrategyOptions opts;
+    opts.link = analysis::LinkBandwidth{1.0e9, 1.0e9};
+    opts.min_block_bytes = min_block_bytes;
+    return StrategyPlanner(opts).plan(analysis::TraceView(r),
+                                      Strategy::kRecomputeOnly);
+}
+
+TEST(RecomputeRelief, PlansGapAtMeasuredForwardCost)
+{
+    const auto plan = recompute_plan(activation_trace());
     ASSERT_EQ(plan.decisions.size(), 1u);
     const auto &d = plan.decisions[0];
     EXPECT_EQ(d.block, 2u);
     EXPECT_EQ(d.gap_start, 110u);
     EXPECT_EQ(d.gap_end, 10 * kNsPerMs);
+    EXPECT_EQ(d.mechanism, Mechanism::kRecompute);
     EXPECT_EQ(d.producer, "conv1.forward");
     EXPECT_EQ(d.recompute_cost, 100u);
+    EXPECT_EQ(d.overhead, 100u);
     EXPECT_EQ(plan.predicted_overhead, 100u);
     EXPECT_EQ(plan.total_recomputed_bytes, 64 * kMB);
 }
 
-TEST(RecomputePlanner, ZeroGapProducesNoDecision)
+TEST(RecomputeRelief, ZeroGapProducesNoDecision)
 {
     // Two accesses at the same instant: the "gap" has zero width, so
     // dropping the block buys nothing and must not be scheduled
@@ -138,11 +156,10 @@ TEST(RecomputePlanner, ZeroGapProducesNoDecision)
     r.record(ev(105, trace::EventKind::kRead, 1, act, "g.forward", 2));
     r.record(ev(200, trace::EventKind::kFree, 1, act));
     r.record(ev(210, trace::EventKind::kFree, 2, kMB));
-    RecomputePlanner planner(RecomputeOptions{});
-    EXPECT_TRUE(planner.plan(analysis::TraceView(r)).decisions.empty());
+    EXPECT_TRUE(recompute_plan(r).decisions.empty());
 }
 
-TEST(RecomputePlanner, ReRunMustFitInsideTheGap)
+TEST(RecomputeRelief, ReRunMustFitInsideTheGap)
 {
     // A 100 ns producer and a 60 ns gap: the output buffer would be
     // live again for the entire gap while the producer replays, so
@@ -162,20 +179,16 @@ TEST(RecomputePlanner, ReRunMustFitInsideTheGap)
     r.record(ev(200, trace::EventKind::kFree, 2, act));
     r.record(ev(210, trace::EventKind::kFree, 1, in, "", -1,
                 Category::kInput));
-    RecomputePlanner planner(RecomputeOptions{});
-    EXPECT_TRUE(planner.plan(analysis::TraceView(r)).decisions.empty());
+    EXPECT_TRUE(recompute_plan(r).decisions.empty());
 }
 
-TEST(RecomputePlanner, MinBlockFilterDropsSmallBlocks)
+TEST(RecomputeRelief, MinBlockFilterDropsSmallBlocks)
 {
-    RecomputeOptions opts;
-    opts.min_block_bytes = 128 * kMB;
-    RecomputePlanner planner(opts);
-    EXPECT_TRUE(planner.plan(analysis::TraceView(activation_trace()))
-                    .decisions.empty());
+    const auto plan = recompute_plan(activation_trace(), 128 * kMB);
+    EXPECT_TRUE(plan.decisions.empty());
 }
 
-TEST(RecomputePlanner, PeakCreditUsesComputeAdjustedWindow)
+TEST(RecomputeRelief, PeakCreditUsesComputeAdjustedWindow)
 {
     // A transient spike inside the activation's absence window
     // [gap_start, gap_end - cost): the dropped block is absent
@@ -194,8 +207,7 @@ TEST(RecomputePlanner, PeakCreditUsesComputeAdjustedWindow)
     r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 1, act));
     r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 2, kMB));
 
-    RecomputePlanner planner(RecomputeOptions{});
-    const auto plan = planner.plan(analysis::TraceView(r));
+    const auto plan = recompute_plan(r);
     ASSERT_EQ(plan.decisions.size(), 1u);
     EXPECT_EQ(plan.original_peak_bytes, act + spike + kMB);
     EXPECT_EQ(plan.peak_reduction_bytes, act);

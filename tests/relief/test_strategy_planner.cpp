@@ -15,6 +15,8 @@
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
+#include "sim/device_spec.h"
+#include "swap/planner.h"
 
 namespace pinpoint {
 namespace relief {
@@ -368,6 +370,58 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             EXPECT_LE(hybrid.peak_reduction_bytes,
                       hybrid.original_peak_bytes);
         }
+    }
+}
+
+/**
+ * The swap leg honours --safety-factor: at zero budget, swap-only
+ * relief keeps exactly the swaps the Eq. 1 swap planner schedules
+ * without overhead. A gap that fits the raw round trip but not the
+ * headroom has zero stall, and must not slip in as a free decision.
+ */
+TEST(StrategyPlanner, ZeroBudgetSwapsHonourTheSafetyFactor)
+{
+    const auto spec = sim::DeviceSpec::titan_x_pascal();
+    runtime::SessionConfig config;
+    config.batch = 16;
+    config.iterations = 3;
+    const auto result =
+        runtime::run_training(nn::build_model("resnet18"), config);
+    const analysis::TraceView &view = result.view();
+    const analysis::LinkBandwidth link{spec.d2h_bw_bps,
+                                       spec.h2d_bw_bps};
+
+    std::size_t decisions_at_1 = 0;
+    for (double factor : {1.0, 1.5, 4.0}) {
+        SCOPED_TRACE(factor);
+        StrategyOptions opts;
+        opts.link = link;
+        opts.safety_factor = factor;
+        opts.overhead_budget = 0;
+        const StrategyPlanner planner(opts);
+        const auto plan = planner.plan(view, Strategy::kSwapOnly);
+
+        swap::PlannerOptions swap_opts;
+        swap_opts.link = link;
+        swap_opts.safety_factor = factor;
+        swap_opts.min_block_bytes = opts.min_block_bytes;
+        const auto reference = swap::SwapPlanner(swap_opts).plan(view);
+
+        ASSERT_EQ(plan.decisions.size(), reference.decisions.size());
+        for (std::size_t i = 0; i < reference.decisions.size(); ++i) {
+            EXPECT_EQ(plan.decisions[i].block,
+                      reference.decisions[i].block);
+            EXPECT_EQ(plan.decisions[i].gap_start,
+                      reference.decisions[i].gap_start);
+        }
+        EXPECT_EQ(plan.peak_reduction_bytes,
+                  reference.peak_reduction_bytes);
+        EXPECT_EQ(plan.predicted_overhead, 0);
+        if (factor == 1.0)
+            decisions_at_1 = reference.decisions.size();
+        else
+            EXPECT_LT(reference.decisions.size(), decisions_at_1)
+                << "the factor never bites on this input";
     }
 }
 

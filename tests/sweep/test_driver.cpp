@@ -12,7 +12,6 @@
 
 #include "analysis/ati.h"
 #include "analysis/stats.h"
-#include "core/check.h"
 #include "nn/model_registry.h"
 #include "sweep/driver.h"
 #include "sweep/export.h"
@@ -217,48 +216,6 @@ TEST(SubmissionOrder, CachedWallTimesRefineTheEstimate)
     EXPECT_EQ(order[1], 3u);
     EXPECT_EQ(order[2], 2u);
     EXPECT_EQ(order[3], 1u);
-}
-
-TEST(SweepDriver, SubsetDeliversGlobalIndicesInGridOrder)
-{
-    const auto scenarios = small_grid();
-    const std::vector<std::size_t> indices = {1, 3, 5};
-
-    std::mutex mutex;
-    std::set<std::size_t> delivered;
-    SweepOptions options;
-    options.jobs = 2;
-    const auto report = run_sweep_subset(
-        scenarios, indices, options,
-        [&](std::size_t index, const ScenarioResult &r) {
-            std::lock_guard<std::mutex> lock(mutex);
-            EXPECT_EQ(r.scenario.id(), scenarios[index].id());
-            delivered.insert(index);
-        });
-
-    EXPECT_EQ(delivered, std::set<std::size_t>({1, 3, 5}));
-    ASSERT_EQ(report.results.size(), 3u);
-    for (std::size_t k = 0; k < indices.size(); ++k)
-        EXPECT_EQ(report.results[k].scenario.id(),
-                  scenarios[indices[k]].id());
-}
-
-TEST(SweepDriver, SinkExceptionsAbortTheSweep)
-{
-    const auto scenarios = small_grid();
-    const std::vector<std::size_t> indices = {0, 1, 2, 3};
-    for (int jobs : {1, 4}) {
-        SweepOptions options;
-        options.jobs = jobs;
-        EXPECT_THROW(
-            run_sweep_subset(scenarios, indices, options,
-                             [](std::size_t,
-                                const ScenarioResult &) {
-                                 throw Error("sink failed");
-                             }),
-            Error)
-            << "jobs=" << jobs;
-    }
 }
 
 TEST(SweepDriver, CostOrderTogglesWithoutChangingBytes)

@@ -1,34 +1,35 @@
 /**
  * @file
- * Sharded, resumable sweeps: deterministic grid partitioning,
- * spill-file round trips, crash resume with a torn trailing
- * record, and grid-order merges byte-identical to a single run.
+ * Sharded, resumable sweeps through the result cache: deterministic
+ * grid partitioning, shards filling one cache directory, a re-run
+ * shard re-simulating only its lost rows, and a gather sweep whose
+ * exports are byte-identical to a single-process run.
  */
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/check.h"
+#include "sweep/cache.h"
 #include "sweep/driver.h"
 #include "sweep/export.h"
-#include "sweep/shard.h"
+#include "sweep/scenario.h"
 
 namespace pinpoint {
 namespace sweep {
 namespace {
 
-/** Fresh per-test spill directory under the gtest temp root. */
+/** Fresh per-test cache directory under the gtest temp root. */
 std::string
 fresh_dir(const std::string &name)
 {
     const std::string dir =
-        ::testing::TempDir() + "/pinpoint_spill_" + name;
+        ::testing::TempDir() + "/pinpoint_shard_" + name;
     std::filesystem::remove_all(dir);
     return dir;
 }
@@ -43,37 +44,44 @@ tiny_grid()
     return expand_grid(grid);
 }
 
-/** Runs one shard of @p scenarios, spilling into @p dir. */
-void
-run_shard(const std::vector<Scenario> &scenarios,
-          const std::string &dir, int shard, int of)
+/** The scenarios shard @p shard of @p of owns, in grid order. */
+std::vector<Scenario>
+shard_of(const std::vector<Scenario> &scenarios, int shard, int of)
 {
-    SpillWriter writer(dir, shard, of, scenarios, true);
-    std::vector<std::size_t> todo;
+    std::vector<Scenario> out;
     for (std::size_t index :
          shard_indices(scenarios.size(), shard, of))
-        if (writer.completed().count(index) == 0)
-            todo.push_back(index);
-    SweepOptions opts;
-    opts.jobs = 2;
-    run_sweep_subset(scenarios, todo, opts,
-                     [&writer](std::size_t index,
-                               const ScenarioResult &r) {
-                         writer.append(index, r);
-                     });
+        out.push_back(scenarios[index]);
+    return out;
 }
 
-/** Truncates the file at @p path by @p bytes. */
-void
-chop(const std::string &path, std::size_t bytes)
+/** Runs @p scenarios on two workers through @p cache. */
+SweepReport
+cached_sweep(const std::vector<Scenario> &scenarios,
+             const ResultCache &cache)
 {
-    std::ifstream is(path);
-    std::string text((std::istreambuf_iterator<char>(is)),
-                     std::istreambuf_iterator<char>());
-    is.close();
-    ASSERT_GT(text.size(), bytes);
-    std::ofstream os(path);
-    os << text.substr(0, text.size() - bytes);
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.cache = &cache;
+    return run_sweep(scenarios, opts);
+}
+
+/** The single-process reference every gather must match. */
+SweepReport
+single_run(const std::vector<Scenario> &scenarios)
+{
+    SweepOptions opts;
+    opts.jobs = 1;
+    return run_sweep(scenarios, opts);
+}
+
+/** @return true when @p cache answers @p s with a usable row. */
+bool
+cached(const ResultCache &cache, const Scenario &s)
+{
+    ScenarioResult out;
+    std::uint64_t hint = 0;
+    return cache.load(s, true, out, hint) == CacheLookup::kHit;
 }
 
 TEST(ShardIndices, PartitionIsExactAndDisjoint)
@@ -93,130 +101,75 @@ TEST(ShardIndices, PartitionIsExactAndDisjoint)
     EXPECT_THROW(shard_indices(10, 0, 0), UsageError);
 }
 
-TEST(SpillFile, WriterRoundTripsRowsThroughReader)
+TEST(ShardedSweep, GatherIsAllHitsAndByteIdenticalToSingleRun)
 {
     const auto scenarios = tiny_grid();
-    const std::string dir = fresh_dir("roundtrip");
-    run_shard(scenarios, dir, 1, 2);
-
-    const SpillFile file = read_spill(spill_path(dir, 1, 2));
-    EXPECT_EQ(file.shard, 1);
-    EXPECT_EQ(file.of, 2);
-    EXPECT_EQ(file.total, scenarios.size());
-    EXPECT_EQ(file.salt, result_schema_salt());
-    EXPECT_FALSE(file.truncated);
-    EXPECT_EQ(file.rows.size(),
-              shard_indices(scenarios.size(), 1, 2).size());
-    for (const auto &row : file.rows)
-        EXPECT_EQ(row.second.scenario.id(),
-                  scenarios[row.first].id());
-}
-
-TEST(SpillFile, ResumeSkipsCompletedRows)
-{
-    const auto scenarios = tiny_grid();
-    const std::string dir = fresh_dir("resume");
-    run_shard(scenarios, dir, 0, 2);
-
-    SpillWriter writer(dir, 0, 2, scenarios, true);
-    EXPECT_EQ(writer.completed().size(),
-              shard_indices(scenarios.size(), 0, 2).size());
-}
-
-TEST(SpillFile, TornTrailingRecordIsDetectedAndDropped)
-{
-    const auto scenarios = tiny_grid();
-    const std::string dir = fresh_dir("torn");
-    run_shard(scenarios, dir, 0, 2);
-    const std::string path = spill_path(dir, 0, 2);
-    const std::size_t complete_rows =
-        shard_indices(scenarios.size(), 0, 2).size();
-
-    // Kill the writer mid-record: the last row loses its tail.
-    chop(path, 40);
-    const SpillFile torn = read_spill(path);
-    EXPECT_TRUE(torn.truncated);
-    EXPECT_EQ(torn.rows.size(), complete_rows - 1);
-
-    // Merging a torn shard is refused with an actionable message.
-    run_shard(scenarios, dir, 1, 2);
-    try {
-        merge_spills(dir);
-        FAIL() << "merge_spills accepted a torn spill file";
-    } catch (const Error &e) {
-        EXPECT_NE(std::string(e.what()).find("torn"),
-                  std::string::npos)
-            << e.what();
+    const ResultCache cache(fresh_dir("gather"));
+    for (int shard = 0; shard < 3; ++shard) {
+        const SweepReport part =
+            cached_sweep(shard_of(scenarios, shard, 3), cache);
+        EXPECT_EQ(part.cache_hits, 0u) << shard;
     }
 
-    // Resume drops the torn tail, re-runs only that scenario, and
-    // leaves a clean file.
-    run_shard(scenarios, dir, 0, 2);
-    const SpillFile resumed = read_spill(path);
-    EXPECT_FALSE(resumed.truncated);
-    EXPECT_EQ(resumed.rows.size(), complete_rows);
-}
+    const SweepReport gathered = cached_sweep(scenarios, cache);
+    EXPECT_EQ(gathered.cache_hits, scenarios.size());
+    EXPECT_EQ(gathered.cache_misses, 0u);
 
-TEST(SpillFile, WriterRejectsADifferentGrid)
-{
-    const auto scenarios = tiny_grid();
-    const std::string dir = fresh_dir("gridcheck");
-    run_shard(scenarios, dir, 0, 2);
-
-    SweepGrid other;
-    other.models = {"mlp"};
-    other.batches = {64};
-    EXPECT_THROW(
-        SpillWriter(dir, 0, 2, expand_grid(other), true), Error);
-    // Same scenarios, different planner toggle: also a different
-    // sweep.
-    EXPECT_THROW(SpillWriter(dir, 0, 2, scenarios, false), Error);
-}
-
-TEST(SpillFile, AppendRejectsForeignIndices)
-{
-    const auto scenarios = tiny_grid();
-    const std::string dir = fresh_dir("foreign");
-    SpillWriter writer(dir, 0, 2, scenarios, true);
-    EXPECT_THROW(writer.append(1, ScenarioResult{}), Error);
-    EXPECT_THROW(writer.append(scenarios.size(), ScenarioResult{}),
-                 Error);
-}
-
-TEST(MergeSpills, ByteIdenticalToSingleProcessRun)
-{
-    const auto scenarios = tiny_grid();
-    const std::string dir = fresh_dir("merge");
-    for (int shard = 0; shard < 3; ++shard)
-        run_shard(scenarios, dir, shard, 3);
-    const SweepReport merged = merge_spills(dir);
-
-    SweepOptions opts;
-    opts.jobs = 1;
-    const SweepReport single = run_sweep(scenarios, opts);
-    EXPECT_EQ(sweep_csv_string(merged), sweep_csv_string(single));
-    EXPECT_EQ(sweep_json_string(merged),
+    const SweepReport single = single_run(scenarios);
+    EXPECT_EQ(sweep_csv_string(gathered), sweep_csv_string(single));
+    EXPECT_EQ(sweep_json_string(gathered),
               sweep_json_string(single));
-    EXPECT_EQ(merged.succeeded, single.succeeded);
-    EXPECT_EQ(merged.oom, single.oom);
-    EXPECT_EQ(merged.failed, single.failed);
+    EXPECT_EQ(gathered.succeeded, single.succeeded);
+    EXPECT_EQ(gathered.oom, single.oom);
+    EXPECT_EQ(gathered.failed, single.failed);
 }
 
-TEST(MergeSpills, RefusesMissingShards)
+TEST(ShardedSweep, RerunAfterCrashSimulatesOnlyLostRows)
 {
     const auto scenarios = tiny_grid();
-    const std::string dir = fresh_dir("missing");
-    run_shard(scenarios, dir, 0, 3);
-    run_shard(scenarios, dir, 2, 3);
-    try {
-        merge_spills(dir);
-        FAIL() << "merge_spills accepted a missing shard";
-    } catch (const Error &e) {
-        EXPECT_NE(std::string(e.what()).find("missing"),
-                  std::string::npos)
-            << e.what();
+    const ResultCache cache(fresh_dir("crash"));
+    const auto shard = shard_of(scenarios, 1, 2);
+    ASSERT_GE(shard.size(), 3u);
+    cached_sweep(shard, cache);
+
+    // A shard killed mid-run leaves some of its rows unwritten.
+    const std::size_t lost = 2;
+    for (std::size_t k = 0; k < lost; ++k) {
+        const std::string key = ResultCache::key(shard[k], true);
+        ASSERT_TRUE(std::filesystem::remove(cache.path_for_key(key)));
     }
-    EXPECT_THROW(merge_spills(fresh_dir("empty")), Error);
+
+    const SweepReport rerun = cached_sweep(shard, cache);
+    EXPECT_EQ(rerun.cache_misses, lost);
+    EXPECT_EQ(rerun.cache_hits, shard.size() - lost);
+    for (const auto &s : shard)
+        EXPECT_TRUE(cached(cache, s)) << s.id();
+}
+
+TEST(ShardedSweep, GatherSimulatesASkippedShard)
+{
+    const auto scenarios = tiny_grid();
+    const ResultCache cache(fresh_dir("skipped"));
+    cached_sweep(shard_of(scenarios, 0, 3), cache);
+    cached_sweep(shard_of(scenarios, 2, 3), cache);
+
+    // Exactly shard 1's rows are absent before the gather.
+    const auto skipped = shard_indices(scenarios.size(), 1, 3);
+    const std::set<std::size_t> missing(skipped.begin(),
+                                        skipped.end());
+    for (std::size_t j = 0; j < scenarios.size(); ++j)
+        EXPECT_EQ(cached(cache, scenarios[j]), missing.count(j) == 0)
+            << scenarios[j].id();
+
+    const SweepReport gathered = cached_sweep(scenarios, cache);
+    EXPECT_EQ(gathered.cache_misses, skipped.size());
+    EXPECT_EQ(gathered.cache_hits,
+              scenarios.size() - skipped.size());
+
+    const SweepReport single = single_run(scenarios);
+    EXPECT_EQ(sweep_csv_string(gathered), sweep_csv_string(single));
+    EXPECT_EQ(sweep_json_string(gathered),
+              sweep_json_string(single));
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
  * Exit codes follow the repo contract: 0 clean, 1 violations or
  * self-test failure, 2 usage/configuration error.
  */
-#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -24,7 +23,6 @@
 
 #include "core/check.h"
 #include "devtools/analyzer.h"
-#include "devtools/invariants.h"
 
 namespace {
 
@@ -38,10 +36,6 @@ usage(std::ostream &out, int code)
            "  --layering <file> layer table, relative to the root\n"
            "                    (default tools/layering.txt)\n"
            "  --json            emit the deterministic JSON report\n"
-           "  --checks <ids>    report only these checks (comma\n"
-           "                    separated; 'invariants' names every\n"
-           "                    repo-invariant rule); with\n"
-           "                    --self-test, run only their fixtures\n"
            "  --self-test       run the fixture self-test under\n"
            "                    <root>/tests/devtools/fixtures\n"
            "  --layering-doc    check the generated Layering block\n"
@@ -52,32 +46,6 @@ usage(std::ostream &out, int code)
            "  --list-checks     print every check id and exit\n"
            "  --help            show this help\n";
     return code;
-}
-
-/** Expands a --checks value; throws UsageError on unknown ids. */
-std::vector<std::string>
-parse_checks(const std::string &value)
-{
-    using namespace pinpoint;
-    std::vector<std::string> out;
-    std::istringstream in(value);
-    std::string id;
-    while (std::getline(in, id, ',')) {
-        const auto &known = devtools::check_ids();
-        if (id == "invariants") {
-            const auto &rules = devtools::invariant_check_ids();
-            out.insert(out.end(), rules.begin(), rules.end());
-        } else if (std::find(known.begin(), known.end(), id) !=
-                   known.end()) {
-            out.push_back(id);
-        } else {
-            throw UsageError("unknown check '" + id +
-                             "' (see --list-checks)");
-        }
-    }
-    if (out.empty())
-        throw UsageError("--checks needs at least one check id");
-    return out;
 }
 
 }  // namespace
@@ -93,7 +61,6 @@ main(int argc, char **argv)
     bool layering_doc = false;
     bool write = false;
     bool list_checks = false;
-    std::vector<std::string> checks;
 
     const std::vector<std::string> args(argv + 1, argv + argc);
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -108,8 +75,6 @@ main(int argc, char **argv)
                 root = value();
             else if (arg == "--layering")
                 layering = value();
-            else if (arg == "--checks")
-                checks = parse_checks(value());
             else if (arg == "--json")
                 json = true;
             else if (arg == "--self-test")
@@ -141,11 +106,10 @@ main(int argc, char **argv)
         return usage(std::cerr, 2);
     }
     if (self_test)
-        return devtools::run_self_test(root, std::cout, checks);
+        return devtools::run_self_test(root, std::cout);
 
     devtools::AnalyzerConfig config;
     config.root = root;
-    config.checks = checks;
     if (!layering.empty())
         config.layering_path = layering;
     try {
