@@ -83,7 +83,7 @@ main()
     std::printf("%-14s %8s %10s %10s\n", "op group", "count",
                 "median", "p90");
     int rows = 0;
-    for (const auto &a : analysis::attribute_atis(atis)) {
+    for (const auto &a : analysis::attribute_atis(study.view(), atis)) {
         if (rows++ >= 10)
             break;
         std::printf("%-14s %8zu %9.1fus %9.1fus\n", a.prefix.c_str(),

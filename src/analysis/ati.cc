@@ -47,8 +47,8 @@ compute_atis(const TraceView &view, const AtiOptions &options)
             s.interval = view.time(i) - it->second;
             s.at_time = view.time(i);
             s.category = view.category(i);
-            s.op = view.op(i);
-            out.push_back(std::move(s));
+            s.op = view.op_id(i);
+            out.push_back(s);
         }
         last[block] = view.time(i);
         if (kind == trace::EventKind::kFree)
@@ -58,12 +58,12 @@ compute_atis(const TraceView &view, const AtiOptions &options)
 }
 
 std::vector<AtiAttribution>
-attribute_atis(const std::vector<AtiSample> &atis)
+attribute_atis(const TraceView &view, const std::vector<AtiSample> &atis)
 {
     std::map<std::string, std::vector<double>> groups;
     for (const auto &s : atis) {
-        const auto dot = s.op.find('.');
-        groups[s.op.substr(0, dot)].push_back(to_us(s.interval));
+        const std::string &op = view.op_name(s.op);
+        groups[op.substr(0, op.find('.'))].push_back(to_us(s.interval));
     }
     std::vector<AtiAttribution> out;
     for (auto &[prefix, values] : groups) {

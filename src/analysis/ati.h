@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "trace/event.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -28,8 +29,11 @@ struct AtiSample {
     /** Timestamp of the closing access. */
     TimeNs at_time = 0;
     Category category = Category::kIntermediate;
-    /** Name of the op issuing the closing access (attribution). */
-    std::string op;
+    /**
+     * The op issuing the closing access (attribution), as an id in
+     * the view's name table (TraceView::op_name).
+     */
+    trace::OpId op = 0;
 };
 
 /** Options for ATI extraction. */
@@ -65,9 +69,10 @@ struct AtiAttribution {
  * Groups samples by the first dot-separated component of the closing
  * op name (e.g. "fc0", "sgd", "dataset") and summarizes each group,
  * descending by count. Answers "which ops create which gaps".
+ * @p atis must come from compute_atis(@p view).
  */
 std::vector<AtiAttribution>
-attribute_atis(const std::vector<AtiSample> &atis);
+attribute_atis(const TraceView &view, const std::vector<AtiSample> &atis);
 
 }  // namespace analysis
 }  // namespace pinpoint

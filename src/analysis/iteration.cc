@@ -22,6 +22,39 @@ hash_sizes(const std::vector<std::size_t> &sizes)
     return h;
 }
 
+/** @return the fraction of @p comparisons that matched. */
+double
+agreement(std::size_t matches, std::size_t comparisons)
+{
+    return static_cast<double>(matches) /
+           static_cast<double>(comparisons);
+}
+
+/** Agreement a candidate period needs to be accepted. */
+constexpr double kMinAgreement = 0.95;
+
+/**
+ * @return the fewest matches out of @p comparisons (>= 1) that reach
+ * kMinAgreement, by the same agreement() expression the verdict
+ * uses, so pruning on it never changes the verdict.
+ */
+std::size_t
+min_matches(std::size_t comparisons)
+{
+    const auto enough = [&](std::size_t m) {
+        return agreement(m, comparisons) >= kMinAgreement;
+    };
+    // agreement() is monotone in m: step from the estimate to the
+    // exact boundary.
+    auto m = static_cast<std::size_t>(kMinAgreement *
+                                      static_cast<double>(comparisons));
+    while (m > 0 && enough(m - 1))
+        --m;
+    while (!enough(m))
+        ++m;
+    return m;
+}
+
 }  // namespace
 
 IterationPattern
@@ -44,18 +77,20 @@ detect_iteration_pattern(const TraceView &view)
     }
 
     // Label-free periodicity: smallest period with >= 95% agreement.
+    // A candidate is dropped as soon as its mismatches exceed what
+    // 95% agreement allows, so rejected periods cost a prefix scan.
     const std::size_t n = sizes.size();
     for (std::size_t period = 1; period * 2 <= n; ++period) {
-        std::size_t match = 0;
         const std::size_t comparisons = n - period;
+        const std::size_t allowed = comparisons - min_matches(comparisons);
+        std::size_t mismatches = 0;
         for (std::size_t i = 0; i + period < n; ++i)
-            if (sizes[i] == sizes[i + period])
-                ++match;
-        const double conf = static_cast<double>(match) /
-                            static_cast<double>(comparisons);
-        if (conf >= 0.95) {
+            if (sizes[i] != sizes[i + period] && ++mismatches > allowed)
+                break;
+        if (mismatches <= allowed) {
             p.period_allocs = period;
-            p.period_confidence = conf;
+            p.period_confidence =
+                agreement(comparisons - mismatches, comparisons);
             break;
         }
     }

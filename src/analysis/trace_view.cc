@@ -15,6 +15,7 @@ namespace pinpoint {
 namespace analysis {
 
 TraceView::TraceView(const trace::TraceRecorder &recorder)
+    : op_names_(recorder.op_names())
 {
     const auto &events = recorder.events();
     const std::size_t n = events.size();
@@ -29,7 +30,6 @@ TraceView::TraceView(const trace::TraceRecorder &recorder)
     op_index_.reserve(n);
     op_id_.reserve(n);
 
-    std::unordered_map<std::string, std::uint32_t> interned;
     for (std::size_t i = 0; i < n; ++i) {
         const auto &e = events[i];
         time_.push_back(e.time);
@@ -41,15 +41,7 @@ TraceView::TraceView(const trace::TraceRecorder &recorder)
         category_.push_back(e.category);
         iteration_.push_back(e.iteration);
         op_index_.push_back(e.op_index);
-        const auto it = interned.find(e.op);
-        if (it != interned.end()) {
-            op_id_.push_back(it->second);
-        } else {
-            const auto id = static_cast<std::uint32_t>(op_names_.size());
-            interned.emplace(e.op, id);
-            op_names_.push_back(e.op);
-            op_id_.push_back(id);
-        }
+        op_id_.push_back(e.op);
         by_kind_[static_cast<std::size_t>(e.kind)].push_back(i);
     }
     events_walked_.fetch_add(n, std::memory_order_relaxed);

@@ -107,10 +107,19 @@ class TraceView
     std::uint32_t iteration(std::size_t i) const { return iteration_[i]; }
     std::int32_t op_index(std::size_t i) const { return op_index_[i]; }
 
-    /** @return the (interned) op name of event @p i. */
+    /** @return the interned op name id of event @p i. */
+    trace::OpId op_id(std::size_t i) const { return op_id_[i]; }
+
+    /** @return the op name of event @p i. */
     const std::string &op(std::size_t i) const
     {
         return op_names_[op_id_[i]];
+    }
+
+    /** @return the name of op id @p id (as returned by op_id). */
+    const std::string &op_name(trace::OpId id) const
+    {
+        return op_names_[id];
     }
 
     // --- per-kind counts and offsets ------------------------------
@@ -166,11 +175,12 @@ class TraceView
     std::vector<std::uint32_t> iteration_;
     std::vector<std::int32_t> op_index_;
     /** Per-event index into op_names_. */
-    std::vector<std::uint32_t> op_id_;
-    /** Interned op names, in first-appearance order. */
+    std::vector<trace::OpId> op_id_;
+    /** The recorder's name table, indexed by OpId. */
     std::vector<std::string> op_names_;
     /** Event indices per kind, in trace order. */
-    std::array<std::vector<std::size_t>, 4> by_kind_{};
+    std::array<std::vector<std::size_t>, trace::kNumEventKinds>
+        by_kind_{};
 
     // Lazy sub-indices. A failed build (inconsistent trace) leaves
     // the slot empty and the accessor rethrows on the next call.

@@ -118,7 +118,7 @@ Study::result() const
 {
     if (inf_)
         return inf_->session;
-    return dp_ ? dp_->primary() : result_;
+    return dp_ ? dp_->session : result_;
 }
 
 const runtime::InferenceResult &

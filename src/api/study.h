@@ -90,9 +90,9 @@ class Study
 
     /**
      * Wraps an already-run data-parallel result for @p spec. The
-     * single-device facets below project replica 0 (replicas are
-     * deterministic clones); the data-parallel facets read the
-     * aggregate.
+     * single-device facets below project its one simulated replica,
+     * which stands for every device; the data-parallel facets read
+     * the aggregate.
      */
     Study(WorkloadSpec spec, runtime::DataParallelResult result,
           StudyOptions options = {});
@@ -139,9 +139,9 @@ class Study
     const sim::DeviceSpec &device() const { return device_; }
 
     /**
-     * @return the owned session result — replica 0's for a
-     * data-parallel study (replicas are deterministic clones, so
-     * replica 0 is *the* single-device view of the run).
+     * @return the owned session result — the simulated replica's
+     * for a data-parallel study (it stands for every device, so it
+     * is *the* single-device view of the run).
      */
     const runtime::SessionResult &result() const;
 
@@ -167,9 +167,9 @@ class Study
     bool data_parallel() const { return dp_ != nullptr; }
 
     /**
-     * @return the aggregate data-parallel result (replica sessions,
-     * scheduled all-reduces, scaling metrics). @throws Error on a
-     * single-device study.
+     * @return the aggregate data-parallel result (the simulated
+     * replica's session, scheduled all-reduces, scaling metrics).
+     * @throws Error on a single-device study.
      */
     const runtime::DataParallelResult &data_parallel_result() const;
 
@@ -308,7 +308,7 @@ class Study
     StudyOptions options_;
     /** Single-device runs only; empty when dp_ holds the result. */
     runtime::SessionResult result_;
-    /** Multi-device runs: the aggregate, owning every replica. */
+    /** Multi-device runs: the aggregate, owning the replica. */
     std::unique_ptr<runtime::DataParallelResult> dp_;
     /** Serving runs: the request stream, owning its session. */
     std::unique_ptr<runtime::InferenceResult> inf_;

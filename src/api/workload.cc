@@ -216,6 +216,13 @@ WorkloadSpec::validate() const
                 "1, got " +
                 std::to_string(devices));
     }
+    // The all-reduce schedule is built on the steady-state
+    // iteration, which a session measures from its second iteration.
+    if (devices > 1 && iterations < 2)
+        throw UsageError("--devices " + std::to_string(devices) +
+                         " needs --iterations >= 2 (the all-reduce is "
+                         "timed on the steady-state iteration), got " +
+                         std::to_string(iterations));
 }
 
 runtime::SessionConfig

@@ -116,8 +116,9 @@ struct WorkloadSpec {
      * Checks the spec describes a runnable workload: registered
      * model, device, and topology presets, positive batch,
      * iterations >= 1, micro-batches >= 1, devices >= 1,
-     * requests >= 1, and — in infer mode — no training-only axes
-     * (micro-batches and devices must stay 1). @throws UsageError
+     * requests >= 1, iterations >= 2 when devices > 1, and — in
+     * infer mode — no training-only axes (micro-batches and devices
+     * must stay 1). @throws UsageError
      * with an actionable message otherwise.
      */
     void validate() const;

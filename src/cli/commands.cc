@@ -107,8 +107,8 @@ cmd_characterize(const ParsedArgs &args, CommandIo &io)
     analysis::write_report(study.view(), io.out, opts);
 
     if (study.data_parallel()) {
-        // The report above is replica 0's single-device view (every
-        // replica is a deterministic clone); the aggregate topology
+        // The report above is the simulated replica's single-device
+        // view (it stands for every device); the aggregate topology
         // numbers are the data-parallel delta on top of it.
         const runtime::DataParallelResult &dp =
             study.data_parallel_result();

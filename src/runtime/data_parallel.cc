@@ -9,14 +9,6 @@
 namespace pinpoint {
 namespace runtime {
 
-const SessionResult &
-DataParallelResult::primary() const
-{
-    PP_CHECK(!replicas.empty(),
-             "data-parallel result holds no replicas");
-    return replicas.front();
-}
-
 DataParallelResult
 run_data_parallel(const nn::Model &model,
                   const DataParallelConfig &config)
@@ -28,19 +20,12 @@ run_data_parallel(const nn::Model &model,
     result.devices = config.devices;
     result.interconnect = config.interconnect;
 
-    // One real engine per replica. The replicas are deterministic
-    // reruns of the same plan, so their traces are identical — but
-    // each is recorded honestly, so per-replica TraceView analyses
-    // (ATI, occupancy, swap validation) need no special casing.
-    result.replicas.reserve(
-        static_cast<std::size_t>(config.devices));
-    for (int d = 0; d < config.devices; ++d)
-        result.replicas.push_back(
-            run_training(model, config.session));
-
-    const SessionResult &primary = result.primary();
-    result.gradient_bytes = primary.plan.parameter_bytes();
-    result.compute_iteration_time = primary.iteration_time;
+    // The replicas are deterministic runs of the same plan on
+    // identical devices: their traces would be byte-identical, so
+    // one simulated session stands for every device.
+    result.session = run_training(model, config.session);
+    result.gradient_bytes = result.session.plan.parameter_bytes();
+    result.compute_iteration_time = result.session.iteration_time;
 
     sim::Topology topology(config.session.device, config.devices,
                            config.interconnect);

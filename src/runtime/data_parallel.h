@@ -1,16 +1,18 @@
 /**
  * @file
- * Data-parallel characterization: N replica engines off one plan,
- * gradient all-reduce priced on the peer interconnect.
+ * Data-parallel characterization: one simulated replica off one
+ * plan, gradient all-reduce priced on the peer interconnect.
  *
- * Each replica is a full simulated training session — its own
- * engine, allocator, and recorded trace — so every single-device
- * analysis (TraceView, ATI, occupancy, swap validation, relief)
- * works per replica unchanged. What data parallelism adds on top is
- * the synchronization: one ring all-reduce of the gradient bytes
- * per iteration, scheduled on the topology's peer links, whose
- * exposed time stretches the effective iteration and whose queueing
- * slip is reported as stall.
+ * The replicas of a data-parallel run execute the same plan on
+ * identical devices, so the simulator runs one full training
+ * session — engine, allocator and recorded trace — and that session
+ * stands for all N devices. Every single-device analysis
+ * (TraceView, ATI, occupancy, swap validation, relief) works on it
+ * unchanged. What data parallelism adds on top is the
+ * synchronization: one ring all-reduce of the gradient bytes per
+ * iteration across the N devices, scheduled on the topology's peer
+ * links, whose exposed time stretches the effective iteration and
+ * whose queueing slip is reported as stall.
  */
 #pragma once
 
@@ -29,7 +31,12 @@ namespace runtime {
 struct DataParallelConfig {
     /** Per-replica session configuration (device, batch, ...). */
     SessionConfig session;
-    /** Number of data-parallel replicas (>= 1). */
+    /**
+     * Number of data-parallel replicas (>= 1). Above 1 the session
+     * needs at least two iterations: the all-reduce schedule is
+     * built on the steady-state iteration time, which run_training
+     * measures only from the second iteration on.
+     */
     int devices = 1;
     /** Peer interconnect joining the replicas. */
     sim::InterconnectSpec interconnect =
@@ -38,8 +45,11 @@ struct DataParallelConfig {
 
 /** Everything a data-parallel characterization run produces. */
 struct DataParallelResult {
-    /** One full session per replica, in device order. */
-    std::vector<SessionResult> replicas;
+    /**
+     * The simulated replica. Every device runs the same plan on the
+     * same device model, so this one session stands for all of them.
+     */
+    SessionResult session;
     /** Number of replicas. */
     int devices = 1;
     /** The interconnect the all-reduces were priced on. */
@@ -67,16 +77,13 @@ struct DataParallelResult {
      * under perfect input sharding. 1.0 for a single device.
      */
     double scaling_efficiency = 1.0;
-
-    /** @return replica 0, the representative single-device view. */
-    const SessionResult &primary() const;
 };
 
 /**
- * Runs @p config.devices identical replicas of @p model training
- * (one engine per replica, each a deterministic rerun of the same
- * plan) and schedules one gradient ring all-reduce per iteration on
- * a topology built from the session device and @p config.interconnect.
+ * Simulates @p model training once, as the replica every one of
+ * @p config.devices identical devices runs, and schedules one
+ * gradient ring all-reduce per iteration on a topology built from
+ * the session device and @p config.interconnect.
  * Replicas run in lockstep: iteration k's gradients are ready on
  * every device at the same instant, and iteration k+1 starts when
  * the all-reduce lands.

@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <string>
 
 #include "alloc/allocator.h"
 #include "core/check.h"
@@ -35,6 +36,55 @@ Engine::Engine(const Plan &plan, alloc::Allocator &allocator,
     PP_CHECK(options_.staging_buffer_bytes == 0 ||
                  options_.iterations_per_epoch > 0,
              "a staging buffer requires iterations_per_epoch > 0");
+    if (options_.staging_buffer_bytes > 0) {
+        staging_tensor_ = plan_.tensors.size() + 1000;
+        staging_meta_.id = staging_tensor_;
+        staging_meta_.name = "dataset.staging";
+        staging_meta_.shape = Shape{static_cast<std::int64_t>(
+            options_.staging_buffer_bytes / 4)};
+        staging_meta_.dtype = DType::kF32;
+        staging_meta_.category = Category::kInput;
+    }
+    // Without a recorder every id stays 0: nothing is recorded.
+    op_ids_.resize(plan_.iteration_ops.size());
+    tensor_op_ids_.resize(plan_.tensors.size());
+    if (recorder_)
+        intern_names();
+}
+
+void
+Engine::intern_names()
+{
+    for (std::size_t i = 0; i < plan_.iteration_ops.size(); ++i)
+        op_ids_[i] = recorder_->intern(plan_.iteration_ops[i].name);
+    for (std::size_t id = 0; id < plan_.tensors.size(); ++id) {
+        const std::string &name = plan_.tensors[id].name;
+        tensor_op_ids_[id].alloc = recorder_->intern("alloc." + name);
+        tensor_op_ids_[id].free = recorder_->intern("free." + name);
+    }
+    for (TensorId id : plan_.persistent)
+        tensor_op_ids_[id].init =
+            recorder_->intern("init." + plan_.tensor(id).name);
+    if (staging_tensor_ != kInvalidTensor) {
+        staging_op_ids_.alloc =
+            recorder_->intern("alloc." + staging_meta_.name);
+        staging_op_ids_.free =
+            recorder_->intern("free." + staging_meta_.name);
+        stage_op_ = recorder_->intern("dataset.stage");
+        shuffle_op_ = recorder_->intern("dataset.shuffle");
+    }
+}
+
+const TensorMeta &
+Engine::meta_of(TensorId id) const
+{
+    return id == staging_tensor_ ? staging_meta_ : plan_.tensor(id);
+}
+
+const Engine::TensorOpIds &
+Engine::op_ids(TensorId id) const
+{
+    return id == staging_tensor_ ? staging_op_ids_ : tensor_op_ids_[id];
 }
 
 Engine::~Engine()
@@ -50,15 +100,13 @@ Engine::~Engine()
 alloc::Block &
 Engine::bind(TensorId id)
 {
-    const TensorMeta &meta = id == staging_tensor_
-                                 ? staging_meta_
-                                 : plan_.tensor(id);
+    const TensorMeta &m = meta_of(id);
     PP_ASSERT(!bound_.count(id),
-              "tensor " << meta.name << " is already bound");
-    alloc::Block b = allocator_.allocate(meta.bytes());
+              "tensor " << m.name << " is already bound");
+    alloc::Block b = allocator_.allocate(m.bytes());
     auto [it, ok] = bound_.emplace(id, b);
-    PP_ASSERT(ok, "double bind of tensor " << meta.name);
-    note_alloc(meta, b);
+    PP_ASSERT(ok, "double bind of tensor " << m.name);
+    note_alloc(m, b);
     if (recorder_) {
         trace::MemoryEvent e;
         e.time = clock_.now();
@@ -67,11 +115,11 @@ Engine::bind(TensorId id)
         e.ptr = b.ptr;
         e.size = b.size;
         e.tensor = id;
-        e.category = meta.category;
+        e.category = m.category;
         e.iteration = current_iteration_;
         e.op_index = -1;
-        e.op = "alloc." + meta.name;
-        recorder_->record(std::move(e));
+        e.op = op_ids(id).alloc;
+        recorder_->record(e);
     }
     return it->second;
 }
@@ -80,15 +128,13 @@ void
 Engine::release(TensorId id)
 {
     auto it = bound_.find(id);
-    const TensorMeta &meta = id == staging_tensor_
-                                 ? staging_meta_
-                                 : plan_.tensor(id);
+    const TensorMeta &m = meta_of(id);
     PP_ASSERT(it != bound_.end(),
-              "tensor " << meta.name << " is not bound");
+              "tensor " << m.name << " is not bound");
     const alloc::Block b = it->second;
     bound_.erase(it);
     allocator_.deallocate(b.id);
-    note_free(meta, b);
+    note_free(m, b);
     if (recorder_) {
         trace::MemoryEvent e;
         e.time = clock_.now();
@@ -97,11 +143,11 @@ Engine::release(TensorId id)
         e.ptr = b.ptr;
         e.size = b.size;
         e.tensor = id;
-        e.category = meta.category;
+        e.category = m.category;
         e.iteration = current_iteration_;
         e.op_index = -1;
-        e.op = "free." + meta.name;
-        recorder_->record(std::move(e));
+        e.op = op_ids(id).free;
+        recorder_->record(e);
     }
 }
 
@@ -130,16 +176,14 @@ Engine::note_free(const TensorMeta &meta, const alloc::Block &b)
 
 void
 Engine::record_access(trace::EventKind kind, TensorId id,
-                      std::int32_t op_index, const std::string &op)
+                      std::int32_t op_index, trace::OpId op)
 {
     if (!recorder_)
         return;
     auto it = bound_.find(id);
-    const TensorMeta &meta = id == staging_tensor_
-                                 ? staging_meta_
-                                 : plan_.tensor(id);
+    const TensorMeta &m = meta_of(id);
     PP_ASSERT(it != bound_.end(),
-              "access to unbound tensor " << meta.name);
+              "access to unbound tensor " << m.name);
     trace::MemoryEvent e;
     e.time = clock_.now();
     e.kind = kind;
@@ -147,11 +191,11 @@ Engine::record_access(trace::EventKind kind, TensorId id,
     e.ptr = it->second.ptr;
     e.size = it->second.size;
     e.tensor = id;
-    e.category = meta.category;
+    e.category = m.category;
     e.iteration = current_iteration_;
     e.op_index = op_index;
     e.op = op;
-    recorder_->record(std::move(e));
+    recorder_->record(e);
 }
 
 void
@@ -167,16 +211,9 @@ Engine::setup()
         clock_.advance(cost_.kernel_time(
             static_cast<double>(meta.shape.numel()), 0, meta.bytes()));
         record_access(trace::EventKind::kWrite, id, -1,
-                      "init." + meta.name);
+                      op_ids(id).init);
     }
-    if (options_.staging_buffer_bytes > 0) {
-        staging_tensor_ = plan_.tensors.size() + 1000;
-        staging_meta_.id = staging_tensor_;
-        staging_meta_.name = "dataset.staging";
-        staging_meta_.shape = Shape{static_cast<std::int64_t>(
-            options_.staging_buffer_bytes / 4)};
-        staging_meta_.dtype = DType::kF32;
-        staging_meta_.category = Category::kInput;
+    if (staging_tensor_ != kInvalidTensor) {
         bind(staging_tensor_);
         stage_dataset(true);
     }
@@ -191,24 +228,25 @@ Engine::stage_dataset(bool initial)
         // Initial upload of the on-device dataset shard.
         clock_.advance(cost_.h2d_time(bytes));
         record_access(trace::EventKind::kWrite, staging_tensor_, -1,
-                      "dataset.stage");
+                      stage_op_);
         return;
     }
     // Epoch boundary: on-device shuffle touches the whole buffer.
     record_access(trace::EventKind::kRead, staging_tensor_, -1,
-                  "dataset.shuffle");
+                  shuffle_op_);
     clock_.advance(cost_.kernel_time(0.0, bytes, bytes));
     record_access(trace::EventKind::kWrite, staging_tensor_, -1,
-                  "dataset.shuffle");
+                  shuffle_op_);
 }
 
 void
 Engine::execute_op(const Op &op, std::int32_t op_index)
 {
+    const trace::OpId name = op_ids_[op_index];
     for (TensorId id : op.allocs)
         bind(id);
     for (TensorId id : op.reads)
-        record_access(trace::EventKind::kRead, id, op_index, op.name);
+        record_access(trace::EventKind::kRead, id, op_index, name);
 
     std::size_t read_bytes = 0;
     std::size_t write_bytes = 0;
@@ -224,7 +262,7 @@ Engine::execute_op(const Op &op, std::int32_t op_index)
                                          write_bytes));
 
     for (TensorId id : op.writes)
-        record_access(trace::EventKind::kWrite, id, op_index, op.name);
+        record_access(trace::EventKind::kWrite, id, op_index, name);
     for (TensorId id : op.frees)
         release(id);
 }

@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "alloc/allocator.h"
 #include "core/tensor_meta.h"
@@ -108,6 +109,17 @@ class Engine
     void teardown();
 
   private:
+    /** Interned names of one tensor's allocator events. */
+    struct TensorOpIds {
+        trace::OpId alloc = 0;
+        trace::OpId free = 0;
+        trace::OpId init = 0;
+    };
+
+    void intern_names();
+    const TensorMeta &meta_of(TensorId id) const;
+    const TensorOpIds &op_ids(TensorId id) const;
+
     void setup();
     void stage_dataset(bool initial);
     void run_iteration();
@@ -119,7 +131,7 @@ class Engine
     void note_alloc(const TensorMeta &meta, const alloc::Block &b);
     void note_free(const TensorMeta &meta, const alloc::Block &b);
     void record_access(trace::EventKind kind, TensorId id,
-                       std::int32_t op_index, const std::string &op);
+                       std::int32_t op_index, trace::OpId op);
 
     const Plan &plan_;
     alloc::Allocator &allocator_;
@@ -137,6 +149,16 @@ class Engine
     /** Synthetic tensor id for the staging buffer. */
     TensorId staging_tensor_ = kInvalidTensor;
     TensorMeta staging_meta_;
+
+    // Every name the engine records, interned once in the recorder
+    // (all 0 without one), so recording an event copies no string.
+    /** Per iteration op, by op index. */
+    std::vector<trace::OpId> op_ids_;
+    /** Per plan tensor, by TensorId. */
+    std::vector<TensorOpIds> tensor_op_ids_;
+    TensorOpIds staging_op_ids_;
+    trace::OpId stage_op_ = 0;
+    trace::OpId shuffle_op_ = 0;
 };
 
 }  // namespace runtime

@@ -74,6 +74,12 @@ expand_grid(const SweepGrid &grid)
     if (grid.requests < 1)
         throw UsageError("requests must be >= 1, got " +
                          std::to_string(grid.requests));
+    for (int n : device_counts)
+        if (n > 1 && grid.iterations < 2)
+            throw UsageError("multi-device counts need iterations >= "
+                             "2 (the all-reduce is timed on the "
+                             "steady-state iteration), got " +
+                             std::to_string(grid.iterations));
     for (runtime::SessionMode mode : modes)
         if (mode == runtime::SessionMode::kInfer)
             for (int n : device_counts)

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <fstream>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "core/check.h"
 #include "core/types.h"
@@ -94,8 +96,15 @@ write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
     emit.event("{\"ph\":\"M\",\"pid\":1,\"name\":\"process_name\","
                "\"args\":{\"name\":\"pinpoint device memory\"}}");
 
+    // Escape each interned name once, not once per event.
+    std::vector<std::string> names;
+    names.reserve(recorder.op_names().size());
+    for (const std::string &name : recorder.op_names())
+        names.push_back(json_escape(name));
+
     std::array<std::int64_t, kNumCategories> occupancy{};
     for (const auto &e : recorder.events()) {
+        const char *name = names[e.op].c_str();
         const bool tracked = e.size >= options.min_block_bytes;
         char buf[512];
         switch (e.kind) {
@@ -111,7 +120,7 @@ write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
                     "\"ptr\":%llu}}",
                     static_cast<unsigned long long>(e.block),
                     static_cast<int>(e.category), ts_us(e.time),
-                    json_escape(e.op).c_str(), e.size,
+                    name, e.size,
                     static_cast<unsigned long long>(e.ptr));
                 emit.event(buf);
             }
@@ -127,7 +136,7 @@ write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
                     "\"name\":\"%s\"}",
                     static_cast<unsigned long long>(e.block),
                     static_cast<int>(e.category), ts_us(e.time),
-                    json_escape(e.op).c_str());
+                    name);
                 emit.event(buf);
             }
             break;
@@ -141,7 +150,7 @@ write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
                     "\"name\":\"%s %s\",\"args\":{\"block\":%llu}}",
                     static_cast<int>(e.category), ts_us(e.time),
                     event_kind_name(e.kind),
-                    json_escape(e.op).c_str(),
+                    name,
                     static_cast<unsigned long long>(e.block));
                 emit.event(buf);
             }

@@ -1,5 +1,7 @@
 #include "trace/csv.h"
 
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -18,31 +20,45 @@ namespace {
 const char kHeader[] =
     "time_ns,kind,block,ptr,size,tensor,category,iteration,op_index,op";
 
-/** Splits one CSV line; the op field (last) may not contain commas. */
-std::vector<std::string>
-split_line(const std::string &line)
+/**
+ * Splits one CSV line into @p fields; the op field (last) may not
+ * contain commas. @p fields is reused from line to line, so steady-
+ * state splitting allocates nothing.
+ */
+void
+split_line(const std::string &line, std::vector<std::string> &fields)
 {
-    std::vector<std::string> fields;
-    std::string cur;
-    for (char c : line) {
-        if (c == ',') {
-            fields.push_back(cur);
-            cur.clear();
-        } else {
-            cur += c;
-        }
+    std::size_t n = 0;
+    std::size_t start = 0;
+    for (;;) {
+        const std::size_t comma = line.find(',', start);
+        const std::size_t end =
+            comma == std::string::npos ? line.size() : comma;
+        if (n == fields.size())
+            fields.emplace_back();
+        fields[n++].assign(line, start, end - start);
+        if (comma == std::string::npos)
+            break;
+        start = comma + 1;
     }
-    fields.push_back(cur);
-    return fields;
+    fields.resize(n);
 }
 
-Category
-parse_category(const std::string &s)
+/**
+ * @return the enumerator among the first @p count whose @p name is
+ * @p text.
+ * @throws Error naming @p lineno and @p field otherwise.
+ */
+template <typename Enum, typename NameFn>
+Enum
+parse_name_field(const std::string &text, int count, NameFn name,
+                 std::size_t lineno, const char *field)
 {
-    if (s == "input") return Category::kInput;
-    if (s == "parameter") return Category::kParameter;
-    if (s == "intermediate") return Category::kIntermediate;
-    PP_CHECK(false, "unknown category '" << s << "'");
+    for (int k = 0; k < count; ++k)
+        if (text == name(static_cast<Enum>(k)))
+            return static_cast<Enum>(k);
+    PP_CHECK(false, "line " << lineno << ": unknown " << field << " '"
+                            << text << "'");
 }
 
 /**
@@ -84,22 +100,112 @@ parse_i32_field(const std::string &text, std::size_t lineno,
     return static_cast<std::int32_t>(value);
 }
 
+/**
+ * Row formatter: fields are formatted with std::to_chars straight
+ * into one buffer, and the buffer reaches the stream in large
+ * chunks, not one insertion per field.
+ */
+class RowWriter
+{
+  public:
+    explicit RowWriter(std::ostream &os) : os_(os), buf_(1 << 16)
+    {
+        pos_ = buf_.data();
+    }
+
+    /** Makes room for a row of up to @p bytes. */
+    void
+    reserve(std::size_t bytes)
+    {
+        if (static_cast<std::size_t>(buf_.data() + buf_.size() - pos_) >=
+            bytes)
+            return;
+        flush();
+        if (buf_.size() < bytes) {
+            buf_.resize(bytes);  // a row longer than the buffer
+            pos_ = buf_.data();
+        }
+    }
+
+    template <typename T>
+    void
+    num(T value)
+    {
+        pos_ = std::to_chars(pos_, buf_.data() + buf_.size(), value).ptr;
+    }
+
+    void
+    text(const std::string &s)
+    {
+        pos_ = std::copy(s.begin(), s.end(), pos_);
+    }
+
+    void
+    text(const char *s)
+    {
+        while (*s)
+            *pos_++ = *s++;
+    }
+
+    void put(char c) { *pos_++ = c; }
+
+    void
+    flush()
+    {
+        os_.write(buf_.data(), pos_ - buf_.data());
+        pos_ = buf_.data();
+    }
+
+  private:
+    std::ostream &os_;
+    std::vector<char> buf_;
+    char *pos_ = nullptr;
+};
+
+/**
+ * Longest row without its op name: eight numbers of at most 20
+ * characters, the kind and category names, ten separators.
+ */
+constexpr std::size_t kMaxFixedRow = 8 * 20 + 2 * 16 + 10;
+
 }  // namespace
 
 void
 write_csv(const TraceRecorder &recorder, std::ostream &os)
 {
-    os << kHeader << "\n";
+    const std::vector<std::string> &names = recorder.op_names();
+    RowWriter w(os);
+    w.reserve(sizeof kHeader);
+    w.text(kHeader);
+    w.put('\n');
     for (const auto &e : recorder.events()) {
-        os << e.time << ',' << event_kind_name(e.kind) << ',' << e.block
-           << ',' << e.ptr << ',' << e.size << ',';
+        const std::string &op = names[e.op];
+        w.reserve(kMaxFixedRow + op.size());
+        w.num(e.time);
+        w.put(',');
+        w.text(event_kind_name(e.kind));
+        w.put(',');
+        w.num(e.block);
+        w.put(',');
+        w.num(e.ptr);
+        w.put(',');
+        w.num(e.size);
+        w.put(',');
         if (e.tensor == kInvalidTensor)
-            os << "-";
+            w.put('-');
         else
-            os << e.tensor;
-        os << ',' << category_name(e.category) << ',' << e.iteration
-           << ',' << e.op_index << ',' << e.op << "\n";
+            w.num(e.tensor);
+        w.put(',');
+        w.text(category_name(e.category));
+        w.put(',');
+        w.num(e.iteration);
+        w.put(',');
+        w.num(e.op_index);
+        w.put(',');
+        w.text(op);
+        w.put('\n');
     }
+    w.flush();
 }
 
 void
@@ -124,30 +230,34 @@ read_csv(std::istream &is)
              "unexpected trace header '" << line << "'");
 
     std::size_t lineno = 1;
+    std::vector<std::string> f;
     while (std::getline(is, line)) {
         ++lineno;
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
         if (line.empty())
             continue;
-        const auto f = split_line(line);
+        split_line(line, f);
         PP_CHECK(f.size() == 10,
                  "line " << lineno << ": expected 10 fields, got "
                          << f.size());
         MemoryEvent e;
         e.time = parse_u64_field(f[0], lineno, "time_ns");
-        e.kind = parse_event_kind(f[1]);
+        e.kind = parse_name_field<EventKind>(f[1], kNumEventKinds,
+                                             event_kind_name,
+                                             lineno, "kind");
         e.block = parse_u64_field(f[2], lineno, "block");
         e.ptr = parse_u64_field(f[3], lineno, "ptr");
         e.size = parse_u64_field(f[4], lineno, "size");
         e.tensor = f[5] == "-"
                        ? kInvalidTensor
                        : parse_u64_field(f[5], lineno, "tensor");
-        e.category = parse_category(f[6]);
+        e.category = parse_name_field<Category>(
+            f[6], kNumCategories, category_name, lineno, "category");
         e.iteration = parse_u32_field(f[7], lineno, "iteration");
         e.op_index = parse_i32_field(f[8], lineno, "op_index");
-        e.op = f[9];
-        recorder.record(std::move(e));
+        e.op = recorder.intern(f[9]);
+        recorder.record(e);
     }
     return recorder;
 }

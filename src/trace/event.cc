@@ -17,15 +17,5 @@ event_kind_name(EventKind k)
     PP_ASSERT(false, "unhandled event kind " << static_cast<int>(k));
 }
 
-EventKind
-parse_event_kind(const std::string &name)
-{
-    if (name == "malloc") return EventKind::kMalloc;
-    if (name == "free") return EventKind::kFree;
-    if (name == "read") return EventKind::kRead;
-    if (name == "write") return EventKind::kWrite;
-    PP_CHECK(false, "unknown event kind '" << name << "'");
-}
-
 }  // namespace trace
 }  // namespace pinpoint

@@ -6,7 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 #include "core/types.h"
 
@@ -16,6 +16,12 @@ namespace trace {
 /** Iteration tag used for one-time setup events in traces. */
 inline constexpr std::uint32_t kSetupIteration = 0xffffffffu;
 
+/**
+ * An op name interned in a TraceRecorder's name table. Id 0 is the
+ * empty name in every recorder, so a default event is always valid.
+ */
+using OpId = std::uint32_t;
+
 /** The four memory behaviors the paper instruments (Sec. II). */
 enum class EventKind : std::uint8_t {
     kMalloc = 0,
@@ -24,14 +30,11 @@ enum class EventKind : std::uint8_t {
     kWrite = 3,
 };
 
+/** Number of EventKind enumerators. */
+inline constexpr int kNumEventKinds = 4;
+
 /** @return canonical lowercase name ("malloc", ...). */
 const char *event_kind_name(EventKind k);
-
-/**
- * Parses an event kind from its canonical name.
- * @throws Error on unknown names.
- */
-EventKind parse_event_kind(const std::string &name);
 
 /**
  * One instrumented memory behavior of one device memory block. This
@@ -57,9 +60,17 @@ struct MemoryEvent {
     std::uint32_t iteration = 0;
     /** Index of the op that issued the access (-1 for allocator). */
     std::int32_t op_index = -1;
-    /** Name of the op, e.g. "fc1.forward"; empty for allocator. */
-    std::string op;
+    /**
+     * The op's name (e.g. "fc1.forward") in the recording
+     * TraceRecorder's name table; 0 (empty) for none.
+     */
+    OpId op = 0;
 };
+
+// Events are recorded, frozen and exported by the hundred thousand:
+// a plain struct keeps each of those a copy, never a heap allocation.
+static_assert(std::is_trivially_copyable_v<MemoryEvent>,
+              "MemoryEvent must stay a plain record");
 
 }  // namespace trace
 }  // namespace pinpoint

@@ -5,6 +5,9 @@
 #pragma once
 
 #include <cstddef>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "trace/event.h"
@@ -18,17 +21,35 @@ namespace trace {
  * module consumes the finished sequence. Events are expected in
  * non-decreasing time order and the recorder enforces that, because
  * every downstream computation (ATIs, Gantt, breakdown) assumes it.
+ *
+ * The recorder also owns the op names its events refer to: a
+ * producer interns each name once and stamps the returned OpId on
+ * every event, so recording never copies a string.
  */
 class TraceRecorder
 {
   public:
-    TraceRecorder() = default;
+    /** An empty trace whose name table holds only id 0 (""). */
+    TraceRecorder();
 
     /**
      * Appends @p event.
-     * @throws Error if @p event.time precedes the previous event.
+     * @throws Error if @p event.time precedes the previous event, or
+     * @p event.op is not an id of this recorder.
      */
-    void record(MemoryEvent event);
+    void record(const MemoryEvent &event);
+
+    /**
+     * @return the id of op name @p name, adding it to the table on
+     * first use. Ids are dense, in first-intern order.
+     */
+    OpId intern(std::string_view name);
+
+    /** @return the name of @p id. @throws Error on unknown ids. */
+    const std::string &op_name(OpId id) const;
+
+    /** @return every interned name, indexed by OpId. */
+    const std::vector<std::string> &op_names() const { return names_; }
 
     /** @return all recorded events in time order. */
     const std::vector<MemoryEvent> &events() const { return events_; }
@@ -39,7 +60,7 @@ class TraceRecorder
     /** @return true when nothing was recorded. */
     bool empty() const { return events_.empty(); }
 
-    /** Drops all recorded events. */
+    /** Drops all recorded events; interned names stay valid. */
     void clear() { events_.clear(); }
 
     /** Pre-allocates capacity for @p n events. */
@@ -47,8 +68,13 @@ class TraceRecorder
 
   private:
     std::vector<MemoryEvent> events_;
+    /** Interned names, indexed by OpId. */
+    std::vector<std::string> names_;
+    /** Name → id, the inverse of names_. */
+    std::unordered_map<std::string, OpId> ids_;
+    /** Scratch lookup key of intern(). */
+    std::string key_;
 };
 
 }  // namespace trace
 }  // namespace pinpoint
-

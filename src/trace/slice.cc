@@ -1,8 +1,10 @@
 #include "trace/slice.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/check.h"
 #include "core/types.h"
@@ -19,7 +21,12 @@ slice_iterations(const TraceRecorder &recorder, std::uint32_t first,
     PP_CHECK(first <= last,
              "invalid iteration window [" << first << ", " << last
                                           << "]");
+    // The slice keeps the source's op ids: interning its names in id
+    // order reproduces them.
     TraceRecorder out;
+    for (const std::string &name : recorder.op_names())
+        out.intern(name);
+    const OpId close_op = out.intern("slice.close");
     // Blocks born inside the window (or during setup, if kept).
     std::unordered_set<BlockId> tracked;
     // Last event seen for each tracked live block, to synthesize
@@ -68,8 +75,8 @@ slice_iterations(const TraceRecorder &recorder, std::uint32_t first,
             MemoryEvent f = live.at(id);
             f.kind = EventKind::kFree;
             f.time = end_time;
-            f.op = "slice.close";
-            out.record(std::move(f));
+            f.op = close_op;
+            out.record(f);
         }
     }
     return out;

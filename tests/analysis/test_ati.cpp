@@ -131,7 +131,7 @@ TEST(Ati, AttributionGroupsByOpPrefix)
     trace::TraceRecorder r;
     auto add = [&](TimeNs t, trace::EventKind k, const char *op) {
         auto e = ev(t, k, 1);
-        e.op = op;
+        e.op = r.intern(op);
         r.record(e);
     };
     add(0, trace::EventKind::kMalloc, "alloc.x");
@@ -140,9 +140,11 @@ TEST(Ati, AttributionGroupsByOpPrefix)
     add(70, trace::EventKind::kRead, "sgd.fc0.weight");
     add(150, trace::EventKind::kRead, "sgd.fc0.weight");
 
-    const auto atis = compute_atis(TraceView(r));
+    const TraceView view(r);
+    const auto atis = compute_atis(view);
     ASSERT_EQ(atis.size(), 3u);
-    const auto groups = attribute_atis(atis);
+    EXPECT_EQ(view.op_name(atis[0].op), "fc0.add_bias");
+    const auto groups = attribute_atis(view, atis);
     ASSERT_EQ(groups.size(), 2u);
     EXPECT_EQ(groups[0].prefix, "sgd");
     EXPECT_EQ(groups[0].count, 2u);
@@ -153,7 +155,8 @@ TEST(Ati, AttributionGroupsByOpPrefix)
 
 TEST(Ati, AttributionOfEmptyInput)
 {
-    EXPECT_TRUE(attribute_atis({}).empty());
+    EXPECT_TRUE(attribute_atis(TraceView(trace::TraceRecorder{}), {})
+                    .empty());
 }
 
 }  // namespace

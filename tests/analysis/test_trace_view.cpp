@@ -11,6 +11,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,6 +28,8 @@
 #include "runtime/session.h"
 #include "support/trace_counts.h"
 #include "swap/planner.h"
+#include "trace/csv.h"
+#include "trace/slice.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -33,7 +37,7 @@ namespace {
 
 trace::MemoryEvent
 ev(TimeNs t, trace::EventKind kind, BlockId block, std::size_t size,
-   const char *op = "")
+   trace::OpId op = 0)
 {
     trace::MemoryEvent e;
     e.time = t;
@@ -48,13 +52,15 @@ trace::TraceRecorder
 small_trace()
 {
     trace::TraceRecorder r;
-    r.record(ev(0, trace::EventKind::kMalloc, 1, 512, "alloc"));
-    r.record(ev(10, trace::EventKind::kWrite, 1, 512, "fc0.forward"));
-    r.record(ev(20, trace::EventKind::kMalloc, 2, 1024, "alloc"));
-    r.record(ev(30, trace::EventKind::kRead, 1, 512, "fc1.forward"));
-    r.record(ev(40, trace::EventKind::kFree, 1, 512, ""));
-    r.record(ev(90, trace::EventKind::kWrite, 2, 1024,
-                "fc0.forward"));
+    const trace::OpId alloc = r.intern("alloc");
+    const trace::OpId fc0 = r.intern("fc0.forward");
+    r.record(ev(0, trace::EventKind::kMalloc, 1, 512, alloc));
+    r.record(ev(10, trace::EventKind::kWrite, 1, 512, fc0));
+    r.record(ev(20, trace::EventKind::kMalloc, 2, 1024, alloc));
+    r.record(ev(30, trace::EventKind::kRead, 1, 512,
+                r.intern("fc1.forward")));
+    r.record(ev(40, trace::EventKind::kFree, 1, 512));
+    r.record(ev(90, trace::EventKind::kWrite, 2, 1024, fc0));
     return r;
 }
 
@@ -74,7 +80,8 @@ TEST(TraceView, ColumnsEqualTheRecordedEvents)
         EXPECT_EQ(view.category(i), e.category);
         EXPECT_EQ(view.iteration(i), e.iteration);
         EXPECT_EQ(view.op_index(i), e.op_index);
-        EXPECT_EQ(view.op(i), e.op) << "op interning must be exact";
+        EXPECT_EQ(view.op_id(i), e.op);
+        EXPECT_EQ(view.op(i), r.op_name(e.op)) << "op names must be exact";
     }
 }
 
@@ -86,6 +93,59 @@ TEST(TraceView, SnapshotOutlivesTheRecorder)
     EXPECT_EQ(view.size(), 6u);
     EXPECT_EQ(view.op(1), "fc0.forward");
     EXPECT_EQ(view.timeline().blocks().size(), 2u);
+}
+
+TEST(TraceView, OpNamesSurviveFreezeSliceAndCsv)
+{
+    runtime::SessionConfig config;
+    config.batch = 8;
+    config.iterations = 3;
+    const runtime::SessionResult run =
+        runtime::run_training(nn::build_model("resnet18"), config);
+    const trace::TraceRecorder &rec = run.trace;
+    const auto name_of = [](const trace::TraceRecorder &r,
+                            std::size_t i) -> const std::string & {
+        return r.op_name(r.events()[i].op);
+    };
+
+    // The freeze resolves every event through the recorder's table.
+    const TraceView view(rec);
+    ASSERT_EQ(view.size(), rec.size());
+    std::size_t named = 0;
+    for (std::size_t i = 0; i < rec.size(); ++i) {
+        ASSERT_EQ(view.op(i), name_of(rec, i)) << "event " << i;
+        named += !view.op(i).empty();
+    }
+    EXPECT_EQ(named, rec.size()) << "the engine names every event";
+
+    // A slice without synthetic closes is a subsequence of the
+    // trace; each kept event keeps its name.
+    trace::SliceOptions keep;
+    keep.close_open_blocks = false;
+    const trace::TraceRecorder window =
+        trace::slice_iterations(rec, 1, 1, keep);
+    ASSERT_GT(window.size(), 0u);
+    std::size_t j = 0;
+    for (std::size_t i = 0; i < window.size(); ++i) {
+        const trace::MemoryEvent &w = window.events()[i];
+        while (j < rec.size() &&
+               (rec.events()[j].time != w.time ||
+                rec.events()[j].kind != w.kind ||
+                rec.events()[j].block != w.block ||
+                rec.events()[j].op_index != w.op_index))
+            ++j;
+        ASSERT_LT(j, rec.size()) << "slice event " << i;
+        EXPECT_EQ(name_of(window, i), name_of(rec, j));
+        ++j;
+    }
+
+    // A CSV round trip re-interns every name.
+    std::stringstream csv;
+    trace::write_csv(rec, csv);
+    const trace::TraceRecorder reread = trace::read_csv(csv);
+    ASSERT_EQ(reread.size(), rec.size());
+    for (std::size_t i = 0; i < rec.size(); ++i)
+        ASSERT_EQ(name_of(reread, i), name_of(rec, i)) << "event " << i;
 }
 
 TEST(TraceView, PerKindCountsAndOffsets)

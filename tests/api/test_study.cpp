@@ -229,7 +229,7 @@ TEST(Study, SingleDeviceStudiesHaveNoDataParallelSurface)
     EXPECT_THROW(study.data_parallel_result(), Error);
 }
 
-TEST(Study, DataParallelStudyProjectsThePrimaryReplica)
+TEST(Study, DataParallelStudyProjectsTheSimulatedReplica)
 {
     WorkloadSpec spec = small_spec();
     spec.devices = 2;
@@ -240,11 +240,15 @@ TEST(Study, DataParallelStudyProjectsThePrimaryReplica)
     EXPECT_EQ(study.devices(), 2);
     const runtime::DataParallelResult &dp =
         study.data_parallel_result();
-    ASSERT_EQ(dp.replicas.size(), 2u);
-    // result() is the primary replica: every single-device facet
-    // (timeline, ATI, swap, relief) analyzes replica 0 unchanged.
-    EXPECT_EQ(&study.result(), &dp.primary());
-    EXPECT_EQ(study.trace().size(), dp.primary().trace.size());
+    EXPECT_EQ(dp.devices, 2);
+    // result() is the one simulated replica, standing for both
+    // devices: every single-device facet (timeline, ATI, swap,
+    // relief) analyzes it unchanged, and it is the trace one device
+    // records on its own.
+    EXPECT_EQ(&study.result(), &dp.session);
+    const Study single = Study::run(small_spec());
+    EXPECT_EQ(study.trace().size(), single.trace().size());
+    EXPECT_EQ(study.result().end_time, single.result().end_time);
 
     EXPECT_GT(study.allreduce_time(), 0);
     EXPECT_GT(study.scaling_efficiency(), 0.0);
@@ -256,7 +260,6 @@ TEST(Study, DataParallelStudyProjectsThePrimaryReplica)
     // The relief facet is armed with the topology: the peer-only
     // report is available on a two-device study.
     EXPECT_TRUE(study.relief(relief::Strategy::kPeerOnly).available);
-    const Study single = Study::run(small_spec());
     EXPECT_FALSE(
         single.relief(relief::Strategy::kPeerOnly).available);
 }
@@ -277,7 +280,7 @@ TEST(Study, DataParallelSpecsRoundTripThroughTheRunner)
               direct.allreduce_time);
     EXPECT_EQ(study.data_parallel_result().gradient_bytes,
               direct.gradient_bytes);
-    EXPECT_EQ(study.result().end_time, direct.primary().end_time);
+    EXPECT_EQ(study.result().end_time, direct.session.end_time);
 }
 
 }  // namespace

@@ -179,6 +179,31 @@ TEST(WorkloadSpec, ValidateChecksRanges)
     EXPECT_NO_THROW(spec.validate());
 }
 
+TEST(WorkloadSpec, DataParallelNeedsTwoIterations)
+{
+    // The all-reduce schedule is built on the steady-state iteration
+    // time, which a session measures from its second iteration on.
+    WorkloadSpec spec;
+    spec.devices = 2;
+    spec.iterations = 1;
+    try {
+        spec.validate();
+        FAIL() << "expected UsageError";
+    } catch (const UsageError &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("--devices"), std::string::npos) << what;
+        EXPECT_NE(what.find("--iterations"), std::string::npos) << what;
+    }
+    EXPECT_THROW(WorkloadSpec::from_args(
+                     {"--devices", "4", "--iterations", "1"}),
+                 UsageError);
+    spec.iterations = 2;
+    EXPECT_NO_THROW(spec.validate());
+    spec.devices = 1;
+    spec.iterations = 1;
+    EXPECT_NO_THROW(spec.validate());
+}
+
 TEST(WorkloadSpec, UsageErrorIsAnError)
 {
     // The CLI maps UsageError to exit 2 and plain Error to exit 1;

@@ -63,7 +63,7 @@ TEST(CrossComponent, TransformerTrainsAndBreaksDownSanely)
     bool found_probs = false;
     for (const auto &e : r.trace.events()) {
         if (e.kind == trace::EventKind::kMalloc &&
-            e.op == "alloc.layer0.attn.sdpa.probs") {
+            r.trace.op_name(e.op) == "alloc.layer0.attn.sdpa.probs") {
             found_probs = true;
             EXPECT_EQ(e.size,
                       static_cast<std::size_t>(4 * 4 * 64 * 64) * 4);

@@ -90,7 +90,7 @@ TEST_P(ZooSweep, TrainingRunSatisfiesInvariants)
     // 6. ATIs exist and are non-negative with sane attribution.
     const auto atis = analysis::compute_atis(r.view());
     EXPECT_GT(atis.size(), 10u);
-    const auto groups = analysis::attribute_atis(atis);
+    const auto groups = analysis::attribute_atis(r.view(), atis);
     EXPECT_FALSE(groups.empty());
 
     // 7. Peak fits the device (we ran without OOM).

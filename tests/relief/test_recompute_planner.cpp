@@ -18,8 +18,9 @@ namespace {
 constexpr std::size_t kMB = 1024 * 1024;
 
 trace::MemoryEvent
-ev(TimeNs t, trace::EventKind kind, BlockId block, std::size_t size,
-   const char *op = "", std::int32_t op_index = -1,
+ev(trace::TraceRecorder &r, TimeNs t, trace::EventKind kind,
+   BlockId block, std::size_t size, const char *op = "",
+   std::int32_t op_index = -1,
    Category category = Category::kIntermediate,
    std::uint32_t iteration = 0)
 {
@@ -32,7 +33,7 @@ ev(TimeNs t, trace::EventKind kind, BlockId block, std::size_t size,
     e.category = category;
     e.iteration = iteration;
     e.op_index = op_index;
-    e.op = op;
+    e.op = r.intern(op);
     return e;
 }
 
@@ -46,19 +47,19 @@ activation_trace()
     trace::TraceRecorder r;
     const std::size_t act = 64 * kMB;
     const std::size_t in = 8 * kMB;
-    r.record(ev(0, trace::EventKind::kMalloc, 1, in, "", -1,
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, in, "", -1,
                 Category::kInput));
-    r.record(ev(0, trace::EventKind::kMalloc, 2, act));
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 2, act));
     // conv1.forward reads the input at launch (t=10) and writes the
     // activation at completion (t=110): measured duration 100 ns.
-    r.record(ev(10, trace::EventKind::kRead, 1, in, "conv1.forward", 5,
+    r.record(ev(r, 10, trace::EventKind::kRead, 1, in, "conv1.forward", 5,
                 Category::kInput));
-    r.record(ev(110, trace::EventKind::kWrite, 2, act,
+    r.record(ev(r, 110, trace::EventKind::kWrite, 2, act,
                 "conv1.forward", 5));
-    r.record(ev(10 * kNsPerMs, trace::EventKind::kRead, 2, act,
+    r.record(ev(r, 10 * kNsPerMs, trace::EventKind::kRead, 2, act,
                 "conv1.backward.dgrad", 42));
-    r.record(ev(10 * kNsPerMs + 50, trace::EventKind::kFree, 2, act));
-    r.record(ev(10 * kNsPerMs + 60, trace::EventKind::kFree, 1, in,
+    r.record(ev(r, 10 * kNsPerMs + 50, trace::EventKind::kFree, 2, act));
+    r.record(ev(r, 10 * kNsPerMs + 60, trace::EventKind::kFree, 1, in,
                 "", -1, Category::kInput));
     return r;
 }
@@ -77,12 +78,12 @@ TEST(IndexProducers, FindsForwardWriterWithMeasuredDuration)
 TEST(IndexProducers, SkipsBackwardAndOptimizerWriters)
 {
     trace::TraceRecorder r;
-    r.record(ev(0, trace::EventKind::kMalloc, 1, 64 * kMB));
-    r.record(ev(10, trace::EventKind::kRead, 1, 64 * kMB,
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, 64 * kMB));
+    r.record(ev(r, 10, trace::EventKind::kRead, 1, 64 * kMB,
                 "fc.backward.wgrad", 7));
-    r.record(ev(110, trace::EventKind::kWrite, 1, 64 * kMB,
+    r.record(ev(r, 110, trace::EventKind::kWrite, 1, 64 * kMB,
                 "fc.backward.wgrad", 7));
-    r.record(ev(200, trace::EventKind::kFree, 1, 64 * kMB));
+    r.record(ev(r, 200, trace::EventKind::kFree, 1, 64 * kMB));
     EXPECT_TRUE(analysis::index_producers(analysis::TraceView(r)).empty());
 
     EXPECT_FALSE(analysis::is_forward_op("fc.backward.wgrad"));
@@ -98,13 +99,13 @@ TEST(IndexProducers, SkipsBackwardAndOptimizerWriters)
 TEST(IndexProducers, SkipsNonIntermediateCategories)
 {
     trace::TraceRecorder r;
-    r.record(ev(0, trace::EventKind::kMalloc, 1, 64 * kMB, "", -1,
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, 64 * kMB, "", -1,
                 Category::kParameter));
-    r.record(ev(10, trace::EventKind::kRead, 1, 64 * kMB,
+    r.record(ev(r, 10, trace::EventKind::kRead, 1, 64 * kMB,
                 "bn1.forward", 3, Category::kParameter));
-    r.record(ev(110, trace::EventKind::kWrite, 1, 64 * kMB,
+    r.record(ev(r, 110, trace::EventKind::kWrite, 1, 64 * kMB,
                 "bn1.forward", 3, Category::kParameter));
-    r.record(ev(200, trace::EventKind::kFree, 1, 64 * kMB, "", -1,
+    r.record(ev(r, 200, trace::EventKind::kFree, 1, 64 * kMB, "", -1,
                 Category::kParameter));
     EXPECT_EQ(
         analysis::index_producers(analysis::TraceView(r)).count(1), 0u);
@@ -149,13 +150,13 @@ TEST(RecomputeRelief, ZeroGapProducesNoDecision)
     // (regression: gap_end <= gap_start candidates are skipped).
     trace::TraceRecorder r;
     const std::size_t act = 64 * kMB;
-    r.record(ev(0, trace::EventKind::kMalloc, 2, kMB));
-    r.record(ev(0, trace::EventKind::kMalloc, 1, act));
-    r.record(ev(5, trace::EventKind::kRead, 2, kMB, "f.forward", 1));
-    r.record(ev(105, trace::EventKind::kWrite, 1, act, "f.forward", 1));
-    r.record(ev(105, trace::EventKind::kRead, 1, act, "g.forward", 2));
-    r.record(ev(200, trace::EventKind::kFree, 1, act));
-    r.record(ev(210, trace::EventKind::kFree, 2, kMB));
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 2, kMB));
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, act));
+    r.record(ev(r, 5, trace::EventKind::kRead, 2, kMB, "f.forward", 1));
+    r.record(ev(r, 105, trace::EventKind::kWrite, 1, act, "f.forward", 1));
+    r.record(ev(r, 105, trace::EventKind::kRead, 1, act, "g.forward", 2));
+    r.record(ev(r, 200, trace::EventKind::kFree, 1, act));
+    r.record(ev(r, 210, trace::EventKind::kFree, 2, kMB));
     EXPECT_TRUE(recompute_plan(r).decisions.empty());
 }
 
@@ -167,17 +168,17 @@ TEST(RecomputeRelief, ReRunMustFitInsideTheGap)
     trace::TraceRecorder r;
     const std::size_t act = 64 * kMB;
     const std::size_t in = 8 * kMB;
-    r.record(ev(0, trace::EventKind::kMalloc, 1, in, "", -1,
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, in, "", -1,
                 Category::kInput));
-    r.record(ev(0, trace::EventKind::kMalloc, 2, act));
-    r.record(ev(10, trace::EventKind::kRead, 1, in, "conv1.forward",
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 2, act));
+    r.record(ev(r, 10, trace::EventKind::kRead, 1, in, "conv1.forward",
                 5, Category::kInput));
-    r.record(ev(110, trace::EventKind::kWrite, 2, act,
+    r.record(ev(r, 110, trace::EventKind::kWrite, 2, act,
                 "conv1.forward", 5));
-    r.record(ev(170, trace::EventKind::kRead, 2, act,
+    r.record(ev(r, 170, trace::EventKind::kRead, 2, act,
                 "conv1.backward.dgrad", 42));
-    r.record(ev(200, trace::EventKind::kFree, 2, act));
-    r.record(ev(210, trace::EventKind::kFree, 1, in, "", -1,
+    r.record(ev(r, 200, trace::EventKind::kFree, 2, act));
+    r.record(ev(r, 210, trace::EventKind::kFree, 1, in, "", -1,
                 Category::kInput));
     EXPECT_TRUE(recompute_plan(r).decisions.empty());
 }
@@ -196,16 +197,16 @@ TEST(RecomputeRelief, PeakCreditUsesComputeAdjustedWindow)
     trace::TraceRecorder r;
     const std::size_t act = 64 * kMB;
     const std::size_t spike = 32 * kMB;
-    r.record(ev(0, trace::EventKind::kMalloc, 2, kMB));
-    r.record(ev(0, trace::EventKind::kMalloc, 1, act));
-    r.record(ev(5, trace::EventKind::kRead, 2, kMB, "f.forward", 1));
-    r.record(ev(105, trace::EventKind::kWrite, 1, act, "f.forward", 1));
-    r.record(ev(5 * kNsPerMs, trace::EventKind::kMalloc, 3, spike));
-    r.record(ev(6 * kNsPerMs, trace::EventKind::kFree, 3, spike));
-    r.record(ev(10 * kNsPerMs, trace::EventKind::kRead, 1, act,
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 2, kMB));
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, act));
+    r.record(ev(r, 5, trace::EventKind::kRead, 2, kMB, "f.forward", 1));
+    r.record(ev(r, 105, trace::EventKind::kWrite, 1, act, "f.forward", 1));
+    r.record(ev(r, 5 * kNsPerMs, trace::EventKind::kMalloc, 3, spike));
+    r.record(ev(r, 6 * kNsPerMs, trace::EventKind::kFree, 3, spike));
+    r.record(ev(r, 10 * kNsPerMs, trace::EventKind::kRead, 1, act,
                 "f.backward.dgrad", 9));
-    r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 1, act));
-    r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 2, kMB));
+    r.record(ev(r, 11 * kNsPerMs, trace::EventKind::kFree, 1, act));
+    r.record(ev(r, 11 * kNsPerMs, trace::EventKind::kFree, 2, kMB));
 
     const auto plan = recompute_plan(r);
     ASSERT_EQ(plan.decisions.size(), 1u);

@@ -33,8 +33,9 @@ at(Strategy s)
 }
 
 trace::MemoryEvent
-ev(TimeNs t, trace::EventKind kind, BlockId block, std::size_t size,
-   const char *op = "", std::int32_t op_index = -1)
+ev(trace::TraceRecorder &r, TimeNs t, trace::EventKind kind,
+   BlockId block, std::size_t size, const char *op = "",
+   std::int32_t op_index = -1)
 {
     trace::MemoryEvent e;
     e.time = t;
@@ -44,7 +45,7 @@ ev(TimeNs t, trace::EventKind kind, BlockId block, std::size_t size,
     e.tensor = block;
     e.category = Category::kIntermediate;
     e.op_index = op_index;
-    e.op = op;
+    e.op = r.intern(op);
     return e;
 }
 
@@ -68,19 +69,19 @@ recompute_cheaper_trace()
 {
     trace::TraceRecorder r;
     const std::size_t act = 64 * kMB;
-    r.record(ev(0, trace::EventKind::kMalloc, 3, 4 * kMB));
-    r.record(ev(0, trace::EventKind::kMalloc, 1, act));
-    r.record(ev(10, trace::EventKind::kRead, 3, 4 * kMB, "f.forward",
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 3, 4 * kMB));
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, act));
+    r.record(ev(r, 10, trace::EventKind::kRead, 3, 4 * kMB, "f.forward",
                 1));
-    r.record(ev(10 + kNsPerUs, trace::EventKind::kWrite, 1, act,
+    r.record(ev(r, 10 + kNsPerUs, trace::EventKind::kWrite, 1, act,
                 "f.forward", 1));
     // Transient spike inside the gap puts the peak there.
-    r.record(ev(5 * kNsPerMs, trace::EventKind::kMalloc, 2, 32 * kMB));
-    r.record(ev(6 * kNsPerMs, trace::EventKind::kFree, 2, 32 * kMB));
-    r.record(ev(10 * kNsPerMs, trace::EventKind::kRead, 1, act,
+    r.record(ev(r, 5 * kNsPerMs, trace::EventKind::kMalloc, 2, 32 * kMB));
+    r.record(ev(r, 6 * kNsPerMs, trace::EventKind::kFree, 2, 32 * kMB));
+    r.record(ev(r, 10 * kNsPerMs, trace::EventKind::kRead, 1, act,
                 "f.backward.dgrad", 9));
-    r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 1, act));
-    r.record(ev(11 * kNsPerMs, trace::EventKind::kFree, 3, 4 * kMB));
+    r.record(ev(r, 11 * kNsPerMs, trace::EventKind::kFree, 1, act));
+    r.record(ev(r, 11 * kNsPerMs, trace::EventKind::kFree, 3, 4 * kMB));
     return r;
 }
 

@@ -1,14 +1,17 @@
 /**
  * @file
- * Data-parallel runtime: N replica sessions off one plan, one ring
- * all-reduce per iteration priced on the peer interconnect, and the
- * scaling-efficiency accounting the sweep columns are built from.
+ * Data-parallel runtime: one simulated replica standing for N
+ * identical devices, one ring all-reduce per iteration priced on the
+ * peer interconnect, and the scaling-efficiency accounting the sweep
+ * columns are built from.
  */
 #include <gtest/gtest.h>
 
 #include "core/check.h"
 #include "nn/model_registry.h"
 #include "runtime/data_parallel.h"
+#include "runtime/session.h"
+#include "trace/event.h"
 
 namespace pinpoint {
 namespace runtime {
@@ -31,7 +34,6 @@ TEST(DataParallel, SingleDeviceIsTheDegenerateCase)
     const auto result = run_data_parallel(
         nn::build_model("mlp"),
         mlp_config(1, sim::InterconnectSpec::pcie_p2p()));
-    ASSERT_EQ(result.replicas.size(), 1u);
     EXPECT_EQ(result.devices, 1);
     EXPECT_EQ(result.allreduce_time, 0);
     EXPECT_EQ(result.allreduce_stall, 0);
@@ -46,22 +48,42 @@ TEST(DataParallel, SingleDeviceIsTheDegenerateCase)
     }
 }
 
-TEST(DataParallel, ReplicasAreDeterministicClones)
+TEST(DataParallel, TheReplicaIsAnIndependentTrainingRun)
 {
-    const auto result = run_data_parallel(
-        nn::build_model("mlp"),
-        mlp_config(4, sim::InterconnectSpec::pcie_p2p()));
-    ASSERT_EQ(result.replicas.size(), 4u);
-    const SessionResult &primary = result.primary();
-    EXPECT_EQ(&primary, &result.replicas.front());
-    for (const SessionResult &replica : result.replicas) {
-        // Same plan, same engine, same timeline — every replica is
-        // a full honest session with an identical recorded trace.
-        EXPECT_EQ(replica.trace.size(), primary.trace.size());
-        EXPECT_EQ(replica.end_time, primary.end_time);
-        EXPECT_EQ(replica.iteration_time, primary.iteration_time);
-        EXPECT_EQ(replica.usage.peak_total, primary.usage.peak_total);
+    // The stored session stands for every device, so it must be
+    // exactly what one device computes on its own.
+    const nn::Model model = nn::build_model("mlp");
+    const DataParallelConfig config =
+        mlp_config(4, sim::InterconnectSpec::pcie_p2p());
+    const auto result = run_data_parallel(model, config);
+    const SessionResult solo = run_training(model, config.session);
+
+    const SessionResult &replica = result.session;
+    ASSERT_EQ(replica.trace.size(), solo.trace.size());
+    ASSERT_GT(solo.trace.size(), 0u);
+    for (std::size_t i = 0; i < solo.trace.size(); ++i) {
+        const trace::MemoryEvent &a = replica.trace.events()[i];
+        const trace::MemoryEvent &b = solo.trace.events()[i];
+        ASSERT_EQ(a.time, b.time) << "event " << i;
+        ASSERT_EQ(a.kind, b.kind) << "event " << i;
+        ASSERT_EQ(a.block, b.block) << "event " << i;
+        ASSERT_EQ(a.ptr, b.ptr) << "event " << i;
+        ASSERT_EQ(a.size, b.size) << "event " << i;
+        ASSERT_EQ(a.tensor, b.tensor) << "event " << i;
+        ASSERT_EQ(a.category, b.category) << "event " << i;
+        ASSERT_EQ(a.iteration, b.iteration) << "event " << i;
+        ASSERT_EQ(a.op_index, b.op_index) << "event " << i;
+        ASSERT_EQ(replica.trace.op_name(a.op), solo.trace.op_name(b.op))
+            << "event " << i;
     }
+    EXPECT_EQ(replica.end_time, solo.end_time);
+    EXPECT_EQ(replica.iteration_time, solo.iteration_time);
+    EXPECT_GT(replica.iteration_time, 0);
+    EXPECT_EQ(result.compute_iteration_time, solo.iteration_time);
+    EXPECT_EQ(replica.usage.current, solo.usage.current);
+    EXPECT_EQ(replica.usage.peak, solo.usage.peak);
+    EXPECT_EQ(replica.usage.peak_total, solo.usage.peak_total);
+    EXPECT_EQ(replica.usage.at_peak, solo.usage.at_peak);
 }
 
 TEST(DataParallel, AllReducePaysForTheGradientBytes)
@@ -72,7 +94,7 @@ TEST(DataParallel, AllReducePaysForTheGradientBytes)
         run_data_parallel(nn::build_model("mlp"), mlp_config(4, pcie));
 
     EXPECT_EQ(result.gradient_bytes,
-              result.primary().plan.parameter_bytes());
+              result.session.plan.parameter_bytes());
     EXPECT_GT(result.gradient_bytes, 0u);
     // One collective per iteration, each carrying the full payload.
     ASSERT_EQ(result.allreduces.size(), 3u);

@@ -101,12 +101,12 @@ TEST_F(EngineTest, EventsCarryOpContext)
     engine.run(1);
     bool saw_matmul_read = false;
     for (const auto &e : trace_.events()) {
-        if (e.op == "fc0.mat_mul" &&
+        if (trace_.op_name(e.op) == "fc0.mat_mul" &&
             e.kind == trace::EventKind::kRead)
             saw_matmul_read = true;
         if (e.kind == trace::EventKind::kRead ||
             e.kind == trace::EventKind::kWrite) {
-            EXPECT_FALSE(e.op.empty());
+            EXPECT_FALSE(trace_.op_name(e.op).empty());
         }
     }
     EXPECT_TRUE(saw_matmul_read);
@@ -154,7 +154,7 @@ TEST_F(EngineTest, StagingBufferShuffledOncePerEpoch)
     std::size_t staging_writes = 0;
     std::size_t staging_reads = 0;
     for (const auto &e : trace_.events()) {
-        if (e.op == "dataset.shuffle") {
+        if (trace_.op_name(e.op) == "dataset.shuffle") {
             if (e.kind == trace::EventKind::kWrite)
                 ++staging_writes;
             else

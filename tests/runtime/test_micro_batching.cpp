@@ -134,7 +134,7 @@ TEST(MicroBatching, EngineRunsKGreaterOne)
     // Two loss fetches per iteration → two loss.item read events.
     std::size_t loss_reads = 0;
     for (const auto &e : r.trace.events())
-        if (e.op == "loss.item" && e.iteration == 0)
+        if (r.trace.op_name(e.op) == "loss.item" && e.iteration == 0)
             ++loss_reads;
     EXPECT_EQ(loss_reads, 2u);
 }

@@ -123,6 +123,15 @@ TEST(ExpandGrid, ValidatesEveryAxis)
     bad_count.device_counts = {2, 0};
     EXPECT_THROW(expand_grid(bad_count), Error);
 
+    // Multi-device rows time the all-reduce on the steady-state
+    // iteration, which needs a second iteration.
+    SweepGrid one_dp_iteration;
+    one_dp_iteration.device_counts = {1, 2};
+    one_dp_iteration.iterations = 1;
+    EXPECT_THROW(expand_grid(one_dp_iteration), UsageError);
+    one_dp_iteration.device_counts = {1};
+    EXPECT_NO_THROW(expand_grid(one_dp_iteration));
+
     SweepGrid bad_topology;
     bad_topology.topologies = {"infiniband"};
     EXPECT_THROW(expand_grid(bad_topology), Error);

@@ -12,15 +12,15 @@ namespace trace {
 namespace {
 
 MemoryEvent
-ev(TimeNs t, EventKind kind, BlockId block, std::size_t size,
-   const std::string &op = "op")
+ev(TraceRecorder &r, TimeNs t, EventKind kind, BlockId block,
+   std::size_t size, const std::string &op = "op")
 {
     MemoryEvent e;
     e.time = t;
     e.kind = kind;
     e.block = block;
     e.size = size;
-    e.op = op;
+    e.op = r.intern(op);
     return e;
 }
 
@@ -28,10 +28,10 @@ TraceRecorder
 small_trace()
 {
     TraceRecorder r;
-    r.record(ev(1000, EventKind::kMalloc, 1, 4096, "alloc.x"));
-    r.record(ev(2000, EventKind::kWrite, 1, 4096, "fc0.mat_mul"));
-    r.record(ev(3000, EventKind::kRead, 1, 4096, "fc0.backward"));
-    r.record(ev(4000, EventKind::kFree, 1, 4096, "free.x"));
+    r.record(ev(r, 1000, EventKind::kMalloc, 1, 4096, "alloc.x"));
+    r.record(ev(r, 2000, EventKind::kWrite, 1, 4096, "fc0.mat_mul"));
+    r.record(ev(r, 3000, EventKind::kRead, 1, 4096, "fc0.backward"));
+    r.record(ev(r, 4000, EventKind::kFree, 1, 4096, "free.x"));
     return r;
 }
 
@@ -100,7 +100,7 @@ TEST(ChromeTrace, MinBlockFilterDropsSmallBlocksButNotCounters)
 TEST(ChromeTrace, EscapesSpecialCharactersInOpNames)
 {
     TraceRecorder r;
-    r.record(ev(0, EventKind::kMalloc, 1, 512, "weird\"op\\name"));
+    r.record(ev(r, 0, EventKind::kMalloc, 1, 512, "weird\"op\\name"));
     std::stringstream ss;
     write_chrome_trace(r, ss);
     EXPECT_NE(ss.str().find("weird\\\"op\\\\name"),

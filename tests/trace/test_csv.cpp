@@ -1,9 +1,14 @@
 /** @file Unit tests for CSV trace serialization. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/check.h"
+#include "nn/model_registry.h"
 #include "nn/models.h"
 #include "runtime/session.h"
 #include "trace/csv.h"
@@ -26,22 +31,30 @@ sample_trace()
     m.category = Category::kParameter;
     m.iteration = 0;
     m.op_index = -1;
-    m.op = "alloc.fc0.weight";
+    m.op = r.intern("alloc.fc0.weight");
     r.record(m);
 
     MemoryEvent w = m;
     w.time = 250;
     w.kind = EventKind::kWrite;
     w.op_index = 2;
-    w.op = "fc0.mat_mul";
+    w.op = r.intern("fc0.mat_mul");
     r.record(w);
+
+    // Every kind and category name crosses the format at least once.
+    MemoryEvent rd = m;
+    rd.time = 400;
+    rd.kind = EventKind::kRead;
+    rd.category = Category::kInput;
+    rd.op = r.intern("fc0.backward");
+    r.record(rd);
 
     MemoryEvent f = m;
     f.time = 900;
     f.kind = EventKind::kFree;
     f.tensor = kInvalidTensor;
     f.category = Category::kIntermediate;
-    f.op = "free.fc0.weight";
+    f.op = r.intern("free.fc0.weight");
     r.record(f);
     return r;
 }
@@ -66,7 +79,7 @@ TEST(TraceCsv, RoundTripsEveryField)
         EXPECT_EQ(a.category, b.category);
         EXPECT_EQ(a.iteration, b.iteration);
         EXPECT_EQ(a.op_index, b.op_index);
-        EXPECT_EQ(a.op, b.op);
+        EXPECT_EQ(original.op_name(a.op), parsed.op_name(b.op));
     }
 }
 
@@ -114,6 +127,111 @@ TEST(TraceCsv, RejectsMalformedRows)
     EXPECT_THROW(read_csv(bad_kind), Error);
 }
 
+TEST(TraceCsv, RoundTripsExtremeValues)
+{
+    constexpr std::uint64_t kMax =
+        std::numeric_limits<std::uint64_t>::max();
+    TraceRecorder original;
+    MemoryEvent first;
+    first.time = 0;
+    first.block = 0;
+    first.ptr = 0;
+    first.size = 0;
+    first.tensor = 0;
+    first.iteration = 0;
+    first.op_index = std::numeric_limits<std::int32_t>::max();
+    original.record(first);
+    MemoryEvent last;
+    last.time = kMax;
+    last.kind = EventKind::kWrite;
+    last.block = kMax;
+    last.ptr = kMax;
+    last.size = kMax;
+    last.tensor = kInvalidTensor;
+    last.category = Category::kInput;
+    last.iteration = kSetupIteration;
+    last.op_index = -1;
+    last.op = original.intern("init.x");
+    original.record(last);
+
+    std::stringstream ss;
+    write_csv(original, ss);
+    EXPECT_NE(ss.str().find("\n18446744073709551615,write,"
+                            "18446744073709551615,18446744073709551615,"
+                            "18446744073709551615,-,input,4294967295,-1,"
+                            "init.x\n"),
+              std::string::npos)
+        << ss.str();
+    const TraceRecorder parsed = read_csv(ss);
+    ASSERT_EQ(parsed.size(), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto &a = original.events()[i];
+        const auto &b = parsed.events()[i];
+        EXPECT_EQ(a.time, b.time);
+        EXPECT_EQ(a.kind, b.kind);
+        EXPECT_EQ(a.block, b.block);
+        EXPECT_EQ(a.ptr, b.ptr);
+        EXPECT_EQ(a.size, b.size);
+        EXPECT_EQ(a.tensor, b.tensor);
+        EXPECT_EQ(a.category, b.category);
+        EXPECT_EQ(a.iteration, b.iteration);
+        EXPECT_EQ(a.op_index, b.op_index);
+        EXPECT_EQ(original.op_name(a.op), parsed.op_name(b.op));
+    }
+}
+
+TEST(TraceCsv, NameErrorsReportTheLine)
+{
+    const std::string header =
+        "time_ns,kind,block,ptr,size,tensor,category,iteration,"
+        "op_index,op\n"
+        "1,malloc,2,3,4,5,parameter,0,-1,x\n";
+    const auto message = [](const std::string &text) {
+        std::stringstream ss(text);
+        try {
+            read_csv(ss);
+        } catch (const Error &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    const std::string kind =
+        message(header + "2,munmap,2,3,4,5,parameter,0,-1,x\n");
+    EXPECT_NE(kind.find("line 3"), std::string::npos) << kind;
+    EXPECT_NE(kind.find("munmap"), std::string::npos) << kind;
+    const std::string category =
+        message(header + "2,free,2,3,4,5,weights,0,-1,x\n");
+    EXPECT_NE(category.find("line 3"), std::string::npos) << category;
+    EXPECT_NE(category.find("weights"), std::string::npos) << category;
+}
+
+TEST(TraceCsv, WriterBytesMatchTheGoldenTrace)
+{
+    // tests/trace/golden/mlp_b8_i2.csv pins the export format:
+    // `pinpoint_cli characterize --model mlp --batch 8 --iterations 2
+    // --csv` wrote it, and every writer must reproduce it exactly.
+    runtime::SessionConfig config;
+    config.batch = 8;
+    config.iterations = 2;
+    const auto result =
+        runtime::run_training(nn::build_model("mlp"), config);
+    std::ostringstream written;
+    write_csv(result.trace, written);
+
+    std::ifstream in(std::string(PINPOINT_SOURCE_DIR) +
+                     "/tests/trace/golden/mlp_b8_i2.csv");
+    ASSERT_TRUE(in.good());
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    EXPECT_EQ(written.str(), golden.str());
+
+    // And the reader rebuilds the same trace from those bytes.
+    std::istringstream is(golden.str());
+    std::ostringstream rewritten;
+    write_csv(read_csv(is), rewritten);
+    EXPECT_EQ(rewritten.str(), golden.str());
+}
+
 TEST(TraceCsv, ToleratesCrLfAndBlankLines)
 {
     std::stringstream ss(
@@ -140,8 +258,8 @@ TEST(TraceCsv, FileRoundTripOfARealTrainingTrace)
     const TraceRecorder parsed = read_csv_file(path);
     ASSERT_EQ(parsed.size(), result.trace.size());
     // Spot-check equality at both ends.
-    EXPECT_EQ(parsed.events().front().op,
-              result.trace.events().front().op);
+    EXPECT_EQ(parsed.op_name(parsed.events().front().op),
+              result.trace.op_name(result.trace.events().front().op));
     EXPECT_EQ(parsed.events().back().time,
               result.trace.events().back().time);
 }

@@ -78,7 +78,7 @@ TEST(Slice, SyntheticFreesAreLabeled)
     const auto window = slice_iterations(mlp_trace(), 0, 0);
     std::size_t closes = 0;
     for (const auto &e : window.events())
-        if (e.op == "slice.close")
+        if (window.op_name(e.op) == "slice.close")
             ++closes;
     // Parameters (4) stay live past iteration 0.
     EXPECT_GE(closes, 4u);
