@@ -47,7 +47,7 @@ main(int argc, char **argv)
                 "topology", "N", "compute", "allreduce", "ideal",
                 "iteration", "busy", "eff");
 
-    bench::ViewBuildTally tally;
+    int scenarios = 0;
     for (const std::string &topology : sim::interconnect_names()) {
         for (int devices : {1, 2, 4, 8}) {
             api::WorkloadSpec spec;
@@ -73,14 +73,17 @@ main(int argc, char **argv)
                 study.scaling_efficiency());
             // The DP metrics never touch the trace index: reading
             // them must not build the shared timeline.
-            tally.record(study, 0, 0);
+            bench::check_timeline_builds(study, 0);
+            ++scenarios;
         }
     }
+    // Both interconnect presets x {1, 2, 4, 8} devices.
+    PP_CHECK(scenarios == 8,
+             "expected 8 data-parallel scenarios, ran " << scenarios);
 
     std::printf("\nefficiency = compute / (compute + exposed "
                 "all-reduce); the ring pays 2*(N-1) chunk steps, so "
                 "efficiency falls as the ring grows and rises with "
                 "interconnect bandwidth.\n");
-    tally.print_trailer();
     return 0;
 }

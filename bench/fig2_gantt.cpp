@@ -49,8 +49,7 @@ main()
     }
     // The one-build-per-run invariant: everything this bench reads
     // (timeline, pattern, series, gantt) shares one construction.
-    bench::ViewBuildTally tally;
-    tally.record(study, 1, 1);
+    bench::check_timeline_builds(study, 1);
 
     bench::section("block lifetimes (one row per Fig. 2 rectangle)");
     std::printf("%-6s %-28s %-10s %12s %12s %12s\n", "block", "tensor",
@@ -127,6 +126,5 @@ main()
                 gaps.gap_fraction() * 100.0);
     std::printf("allocator slack (reserved-allocated) at end: %s\n",
                 format_bytes(result.alloc_stats.slack_bytes()).c_str());
-    tally.print_trailer();
     return 0;
 }

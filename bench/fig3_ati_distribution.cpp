@@ -44,10 +44,9 @@ main()
         PP_CHECK(equal, "Study ATI facet diverged from direct "
                         "extraction");
     }
-    // One shared trace index per run: the ATI scans walk frozen
-    // columns, so at most the facets' single Timeline build exists.
-    bench::ViewBuildTally tally;
-    tally.record(study, 0, 1);
+    // The ATI scans walk the frozen columns and never build the
+    // shared Timeline.
+    bench::check_timeline_builds(study, 0);
     const auto us = analysis::ati_microseconds(atis);
     analysis::Cdf cdf(us);
 
@@ -112,6 +111,5 @@ main()
                 cdf.percentile(0.90));
     std::printf("note: the tail above the band is parameter reuse "
                 "across fwd/bwd/optimizer phases; see EXPERIMENTS.md\n");
-    tally.print_trailer();
     return 0;
 }

@@ -41,7 +41,6 @@ main()
     };
 
     bool hygiene_checked = false;
-    bench::ViewBuildTally tally;
     std::printf("\n%-16s %6s %12s | %18s %18s %18s\n", "model", "batch",
                 "peak", "input", "parameters", "intermediates");
     for (const auto &w : workloads) {
@@ -64,10 +63,9 @@ main()
                          "direct replay");
                 hygiene_checked = true;
             }
-            // One shared trace index per scenario: the breakdown
-            // walks the frozen columns and must never have forced
-            // more than the facets' single Timeline build.
-            tally.record(study, 0, 1);
+            // The breakdown walks the frozen columns and never
+            // builds the shared Timeline.
+            bench::check_timeline_builds(study, 0);
             auto cell = [&](Category c) {
                 static char buf[64];
                 std::snprintf(
@@ -92,7 +90,6 @@ main()
         }
     }
 
-    tally.print_trailer();
     std::printf("\npaper checkpoints: parameters are a small slice "
                 "for most DNNs (so pruning/quantization alone cannot "
                 "fix training memory); intermediates dominate.\n");

@@ -34,7 +34,6 @@ main()
         analysis::BreakdownResult b;
     };
     std::vector<Row> rows;
-    bench::ViewBuildTally tally;
     for (std::int64_t batch : {16, 32, 64, 128, 256, 512}) {
         api::WorkloadSpec spec;
         spec.model = "alexnet-cifar";
@@ -49,8 +48,8 @@ main()
                              .peak_total == b.peak_total,
                      "Study breakdown facet diverged from direct "
                      "replay");
-        // One shared trace index per scenario.
-        tally.record(study, 0, 1);
+        // The breakdown never builds the shared Timeline.
+        bench::check_timeline_builds(study, 0);
         rows.push_back({batch, b});
         std::printf(
             "%6lld %12s %12s %12s %12s\n",
@@ -81,7 +80,6 @@ main()
                         .c_str());
     }
 
-    tally.print_trailer();
     std::printf("\npaper checkpoints: parameter share falls "
                 "monotonically with batch; intermediates dominate at "
                 "large batch; input share grows slightly.\n");

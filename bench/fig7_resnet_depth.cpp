@@ -29,7 +29,6 @@ main()
                   "16/32/64, 3 iterations each, Titan X 12GB");
 
     bool hygiene_checked = false;
-    bench::ViewBuildTally tally;
     std::printf("\n%-10s %6s %12s %10s %10s %10s\n", "model", "batch",
                 "peak", "input", "params", "interm");
     for (int depth : {18, 34, 50, 101, 152}) {
@@ -52,8 +51,8 @@ main()
                         "direct replay");
                     hygiene_checked = true;
                 }
-                // One shared trace index per scenario.
-                tally.record(study, 0, 1);
+                // The breakdown never builds the shared Timeline.
+                bench::check_timeline_builds(study, 0);
                 std::printf(
                     "%-10s %6lld %12s %10s %10s %10s\n",
                     model.name.c_str(),
@@ -76,7 +75,6 @@ main()
         }
     }
 
-    tally.print_trailer();
     std::printf("\npaper checkpoints: deeper ResNets shift the "
                 "breakdown further toward intermediates; parameters "
                 "stay a minor share at every depth; larger batches "

@@ -51,7 +51,6 @@ main(int argc, char **argv)
                 "overhead", "save", "overhead");
 
     bool hygiene_checked = false;
-    bench::ViewBuildTally tally;
     for (const auto &entry : nn::model_registry()) {
         if (!entry.in_default_zoo)
             continue;
@@ -70,7 +69,7 @@ main(int argc, char **argv)
         // exactly ONE timeline construction on the shared view.
         // Before TraceView the same path built it four times
         // (plan_all context + one per-strategy execute_plan).
-        tally.record(study, 1, 1);
+        bench::check_timeline_builds(study, 1);
         // Migration hygiene, checked on the first (cheapest) model:
         // the cached relief facet must equal a direct plan_all on
         // the same trace and options.
@@ -130,7 +129,6 @@ main(int argc, char **argv)
         }
     }
 
-    tally.print_trailer(/*pre_refactor_per_scenario=*/4);
     std::printf("\ntakeaway: recompute-only reaches nearly the same "
                 "peak relief as swap-only at a fraction of the "
                 "overhead whenever the link is the bottleneck, and "

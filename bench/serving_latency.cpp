@@ -48,7 +48,7 @@ main(int argc, char **argv)
                 "model", "dtype", "p50", "p90", "p99", "max", "peak",
                 "vs f32");
 
-    bench::ViewBuildTally tally;
+    int scenarios = 0;
     for (const char *model : {"mlp", "resnet18"}) {
         std::size_t f32_peak = 0;
         for (DType dtype :
@@ -78,15 +78,18 @@ main(int argc, char **argv)
             // Reading the resident peak walks the occupancy index
             // once; the latency percentiles come straight from the
             // replayed stream and must not trigger a second build.
-            tally.record(study, 1, 1);
+            bench::check_timeline_builds(study, 1);
+            ++scenarios;
         }
     }
+    // 2 models x 3 dtypes.
+    PP_CHECK(scenarios == 6,
+             "expected 6 serving scenarios, ran " << scenarios);
 
     std::printf("\nlatencies are per-request service times over the "
                 "steady-state window; narrower dtypes shrink the "
                 "resident peak roughly in proportion to element "
                 "width while the bursty tail (p99 vs p50) tracks "
                 "queueing, not precision.\n");
-    tally.print_trailer();
     return 0;
 }

@@ -3,7 +3,9 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -68,6 +70,29 @@ safety_factor_from(const ParsedArgs &args)
             "--safety-factor must be a finite number >= 1.0, got '" +
             args.value("safety-factor", "") + "'");
     return factor;
+}
+
+/**
+ * @return the millisecond flag @p name in nanoseconds, saturating at
+ * the TimeNs maximum: the unsigned cast of a larger double is UB.
+ * NaN, inf and values under @p min_ns are usage errors.
+ */
+TimeNs
+ms_flag_ns(const ParsedArgs &args, const std::string &name, TimeNs min_ns)
+{
+    const double ms = args.double_value(name, 0.0);
+    const double ns = ms * static_cast<double>(kNsPerMs);
+    // The negated comparison also rejects NaN.
+    if (!(ns >= static_cast<double>(min_ns)) || !std::isfinite(ms)) {
+        char min_ms[32];
+        std::snprintf(min_ms, sizeof min_ms, "%g",
+                      static_cast<double>(min_ns) /
+                          static_cast<double>(kNsPerMs));
+        throw UsageError("--" + name + " must be a finite number >= " +
+                         min_ms + ", got '" + args.value(name, "") + "'");
+    }
+    constexpr TimeNs kMax = std::numeric_limits<TimeNs>::max();
+    return ns >= static_cast<double>(kMax) ? kMax : static_cast<TimeNs>(ns);
 }
 
 /** @return the validated --min-block threshold in bytes. */
@@ -434,32 +459,19 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
     api::StudyOptions opts;
     opts.relief.safety_factor = safety_factor_from(args);
     opts.relief.min_block_bytes = min_block_bytes_from(args);
-    if (args.has("budget-ms")) {
-        const double ms = args.double_value("budget-ms", 0.0);
-        // !(ms >= 0) also rejects NaN; the isfinite check rejects
-        // inf, whose unsigned cast below would be UB.
-        if (!(ms >= 0.0) || !std::isfinite(ms))
-            throw UsageError(
-                "--budget-ms must be a finite number >= 0, got '" +
-                args.value("budget-ms", "") + "'");
-        const double ns = ms * static_cast<double>(kNsPerMs);
+    // A saturated budget is kUnlimitedBudget, the TimeNs maximum.
+    if (args.has("budget-ms"))
         opts.relief.overhead_budget =
-            ns >= static_cast<double>(relief::kUnlimitedBudget)
-                ? relief::kUnlimitedBudget
-                : static_cast<TimeNs>(ns);
-    }
+            ms_flag_ns(args, "budget-ms", /*min_ns=*/0);
     if (args.has("slo-ms")) {
         if (spec.mode != runtime::SessionMode::kInfer)
             throw UsageError(
                 "--slo-ms is a per-request serving SLO; it needs "
                 "--mode infer");
-        const double ms = args.double_value("slo-ms", 0.0);
-        if (!(ms > 0.0) || !std::isfinite(ms))
-            throw UsageError(
-                "--slo-ms must be a finite number > 0, got '" +
-                args.value("slo-ms", "") + "'");
+        // A 0 ns SLO would read as "no SLO", so anything that
+        // truncates to it is refused.
         opts.relief.latency_budget_ns =
-            static_cast<TimeNs>(ms * static_cast<double>(kNsPerMs));
+            ms_flag_ns(args, "slo-ms", /*min_ns=*/1);
     }
     relief::Strategy strategy = relief::Strategy::kHybrid;
     if (args.has("strategy")) {

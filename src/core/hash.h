@@ -2,9 +2,9 @@
  * @file
  * FNV-1a 64-bit hashing. Used wherever the repo needs a stable,
  * platform-independent content key (sweep result-cache file names,
- * the result-schema salt) — never for security. The constants and
- * byte order are fixed by the FNV spec, so a key hashed today
- * matches a key hashed by any future build.
+ * the result-schema salt, serving arrival seeds) — never for
+ * security. The constants and byte order are fixed by the FNV spec,
+ * so a key hashed today matches a key hashed by any future build.
  */
 #pragma once
 
@@ -18,6 +18,13 @@ namespace pinpoint {
 constexpr std::uint64_t kFnv1aOffset = 0xcbf29ce484222325ull;
 /** FNV-1a 64-bit prime. */
 constexpr std::uint64_t kFnv1aPrime = 0x100000001b3ull;
+/**
+ * Basis of runtime::arrival_seed(). Non-standard: it is the spec's
+ * offset basis (kFnv1aOffset, 14695981039346656037) one digit short.
+ * It is kept because it seeds every committed serving output; the
+ * standard basis would replay different request streams.
+ */
+constexpr std::uint64_t kArrivalSeedBasis = 1469598103934665603ull;
 
 /**
  * @return the FNV-1a 64-bit hash of @p text, folded onto @p seed.

@@ -54,7 +54,7 @@ struct Selection {
     std::size_t total_bytes = 0;
 };
 
-/** Everything plan() derives from a trace once, strategy-agnostic. */
+/** Everything plan_all() derives from a trace, strategy-agnostic. */
 struct PlanContext {
     /** The run's shared sub-indices, borrowed from the TraceView —
      * never private rebuilds (the five-sites-per-run bug class). */
@@ -476,54 +476,6 @@ unavailable_report(const PlanContext &ctx, Strategy strategy)
 }
 
 }  // namespace
-
-ReliefReport
-StrategyPlanner::plan(const analysis::TraceView &view,
-                      Strategy strategy) const
-{
-    PlanContext ctx(view);
-    enumerate_candidates(ctx, options_);
-    const TimeNs budget = options_.overhead_budget;
-    const TimeNs cap = options_.latency_budget_ns;
-    const bool peer = options_.peer_available();
-    switch (strategy) {
-      case Strategy::kSwapOnly:
-        return assemble(ctx, options_, view, strategy,
-                        select(ctx.candidates, {true, false, false},
-                               budget, cap));
-      case Strategy::kRecomputeOnly:
-        return assemble(ctx, options_, view, strategy,
-                        select(ctx.candidates, {false, true, false},
-                               budget, cap));
-      case Strategy::kPeerOnly:
-        if (!peer)
-            return unavailable_report(ctx, strategy);
-        return assemble(ctx, options_, view, strategy,
-                        select(ctx.candidates, {false, false, true},
-                               budget, cap));
-      case Strategy::kHybrid: break;
-    }
-    // The greedy union search, guarded by every pure selection:
-    // hybrid adopts whichever wins, so at equal budget it is never
-    // worse than any pure strategy.
-    Selection sel =
-        select(ctx.candidates, {true, true, peer}, budget, cap);
-    Selection swap_only =
-        select(ctx.candidates, {true, false, false}, budget, cap);
-    Selection rec_only =
-        select(ctx.candidates, {false, true, false}, budget, cap);
-    if (better(swap_only, sel))
-        sel = std::move(swap_only);
-    if (better(rec_only, sel))
-        sel = std::move(rec_only);
-    if (peer) {
-        Selection peer_only =
-            select(ctx.candidates, {false, false, true}, budget, cap);
-        if (better(peer_only, sel))
-            sel = std::move(peer_only);
-    }
-    return assemble(ctx, options_, view, Strategy::kHybrid, sel);
-}
 
 std::array<ReliefReport, kNumStrategies>
 StrategyPlanner::plan_all(const analysis::TraceView &view) const

@@ -215,21 +215,14 @@ class StrategyPlanner
     explicit StrategyPlanner(StrategyOptions options);
 
     /**
-     * Builds the relief plan for @p view's trace under @p strategy,
-     * then schedules its swap legs on a fresh shared link and fills
-     * the measured fields. Reads the view's shared Timeline and
-     * producer index — planning never rebuilds what the swap path
-     * already built.
-     */
-    ReliefReport plan(const analysis::TraceView &view,
-                      Strategy strategy) const;
-
-    /**
-     * Plans every strategy from one trace analysis — the candidate
-     * enumeration and pure selections are shared, so this costs
-     * roughly one plan() instead of one per strategy. Reports are
-     * indexed by Strategy enumerator order; the peer-only report is
-     * marked unavailable on single-device topologies.
+     * Plans every strategy from one trace analysis: the candidate
+     * enumeration is shared, and the hybrid guard reuses the pure
+     * selections. Each report's swap legs are then scheduled on a
+     * fresh shared link to fill its measured fields. Reads the
+     * view's shared Timeline and producer index — planning never
+     * rebuilds what the swap path already built. Reports are indexed
+     * by Strategy enumerator order; the peer-only report is marked
+     * unavailable on single-device topologies.
      */
     std::array<ReliefReport, kNumStrategies>
     plan_all(const analysis::TraceView &view) const;

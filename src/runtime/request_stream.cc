@@ -7,6 +7,7 @@
 #include "alloc/device_memory.h"
 #include "core/check.h"
 #include "core/format.h"
+#include "core/hash.h"
 #include "core/types.h"
 #include "nn/models.h"
 #include "runtime/engine.h"
@@ -58,13 +59,7 @@ arrival_kind_from_name(const std::string &name)
 std::uint64_t
 arrival_seed(const std::string &key)
 {
-    // FNV-1a, the repo's hashing idiom (analysis/iteration.cc).
-    std::uint64_t h = 1469598103934665603ull;
-    for (unsigned char c : key) {
-        h ^= c;
-        h *= 1099511628211ull;
-    }
-    return h;
+    return fnv1a64(key, kArrivalSeedBasis);
 }
 
 namespace {

@@ -46,9 +46,10 @@ ArrivalKind arrival_kind_from_name(const std::string &name);
 
 /**
  * @return the deterministic arrival seed for @p key (FNV-1a over the
- * bytes). The workload layer passes WorkloadSpec::id(), so the same
- * scenario always replays the same traffic — the property the
- * golden fixtures and the jobs-1-vs-8 sweep determinism lean on.
+ * bytes from core/hash.h's kArrivalSeedBasis). The workload layer
+ * passes WorkloadSpec::id(), so the same scenario always replays the
+ * same traffic — the property the golden fixtures and the
+ * jobs-1-vs-8 sweep determinism lean on.
  */
 std::uint64_t arrival_seed(const std::string &key);
 

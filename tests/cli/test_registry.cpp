@@ -164,6 +164,13 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
          "--budget-ms must be a finite number >= 0"},
         {{"relief", "--budget-ms", "inf", "--model", "mlp"},
          "--budget-ms must be a finite number >= 0"},
+        {{"relief", "--model", "mlp", "--mode", "infer", "--slo-ms", "0"},
+         "--slo-ms must be a finite number >= 1e-06"},
+        // 1e-7 ms is 0.1 ns, which would truncate to the 0 that means
+        // "no SLO".
+        {{"relief", "--model", "mlp", "--mode", "infer", "--slo-ms",
+          "1e-7"},
+         "--slo-ms must be a finite number >= 1e-06"},
         {{"sweep", "--jobs", "0"}, "--jobs must be >= 1"},
         {{"sweep", "--batches", "16,huge"}, "bad batch size"},
         {{"sweep", "--batches", "12abc"}, "bad batch size '12abc'"},
@@ -201,6 +208,19 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
         EXPECT_EQ(r.err.find("check failed"), std::string::npos)
             << r.err;
     }
+}
+
+TEST(ExitCodes, HugeSloSaturatesAndKeepsItsHeader)
+{
+    // 1e30 ms is 1e36 ns, past the TimeNs range. The flag saturates
+    // like --budget-ms, so the SLO still reaches the planner and the
+    // header instead of wrapping to "no SLO".
+    const CliRun r = run({"relief", "--model", "resnet18", "--batch", "16",
+                          "--mode", "infer", "--requests", "8", "--slo-ms",
+                          "1e30"});
+    EXPECT_EQ(r.exit_code, kExitOk) << r.err;
+    EXPECT_NE(r.out.find("/request)"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find(" (SLO "), std::string::npos) << r.out;
 }
 
 TEST(Docs, UsageListsEveryCommandAndTheExitContract)

@@ -123,8 +123,8 @@ recompute_plan(const trace::TraceRecorder &r,
     StrategyOptions opts;
     opts.link = analysis::LinkBandwidth{1.0e9, 1.0e9};
     opts.min_block_bytes = min_block_bytes;
-    return StrategyPlanner(opts).plan(analysis::TraceView(r),
-                                      Strategy::kRecomputeOnly);
+    const auto all = StrategyPlanner(opts).plan_all(analysis::TraceView(r));
+    return all[static_cast<std::size_t>(Strategy::kRecomputeOnly)];
 }
 
 TEST(RecomputeRelief, PlansGapAtMeasuredForwardCost)

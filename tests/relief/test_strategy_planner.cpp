@@ -128,7 +128,7 @@ TEST(StrategyPlanner, PeerUnavailableOnASingleDevice)
     const analysis::TraceView r(recompute_cheaper_trace());
 
     EXPECT_FALSE(slow_link_options().peer_available());
-    const auto rep = planner.plan(r, Strategy::kPeerOnly);
+    const auto rep = planner.plan_all(r)[at(Strategy::kPeerOnly)];
     EXPECT_FALSE(rep.available);
     EXPECT_TRUE(rep.decisions.empty());
     EXPECT_EQ(rep.peak_reduction_bytes, 0u);
@@ -154,7 +154,7 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
     StrategyPlanner planner(fast_peer_options());
     const analysis::TraceView r(recompute_cheaper_trace());
 
-    const auto peer_only = planner.plan(r, Strategy::kPeerOnly);
+    const auto peer_only = planner.plan_all(r)[at(Strategy::kPeerOnly)];
     ASSERT_TRUE(peer_only.available);
     ASSERT_EQ(peer_only.decisions.size(), 1u);
     const ReliefDecision &d = peer_only.decisions[0];
@@ -176,7 +176,7 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
 
     // Hybrid sees all three mechanisms and takes the free one over
     // the ~118 ms swap stall and the 1 us recompute.
-    const auto hybrid = planner.plan(r, Strategy::kHybrid);
+    const auto hybrid = planner.plan_all(r)[at(Strategy::kHybrid)];
     ASSERT_EQ(hybrid.decisions.size(), 1u);
     EXPECT_EQ(hybrid.decisions[0].mechanism, Mechanism::kPeer);
     EXPECT_EQ(hybrid.predicted_overhead, 0);
@@ -188,8 +188,8 @@ TEST(StrategyPlanner, HybridPicksRecomputeWhenCheaperThanSwapStall)
     StrategyPlanner planner(slow_link_options());
     const analysis::TraceView r(recompute_cheaper_trace());
 
-    const auto swap_only = planner.plan(r, Strategy::kSwapOnly);
-    const auto hybrid = planner.plan(r, Strategy::kHybrid);
+    const auto swap_only = planner.plan_all(r)[at(Strategy::kSwapOnly)];
+    const auto hybrid = planner.plan_all(r)[at(Strategy::kHybrid)];
 
     // The swap option stalls ~118 ms; recomputing costs 1 us.
     ASSERT_EQ(swap_only.decisions.size(), 1u);
@@ -214,7 +214,7 @@ TEST(StrategyPlanner, ZeroBudgetKeepsOnlyHideableSwaps)
     // re-run), so a zero budget buys zero decisions.
     for (Strategy s : {Strategy::kSwapOnly, Strategy::kRecomputeOnly,
                        Strategy::kHybrid}) {
-        const auto rep = planner.plan(r, s);
+        const auto rep = planner.plan_all(r)[at(s)];
         EXPECT_TRUE(rep.decisions.empty())
             << strategy_name(s) << " spent overhead with zero budget";
         EXPECT_EQ(rep.predicted_overhead, 0u);
@@ -224,9 +224,8 @@ TEST(StrategyPlanner, ZeroBudgetKeepsOnlyHideableSwaps)
 TEST(StrategyPlanner, ReportAccountingIsConsistent)
 {
     StrategyPlanner planner(slow_link_options());
-    const auto rep =
-        planner.plan(analysis::TraceView(recompute_cheaper_trace()),
-                     Strategy::kHybrid);
+    const analysis::TraceView view(recompute_cheaper_trace());
+    const auto rep = planner.plan_all(view)[at(Strategy::kHybrid)];
     EXPECT_EQ(rep.swap_decisions + rep.recompute_decisions,
               rep.decisions.size());
     std::size_t swapped = 0, recomputed = 0;
@@ -255,8 +254,8 @@ TEST(StrategyPlanner, PlansAreDeterministic)
     const analysis::TraceView r(recompute_cheaper_trace());
     for (Strategy s : {Strategy::kSwapOnly, Strategy::kRecomputeOnly,
                        Strategy::kHybrid}) {
-        const auto a = planner.plan(r, s);
-        const auto b = planner.plan(r, s);
+        const auto a = planner.plan_all(r)[at(s)];
+        const auto b = planner.plan_all(r)[at(s)];
         ASSERT_EQ(a.decisions.size(), b.decisions.size());
         for (std::size_t i = 0; i < a.decisions.size(); ++i) {
             EXPECT_EQ(a.decisions[i].mechanism,
@@ -400,7 +399,7 @@ TEST(StrategyPlanner, ZeroBudgetSwapsHonourTheSafetyFactor)
         opts.safety_factor = factor;
         opts.overhead_budget = 0;
         const StrategyPlanner planner(opts);
-        const auto plan = planner.plan(view, Strategy::kSwapOnly);
+        const auto plan = planner.plan_all(view)[at(Strategy::kSwapOnly)];
 
         swap::PlannerOptions swap_opts;
         swap_opts.link = link;

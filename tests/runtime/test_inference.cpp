@@ -141,6 +141,9 @@ TEST(Inference, SeedIsDerivedFromTheSpecId)
     EXPECT_NE(arrival_seed("mlp/b8/caching/titan-x/infer/bursty"),
               arrival_seed("mlp/b8/caching/titan-x/infer/steady"));
     EXPECT_NE(arrival_seed("a"), arrival_seed("b"));
+    // Pinned: this value seeds the committed serving outputs.
+    EXPECT_EQ(arrival_seed("mlp/b8/caching/titan-x/infer/bursty"),
+              4376087951294561188ull);
 }
 
 TEST(Inference, RequestsQueueUnderBurstsAndIdleWhenSteady)
