@@ -9,6 +9,19 @@ namespace analysis {
 // Construction lives in trace_view.cc (TraceView::timeline() is the
 // one build site); this file implements only the probes.
 
+const BlockLifetime *
+Timeline::find(BlockId id) const
+{
+    const auto it = std::lower_bound(
+        by_id_.begin(), by_id_.end(), id,
+        [&](std::size_t i, BlockId probe) {
+            return blocks_[i].block < probe;
+        });
+    return it != by_id_.end() && blocks_[*it].block == id
+               ? &blocks_[*it]
+               : nullptr;
+}
+
 std::vector<const BlockLifetime *>
 Timeline::live_at(TimeNs t) const
 {
@@ -38,12 +51,11 @@ Timeline::live_bytes_at(TimeNs t) const
     // so the prefix at the partition point is exactly the sum over
     // blocks with alloc_time <= t and (unfreed or free_time > t).
     const auto it = std::upper_bound(
-        sorted_edges_.begin(), sorted_edges_.end(), t,
+        edges_.begin(), edges_.end(), t,
         [](TimeNs probe, const OccupancyEdge &e) {
             return probe < e.t;
         });
-    const auto idx =
-        static_cast<std::size_t>(it - sorted_edges_.begin());
+    const auto idx = static_cast<std::size_t>(it - edges_.begin());
     return static_cast<std::size_t>(prefix_[idx]);
 }
 
@@ -72,20 +84,27 @@ Timeline::gaps_at(TimeNs t) const
 }
 
 std::size_t
-peak_occupancy(std::vector<OccupancyEdge> edges)
+Timeline::peak_with(std::vector<OccupancyEdge> extra) const
 {
-    std::sort(edges.begin(), edges.end(),
-              [](const OccupancyEdge &a, const OccupancyEdge &b) {
-                  if (a.t != b.t)
-                      return a.t < b.t;
-                  return a.delta < b.delta;
-              });
-    std::int64_t cur = 0;
+    // No extra edges: the running sums are the frozen prefix_, whose
+    // maximum (clamped at 0) is peak_bytes_.
+    if (extra.empty())
+        return peak_bytes_;
+    std::sort(extra.begin(), extra.end(), edge_before);
+    // Running occupancy at any point of the merge is the baseline
+    // prefix so far plus the extra deltas merged so far (shift).
     std::int64_t best = 0;
-    for (const auto &e : edges) {
-        cur += e.delta;
-        best = std::max(best, cur);
+    std::int64_t shift = 0;
+    std::size_t i = 0;
+    const std::size_t n = edges_.size();
+    for (const auto &e : extra) {
+        for (; i < n && edge_before(edges_[i], e); ++i)
+            best = std::max(best, prefix_[i + 1] + shift);
+        shift += e.delta;
+        best = std::max(best, prefix_[i] + shift);
     }
+    for (; i < n; ++i)
+        best = std::max(best, prefix_[i + 1] + shift);
     return static_cast<std::size_t>(best);
 }
 

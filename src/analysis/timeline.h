@@ -7,8 +7,8 @@
  * A Timeline is a sub-index of analysis::TraceView and can only be
  * built by one: every consumer shares the single instance the view
  * caches instead of re-deriving it (`view.timeline()`), which is
- * what keeps a full `relief` run at exactly one O(n log n) timeline
- * construction.
+ * what keeps a full `relief` run at exactly one timeline
+ * construction: one pass over the time-ordered events.
  */
 #pragma once
 
@@ -72,8 +72,9 @@ struct GapStats {
 /**
  * Occupancy change at a time point. The common currency of the
  * what-if peak computations: the swap executor and the relief
- * planner both rebuild occupancy from these edges so their peak
- * arithmetic can never drift apart.
+ * planner both describe a plan as the edges it adds to the trace's
+ * own and ask Timeline::peak_with, so their peak arithmetic can
+ * never drift apart.
  */
 struct OccupancyEdge {
     TimeNs t;
@@ -81,21 +82,41 @@ struct OccupancyEdge {
 };
 
 /**
- * Per-block view of a trace. Immutable; construction is O(n log n)
- * in the event count and happens exactly once per TraceView, inside
- * TraceView::timeline() — there is deliberately no public
+ * @return true when @p a sorts before @p b in occupancy order: by
+ * time, and at equal times by delta, so frees apply before allocs
+ * and a window that closes exactly where another opens never
+ * double-counts.
+ */
+inline bool
+edge_before(const OccupancyEdge &a, const OccupancyEdge &b)
+{
+    return a.t != b.t ? a.t < b.t : a.delta < b.delta;
+}
+
+/**
+ * Per-block view of a trace. Immutable; construction is one pass
+ * over the time-ordered events (only runs of equal timestamps and
+ * the id index are sorted) and happens exactly once per TraceView,
+ * inside TraceView::timeline() — there is deliberately no public
  * constructor, so no consumer can rebuild the index ad hoc.
  *
  * Beyond the lifetimes themselves, the index owns the sorted
  * occupancy edges and their prefix sums, so the point probes
  * (live_bytes_at, peak_time, peak_bytes) answer in O(log n) / O(1)
- * instead of rescanning every block.
+ * instead of rescanning every block, and a what-if peak (peak_with)
+ * merges a plan's k edges into them in O(n + k log k).
  */
 class Timeline
 {
   public:
     /** @return every block, ordered by allocation time. */
     const std::vector<BlockLifetime> &blocks() const { return blocks_; }
+
+    /**
+     * @return the first block with id @p id, or nullptr. O(log n):
+     * a binary search of the id index built once at construction.
+     */
+    const BlockLifetime *find(BlockId id) const;
 
     /** @return time of the first event (0 for empty traces). */
     TimeNs start() const { return start_; }
@@ -134,11 +155,20 @@ class Timeline
     std::size_t peak_bytes() const { return peak_bytes_; }
 
     /**
-     * @return the alloc/free edges of every block, in block
-     * (allocation) order — the seed vector the what-if peak
-     * computations copy and extend.
+     * @return the alloc/free edges of every block, sorted by
+     * edge_before — the frozen baseline that peak_with merges into.
      */
     const std::vector<OccupancyEdge> &edges() const { return edges_; }
+
+    /**
+     * @return the peak of the running occupancy sum over edges()
+     * plus @p extra, as if both were sorted together by
+     * edge_before. Sorts only @p extra and merges it into the
+     * frozen edges: O(n + k log k), with no copy of the n baseline
+     * edges. Equal keys carry equal deltas, so the merge visits the
+     * same running sums as one sort of the union would.
+     */
+    std::size_t peak_with(std::vector<OccupancyEdge> extra) const;
 
   private:
     /** Built exclusively by TraceView::timeline(). */
@@ -148,22 +178,15 @@ class Timeline
     std::vector<BlockLifetime> blocks_;
     TimeNs start_ = 0;
     TimeNs end_ = 0;
-    /** Alloc/free edges in block order (edges() / what-if seeds). */
+    /** Block indices in (id, index) order. */
+    std::vector<std::size_t> by_id_;
+    /** Edges sorted by edge_before: frees before allocs at ties. */
     std::vector<OccupancyEdge> edges_;
-    /** Edges sorted by (t, delta): frees before allocs at ties. */
-    std::vector<OccupancyEdge> sorted_edges_;
     /** prefix_[i] = occupancy after the first i sorted edges. */
     std::vector<std::int64_t> prefix_;
     TimeNs peak_time_ = 0;
     std::size_t peak_bytes_ = 0;
 };
-
-/**
- * @return the peak of the running occupancy sum over @p edges. At
- * equal times negative deltas apply first, so a window that closes
- * exactly where another opens never double-counts.
- */
-std::size_t peak_occupancy(std::vector<OccupancyEdge> edges);
 
 }  // namespace analysis
 }  // namespace pinpoint

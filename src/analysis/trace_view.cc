@@ -1,6 +1,8 @@
 #include "analysis/trace_view.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <numeric>
 #include <unordered_map>
 
 #include "analysis/iteration.h"
@@ -63,6 +65,12 @@ TraceView::build_timeline() const
     t->start_ = time_.front();
     t->end_ = time_.back();
 
+    // Occupancy edges come out in trace order, which the recorder
+    // guarantees is time order; only runs of equal timestamps still
+    // need their (delta) order, so there is no full sort.
+    std::vector<OccupancyEdge> &edges = t->edges_;
+    edges.reserve(count(trace::EventKind::kMalloc) +
+                  count(trace::EventKind::kFree));
     std::unordered_map<BlockId, std::size_t> open;  // block → index
     for (std::size_t i = 0; i < n; ++i) {
         switch (kind_[i]) {
@@ -78,6 +86,8 @@ TraceView::build_timeline() const
             b.alloc_iteration = iteration_[i];
             b.alloc_time = time_[i];
             open.emplace(block_[i], t->blocks_.size());
+            edges.push_back(
+                {time_[i], static_cast<std::int64_t>(b.size)});
             t->blocks_.push_back(std::move(b));
             break;
           }
@@ -88,6 +98,8 @@ TraceView::build_timeline() const
             BlockLifetime &b = t->blocks_[it->second];
             b.free_time = time_[i];
             b.freed = true;
+            edges.push_back(
+                {time_[i], -static_cast<std::int64_t>(b.size)});
             open.erase(it);
             break;
           }
@@ -101,30 +113,35 @@ TraceView::build_timeline() const
           }
         }
     }
-
-    // Freeze the probe structures: block-order edges for the
-    // what-if computations, and the (t, delta)-sorted copy with
-    // prefix sums that answers live_bytes_at/peak in O(log n)/O(1).
-    t->edges_.reserve(t->blocks_.size() * 2);
-    for (const auto &b : t->blocks_) {
-        t->edges_.push_back(
-            {b.alloc_time, static_cast<std::int64_t>(b.size)});
-        if (b.freed)
-            t->edges_.push_back(
-                {b.free_time, -static_cast<std::int64_t>(b.size)});
+    for (std::size_t lo = 0; lo < edges.size();) {
+        std::size_t hi = lo + 1;
+        while (hi < edges.size() && edges[hi].t == edges[lo].t)
+            ++hi;
+        PP_CHECK(hi == edges.size() || edges[hi].t > edges[lo].t,
+                 "trace events out of time order at " << edges[hi].t);
+        if (hi - lo > 1)
+            std::sort(edges.begin() + static_cast<std::ptrdiff_t>(lo),
+                      edges.begin() + static_cast<std::ptrdiff_t>(hi),
+                      edge_before);
+        lo = hi;
     }
-    t->sorted_edges_ = t->edges_;
-    std::sort(t->sorted_edges_.begin(), t->sorted_edges_.end(),
-              [](const OccupancyEdge &a, const OccupancyEdge &b) {
-                  if (a.t != b.t)
-                      return a.t < b.t;
-                  return a.delta < b.delta;  // frees first at ties
-              });
-    t->prefix_.reserve(t->sorted_edges_.size() + 1);
+
+    // Id index for find(): stable, so a reused id finds its first
+    // block.
+    const auto &blocks = t->blocks_;
+    t->by_id_.resize(blocks.size());
+    std::iota(t->by_id_.begin(), t->by_id_.end(), std::size_t{0});
+    std::stable_sort(t->by_id_.begin(), t->by_id_.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return blocks[a].block < blocks[b].block;
+                     });
+
+    // Prefix sums answer live_bytes_at/peak in O(log n)/O(1).
+    t->prefix_.reserve(edges.size() + 1);
     std::int64_t cur = 0;
     std::int64_t best = -1;
     TimeNs best_t = t->start_;
-    for (const auto &e : t->sorted_edges_) {
+    for (const auto &e : edges) {
         cur += e.delta;
         t->prefix_.push_back(cur);
         if (cur > best) {

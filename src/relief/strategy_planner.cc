@@ -1,6 +1,7 @@
 #include "relief/strategy_planner.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "analysis/producers.h"
 #include "analysis/swap_model.h"
@@ -38,17 +39,34 @@ struct Candidate {
     double peer_hide_ratio = 0.0;
 };
 
-/** The option of a candidate chosen for one mechanism. */
+/** The option of a candidate for one mechanism. */
 struct Choice {
-    const Candidate *candidate = nullptr;
     Mechanism mechanism = Mechanism::kSwap;
     TimeNs overhead = 0;
     bool covers_peak = false;
 };
 
-/** Aggregate outcome of one selection, for strategy comparison. */
+/** @return @p c's option for mechanism @p m. */
+Choice
+option(const Candidate &c, Mechanism m)
+{
+    switch (m) {
+      case Mechanism::kSwap: return {m, c.swap_overhead, c.swap_covers};
+      case Mechanism::kRecompute: return {m, c.rec_cost, c.rec_covers};
+      case Mechanism::kPeer: return {m, c.peer_overhead, c.peer_covers};
+    }
+    return {};
+}
+
+/**
+ * Aggregate outcome of one selection, for strategy comparison. The
+ * selection marks candidates in place of listing them, so assembly
+ * walks the candidates in their one (gap_start, block) order.
+ */
 struct Selection {
-    std::vector<Choice> choices;
+    /** Mechanism chosen per candidate (same index), if any. */
+    std::vector<std::optional<Mechanism>> picks;
+    std::size_t chosen = 0;
     std::size_t peak_reduction = 0;
     TimeNs overhead = 0;
     std::size_t total_bytes = 0;
@@ -85,7 +103,9 @@ unsafe(const swap::GapEvaluation &e, double safety_factor)
 /**
  * Enumerates every (block, gap) candidate with both options priced:
  * the Eq. 1 swap evaluation (shared with swap::SwapPlanner) and the
- * measured-forward-time recompute.
+ * measured-forward-time recompute. Leaves the candidates in
+ * (gap_start, block) order — unique per candidate, and the order of
+ * a report's decisions — so no selection is ever sorted again.
  */
 void
 enumerate_candidates(PlanContext &ctx, const StrategyOptions &options)
@@ -157,6 +177,12 @@ enumerate_candidates(PlanContext &ctx, const StrategyOptions &options)
             ctx.candidates.push_back(c);
         }
     }
+    std::sort(ctx.candidates.begin(), ctx.candidates.end(),
+              [](const Candidate &a, const Candidate &b) {
+                  if (a.gap_start != b.gap_start)
+                      return a.gap_start < b.gap_start;
+                  return a.block->block < b.block->block;
+              });
 }
 
 /** Which mechanisms a selection may assign. */
@@ -180,80 +206,95 @@ select(const std::vector<Candidate> &candidates,
        TimeNs latency_cap)
 {
     Selection sel;
-    std::vector<Choice> paid;
-    for (const auto &c : candidates) {
+    sel.picks.resize(candidates.size());
+    auto take = [&](std::size_t i, const Choice &choice) {
+        const std::size_t size = candidates[i].block->size;
+        sel.picks[i] = choice.mechanism;
+        ++sel.chosen;
+        sel.overhead += choice.overhead;
+        sel.total_bytes += size;
+        if (choice.covers_peak)
+            sel.peak_reduction += size;
+    };
+
+    /** An overhead-bearing choice the SLO admits. */
+    struct Paid {
+        std::size_t index = 0;
+        Choice choice;
+        /** Bytes freed per ns of overhead: the greedy rank. */
+        double score = 0.0;
+    };
+    std::vector<Paid> paid;
+    // Sum of the paid overheads while they all fit the budget.
+    TimeNs admissible = 0;
+    bool all_fit = true;
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        const Candidate &c = candidates[i];
         // Every allowed option of this candidate, in mechanism
         // preference order: a later option replaces the incumbent
         // only when it covers the peak and the incumbent does not,
         // or at equal coverage with strictly lower overhead — so on
         // full ties the earliest mechanism wins and pure and hybrid
         // selections stay comparable.
-        Choice best;
-        auto consider = [&](Mechanism m, TimeNs overhead,
-                            bool covers) {
-            if (best.candidate != nullptr &&
-                covers == best.covers_peak &&
-                overhead >= best.overhead)
+        std::optional<Choice> best;
+        auto consider = [&](Mechanism m) {
+            const Choice o = option(c, m);
+            if (best && o.covers_peak == best->covers_peak &&
+                o.overhead >= best->overhead)
                 return;
-            if (best.candidate != nullptr &&
-                covers != best.covers_peak && !covers)
+            if (best && o.covers_peak != best->covers_peak &&
+                !o.covers_peak)
                 return;
-            best.candidate = &c;
-            best.mechanism = m;
-            best.overhead = overhead;
-            best.covers_peak = covers;
+            best = o;
         };
         if (allow.swap && c.swap_ok)
-            consider(Mechanism::kSwap, c.swap_overhead,
-                     c.swap_covers);
+            consider(Mechanism::kSwap);
         if (allow.recompute && c.rec_ok)
-            consider(Mechanism::kRecompute, c.rec_cost,
-                     c.rec_covers);
+            consider(Mechanism::kRecompute);
         if (allow.peer && c.peer_ok)
-            consider(Mechanism::kPeer, c.peer_overhead,
-                     c.peer_covers);
-        if (best.candidate == nullptr)
+            consider(Mechanism::kPeer);
+        if (!best)
             continue;
-        if (best.overhead == 0)
-            sel.choices.push_back(best);
-        else
-            paid.push_back(best);
-    }
-
-    // Overhead-bearing candidates: highest bytes/ns first; smaller
-    // items later in the ranking may still fit a nearly-spent
-    // budget, so the scan continues past the first miss.
-    std::sort(paid.begin(), paid.end(),
-              [](const Choice &a, const Choice &b) {
-                  const double sa =
-                      static_cast<double>(a.candidate->block->size) /
-                      static_cast<double>(a.overhead);
-                  const double sb =
-                      static_cast<double>(b.candidate->block->size) /
-                      static_cast<double>(b.overhead);
-                  if (sa != sb)
-                      return sa > sb;
-                  if (a.candidate->block->block !=
-                      b.candidate->block->block)
-                      return a.candidate->block->block <
-                             b.candidate->block->block;
-                  return a.candidate->gap_start < b.candidate->gap_start;
-              });
-    for (const auto &choice : paid) {
+        if (best->overhead == 0) {
+            take(i, *best);
+            continue;
+        }
         // A serving SLO caps each decision alone: one stall lands
         // inside one request window, not across an iteration.
-        if (latency_cap > 0 && choice.overhead > latency_cap)
+        if (latency_cap > 0 && best->overhead > latency_cap)
             continue;
-        if (choice.overhead > budget - sel.overhead)
-            continue;
-        sel.choices.push_back(choice);
-        sel.overhead += choice.overhead;
+        paid.push_back({i, *best,
+                        static_cast<double>(c.block->size) /
+                            static_cast<double>(best->overhead)});
+        if (all_fit && best->overhead <= budget - admissible)
+            admissible += best->overhead;
+        else
+            all_fit = false;
     }
 
-    for (const auto &choice : sel.choices) {
-        sel.total_bytes += choice.candidate->block->size;
-        if (choice.covers_peak)
-            sel.peak_reduction += choice.candidate->block->size;
+    // When every admissible paid choice fits the budget together,
+    // the greedy takes them all whatever their rank, so only an
+    // overrun budget pays for the ranking: highest bytes/ns first;
+    // smaller items later in the ranking may still fit a
+    // nearly-spent budget, so the scan continues past the first miss.
+    if (all_fit) {
+        for (const auto &p : paid)
+            take(p.index, p.choice);
+        return sel;
+    }
+    std::sort(paid.begin(), paid.end(),
+              [&](const Paid &a, const Paid &b) {
+                  if (a.score != b.score)
+                      return a.score > b.score;
+                  const Candidate &ca = candidates[a.index];
+                  const Candidate &cb = candidates[b.index];
+                  if (ca.block->block != cb.block->block)
+                      return ca.block->block < cb.block->block;
+                  return ca.gap_start < cb.gap_start;
+              });
+    for (const auto &p : paid) {
+        if (p.choice.overhead <= budget - sel.overhead)
+            take(p.index, p.choice);
     }
     return sel;
 }
@@ -270,9 +311,9 @@ better(const Selection &a, const Selection &b)
 }
 
 /**
- * Turns a selection into the full report: sorted decisions, swap
- * legs scheduled on a fresh shared link, and the combined what-if
- * occupancy peak.
+ * Turns a selection into the full report: decisions in candidate
+ * order, swap legs scheduled on a fresh shared link, and the
+ * combined what-if occupancy peak.
  */
 ReliefReport
 assemble(const PlanContext &ctx, const StrategyOptions &options,
@@ -283,17 +324,12 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     report.strategy = strategy;
     report.original_peak_bytes = ctx.original_peak;
 
-    std::vector<Choice> ordered = sel.choices;
-    std::sort(ordered.begin(), ordered.end(),
-              [](const Choice &a, const Choice &b) {
-                  if (a.candidate->gap_start != b.candidate->gap_start)
-                      return a.candidate->gap_start <
-                             b.candidate->gap_start;
-                  return a.candidate->block->block <
-                         b.candidate->block->block;
-              });
-    for (const auto &choice : ordered) {
-        const Candidate &c = *choice.candidate;
+    report.decisions.reserve(sel.chosen);
+    for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
+        if (!sel.picks[i])
+            continue;
+        const Candidate &c = ctx.candidates[i];
+        const Choice choice = option(c, *sel.picks[i]);
         ReliefDecision d;
         d.mechanism = choice.mechanism;
         d.block = c.block->block;
@@ -332,8 +368,9 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     // interconnect (a distinct link, so offloads do not steal swap
     // bandwidth); the recompute legs occupy the compute stream and
     // leave both links untouched.
-    auto leg_plan = [&](Mechanism mechanism) {
+    auto leg_plan = [&](Mechanism mechanism, std::size_t count) {
         swap::SwapPlanReport legs;
+        legs.decisions.reserve(count);
         for (const auto &d : report.decisions) {
             if (d.mechanism != mechanism)
                 continue;
@@ -355,7 +392,9 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     sim::LinkScheduler host_link(options.link.d2h_bps,
                                  options.link.h2d_bps);
     report.swap_execution =
-        swap::execute_plan(view, leg_plan(Mechanism::kSwap),
+        swap::execute_plan(view,
+                           leg_plan(Mechanism::kSwap,
+                                    report.swap_decisions),
                            host_link);
     if (report.peer_decisions > 0) {
         sim::LinkScheduler peer_link(
@@ -363,16 +402,17 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
             options.interconnect.peer_bw_bps,
             options.interconnect.latency_ns);
         report.peer_execution =
-            swap::execute_plan(view, leg_plan(Mechanism::kPeer),
+            swap::execute_plan(view,
+                               leg_plan(Mechanism::kPeer,
+                                        report.peer_decisions),
                                peer_link);
     }
 
     // Combined occupancy: baseline lifetimes, minus the *scheduled*
     // swap/peer residency windows, minus the compute-adjusted
     // recompute absence windows.
-    std::vector<analysis::OccupancyEdge> edges =
-        ctx.timeline.edges();
-    edges.reserve(edges.size() + report.decisions.size() * 2);
+    std::vector<analysis::OccupancyEdge> edges;
+    edges.reserve(report.decisions.size() * 2);
     std::size_t swap_index = 0;
     std::size_t peer_index = 0;
     for (const auto &d : report.decisions) {
@@ -398,8 +438,7 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     report.measured_overhead +=
         report.swap_execution.measured_stall +
         report.peer_execution.measured_stall;
-    report.new_peak_bytes =
-        analysis::peak_occupancy(std::move(edges));
+    report.new_peak_bytes = ctx.timeline.peak_with(std::move(edges));
     report.measured_peak_reduction =
         report.original_peak_bytes > report.new_peak_bytes
             ? report.original_peak_bytes - report.new_peak_bytes
@@ -498,22 +537,42 @@ StrategyPlanner::plan_all(const analysis::TraceView &view) const
              : Selection{};
     const Selection united =
         select(ctx.candidates, {true, true, peer}, budget, cap);
-    const Selection *hybrid = &united;
-    if (better(swap_only, *hybrid))
-        hybrid = &swap_only;
-    if (better(rec_only, *hybrid))
-        hybrid = &rec_only;
-    if (peer && better(peer_only, *hybrid))
-        hybrid = &peer_only;
-    return {assemble(ctx, options_, view, Strategy::kSwapOnly,
-                     swap_only),
-            assemble(ctx, options_, view,
-                     Strategy::kRecomputeOnly, rec_only),
-            peer ? assemble(ctx, options_, view,
-                            Strategy::kPeerOnly, peer_only)
-                 : unavailable_report(ctx, Strategy::kPeerOnly),
-            assemble(ctx, options_, view, Strategy::kHybrid,
-                     *hybrid)};
+    // The hybrid guard: adopt a pure selection that beats the
+    // union. An adopted pure selection was already assembled, so the
+    // hybrid report is a copy of it, not a second link schedule.
+    Strategy hybrid = Strategy::kHybrid;
+    const Selection *best = &united;
+    auto adopt = [&](const Selection &pure, Strategy strategy) {
+        if (better(pure, *best)) {
+            best = &pure;
+            hybrid = strategy;
+        }
+    };
+    adopt(swap_only, Strategy::kSwapOnly);
+    adopt(rec_only, Strategy::kRecomputeOnly);
+    if (peer)
+        adopt(peer_only, Strategy::kPeerOnly);
+
+    std::array<ReliefReport, kNumStrategies> reports;
+    auto slot = [&](Strategy s) -> ReliefReport & {
+        return reports[static_cast<std::size_t>(s)];
+    };
+    slot(Strategy::kSwapOnly) = assemble(
+        ctx, options_, view, Strategy::kSwapOnly, swap_only);
+    slot(Strategy::kRecomputeOnly) = assemble(
+        ctx, options_, view, Strategy::kRecomputeOnly, rec_only);
+    slot(Strategy::kPeerOnly) =
+        peer ? assemble(ctx, options_, view, Strategy::kPeerOnly,
+                        peer_only)
+             : unavailable_report(ctx, Strategy::kPeerOnly);
+    if (hybrid == Strategy::kHybrid) {
+        slot(Strategy::kHybrid) = assemble(
+            ctx, options_, view, Strategy::kHybrid, united);
+    } else {
+        slot(Strategy::kHybrid) = slot(hybrid);
+        slot(Strategy::kHybrid).strategy = Strategy::kHybrid;
+    }
+    return reports;
 }
 
 }  // namespace relief

@@ -42,7 +42,7 @@ LinkScheduler::submit(CopyDir dir, std::size_t bytes,
     busy_until_[i] = t.end_time;
     busy_time_[i] += t.duration();
     bytes_moved_[i] += bytes;
-    history_.push_back(t);
+    ++transfer_count_;
     return t;
 }
 
@@ -89,7 +89,7 @@ LinkScheduler::reset()
     busy_until_[0] = busy_until_[1] = 0;
     busy_time_[0] = busy_time_[1] = 0;
     bytes_moved_[0] = bytes_moved_[1] = 0;
-    history_.clear();
+    transfer_count_ = 0;
 }
 
 }  // namespace sim

@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/types.h"
 #include "sim/cost_model.h"
@@ -96,7 +95,7 @@ class LinkScheduler
     std::size_t bytes_moved(CopyDir dir) const;
 
     /** @return number of transfers scheduled so far. */
-    std::size_t transfer_count() const { return history_.size(); }
+    std::size_t transfer_count() const { return transfer_count_; }
 
     /**
      * @return mean per-direction occupancy over [0, window): 0.0 is
@@ -104,12 +103,6 @@ class LinkScheduler
      * clamped up to the latest scheduled completion.
      */
     double busy_fraction(TimeNs window) const;
-
-    /** @return every scheduled transfer, in submission order. */
-    const std::vector<LinkTransfer> &history() const
-    {
-        return history_;
-    }
 
     /** Forgets all scheduled traffic; bandwidths are kept. */
     void reset();
@@ -126,7 +119,7 @@ class LinkScheduler
     TimeNs busy_until_[2] = {0, 0};
     TimeNs busy_time_[2] = {0, 0};
     std::size_t bytes_moved_[2] = {0, 0};
-    std::vector<LinkTransfer> history_;
+    std::size_t transfer_count_ = 0;
 };
 
 }  // namespace sim

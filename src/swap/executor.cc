@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "analysis/swap_model.h"
 #include "analysis/timeline.h"
@@ -22,14 +21,11 @@ execute_plan(const analysis::TraceView &view,
              sim::LinkScheduler &scheduler)
 {
     const analysis::Timeline &timeline = view.timeline();
-    std::unordered_map<BlockId, const analysis::BlockLifetime *>
-        by_id;
-    for (const auto &b : timeline.blocks())
-        by_id.emplace(b.block, &b);
 
-    // Baseline occupancy edges, seeded from the shared index.
-    std::vector<analysis::OccupancyEdge> edges = timeline.edges();
-    edges.reserve(edges.size() + plan.decisions.size() * 2);
+    // The plan's residency edges; the baseline stays in the shared
+    // index and Timeline::peak_with merges the two.
+    std::vector<analysis::OccupancyEdge> edges;
+    edges.reserve(plan.decisions.size() * 2);
 
     SwapExecutionResult result;
     result.original_peak_bytes = timeline.peak_bytes();
@@ -42,10 +38,10 @@ execute_plan(const analysis::TraceView &view,
         scheduler.busy_time(sim::CopyDir::kHostToDevice);
 
     for (const auto &d : plan.decisions) {
-        auto it = by_id.find(d.block);
-        PP_CHECK(it != by_id.end(),
+        const analysis::BlockLifetime *block = timeline.find(d.block);
+        PP_CHECK(block != nullptr,
                  "plan references unknown block " << d.block);
-        const auto &b = *it->second;
+        const auto &b = *block;
         PP_CHECK(d.gap_start >= b.alloc_time &&
                      (!b.freed || d.gap_end <= b.free_time),
                  "decision gap escapes block " << d.block
@@ -160,8 +156,7 @@ execute_plan(const analysis::TraceView &view,
                                         result.h2d_busy_time) /
                         (2.0 * static_cast<double>(span));
 
-    result.new_peak_bytes =
-        analysis::peak_occupancy(std::move(edges));
+    result.new_peak_bytes = timeline.peak_with(std::move(edges));
     result.measured_peak_reduction =
         result.original_peak_bytes > result.new_peak_bytes
             ? result.original_peak_bytes - result.new_peak_bytes

@@ -1,10 +1,17 @@
 /** @file Unit tests for Timeline and Gantt rendering. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <numeric>
+#include <random>
+#include <vector>
+
 #include "analysis/gantt.h"
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "core/check.h"
+#include "support/occupancy_oracle.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -113,6 +120,191 @@ TEST(Timeline, RejectsInconsistentTraces)
     trace::TraceRecorder stray_access;
     stray_access.record(ev(0, trace::EventKind::kRead, 9, 0, 512));
     EXPECT_THROW(TraceView(stray_access).timeline(), Error);
+}
+
+/**
+ * A seeded random recorder trace with many shared timestamps: the
+ * clock advances on about one event in three, and sizes come from a
+ * short list, so frees and mallocs of equal size tie on (t, delta).
+ * With @p shuffled_ids, block ids are handed out in a random order
+ * instead of increasing, as no engine allocator does.
+ */
+trace::TraceRecorder
+random_trace(std::uint64_t seed, bool shuffled_ids)
+{
+    std::mt19937_64 rng(seed);
+    const std::size_t sizes[] = {256, 512, 512, 1024, 4096};
+    std::vector<BlockId> ids(400);
+    std::iota(ids.begin(), ids.end(), BlockId{1});
+    if (shuffled_ids)
+        std::shuffle(ids.begin(), ids.end(), rng);
+    std::size_t next = 0;
+    std::vector<std::pair<BlockId, std::size_t>> live;
+    trace::TraceRecorder r;
+    TimeNs t = 5;
+    for (int step = 0; step < 1500; ++step) {
+        if (rng() % 3 == 0)
+            t += 1 + rng() % 4;
+        const auto roll = rng() % 10;
+        if ((roll < 4 || live.empty()) && next < ids.size()) {
+            const std::size_t size = sizes[rng() % 5];
+            live.emplace_back(ids[next], size);
+            r.record(ev(t, trace::EventKind::kMalloc, ids[next],
+                        0x1000 * ids[next], size));
+            ++next;
+        } else if (roll < 7 && !live.empty()) {
+            const std::size_t k = rng() % live.size();
+            r.record(ev(t, trace::EventKind::kFree, live[k].first,
+                        0x1000 * live[k].first, live[k].second));
+            live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        } else if (!live.empty()) {
+            const auto &b = live[rng() % live.size()];
+            r.record(ev(t, trace::EventKind::kRead, b.first,
+                        0x1000 * b.first, b.second));
+        }
+    }
+    return r;
+}
+
+/** @return the trace's alloc/free edges, fully sorted (the oracle). */
+std::vector<OccupancyEdge>
+sorted_edges_oracle(const trace::TraceRecorder &r)
+{
+    std::map<BlockId, std::size_t> size_of;
+    std::vector<OccupancyEdge> edges;
+    for (const auto &e : r.events()) {
+        if (e.kind == trace::EventKind::kMalloc) {
+            size_of[e.block] = e.size;
+            edges.push_back({e.time, static_cast<std::int64_t>(e.size)});
+        } else if (e.kind == trace::EventKind::kFree) {
+            edges.push_back(
+                {e.time, -static_cast<std::int64_t>(size_of[e.block])});
+        }
+    }
+    return test_support::sorted_edges(std::move(edges));
+}
+
+bool
+same_edges(const std::vector<OccupancyEdge> &a,
+           const std::vector<OccupancyEdge> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const OccupancyEdge &x, const OccupancyEdge &y) {
+                          return x.t == y.t && x.delta == y.delta;
+                      });
+}
+
+TEST(Timeline, OnePassEdgesEqualAFullSort)
+{
+    // Hand-built ties: at t=10 a free, two mallocs and another free
+    // share the instant, recorded in an order that is not sorted.
+    trace::TraceRecorder r;
+    r.record(ev(0, trace::EventKind::kMalloc, 1, 0x1000, 512));
+    r.record(ev(0, trace::EventKind::kMalloc, 2, 0x2000, 256));
+    r.record(ev(10, trace::EventKind::kMalloc, 3, 0x3000, 1024));
+    r.record(ev(10, trace::EventKind::kFree, 1, 0x1000, 512));
+    r.record(ev(10, trace::EventKind::kMalloc, 4, 0x4000, 256));
+    r.record(ev(10, trace::EventKind::kFree, 2, 0x2000, 256));
+    r.record(ev(20, trace::EventKind::kFree, 3, 0x3000, 1024));
+    TraceView view(r);
+    const Timeline &t = view.timeline();
+    EXPECT_TRUE(same_edges(t.edges(), sorted_edges_oracle(r)));
+    EXPECT_EQ(t.peak_bytes(), 1280u);
+    EXPECT_EQ(t.peak_time(), 10u);
+
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        const auto trace = random_trace(seed, seed % 2 == 0);
+        TraceView random_view(trace);
+        const Timeline &rt = random_view.timeline();
+        EXPECT_TRUE(same_edges(rt.edges(), sorted_edges_oracle(trace)));
+        EXPECT_EQ(rt.peak_bytes(),
+                  test_support::peak_occupancy(rt.edges()));
+    }
+}
+
+TEST(Timeline, PeakWithMatchesTheFullSortOracle)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        const auto trace = random_trace(seed, false);
+        TraceView view(trace);
+        const Timeline &t = view.timeline();
+        ASSERT_FALSE(t.edges().empty());
+        std::mt19937_64 rng(seed * 7919);
+        const std::int64_t sizes[] = {256, 512, 1024, 4096, 70000};
+
+        auto oracle = [&](const std::vector<OccupancyEdge> &extra) {
+            std::vector<OccupancyEdge> all = t.edges();
+            all.insert(all.end(), extra.begin(), extra.end());
+            return test_support::peak_occupancy(std::move(all));
+        };
+        auto existing_time = [&] {
+            return t.edges()[rng() % t.edges().size()].t;
+        };
+        auto any_time = [&] {
+            // Spans before start() and after end() too.
+            const TimeNs lo = t.start() > 20 ? t.start() - 20 : 0;
+            return lo + rng() % (t.end() - lo + 40);
+        };
+
+        // Empty extra: the trace's own peak.
+        EXPECT_EQ(t.peak_with({}), oracle({}));
+        EXPECT_EQ(t.peak_with({}), t.peak_bytes());
+
+        for (int round = 0; round < 25; ++round) {
+            SCOPED_TRACE(round);
+            // All-negative: absence windows opened, never closed.
+            std::vector<OccupancyEdge> negative;
+            for (int k = 0; k < 1 + round % 7; ++k)
+                negative.push_back(
+                    {any_time(), -sizes[rng() % 5]});
+            EXPECT_EQ(t.peak_with(negative), oracle(negative));
+
+            // Windows whose edges tie existing edge times, with
+            // deltas that tie existing deltas.
+            std::vector<OccupancyEdge> ties;
+            for (int k = 0; k < 1 + round % 5; ++k) {
+                const TimeNs a = existing_time();
+                const TimeNs b = existing_time();
+                const std::int64_t size = sizes[rng() % 4];
+                ties.push_back({std::min(a, b), -size});
+                ties.push_back({std::max(a, b), size});
+            }
+            EXPECT_EQ(t.peak_with(ties), oracle(ties));
+
+            // Mixed signs, times before start() and after end().
+            std::vector<OccupancyEdge> mixed = {
+                {0, sizes[rng() % 5]},
+                {t.end() + 1 + rng() % 10, sizes[rng() % 5]},
+                {t.end() + 100, -sizes[rng() % 5]}};
+            for (int k = 0; k < round % 4; ++k)
+                mixed.push_back({any_time(),
+                                 (rng() % 2 ? 1 : -1) *
+                                     sizes[rng() % 5]});
+            EXPECT_EQ(t.peak_with(mixed), oracle(mixed));
+        }
+    }
+}
+
+TEST(Timeline, FindLooksBlocksUpById)
+{
+    for (bool shuffled : {false, true}) {
+        SCOPED_TRACE(shuffled);
+        const auto trace = random_trace(3, shuffled);
+        TraceView view(trace);
+        const Timeline &t = view.timeline();
+        ASSERT_FALSE(t.blocks().empty());
+        for (const auto &b : t.blocks()) {
+            const BlockLifetime *found = t.find(b.block);
+            ASSERT_NE(found, nullptr);
+            EXPECT_EQ(found, &b);
+        }
+        EXPECT_EQ(t.find(0), nullptr);
+        EXPECT_EQ(t.find(100000), nullptr);
+    }
+    TraceView empty{trace::TraceRecorder()};
+    EXPECT_EQ(empty.timeline().find(1), nullptr);
 }
 
 TEST(Gantt, RowsOverlapWindow)

@@ -26,6 +26,7 @@
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
+#include "support/occupancy_oracle.h"
 #include "support/trace_counts.h"
 #include "swap/planner.h"
 #include "trace/csv.h"
@@ -255,7 +256,7 @@ TEST(TraceView, TimelineProbesMatchBruteForce)
         EXPECT_EQ(t.live_at(probe).size(), brute_count) << probe;
     }
     EXPECT_EQ(t.peak_bytes(), t.live_bytes_at(t.peak_time()));
-    EXPECT_EQ(t.peak_bytes(), peak_occupancy(t.edges()));
+    EXPECT_EQ(t.peak_bytes(), test_support::peak_occupancy(t.edges()));
 }
 
 TEST(TraceView, SixteenThreadHammerSharesOneBuild)

@@ -4,13 +4,16 @@
  * dominance property (hybrid peak reduction >= max of the pure
  * strategies at equal overhead budget), the recompute-cheaper-than-
  * swap regression, budget accounting, shared-link scheduling of the
- * swap legs, and determinism.
+ * swap legs, determinism, and the two shortcuts of the selection:
+ * the hybrid report copied from an adopted pure one, and the all-fit
+ * budget path that skips the bytes/ns ranking.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "analysis/trace_view.h"
+#include "api/study.h"
 #include "core/check.h"
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
@@ -370,6 +373,171 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             EXPECT_LE(hybrid.peak_reduction_bytes,
                       hybrid.original_peak_bytes);
         }
+    }
+}
+
+void
+expect_same_execution(const swap::SwapExecutionResult &a,
+                      const swap::SwapExecutionResult &b)
+{
+    EXPECT_EQ(a.original_peak_bytes, b.original_peak_bytes);
+    EXPECT_EQ(a.new_peak_bytes, b.new_peak_bytes);
+    EXPECT_EQ(a.measured_peak_reduction, b.measured_peak_reduction);
+    EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
+    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
+    EXPECT_EQ(a.transfer_time, b.transfer_time);
+    EXPECT_EQ(a.d2h_busy_time, b.d2h_busy_time);
+    EXPECT_EQ(a.h2d_busy_time, b.h2d_busy_time);
+    EXPECT_EQ(a.link_busy_fraction, b.link_busy_fraction);
+    EXPECT_EQ(a.measured_stall, b.measured_stall);
+    EXPECT_EQ(a.queue_delay, b.queue_delay);
+    EXPECT_EQ(a.executed_decisions, b.executed_decisions);
+    ASSERT_EQ(a.swaps.size(), b.swaps.size());
+    for (std::size_t i = 0; i < a.swaps.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(a.swaps[i].block, b.swaps[i].block);
+        EXPECT_EQ(a.swaps[i].size, b.swaps[i].size);
+        EXPECT_EQ(a.swaps[i].out_start, b.swaps[i].out_start);
+        EXPECT_EQ(a.swaps[i].out_end, b.swaps[i].out_end);
+        EXPECT_EQ(a.swaps[i].in_start, b.swaps[i].in_start);
+        EXPECT_EQ(a.swaps[i].in_end, b.swaps[i].in_end);
+        EXPECT_EQ(a.swaps[i].stall, b.swaps[i].stall);
+        EXPECT_EQ(a.swaps[i].queue_delay, b.swaps[i].queue_delay);
+    }
+}
+
+void
+expect_same_decisions(const std::vector<ReliefDecision> &a,
+                      const std::vector<ReliefDecision> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(a[i].mechanism, b[i].mechanism);
+        EXPECT_EQ(a[i].block, b[i].block);
+        EXPECT_EQ(a[i].tensor, b[i].tensor);
+        EXPECT_EQ(a[i].size, b[i].size);
+        EXPECT_EQ(a[i].gap_start, b[i].gap_start);
+        EXPECT_EQ(a[i].gap_end, b[i].gap_end);
+        EXPECT_EQ(a[i].gap, b[i].gap);
+        EXPECT_EQ(a[i].overhead, b[i].overhead);
+        EXPECT_EQ(a[i].covers_peak, b[i].covers_peak);
+        EXPECT_EQ(a[i].hide_ratio, b[i].hide_ratio);
+        EXPECT_EQ(a[i].producer, b[i].producer);
+        EXPECT_EQ(a[i].recompute_cost, b[i].recompute_cost);
+    }
+}
+
+/** Expects @p a and @p b equal in every field but `strategy`. */
+void
+expect_same_report(const ReliefReport &a, const ReliefReport &b)
+{
+    EXPECT_EQ(a.available, b.available);
+    expect_same_decisions(a.decisions, b.decisions);
+    EXPECT_EQ(a.swap_decisions, b.swap_decisions);
+    EXPECT_EQ(a.recompute_decisions, b.recompute_decisions);
+    EXPECT_EQ(a.peer_decisions, b.peer_decisions);
+    EXPECT_EQ(a.total_swapped_bytes, b.total_swapped_bytes);
+    EXPECT_EQ(a.total_recomputed_bytes, b.total_recomputed_bytes);
+    EXPECT_EQ(a.total_peer_bytes, b.total_peer_bytes);
+    EXPECT_EQ(a.original_peak_bytes, b.original_peak_bytes);
+    EXPECT_EQ(a.peak_reduction_bytes, b.peak_reduction_bytes);
+    EXPECT_EQ(a.predicted_overhead, b.predicted_overhead);
+    EXPECT_EQ(a.new_peak_bytes, b.new_peak_bytes);
+    EXPECT_EQ(a.measured_peak_reduction, b.measured_peak_reduction);
+    EXPECT_EQ(a.measured_overhead, b.measured_overhead);
+    expect_same_execution(a.swap_execution, b.swap_execution);
+    expect_same_execution(a.peer_execution, b.peer_execution);
+}
+
+/**
+ * When the hybrid guard adopts a pure selection, the hybrid report
+ * is that pure report under the hybrid name — down to the link
+ * schedule and the what-if peak. The resnet18 case is the golden
+ * relief fixture (the guard adopts swap); at 5 ms the alexnet-cifar
+ * guard adopts the empty recompute plan over a union that pays for
+ * a swap with no peak saving.
+ */
+TEST(StrategyPlanner, HybridReusesTheAdoptedPureReport)
+{
+    struct Case {
+        const char *model;
+        int batch;
+        TimeNs budget;
+        Strategy adopted;
+    };
+    for (const Case &c :
+         {Case{"resnet18", 16, 50 * kNsPerMs, Strategy::kSwapOnly},
+          Case{"alexnet-cifar", 32, 5 * kNsPerMs,
+               Strategy::kRecomputeOnly}}) {
+        SCOPED_TRACE(c.model);
+        api::WorkloadSpec spec;
+        spec.model = c.model;
+        spec.batch = c.batch;
+        spec.iterations = 2;
+        // The relief command's defaults: 8 MiB minimum block.
+        api::StudyOptions options;
+        options.relief.min_block_bytes = 8 * kMB;
+        options.relief.overhead_budget = c.budget;
+        const api::Study study = api::Study::run(spec, options);
+        const auto all = study.relief_all();
+        const ReliefReport &hybrid = all[at(Strategy::kHybrid)];
+        const ReliefReport &pure = all[at(c.adopted)];
+        EXPECT_EQ(hybrid.strategy, Strategy::kHybrid);
+        EXPECT_EQ(pure.strategy, c.adopted);
+        for (const auto &d : hybrid.decisions)
+            EXPECT_EQ(d.mechanism, c.adopted == Strategy::kSwapOnly
+                                       ? Mechanism::kSwap
+                                       : Mechanism::kRecompute);
+        expect_same_report(hybrid, pure);
+    }
+}
+
+/**
+ * The selection ranks paid choices only when they overrun the
+ * budget together. At a budget of exactly their total overhead the
+ * unranked path must give the unlimited plan; one nanosecond less
+ * takes the ranked path, which must drop a paid decision.
+ */
+TEST(StrategyPlanner, BudgetOfExactlyThePaidTotalKeepsEveryDecision)
+{
+    const auto spec = sim::DeviceSpec::titan_x_pascal();
+    runtime::SessionConfig config;
+    config.batch = 16;
+    config.iterations = 2;
+    const auto result =
+        runtime::run_training(nn::build_model("resnet18"), config);
+    StrategyOptions opts;
+    opts.link = analysis::LinkBandwidth{spec.d2h_bw_bps,
+                                        spec.h2d_bw_bps};
+    const auto unlimited = StrategyPlanner(opts).plan_all(result.view());
+
+    auto paid = [](const ReliefReport &r) {
+        return std::count_if(r.decisions.begin(), r.decisions.end(),
+                             [](const ReliefDecision &d) {
+                                 return d.overhead > 0;
+                             });
+    };
+    for (Strategy s : {Strategy::kSwapOnly, Strategy::kRecomputeOnly}) {
+        SCOPED_TRACE(strategy_name(s));
+        const ReliefReport &all = unlimited[at(s)];
+        const TimeNs total = all.predicted_overhead;
+        ASSERT_GT(paid(all), 0);
+        ASSERT_GT(total, 0u);
+
+        opts.overhead_budget = total;
+        const auto exact = StrategyPlanner(opts).plan_all(result.view());
+        expect_same_report(exact[at(s)], all);
+
+        opts.overhead_budget = total - 1;
+        const auto short_by_one =
+            StrategyPlanner(opts).plan_all(result.view());
+        const ReliefReport &ranked = short_by_one[at(s)];
+        EXPECT_LE(ranked.predicted_overhead, total - 1);
+        EXPECT_LT(paid(ranked), paid(all));
+        EXPECT_EQ(ranked.decisions.size() - paid(ranked),
+                  all.decisions.size() - paid(all))
+            << "free decisions never depend on the budget";
     }
 }
 

@@ -86,18 +86,39 @@ TEST(LinkScheduler, BusyFractionWindowClampsToScheduledTraffic)
     EXPECT_LE(link.busy_fraction(1), 1.0);
 }
 
-TEST(LinkScheduler, TracksBytesAndHistoryPerDirection)
+TEST(LinkScheduler, TracksBytesAndTransfersPerDirection)
 {
     LinkScheduler link(kBps, 2 * kBps);
-    link.submit(CopyDir::kDeviceToHost, 100, 0);
-    link.submit(CopyDir::kDeviceToHost, 200, 0);
-    link.submit(CopyDir::kHostToDevice, 50, 0);
+    const auto first = link.submit(CopyDir::kDeviceToHost, 100, 0);
+    const auto second = link.submit(CopyDir::kDeviceToHost, 200, 0);
+    const auto third = link.submit(CopyDir::kHostToDevice, 50, 0);
     EXPECT_EQ(link.bytes_moved(CopyDir::kDeviceToHost), 300u);
     EXPECT_EQ(link.bytes_moved(CopyDir::kHostToDevice), 50u);
     EXPECT_EQ(link.transfer_count(), 3u);
-    ASSERT_EQ(link.history().size(), 3u);
-    EXPECT_EQ(link.history()[1].bytes, 200u);
     EXPECT_EQ(link.bandwidth_bps(CopyDir::kHostToDevice), 2 * kBps);
+
+    // Each returned slot describes its own transfer: the second D2H
+    // copy queues behind the first, the H2D copy does not.
+    EXPECT_EQ(first.dir, CopyDir::kDeviceToHost);
+    EXPECT_EQ(first.bytes, 100u);
+    EXPECT_EQ(first.ready_time, 0u);
+    EXPECT_EQ(first.start_time, 0u);
+    EXPECT_EQ(first.end_time, 100u);
+    EXPECT_EQ(second.dir, CopyDir::kDeviceToHost);
+    EXPECT_EQ(second.bytes, 200u);
+    EXPECT_EQ(second.ready_time, 0u);
+    EXPECT_EQ(second.start_time, first.end_time);
+    EXPECT_EQ(second.end_time, 300u);
+    EXPECT_EQ(second.queue_delay(), 100u);
+    EXPECT_EQ(second.duration(), 200u);
+    EXPECT_EQ(third.dir, CopyDir::kHostToDevice);
+    EXPECT_EQ(third.bytes, 50u);
+    EXPECT_EQ(third.start_time, 0u);
+    EXPECT_EQ(third.end_time, 25u);
+    EXPECT_EQ(third.queue_delay(), 0u);
+    EXPECT_EQ(link.busy_until(CopyDir::kDeviceToHost), second.end_time);
+    EXPECT_EQ(link.busy_time(CopyDir::kDeviceToHost),
+              first.duration() + second.duration());
 }
 
 TEST(LinkScheduler, ResetForgetsTrafficKeepsBandwidth)
