@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -101,6 +102,45 @@ TEST(GoldenOutput, ServingSweepCsvMatchesTheFixture)
              path});
     EXPECT_EQ(read_file(path), golden("sweep_serving_small.csv"));
     std::remove(path.c_str());
+}
+
+TEST(GoldenOutput, SweepGroupColumnsMatchTheFixturesColdAndWarm)
+{
+    // dp2 rows bring in the multi-device columns, f16 rows the
+    // serving ones, and the tiny device OOM rows whose error text
+    // holds commas. The warm rerun reads every row back from the
+    // result cache, so the fixtures pin the record codec as well.
+    const CommandRegistry registry = make_default_registry();
+    const std::string dir = testing::TempDir() + "pinpoint_golden_groups";
+    std::filesystem::remove_all(dir);
+    for (const char *pass : {"cold", "warm"}) {
+        const std::string csv = dir + "_" + pass + ".csv";
+        const std::string json = dir + "_" + pass + ".json";
+        std::ostringstream out;
+        std::ostringstream err;
+        CommandIo io{out, err};
+        ASSERT_EQ(run_cli(registry,
+                          {"sweep", "--models", "mlp,resnet18",
+                           "--batches", "16", "--allocators", "caching",
+                           "--device-presets", "titan-x,tiny",
+                           "--devices", "1,2", "--topologies", "nvlink",
+                           "--dtypes", "f32,f16", "--iterations", "2",
+                           "--jobs", "2", "--cache-dir", dir, "--csv",
+                           csv, "--json", json},
+                          io),
+                  0)
+            << err.str();
+        EXPECT_NE(err.str().find(std::string(pass) == "cold"
+                                     ? "cache: 0 hits, 16 misses"
+                                     : "cache: 16 hits, 0 misses"),
+                  std::string::npos)
+            << err.str();
+        EXPECT_EQ(read_file(csv), golden("sweep_groups.csv")) << pass;
+        EXPECT_EQ(read_file(json), golden("sweep_groups.json")) << pass;
+        std::remove(csv.c_str());
+        std::remove(json.c_str());
+    }
+    std::filesystem::remove_all(dir);
 }
 
 TEST(GoldenOutput, RepeatedRunsAreByteIdenticalThroughTheSharedView)
