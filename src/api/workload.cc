@@ -59,17 +59,18 @@ WorkloadSpec::id() const
 std::string
 WorkloadSpec::to_string() const
 {
-    std::ostringstream os;
-    os << "--model " << model << " --batch " << batch
-       << " --iterations " << iterations << " --allocator "
-       << runtime::allocator_kind_name(allocator) << " --device "
-       << device << " --micro-batches " << micro_batches
-       << " --devices " << devices << " --topology " << topology
-       << " --mode " << runtime::session_mode_name(mode)
-       << " --dtype " << dtype_name(dtype) << " --requests "
-       << requests << " --arrival "
-       << runtime::arrival_kind_name(arrival);
-    return os.str();
+    // Plain appends, not a stream: the result cache builds this key
+    // for every lookup, and the record codec re-encodes it on decode.
+    return "--model " + model + " --batch " + std::to_string(batch) +
+           " --iterations " + std::to_string(iterations) +
+           " --allocator " + runtime::allocator_kind_name(allocator) +
+           " --device " + device +
+           " --micro-batches " + std::to_string(micro_batches) +
+           " --devices " + std::to_string(devices) + " --topology " +
+           topology + " --mode " + runtime::session_mode_name(mode) +
+           " --dtype " + dtype_name(dtype) +
+           " --requests " + std::to_string(requests) + " --arrival " +
+           runtime::arrival_kind_name(arrival);
 }
 
 const std::vector<std::string> &

@@ -1,6 +1,7 @@
 #include "core/format.h"
 #include "core/types.h"
 
+#include <charconv>
 #include <cstdio>
 
 namespace pinpoint {
@@ -66,9 +67,13 @@ format_percent(double fraction)
 std::string
 format_fixed6(double value)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.6f", value);
-    return buf;
+    // to_chars prints the same bytes as "%.6f" in the C locale, at a
+    // fraction of snprintf's cost; the buffer fits DBL_MAX.
+    char buf[330];
+    return std::string(
+        buf, std::to_chars(buf, buf + sizeof buf, value,
+                           std::chars_format::fixed, 6)
+                 .ptr);
 }
 
 std::string

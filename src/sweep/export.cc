@@ -1,12 +1,16 @@
 #include "sweep/export.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <functional>
 #include <ostream>
 #include <sstream>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "api/workload.h"
@@ -25,30 +29,15 @@ namespace pinpoint {
 namespace sweep {
 namespace {
 
-/** Compact "21.5 us" rendering for the summary table. */
-std::string
-fmt_us(double us)
+/** Appends a CSV field, quoted when it contains , " or newline. */
+void
+append_csv(std::string &out, const std::string &s)
 {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.1f us", us);
-    return buf;
-}
-
-/** First line of a (possibly multi-line) error message. */
-std::string
-first_line(const std::string &s)
-{
-    const auto pos = s.find('\n');
-    return pos == std::string::npos ? s : s.substr(0, pos);
-}
-
-/** Escapes a CSV field (quotes when it contains , " or newline). */
-std::string
-csv_escape(const std::string &s)
-{
-    if (s.find_first_of(",\"\n") == std::string::npos)
-        return s;
-    std::string out = "\"";
+    if (s.find_first_of(",\"\n") == std::string::npos) {
+        out += s;
+        return;
+    }
+    out += '"';
     for (char c : s) {
         if (c == '"')
             out += "\"\"";
@@ -58,185 +47,257 @@ csv_escape(const std::string &s)
             out += c;
     }
     out += '"';
-    return out;
+}
+
+// --- the sweep column table --------------------------------------
+
+/** Which exports carry a column: see Shown. */
+enum class Group : std::uint8_t { kAlways, kMulti, kServing };
+
+/** Columns read from the scenario, its status or its error text. */
+enum class Label : std::uint8_t {
+    kModel, kBatch, kAllocator, kDevice, kIterations, kStatus,
+    kError, kDevices, kTopology, kMode, kDType, kArrival,
+};
+
+using R = ScenarioResult;
+
+/** One sweep column: a scenario label or a ScenarioResult member. */
+struct Column {
+    const char *name;
+    Group group;
+    /** Appends the unescaped value. @return true for text. */
+    bool (*put)(const R &r, std::string &out);
+    /**
+     * Sets the member from an unescaped value; nullptr for labels. A
+     * value that does not parse, or a non-finite double, is ignored.
+     */
+    void (*get)(R &r, const std::string &value);
+};
+
+template <class T>
+void
+append_int(std::string &out, T value)
+{
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
+}
+
+template <Label L>
+bool
+put_label(const R &r, std::string &out)
+{
+    const Scenario &s = r.scenario;
+    switch (L) {
+      case Label::kModel: out += s.model; break;
+      case Label::kBatch: append_int(out, s.batch); return false;
+      case Label::kAllocator:
+          out += runtime::allocator_kind_name(s.allocator);
+          break;
+      case Label::kDevice: out += s.device; break;
+      case Label::kIterations: append_int(out, s.iterations); return false;
+      case Label::kStatus: out += scenario_status_name(r.status); break;
+      case Label::kError:
+          out += r.error.substr(0, r.error.find('\n'));
+          break;
+      case Label::kDevices: append_int(out, s.devices); return false;
+      case Label::kTopology: out += s.topology; break;
+      case Label::kMode: out += runtime::session_mode_name(s.mode); break;
+      case Label::kDType: out += dtype_name(s.dtype); break;
+      case Label::kArrival:
+          out += runtime::arrival_kind_name(s.arrival);
+          break;
+    }
+    return true;
+}
+
+template <Label L>
+constexpr Column
+label(const char *name, Group group = Group::kAlways)
+{
+    return {name, group, &put_label<L>, nullptr};
 }
 
 /**
- * @return true when any scenario ran more than one replica. The
- * topology columns appear only then, so single-device sweeps stay
- * byte-identical to exports from before the devices axis existed.
+ * Doubles render with format_fixed6 and integers in decimal, in the
+ * CSV, the JSON and the record alike, so a result decoded from the
+ * cache exports byte-identically.
  */
+template <auto M>
 bool
-any_multi_device(const SweepReport &report)
+put_member(const R &r, std::string &out)
 {
-    for (const auto &r : report.results)
-        if (r.scenario.devices > 1)
-            return true;
-    return false;
+    using T = std::decay_t<decltype(r.*M)>;
+    if constexpr (std::is_same_v<T, std::string>)
+        out += r.*M;
+    else if constexpr (std::is_same_v<T, double>)
+        out += format_fixed6(r.*M);
+    else
+        append_int(out, r.*M);
+    return std::is_same_v<T, std::string>;
+}
+
+template <auto M>
+void
+get_member(R &r, const std::string &value)
+{
+    using T = std::decay_t<decltype(r.*M)>;
+    if constexpr (std::is_same_v<T, std::string>) {
+        r.*M = value;
+    } else if constexpr (std::is_same_v<T, double>) {
+        double parsed = 0.0;
+        if (parse_double(value, parsed) && std::isfinite(parsed))
+            r.*M = parsed;
+    } else if constexpr (std::is_same_v<T, int>) {
+        parse_int(value, r.*M);
+    } else {
+        std::uint64_t parsed = 0;
+        if (parse_uint64(value, parsed))
+            r.*M = static_cast<T>(parsed);
+    }
+}
+
+template <auto M>
+constexpr Column
+member(const char *name, Group group = Group::kAlways)
+{
+    return {name, group, &put_member<M>, &get_member<M>};
 }
 
 /**
- * @return true when any scenario leaves the train/f32 default. The
- * mode/dtype/serving columns appear only then, so train-only sweeps
- * stay byte-identical to exports from before the serving axis
- * existed.
+ * Every sweep column, in export order: the one place that names a
+ * column. The CSV and the JSON walk the groups a report shows; the
+ * record walks the member columns after its scenario, status and
+ * error lines. Record line names feed the schema salt, so adding,
+ * removing, renaming or reordering a member retires stale records.
  */
-bool
-any_inference(const SweepReport &report)
-{
-    for (const auto &r : report.results)
-        if (r.scenario.mode == runtime::SessionMode::kInfer ||
-            r.scenario.dtype != DType::kF32)
-            return true;
-    return false;
-}
+constexpr Column kColumns[] = {
+    label<Label::kModel>("model"),
+    label<Label::kBatch>("batch"),
+    label<Label::kAllocator>("allocator"),
+    label<Label::kDevice>("device"),
+    label<Label::kIterations>("iterations"),
+    label<Label::kStatus>("status"),
+    label<Label::kError>("error"),
+    member<&R::peak_total_bytes>("peak_total_bytes"),
+    member<&R::peak_input_bytes>("peak_input_bytes"),
+    member<&R::peak_parameter_bytes>("peak_parameter_bytes"),
+    member<&R::peak_intermediate_bytes>("peak_intermediate_bytes"),
+    member<&R::peak_reserved_bytes>("peak_reserved_bytes"),
+    member<&R::device_fragmentation>("device_fragmentation"),
+    member<&R::iteration_time>("iteration_time_ns"),
+    member<&R::end_time>("end_time_ns"),
+    member<&R::alloc_count>("alloc_count"),
+    member<&R::cache_hit_count>("cache_hit_count"),
+    member<&R::device_alloc_count>("device_alloc_count"),
+    member<&R::event_count>("event_count"),
+    member<&R::ati_count>("ati_count"),
+    member<&R::ati_median_us>("ati_median_us"),
+    member<&R::ati_p90_us>("ati_p90_us"),
+    member<&R::ati_max_us>("ati_max_us"),
+    member<&R::swap_decisions>("swap_decisions"),
+    member<&R::swap_peak_reduction_bytes>("swap_peak_reduction_bytes"),
+    member<&R::swap_total_bytes>("swap_total_bytes"),
+    member<&R::swap_measured_peak_reduction_bytes>(
+        "swap_measured_peak_reduction_bytes"),
+    member<&R::swap_predicted_stall_ns>("swap_predicted_stall_ns"),
+    member<&R::swap_measured_stall_ns>("swap_measured_stall_ns"),
+    member<&R::swap_link_busy_fraction>("swap_link_busy_fraction"),
+    member<&R::relief_strategy>("relief_strategy"),
+    member<&R::relief_peak_reduction_bytes>(
+        "relief_peak_reduction_bytes"),
+    member<&R::relief_overhead_ns>("relief_overhead_ns"),
+    label<Label::kDevices>("devices", Group::kMulti),
+    label<Label::kTopology>("topology", Group::kMulti),
+    member<&R::scaling_efficiency>("scaling_efficiency", Group::kMulti),
+    member<&R::interconnect_busy_fraction>(
+        "interconnect_busy_fraction", Group::kMulti),
+    member<&R::allreduce_time_ns>("allreduce_time_ns", Group::kMulti),
+    member<&R::allreduce_stall_ns>("allreduce_stall_ns", Group::kMulti),
+    label<Label::kMode>("mode", Group::kServing),
+    label<Label::kDType>("dtype", Group::kServing),
+    member<&R::requests>("requests", Group::kServing),
+    label<Label::kArrival>("arrival", Group::kServing),
+    member<&R::latency_p50_ns>("latency_p50_ns", Group::kServing),
+    member<&R::latency_p90_ns>("latency_p90_ns", Group::kServing),
+    member<&R::latency_p99_ns>("latency_p99_ns", Group::kServing),
+    member<&R::latency_max_ns>("latency_max_ns", Group::kServing),
+};
+
+/**
+ * The column groups a report shows. The multi-device columns appear
+ * only when a scenario ran more than one replica, and the serving
+ * ones only when a scenario leaves the train/f32 default, so exports
+ * of sweeps without those axes keep their bytes.
+ */
+struct Shown {
+    bool multi = false;
+    bool serving = false;
+
+    explicit Shown(const SweepReport &report)
+    {
+        for (const auto &r : report.results) {
+            const Scenario &s = r.scenario;
+            multi = multi || s.devices > 1;
+            serving = serving || s.mode == runtime::SessionMode::kInfer ||
+                      s.dtype != DType::kF32;
+        }
+    }
+
+    /** @return the shown columns, in table order. */
+    std::vector<const Column *> columns() const
+    {
+        std::vector<const Column *> shown;
+        for (const Column &c : kColumns)
+            if (c.group == Group::kAlways ||
+                (c.group == Group::kMulti ? multi : serving))
+                shown.push_back(&c);
+        return shown;
+    }
+};
 
 }  // namespace
 
 void
 write_sweep_csv(const SweepReport &report, std::ostream &os)
 {
-    const bool multi = any_multi_device(report);
-    const bool serving = any_inference(report);
-    os << "model,batch,allocator,device,iterations,status,error,"
-          "peak_total_bytes,peak_input_bytes,peak_parameter_bytes,"
-          "peak_intermediate_bytes,peak_reserved_bytes,"
-          "device_fragmentation,iteration_time_ns,end_time_ns,"
-          "alloc_count,cache_hit_count,device_alloc_count,"
-          "event_count,ati_count,ati_median_us,ati_p90_us,ati_max_us,"
-          "swap_decisions,swap_peak_reduction_bytes,swap_total_bytes,"
-          "swap_measured_peak_reduction_bytes,"
-          "swap_predicted_stall_ns,swap_measured_stall_ns,"
-          "swap_link_busy_fraction,"
-          "relief_strategy,relief_peak_reduction_bytes,"
-          "relief_overhead_ns";
-    if (multi)
-        os << ",devices,topology,scaling_efficiency,"
-              "interconnect_busy_fraction,allreduce_time_ns,"
-              "allreduce_stall_ns";
-    if (serving)
-        os << ",mode,dtype,requests,arrival,latency_p50_ns,"
-              "latency_p90_ns,latency_p99_ns,latency_max_ns";
-    os << "\n";
+    const auto columns = Shown(report).columns();
+    std::string line;
+    for (const Column *c : columns)
+        line.append(c == columns.front() ? "" : ",").append(c->name);
+    os << line << '\n';
+    std::string cell;
     for (const auto &r : report.results) {
-        const Scenario &s = r.scenario;
-        os << csv_escape(s.model) << ',' << s.batch << ','
-           << runtime::allocator_kind_name(s.allocator) << ','
-           << csv_escape(s.device) << ',' << s.iterations << ','
-           << scenario_status_name(r.status) << ','
-           << csv_escape(first_line(r.error)) << ','
-           << r.peak_total_bytes << ',' << r.peak_input_bytes << ','
-           << r.peak_parameter_bytes << ','
-           << r.peak_intermediate_bytes << ','
-           << r.peak_reserved_bytes << ','
-           << format_fixed6(r.device_fragmentation) << ','
-           << r.iteration_time << ',' << r.end_time << ','
-           << r.alloc_count << ',' << r.cache_hit_count << ','
-           << r.device_alloc_count << ',' << r.event_count << ','
-           << r.ati_count << ',' << format_fixed6(r.ati_median_us) << ','
-           << format_fixed6(r.ati_p90_us) << ','
-           << format_fixed6(r.ati_max_us) << ',' << r.swap_decisions
-           << ',' << r.swap_peak_reduction_bytes << ','
-           << r.swap_total_bytes << ','
-           << r.swap_measured_peak_reduction_bytes << ','
-           << r.swap_predicted_stall_ns << ','
-           << r.swap_measured_stall_ns << ','
-           << format_fixed6(r.swap_link_busy_fraction) << ','
-           << csv_escape(r.relief_strategy) << ','
-           << r.relief_peak_reduction_bytes << ','
-           << r.relief_overhead_ns;
-        if (multi)
-            os << ',' << s.devices << ',' << csv_escape(s.topology)
-               << ',' << format_fixed6(r.scaling_efficiency) << ','
-               << format_fixed6(r.interconnect_busy_fraction) << ','
-               << r.allreduce_time_ns << ','
-               << r.allreduce_stall_ns;
-        if (serving)
-            os << ',' << runtime::session_mode_name(s.mode) << ','
-               << dtype_name(s.dtype) << ',' << r.requests << ','
-               << runtime::arrival_kind_name(s.arrival) << ','
-               << r.latency_p50_ns << ',' << r.latency_p90_ns << ','
-               << r.latency_p99_ns << ',' << r.latency_max_ns;
-        os << '\n';
+        line.clear();
+        for (const Column *c : columns) {
+            cell.clear();
+            c->put(r, cell);  // numbers never need CSV quoting
+            line += c == columns.front() ? "" : ",";
+            append_csv(line, cell);
+        }
+        os << line << '\n';
     }
 }
 
 void
 write_sweep_json(const SweepReport &report, std::ostream &os)
 {
-    const bool multi = any_multi_device(report);
-    const bool serving = any_inference(report);
+    const auto columns = Shown(report).columns();
     os << "{\n  \"scenarios\": [\n";
+    std::string line;
+    std::string cell;
     for (std::size_t i = 0; i < report.results.size(); ++i) {
-        const auto &r = report.results[i];
-        const Scenario &s = r.scenario;
-        os << "    {\"model\": \"" << trace::json_escape(s.model)
-           << "\", \"batch\": " << s.batch << ", \"allocator\": \""
-           << runtime::allocator_kind_name(s.allocator)
-           << "\", \"device\": \"" << trace::json_escape(s.device)
-           << "\", \"iterations\": " << s.iterations
-           << ", \"status\": \"" << scenario_status_name(r.status)
-           << "\", \"error\": \""
-           << trace::json_escape(first_line(r.error))
-           << "\", \"peak_total_bytes\": " << r.peak_total_bytes
-           << ", \"peak_input_bytes\": " << r.peak_input_bytes
-           << ", \"peak_parameter_bytes\": " << r.peak_parameter_bytes
-           << ", \"peak_intermediate_bytes\": "
-           << r.peak_intermediate_bytes
-           << ", \"peak_reserved_bytes\": " << r.peak_reserved_bytes
-           << ", \"device_fragmentation\": "
-           << format_fixed6(r.device_fragmentation)
-           << ", \"iteration_time_ns\": " << r.iteration_time
-           << ", \"end_time_ns\": " << r.end_time
-           << ", \"alloc_count\": " << r.alloc_count
-           << ", \"cache_hit_count\": " << r.cache_hit_count
-           << ", \"device_alloc_count\": " << r.device_alloc_count
-           << ", \"event_count\": " << r.event_count
-           << ", \"ati_count\": " << r.ati_count
-           << ", \"ati_median_us\": " << format_fixed6(r.ati_median_us)
-           << ", \"ati_p90_us\": " << format_fixed6(r.ati_p90_us)
-           << ", \"ati_max_us\": " << format_fixed6(r.ati_max_us)
-           << ", \"swap_decisions\": " << r.swap_decisions
-           << ", \"swap_peak_reduction_bytes\": "
-           << r.swap_peak_reduction_bytes
-           << ", \"swap_total_bytes\": " << r.swap_total_bytes
-           << ", \"swap_measured_peak_reduction_bytes\": "
-           << r.swap_measured_peak_reduction_bytes
-           << ", \"swap_predicted_stall_ns\": "
-           << r.swap_predicted_stall_ns
-           << ", \"swap_measured_stall_ns\": "
-           << r.swap_measured_stall_ns
-           << ", \"swap_link_busy_fraction\": "
-           << format_fixed6(r.swap_link_busy_fraction)
-           << ", \"relief_strategy\": \""
-           << trace::json_escape(r.relief_strategy)
-           << "\", \"relief_peak_reduction_bytes\": "
-           << r.relief_peak_reduction_bytes
-           << ", \"relief_overhead_ns\": " << r.relief_overhead_ns;
-        if (multi)
-            os << ", \"devices\": " << s.devices
-               << ", \"topology\": \""
-               << trace::json_escape(s.topology)
-               << "\", \"scaling_efficiency\": "
-               << format_fixed6(r.scaling_efficiency)
-               << ", \"interconnect_busy_fraction\": "
-               << format_fixed6(r.interconnect_busy_fraction)
-               << ", \"allreduce_time_ns\": " << r.allreduce_time_ns
-               << ", \"allreduce_stall_ns\": "
-               << r.allreduce_stall_ns;
-        if (serving)
-            os << ", \"mode\": \""
-               << runtime::session_mode_name(s.mode)
-               << "\", \"dtype\": \"" << dtype_name(s.dtype)
-               << "\", \"requests\": " << r.requests
-               << ", \"arrival\": \""
-               << runtime::arrival_kind_name(s.arrival)
-               << "\", \"latency_p50_ns\": " << r.latency_p50_ns
-               << ", \"latency_p90_ns\": " << r.latency_p90_ns
-               << ", \"latency_p99_ns\": " << r.latency_p99_ns
-               << ", \"latency_max_ns\": " << r.latency_max_ns;
-        os << "}"
-           << (i + 1 < report.results.size() ? "," : "") << "\n";
+        line = "    {";
+        for (const Column *c : columns) {
+            cell.clear();
+            const bool text = c->put(report.results[i], cell);
+            line.append(c == columns.front() ? "\"" : ", \"")
+                .append(c->name)
+                .append("\": ")
+                .append(text ? '"' + trace::json_escape(cell) + '"' : cell);
+        }
+        line += i + 1 < report.results.size() ? "},\n" : "}\n";
+        os << line;
     }
     os << "  ],\n  \"summary\": {\"scenarios\": "
        << report.results.size()
@@ -282,53 +343,44 @@ sweep_json_string(const SweepReport &report)
 void
 write_sweep_table(const SweepReport &report, std::ostream &os)
 {
-    const bool multi = any_multi_device(report);
-    const bool serving = any_inference(report);
+    const Shown shown(report);
     os << pad("scenario", 36) << pad("status", 8) << pad("peak", 12)
        << pad("reserved", 12) << pad("iter time", 12)
        << pad("ATI p50", 12) << pad("swap save", 12)
        << pad("meas save", 12) << pad("meas stall", 12)
-       << pad("relief", 10) << pad("relief save", 12);
-    if (multi)
-        os << pad("dp eff", 8);
-    if (serving)
-        os << pad("lat p50", 12) << pad("lat p99", 12);
-    os << "\n";
+       << pad("relief", 10) << pad("relief save", 12)
+       << (shown.multi ? pad("dp eff", 8) : "")
+       << (shown.serving ? pad("lat p50", 12) + pad("lat p99", 12) : "")
+       << "\n";
     for (const auto &r : report.results) {
-        os << pad(r.scenario.id(), 36)
+        // The trailing space keeps an id of 36+ characters apart
+        // from its status.
+        os << pad(r.scenario.id() + " ", 36)
            << pad(scenario_status_name(r.status), 8);
-        if (r.status == ScenarioStatus::kOk) {
-            os << pad(format_bytes(r.peak_total_bytes), 12)
-               << pad(format_bytes(r.peak_reserved_bytes), 12)
-               << pad(format_time(r.iteration_time), 12)
-               << pad(fmt_us(r.ati_median_us), 12)
-               << pad(format_bytes(r.swap_peak_reduction_bytes), 12)
-               << pad(format_bytes(
-                          r.swap_measured_peak_reduction_bytes),
-                      12)
-               << pad(format_time(r.swap_measured_stall_ns), 12)
-               << pad(r.relief_strategy.empty() ? "-"
-                                                : r.relief_strategy,
-                      10)
-               << pad(format_bytes(r.relief_peak_reduction_bytes),
-                      12);
-            if (multi) {
-                char eff[16];
-                std::snprintf(eff, sizeof eff, "%.3f",
-                              r.scaling_efficiency);
-                os << pad(eff, 8);
-            }
-            if (serving)
-                os << pad(r.requests > 0
-                              ? format_time(r.latency_p50_ns)
-                              : "-",
-                          12)
-                   << pad(r.requests > 0
-                              ? format_time(r.latency_p99_ns)
-                              : "-",
-                          12);
-        } else {
-            os << first_line(r.error);
+        if (r.status != ScenarioStatus::kOk) {
+            os << r.error.substr(0, r.error.find('\n')) << "\n";
+            continue;
+        }
+        char ati[32];
+        std::snprintf(ati, sizeof ati, "%.1f us", r.ati_median_us);
+        os << pad(format_bytes(r.peak_total_bytes), 12)
+           << pad(format_bytes(r.peak_reserved_bytes), 12)
+           << pad(format_time(r.iteration_time), 12) << pad(ati, 12)
+           << pad(format_bytes(r.swap_peak_reduction_bytes), 12)
+           << pad(format_bytes(r.swap_measured_peak_reduction_bytes), 12)
+           << pad(format_time(r.swap_measured_stall_ns), 12)
+           << pad(r.relief_strategy.empty() ? "-" : r.relief_strategy,
+                  10)
+           << pad(format_bytes(r.relief_peak_reduction_bytes), 12);
+        if (shown.multi) {
+            char eff[16];
+            std::snprintf(eff, sizeof eff, "%.3f", r.scaling_efficiency);
+            os << pad(eff, 8);
+        }
+        if (shown.serving) {
+            const bool served = r.requests > 0;
+            os << pad(served ? format_time(r.latency_p50_ns) : "-", 12)
+               << pad(served ? format_time(r.latency_p99_ns) : "-", 12);
         }
         os << "\n";
     }
@@ -345,236 +397,83 @@ write_sweep_table(const SweepReport &report, std::ostream &os)
 
 namespace {
 
-/** Backslash-escapes a record value so it stays on one line. */
-std::string
-escape_value(const std::string &s)
+/**
+ * The record's lines, in order: the scenario's spec, its status and
+ * its full error text, then the member columns in table order.
+ */
+const std::vector<Column> &
+record_columns()
 {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
+    static const std::vector<Column> columns = [] {
+        std::vector<Column> c = {
+            {"scenario", Group::kAlways,
+             [](const R &r, std::string &out) {
+                 out += r.scenario.to_string();
+                 return true;
+             },
+             [](R &r, const std::string &value) {
+                 static_cast<api::WorkloadSpec &>(r.scenario) =
+                     api::WorkloadSpec::from_string(value);
+             }},
+            {"status", Group::kAlways, &put_label<Label::kStatus>,
+             [](R &r, const std::string &value) {
+                 for (ScenarioStatus s :
+                      {ScenarioStatus::kOom, ScenarioStatus::kError})
+                     if (value == scenario_status_name(s))
+                         r.status = s;
+             }},
+            member<&R::error>("error"),
+        };
+        for (const Column &m : kColumns)
+            if (m.get)
+                c.push_back(m);
+        return c;
+    }();
+    return columns;
+}
+
+/**
+ * Appends column @p c's record line for @p r: "name=value", the
+ * value backslash-escaped so that it stays on one line.
+ */
+void
+append_line(std::string &out, const Column &c, const R &r)
+{
+    out.append(c.name) += '=';
+    const std::size_t at = out.size();
+    if (!c.put(r, out))
+        return;  // a number needs no escaping
+    const std::string value = out.substr(at);
+    out.resize(at);
+    for (char ch : value) {
+        switch (ch) {
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
-          default: out += c;
+          default: out += ch;
         }
     }
-    return out;
 }
 
-/** Inverse of escape_value. @throws Error on a malformed escape. */
+/**
+ * Undoes append_line's escaping. A stray or unknown escape decodes
+ * to bytes that re-encode differently, which the decoder rejects.
+ */
 std::string
-unescape_value(const std::string &s)
+unescape(std::string s)
 {
+    if (s.find('\\') == std::string::npos)
+        return s;
     std::string out;
-    out.reserve(s.size());
     for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\') {
-            out += s[i];
-            continue;
+        char c = s[i];
+        if (c == '\\' && i + 1 < s.size()) {
+            c = s[++i];
+            c = c == 'n' ? '\n' : c == 'r' ? '\r' : c;
         }
-        PP_CHECK(i + 1 < s.size(),
-                 "record value ends mid-escape: '" << s << "'");
-        const char c = s[++i];
-        switch (c) {
-          case '\\': out += '\\'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          default:
-              PP_CHECK(false,
-                       "unknown record escape '\\" << c << "'");
-        }
+        out += c;
     }
     return out;
-}
-
-/** One codec field: its name plus encode/decode closures. */
-struct RecordField {
-    const char *name;
-    std::function<std::string(const ScenarioResult &)> encode;
-    std::function<void(ScenarioResult &, const std::string &)>
-        decode;
-};
-
-/** Unsigned integral member (std::size_t, std::uint64_t, TimeNs). */
-template <class T>
-RecordField
-uint_field(const char *name, T ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return std::to_string(r.*member);
-            },
-            [name, member](ScenarioResult &r, const std::string &v) {
-                std::uint64_t parsed = 0;
-                PP_CHECK(parse_uint64(v, parsed),
-                         "record field " << name
-                                         << " is not an unsigned"
-                                            " integer: '"
-                                         << v << "'");
-                r.*member = static_cast<T>(parsed);
-            }};
-}
-
-/** Signed int member. */
-RecordField
-int_field(const char *name, int ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return std::to_string(r.*member);
-            },
-            [name, member](ScenarioResult &r, const std::string &v) {
-                int parsed = 0;
-                PP_CHECK(parse_int(v, parsed),
-                         "record field "
-                             << name << " is not an integer: '" << v
-                             << "'");
-                r.*member = parsed;
-            }};
-}
-
-/**
- * Double member, rendered with format_fixed6 — the exporters' own
- * format, so a decoded result exports byte-identically.
- */
-RecordField
-dbl_field(const char *name, double ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return format_fixed6(r.*member);
-            },
-            [name, member](ScenarioResult &r, const std::string &v) {
-                double parsed = 0.0;
-                PP_CHECK(parse_double(v, parsed),
-                         "record field " << name
-                                         << " is not a number: '"
-                                         << v << "'");
-                r.*member = parsed;
-            }};
-}
-
-/** Free-form string member (escaped to stay on one line). */
-RecordField
-str_field(const char *name, std::string ScenarioResult::*member)
-{
-    return {name,
-            [member](const ScenarioResult &r) {
-                return escape_value(r.*member);
-            },
-            [member](ScenarioResult &r, const std::string &v) {
-                r.*member = unescape_value(v);
-            }};
-}
-
-/**
- * The canonical field table — the single place that knows how a
- * ScenarioResult becomes text. Order is the record line order and
- * feeds the schema salt; append, remove, or rename a field and
- * every on-disk record is retired by the salt change.
- */
-const std::vector<RecordField> &
-record_fields()
-{
-    static const std::vector<RecordField> fields = [] {
-        using R = ScenarioResult;
-        std::vector<RecordField> f;
-        f.push_back({"scenario",
-                     [](const R &r) {
-                         return escape_value(r.scenario.to_string());
-                     },
-                     [](R &r, const std::string &v) {
-                         static_cast<api::WorkloadSpec &>(
-                             r.scenario) =
-                             api::WorkloadSpec::from_string(
-                                 unescape_value(v));
-                     }});
-        f.push_back({"status",
-                     [](const R &r) {
-                         return std::string(
-                             scenario_status_name(r.status));
-                     },
-                     [](R &r, const std::string &v) {
-                         for (ScenarioStatus s :
-                              {ScenarioStatus::kOk,
-                               ScenarioStatus::kOom,
-                               ScenarioStatus::kError}) {
-                             if (v == scenario_status_name(s)) {
-                                 r.status = s;
-                                 return;
-                             }
-                         }
-                         PP_CHECK(false, "unknown scenario status '"
-                                             << v << "'");
-                     }});
-        f.push_back(str_field("error", &R::error));
-        f.push_back(
-            uint_field("peak_total_bytes", &R::peak_total_bytes));
-        f.push_back(
-            uint_field("peak_input_bytes", &R::peak_input_bytes));
-        f.push_back(uint_field("peak_parameter_bytes",
-                               &R::peak_parameter_bytes));
-        f.push_back(uint_field("peak_intermediate_bytes",
-                               &R::peak_intermediate_bytes));
-        f.push_back(uint_field("peak_reserved_bytes",
-                               &R::peak_reserved_bytes));
-        f.push_back(dbl_field("device_fragmentation",
-                              &R::device_fragmentation));
-        f.push_back(
-            uint_field("iteration_time_ns", &R::iteration_time));
-        f.push_back(uint_field("end_time_ns", &R::end_time));
-        f.push_back(uint_field("alloc_count", &R::alloc_count));
-        f.push_back(
-            uint_field("cache_hit_count", &R::cache_hit_count));
-        f.push_back(uint_field("device_alloc_count",
-                               &R::device_alloc_count));
-        f.push_back(uint_field("event_count", &R::event_count));
-        f.push_back(uint_field("ati_count", &R::ati_count));
-        f.push_back(dbl_field("ati_median_us", &R::ati_median_us));
-        f.push_back(dbl_field("ati_p90_us", &R::ati_p90_us));
-        f.push_back(dbl_field("ati_max_us", &R::ati_max_us));
-        f.push_back(
-            uint_field("swap_decisions", &R::swap_decisions));
-        f.push_back(uint_field("swap_peak_reduction_bytes",
-                               &R::swap_peak_reduction_bytes));
-        f.push_back(
-            uint_field("swap_total_bytes", &R::swap_total_bytes));
-        f.push_back(
-            uint_field("swap_measured_peak_reduction_bytes",
-                       &R::swap_measured_peak_reduction_bytes));
-        f.push_back(uint_field("swap_predicted_stall_ns",
-                               &R::swap_predicted_stall_ns));
-        f.push_back(uint_field("swap_measured_stall_ns",
-                               &R::swap_measured_stall_ns));
-        f.push_back(dbl_field("swap_link_busy_fraction",
-                              &R::swap_link_busy_fraction));
-        f.push_back(dbl_field("scaling_efficiency",
-                              &R::scaling_efficiency));
-        f.push_back(dbl_field("interconnect_busy_fraction",
-                              &R::interconnect_busy_fraction));
-        f.push_back(
-            uint_field("allreduce_time_ns", &R::allreduce_time_ns));
-        f.push_back(uint_field("allreduce_stall_ns",
-                               &R::allreduce_stall_ns));
-        f.push_back(int_field("requests", &R::requests));
-        f.push_back(
-            uint_field("latency_p50_ns", &R::latency_p50_ns));
-        f.push_back(
-            uint_field("latency_p90_ns", &R::latency_p90_ns));
-        f.push_back(
-            uint_field("latency_p99_ns", &R::latency_p99_ns));
-        f.push_back(
-            uint_field("latency_max_ns", &R::latency_max_ns));
-        f.push_back(
-            str_field("relief_strategy", &R::relief_strategy));
-        f.push_back(uint_field("relief_peak_reduction_bytes",
-                               &R::relief_peak_reduction_bytes));
-        f.push_back(
-            uint_field("relief_overhead_ns", &R::relief_overhead_ns));
-        return f;
-    }();
-    return fields;
 }
 
 }  // namespace
@@ -582,26 +481,27 @@ record_fields()
 std::size_t
 result_record_lines()
 {
-    return record_fields().size();
+    return record_columns().size();
 }
 
 std::string
 result_schema_salt()
 {
-    std::uint64_t h = kFnv1aOffset;
-    for (const auto &f : record_fields())
-        h = fnv1a64(std::string(f.name) + "\n", h);
-    return to_hex16(h);
+    static const std::string salt = [] {
+        std::uint64_t h = kFnv1aOffset;
+        for (const Column &c : record_columns())
+            h = fnv1a64(std::string(c.name) + "\n", h);
+        return to_hex16(h);
+    }();
+    return salt;
 }
 
 std::string
 encode_result_record(const ScenarioResult &result)
 {
     std::string out;
-    for (const auto &f : record_fields()) {
-        out += f.name;
-        out += '=';
-        out += f.encode(result);
+    for (const Column &c : record_columns()) {
+        append_line(out, c, result);
         out += '\n';
     }
     return out;
@@ -611,23 +511,29 @@ ScenarioResult
 decode_result_record(const std::vector<std::string> &lines,
                      std::size_t first)
 {
-    const auto &fields = record_fields();
+    const auto &columns = record_columns();
     PP_CHECK(first <= lines.size() &&
-                 fields.size() <= lines.size() - first,
-             "record truncated: need " << fields.size()
+                 columns.size() <= lines.size() - first,
+             "record truncated: need " << columns.size()
                                        << " lines, have "
                                        << lines.size() - first);
     ScenarioResult result;
-    for (std::size_t i = 0; i < fields.size(); ++i) {
-        const RecordField &f = fields[i];
+    std::string again;
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+        const Column &c = columns[i];
         const std::string &line = lines[first + i];
-        const std::size_t name_len = std::strlen(f.name);
-        PP_CHECK(line.size() > name_len &&
-                     line.compare(0, name_len, f.name) == 0 &&
-                     line[name_len] == '=',
-                 "record line " << i << " is not '" << f.name
-                                << "=...': '" << line << "'");
-        f.decode(result, line.substr(name_len + 1));
+        const std::size_t name_len = std::strlen(c.name);
+        c.get(result, unescape(line.substr(
+                          std::min(name_len + 1, line.size()))));
+        // The one check: the line must re-encode to its own bytes. A
+        // wrong name, an unknown status, a number that does not
+        // parse or parses but re-encodes differently ("007", "1e3",
+        // "-0", "nan"), and a bad escape all fail it.
+        again.clear();
+        append_line(again, c, result);
+        PP_CHECK(again == line, "record line " << i << " is not '"
+                                               << again << "': '" << line
+                                               << "'");
     }
     return result;
 }

@@ -48,16 +48,17 @@ void write_sweep_table(const SweepReport &report, std::ostream &os);
 // --- ScenarioResult record codec ---------------------------------
 //
 // The one serialization of a ScenarioResult, written by the result
-// cache (sharded sweeps included). A record is result_record_lines()
-// text lines, each "field=value" in a fixed field order; values are
-// rendered with the same locale-independent formatting the CSV/JSON
-// exporters use (format_fixed6 for doubles), so a result that
-// round-trips through the codec exports byte-identically to one that
-// never left memory. Every on-disk consumer stamps
-// result_schema_salt() next to its records: the salt hashes the
-// field-name list, so adding, removing, or reordering a field
-// changes the salt and retires every stale record at once instead
-// of silently mis-decoding it.
+// cache (sharded sweeps included). It walks the same column table as
+// the CSV and JSON exporters: a record is result_record_lines() text
+// lines, "name=value" each, holding the scenario's spec, its status
+// and its full error text, then every ScenarioResult member column
+// in export order. Values use the exporters' own formatting
+// (format_fixed6 for doubles), so a result that round-trips through
+// the codec exports byte-identically to one that never left memory.
+// Every on-disk consumer stamps result_schema_salt() next to its
+// records: the salt hashes the line-name list, so adding, removing,
+// renaming or reordering a column changes the salt and retires every
+// stale record at once instead of silently mis-decoding it.
 
 /** @return lines per encoded record (one per field). */
 std::size_t result_record_lines();
@@ -74,7 +75,9 @@ std::string encode_result_record(const ScenarioResult &result);
 
 /**
  * Decodes a record from @p lines starting at @p first. Strict: every
- * field must be present, in order, with a parseable value.
+ * line must be present, in order, and re-encode to exactly its own
+ * bytes, so only what encode_result_record writes decodes (no "007",
+ * "1e3", "-0" or "nan").
  * @throws Error on any mismatch (the cache degrades it to a miss).
  */
 ScenarioResult

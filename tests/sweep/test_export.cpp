@@ -5,11 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
+#include "core/dtype.h"
 #include "sweep/driver.h"
 #include "sweep/export.h"
 
@@ -151,6 +154,24 @@ TEST(SweepExport, TableHasOneRowPerScenario)
               std::string::npos);
 }
 
+TEST(SweepExport, TableKeepsALongIdApartFromItsStatus)
+{
+    SweepReport report;
+    ScenarioResult r;
+    r.scenario.model = "mlp";
+    r.scenario.batch = 16;
+    r.scenario.devices = 2;
+    r.scenario.topology = "nvlink";
+    r.scenario.dtype = DType::kF16;
+    report.results.push_back(r);
+    const std::string id = r.scenario.id();
+    ASSERT_EQ(id, "mlp/b16/caching/titan-x/dp2/nvlink/f16");
+    ASSERT_GE(id.size(), 36u);
+    std::ostringstream os;
+    write_sweep_table(report, os);
+    EXPECT_EQ(line(os.str(), 1).substr(0, id.size() + 3), id + " ok");
+}
+
 TEST(SweepExport, FileWritersRejectBadPaths)
 {
     const auto report = tiny_report();
@@ -266,6 +287,17 @@ TEST(ResultRecordCodec, SaltIsStableHex16)
     EXPECT_EQ(salt, result_schema_salt());
 }
 
+/** @return @p lines with the value of line "<name>=" replaced. */
+std::vector<std::string>
+with_value(std::vector<std::string> lines, const std::string &name,
+           const std::string &value)
+{
+    for (auto &l : lines)
+        if (l.rfind(name + "=", 0) == 0)
+            l = name + "=" + value;
+    return lines;
+}
+
 TEST(ResultRecordCodec, DecodeRejectsTamperedRecords)
 {
     const auto lines =
@@ -286,6 +318,108 @@ TEST(ResultRecordCodec, DecodeRejectsTamperedRecords)
     auto bad_status = lines;
     bad_status[1] = "status=meh";
     EXPECT_THROW(decode_result_record(bad_status, 0), Error);
+
+    // Values that parse but re-encode to other bytes, non-finite
+    // doubles, and escapes the encoder never writes.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"peak_total_bytes", "007"},
+        {"peak_total_bytes", "+7"},
+        {"device_fragmentation", "1e3"},
+        {"device_fragmentation", "0x10"},
+        {"device_fragmentation", "0.25"},
+        {"device_fragmentation", "nan"},
+        {"device_fragmentation", "inf"},
+        {"device_fragmentation", "-inf"},
+        {"requests", "-0"},
+        {"requests", "021"},
+        {"error", "bad \\q escape"},
+        {"error", "trailing \\"},
+        {"error", "raw \r return"},
+    };
+    for (const auto &[name, value] : bad)
+        EXPECT_THROW(
+            decode_result_record(with_value(lines, name, value), 0),
+            Error)
+            << name << "=" << value;
+    // The canonical spelling of a changed value still decodes.
+    EXPECT_EQ(decode_result_record(with_value(lines, "requests", "0"), 0)
+                  .requests,
+              0);
+}
+
+/** Records of the grid the sweep_groups golden fixtures pin. */
+std::vector<std::vector<std::string>>
+golden_grid_records()
+{
+    SweepGrid grid;
+    grid.models = {"mlp", "resnet18"};
+    grid.batches = {16};
+    grid.allocators = {runtime::AllocatorKind::kCaching};
+    grid.device_presets = {"titan-x", "tiny"};
+    grid.device_counts = {1, 2};
+    grid.topologies = {"nvlink"};
+    grid.dtypes = {DType::kF32, DType::kF16};
+    grid.iterations = 2;
+    std::vector<std::vector<std::string>> records;
+    for (const auto &r : run_sweep(grid).results)
+        records.push_back(split_lines(encode_result_record(r)));
+    records.push_back(
+        split_lines(encode_result_record(distinctive_result())));
+    return records;
+}
+
+TEST(ResultRecordCodec, MutantsThrowOrDecodeToTheirOwnBytes)
+{
+    const auto records = golden_grid_records();
+    ASSERT_EQ(records.size(), 17u);
+    std::mt19937_64 rng(0x5eed18);
+    const auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const std::string inserts = "0+-.eEx";
+    std::size_t decoded = 0;
+    std::size_t rejected = 0;
+    std::vector<std::string> lines;  // reused: assignment keeps buffers
+    for (int k = 0; k < 20000; ++k) {
+        lines = records[pick(records.size())];
+        std::string &victim = lines[pick(lines.size())];
+        switch (pick(5)) {
+          case 0:  // flip one byte
+              if (!victim.empty())
+                  victim[pick(victim.size())] ^=
+                      static_cast<char>(1 + pick(255));
+              break;
+          case 1:  // truncate one line
+              victim.resize(pick(victim.size() + 1));
+              break;
+          case 2:  // duplicate one line in place
+              lines.insert(lines.begin() + pick(lines.size()),
+                           lines[pick(lines.size())]);
+              break;
+          case 3:  // drop the tail of the record
+              lines.resize(pick(lines.size()));
+              break;
+          default:  // insert a number-ish character
+              victim.insert(victim.begin() + pick(victim.size() + 1),
+                            inserts[pick(inserts.size())]);
+        }
+        ScenarioResult result;
+        try {
+            result = decode_result_record(lines, 0);
+        } catch (const Error &) {
+            ++rejected;
+            continue;
+        }
+        std::string own;
+        for (std::size_t i = 0; i < result_record_lines(); ++i)
+            own += lines[i] + "\n";
+        ASSERT_EQ(encode_result_record(result), own) << "mutant " << k;
+        ++decoded;
+    }
+    // Both outcomes are common: the mutants neither all break a line
+    // name nor all leave the record canonical.
+    EXPECT_GT(decoded, 100u);
+    EXPECT_GT(rejected, 10000u);
 }
 
 }  // namespace
