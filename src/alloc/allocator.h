@@ -21,7 +21,11 @@ namespace alloc {
  * draws one rectangle for.
  */
 struct Block {
-    /** Monotonically increasing id; never reused across lifetimes. */
+    /**
+     * Dense id: an allocator's n-th successful allocate() returns id
+     * n - 1, so per-block state lives in vectors indexed by id. Never
+     * reused across lifetimes.
+     */
     BlockId id = kInvalidBlock;
     /** Base device address of the block. */
     DevPtr ptr = kNullDevPtr;
@@ -90,9 +94,6 @@ class Allocator
      * @throws Error if @p id is not a live block of this allocator.
      */
     virtual void deallocate(BlockId id) = 0;
-
-    /** @return the live Block with id @p id. */
-    virtual const Block &block(BlockId id) const = 0;
 
     /** @return running counters. */
     virtual const AllocatorStats &stats() const = 0;

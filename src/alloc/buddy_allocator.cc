@@ -111,16 +111,12 @@ BuddyAllocator::allocate(std::size_t bytes)
         ++stats_.split_count;
     }
 
-    LiveBlock lb;
-    lb.offset = offset;
-    lb.order = order;
-    lb.pub.id = next_id_++;
-    lb.pub.ptr = arena_base_ + offset;
-    lb.pub.size = std::size_t(1) << order;
-    lb.pub.requested = bytes;
-    const Block pub = lb.pub;
-    live_offsets_.emplace(offset, order);
-    live_.emplace(pub.id, std::move(lb));
+    Block pub;
+    pub.id = blocks_.size();
+    pub.ptr = arena_base_ + offset;
+    pub.size = std::size_t(1) << order;
+    pub.requested = bytes;
+    blocks_.push_back({offset, order});
 
     ++stats_.alloc_count;
     ++stats_.cache_hit_count;  // arena ops never touch the driver
@@ -134,13 +130,12 @@ BuddyAllocator::allocate(std::size_t bytes)
 void
 BuddyAllocator::deallocate(BlockId id)
 {
-    auto it = live_.find(id);
-    PP_CHECK(it != live_.end(), "deallocate of unknown block " << id);
-    std::size_t offset = it->second.offset;
-    int order = it->second.order;
-    const std::size_t size = it->second.pub.size;
-    live_offsets_.erase(offset);
-    live_.erase(it);
+    PP_CHECK(id < blocks_.size() && blocks_[id].order >= 0,
+             "deallocate of unknown block " << id);
+    std::size_t offset = blocks_[id].offset;
+    int order = blocks_[id].order;
+    const std::size_t size = std::size_t(1) << order;
+    blocks_[id].order = -1;
 
     // Coalesce with free buddies as far up as possible.
     while (order < max_order_) {
@@ -160,14 +155,6 @@ BuddyAllocator::deallocate(BlockId id)
     stats_.allocated_bytes -= size;
     ++stats_.free_count;
     clock_.advance(kOpCostNs);
-}
-
-const Block &
-BuddyAllocator::block(BlockId id) const
-{
-    auto it = live_.find(id);
-    PP_CHECK(it != live_.end(), "unknown block " << id);
-    return it->second.pub;
 }
 
 void
@@ -194,15 +181,16 @@ BuddyAllocator::check_invariants() const
         }
     }
     std::size_t live_bytes = 0;
-    for (const auto &[id, lb] : live_) {
-        PP_ASSERT(lb.offset % lb.pub.size == 0,
-                  "misaligned live block");
-        PP_ASSERT(live_offsets_.count(lb.offset),
-                  "live offset index out of sync");
-        live_bytes += lb.pub.size;
+    std::size_t live = 0;
+    for (const Placement &p : blocks_) {
+        if (p.order < 0)
+            continue;
+        const std::size_t size = std::size_t(1) << p.order;
+        PP_ASSERT(p.offset % size == 0, "misaligned live block");
+        live_bytes += size;
+        ++live;
     }
-    PP_ASSERT(live_offsets_.size() == live_.size(),
-              "live offset index size mismatch");
+    PP_ASSERT(live == live_blocks(), "live block table drifted");
     PP_ASSERT(free_bytes + live_bytes == arena_size_,
               "arena bytes unaccounted: free " << free_bytes
               << " + live " << live_bytes << " != " << arena_size_);

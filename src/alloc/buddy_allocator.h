@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -51,10 +50,12 @@ class BuddyAllocator : public Allocator
 
     Block allocate(std::size_t bytes) override;
     void deallocate(BlockId id) override;
-    const Block &block(BlockId id) const override;
     const AllocatorStats &stats() const override { return stats_; }
     std::string name() const override { return "buddy"; }
-    std::size_t live_blocks() const override { return live_.size(); }
+    std::size_t live_blocks() const override
+    {
+        return stats_.alloc_count - stats_.free_count;
+    }
 
     /** @return the arena size in bytes. */
     std::size_t arena_bytes() const { return arena_size_; }
@@ -79,7 +80,6 @@ class BuddyAllocator : public Allocator
     sim::VirtualClock &clock_;
     const sim::CostModel &cost_;
     AllocatorStats stats_;
-    BlockId next_id_ = 0;
 
     DevPtr arena_base_ = kNullDevPtr;
     std::size_t arena_size_ = 0;
@@ -87,15 +87,13 @@ class BuddyAllocator : public Allocator
 
     /** Free block offsets per order. */
     std::vector<std::set<std::size_t>> free_lists_;
-    /** Live block id → (offset, order). */
-    struct LiveBlock {
-        std::size_t offset;
-        int order;
-        Block pub;
+    /** Arena placement of one block; order < 0 once freed. */
+    struct Placement {
+        std::size_t offset = 0;
+        int order = -1;
     };
-    std::unordered_map<BlockId, LiveBlock> live_;
-    /** Offsets of live blocks, for buddy-state lookups. */
-    std::unordered_map<std::size_t, int> live_offsets_;
+    /** Placement of every block by id (ids are dense). */
+    std::vector<Placement> blocks_;
 
     static constexpr TimeNs kOpCostNs = 300;
 };

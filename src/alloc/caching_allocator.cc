@@ -75,8 +75,45 @@ CachingAllocator::take_free_node(Pool &pool, std::size_t rounded)
     if (it == pool.end())
         return nullptr;
     Node *node = *it;
-    pool.erase(it);
+    spare_pool_nodes_.push_back(pool.extract(it));
     return node;
+}
+
+void
+CachingAllocator::pool_insert(Node *node)
+{
+    Pool &pool = pool_of(*node);
+    if (spare_pool_nodes_.empty()) {
+        pool.insert(node);
+        return;
+    }
+    Pool::node_type handle = std::move(spare_pool_nodes_.back());
+    spare_pool_nodes_.pop_back();
+    handle.value() = node;
+    pool.insert(std::move(handle));
+}
+
+void
+CachingAllocator::pool_erase(Node *node)
+{
+    spare_pool_nodes_.push_back(pool_of(*node).extract(node));
+}
+
+CachingAllocator::Node *
+CachingAllocator::new_node()
+{
+    if (spare_nodes_.empty())
+        return &node_store_.emplace_back();
+    Node *node = spare_nodes_.back();
+    spare_nodes_.pop_back();
+    *node = Node{};
+    return node;
+}
+
+void
+CachingAllocator::retire_node(Node *node)
+{
+    spare_nodes_.push_back(node);
 }
 
 CachingAllocator::Node *
@@ -99,15 +136,14 @@ CachingAllocator::allocate_segment(std::size_t rounded)
     stats_.peak_reserved_bytes =
         std::max(stats_.peak_reserved_bytes, stats_.reserved_bytes);
 
-    auto node = std::make_unique<Node>();
+    Node *node = new_node();
     node->ptr = base;
     node->size = seg_size;
     node->is_small_pool = rounded <= kSmallSize;
     node->segment_base = base;
     node->segment_size = seg_size;
-    Node *raw = node.get();
-    nodes_.emplace(base, std::move(node));
-    return raw;
+    segments_.emplace(base, node);
+    return node;
 }
 
 bool
@@ -125,7 +161,7 @@ CachingAllocator::maybe_split(Node *node, std::size_t rounded)
     if (node->size == rounded || !should_split(*node, rounded))
         return;
 
-    auto rest = std::make_unique<Node>();
+    Node *rest = new_node();
     rest->ptr = node->ptr + rounded;
     rest->size = node->size - rounded;
     rest->allocated = false;
@@ -135,12 +171,11 @@ CachingAllocator::maybe_split(Node *node, std::size_t rounded)
     rest->prev = node;
     rest->next = node->next;
     if (node->next)
-        node->next->prev = rest.get();
-    node->next = rest.get();
+        node->next->prev = rest;
+    node->next = rest;
     node->size = rounded;
 
-    pool_of(*rest).insert(rest.get());
-    nodes_.emplace(rest->ptr, std::move(rest));
+    pool_insert(rest);
     ++stats_.split_count;
 }
 
@@ -162,12 +197,11 @@ CachingAllocator::allocate(std::size_t bytes)
     node->allocated = true;
 
     Block b;
-    b.id = next_id_++;
+    b.id = live_nodes_.size();
     b.ptr = node->ptr;
     b.size = node->size;
     b.requested = bytes;
-    live_nodes_.emplace(b.id, node);
-    live_.emplace(b.id, b);
+    live_nodes_.push_back(node);
 
     ++stats_.alloc_count;
     stats_.allocated_bytes += node->size;
@@ -185,13 +219,13 @@ CachingAllocator::merge_with(Node *node, Node *neighbor)
     PP_ASSERT(first->ptr + first->size == second->ptr,
               "merge candidates are not adjacent");
 
-    pool_of(*neighbor).erase(neighbor);
+    pool_erase(neighbor);
 
     first->size += second->size;
     first->next = second->next;
     if (second->next)
         second->next->prev = first;
-    nodes_.erase(second->ptr);
+    retire_node(second);
     ++stats_.merge_count;
     return first;
 }
@@ -199,32 +233,22 @@ CachingAllocator::merge_with(Node *node, Node *neighbor)
 void
 CachingAllocator::deallocate(BlockId id)
 {
-    auto it = live_nodes_.find(id);
-    PP_CHECK(it != live_nodes_.end(),
+    PP_CHECK(id < live_nodes_.size() && live_nodes_[id] != nullptr,
              "deallocate of unknown block " << id);
-    Node *node = it->second;
+    Node *node = live_nodes_[id];
     const std::size_t size = node->size;
-    live_nodes_.erase(it);
-    live_.erase(id);
+    live_nodes_[id] = nullptr;
 
     node->allocated = false;
     if (node->prev && !node->prev->allocated)
         node = merge_with(node, node->prev);
     if (node->next && !node->next->allocated)
         node = merge_with(node, node->next);
-    pool_of(*node).insert(node);
+    pool_insert(node);
 
     stats_.allocated_bytes -= size;
     ++stats_.free_count;
     clock_.advance(kCacheFreeCostNs);
-}
-
-const Block &
-CachingAllocator::block(BlockId id) const
-{
-    auto it = live_.find(id);
-    PP_CHECK(it != live_.end(), "unknown block " << id);
-    return it->second;
 }
 
 std::size_t
@@ -241,13 +265,14 @@ CachingAllocator::release_cached_segments()
                 ++it;
                 continue;
             }
-            it = pool->erase(it);
+            spare_pool_nodes_.push_back(pool->extract(it++));
             device_.free(node->segment_base);
             clock_.advance(cost_.cuda_free_time());
             released += node->size;
             stats_.reserved_bytes -= node->size;
             ++stats_.device_free_count;
-            nodes_.erase(node->ptr);
+            segments_.erase(node->segment_base);
+            retire_node(node);
         }
     }
     return released;
@@ -263,14 +288,12 @@ std::vector<SegmentInfo>
 CachingAllocator::segments() const
 {
     std::vector<SegmentInfo> out;
-    for (const auto &[ptr, node] : nodes_) {
-        if (node->ptr != node->segment_base)
-            continue;  // not a segment head
+    for (const auto &[base, head] : segments_) {
         SegmentInfo seg;
-        seg.base = node->segment_base;
-        seg.size = node->segment_size;
-        seg.is_small_pool = node->is_small_pool;
-        for (const Node *n = node.get(); n; n = n->next)
+        seg.base = base;
+        seg.size = head->segment_size;
+        seg.is_small_pool = head->is_small_pool;
+        for (const Node *n = head; n; n = n->next)
             seg.blocks.push_back({n->ptr, n->size, n->allocated});
         out.push_back(std::move(seg));
     }
@@ -282,33 +305,59 @@ CachingAllocator::check_invariants() const
 {
     std::size_t allocated = 0;
     std::size_t reserved = 0;
-    for (const auto &[ptr, node] : nodes_) {
-        PP_ASSERT(node->ptr == ptr, "node map key mismatch");
-        if (node->next) {
-            PP_ASSERT(node->next->prev == node.get(),
-                      "asymmetric next/prev links");
-            PP_ASSERT(node->ptr + node->size == node->next->ptr,
-                      "gap or overlap between adjacent nodes");
-            PP_ASSERT(node->segment_base == node->next->segment_base,
-                      "next link crosses a segment boundary");
-            PP_ASSERT(!(!node->allocated && !node->next->allocated),
-                      "two adjacent free nodes were not merged");
+    std::size_t allocated_nodes = 0;
+    std::size_t free_nodes = 0;
+    for (const auto &[base, head] : segments_) {
+        PP_ASSERT(head->ptr == base && head->segment_base == base &&
+                      !head->prev,
+                  "segment table does not point at a segment head");
+        reserved += head->segment_size;
+        std::size_t covered = 0;
+        for (const Node *node = head; node; node = node->next) {
+            covered += node->size;
+            if (node->next) {
+                PP_ASSERT(node->next->prev == node,
+                          "asymmetric next/prev links");
+                PP_ASSERT(node->ptr + node->size == node->next->ptr,
+                          "gap or overlap between adjacent nodes");
+                PP_ASSERT(node->segment_base ==
+                              node->next->segment_base,
+                          "next link crosses a segment boundary");
+                PP_ASSERT(!(!node->allocated && !node->next->allocated),
+                          "two adjacent free nodes were not merged");
+            }
+            if (node->allocated) {
+                allocated += node->size;
+                ++allocated_nodes;
+            } else {
+                ++free_nodes;
+            }
+            const bool in_pool =
+                pool_of(*node).count(const_cast<Node *>(node)) > 0;
+            PP_ASSERT(node->allocated != in_pool,
+                      "free-pool membership must equal !allocated");
         }
-        if (node->allocated)
-            allocated += node->size;
-        if (node->ptr == node->segment_base) {
-            reserved += node->segment_size;
-            std::size_t covered = 0;
-            for (const Node *n = node.get(); n; n = n->next)
-                covered += n->size;
-            PP_ASSERT(covered == node->segment_size,
-                      "segment nodes do not cover the segment");
-        }
-        const bool in_pool =
-            pool_of(*node).count(const_cast<Node *>(node.get())) > 0;
-        PP_ASSERT(node->allocated != in_pool,
-                  "free-pool membership must equal !allocated");
+        PP_ASSERT(covered == head->segment_size,
+                  "segment nodes do not cover the segment");
     }
+    // Every pooled node was reached from a segment, so no spare
+    // (recycled) node is still pooled or linked.
+    PP_ASSERT(free_nodes == small_pool_.size() + large_pool_.size(),
+              "a pool holds a node no segment reaches");
+    PP_ASSERT(node_store_.size() ==
+                  allocated_nodes + free_nodes + spare_nodes_.size(),
+              "node store holds a node that is neither linked nor "
+              "spare");
+    std::size_t live = 0;
+    for (const Node *node : live_nodes_) {
+        if (!node)
+            continue;
+        PP_ASSERT(node->allocated, "live block maps to a free node");
+        ++live;
+    }
+    PP_ASSERT(live == allocated_nodes && live == live_blocks(),
+              "live block table drifted: " << live << " entries, "
+              << allocated_nodes << " allocated nodes");
     PP_ASSERT(allocated == stats_.allocated_bytes,
               "allocated_bytes stat drifted: walked " << allocated
               << " stat " << stats_.allocated_bytes);

@@ -11,10 +11,9 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <map>
-#include <memory>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -77,10 +76,12 @@ class CachingAllocator : public Allocator
 
     Block allocate(std::size_t bytes) override;
     void deallocate(BlockId id) override;
-    const Block &block(BlockId id) const override;
     const AllocatorStats &stats() const override { return stats_; }
     std::string name() const override { return "caching"; }
-    std::size_t live_blocks() const override { return live_.size(); }
+    std::size_t live_blocks() const override
+    {
+        return stats_.alloc_count - stats_.free_count;
+    }
 
     /** Releases every completely-free cached segment to the device. */
     void empty_cache() override;
@@ -96,8 +97,9 @@ class CachingAllocator : public Allocator
 
     /**
      * Validates internal invariants (segment coverage, link
-     * symmetry, pool membership, stat consistency). Used by the
-     * property-based tests; aborts on violation.
+     * symmetry, pool membership, live-table consistency, stat
+     * consistency). Used by the property-based tests; aborts on
+     * violation.
      */
     void check_invariants() const;
 
@@ -135,6 +137,18 @@ class CachingAllocator : public Allocator
     /** Best-fit lookup; removes and returns the node, or nullptr. */
     Node *take_free_node(Pool &pool, std::size_t rounded);
 
+    /** Adds @p node to its pool, reusing a spare set node. */
+    void pool_insert(Node *node);
+
+    /** Removes @p node from its pool, keeping the set node spare. */
+    void pool_erase(Node *node);
+
+    /** @return a fresh node, recycled when one is spare. */
+    Node *new_node();
+
+    /** Returns @p node to the spare list. */
+    void retire_node(Node *node);
+
     /** Allocates a fresh segment node from the device. */
     Node *allocate_segment(std::size_t rounded);
 
@@ -153,15 +167,22 @@ class CachingAllocator : public Allocator
     sim::VirtualClock &clock_;
     const sim::CostModel &cost_;
     AllocatorStats stats_;
-    BlockId next_id_ = 0;
 
     Pool small_pool_;
     Pool large_pool_;
-    /** Every node, owned, keyed by base pointer (non-overlapping). */
-    std::map<DevPtr, std::unique_ptr<Node>> nodes_;
-    /** Live block id → node and public descriptor. */
-    std::unordered_map<BlockId, Node *> live_nodes_;
-    std::unordered_map<BlockId, Block> live_;
+    /**
+     * Owns every node, live or spare; a deque so node addresses stay
+     * put as it grows. Split and merge recycle nodes and pool set
+     * nodes through the spare lists, so a warm cache allocates
+     * nothing per allocate or deallocate.
+     */
+    std::deque<Node> node_store_;
+    std::vector<Node *> spare_nodes_;
+    std::vector<Pool::node_type> spare_pool_nodes_;
+    /** Segment head node by segment base (one entry per cudaMalloc). */
+    std::map<DevPtr, Node *> segments_;
+    /** Node of each block id (ids are dense); nullptr once freed. */
+    std::vector<Node *> live_nodes_;
 
     /** Modeled cost of a cache-hit allocation (list manipulation). */
     static constexpr TimeNs kCacheHitCostNs = 800;

@@ -25,11 +25,11 @@ DirectAllocator::allocate(std::size_t bytes)
     clock_.advance(cost_.cuda_malloc_time());
     const DevPtr ptr = device_.allocate(bytes);
     Block b;
-    b.id = next_id_++;
+    b.id = blocks_.size();
     b.ptr = ptr;
     b.size = device_.reservation_size(ptr);
     b.requested = bytes;
-    live_.emplace(b.id, b);
+    blocks_.push_back(b);
 
     ++stats_.alloc_count;
     ++stats_.device_alloc_count;
@@ -45,23 +45,16 @@ DirectAllocator::allocate(std::size_t bytes)
 void
 DirectAllocator::deallocate(BlockId id)
 {
-    auto it = live_.find(id);
-    PP_CHECK(it != live_.end(), "deallocate of unknown block " << id);
+    PP_CHECK(id < blocks_.size() && blocks_[id].id == id,
+             "deallocate of unknown block " << id);
+    Block &b = blocks_[id];
     clock_.advance(cost_.cuda_free_time());
-    device_.free(it->second.ptr);
-    stats_.allocated_bytes -= it->second.size;
-    stats_.reserved_bytes -= it->second.size;
+    device_.free(b.ptr);
+    stats_.allocated_bytes -= b.size;
+    stats_.reserved_bytes -= b.size;
     ++stats_.free_count;
     ++stats_.device_free_count;
-    live_.erase(it);
-}
-
-const Block &
-DirectAllocator::block(BlockId id) const
-{
-    auto it = live_.find(id);
-    PP_CHECK(it != live_.end(), "unknown block " << id);
-    return it->second;
+    b.id = kInvalidBlock;
 }
 
 }  // namespace alloc

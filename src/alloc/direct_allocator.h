@@ -4,7 +4,7 @@
  */
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "alloc/allocator.h"
 #include "alloc/device_memory.h"
@@ -35,18 +35,20 @@ class DirectAllocator : public Allocator
 
     Block allocate(std::size_t bytes) override;
     void deallocate(BlockId id) override;
-    const Block &block(BlockId id) const override;
     const AllocatorStats &stats() const override { return stats_; }
     std::string name() const override { return "direct"; }
-    std::size_t live_blocks() const override { return live_.size(); }
+    std::size_t live_blocks() const override
+    {
+        return stats_.alloc_count - stats_.free_count;
+    }
 
   private:
     DeviceMemory &device_;
     sim::VirtualClock &clock_;
     const sim::CostModel &cost_;
     AllocatorStats stats_;
-    BlockId next_id_ = 0;
-    std::unordered_map<BlockId, Block> live_;
+    /** Every block by id (ids are dense); id kInvalidBlock once freed. */
+    std::vector<Block> blocks_;
 };
 
 }  // namespace alloc

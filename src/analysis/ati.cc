@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "analysis/stats.h"
 #include "analysis/trace_view.h"
@@ -17,42 +16,41 @@ std::vector<AtiSample>
 compute_atis(const TraceView &view, const AtiOptions &options)
 {
     std::vector<AtiSample> out;
-    // Last access time per live block. Erased on free so a reused
-    // BlockId (impossible with our allocators, but legal in traces
-    // from other tools) starts a fresh access chain.
-    std::unordered_map<BlockId, TimeNs> last;
+    // Last access time per slot. A chain ends at its block's free,
+    // so a reused BlockId (impossible with our allocators, but legal
+    // in traces from other tools) starts a fresh chain.
+    struct Chain {
+        TimeNs last = 0;
+        bool started = false;
+    };
+    std::vector<Chain> chains(view.slot_count());
 
     const std::size_t n = view.size();
     for (std::size_t i = 0; i < n; ++i) {
         const trace::EventKind kind = view.kind(i);
-        const BlockId block = view.block(i);
         const bool is_access =
             kind == trace::EventKind::kRead ||
             kind == trace::EventKind::kWrite ||
             (options.include_alloc_free &&
              (kind == trace::EventKind::kMalloc ||
               kind == trace::EventKind::kFree));
-        if (kind == trace::EventKind::kFree &&
-            !options.include_alloc_free)
-            last.erase(block);
         if (!is_access)
             continue;
 
-        auto it = last.find(block);
-        if (it != last.end()) {
+        Chain &chain = chains[view.slot(i)];
+        if (chain.started) {
             AtiSample s;
             s.behavior_index = i;
-            s.block = block;
+            s.block = view.block(i);
             s.size = view.event_size(i);
-            s.interval = view.time(i) - it->second;
+            s.interval = view.time(i) - chain.last;
             s.at_time = view.time(i);
             s.category = view.category(i);
             s.op = view.op_id(i);
             out.push_back(s);
         }
-        last[block] = view.time(i);
-        if (kind == trace::EventKind::kFree)
-            last.erase(block);
+        chain.last = view.time(i);
+        chain.started = true;
     }
     return out;
 }

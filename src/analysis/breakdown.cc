@@ -1,7 +1,7 @@
 #include "analysis/breakdown.h"
 
-#include <unordered_map>
-#include <utility>
+#include <algorithm>
+#include <vector>
 
 #include "analysis/trace_view.h"
 #include "core/check.h"
@@ -26,36 +26,38 @@ occupation_breakdown(const TraceView &view)
     BreakdownResult r;
     std::array<std::size_t, kNumCategories> current{};
     std::size_t total = 0;
-    // Category of each live block, captured at malloc time.
-    std::unordered_map<BlockId, std::pair<Category, std::size_t>> live;
+    // Category and size of each slot's block, captured at malloc.
+    struct Live {
+        Category category = Category::kIntermediate;
+        std::size_t size = 0;
+        bool live = false;
+    };
+    std::vector<Live> blocks(view.slot_count());
 
     const std::size_t n = view.size();
     for (std::size_t i = 0; i < n; ++i) {
         if (view.kind(i) == trace::EventKind::kMalloc) {
-            PP_CHECK(!live.count(view.block(i)),
+            Live &b = blocks[view.slot(i)];
+            PP_CHECK(!b.live,
                      "malloc of already-live block " << view.block(i));
-            const Category category = view.category(i);
-            const std::size_t size = view.event_size(i);
-            live[view.block(i)] = {category, size};
-            current[static_cast<int>(category)] += size;
-            total += size;
+            b = {view.category(i), view.event_size(i), true};
+            current[static_cast<int>(b.category)] += b.size;
+            total += b.size;
             auto &peak_cat =
-                r.peak_per_category[static_cast<int>(category)];
+                r.peak_per_category[static_cast<int>(b.category)];
             peak_cat = std::max(peak_cat,
-                                current[static_cast<int>(category)]);
+                                current[static_cast<int>(b.category)]);
             if (total > r.peak_total) {
                 r.peak_total = total;
                 r.peak_time = view.time(i);
                 r.at_peak = current;
             }
         } else if (view.kind(i) == trace::EventKind::kFree) {
-            auto it = live.find(view.block(i));
-            PP_CHECK(it != live.end(),
-                     "free of unknown block " << view.block(i));
-            const auto [cat, size] = it->second;
-            current[static_cast<int>(cat)] -= size;
-            total -= size;
-            live.erase(it);
+            Live &b = blocks[view.slot(i)];
+            PP_CHECK(b.live, "free of unknown block " << view.block(i));
+            current[static_cast<int>(b.category)] -= b.size;
+            total -= b.size;
+            b.live = false;
         }
     }
     return r;

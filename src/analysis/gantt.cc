@@ -70,7 +70,7 @@ render_gantt(const Timeline &timeline, const GanttOptions &options)
         for (int c = c0; c <= c1; ++c)
             line[static_cast<std::size_t>(c)] = '#';
         // Mark accesses inside the lifetime with '|'.
-        for (TimeNs a : b->accesses) {
+        for (TimeNs a : timeline.accesses(*b)) {
             if (a < from || a > to)
                 continue;
             line[static_cast<std::size_t>(col(a))] = '|';

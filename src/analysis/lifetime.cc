@@ -20,7 +20,7 @@ lifetime_report(const Timeline &timeline)
     for (const auto &b : timeline.blocks()) {
         const int c = static_cast<int>(b.category);
         accesses[static_cast<std::size_t>(c)].push_back(
-            static_cast<double>(b.accesses.size()));
+            static_cast<double>(b.access_count));
         if (!b.freed) {
             ++report.by_category[static_cast<std::size_t>(c)].unfreed;
             continue;

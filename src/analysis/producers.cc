@@ -1,9 +1,11 @@
 #include "analysis/producers.h"
 
 #include <algorithm>
-#include <utility>
+#include <cstdint>
+#include <vector>
 
 #include "analysis/trace_view.h"
+#include "core/flat_table.h"
 #include "core/types.h"
 #include "trace/event.h"
 
@@ -48,45 +50,54 @@ index_producers(const TraceView &view)
     // reads at kernel launch and its writes at completion, so the
     // spread of one (iteration, op_index) instance's event times is
     // the kernel's simulated duration.
-    std::unordered_map<std::uint64_t, std::pair<TimeNs, TimeNs>> span;
+    struct Span {
+        TimeNs first = 0;
+        TimeNs last = 0;
+    };
+    FlatTable<std::uint64_t, Span> span;
     const std::size_t n = view.size();
     for (std::size_t i = 0; i < n; ++i) {
         if (view.op_index(i) < 0)
             continue;
-        const std::uint64_t key =
-            instance_key(view.iteration(i), view.op_index(i));
+        const auto entry = span.try_emplace(
+            instance_key(view.iteration(i), view.op_index(i)));
+        Span &s = entry.first;
         const TimeNs time = view.time(i);
-        auto it = span.find(key);
-        if (it == span.end()) {
-            span.emplace(key, std::make_pair(time, time));
+        if (entry.second) {
+            s = {time, time};
         } else {
-            it->second.first = std::min(it->second.first, time);
-            it->second.second = std::max(it->second.second, time);
+            s.first = std::min(s.first, time);
+            s.last = std::max(s.last, time);
         }
     }
 
-    // Pass 2 — each block's first write (the view's per-kind
-    // offsets restrict the walk to the write rows). Only
+    // Pass 2 — each block's first qualifying write (the view's
+    // per-kind offsets restrict the walk to the write rows). Only
     // intermediate-category blocks materialized by a forward op can
     // be re-derived by a re-run: parameters and host inputs have no
     // in-iteration producer to replay.
-    ProducerIndex producers;
+    ProducerIndex producers(view.slot_count());
+    // Per op name: -1 not yet classified, else is_forward_op.
+    std::vector<std::int8_t> forward(view.op_count(), -1);
     for (std::size_t i : view.indices_of(trace::EventKind::kWrite)) {
         if (view.op_index(i) < 0)
             continue;
-        if (producers.count(view.block(i)))
+        Producer &p = producers[view.slot(i)];
+        if (p.forward_ns != 0)
             continue;
-        if (view.category(i) != Category::kIntermediate ||
-            !is_forward_op(view.op(i)))
+        if (view.category(i) != Category::kIntermediate)
             continue;
-        const auto it =
+        const trace::OpId op = view.op_id(i);
+        if (forward[op] < 0)
+            forward[op] = is_forward_op(view.op_name(op)) ? 1 : 0;
+        if (forward[op] == 0)
+            continue;
+        const Span *s =
             span.find(instance_key(view.iteration(i), view.op_index(i)));
-        TimeNs cost = 0;
-        if (it != span.end())
-            cost = it->second.second - it->second.first;
+        const TimeNs cost = s ? s->last - s->first : 0;
         if (cost == 0)
             continue;  // no measurable forward time: not priceable
-        producers.emplace(view.block(i), Producer{view.op(i), cost});
+        p = {op, cost};
     }
     return producers;
 }

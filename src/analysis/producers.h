@@ -12,9 +12,10 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "core/types.h"
+#include "trace/event.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -26,20 +27,30 @@ class TraceView;
  * duration — the price of running it once more.
  */
 struct Producer {
-    /** Qualified op name, e.g. "layer1.0.conv2.forward". */
-    std::string op;
-    /** Measured duration of that op instance in the trace. */
+    /**
+     * Interned op name (TraceView::op_name), e.g.
+     * "layer1.0.conv2.forward".
+     */
+    trace::OpId op = 0;
+    /**
+     * Measured duration of that op instance in the trace; 0 when the
+     * block has no priceable forward producer.
+     */
     TimeNs forward_ns = 0;
 };
 
-/** Block → producing forward op, the recompute price list. */
-using ProducerIndex = std::unordered_map<BlockId, Producer>;
+/**
+ * Each block's producing forward op, the recompute price list,
+ * indexed by TraceView slot (one entry per slot).
+ */
+using ProducerIndex = std::vector<Producer>;
 
 /**
- * Builds the producer index of @p view's trace. A block appears
- * only when it is recomputable: its first write came from a
- * forward-phase op (not backward, optimizer, or data-load) whose
- * measured duration is positive.
+ * Builds the producer index of @p view's trace. A block has a
+ * producer (forward_ns > 0) only when it is recomputable: its
+ * earliest write from a forward-phase op (not backward, optimizer,
+ * or data-load) of the intermediate category whose measured duration
+ * is positive.
  *
  * Prefer the cached copy at TraceView::producers(); this free
  * function computes a fresh index (the view caches through it).
@@ -51,4 +62,3 @@ bool is_forward_op(const std::string &op);
 
 }  // namespace analysis
 }  // namespace pinpoint
-

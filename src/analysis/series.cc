@@ -1,7 +1,7 @@
 #include "analysis/series.h"
 
 #include <ostream>
-#include <unordered_map>
+#include <vector>
 
 #include "analysis/trace_view.h"
 #include "core/check.h"
@@ -25,26 +25,27 @@ occupancy_series(const TraceView &view, std::size_t max_points)
 {
     std::vector<OccupancyPoint> series;
     OccupancyPoint cur;
-    std::unordered_map<BlockId, std::pair<Category, std::size_t>>
-        live;
+    // Category and size of each slot's block, captured at malloc.
+    struct Live {
+        Category category = Category::kIntermediate;
+        std::size_t size = 0;
+        bool live = false;
+    };
+    std::vector<Live> blocks(view.slot_count());
 
     const std::size_t n = view.size();
     for (std::size_t i = 0; i < n; ++i) {
         if (view.kind(i) == trace::EventKind::kMalloc) {
-            PP_CHECK(!live.count(view.block(i)),
-                     "malloc of already-live block "
-                         << view.block(i));
-            live[view.block(i)] = {view.category(i),
-                                   view.event_size(i)};
-            cur.bytes[static_cast<int>(view.category(i))] +=
-                view.event_size(i);
+            Live &b = blocks[view.slot(i)];
+            PP_CHECK(!b.live, "malloc of already-live block "
+                                  << view.block(i));
+            b = {view.category(i), view.event_size(i), true};
+            cur.bytes[static_cast<int>(b.category)] += b.size;
         } else if (view.kind(i) == trace::EventKind::kFree) {
-            auto it = live.find(view.block(i));
-            PP_CHECK(it != live.end(),
-                     "free of unknown block " << view.block(i));
-            cur.bytes[static_cast<int>(it->second.first)] -=
-                it->second.second;
-            live.erase(it);
+            Live &b = blocks[view.slot(i)];
+            PP_CHECK(b.live, "free of unknown block " << view.block(i));
+            cur.bytes[static_cast<int>(b.category)] -= b.size;
+            b.live = false;
         } else {
             continue;
         }

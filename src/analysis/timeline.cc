@@ -2,6 +2,8 @@
 #include "core/types.h"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace pinpoint {
 namespace analysis {
@@ -10,15 +12,22 @@ namespace analysis {
 // one build site); this file implements only the probes.
 
 const BlockLifetime *
-Timeline::find(BlockId id) const
+Timeline::find(BlockId id, TimeNs t) const
 {
-    const auto it = std::lower_bound(
-        by_id_.begin(), by_id_.end(), id,
-        [&](std::size_t i, BlockId probe) {
-            return blocks_[i].block < probe;
+    // by_id_ orders blocks by (id, allocation time), so the last
+    // block before the first one past (id, t) is the answer when it
+    // has id @p id; otherwise that first one is, when it has.
+    const auto key = std::make_pair(id, t);
+    const auto after = std::upper_bound(
+        by_id_.begin(), by_id_.end(), key,
+        [&](const std::pair<BlockId, TimeNs> &probe, std::size_t i) {
+            return probe <
+                   std::make_pair(blocks_[i].block, blocks_[i].alloc_time);
         });
-    return it != by_id_.end() && blocks_[*it].block == id
-               ? &blocks_[*it]
+    if (after != by_id_.begin() && blocks_[*std::prev(after)].block == id)
+        return &blocks_[*std::prev(after)];
+    return after != by_id_.end() && blocks_[*after].block == id
+               ? &blocks_[*after]
                : nullptr;
 }
 

@@ -37,14 +37,35 @@ struct BlockLifetime {
     /** Free timestamp; meaningful only when freed is true. */
     TimeNs free_time = 0;
     bool freed = false;
-    /** Read/write access timestamps, in order. */
-    std::vector<TimeNs> accesses;
+    /**
+     * The block's read/write timestamps are Timeline::accesses()
+     * entries [first_access, first_access + access_count), in order.
+     */
+    std::size_t first_access = 0;
+    std::size_t access_count = 0;
 
     /** @return lifetime width; for unfreed blocks, up to @p end. */
     TimeNs lifetime(TimeNs end) const
     {
         return (freed ? free_time : end) - alloc_time;
     }
+};
+
+/**
+ * One block's read/write timestamps, in order: a view into the
+ * Timeline's one flat access array, valid while the Timeline lives.
+ */
+struct AccessList {
+    const TimeNs *first = nullptr;
+    const TimeNs *last = nullptr;
+
+    const TimeNs *begin() const { return first; }
+    const TimeNs *end() const { return last; }
+    std::size_t size() const
+    {
+        return static_cast<std::size_t>(last - first);
+    }
+    TimeNs operator[](std::size_t i) const { return first[i]; }
 };
 
 /** Free-gap statistics of the live-block address layout at a time. */
@@ -109,14 +130,29 @@ edge_before(const OccupancyEdge &a, const OccupancyEdge &b)
 class Timeline
 {
   public:
-    /** @return every block, ordered by allocation time. */
+    /**
+     * @return every block, ordered by allocation time; blocks()[s]
+     * is the block of TraceView slot s.
+     */
     const std::vector<BlockLifetime> &blocks() const { return blocks_; }
 
+    /** @return the read/write timestamps of @p block, in order. */
+    AccessList
+    accesses(const BlockLifetime &block) const
+    {
+        const TimeNs *first = accesses_.data() + block.first_access;
+        return {first, first + block.access_count};
+    }
+
     /**
-     * @return the first block with id @p id, or nullptr. O(log n):
-     * a binary search of the id index built once at construction.
+     * @return the lifetime of block id @p id that holds time @p t:
+     * the last one allocated at or before @p t, else the first one;
+     * nullptr when no block has id @p id. A trace may reuse an id
+     * after its free, so an id alone does not name one lifetime.
+     * O(log n): a binary search of the id index built once at
+     * construction.
      */
-    const BlockLifetime *find(BlockId id) const;
+    const BlockLifetime *find(BlockId id, TimeNs t) const;
 
     /** @return time of the first event (0 for empty traces). */
     TimeNs start() const { return start_; }
@@ -176,9 +212,11 @@ class Timeline
     friend class TraceView;
 
     std::vector<BlockLifetime> blocks_;
+    /** Every block's access timestamps, block after block. */
+    std::vector<TimeNs> accesses_;
     TimeNs start_ = 0;
     TimeNs end_ = 0;
-    /** Block indices in (id, index) order. */
+    /** Block indices in (id, index) order, which is (id, alloc_time). */
     std::vector<std::size_t> by_id_;
     /** Edges sorted by edge_before: frees before allocs at ties. */
     std::vector<OccupancyEdge> edges_;

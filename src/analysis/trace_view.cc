@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
 #include "analysis/timeline.h"
 #include "core/check.h"
+#include "core/flat_table.h"
 #include "core/types.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
@@ -46,7 +48,30 @@ TraceView::TraceView(const trace::TraceRecorder &recorder)
         op_id_.push_back(e.op);
         by_kind_[static_cast<std::size_t>(e.kind)].push_back(i);
     }
+    assign_slots();
     events_walked_.fetch_add(n, std::memory_order_relaxed);
+}
+
+void
+TraceView::assign_slots()
+{
+    const std::size_t n = size();
+    PP_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
+             "trace of " << n << " events exceeds the slot column");
+    // The trace's one BlockId lookup: id → its open chain's slot.
+    // A free closes the chain, so the table holds only live ids.
+    FlatTable<BlockId, std::uint32_t> chain_of;
+    std::uint32_t slots = 0;
+    slot_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        const auto entry = chain_of.try_emplace(block_[i]);
+        if (entry.second)
+            entry.first = slots++;
+        slot_[i] = entry.first;
+        if (kind_[i] == trace::EventKind::kFree)
+            chain_of.erase(block_[i]);
+    }
+    slot_count_ = slots;
 }
 
 std::unique_ptr<const Timeline>
@@ -71,11 +96,17 @@ TraceView::build_timeline() const
     std::vector<OccupancyEdge> &edges = t->edges_;
     edges.reserve(count(trace::EventKind::kMalloc) +
                   count(trace::EventKind::kFree));
-    std::unordered_map<BlockId, std::size_t> open;  // block → index
+    // Slots open in event order, so while every chain so far began
+    // with a malloc, block s is slot s: an event whose slot has no
+    // block yet opened its chain without a malloc.
+    std::vector<BlockLifetime> &blocks = t->blocks_;
+    blocks.reserve(slot_count_);
     for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t slot = slot_[i];
+        const bool open = slot < blocks.size();
         switch (kind_[i]) {
           case trace::EventKind::kMalloc: {
-            PP_CHECK(!open.count(block_[i]),
+            PP_CHECK(!open,
                      "malloc of already-live block " << block_[i]);
             BlockLifetime b;
             b.block = block_[i];
@@ -85,34 +116,45 @@ TraceView::build_timeline() const
             b.tensor = tensor_[i];
             b.alloc_iteration = iteration_[i];
             b.alloc_time = time_[i];
-            open.emplace(block_[i], t->blocks_.size());
             edges.push_back(
                 {time_[i], static_cast<std::int64_t>(b.size)});
-            t->blocks_.push_back(std::move(b));
+            blocks.push_back(b);
             break;
           }
           case trace::EventKind::kFree: {
-            auto it = open.find(block_[i]);
-            PP_CHECK(it != open.end(),
-                     "free of unknown block " << block_[i]);
-            BlockLifetime &b = t->blocks_[it->second];
+            PP_CHECK(open, "free of unknown block " << block_[i]);
+            BlockLifetime &b = blocks[slot];
             b.free_time = time_[i];
             b.freed = true;
             edges.push_back(
                 {time_[i], -static_cast<std::int64_t>(b.size)});
-            open.erase(it);
             break;
           }
           case trace::EventKind::kRead:
-          case trace::EventKind::kWrite: {
-            auto it = open.find(block_[i]);
-            PP_CHECK(it != open.end(),
+          case trace::EventKind::kWrite:
+            PP_CHECK(open,
                      "access to unallocated block " << block_[i]);
-            t->blocks_[it->second].accesses.push_back(time_[i]);
+            ++blocks[slot].access_count;
             break;
-          }
         }
     }
+
+    // Access lists: one flat array, block after block, filled in
+    // event order so each block's run is time-ordered.
+    std::vector<std::size_t> cursor(blocks.size());
+    std::size_t total = 0;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        blocks[b].first_access = total;
+        cursor[b] = total;
+        total += blocks[b].access_count;
+    }
+    t->accesses_.resize(total);
+    for (std::size_t i = 0; i < n; ++i) {
+        if (kind_[i] == trace::EventKind::kRead ||
+            kind_[i] == trace::EventKind::kWrite)
+            t->accesses_[cursor[slot_[i]]++] = time_[i];
+    }
+
     for (std::size_t lo = 0; lo < edges.size();) {
         std::size_t hi = lo + 1;
         while (hi < edges.size() && edges[hi].t == edges[lo].t)
@@ -126,15 +168,16 @@ TraceView::build_timeline() const
         lo = hi;
     }
 
-    // Id index for find(): stable, so a reused id finds its first
-    // block.
-    const auto &blocks = t->blocks_;
+    // Id index for find(): stable, so a reused id's blocks stay in
+    // allocation order. Engine traces allocate ids in increasing
+    // order and need no sort.
+    const auto by_block = [&](std::size_t a, std::size_t b) {
+        return blocks[a].block < blocks[b].block;
+    };
     t->by_id_.resize(blocks.size());
     std::iota(t->by_id_.begin(), t->by_id_.end(), std::size_t{0});
-    std::stable_sort(t->by_id_.begin(), t->by_id_.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return blocks[a].block < blocks[b].block;
-                     });
+    if (!std::is_sorted(t->by_id_.begin(), t->by_id_.end(), by_block))
+        std::stable_sort(t->by_id_.begin(), t->by_id_.end(), by_block);
 
     // Prefix sums answer live_bytes_at/peak in O(log n)/O(1).
     t->prefix_.reserve(edges.size() + 1);

@@ -15,6 +15,18 @@
  * now the invariant is *one build per run*, and build_stats() makes
  * it checkable from benches and tests.
  *
+ * Slots. The freeze gives every event a `slot`: the dense index of
+ * its block's chain. A chain opens at a block id's first event and
+ * closes at that id's free, so an id reused after its free gets a
+ * new slot, a double malloc stays in its open chain, and a free of
+ * an unknown id or an access to an unallocated one opens a chain of
+ * its own. Slots number chains in the order they open, so on a
+ * trace whose Timeline builds, slot s is the block
+ * `timeline().blocks()[s]`. The freeze is the trace's only BlockId
+ * lookup: every per-block analysis (Timeline, ATI chains,
+ * breakdown, occupancy series, producer index) keeps its state in a
+ * flat vector indexed by slot.
+ *
  * Invariants:
  *   - A TraceView never mutates after construction; every accessor
  *     is const and safe to call from many threads concurrently.
@@ -107,6 +119,12 @@ class TraceView
     std::uint32_t iteration(std::size_t i) const { return iteration_[i]; }
     std::int32_t op_index(std::size_t i) const { return op_index_[i]; }
 
+    /** @return the slot of event @p i (see the file comment). */
+    std::size_t slot(std::size_t i) const { return slot_[i]; }
+
+    /** @return the number of slots: one per block-id chain. */
+    std::size_t slot_count() const { return slot_count_; }
+
     /** @return the interned op name id of event @p i. */
     trace::OpId op_id(std::size_t i) const { return op_id_[i]; }
 
@@ -121,6 +139,9 @@ class TraceView
     {
         return op_names_[id];
     }
+
+    /** @return the size of the op name table (ids 0 .. op_count()-1). */
+    std::size_t op_count() const { return op_names_.size(); }
 
     // --- per-kind counts and offsets ------------------------------
     // Replaces TraceRecorder::count (O(n) rescan per call) and the
@@ -162,6 +183,9 @@ class TraceView
     TraceViewStats build_stats() const;
 
   private:
+    /** Fills slot_ and slot_count_ (the freeze's second walk). */
+    void assign_slots();
+
     std::unique_ptr<const Timeline> build_timeline() const;
 
     // Frozen event columns (SoA).
@@ -174,6 +198,9 @@ class TraceView
     std::vector<Category> category_;
     std::vector<std::uint32_t> iteration_;
     std::vector<std::int32_t> op_index_;
+    /** Per-event block-id chain (see slot()). */
+    std::vector<std::uint32_t> slot_;
+    std::size_t slot_count_ = 0;
     /** Per-event index into op_names_. */
     std::vector<trace::OpId> op_id_;
     /** The recorder's name table, indexed by OpId. */

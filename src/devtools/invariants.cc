@@ -109,6 +109,41 @@ timeline_construction(const Tokens &t, Hits &hits)
     }
 }
 
+/** The per-block layers: alloc, the engine, analysis, swap, relief. */
+bool
+per_block_layer(const std::string &path)
+{
+    for (const char *dir : {"src/alloc/", "src/analysis/", "src/swap/",
+                            "src/relief/", "src/runtime/engine."})
+        if (path.compare(0, std::strlen(dir), dir) == 0)
+            return true;
+    return false;
+}
+
+void
+block_id_hash(const Tokens &t, Hits &hits)
+{
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        if (!one_of(t[i].text,
+                    {"map", "multimap", "set", "multiset",
+                     "unordered_map", "unordered_multimap",
+                     "unordered_set", "unordered_multiset",
+                     "FlatTable"}) ||
+            !at(t, i + 1, "<"))
+            continue;
+        std::size_t k = i + 2;
+        if (at(t, k, "pinpoint") && at(t, k + 1, ":") &&
+            at(t, k + 2, ":"))
+            k += 3;
+        if (at(t, k, "BlockId") || at(t, k, "TensorId"))
+            hits.emplace_back(t[i].line,
+                              "'" + t[i].text + "' keyed by " +
+                                  t[k].text +
+                                  " (index a vector by the dense id "
+                                  "or the TraceView slot)");
+    }
+}
+
 void
 raw_number_parse(const Tokens &t, Hits &hits)
 {
@@ -356,6 +391,13 @@ rules()
         {"raw-number-parse",
          [](const std::string &p) { return p != "src/core/parse.cc"; },
          raw_number_parse},
+        // trace_view.cc holds the freeze's one BlockId table.
+        {"block-id-hash",
+         [](const std::string &p) {
+             return per_block_layer(p) &&
+                    p != "src/analysis/trace_view.cc";
+         },
+         block_id_hash},
         {"nondeterminism-source", in_src, nondeterminism_source},
         {"unordered-export-iteration", export_path,
          unordered_export_iteration},

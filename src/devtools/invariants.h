@@ -8,6 +8,9 @@
  *
  *   timeline-construction       Timeline is built only by TraceView
  *   raw-number-parse            text-to-number goes through core/parse
+ *   block-id-hash               no map keyed by BlockId or TensorId in
+ *                               the per-block layers, but the freeze's
+ *                               one table in analysis/trace_view.cc
  *   nondeterminism-source       no wall clock or unseeded RNG in src/
  *   unordered-export-iteration  no hash-order iteration in export paths
  *   positional-strategy-index   per-Strategy arrays use enumerators

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <optional>
+#include <vector>
 
 #include "analysis/producers.h"
 #include "analysis/swap_model.h"
 #include "analysis/timeline.h"
+#include "analysis/trace_view.h"
 #include "core/check.h"
 #include "core/types.h"
 #include "sim/link_scheduler.h"
@@ -110,13 +112,18 @@ unsafe(const swap::GapEvaluation &e, double safety_factor)
 void
 enumerate_candidates(PlanContext &ctx, const StrategyOptions &options)
 {
-    for (const auto &b : ctx.timeline.blocks()) {
+    const std::vector<analysis::BlockLifetime> &blocks =
+        ctx.timeline.blocks();
+    for (std::size_t slot = 0; slot < blocks.size(); ++slot) {
+        const analysis::BlockLifetime &b = blocks[slot];
         if (b.size < options.min_block_bytes)
             continue;
-        const auto prod = ctx.producers.find(b.block);
-        for (std::size_t i = 1; i < b.accesses.size(); ++i) {
-            const TimeNs gap_start = b.accesses[i - 1];
-            const TimeNs gap_end = b.accesses[i];
+        // Block s of the Timeline is slot s of the producer index.
+        const analysis::Producer &prod = ctx.producers[slot];
+        const analysis::AccessList accesses = ctx.timeline.accesses(b);
+        for (std::size_t i = 1; i < accesses.size(); ++i) {
+            const TimeNs gap_start = accesses[i - 1];
+            const TimeNs gap_end = accesses[i];
             if (gap_end <= gap_start)
                 continue;
             Candidate c;
@@ -145,14 +152,13 @@ enumerate_candidates(PlanContext &ctx, const StrategyOptions &options)
             // forward producer's re-run fits inside the gap; the
             // block is live again while the producer replays, so
             // the absence window ends at gap_end - cost.
-            if (prod != ctx.producers.end() &&
-                prod->second.forward_ns < c.gap) {
-                const TimeNs cost = prod->second.forward_ns;
+            if (prod.forward_ns > 0 && prod.forward_ns < c.gap) {
+                const TimeNs cost = prod.forward_ns;
                 c.rec_ok = true;
                 c.rec_cost = cost;
                 c.rec_covers = gap_start <= ctx.peak_time &&
                                ctx.peak_time < gap_end - cost;
-                c.producer = &prod->second;
+                c.producer = &prod;
             }
 
             // Peer option: the same gap evaluation as swap, but on
@@ -347,7 +353,7 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
             report.total_swapped_bytes += c.block->size;
             break;
           case Mechanism::kRecompute:
-            d.producer = c.producer->op;
+            d.producer = view.op_name(c.producer->op);
             d.recompute_cost = c.rec_cost;
             ++report.recompute_decisions;
             report.total_recomputed_bytes += c.block->size;

@@ -45,6 +45,8 @@ Engine::Engine(const Plan &plan, alloc::Allocator &allocator,
         staging_meta_.dtype = DType::kF32;
         staging_meta_.category = Category::kInput;
     }
+    bound_.resize(plan_.tensors.size() +
+                  (staging_tensor_ != kInvalidTensor ? 1 : 0));
     // Without a recorder every id stays 0: nothing is recorded.
     op_ids_.resize(plan_.iteration_ops.size());
     tensor_op_ids_.resize(plan_.tensors.size());
@@ -75,6 +77,39 @@ Engine::intern_names()
     }
 }
 
+std::size_t
+Engine::slot_of(TensorId id) const
+{
+    if (id == staging_tensor_)
+        return plan_.tensors.size();
+    PP_ASSERT(id < plan_.tensors.size(), "tensor id " << id
+                                         << " out of range");
+    return static_cast<std::size_t>(id);
+}
+
+std::size_t
+Engine::trace_events(int iterations) const
+{
+    const std::size_t n = iterations > 0
+                              ? static_cast<std::size_t>(iterations)
+                              : 0;
+    std::size_t per_iteration = 0;
+    for (const Op &op : plan_.iteration_ops)
+        per_iteration += op.allocs.size() + op.reads.size() +
+                         op.writes.size() + op.frees.size();
+    // Setup allocates and writes each persistent tensor; teardown
+    // frees it.
+    std::size_t events = 3 * plan_.persistent.size() + n * per_iteration;
+    if (staging_tensor_ != kInvalidTensor && n > 0) {
+        // Alloc, upload and free, plus a read and a write per epoch
+        // boundary after the first iteration.
+        const auto per_epoch =
+            static_cast<std::size_t>(options_.iterations_per_epoch);
+        events += 3 + 2 * ((n - 1) / per_epoch);
+    }
+    return events;
+}
+
 const TensorMeta &
 Engine::meta_of(TensorId id) const
 {
@@ -101,11 +136,11 @@ alloc::Block &
 Engine::bind(TensorId id)
 {
     const TensorMeta &m = meta_of(id);
-    PP_ASSERT(!bound_.count(id),
+    alloc::Block &bound = bound_[slot_of(id)];
+    PP_ASSERT(bound.id == kInvalidBlock,
               "tensor " << m.name << " is already bound");
-    alloc::Block b = allocator_.allocate(m.bytes());
-    auto [it, ok] = bound_.emplace(id, b);
-    PP_ASSERT(ok, "double bind of tensor " << m.name);
+    const alloc::Block b = allocator_.allocate(m.bytes());
+    bound = b;
     note_alloc(m, b);
     if (recorder_) {
         trace::MemoryEvent e;
@@ -121,18 +156,18 @@ Engine::bind(TensorId id)
         e.op = op_ids(id).alloc;
         recorder_->record(e);
     }
-    return it->second;
+    return bound;
 }
 
 void
 Engine::release(TensorId id)
 {
-    auto it = bound_.find(id);
     const TensorMeta &m = meta_of(id);
-    PP_ASSERT(it != bound_.end(),
+    alloc::Block &bound = bound_[slot_of(id)];
+    PP_ASSERT(bound.id != kInvalidBlock,
               "tensor " << m.name << " is not bound");
-    const alloc::Block b = it->second;
-    bound_.erase(it);
+    const alloc::Block b = bound;
+    bound = alloc::Block{};
     allocator_.deallocate(b.id);
     note_free(m, b);
     if (recorder_) {
@@ -180,16 +215,16 @@ Engine::record_access(trace::EventKind kind, TensorId id,
 {
     if (!recorder_)
         return;
-    auto it = bound_.find(id);
     const TensorMeta &m = meta_of(id);
-    PP_ASSERT(it != bound_.end(),
+    const alloc::Block &bound = bound_[slot_of(id)];
+    PP_ASSERT(bound.id != kInvalidBlock,
               "access to unbound tensor " << m.name);
     trace::MemoryEvent e;
     e.time = clock_.now();
     e.kind = kind;
-    e.block = it->second.id;
-    e.ptr = it->second.ptr;
-    e.size = it->second.size;
+    e.block = bound.id;
+    e.ptr = bound.ptr;
+    e.size = bound.size;
     e.tensor = id;
     e.category = m.category;
     e.iteration = current_iteration_;
@@ -298,14 +333,15 @@ void
 Engine::teardown()
 {
     // Free any remaining bindings (persistent tensors and, if an
-    // exception unwound mid-iteration, stray transients).
-    std::vector<TensorId> ids;
-    ids.reserve(bound_.size());
-    for (const auto &[id, b] : bound_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (TensorId id : ids)
-        release(id);
+    // exception unwound mid-iteration, stray transients) in tensor
+    // id order; the staging buffer's id sorts last, as its slot does.
+    for (std::size_t slot = 0; slot < bound_.size(); ++slot) {
+        if (bound_[slot].id == kInvalidBlock)
+            continue;
+        release(slot == plan_.tensors.size()
+                    ? staging_tensor_
+                    : static_cast<TensorId>(slot));
+    }
 }
 
 }  // namespace runtime

@@ -9,8 +9,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -99,6 +99,13 @@ class Engine
     /** @return iterations executed so far. */
     int iterations_done() const { return iterations_done_; }
 
+    /**
+     * @return the number of events a fresh engine records over
+     * run(@p iterations) and teardown(), so a caller can reserve
+     * its recorder once.
+     */
+    std::size_t trace_events(int iterations) const;
+
     /** @return live per-category usage accounting. */
     const MemoryUsage &usage() const { return usage_; }
 
@@ -117,6 +124,8 @@ class Engine
     };
 
     void intern_names();
+    /** @return the bound_ index of @p id (staging: the last one). */
+    std::size_t slot_of(TensorId id) const;
     const TensorMeta &meta_of(TensorId id) const;
     const TensorOpIds &op_ids(TensorId id) const;
 
@@ -144,9 +153,12 @@ class Engine
     int iterations_done_ = 0;
     std::uint32_t current_iteration_ = kSetupIteration;
     MemoryUsage usage_;
-    /** Tensor id → live block binding. */
-    std::unordered_map<TensorId, alloc::Block> bound_;
-    /** Synthetic tensor id for the staging buffer. */
+    /**
+     * Live block of each plan tensor, by TensorId, plus the staging
+     * buffer in the last slot; id kInvalidBlock while unbound.
+     */
+    std::vector<alloc::Block> bound_;
+    /** Synthetic tensor id for the staging buffer (the exported id). */
     TensorId staging_tensor_ = kInvalidTensor;
     TensorMeta staging_meta_;
 

@@ -156,6 +156,8 @@ run_inference(const nn::Model &model, const InferenceConfig &config)
                       config.session.record_trace ? &session.trace
                                                   : nullptr,
                       engine_options);
+        if (config.session.record_trace)
+            session.trace.reserve(engine.trace_events(config.requests));
         result.requests.reserve(
             static_cast<std::size_t>(config.requests));
 

@@ -136,6 +136,9 @@ run_training(const nn::Model &model, const SessionConfig &config)
         Engine engine(result.plan, *allocator, clock, cost,
                       config.record_trace ? &result.trace : nullptr,
                       config.engine);
+        if (config.record_trace)
+            result.trace.reserve(
+                engine.trace_events(config.iterations));
         if (config.iterations > 1) {
             // Measure steady-state iteration time over the last
             // iterations (the first one pays cold-cache costs).

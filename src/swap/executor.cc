@@ -38,7 +38,10 @@ execute_plan(const analysis::TraceView &view,
         scheduler.busy_time(sim::CopyDir::kHostToDevice);
 
     for (const auto &d : plan.decisions) {
-        const analysis::BlockLifetime *block = timeline.find(d.block);
+        // A trace may reuse a block id after its free: check the gap
+        // against the lifetime that holds its start.
+        const analysis::BlockLifetime *block =
+            timeline.find(d.block, d.gap_start);
         PP_CHECK(block != nullptr,
                  "plan references unknown block " << d.block);
         const auto &b = *block;
@@ -46,10 +49,11 @@ execute_plan(const analysis::TraceView &view,
                      (!b.freed || d.gap_end <= b.free_time),
                  "decision gap escapes block " << d.block
                                                << "'s lifetime");
-        PP_CHECK(std::binary_search(b.accesses.begin(),
-                                    b.accesses.end(), d.gap_start) &&
-                     std::binary_search(b.accesses.begin(),
-                                        b.accesses.end(), d.gap_end),
+        const analysis::AccessList accesses = timeline.accesses(b);
+        PP_CHECK(std::binary_search(accesses.begin(), accesses.end(),
+                                    d.gap_start) &&
+                     std::binary_search(accesses.begin(),
+                                        accesses.end(), d.gap_end),
                  "decision gap endpoints are not accesses of block "
                      << d.block);
     }

@@ -89,7 +89,8 @@ struct SwapExecutionResult {
  * swap-in finishing past its gap end is a measured stall.
  *
  * @throws Error when a decision references a block the trace does
- * not contain, or a gap that does not match the block's accesses.
+ * not contain, or a gap that does not match the accesses of the
+ * block's lifetime that holds it (a trace may reuse a block id).
  */
 SwapExecutionResult execute_plan(const analysis::TraceView &view,
                                  const SwapPlanReport &plan,

@@ -61,9 +61,10 @@ SwapPlanner::plan(const analysis::TraceView &view) const
         // Only gaps between two accesses qualify — before the first
         // access the block holds no data worth preserving, and after
         // the last one it is about to be freed anyway.
-        for (std::size_t i = 1; i < b.accesses.size(); ++i) {
-            const TimeNs gap_start = b.accesses[i - 1];
-            const TimeNs gap_end = b.accesses[i];
+        const analysis::AccessList accesses = timeline.accesses(b);
+        for (std::size_t i = 1; i < accesses.size(); ++i) {
+            const TimeNs gap_start = accesses[i - 1];
+            const TimeNs gap_end = accesses[i];
             if (gap_end <= gap_start)
                 continue;
             const GapEvaluation e =

@@ -104,7 +104,9 @@ TEST_F(BuddyTest, ErrorsOnBadArguments)
 {
     EXPECT_THROW(alloc_.allocate(0), Error);
     EXPECT_THROW(alloc_.deallocate(42), Error);
-    EXPECT_THROW(alloc_.block(42), Error);
+    const Block a = alloc_.allocate(4096);
+    alloc_.deallocate(a.id);
+    EXPECT_THROW(alloc_.deallocate(a.id), Error);  // double free
 }
 
 TEST_F(BuddyTest, ArenaReleasedOnDestruction)

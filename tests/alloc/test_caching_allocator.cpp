@@ -212,7 +212,9 @@ TEST_F(CachingAllocatorTest, ErrorsOnBadArguments)
 {
     EXPECT_THROW(alloc_.allocate(0), Error);
     EXPECT_THROW(alloc_.deallocate(999), Error);
-    EXPECT_THROW(alloc_.block(999), Error);
+    const Block a = alloc_.allocate(4096);
+    alloc_.deallocate(a.id);
+    EXPECT_THROW(alloc_.deallocate(a.id), Error);  // double free
 }
 
 TEST(CachingAllocatorOom, ReleasesCacheAndRetriesBeforeThrowing)

@@ -105,6 +105,54 @@ TEST_P(CachingProperty, RandomWorkloadPreservesInvariants)
               alloc.stats().device_free_count);
 }
 
+TEST(CachingRecycling, ReusedNodesKeepInvariants)
+{
+    // Small blocks packed into a few 2 MB segments: every allocate
+    // splits, every free merges, and empty_cache retires whole
+    // segments, so after the first merge each split and each new
+    // segment runs on a recycled node and a recycled pool set node.
+    DeviceMemory device(64 * kMB);
+    sim::VirtualClock clock;
+    sim::CostModel cost(sim::DeviceSpec::titan_x_pascal());
+    CachingAllocator alloc(device, clock, cost);
+    std::mt19937_64 rng(7);
+    std::vector<Block> live;
+    std::uint64_t merges_before_split = 0;
+    for (int step = 0; step < 3000; ++step) {
+        const auto action = rng() % 100;
+        if (action < 50 || live.empty()) {
+            if (alloc.stats().merge_count > 0 && merges_before_split == 0)
+                merges_before_split = alloc.stats().split_count;
+            live.push_back(alloc.allocate(512 * (1 + rng() % 64)));
+        } else if (action < 97) {
+            const std::size_t i = rng() % live.size();
+            alloc.deallocate(live[i].id);
+            live[i] = live.back();
+            live.pop_back();
+        } else {
+            alloc.empty_cache();
+        }
+        if (step % 500 == 499) {
+            // Drain, so empty_cache releases whole segments.
+            for (const Block &b : live)
+                alloc.deallocate(b.id);
+            live.clear();
+            alloc.empty_cache();
+        }
+        alloc.check_invariants();
+        ASSERT_EQ(alloc.live_blocks(), live.size());
+    }
+    // Splits kept happening after merges had recycled nodes.
+    EXPECT_GT(merges_before_split, 0u);
+    EXPECT_GT(alloc.stats().split_count, merges_before_split + 100);
+    EXPECT_GT(alloc.stats().device_free_count, 0u);
+    for (const Block &b : live)
+        alloc.deallocate(b.id);
+    alloc.empty_cache();
+    alloc.check_invariants();
+    EXPECT_EQ(device.reserved_bytes(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     SeedsAndProfiles, CachingProperty,
     ::testing::Combine(

@@ -53,7 +53,10 @@ TEST(Timeline, ReconstructsLifetimes)
     EXPECT_EQ(b1.alloc_time, 0u);
     EXPECT_TRUE(b1.freed);
     EXPECT_EQ(b1.free_time, 40u);
-    EXPECT_EQ(b1.accesses.size(), 2u);
+    const AccessList accesses = t.accesses(b1);
+    EXPECT_EQ(std::vector<TimeNs>(accesses.begin(), accesses.end()),
+              (std::vector<TimeNs>{10, 30}));
+    EXPECT_EQ(t.accesses(t.blocks()[1]).size(), 1u);
     const auto &b2 = t.blocks()[1];
     EXPECT_FALSE(b2.freed);
     EXPECT_EQ(b2.lifetime(t.end()), 90u - 20u);
@@ -296,15 +299,32 @@ TEST(Timeline, FindLooksBlocksUpById)
         const Timeline &t = view.timeline();
         ASSERT_FALSE(t.blocks().empty());
         for (const auto &b : t.blocks()) {
-            const BlockLifetime *found = t.find(b.block);
+            const BlockLifetime *found = t.find(b.block, b.alloc_time);
             ASSERT_NE(found, nullptr);
             EXPECT_EQ(found, &b);
         }
-        EXPECT_EQ(t.find(0), nullptr);
-        EXPECT_EQ(t.find(100000), nullptr);
+        EXPECT_EQ(t.find(0, 0), nullptr);
+        EXPECT_EQ(t.find(100000, 0), nullptr);
     }
     TraceView empty{trace::TraceRecorder()};
-    EXPECT_EQ(empty.timeline().find(1), nullptr);
+    EXPECT_EQ(empty.timeline().find(1, 0), nullptr);
+
+    // A reused id names the lifetime that holds the probe time;
+    // before its first allocation, the first lifetime.
+    trace::TraceRecorder r;
+    r.record(ev(10, trace::EventKind::kMalloc, 7, 0x1000, 512));
+    r.record(ev(20, trace::EventKind::kFree, 7, 0x1000, 512));
+    r.record(ev(20, trace::EventKind::kMalloc, 7, 0x2000, 512));
+    r.record(ev(30, trace::EventKind::kFree, 7, 0x2000, 512));
+    r.record(ev(40, trace::EventKind::kMalloc, 7, 0x3000, 512));
+    TraceView reused(r);
+    const Timeline &t = reused.timeline();
+    ASSERT_EQ(t.blocks().size(), 3u);
+    EXPECT_EQ(t.find(7, 0), &t.blocks()[0]);
+    EXPECT_EQ(t.find(7, 19), &t.blocks()[0]);
+    EXPECT_EQ(t.find(7, 20), &t.blocks()[1]);
+    EXPECT_EQ(t.find(7, 39), &t.blocks()[1]);
+    EXPECT_EQ(t.find(7, 1000), &t.blocks()[2]);
 }
 
 TEST(Gantt, RowsOverlapWindow)

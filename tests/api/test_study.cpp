@@ -16,6 +16,10 @@
 #include "analysis/trace_view.h"
 #include "api/study.h"
 #include "core/check.h"
+#include "relief/strategy_planner.h"
+#include "sim/device_spec.h"
+#include "trace/event.h"
+#include "trace/recorder.h"
 
 namespace pinpoint {
 namespace api {
@@ -150,6 +154,93 @@ TEST(Study, FacetsAreThreadSafe)
     for (const void *address : seen)
         EXPECT_EQ(address, &study.atis());
     EXPECT_EQ(study.atis().size(), expected_atis);
+}
+
+/**
+ * Block 7 lives twice: first written by a priced forward op and read
+ * 1 s later, then, after its free, reallocated under the same id,
+ * written by a backward op and read 2 s later. @p second_id renames
+ * the second lifetime.
+ */
+trace::TraceRecorder
+reused_id_trace(BlockId second_id)
+{
+    constexpr std::size_t kMB = 1024 * 1024;
+    trace::TraceRecorder r;
+    auto record = [&r](TimeNs t, trace::EventKind kind, BlockId block,
+                       std::size_t size, const char *op,
+                       std::int32_t op_index, Category category) {
+        trace::MemoryEvent e;
+        e.time = t;
+        e.kind = kind;
+        e.block = block;
+        e.ptr = 0x1000 * (block + 1);
+        e.size = size;
+        e.tensor = block;
+        e.category = category;
+        e.op_index = op_index;
+        e.op = r.intern(op);
+        r.record(e);
+    };
+    using K = trace::EventKind;
+    const Category in = Category::kInput;
+    const Category act = Category::kIntermediate;
+    record(0, K::kMalloc, 1, 8 * kMB, "", -1, in);
+    record(10, K::kMalloc, 7, 64 * kMB, "", -1, act);
+    record(20, K::kRead, 1, 8 * kMB, "conv1.forward", 0, in);
+    record(120, K::kWrite, 7, 64 * kMB, "conv1.forward", 0, act);
+    record(kNsPerSec + 120, K::kRead, 7, 64 * kMB, "conv1.backward", 5,
+           act);
+    record(kNsPerSec + 200, K::kFree, 7, 64 * kMB, "", -1, act);
+    record(kNsPerSec + 300, K::kMalloc, second_id, 64 * kMB, "", -1,
+           act);
+    record(kNsPerSec + 400, K::kWrite, second_id, 64 * kMB,
+           "fc.backward", 6, act);
+    record(3 * kNsPerSec + 400, K::kRead, second_id, 64 * kMB,
+           "sgd.step", 7, act);
+    record(3 * kNsPerSec + 500, K::kFree, second_id, 64 * kMB, "", -1,
+           act);
+    record(3 * kNsPerSec + 600, K::kFree, 1, 8 * kMB, "", -1, in);
+    return r;
+}
+
+TEST(Study, ReliefAndSwapResolveAReusedBlockIdPerLifetime)
+{
+    const sim::DeviceSpec device = sim::DeviceSpec::titan_x_pascal();
+    const Study reused = Study::from_trace(reused_id_trace(7), device);
+    const Study renamed = Study::from_trace(reused_id_trace(8), device);
+
+    // Each lifetime's gap is planned and validated against its own
+    // lifetime, exactly as when the second lifetime has its own id.
+    const runtime::SwapValidation &swap = reused.swap_validation();
+    ASSERT_EQ(swap.plan.decisions.size(), 2u);
+    EXPECT_EQ(swap.execution.executed_decisions, 2u);
+    EXPECT_EQ(swap.execution.new_peak_bytes,
+              renamed.swap_validation().execution.new_peak_bytes);
+
+    const auto &reports = reused.relief_all();
+    const auto &expected = renamed.relief_all();
+    for (std::size_t s = 0; s < reports.size(); ++s) {
+        ASSERT_EQ(reports[s].decisions.size(),
+                  expected[s].decisions.size());
+        for (std::size_t i = 0; i < reports[s].decisions.size(); ++i) {
+            const relief::ReliefDecision &a = reports[s].decisions[i];
+            const relief::ReliefDecision &b = expected[s].decisions[i];
+            EXPECT_EQ(a.mechanism, b.mechanism);
+            EXPECT_EQ(a.gap_start, b.gap_start);
+            EXPECT_EQ(a.producer, b.producer);
+        }
+        EXPECT_EQ(reports[s].new_peak_bytes, expected[s].new_peak_bytes);
+    }
+
+    // Only the first lifetime has a forward producer: the second
+    // must not inherit its recompute price.
+    const relief::ReliefReport &recompute = reports[static_cast<
+        std::size_t>(relief::Strategy::kRecomputeOnly)];
+    ASSERT_EQ(recompute.decisions.size(), 1u);
+    EXPECT_EQ(recompute.decisions[0].gap_start, 120u);
+    EXPECT_EQ(recompute.decisions[0].producer, "conv1.forward");
+    EXPECT_EQ(recompute.decisions[0].recompute_cost, 100u);
 }
 
 TEST(Study, MoveCarriesTheCache)

@@ -133,6 +133,27 @@ TEST(Invariants, ServingDriverScope)
     EXPECT_TRUE(hits("src/runtime/plan_builder.cc", source).empty());
 }
 
+TEST(Invariants, BlockIdHashScope)
+{
+    const std::string source =
+        "std::unordered_map<BlockId, TimeNs> last;\n"
+        "std::map<pinpoint::TensorId,\n"
+        "         Block> bound;\n"
+        "FlatTable<BlockId, std::uint32_t> chain_of;\n"
+        "std::map<DevPtr, Node *> segments;\n"
+        "FlatTable<std::uint64_t, Span> span;\n"
+        "std::vector<BlockId> live;\n";
+    const Hits expected = {{1, "block-id-hash"},
+                           {2, "block-id-hash"},
+                           {4, "block-id-hash"}};
+    EXPECT_EQ(hits("src/analysis/x.cc", source), expected);
+    EXPECT_EQ(hits("src/runtime/engine.h", source), expected);
+    // The freeze's one table, and layers outside the per-block ones.
+    EXPECT_TRUE(hits("src/analysis/trace_view.cc", source).empty());
+    EXPECT_TRUE(hits("src/runtime/plan_builder.cc", source).empty());
+    EXPECT_TRUE(hits("src/trace/slice.cc", source).empty());
+}
+
 }  // namespace
 }  // namespace devtools
 }  // namespace pinpoint

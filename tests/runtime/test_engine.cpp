@@ -165,6 +165,32 @@ TEST_F(EngineTest, StagingBufferShuffledOncePerEpoch)
     EXPECT_EQ(staging_reads, 2u);
 }
 
+TEST_F(EngineTest, TraceEventsCountsRunAndTeardown)
+{
+    {
+        Engine engine(plan_, alloc_, clock_, cost_, &trace_);
+        const std::size_t predicted = engine.trace_events(3);
+        engine.run(3);
+        engine.teardown();
+        EXPECT_EQ(trace_.size(), predicted);
+    }
+    trace_.clear();
+    EngineOptions opts;
+    opts.staging_buffer_bytes = 64 * 1024 * 1024;
+    opts.iterations_per_epoch = 4;
+    Engine engine(plan_, alloc_, clock_, cost_, &trace_, opts);
+    const std::size_t predicted = engine.trace_events(9);
+    engine.run(9);
+    engine.teardown();
+    EXPECT_EQ(trace_.size(), predicted);
+    // The staging buffer keeps its exported tensor id and is the
+    // last binding teardown releases.
+    const trace::MemoryEvent &last = trace_.events().back();
+    EXPECT_EQ(last.kind, trace::EventKind::kFree);
+    EXPECT_EQ(last.tensor, plan_.tensors.size() + 1000);
+    EXPECT_EQ(trace_.op_name(last.op), "free.dataset.staging");
+}
+
 TEST_F(EngineTest, RejectsNonPositiveIterations)
 {
     Engine engine(plan_, alloc_, clock_, cost_, &trace_);

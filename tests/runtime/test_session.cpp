@@ -6,6 +6,7 @@
 #include "alloc/device_memory.h"
 #include "core/check.h"
 #include "nn/models.h"
+#include "runtime/request_stream.h"
 #include "runtime/session.h"
 
 namespace pinpoint {
@@ -25,6 +26,24 @@ TEST(Session, ProducesTraceAndStats)
     EXPECT_GT(r.usage.peak_total, 0u);
     EXPECT_GT(r.peak_reserved_bytes, 0u);
     EXPECT_EQ(r.alloc_stats.alloc_count, r.alloc_stats.free_count);
+}
+
+TEST(Session, RecorderIsReservedForTheExactEventCount)
+{
+    SessionConfig config;
+    config.batch = 16;
+    config.iterations = 3;
+    config.engine.staging_buffer_bytes = 1024 * 1024;
+    config.engine.iterations_per_epoch = 2;
+    const auto r = run_training(nn::mlp(), config);
+    EXPECT_EQ(r.trace.events().capacity(), r.trace.size());
+
+    InferenceConfig serving;
+    serving.session.batch = 4;
+    serving.requests = 5;
+    const auto s = run_inference(nn::mlp(), serving);
+    EXPECT_EQ(s.session.trace.events().capacity(),
+              s.session.trace.size());
 }
 
 TEST(Session, TraceCanBeDisabled)
