@@ -1,35 +1,15 @@
 #include "analysis/timeline.h"
+#include "analysis/trace_view.h"
 #include "core/types.h"
+#include "trace/event.h"
 
 #include <algorithm>
-#include <iterator>
-#include <utility>
 
 namespace pinpoint {
 namespace analysis {
 
 // Construction lives in trace_view.cc (TraceView::timeline() is the
-// one build site); this file implements only the probes.
-
-const BlockLifetime *
-Timeline::find(BlockId id, TimeNs t) const
-{
-    // by_id_ orders blocks by (id, allocation time), so the last
-    // block before the first one past (id, t) is the answer when it
-    // has id @p id; otherwise that first one is, when it has.
-    const auto key = std::make_pair(id, t);
-    const auto after = std::upper_bound(
-        by_id_.begin(), by_id_.end(), key,
-        [&](const std::pair<BlockId, TimeNs> &probe, std::size_t i) {
-            return probe <
-                   std::make_pair(blocks_[i].block, blocks_[i].alloc_time);
-        });
-    if (after != by_id_.begin() && blocks_[*std::prev(after)].block == id)
-        return &blocks_[*std::prev(after)];
-    return after != by_id_.end() && blocks_[*after].block == id
-               ? &blocks_[*after]
-               : nullptr;
-}
+// one build site); this file implements the probes and the gap walk.
 
 std::vector<const BlockLifetime *>
 Timeline::live_at(TimeNs t) const
@@ -115,6 +95,58 @@ Timeline::peak_with(std::vector<OccupancyEdge> extra) const
     for (; i < n; ++i)
         best = std::max(best, prefix_[i + 1] + shift);
     return static_cast<std::size_t>(best);
+}
+
+std::vector<AccessGap>
+access_gaps(const TraceView &view, std::size_t min_block_bytes)
+{
+    const Timeline &timeline = view.timeline();
+    const std::vector<BlockLifetime> &blocks = timeline.blocks();
+    // Per slot, the unread rest of the block's access list; empty for
+    // a block too small to count, so the walk skips its events
+    // without reading its lifetime.
+    std::vector<AccessList> rest(blocks.size());
+    std::size_t count = 0;
+    for (std::size_t slot = 0; slot < blocks.size(); ++slot) {
+        if (blocks[slot].size >= min_block_bytes &&
+            blocks[slot].access_count > 1) {
+            rest[slot] = timeline.accesses(blocks[slot]);
+            count += blocks[slot].access_count - 1;
+        }
+    }
+    std::vector<AccessGap> gaps;
+    gaps.reserve(count);
+    // A block's k-th access event is entry k of its access list, so
+    // the walk over the time-ordered events meets every gap at its
+    // start, with its end the list's next entry: the gaps come out
+    // in start order, and only runs of equal starts need a sort.
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        const trace::EventKind kind = view.kind(i);
+        if (kind != trace::EventKind::kRead &&
+            kind != trace::EventKind::kWrite)
+            continue;
+        AccessList &list = rest[view.slot(i)];
+        if (list.size() < 2)
+            continue;
+        ++list.first;
+        if (*list.first > view.time(i))
+            gaps.push_back({view.time(i), *list.first, view.slot(i)});
+    }
+    for (std::size_t lo = 0; lo < gaps.size();) {
+        std::size_t hi = lo + 1;
+        while (hi < gaps.size() && gaps[hi].start == gaps[lo].start)
+            ++hi;
+        if (hi - lo > 1)
+            std::sort(gaps.begin() + static_cast<std::ptrdiff_t>(lo),
+                      gaps.begin() + static_cast<std::ptrdiff_t>(hi),
+                      [&](const AccessGap &a, const AccessGap &b) {
+                          const BlockId ia = blocks[a.slot].block;
+                          const BlockId ib = blocks[b.slot].block;
+                          return ia != ib ? ia < ib : a.slot < b.slot;
+                      });
+        lo = hi;
+    }
+    return gaps;
 }
 
 }  // namespace analysis

@@ -116,8 +116,8 @@ edge_before(const OccupancyEdge &a, const OccupancyEdge &b)
 
 /**
  * Per-block view of a trace. Immutable; construction is one pass
- * over the time-ordered events (only runs of equal timestamps and
- * the id index are sorted) and happens exactly once per TraceView,
+ * over the time-ordered events (only runs of equal timestamps are
+ * sorted) and happens exactly once per TraceView,
  * inside TraceView::timeline() — there is deliberately no public
  * constructor, so no consumer can rebuild the index ad hoc.
  *
@@ -143,16 +143,6 @@ class Timeline
         const TimeNs *first = accesses_.data() + block.first_access;
         return {first, first + block.access_count};
     }
-
-    /**
-     * @return the lifetime of block id @p id that holds time @p t:
-     * the last one allocated at or before @p t, else the first one;
-     * nullptr when no block has id @p id. A trace may reuse an id
-     * after its free, so an id alone does not name one lifetime.
-     * O(log n): a binary search of the id index built once at
-     * construction.
-     */
-    const BlockLifetime *find(BlockId id, TimeNs t) const;
 
     /** @return time of the first event (0 for empty traces). */
     TimeNs start() const { return start_; }
@@ -216,8 +206,6 @@ class Timeline
     std::vector<TimeNs> accesses_;
     TimeNs start_ = 0;
     TimeNs end_ = 0;
-    /** Block indices in (id, index) order, which is (id, alloc_time). */
-    std::vector<std::size_t> by_id_;
     /** Edges sorted by edge_before: frees before allocs at ties. */
     std::vector<OccupancyEdge> edges_;
     /** prefix_[i] = occupancy after the first i sorted edges. */
@@ -225,6 +213,30 @@ class Timeline
     TimeNs peak_time_ = 0;
     std::size_t peak_bytes_ = 0;
 };
+
+/** One access gap of one block lifetime. */
+struct AccessGap {
+    /** Access opening the gap. */
+    TimeNs start = 0;
+    /** Next access of the same block. */
+    TimeNs end = 0;
+    /** Timeline slot of the lifetime: timeline.blocks()[slot]. */
+    std::size_t slot = 0;
+};
+
+/**
+ * @return every gap between two successive, distinct-time accesses
+ * of a block of at least @p min_block_bytes in @p view's Timeline,
+ * in (start, block id, slot) order: the order of every relief plan's
+ * decisions. Only gaps between two accesses count — before the
+ * first access a block holds no data worth preserving, and after
+ * the last one it is about to be freed. One walk over the
+ * time-ordered events backs both the swap planner and the unified
+ * relief planner; it meets the gaps in start order, so only runs of
+ * equal starts are sorted, and never a priced decision.
+ */
+std::vector<AccessGap> access_gaps(const TraceView &view,
+                                   std::size_t min_block_bytes);
 
 }  // namespace analysis
 }  // namespace pinpoint

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
@@ -167,17 +166,6 @@ TraceView::build_timeline() const
                       edge_before);
         lo = hi;
     }
-
-    // Id index for find(): stable, so a reused id's blocks stay in
-    // allocation order. Engine traces allocate ids in increasing
-    // order and need no sort.
-    const auto by_block = [&](std::size_t a, std::size_t b) {
-        return blocks[a].block < blocks[b].block;
-    };
-    t->by_id_.resize(blocks.size());
-    std::iota(t->by_id_.begin(), t->by_id_.end(), std::size_t{0});
-    if (!std::is_sorted(t->by_id_.begin(), t->by_id_.end(), by_block))
-        std::stable_sort(t->by_id_.begin(), t->by_id_.end(), by_block);
 
     // Prefix sums answer live_bytes_at/peak in O(log n)/O(1).
     t->prefix_.reserve(edges.size() + 1);

@@ -419,11 +419,11 @@ write_relief_json(const api::WorkloadSpec &spec,
        << report.measured_peak_reduction
        << ", \"measured_overhead_ns\": " << report.measured_overhead
        << ", \"swap_stall_ns\": "
-       << report.swap_execution.measured_stall
+       << report.swap_schedule.measured_stall
        << ", \"peer_stall_ns\": "
-       << report.peer_execution.measured_stall
+       << report.peer_schedule.measured_stall
        << ", \"link_busy_fraction\": "
-       << format_fixed6(report.swap_execution.link_busy_fraction)
+       << format_fixed6(report.swap_schedule.link_busy_fraction)
        << "},\n  \"decisions\": [\n";
     for (std::size_t i = 0; i < report.decisions.size(); ++i) {
         const auto &d = report.decisions[i];
@@ -562,8 +562,8 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
             "  measured overhead:  %s (%s link stall + "
             "recompute)\n",
             format_time(selected.measured_overhead).c_str(),
-            format_time(selected.swap_execution.measured_stall +
-                        selected.peer_execution.measured_stall)
+            format_time(selected.swap_schedule.measured_stall +
+                        selected.peer_schedule.measured_stall)
                 .c_str());
 
     const std::string csv = args.value("csv", "");

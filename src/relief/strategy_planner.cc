@@ -21,6 +21,8 @@ namespace {
 /** One (block, access-gap) relief candidate with every option. */
 struct Candidate {
     const analysis::BlockLifetime *block = nullptr;
+    /** Timeline slot of @p block: the decisions carry it. */
+    std::size_t slot = 0;
     TimeNs gap_start = 0;
     TimeNs gap_end = 0;
     TimeNs gap = 0;
@@ -105,90 +107,77 @@ unsafe(const swap::GapEvaluation &e, double safety_factor)
 /**
  * Enumerates every (block, gap) candidate with both options priced:
  * the Eq. 1 swap evaluation (shared with swap::SwapPlanner) and the
- * measured-forward-time recompute. Leaves the candidates in
- * (gap_start, block) order — unique per candidate, and the order of
- * a report's decisions — so no selection is ever sorted again.
+ * measured-forward-time recompute. Emits the candidates in the
+ * (gap_start, block) order of analysis::access_gaps — unique per
+ * candidate, and the order of a report's decisions — so no
+ * selection is ever sorted again.
  */
 void
-enumerate_candidates(PlanContext &ctx, const StrategyOptions &options)
+enumerate_candidates(PlanContext &ctx, const analysis::TraceView &view,
+                     const StrategyOptions &options)
 {
-    const std::vector<analysis::BlockLifetime> &blocks =
-        ctx.timeline.blocks();
-    for (std::size_t slot = 0; slot < blocks.size(); ++slot) {
-        const analysis::BlockLifetime &b = blocks[slot];
-        if (b.size < options.min_block_bytes)
-            continue;
+    const std::vector<analysis::AccessGap> gaps =
+        analysis::access_gaps(view, options.min_block_bytes);
+    ctx.candidates.reserve(gaps.size());
+    for (const analysis::AccessGap &g : gaps) {
+        const analysis::BlockLifetime &b = ctx.timeline.blocks()[g.slot];
         // Block s of the Timeline is slot s of the producer index.
-        const analysis::Producer &prod = ctx.producers[slot];
-        const analysis::AccessList accesses = ctx.timeline.accesses(b);
-        for (std::size_t i = 1; i < accesses.size(); ++i) {
-            const TimeNs gap_start = accesses[i - 1];
-            const TimeNs gap_end = accesses[i];
-            if (gap_end <= gap_start)
-                continue;
-            Candidate c;
-            c.block = &b;
-            c.gap_start = gap_start;
-            c.gap_end = gap_end;
-            c.gap = gap_end - gap_start;
+        const analysis::Producer &prod = ctx.producers[g.slot];
+        Candidate c;
+        c.block = &b;
+        c.slot = g.slot;
+        c.gap_start = g.start;
+        c.gap_end = g.end;
+        c.gap = g.end - g.start;
 
-            // Swap option: the same evaluation the swap planner
-            // uses (hide ratio, saturating overhead, transfer-
-            // adjusted residency window for the peak credit).
-            const swap::GapEvaluation e = swap::evaluate_swap_gap(
-                b.size, gap_start, gap_end, options.link,
-                options.safety_factor);
-            // A round trip that fits the gap but misses the
-            // safety headroom has zero raw stall; offering it would
-            // make it free and void the factor, so it is not an
-            // option at all (the swap planner rejects it too).
-            c.swap_ok = !unsafe(e, options.safety_factor);
-            c.hide_ratio = e.hide_ratio;
-            c.swap_overhead = e.overhead;
-            c.swap_covers = e.out_done <= ctx.peak_time &&
-                            ctx.peak_time < e.in_start;
+        // Swap option: the same evaluation the swap planner uses
+        // (hide ratio, saturating overhead, transfer-adjusted
+        // residency window for the peak credit).
+        const swap::GapEvaluation e = swap::evaluate_swap_gap(
+            b.size, g.start, g.end, options.link,
+            options.safety_factor);
+        // A round trip that fits the gap but misses the safety
+        // headroom has zero raw stall; offering it would make it
+        // free and void the factor, so it is not an option at all
+        // (the swap planner rejects it too).
+        c.swap_ok = !unsafe(e, options.safety_factor);
+        c.hide_ratio = e.hide_ratio;
+        c.swap_overhead = e.overhead;
+        c.swap_covers =
+            e.out_done <= ctx.peak_time && ctx.peak_time < e.in_start;
 
-            // Recompute option: only for blocks whose priceable
-            // forward producer's re-run fits inside the gap; the
-            // block is live again while the producer replays, so
-            // the absence window ends at gap_end - cost.
-            if (prod.forward_ns > 0 && prod.forward_ns < c.gap) {
-                const TimeNs cost = prod.forward_ns;
-                c.rec_ok = true;
-                c.rec_cost = cost;
-                c.rec_covers = gap_start <= ctx.peak_time &&
-                               ctx.peak_time < gap_end - cost;
-                c.producer = &prod;
-            }
-
-            // Peer option: the same gap evaluation as swap, but on
-            // the interconnect's symmetric bandwidth plus its
-            // per-transfer latency; only priceable when the
-            // topology has a peer to offload to.
-            if (options.peer_available()) {
-                const analysis::LinkBandwidth peer_link{
-                    options.interconnect.peer_bw_bps,
-                    options.interconnect.peer_bw_bps};
-                const swap::GapEvaluation pe =
-                    swap::evaluate_swap_gap(
-                        b.size, gap_start, gap_end, peer_link,
-                        options.safety_factor,
-                        options.interconnect.latency_ns);
-                c.peer_ok = !unsafe(pe, options.safety_factor);
-                c.peer_hide_ratio = pe.hide_ratio;
-                c.peer_overhead = pe.overhead;
-                c.peer_covers = pe.out_done <= ctx.peak_time &&
-                                ctx.peak_time < pe.in_start;
-            }
-            ctx.candidates.push_back(c);
+        // Recompute option: only for blocks whose priceable forward
+        // producer's re-run fits inside the gap; the block is live
+        // again while the producer replays, so the absence window
+        // ends at gap_end - cost.
+        if (prod.forward_ns > 0 && prod.forward_ns < c.gap) {
+            const TimeNs cost = prod.forward_ns;
+            c.rec_ok = true;
+            c.rec_cost = cost;
+            c.rec_covers = g.start <= ctx.peak_time &&
+                           ctx.peak_time < g.end - cost;
+            c.producer = &prod;
         }
+
+        // Peer option: the same gap evaluation as swap, but on the
+        // interconnect's symmetric bandwidth plus its per-transfer
+        // latency; only priceable when the topology has a peer to
+        // offload to.
+        if (options.peer_available()) {
+            const analysis::LinkBandwidth peer_link{
+                options.interconnect.peer_bw_bps,
+                options.interconnect.peer_bw_bps};
+            const swap::GapEvaluation pe = swap::evaluate_swap_gap(
+                b.size, g.start, g.end, peer_link,
+                options.safety_factor, options.interconnect.latency_ns);
+            c.peer_ok = !unsafe(pe, options.safety_factor);
+            c.peer_hide_ratio = pe.hide_ratio;
+            c.peer_overhead = pe.overhead;
+            c.peer_covers = pe.out_done <= ctx.peak_time &&
+                            ctx.peak_time < pe.in_start;
+        }
+        ctx.candidates.push_back(c);
     }
-    std::sort(ctx.candidates.begin(), ctx.candidates.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  if (a.gap_start != b.gap_start)
-                      return a.gap_start < b.gap_start;
-                  return a.block->block < b.block->block;
-              });
 }
 
 /** Which mechanisms a selection may assign. */
@@ -318,8 +307,8 @@ better(const Selection &a, const Selection &b)
 
 /**
  * Turns a selection into the full report: decisions in candidate
- * order, swap legs scheduled on a fresh shared link, and the
- * combined what-if occupancy peak.
+ * order, swap and peer legs scheduled on fresh shared links, and
+ * one what-if occupancy peak over every leg.
  */
 ReliefReport
 assemble(const PlanContext &ctx, const StrategyOptions &options,
@@ -336,9 +325,10 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
             continue;
         const Candidate &c = ctx.candidates[i];
         const Choice choice = option(c, *sel.picks[i]);
-        ReliefDecision d;
+        ReliefDecision &d = report.decisions.emplace_back();
         d.mechanism = choice.mechanism;
         d.block = c.block->block;
+        d.slot = c.slot;
         d.tensor = c.block->tensor;
         d.size = c.block->size;
         d.gap_start = c.gap_start;
@@ -367,7 +357,6 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
         report.predicted_overhead += choice.overhead;
         if (choice.covers_peak)
             report.peak_reduction_bytes += c.block->size;
-        report.decisions.push_back(std::move(d));
     }
 
     // Swap legs contend on the shared host link, peer legs on the
@@ -382,6 +371,7 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
                 continue;
             swap::SwapDecision s;
             s.block = d.block;
+            s.slot = d.slot;
             s.tensor = d.tensor;
             s.size = d.size;
             s.gap_start = d.gap_start;
@@ -397,53 +387,37 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     };
     sim::LinkScheduler host_link(options.link.d2h_bps,
                                  options.link.h2d_bps);
-    report.swap_execution =
-        swap::execute_plan(view,
-                           leg_plan(Mechanism::kSwap,
-                                    report.swap_decisions),
-                           host_link);
+    report.swap_schedule = swap::schedule_plan(
+        view, leg_plan(Mechanism::kSwap, report.swap_decisions),
+        host_link);
     if (report.peer_decisions > 0) {
         sim::LinkScheduler peer_link(
             options.interconnect.peer_bw_bps,
             options.interconnect.peer_bw_bps,
             options.interconnect.latency_ns);
-        report.peer_execution =
-            swap::execute_plan(view,
-                               leg_plan(Mechanism::kPeer,
-                                        report.peer_decisions),
-                               peer_link);
+        report.peer_schedule = swap::schedule_plan(
+            view, leg_plan(Mechanism::kPeer, report.peer_decisions),
+            peer_link);
     }
 
     // Combined occupancy: baseline lifetimes, minus the *scheduled*
     // swap/peer residency windows, minus the compute-adjusted
-    // recompute absence windows.
+    // recompute absence windows — one what-if peak for the report.
     std::vector<analysis::OccupancyEdge> edges;
     edges.reserve(report.decisions.size() * 2);
-    std::size_t swap_index = 0;
-    std::size_t peer_index = 0;
     for (const auto &d : report.decisions) {
-        if (d.mechanism == Mechanism::kRecompute) {
-            edges.push_back(
-                {d.gap_start, -static_cast<std::int64_t>(d.size)});
-            edges.push_back({d.gap_end - d.recompute_cost,
-                             static_cast<std::int64_t>(d.size)});
-            report.measured_overhead += d.recompute_cost;
+        if (d.mechanism != Mechanism::kRecompute)
             continue;
-        }
-        const auto &s =
-            d.mechanism == Mechanism::kSwap
-                ? report.swap_execution.swaps[swap_index++]
-                : report.peer_execution.swaps[peer_index++];
-        if (s.in_start > s.out_end) {
-            edges.push_back(
-                {s.out_end, -static_cast<std::int64_t>(d.size)});
-            edges.push_back(
-                {s.in_start, static_cast<std::int64_t>(d.size)});
-        }
+        edges.push_back(
+            {d.gap_start, -static_cast<std::int64_t>(d.size)});
+        edges.push_back({d.gap_end - d.recompute_cost,
+                         static_cast<std::int64_t>(d.size)});
+        report.measured_overhead += d.recompute_cost;
     }
-    report.measured_overhead +=
-        report.swap_execution.measured_stall +
-        report.peer_execution.measured_stall;
+    swap::append_residency_edges(report.swap_schedule, edges);
+    swap::append_residency_edges(report.peer_schedule, edges);
+    report.measured_overhead += report.swap_schedule.measured_stall +
+                                report.peer_schedule.measured_stall;
     report.new_peak_bytes = ctx.timeline.peak_with(std::move(edges));
     report.measured_peak_reduction =
         report.original_peak_bytes > report.new_peak_bytes
@@ -529,7 +503,7 @@ StrategyPlanner::plan_all(const analysis::TraceView &view) const
     // strategy; the hybrid guard reuses the pure selections
     // instead of recomputing them.
     PlanContext ctx(view);
-    enumerate_candidates(ctx, options_);
+    enumerate_candidates(ctx, view, options_);
     const TimeNs budget = options_.overhead_budget;
     const TimeNs cap = options_.latency_budget_ns;
     const bool peer = options_.peer_available();

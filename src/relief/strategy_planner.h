@@ -45,6 +45,7 @@
 #include "core/types.h"
 #include "sim/topology.h"
 #include "swap/executor.h"
+#include "swap/planner.h"
 
 namespace pinpoint {
 namespace relief {
@@ -135,6 +136,11 @@ struct StrategyOptions {
 struct ReliefDecision {
     Mechanism mechanism = Mechanism::kSwap;
     BlockId block = kInvalidBlock;
+    /**
+     * Timeline slot of the lifetime the planner found the gap in;
+     * the swap and peer legs are checked through it.
+     */
+    std::size_t slot = swap::kNoSlot;
     TensorId tensor = kInvalidTensor;
     std::size_t size = 0;
     /** Access closing the gap start. */
@@ -187,7 +193,10 @@ struct ReliefReport {
     TimeNs predicted_overhead = 0;
 
     // --- scheduled execution (swap legs on the shared link) -------
-    /** Peak with the plan applied, swap legs link-scheduled. */
+    /**
+     * Peak with the plan applied: one what-if peak over the
+     * link-scheduled swap and peer legs and the recompute windows.
+     */
     std::size_t new_peak_bytes = 0;
     /** original - new (saturating at 0). */
     std::size_t measured_peak_reduction = 0;
@@ -197,10 +206,10 @@ struct ReliefReport {
      * same-direction transfers serialize on their shared links.
      */
     TimeNs measured_overhead = 0;
-    /** Host-link execution of the swap-assigned decisions. */
-    swap::SwapExecutionResult swap_execution;
-    /** Peer-link execution of the peer-assigned decisions. */
-    swap::SwapExecutionResult peer_execution;
+    /** Host-link schedule of the swap-assigned decisions. */
+    swap::LinkSchedule swap_schedule;
+    /** Peer-link schedule of the peer-assigned decisions. */
+    swap::LinkSchedule peer_schedule;
 };
 
 /**
@@ -217,8 +226,9 @@ class StrategyPlanner
     /**
      * Plans every strategy from one trace analysis: the candidate
      * enumeration is shared, and the hybrid guard reuses the pure
-     * selections. Each report's swap legs are then scheduled on a
-     * fresh shared link to fill its measured fields. Reads the
+     * selections. Each report's swap and peer legs are then
+     * scheduled on fresh shared links, and one what-if peak over
+     * all its legs fills its measured fields. Reads the
      * view's shared Timeline and producer index — planning never
      * rebuilds what the swap path already built. Reports are indexed
      * by Strategy enumerator order; the peer-only report is marked

@@ -14,22 +14,52 @@
 
 namespace pinpoint {
 namespace swap {
+namespace {
 
-SwapExecutionResult
-execute_plan(const analysis::TraceView &view,
-             const SwapPlanReport &plan,
-             sim::LinkScheduler &scheduler)
+/**
+ * Checks @p d against the lifetime in its Timeline slot: no lookup
+ * by id, so a trace that reuses an id after its free is checked
+ * against the lifetime its planner found the gap in.
+ */
+void
+check_decision(const analysis::Timeline &timeline, const SwapDecision &d)
+{
+    const std::vector<analysis::BlockLifetime> &blocks =
+        timeline.blocks();
+    PP_CHECK(d.slot < blocks.size(),
+             "decision for block " << d.block << " names slot "
+                                   << d.slot << " of "
+                                   << blocks.size());
+    const analysis::BlockLifetime &b = blocks[d.slot];
+    PP_CHECK(b.block == d.block,
+             "decision for block " << d.block << " names slot "
+                                   << d.slot << ", which holds block "
+                                   << b.block);
+    PP_CHECK(d.gap_start >= b.alloc_time &&
+                 (!b.freed || d.gap_end <= b.free_time),
+             "decision gap escapes block " << d.block
+                                           << "'s lifetime");
+    const analysis::AccessList accesses = timeline.accesses(b);
+    PP_CHECK(std::binary_search(accesses.begin(), accesses.end(),
+                                d.gap_start) &&
+                 std::binary_search(accesses.begin(), accesses.end(),
+                                    d.gap_end),
+             "decision gap endpoints are not accesses of block "
+                 << d.block);
+}
+
+}  // namespace
+
+LinkSchedule
+schedule_plan(const analysis::TraceView &view,
+              const SwapPlanReport &plan,
+              sim::LinkScheduler &scheduler)
 {
     const analysis::Timeline &timeline = view.timeline();
+    for (const auto &d : plan.decisions)
+        check_decision(timeline, d);
 
-    // The plan's residency edges; the baseline stays in the shared
-    // index and Timeline::peak_with merges the two.
-    std::vector<analysis::OccupancyEdge> edges;
-    edges.reserve(plan.decisions.size() * 2);
-
-    SwapExecutionResult result;
-    result.original_peak_bytes = timeline.peak_bytes();
-
+    LinkSchedule result;
     // The scheduler may carry earlier plans' traffic; snapshot the
     // channel busy times so this result reports only its own.
     const TimeNs d2h_busy_before =
@@ -37,42 +67,23 @@ execute_plan(const analysis::TraceView &view,
     const TimeNs h2d_busy_before =
         scheduler.busy_time(sim::CopyDir::kHostToDevice);
 
-    for (const auto &d : plan.decisions) {
-        // A trace may reuse a block id after its free: check the gap
-        // against the lifetime that holds its start.
-        const analysis::BlockLifetime *block =
-            timeline.find(d.block, d.gap_start);
-        PP_CHECK(block != nullptr,
-                 "plan references unknown block " << d.block);
-        const auto &b = *block;
-        PP_CHECK(d.gap_start >= b.alloc_time &&
-                     (!b.freed || d.gap_end <= b.free_time),
-                 "decision gap escapes block " << d.block
-                                               << "'s lifetime");
-        const analysis::AccessList accesses = timeline.accesses(b);
-        PP_CHECK(std::binary_search(accesses.begin(), accesses.end(),
-                                    d.gap_start) &&
-                     std::binary_search(accesses.begin(),
-                                        accesses.end(), d.gap_end),
-                 "decision gap endpoints are not accesses of block "
-                     << d.block);
-    }
-
     const std::size_t n = plan.decisions.size();
     result.swaps.resize(n);
 
     // Phase 1 — swap-outs. The D2H channel serializes them; queue
-    // order is gap-start order (ties by block id for determinism).
+    // order is gap-start order (ties by block id for determinism),
+    // the order both planners already emit.
     std::vector<std::size_t> order(n);
     std::iota(order.begin(), order.end(), std::size_t{0});
-    std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
-                  const auto &da = plan.decisions[a];
-                  const auto &db = plan.decisions[b];
-                  if (da.gap_start != db.gap_start)
-                      return da.gap_start < db.gap_start;
-                  return da.block < db.block;
-              });
+    const auto out_before = [&](std::size_t a, std::size_t b) {
+        const auto &da = plan.decisions[a];
+        const auto &db = plan.decisions[b];
+        if (da.gap_start != db.gap_start)
+            return da.gap_start < db.gap_start;
+        return da.block < db.block;
+    };
+    if (!std::is_sorted(order.begin(), order.end(), out_before))
+        std::sort(order.begin(), order.end(), out_before);
     for (std::size_t i : order) {
         const auto &d = plan.decisions[i];
         const auto out = scheduler.submit(
@@ -126,15 +137,6 @@ execute_plan(const analysis::TraceView &view,
         if (in.end_time > d.gap_end)
             s.stall = in.end_time - d.gap_end;
 
-        // Residency edges use the *scheduled* completion/start, not
-        // the ideal ones: contention shrinks the off-device window.
-        if (s.in_start > s.out_end) {
-            edges.push_back(
-                {s.out_end, -static_cast<std::int64_t>(d.size)});
-            edges.push_back(
-                {s.in_start, static_cast<std::int64_t>(d.size)});
-        }
-
         result.d2h_bytes += d.size;
         result.h2d_bytes += d.size;
         result.transfer_time +=
@@ -159,7 +161,40 @@ execute_plan(const analysis::TraceView &view,
                   : static_cast<double>(result.d2h_busy_time +
                                         result.h2d_busy_time) /
                         (2.0 * static_cast<double>(span));
+    return result;
+}
 
+void
+append_residency_edges(const LinkSchedule &schedule,
+                       std::vector<analysis::OccupancyEdge> &edges)
+{
+    // Scheduled, not ideal, edges: contention shrinks the
+    // off-device window, and a window it closes adds none.
+    for (const ExecutedSwap &s : schedule.swaps) {
+        if (s.in_start > s.out_end) {
+            edges.push_back(
+                {s.out_end, -static_cast<std::int64_t>(s.size)});
+            edges.push_back(
+                {s.in_start, static_cast<std::int64_t>(s.size)});
+        }
+    }
+}
+
+SwapExecutionResult
+execute_plan(const analysis::TraceView &view,
+             const SwapPlanReport &plan,
+             sim::LinkScheduler &scheduler)
+{
+    SwapExecutionResult result;
+    static_cast<LinkSchedule &>(result) =
+        schedule_plan(view, plan, scheduler);
+    // The plan's residency edges; the baseline stays in the shared
+    // index and Timeline::peak_with merges the two.
+    std::vector<analysis::OccupancyEdge> edges;
+    edges.reserve(result.swaps.size() * 2);
+    append_residency_edges(result, edges);
+    const analysis::Timeline &timeline = view.timeline();
+    result.original_peak_bytes = timeline.peak_bytes();
     result.new_peak_bytes = timeline.peak_with(std::move(edges));
     result.measured_peak_reduction =
         result.original_peak_bytes > result.new_peak_bytes

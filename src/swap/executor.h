@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "analysis/swap_model.h"
+#include "analysis/timeline.h"
 #include "core/types.h"
 #include "sim/link_scheduler.h"
 #include "swap/planner.h"
@@ -42,14 +43,8 @@ struct ExecutedSwap {
     TimeNs queue_delay = 0;
 };
 
-/** Measured outcome of executing a swap plan over a trace. */
-struct SwapExecutionResult {
-    /** Peak live bytes of the unmodified trace. */
-    std::size_t original_peak_bytes = 0;
-    /** Peak device-resident bytes with the plan applied. */
-    std::size_t new_peak_bytes = 0;
-    /** original - new (saturating at 0). */
-    std::size_t measured_peak_reduction = 0;
+/** Link schedule of a swap plan: every copy timed, no peak. */
+struct LinkSchedule {
     /** Total bytes copied device-to-host. */
     std::size_t d2h_bytes = 0;
     /** Total bytes copied host-to-device. */
@@ -75,22 +70,51 @@ struct SwapExecutionResult {
     std::vector<ExecutedSwap> swaps;
 };
 
+/** Measured outcome of executing a swap plan over a trace. */
+struct SwapExecutionResult : LinkSchedule {
+    /** Peak live bytes of the unmodified trace. */
+    std::size_t original_peak_bytes = 0;
+    /** Peak device-resident bytes with the plan applied. */
+    std::size_t new_peak_bytes = 0;
+    /** original - new (saturating at 0). */
+    std::size_t measured_peak_reduction = 0;
+};
+
 /**
- * Executes @p plan against @p view's trace, timing every copy
- * on the shared link @p scheduler (which may already carry traffic;
- * state accumulates across calls). Reads the view's shared Timeline
- * — validating a plan never rebuilds the index the planner used.
+ * Times every copy of @p plan on the shared link @p scheduler (which
+ * may already carry traffic; state accumulates across calls). Reads
+ * @p view's shared Timeline — validating a plan never rebuilds the
+ * index the planner used — and computes no peak: a caller combining
+ * several links' schedules makes one what-if peak over all of them.
  *
- * The residency model: a swapped block leaves the device once its
- * *scheduled* swap-out completes and returns when its *scheduled*
- * swap-in starts. Swap-outs enter the D2H queue in gap-start order;
- * swap-ins enter the H2D queue ordered by their ideal start
+ * Swap-outs enter the D2H queue in (gap_start, block) order, taken
+ * as given when the plan is already in it, as both planners emit
+ * it; swap-ins enter the H2D queue ordered by their ideal start
  * (gap_end - transfer time, clamped to the swap-out completion). A
  * swap-in finishing past its gap end is a measured stall.
  *
- * @throws Error when a decision references a block the trace does
- * not contain, or a gap that does not match the accesses of the
- * block's lifetime that holds it (a trace may reuse a block id).
+ * @throws Error when a decision's slot is out of range or holds
+ * another block id, or its gap leaves that lifetime or does not run
+ * between two of its accesses.
+ */
+LinkSchedule schedule_plan(const analysis::TraceView &view,
+                           const SwapPlanReport &plan,
+                           sim::LinkScheduler &scheduler);
+
+/**
+ * Appends @p schedule's residency edges to @p edges: each swapped
+ * block leaves the device once its *scheduled* swap-out completes
+ * and returns when its *scheduled* swap-in starts.
+ */
+void append_residency_edges(const LinkSchedule &schedule,
+                            std::vector<analysis::OccupancyEdge> &edges);
+
+/**
+ * Executes @p plan against @p view's trace: schedule_plan on
+ * @p scheduler, then one Timeline::peak_with over the schedule's
+ * residency edges.
+ *
+ * @throws Error as schedule_plan.
  */
 SwapExecutionResult execute_plan(const analysis::TraceView &view,
                                  const SwapPlanReport &plan,

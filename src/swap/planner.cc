@@ -1,6 +1,6 @@
 #include "swap/planner.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "analysis/swap_model.h"
 #include "analysis/timeline.h"
@@ -54,54 +54,35 @@ SwapPlanner::plan(const analysis::TraceView &view) const
     const TimeNs peak_time = timeline.peak_time();
     report.original_peak_bytes = timeline.peak_bytes();
 
-    for (const auto &b : timeline.blocks()) {
-        if (b.size < options_.min_block_bytes)
+    for (const analysis::AccessGap &g :
+         analysis::access_gaps(view, options_.min_block_bytes)) {
+        const analysis::BlockLifetime &b = timeline.blocks()[g.slot];
+        const GapEvaluation e =
+            evaluate_swap_gap(b.size, g.start, g.end, options_.link,
+                              options_.safety_factor);
+        const bool hideable = e.hide_ratio >= options_.safety_factor;
+        if (!hideable && !options_.allow_overhead)
             continue;
-        // Walk the access gaps: alloc .. a0 .. a1 .. ... .. free.
-        // Only gaps between two accesses qualify — before the first
-        // access the block holds no data worth preserving, and after
-        // the last one it is about to be freed anyway.
-        const analysis::AccessList accesses = timeline.accesses(b);
-        for (std::size_t i = 1; i < accesses.size(); ++i) {
-            const TimeNs gap_start = accesses[i - 1];
-            const TimeNs gap_end = accesses[i];
-            if (gap_end <= gap_start)
-                continue;
-            const GapEvaluation e =
-                evaluate_swap_gap(b.size, gap_start, gap_end,
-                                  options_.link,
-                                  options_.safety_factor);
-            const bool hideable =
-                e.hide_ratio >= options_.safety_factor;
-            if (!hideable && !options_.allow_overhead)
-                continue;
-            SwapDecision d;
-            d.block = b.block;
-            d.tensor = b.tensor;
-            d.size = b.size;
-            d.gap_start = gap_start;
-            d.gap_end = gap_end;
-            d.gap = gap_end - gap_start;
-            d.hide_ratio = e.hide_ratio;
-            d.overhead = e.overhead;
-            report.predicted_overhead += d.overhead;
-            report.total_swapped_bytes += b.size;
-            // The executor only evicts between swap-out completion
-            // and swap-in start; credit the peak only when it falls
-            // inside that transfer-adjusted residency window, not
-            // anywhere in the raw gap.
-            if (e.out_done <= peak_time && peak_time < e.in_start)
-                report.peak_reduction_bytes += b.size;
-            report.decisions.push_back(d);
-        }
+        SwapDecision d;
+        d.block = b.block;
+        d.slot = g.slot;
+        d.tensor = b.tensor;
+        d.size = b.size;
+        d.gap_start = g.start;
+        d.gap_end = g.end;
+        d.gap = g.end - g.start;
+        d.hide_ratio = e.hide_ratio;
+        d.overhead = e.overhead;
+        report.predicted_overhead += d.overhead;
+        report.total_swapped_bytes += b.size;
+        // The executor only evicts between swap-out completion and
+        // swap-in start; credit the peak only when it falls inside
+        // that transfer-adjusted residency window, not anywhere in
+        // the raw gap.
+        if (e.out_done <= peak_time && peak_time < e.in_start)
+            report.peak_reduction_bytes += b.size;
+        report.decisions.push_back(d);
     }
-
-    std::sort(report.decisions.begin(), report.decisions.end(),
-              [](const SwapDecision &a, const SwapDecision &b) {
-                  if (a.gap_start != b.gap_start)
-                      return a.gap_start < b.gap_start;
-                  return a.block < b.block;
-              });
     return report;
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <vector>
 
 #include "analysis/swap_model.h"
@@ -72,9 +73,19 @@ GapEvaluation evaluate_swap_gap(std::size_t size, TimeNs gap_start,
                                 double safety_factor,
                                 TimeNs latency_ns = 0);
 
+/** "Not found by a planner": out of range for every Timeline. */
+inline constexpr std::size_t kNoSlot =
+    std::numeric_limits<std::size_t>::max();
+
 /** One scheduled swap-out/swap-in pair for a block's access gap. */
 struct SwapDecision {
     BlockId block = kInvalidBlock;
+    /**
+     * Timeline slot of the lifetime the planner found the gap in. A
+     * trace may reuse a block id after its free, so the id alone does
+     * not name a lifetime; the executor checks the gap through this.
+     */
+    std::size_t slot = kNoSlot;
     TensorId tensor = kInvalidTensor;
     std::size_t size = 0;
     /** Access closing the gap start: swap-out begins here. */
@@ -91,6 +102,7 @@ struct SwapDecision {
 
 /** Planner output. */
 struct SwapPlanReport {
+    /** In (gap_start, block) order. */
     std::vector<SwapDecision> decisions;
     /** Sum of sizes over scheduled decisions (gap-bytes moved out). */
     std::size_t total_swapped_bytes = 0;

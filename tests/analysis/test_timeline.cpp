@@ -5,6 +5,7 @@
 #include <map>
 #include <numeric>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "analysis/gantt.h"
@@ -290,41 +291,58 @@ TEST(Timeline, PeakWithMatchesTheFullSortOracle)
     }
 }
 
-TEST(Timeline, FindLooksBlocksUpById)
+TEST(Timeline, AccessGapsEqualASortedPerBlockWalk)
 {
-    for (bool shuffled : {false, true}) {
-        SCOPED_TRACE(shuffled);
-        const auto trace = random_trace(3, shuffled);
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        // Shuffled ids, so (block, slot) order differs from slot order
+        // among the many gaps that share a start.
+        const auto trace = random_trace(seed, true);
         TraceView view(trace);
-        const Timeline &t = view.timeline();
-        ASSERT_FALSE(t.blocks().empty());
-        for (const auto &b : t.blocks()) {
-            const BlockLifetime *found = t.find(b.block, b.alloc_time);
-            ASSERT_NE(found, nullptr);
-            EXPECT_EQ(found, &b);
+        for (std::size_t min_bytes : {std::size_t{0}, std::size_t{1024}}) {
+            SCOPED_TRACE(min_bytes);
+            // Oracle: each lifetime's reads straight from the recorder
+            // (random traces never reuse an id), gaps taken per block
+            // and fully sorted.
+            std::map<BlockId, std::size_t> slot_of;
+            std::vector<std::size_t> size_of;
+            std::vector<std::vector<TimeNs>> reads;
+            for (const auto &e : trace.events()) {
+                if (e.kind == trace::EventKind::kMalloc) {
+                    slot_of[e.block] = size_of.size();
+                    size_of.push_back(e.size);
+                    reads.emplace_back();
+                } else if (e.kind == trace::EventKind::kRead) {
+                    reads[slot_of.at(e.block)].push_back(e.time);
+                }
+            }
+            // (start, block id, slot, end), sorted.
+            std::vector<std::tuple<TimeNs, BlockId, std::size_t, TimeNs>>
+                expected;
+            for (const auto &[block, slot] : slot_of) {
+                if (size_of[slot] < min_bytes)
+                    continue;
+                for (std::size_t i = 1; i < reads[slot].size(); ++i)
+                    if (reads[slot][i] > reads[slot][i - 1])
+                        expected.emplace_back(reads[slot][i - 1], block,
+                                              slot, reads[slot][i]);
+            }
+            std::sort(expected.begin(), expected.end());
+            const Timeline &t = view.timeline();
+            const std::vector<AccessGap> gaps =
+                access_gaps(view, min_bytes);
+            ASSERT_EQ(gaps.size(), expected.size());
+            ASSERT_FALSE(gaps.empty());
+            for (std::size_t i = 0; i < gaps.size(); ++i) {
+                SCOPED_TRACE(i);
+                const auto &[start, block, slot, end] = expected[i];
+                EXPECT_EQ(gaps[i].start, start);
+                EXPECT_EQ(gaps[i].end, end);
+                EXPECT_EQ(gaps[i].slot, slot);
+                EXPECT_EQ(t.blocks()[gaps[i].slot].block, block);
+            }
         }
-        EXPECT_EQ(t.find(0, 0), nullptr);
-        EXPECT_EQ(t.find(100000, 0), nullptr);
     }
-    TraceView empty{trace::TraceRecorder()};
-    EXPECT_EQ(empty.timeline().find(1, 0), nullptr);
-
-    // A reused id names the lifetime that holds the probe time;
-    // before its first allocation, the first lifetime.
-    trace::TraceRecorder r;
-    r.record(ev(10, trace::EventKind::kMalloc, 7, 0x1000, 512));
-    r.record(ev(20, trace::EventKind::kFree, 7, 0x1000, 512));
-    r.record(ev(20, trace::EventKind::kMalloc, 7, 0x2000, 512));
-    r.record(ev(30, trace::EventKind::kFree, 7, 0x2000, 512));
-    r.record(ev(40, trace::EventKind::kMalloc, 7, 0x3000, 512));
-    TraceView reused(r);
-    const Timeline &t = reused.timeline();
-    ASSERT_EQ(t.blocks().size(), 3u);
-    EXPECT_EQ(t.find(7, 0), &t.blocks()[0]);
-    EXPECT_EQ(t.find(7, 19), &t.blocks()[0]);
-    EXPECT_EQ(t.find(7, 20), &t.blocks()[1]);
-    EXPECT_EQ(t.find(7, 39), &t.blocks()[1]);
-    EXPECT_EQ(t.find(7, 1000), &t.blocks()[2]);
 }
 
 TEST(Gantt, RowsOverlapWindow)

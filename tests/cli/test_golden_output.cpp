@@ -71,6 +71,37 @@ TEST(GoldenOutput, ReliefMatchesThePreRefactorCli)
               golden("relief_resnet18_b16_i2_budget50.txt"));
 }
 
+TEST(GoldenOutput, ReliefJsonMatchesTheFixtures)
+{
+    // Every decision of three plans, byte for byte: unbudgeted swap
+    // and recompute legs, peer legs on a second link, and a serving
+    // stream under a per-request SLO.
+    struct Case {
+        std::vector<std::string> args;
+        const char *fixture;
+    };
+    const std::vector<std::string> train = {
+        "relief", "--model", "resnet18", "--batch", "16",
+        "--iterations", "2"};
+    std::vector<std::string> dp2 = train;
+    dp2.insert(dp2.end(), {"--devices", "2", "--topology", "nvlink"});
+    for (const Case &c :
+         {Case{train, "relief_resnet18_b16_i2.json"},
+          Case{dp2, "relief_resnet18_b16_i2_dp2_nvlink.json"},
+          Case{{"relief", "--model", "resnet18", "--batch", "16",
+                "--mode", "infer", "--requests", "8", "--slo-ms", "50"},
+               "relief_resnet18_b16_infer_r8_slo50.json"}}) {
+        SCOPED_TRACE(c.fixture);
+        const std::string path =
+            testing::TempDir() + "pinpoint_golden_" + c.fixture;
+        std::vector<std::string> args = c.args;
+        args.insert(args.end(), {"--json", path});
+        run_out(args);
+        EXPECT_EQ(read_file(path), golden(c.fixture));
+        std::remove(path.c_str());
+    }
+}
+
 TEST(GoldenOutput, SweepCsvMatchesThePreRefactorCli)
 {
     const std::string path =

@@ -19,6 +19,10 @@
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
 #include "sim/device_spec.h"
+#include "sim/link_scheduler.h"
+#include "sim/topology.h"
+#include "support/occupancy_oracle.h"
+#include "swap/executor.h"
 #include "swap/planner.h"
 
 namespace pinpoint {
@@ -174,8 +178,8 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
     EXPECT_EQ(peer_only.swap_decisions, 0u);
     EXPECT_EQ(peer_only.recompute_decisions, 0u);
     // The peer legs run on the peer link's executor, not the host's.
-    EXPECT_EQ(peer_only.swap_execution.executed_decisions, 0u);
-    EXPECT_EQ(peer_only.peer_execution.executed_decisions, 1u);
+    EXPECT_EQ(peer_only.swap_schedule.executed_decisions, 0u);
+    EXPECT_EQ(peer_only.peer_schedule.executed_decisions, 1u);
 
     // Hybrid sees all three mechanisms and takes the free one over
     // the ~118 ms swap stall and the 1 us recompute.
@@ -354,12 +358,12 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             EXPECT_EQ(rec_only.swap_decisions, 0u);
             EXPECT_EQ(rec_only.peer_decisions, 0u);
             EXPECT_EQ(
-                rec_only.swap_execution.executed_decisions, 0u);
+                rec_only.swap_schedule.executed_decisions, 0u);
             EXPECT_EQ(peer_only.swap_decisions, 0u);
             EXPECT_EQ(peer_only.recompute_decisions, 0u);
             EXPECT_EQ(
-                peer_only.swap_execution.executed_decisions, 0u);
-            EXPECT_EQ(peer_only.peer_execution.executed_decisions,
+                peer_only.swap_schedule.executed_decisions, 0u);
+            EXPECT_EQ(peer_only.peer_schedule.executed_decisions,
                       peer_only.peer_decisions);
             // Swap legs are link-scheduled: contention can only add
             // stall beyond the per-decision prediction.
@@ -367,7 +371,7 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             for (const auto &d : hybrid.decisions)
                 if (d.mechanism == Mechanism::kSwap)
                     swap_leg_overhead += d.overhead;
-            EXPECT_GE(hybrid.swap_execution.measured_stall,
+            EXPECT_GE(hybrid.swap_schedule.measured_stall,
                       swap_leg_overhead);
             // Predicted reduction never exceeds the original peak.
             EXPECT_LE(hybrid.peak_reduction_bytes,
@@ -377,12 +381,9 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
 }
 
 void
-expect_same_execution(const swap::SwapExecutionResult &a,
-                      const swap::SwapExecutionResult &b)
+expect_same_schedule(const swap::LinkSchedule &a,
+                     const swap::LinkSchedule &b)
 {
-    EXPECT_EQ(a.original_peak_bytes, b.original_peak_bytes);
-    EXPECT_EQ(a.new_peak_bytes, b.new_peak_bytes);
-    EXPECT_EQ(a.measured_peak_reduction, b.measured_peak_reduction);
     EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
     EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
     EXPECT_EQ(a.transfer_time, b.transfer_time);
@@ -415,6 +416,7 @@ expect_same_decisions(const std::vector<ReliefDecision> &a,
         SCOPED_TRACE(i);
         EXPECT_EQ(a[i].mechanism, b[i].mechanism);
         EXPECT_EQ(a[i].block, b[i].block);
+        EXPECT_EQ(a[i].slot, b[i].slot);
         EXPECT_EQ(a[i].tensor, b[i].tensor);
         EXPECT_EQ(a[i].size, b[i].size);
         EXPECT_EQ(a[i].gap_start, b[i].gap_start);
@@ -446,8 +448,8 @@ expect_same_report(const ReliefReport &a, const ReliefReport &b)
     EXPECT_EQ(a.new_peak_bytes, b.new_peak_bytes);
     EXPECT_EQ(a.measured_peak_reduction, b.measured_peak_reduction);
     EXPECT_EQ(a.measured_overhead, b.measured_overhead);
-    expect_same_execution(a.swap_execution, b.swap_execution);
-    expect_same_execution(a.peer_execution, b.peer_execution);
+    expect_same_schedule(a.swap_schedule, b.swap_schedule);
+    expect_same_schedule(a.peer_schedule, b.peer_schedule);
 }
 
 /**
@@ -590,6 +592,120 @@ TEST(StrategyPlanner, ZeroBudgetSwapsHonourTheSafetyFactor)
         else
             EXPECT_LT(reference.decisions.size(), decisions_at_1)
                 << "the factor never bites on this input";
+    }
+}
+
+/**
+ * Each report's link-scheduled numbers against independent
+ * executions: every leg's per-swap schedule equals a fresh
+ * swap::execute_plan of those legs alone on a new link, and the
+ * report's one what-if peak equals the full-sort occupancy oracle
+ * over the baseline edges plus the scheduled swap and peer windows
+ * plus the recompute windows. A training trace, a two-device NVLink
+ * trace (peer legs on a second link) and a serving trace under a
+ * 50 ms SLO; unbudgeted and at 50 ms.
+ */
+TEST(StrategyPlanner, CombinedPeakMatchesTheOccupancyOracle)
+{
+    struct Case {
+        const char *name;
+        api::WorkloadSpec spec;
+    };
+    api::WorkloadSpec train;
+    train.model = "resnet18";
+    train.batch = 16;
+    train.iterations = 2;
+    api::WorkloadSpec dp2 = train;
+    dp2.devices = 2;
+    dp2.topology = "nvlink";
+    api::WorkloadSpec serve = train;
+    serve.mode = runtime::SessionMode::kInfer;
+    serve.requests = 8;
+    for (const Case &c : {Case{"train", train}, Case{"dp2", dp2},
+                          Case{"serve", serve}}) {
+        SCOPED_TRACE(c.name);
+        const api::Study study = api::Study::run(c.spec);
+        const analysis::TraceView &view = study.view();
+        const analysis::Timeline &timeline = view.timeline();
+        StrategyOptions opts;
+        opts.link = analysis::LinkBandwidth{study.device().d2h_bw_bps,
+                                            study.device().h2d_bw_bps};
+        opts.min_block_bytes = 8 * kMB;
+        if (c.spec.devices > 1) {
+            opts.devices = c.spec.devices;
+            opts.interconnect = sim::InterconnectSpec::nvlink();
+        }
+        if (c.spec.mode == runtime::SessionMode::kInfer)
+            opts.latency_budget_ns = 50 * kNsPerMs;
+        std::size_t legs_checked = 0;
+        for (TimeNs budget : {kUnlimitedBudget, 50 * kNsPerMs}) {
+            SCOPED_TRACE(budget);
+            opts.overhead_budget = budget;
+            for (const ReliefReport &report :
+                 StrategyPlanner(opts).plan_all(view)) {
+                SCOPED_TRACE(strategy_name(report.strategy));
+                if (!report.available)
+                    continue;
+                std::vector<analysis::OccupancyEdge> edges =
+                    timeline.edges();
+                swap::SwapPlanReport swap_legs;
+                swap::SwapPlanReport peer_legs;
+                for (const ReliefDecision &d : report.decisions) {
+                    if (d.mechanism == Mechanism::kRecompute) {
+                        edges.push_back(
+                            {d.gap_start,
+                             -static_cast<std::int64_t>(d.size)});
+                        edges.push_back(
+                            {d.gap_end - d.recompute_cost,
+                             static_cast<std::int64_t>(d.size)});
+                        continue;
+                    }
+                    swap::SwapDecision s;
+                    s.block = d.block;
+                    s.slot = d.slot;
+                    s.size = d.size;
+                    s.gap_start = d.gap_start;
+                    s.gap_end = d.gap_end;
+                    (d.mechanism == Mechanism::kSwap ? swap_legs
+                                                     : peer_legs)
+                        .decisions.push_back(s);
+                }
+                sim::LinkScheduler host_link(opts.link.d2h_bps,
+                                             opts.link.h2d_bps);
+                expect_same_schedule(
+                    report.swap_schedule,
+                    swap::execute_plan(view, swap_legs, host_link));
+                if (!peer_legs.decisions.empty()) {
+                    sim::LinkScheduler peer_link(
+                        opts.interconnect.peer_bw_bps,
+                        opts.interconnect.peer_bw_bps,
+                        opts.interconnect.latency_ns);
+                    expect_same_schedule(
+                        report.peer_schedule,
+                        swap::execute_plan(view, peer_legs, peer_link));
+                }
+                EXPECT_EQ(report.peer_schedule.swaps.size(),
+                          peer_legs.decisions.size());
+                legs_checked += swap_legs.decisions.size() +
+                                peer_legs.decisions.size();
+                for (const swap::LinkSchedule *leg :
+                     {&report.swap_schedule, &report.peer_schedule}) {
+                    for (const swap::ExecutedSwap &s : leg->swaps) {
+                        if (s.in_start <= s.out_end)
+                            continue;
+                        edges.push_back(
+                            {s.out_end,
+                             -static_cast<std::int64_t>(s.size)});
+                        edges.push_back(
+                            {s.in_start,
+                             static_cast<std::int64_t>(s.size)});
+                    }
+                }
+                EXPECT_EQ(report.new_peak_bytes,
+                          test_support::peak_occupancy(std::move(edges)));
+            }
+        }
+        EXPECT_GT(legs_checked, 0u) << "no link leg was scheduled";
     }
 }
 

@@ -1,6 +1,12 @@
 /** @file Unit tests for the swap executor. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "core/check.h"
 #include "nn/models.h"
 #include "runtime/session.h"
@@ -201,25 +207,128 @@ TEST(SwapExecutor, EmptyPlanChangesNothing)
     EXPECT_EQ(exec.transfer_time, 0u);
 }
 
-TEST(SwapExecutor, RejectsForeignDecisions)
+/** Expects executing @p d alone to throw an Error naming @p what. */
+void
+expect_rejected(const analysis::TraceView &view, const SwapDecision &d,
+                const std::string &what)
 {
-    const analysis::TraceView trace(gap_trace());
-    SwapPlanReport bogus;
-    SwapDecision d;
-    d.block = 999;
-    d.size = 1024;
-    d.gap_start = 10;
-    d.gap_end = 20;
-    bogus.decisions.push_back(d);
-    EXPECT_THROW(execute_plan(trace, bogus, kLink), Error);
+    SwapPlanReport plan;
+    plan.decisions.push_back(d);
+    try {
+        execute_plan(view, plan, kLink);
+        ADD_FAILURE() << "accepted a decision that " << what;
+    } catch (const Error &e) {
+        EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+            << e.what();
+    }
+}
 
-    SwapPlanReport misaligned;
-    d.block = 1;
-    d.size = 512ull << 20;
-    d.gap_start = 11;  // not an access timestamp
-    d.gap_end = kNsPerSec;
-    misaligned.decisions.push_back(d);
-    EXPECT_THROW(execute_plan(trace, misaligned, kLink), Error);
+TEST(SwapExecutor, ChecksEachDecisionThroughItsSlot)
+{
+    const analysis::TraceView view(gap_trace());
+    PlannerOptions opts;
+    opts.link = kLink;
+    const auto plan = SwapPlanner(opts).plan(view);
+    ASSERT_EQ(plan.decisions.size(), 1u);
+    const SwapDecision good = plan.decisions[0];
+    // Block 1 is slot 0; the transient block 2 is slot 1.
+    ASSERT_EQ(good.slot, 0u);
+
+    SwapDecision d = good;
+    d.slot = view.timeline().blocks().size();
+    expect_rejected(view, d, "names slot 2 of 2");
+    d.slot = kNoSlot;
+    expect_rejected(view, d, "of 2");
+
+    d = good;
+    d.slot = 1;
+    expect_rejected(view, d, "which holds block 2");
+
+    d = good;
+    d.gap_end = kNsPerSec + 20;  // past block 1's free
+    expect_rejected(view, d, "escapes block 1's lifetime");
+
+    d = good;
+    d.gap_start = 11;  // inside the lifetime, not an access
+    expect_rejected(view, d, "not accesses of block 1");
+    d = good;
+    d.gap_end = kNsPerSec - 1;
+    expect_rejected(view, d, "not accesses of block 1");
+}
+
+TEST(SwapExecutor, ReusedBlockIdExecutesThroughItsSlots)
+{
+    // Block id 7 lives twice, each lifetime with a 1 s gap; the
+    // second allocation reuses the id at the first one's free.
+    trace::TraceRecorder r;
+    const std::size_t big = 512ull << 20;
+    for (TimeNs base : {TimeNs{0}, 2 * kNsPerSec}) {
+        r.record(ev(base, trace::EventKind::kMalloc, 7, big));
+        r.record(ev(base + 10, trace::EventKind::kWrite, 7, big));
+        r.record(ev(base + kNsPerSec, trace::EventKind::kRead, 7, big));
+        r.record(ev(base + 2 * kNsPerSec, trace::EventKind::kFree, 7,
+                    big));
+    }
+    const analysis::TraceView view(r);
+    PlannerOptions opts;
+    opts.link = kLink;
+    const auto plan = SwapPlanner(opts).plan(view);
+    ASSERT_EQ(plan.decisions.size(), 2u);
+    EXPECT_EQ(plan.decisions[0].block, 7u);
+    EXPECT_EQ(plan.decisions[1].block, 7u);
+    EXPECT_EQ(plan.decisions[0].slot, 0u);
+    EXPECT_EQ(plan.decisions[1].slot, 1u);
+
+    const auto exec = execute_plan(view, plan, kLink);
+    EXPECT_EQ(exec.executed_decisions, 2u);
+    EXPECT_EQ(exec.measured_stall, 0u);
+    EXPECT_EQ(exec.new_peak_bytes, big)
+        << "each lifetime is still resident at its accesses";
+
+    // The same id in the other lifetime's slot is a foreign gap.
+    SwapDecision swapped = plan.decisions[1];
+    swapped.slot = 0;
+    expect_rejected(view, swapped, "escapes block 7's lifetime");
+}
+
+TEST(SwapExecutor, ShuffledPlanGetsTheSortedSchedule)
+{
+    runtime::SessionConfig config;
+    config.batch = 16;
+    config.iterations = 2;
+    const auto result = runtime::run_training(nn::resnet(18), config);
+    PlannerOptions opts;
+    opts.link = kLink;
+    opts.allow_overhead = true;
+    const auto plan = SwapPlanner(opts).plan(result.view());
+    ASSERT_GT(plan.decisions.size(), 10u);
+    const auto sorted = execute_plan(result.view(), plan, kLink);
+
+    SwapPlanReport shuffled = plan;
+    std::vector<std::size_t> from(plan.decisions.size());
+    std::iota(from.begin(), from.end(), std::size_t{0});
+    std::shuffle(from.begin(), from.end(), std::mt19937_64(20));
+    for (std::size_t i = 0; i < from.size(); ++i)
+        shuffled.decisions[i] = plan.decisions[from[i]];
+    const auto exec = execute_plan(result.view(), shuffled, kLink);
+
+    EXPECT_EQ(exec.new_peak_bytes, sorted.new_peak_bytes);
+    EXPECT_EQ(exec.measured_stall, sorted.measured_stall);
+    EXPECT_EQ(exec.queue_delay, sorted.queue_delay);
+    EXPECT_EQ(exec.link_busy_fraction, sorted.link_busy_fraction);
+    ASSERT_EQ(exec.swaps.size(), sorted.swaps.size());
+    for (std::size_t i = 0; i < from.size(); ++i) {
+        SCOPED_TRACE(i);
+        const ExecutedSwap &a = exec.swaps[i];
+        const ExecutedSwap &b = sorted.swaps[from[i]];
+        EXPECT_EQ(a.block, b.block);
+        EXPECT_EQ(a.out_start, b.out_start);
+        EXPECT_EQ(a.out_end, b.out_end);
+        EXPECT_EQ(a.in_start, b.in_start);
+        EXPECT_EQ(a.in_end, b.in_end);
+        EXPECT_EQ(a.stall, b.stall);
+        EXPECT_EQ(a.queue_delay, b.queue_delay);
+    }
 }
 
 TEST(SwapExecutor, EndToEndOnRealTrainingTrace)

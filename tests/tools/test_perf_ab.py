@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""The perf_ab.py gate rule on the committed BENCH_pr15.json samples.
+"""The perf_ab.py gate and claim rules on committed BENCH_*.json samples.
 
 Builds and times nothing: each recorded sample becomes one perfbench
-result, and the tests run tools/perf_ab.py's comparison on them.
+result, and the tests run tools/perf_ab.py's comparisons on them.
 Registered as the ctest test `perf_ab_rule`.
 """
 
@@ -25,11 +25,13 @@ with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
     END_TO_END = json.load(f)["end_to_end"]
 with open(os.path.join(ROOT, "BENCH_pr15.json")) as f:
     RECORDED = json.load(f)["end_to_end"]
+with open(os.path.join(ROOT, "BENCH_pr19.json")) as f:
+    CLAIMED = json.load(f)["end_to_end"]
 
 
-def runs_of(workload):
+def runs_of(workload, recorded=RECORDED):
     """The recorded samples of @p workload as perfbench results."""
-    metrics = RECORDED[workload]["metrics"]
+    metrics = recorded[workload]["metrics"]
     runs = {}
     for side in perf_ab.SIDES:
         count = len(next(iter(metrics.values()))[side])
@@ -146,6 +148,57 @@ class GateRule(unittest.TestCase):
                     os.path.join(checkout, path, "gone.txt")))
         finally:
             shutil.rmtree(checkout)
+
+    def test_claim_holds_on_the_recorded_gains(self):
+        # The gains BENCH_pr19.json records: 10/10 pairs each.
+        for workload, name in (("train-deep", "wall_s"),
+                               ("serve-stream", "wall_s"),
+                               ("zoo-sweep", "scenarios_per_s")):
+            with self.subTest(workload=workload):
+                spec = next(m for m in END_TO_END if m["name"] == name)
+                verdict = perf_ab.claim(spec,
+                                        runs_of(workload, CLAIMED))
+                self.assertEqual((verdict["wins"], verdict["pairs"],
+                                  verdict["ties"]), (10, 10, 0))
+                self.assertTrue(verdict["holds"], verdict)
+                self.assertGreater(verdict["median_gain"],
+                                   verdict["parent_spread"])
+
+    def test_claim_rule(self):
+        spec = {"name": "scenarios_per_s", "unit": "1/s",
+                "better": "higher", "bound": 0.25}
+
+        def verdict(parent, change):
+            runs = {side: [{"correct": True, "attempted": 1,
+                            "failed": 0,
+                            "metrics": {spec["name"]: {"value": v}}}
+                           for v in values]
+                    for side, values in (("parent", parent),
+                                         ("change", change))}
+            return perf_ab.claim(spec, runs)
+
+        parent = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+        won = verdict(parent, [v + 10 for v in parent])
+        self.assertEqual((won["wins"], won["ties"]), (10, 0))
+        self.assertEqual(won["median_gain"], 10)
+        self.assertTrue(won["holds"])
+        # Nine wins and one tie of ten still hold; a tie is no win.
+        tie = [v + 10 for v in parent[:9]] + [parent[9]]
+        self.assertEqual(verdict(parent, tie)["ties"], 1)
+        self.assertTrue(verdict(parent, tie)["holds"])
+        # Eight wins of ten do not, however large the gain.
+        lost = [v + 10 for v in parent[:8]] + [v - 1 for v in parent[8:]]
+        self.assertEqual(verdict(parent, lost)["wins"], 8)
+        self.assertFalse(verdict(parent, lost)["holds"])
+        # Ten wins by less than the parent's quartile spread do not.
+        small = [v + 1 for v in parent]
+        self.assertEqual(verdict(parent, small)["wins"], 10)
+        self.assertFalse(verdict(parent, small)["holds"])
+        # A lower-is-better metric wins by going down.
+        spec = dict(spec, better="lower")
+        self.assertTrue(verdict(parent, [v - 10 for v in parent])["holds"])
+        self.assertEqual(verdict(parent, [v + 10 for v in parent])["wins"],
+                         0)
 
     def test_bound_direction(self):
         lower = {"better": "lower"}

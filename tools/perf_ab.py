@@ -2,17 +2,17 @@
 """Perf gate: a perfbench A/B of this checkout against a base commit.
 
     tools/perf_ab.py --base REV [--workload W] [--pairs 5]
-                     [--output BENCH_prN.json]
+                     [--output BENCH_prN.json] [--claim METRIC]
 
-Adds a temporary `git worktree` of REV (the parent) and copies this
-checkout's BENCHMARK.json and the benchmark files it lists under
-`paths` into it, so both sides run the same benchmark on their own
-program. Then it runs alternating parent/change pairs of the
+Exports REV (the parent) with `git archive` into a temporary directory
+and copies this checkout's BENCHMARK.json and the benchmark files it
+lists under `paths` into it, so both sides run the same benchmark on
+their own program. Then it runs alternating parent/change pairs of the
 BENCHMARK.json command
 
     python3 perfbench/run.py --workload W --seconds S --seed K
 
-with S = BENCHMARK.json's run_seconds, in the worktree and in this
+with S = BENCHMARK.json's run_seconds, in the export and in this
 checkout (the change, uncommitted edits included). Each side builds
 perfbench in its own checkout. Pair i uses seed 1 + i % 3 and runs
 the parent first when i is even.
@@ -29,20 +29,29 @@ BENCHMARK.json. The gate fails on a workload when
 A worsening past the bound that the runs do not resolve is reported
 as unresolved and does not fail the gate.
 
+--claim METRIC tests a claimed gain in the end-to-end METRIC on each
+workload by the rule of the choosing-metrics guide: the change wins at
+least nine tenths of the pairs (ties count for neither side), and its
+median is better than the parent's by more than the parent's quartile
+spread. The verdict is printed and, with --output, recorded under the
+workload's `claim` key; a claim that does not hold fails like the gate.
+
 --output writes every sample with its medians and quartiles in the
 `end_to_end` layout of the committed BENCH_*.json files.
 
-Exit codes: 0 the gate passed, 1 it failed, 2 bad arguments or the
-base could not be checked out.
+Exit codes: 0 the gate passed (and the claim held), 1 it failed, 2 bad
+arguments or the base could not be checked out.
 """
 
 import argparse
+import io
 import json
 import os
 import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -152,6 +161,51 @@ def relative_worsening(spec, parent, change):
     return delta / abs(parent)
 
 
+def claim(spec, runs):
+    """@return the verdict on a claimed gain in @p spec's metric over
+    one workload's @p runs, whose i-th parent and change runs form
+    pair i: the change's wins out of all pairs (ties count for
+    neither side, a pair missing the metric is no win), both medians,
+    the parent's quartile spread, and whether the claim holds: at
+    least nine tenths of the pairs won, and a median gain larger than
+    that spread."""
+    lower = spec["better"] == "lower"
+    name = spec["name"]
+
+    def value(run):
+        return run["metrics"].get(name, {}).get("value")
+
+    wins = 0
+    ties = 0
+    pairs = list(zip(runs["parent"], runs["change"]))
+    for parent, change in pairs:
+        a, b = value(parent), value(change)
+        if a is None or b is None:
+            continue
+        if a == b:
+            ties += 1
+        elif (b < a) == lower:
+            wins += 1
+    verdict = {"metric": name, "pairs": len(pairs), "wins": wins,
+               "ties": ties}
+    entry = summarize([spec], runs)[name]
+    if "parent_median" not in entry or "change_median" not in entry:
+        verdict["holds"] = False
+        return verdict
+    gain = entry["change_median"] - entry["parent_median"]
+    if lower:
+        gain = -gain
+    spread = entry["parent_q3"] - entry["parent_q1"]
+    verdict.update({
+        "parent_median": entry["parent_median"],
+        "change_median": entry["change_median"],
+        "median_gain": round(gain, 6),
+        "parent_spread": round(spread, 6),
+        "holds": 10 * wins >= 9 * len(pairs) and gain > spread,
+    })
+    return verdict
+
+
 def run_once(checkout, command, workload, seconds, seed):
     """Runs perfbench once in @p checkout. @return its result."""
     env = dict(os.environ)
@@ -219,6 +273,23 @@ def sync_benchmark(bench, checkout):
         shutil.copy2(os.path.join(ROOT, rel), target)
 
 
+def export(rev, dest):
+    """Extracts commit @p rev of this repository into @p dest with
+    `git archive`. @return its full sha, or None when @p rev names no
+    commit."""
+    sha = subprocess.run(
+        ["git", "-C", ROOT, "rev-parse", "--verify", rev + "^{commit}"],
+        capture_output=True, text=True)
+    if sha.returncode != 0:
+        return None
+    archive = subprocess.run(
+        ["git", "-C", ROOT, "archive", "--format=tar", sha.stdout.strip()],
+        capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        tar.extractall(dest)
+    return sha.stdout.strip()
+
+
 def measure(parent_dir, bench, workload, pairs, seconds):
     """Runs @p pairs alternating pairs. @return the runs by side."""
     checkouts = {"parent": parent_dir, "change": ROOT}
@@ -256,6 +327,21 @@ def report(workload, end_to_end, metrics, failures, unresolved):
         print("  UNRESOLVED " + reason)
 
 
+def report_claim(verdict):
+    line = "  claim %s: change wins %d/%d pairs (%d tied)" % (
+        verdict["metric"], verdict["wins"], verdict["pairs"],
+        verdict["ties"])
+    if "parent_median" in verdict:
+        line += ("; median %.6g -> %.6g, gain %.6g vs parent quartile "
+                 "spread %.6g" % (verdict["parent_median"],
+                                  verdict["change_median"],
+                                  verdict["median_gain"],
+                                  verdict["parent_spread"]))
+    print(line)
+    print("  claim %s (>= 9/10 pairs won and median gain > parent "
+          "spread)" % ("HOLDS" if verdict["holds"] else "NOT MET"))
+
+
 def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -268,24 +354,26 @@ def main():
                         help="repeatable; default: every workload")
     parser.add_argument("--pairs", type=int, default=5)
     parser.add_argument("--output", help="write the samples here")
+    parser.add_argument("--claim", metavar="METRIC",
+                        choices=[m["name"] for m in bench["end_to_end"]],
+                        help="an end-to-end metric the change claims "
+                             "to improve; tested per workload")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
     seconds = bench["run_seconds"]
+    claimed = next((m for m in bench["end_to_end"]
+                    if m["name"] == args.claim), None)
 
     tmp_root = tempfile.mkdtemp(prefix="perf-ab-")
     parent_dir = os.path.join(tmp_root, "parent")
-    if subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach",
-                       parent_dir, args.base]).returncode != 0:
-        print("perf_ab: cannot check out %s" % args.base,
-              file=sys.stderr)
-        shutil.rmtree(tmp_root, ignore_errors=True)
-        return 2
     try:
+        base_sha = export(args.base, parent_dir)
+        if base_sha is None:
+            print("perf_ab: cannot check out %s" % args.base,
+                  file=sys.stderr)
+            return 2
         sync_benchmark(bench, parent_dir)
-        base_sha = subprocess.run(
-            ["git", "-C", parent_dir, "rev-parse", "HEAD"],
-            capture_output=True, text=True).stdout.strip()
         out = {"what": "perfbench A/B of this change against %s: %s "
                        "--workload W --seconds S --seed K, parent and "
                        "change alternating, each side built from its "
@@ -304,7 +392,7 @@ def main():
                    unresolved)
             failed = failed or bool(failures)
             every = runs["parent"] + runs["change"]
-            out["end_to_end"][workload] = {
+            record = out["end_to_end"][workload] = {
                 "seconds": seconds,
                 "pairs": args.pairs,
                 "seed_of_pair": [seed_of_pair(i)
@@ -316,14 +404,17 @@ def main():
                 "unresolved": unresolved,
                 "metrics": metrics,
             }
+            if claimed:
+                verdict = claim(claimed, runs)
+                report_claim(verdict)
+                record["claim"] = verdict
+                failed = failed or not verdict["holds"]
         if args.output:
             with open(args.output, "w") as f:
                 json.dump(out, f, indent=1)
                 f.write("\n")
         return 1 if failed else 0
     finally:
-        subprocess.run(["git", "-C", ROOT, "worktree", "remove",
-                        "--force", parent_dir])
         shutil.rmtree(tmp_root, ignore_errors=True)
 
 
