@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
@@ -18,57 +20,33 @@ namespace pinpoint {
 namespace analysis {
 
 TraceView::TraceView(const trace::TraceRecorder &recorder)
-    : op_names_(recorder.op_names())
+    : columns_(recorder.share()), op_names_(recorder.op_names())
 {
-    const auto &events = recorder.events();
-    const std::size_t n = events.size();
-    time_.reserve(n);
-    kind_.reserve(n);
-    block_.reserve(n);
-    ptr_.reserve(n);
-    size_.reserve(n);
-    tensor_.reserve(n);
-    category_.reserve(n);
-    iteration_.reserve(n);
-    op_index_.reserve(n);
-    op_id_.reserve(n);
-
-    for (std::size_t i = 0; i < n; ++i) {
-        const auto &e = events[i];
-        time_.push_back(e.time);
-        kind_.push_back(e.kind);
-        block_.push_back(e.block);
-        ptr_.push_back(e.ptr);
-        size_.push_back(e.size);
-        tensor_.push_back(e.tensor);
-        category_.push_back(e.category);
-        iteration_.push_back(e.iteration);
-        op_index_.push_back(e.op_index);
-        op_id_.push_back(e.op);
-        by_kind_[static_cast<std::size_t>(e.kind)].push_back(i);
-    }
-    assign_slots();
-    events_walked_.fetch_add(n, std::memory_order_relaxed);
+    freeze();
+    events_walked_.fetch_add(size(), std::memory_order_relaxed);
 }
 
 void
-TraceView::assign_slots()
+TraceView::freeze()
 {
     const std::size_t n = size();
     PP_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
              "trace of " << n << " events exceeds the slot column");
+    const std::vector<BlockId> &block = columns_->block;
+    const std::vector<trace::EventKind> &kind = columns_->kind;
     // The trace's one BlockId lookup: id → its open chain's slot.
     // A free closes the chain, so the table holds only live ids.
     FlatTable<BlockId, std::uint32_t> chain_of;
     std::uint32_t slots = 0;
     slot_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        const auto entry = chain_of.try_emplace(block_[i]);
+        by_kind_[static_cast<std::size_t>(kind[i])].push_back(i);
+        const auto entry = chain_of.try_emplace(block[i]);
         if (entry.second)
             entry.first = slots++;
         slot_[i] = entry.first;
-        if (kind_[i] == trace::EventKind::kFree)
-            chain_of.erase(block_[i]);
+        if (kind[i] == trace::EventKind::kFree)
+            chain_of.erase(block[i]);
     }
     slot_count_ = slots;
 }
@@ -86,8 +64,9 @@ TraceView::build_timeline() const
     const std::size_t n = size();
     if (n == 0)
         return t;
-    t->start_ = time_.front();
-    t->end_ = time_.back();
+    const trace::EventColumns &c = *columns_;
+    t->start_ = c.time.front();
+    t->end_ = c.time.back();
 
     // Occupancy edges come out in trace order, which the recorder
     // guarantees is time order; only runs of equal timestamps still
@@ -103,36 +82,36 @@ TraceView::build_timeline() const
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t slot = slot_[i];
         const bool open = slot < blocks.size();
-        switch (kind_[i]) {
+        switch (c.kind[i]) {
           case trace::EventKind::kMalloc: {
             PP_CHECK(!open,
-                     "malloc of already-live block " << block_[i]);
+                     "malloc of already-live block " << c.block[i]);
             BlockLifetime b;
-            b.block = block_[i];
-            b.ptr = ptr_[i];
-            b.size = size_[i];
-            b.category = category_[i];
-            b.tensor = tensor_[i];
-            b.alloc_iteration = iteration_[i];
-            b.alloc_time = time_[i];
+            b.block = c.block[i];
+            b.ptr = c.ptr[i];
+            b.size = c.size[i];
+            b.category = c.category[i];
+            b.tensor = c.tensor[i];
+            b.alloc_iteration = c.iteration[i];
+            b.alloc_time = c.time[i];
             edges.push_back(
-                {time_[i], static_cast<std::int64_t>(b.size)});
+                {c.time[i], static_cast<std::int64_t>(b.size)});
             blocks.push_back(b);
             break;
           }
           case trace::EventKind::kFree: {
-            PP_CHECK(open, "free of unknown block " << block_[i]);
+            PP_CHECK(open, "free of unknown block " << c.block[i]);
             BlockLifetime &b = blocks[slot];
-            b.free_time = time_[i];
+            b.free_time = c.time[i];
             b.freed = true;
             edges.push_back(
-                {time_[i], -static_cast<std::int64_t>(b.size)});
+                {c.time[i], -static_cast<std::int64_t>(b.size)});
             break;
           }
           case trace::EventKind::kRead:
           case trace::EventKind::kWrite:
             PP_CHECK(open,
-                     "access to unallocated block " << block_[i]);
+                     "access to unallocated block " << c.block[i]);
             ++blocks[slot].access_count;
             break;
         }
@@ -149,9 +128,9 @@ TraceView::build_timeline() const
     }
     t->accesses_.resize(total);
     for (std::size_t i = 0; i < n; ++i) {
-        if (kind_[i] == trace::EventKind::kRead ||
-            kind_[i] == trace::EventKind::kWrite)
-            t->accesses_[cursor[slot_[i]]++] = time_[i];
+        if (c.kind[i] == trace::EventKind::kRead ||
+            c.kind[i] == trace::EventKind::kWrite)
+            t->accesses_[cursor[slot_[i]]++] = c.time[i];
     }
 
     for (std::size_t lo = 0; lo < edges.size();) {

@@ -5,15 +5,16 @@
  *
  * The paper's whole method is "record one memory-event trace, then
  * derive every characterization from it". A TraceView is that trace
- * frozen once per run: the event sequence in columnar (SoA) storage
- * plus every expensive derived index — the block Timeline, the
- * recompute producer index, the iteration pattern — each built
- * lazily, exactly once, behind a core OnceFlag, and shared by
- * reference with the analysis, swap, relief, runtime, and api
- * layers. Before this class existed the per-block index was rebuilt
- * from scratch at five independent sites on a single `relief` run;
- * now the invariant is *one build per run*, and build_stats() makes
- * it checkable from benches and tests.
+ * frozen once per run: the recorder's columnar (SoA) event store,
+ * shared rather than copied, plus every expensive derived index —
+ * the block Timeline, the recompute producer index, the iteration
+ * pattern — each built lazily, exactly once, behind a core
+ * OnceFlag, and shared by reference with the analysis, swap,
+ * relief, runtime, and api layers. Before this class existed the
+ * per-block index was rebuilt from scratch at five independent
+ * sites on a single `relief` run; now the invariant is *one build
+ * per run*, and build_stats() makes it checkable from benches and
+ * tests.
  *
  * Slots. The freeze gives every event a `slot`: the dense index of
  * its block's chain. A chain opens at a block id's first event and
@@ -30,8 +31,10 @@
  * Invariants:
  *   - A TraceView never mutates after construction; every accessor
  *     is const and safe to call from many threads concurrently.
- *   - The view owns its storage: the TraceRecorder it was built
- *     from may be cleared or destroyed afterwards.
+ *   - The view owns its storage: it holds the TraceRecorder's
+ *     event columns by shared_ptr, and the recorder copies them
+ *     before any later record(), so the recorder may go on
+ *     recording, be cleared or be destroyed afterwards.
  *   - Each sub-index is built at most once (OnceFlag);
  *     concurrent first accessors share one computation.
  *   - TraceView is neither copyable nor movable — share it by
@@ -72,7 +75,7 @@ struct TraceViewStats {
     /** Iteration-pattern detections. */
     std::size_t pattern_builds = 0;
     /**
-     * Events scanned across the SoA freeze and every sub-index
+     * Events scanned across the freeze and every sub-index
      * build (the freeze itself contributes one full walk).
      */
     std::size_t events_walked = 0;
@@ -93,7 +96,8 @@ class TraceView
 {
   public:
     /**
-     * Freezes @p recorder's events into columnar storage. O(n); the
+     * Freezes @p recorder's events: shares its event columns and
+     * builds the slot column and the per-kind lists. O(n); the
      * recorder is not retained.
      */
     explicit TraceView(const trace::TraceRecorder &recorder);
@@ -102,22 +106,43 @@ class TraceView
     TraceView &operator=(const TraceView &) = delete;
 
     /** @return number of events in the snapshot. */
-    std::size_t size() const { return time_.size(); }
+    std::size_t size() const { return columns_->time.size(); }
 
     /** @return true when the snapshot holds no events. */
-    bool empty() const { return time_.empty(); }
+    bool empty() const { return columns_->time.empty(); }
+
+    /**
+     * @return the frozen event columns, shared with the recorder
+     * they came from (see the file comment).
+     */
+    const trace::EventColumns &columns() const { return *columns_; }
 
     // --- columnar event access ------------------------------------
 
-    TimeNs time(std::size_t i) const { return time_[i]; }
-    trace::EventKind kind(std::size_t i) const { return kind_[i]; }
-    BlockId block(std::size_t i) const { return block_[i]; }
-    DevPtr ptr(std::size_t i) const { return ptr_[i]; }
-    std::size_t event_size(std::size_t i) const { return size_[i]; }
-    TensorId tensor(std::size_t i) const { return tensor_[i]; }
-    Category category(std::size_t i) const { return category_[i]; }
-    std::uint32_t iteration(std::size_t i) const { return iteration_[i]; }
-    std::int32_t op_index(std::size_t i) const { return op_index_[i]; }
+    TimeNs time(std::size_t i) const { return columns_->time[i]; }
+    trace::EventKind kind(std::size_t i) const
+    {
+        return columns_->kind[i];
+    }
+    BlockId block(std::size_t i) const { return columns_->block[i]; }
+    DevPtr ptr(std::size_t i) const { return columns_->ptr[i]; }
+    std::size_t event_size(std::size_t i) const
+    {
+        return columns_->size[i];
+    }
+    TensorId tensor(std::size_t i) const { return columns_->tensor[i]; }
+    Category category(std::size_t i) const
+    {
+        return columns_->category[i];
+    }
+    std::uint32_t iteration(std::size_t i) const
+    {
+        return columns_->iteration[i];
+    }
+    std::int32_t op_index(std::size_t i) const
+    {
+        return columns_->op_index[i];
+    }
 
     /** @return the slot of event @p i (see the file comment). */
     std::size_t slot(std::size_t i) const { return slot_[i]; }
@@ -126,12 +151,12 @@ class TraceView
     std::size_t slot_count() const { return slot_count_; }
 
     /** @return the interned op name id of event @p i. */
-    trace::OpId op_id(std::size_t i) const { return op_id_[i]; }
+    trace::OpId op_id(std::size_t i) const { return columns_->op[i]; }
 
     /** @return the op name of event @p i. */
     const std::string &op(std::size_t i) const
     {
-        return op_names_[op_id_[i]];
+        return op_names_[columns_->op[i]];
     }
 
     /** @return the name of op id @p id (as returned by op_id). */
@@ -183,26 +208,16 @@ class TraceView
     TraceViewStats build_stats() const;
 
   private:
-    /** Fills slot_ and slot_count_ (the freeze's second walk). */
-    void assign_slots();
+    /** Fills slot_, slot_count_ and by_kind_: the freeze's walk. */
+    void freeze();
 
     std::unique_ptr<const Timeline> build_timeline() const;
 
-    // Frozen event columns (SoA).
-    std::vector<TimeNs> time_;
-    std::vector<trace::EventKind> kind_;
-    std::vector<BlockId> block_;
-    std::vector<DevPtr> ptr_;
-    std::vector<std::size_t> size_;
-    std::vector<TensorId> tensor_;
-    std::vector<Category> category_;
-    std::vector<std::uint32_t> iteration_;
-    std::vector<std::int32_t> op_index_;
+    /** The recorder's event columns, shared, never written. */
+    std::shared_ptr<const trace::EventColumns> columns_;
     /** Per-event block-id chain (see slot()). */
     std::vector<std::uint32_t> slot_;
     std::size_t slot_count_ = 0;
-    /** Per-event index into op_names_. */
-    std::vector<trace::OpId> op_id_;
     /** The recorder's name table, indexed by OpId. */
     std::vector<std::string> op_names_;
     /** Event indices per kind, in trace order. */

@@ -172,15 +172,11 @@ SessionResult::view() const
     // `trace` is a public member, so catch the misuse of mutating
     // or replacing it afterwards (or copying the result and
     // diverging the copies' traces around one shared slot) instead
-    // of silently planning against stale events. Fingerprint =
-    // event count + last timestamp, so a same-size replacement is
-    // caught too (timestamps of distinct runs virtually never
-    // coincide).
+    // of silently planning against stale events. The view shares
+    // the recorder's event columns, and every record(), clear() or
+    // replacement of the trace leaves it a different store.
     const analysis::TraceView &frozen = *view_slot_->view;
-    PP_CHECK(frozen.size() == trace.size() &&
-                 (trace.empty() ||
-                  frozen.time(frozen.size() - 1) ==
-                      trace.events().back().time),
+    PP_CHECK(&frozen.columns() == &trace.columns(),
              "SessionResult::trace changed after view() froze it ("
                  << frozen.size() << " events frozen, "
                  << trace.size() << " now); build analyses before "

@@ -131,6 +131,8 @@ struct SessionResult {
      * validate_swap_plan, plan_relief_all, every api::Study facet —
      * routes through this one snapshot. Call only after the run is
      * complete (the trace must be frozen).
+     * @throws Error when `trace` no longer holds the frozen events:
+     * any record, clear, reserve or replacement after the first call.
      */
     const analysis::TraceView &view() const;
 

@@ -1,10 +1,16 @@
 #include "trace/chrome_trace.h"
 
 #include <array>
+#include <charconv>
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <ios>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/check.h"
@@ -44,13 +50,16 @@ json_escape(const std::string &s)
 
 namespace {
 
-/** Microsecond timestamp (Chrome traces use us). */
-double
-ts_us(TimeNs t)
-{
-    return static_cast<double>(t) / 1000.0;
-}
+/** A timestamp printed in microseconds (Chrome traces use us). */
+struct Micros {
+    TimeNs ns;
+};
 
+/**
+ * Writes the trace-event array one object at a time. Each object is
+ * assembled from its parts in a reused string, so a field of any
+ * length (an op name read back from a CSV) is written whole.
+ */
 class Emitter
 {
   public:
@@ -68,18 +77,44 @@ class Emitter
         os_ << "\n]}\n";
     }
 
-    /** Emits one raw JSON object into the event array. */
+    /** Emits one JSON object, the concatenation of @p parts. */
+    template <typename... Parts>
     void
-    event(const std::string &body)
+    event(const Parts &...parts)
     {
-        if (any_)
-            os_ << ",";
-        os_ << "\n" << body;
+        line_.assign(any_ ? ",\n" : "\n");
         any_ = true;
+        (put(parts), ...);
+        os_.write(line_.data(),
+                  static_cast<std::streamsize>(line_.size()));
     }
 
   private:
+    void put(std::string_view text) { line_ += text; }
+
+    void
+    put(Micros t)
+    {
+        // "%.3f" of at most 2^64 ns in us needs 21 characters.
+        char buf[32];
+        const int n = std::snprintf(buf, sizeof buf, "%.3f",
+                                    static_cast<double>(t.ns) / 1000.0);
+        PP_CHECK(n > 0 && static_cast<std::size_t>(n) < sizeof buf,
+                 "timestamp " << t.ns << " does not format");
+        line_.append(buf, static_cast<std::size_t>(n));
+    }
+
+    template <typename T>
+    std::enable_if_t<std::is_integral_v<T>>
+    put(T value)
+    {
+        char buf[24];
+        const auto end = std::to_chars(buf, buf + sizeof buf, value).ptr;
+        line_.append(buf, end);
+    }
+
     std::ostream &os_;
+    std::string line_;
     bool any_ = false;
 };
 
@@ -103,73 +138,47 @@ write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
         names.push_back(json_escape(name));
 
     std::array<std::int64_t, kNumCategories> occupancy{};
-    for (const auto &e : recorder.events()) {
-        const char *name = names[e.op].c_str();
+    for (const MemoryEvent &e : recorder.events()) {
+        const std::string &name = names[e.op];
         const bool tracked = e.size >= options.min_block_bytes;
-        char buf[512];
+        const int lane = static_cast<int>(e.category);
         switch (e.kind) {
           case EventKind::kMalloc:
-            occupancy[static_cast<int>(e.category)] +=
-                static_cast<std::int64_t>(e.size);
-            if (tracked) {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "{\"ph\":\"b\",\"cat\":\"block\",\"id\":%llu,"
-                    "\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
-                    "\"name\":\"%s\",\"args\":{\"size\":%zu,"
-                    "\"ptr\":%llu}}",
-                    static_cast<unsigned long long>(e.block),
-                    static_cast<int>(e.category), ts_us(e.time),
-                    name, e.size,
-                    static_cast<unsigned long long>(e.ptr));
-                emit.event(buf);
-            }
+            occupancy[lane] += static_cast<std::int64_t>(e.size);
+            if (tracked)
+                emit.event("{\"ph\":\"b\",\"cat\":\"block\",\"id\":",
+                           e.block, ",\"pid\":1,\"tid\":", lane,
+                           ",\"ts\":", Micros{e.time},
+                           ",\"name\":\"", name,
+                           "\",\"args\":{\"size\":", e.size,
+                           ",\"ptr\":", e.ptr, "}}");
             break;
           case EventKind::kFree:
-            occupancy[static_cast<int>(e.category)] -=
-                static_cast<std::int64_t>(e.size);
-            if (tracked) {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "{\"ph\":\"e\",\"cat\":\"block\",\"id\":%llu,"
-                    "\"pid\":1,\"tid\":%d,\"ts\":%.3f,"
-                    "\"name\":\"%s\"}",
-                    static_cast<unsigned long long>(e.block),
-                    static_cast<int>(e.category), ts_us(e.time),
-                    name);
-                emit.event(buf);
-            }
+            occupancy[lane] -= static_cast<std::int64_t>(e.size);
+            if (tracked)
+                emit.event("{\"ph\":\"e\",\"cat\":\"block\",\"id\":",
+                           e.block, ",\"pid\":1,\"tid\":", lane,
+                           ",\"ts\":", Micros{e.time},
+                           ",\"name\":\"", name, "\"}");
             break;
           case EventKind::kRead:
           case EventKind::kWrite:
-            if (tracked && options.accesses) {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "{\"ph\":\"i\",\"cat\":\"access\",\"pid\":1,"
-                    "\"tid\":%d,\"ts\":%.3f,\"s\":\"t\","
-                    "\"name\":\"%s %s\",\"args\":{\"block\":%llu}}",
-                    static_cast<int>(e.category), ts_us(e.time),
-                    event_kind_name(e.kind),
-                    name,
-                    static_cast<unsigned long long>(e.block));
-                emit.event(buf);
-            }
+            if (tracked && options.accesses)
+                emit.event("{\"ph\":\"i\",\"cat\":\"access\",\"pid\":1,"
+                           "\"tid\":",
+                           lane, ",\"ts\":", Micros{e.time},
+                           ",\"s\":\"t\",\"name\":\"",
+                           event_kind_name(e.kind), " ", name,
+                           "\",\"args\":{\"block\":", e.block, "}}");
             break;
         }
         if (options.counters &&
             (e.kind == EventKind::kMalloc ||
-             e.kind == EventKind::kFree)) {
-            std::snprintf(
-                buf, sizeof(buf),
-                "{\"ph\":\"C\",\"pid\":1,\"ts\":%.3f,"
-                "\"name\":\"occupancy\",\"args\":{\"input\":%lld,"
-                "\"parameter\":%lld,\"intermediate\":%lld}}",
-                ts_us(e.time),
-                static_cast<long long>(occupancy[0]),
-                static_cast<long long>(occupancy[1]),
-                static_cast<long long>(occupancy[2]));
-            emit.event(buf);
-        }
+             e.kind == EventKind::kFree))
+            emit.event("{\"ph\":\"C\",\"pid\":1,\"ts\":", Micros{e.time},
+                       ",\"name\":\"occupancy\",\"args\":{\"input\":",
+                       occupancy[0], ",\"parameter\":", occupancy[1],
+                       ",\"intermediate\":", occupancy[2], "}}");
     }
     emit.end();
     PP_CHECK(os.good(), "chrome trace write failed");

@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -86,14 +87,64 @@ TEST(TraceView, ColumnsEqualTheRecordedEvents)
     }
 }
 
+/** Expects @p view to hold exactly small_trace()'s events. */
+void
+expect_small_trace(const TraceView &view)
+{
+    const trace::TraceRecorder expected = small_trace();
+    ASSERT_EQ(view.size(), expected.size());
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        const trace::MemoryEvent e = expected.events()[i];
+        EXPECT_EQ(view.time(i), e.time) << "event " << i;
+        EXPECT_EQ(view.kind(i), e.kind) << "event " << i;
+        EXPECT_EQ(view.block(i), e.block) << "event " << i;
+        EXPECT_EQ(view.op_id(i), e.op) << "event " << i;
+    }
+    EXPECT_EQ(view.op(1), "fc0.forward");
+    EXPECT_EQ(view.count(trace::EventKind::kMalloc), 2u);
+    EXPECT_EQ(view.timeline().blocks().size(), 2u);
+}
+
 TEST(TraceView, SnapshotOutlivesTheRecorder)
 {
+    // The view owns its storage: whatever the recorder does next.
     trace::TraceRecorder r = small_trace();
     const TraceView view(r);
-    r.clear();  // the view owns its storage
-    EXPECT_EQ(view.size(), 6u);
-    EXPECT_EQ(view.op(1), "fc0.forward");
-    EXPECT_EQ(view.timeline().blocks().size(), 2u);
+    r.record(ev(100, trace::EventKind::kFree, 2, 1024));
+    r.record(ev(110, trace::EventKind::kMalloc, 3, 64));
+    EXPECT_EQ(r.size(), 8u);
+    expect_small_trace(view);
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    expect_small_trace(view);
+
+    auto owner = std::make_unique<trace::TraceRecorder>(small_trace());
+    const TraceView orphan(*owner);
+    owner.reset();
+    expect_small_trace(orphan);
+}
+
+TEST(TraceView, CopiedRecorderThatRecordsLeavesTheOriginalAlone)
+{
+    const trace::TraceRecorder original = small_trace();
+    const TraceView view(original);
+    trace::TraceRecorder copy = original;
+    copy.record(ev(100, trace::EventKind::kFree, 2, 1024));
+    EXPECT_EQ(copy.size(), 7u);
+    EXPECT_EQ(original.size(), 6u);
+    EXPECT_EQ(original.events().back().time, 90u);
+    EXPECT_EQ(&view.columns(), &original.columns());
+    expect_small_trace(view);
+    EXPECT_EQ(TraceView(copy).size(), 7u);
+}
+
+TEST(TraceView, FreezeSharesTheRecordersColumns)
+{
+    const trace::TraceRecorder r = small_trace();
+    const TraceView view(r);
+    EXPECT_EQ(&view.columns(), &r.columns()) << "no column was copied";
+    const TraceView second(r);
+    EXPECT_EQ(&second.columns(), &view.columns());
 }
 
 TEST(TraceView, OpNamesSurviveFreezeSliceAndCsv)

@@ -8,6 +8,8 @@
 #include "nn/models.h"
 #include "runtime/request_stream.h"
 #include "runtime/session.h"
+#include "trace/event.h"
+#include "trace/recorder.h"
 
 namespace pinpoint {
 namespace runtime {
@@ -36,14 +38,62 @@ TEST(Session, RecorderIsReservedForTheExactEventCount)
     config.engine.staging_buffer_bytes = 1024 * 1024;
     config.engine.iterations_per_epoch = 2;
     const auto r = run_training(nn::mlp(), config);
-    EXPECT_EQ(r.trace.events().capacity(), r.trace.size());
+    EXPECT_EQ(r.trace.capacity(), r.trace.size());
 
     InferenceConfig serving;
     serving.session.batch = 4;
     serving.requests = 5;
     const auto s = run_inference(nn::mlp(), serving);
-    EXPECT_EQ(s.session.trace.events().capacity(),
+    EXPECT_EQ(s.session.trace.capacity(),
               s.session.trace.size());
+}
+
+/** A small run whose view() has frozen its trace. */
+SessionResult
+frozen_run()
+{
+    SessionConfig config;
+    config.batch = 8;
+    config.iterations = 2;
+    SessionResult r = run_training(nn::mlp(), config);
+    EXPECT_EQ(r.view().size(), r.trace.size());
+    return r;
+}
+
+TEST(Session, ViewRejectsATraceChangedAfterTheFreeze)
+{
+    {
+        SessionResult r = frozen_run();
+        trace::MemoryEvent last = r.trace.events().back();
+        r.trace.record(last);
+        EXPECT_THROW(r.view(), Error) << "recorded after view()";
+    }
+    {
+        SessionResult r = frozen_run();
+        r.trace.clear();
+        EXPECT_THROW(r.view(), Error) << "cleared after view()";
+    }
+    {
+        // Same size, same last timestamp, different events.
+        SessionResult r = frozen_run();
+        trace::TraceRecorder forged;
+        for (trace::MemoryEvent e : r.trace.events()) {
+            e.op = forged.intern(r.trace.op_name(e.op));
+            e.size += 1;
+            forged.record(e);
+        }
+        ASSERT_EQ(forged.size(), r.trace.size());
+        ASSERT_EQ(forged.events().back().time,
+                  r.trace.events().back().time);
+        r.trace = forged;
+        EXPECT_THROW(r.view(), Error) << "replaced after view()";
+    }
+    {
+        // A copy shares the columns and so stays the frozen trace.
+        SessionResult r = frozen_run();
+        r.trace = trace::TraceRecorder(r.trace);
+        EXPECT_EQ(r.view().size(), r.trace.size());
+    }
 }
 
 TEST(Session, TraceCanBeDisabled)

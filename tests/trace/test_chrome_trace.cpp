@@ -1,8 +1,11 @@
 /** @file Unit tests for the Chrome trace-event export. */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "core/check.h"
 #include "trace/chrome_trace.h"
@@ -105,6 +108,104 @@ TEST(ChromeTrace, EscapesSpecialCharactersInOpNames)
     write_chrome_trace(r, ss);
     EXPECT_NE(ss.str().find("weird\\\"op\\\\name"),
               std::string::npos);
+}
+
+/**
+ * Expects every event line of @p out to hold exactly one JSON
+ * object: strings closed, braces balanced, nothing after the last
+ * brace but the separating comma.
+ */
+void
+expect_objects_close(const std::string &out)
+{
+    std::istringstream lines(out);
+    std::string line;
+    std::size_t objects = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("{\"ph\"", 0) != 0)
+            continue;
+        ++objects;
+        int depth = 0;
+        bool in_string = false;
+        bool escaped = false;
+        std::size_t closed_at = std::string::npos;
+        for (std::size_t i = 0; i < line.size(); ++i) {
+            const char c = line[i];
+            if (in_string) {
+                if (escaped)
+                    escaped = false;
+                else if (c == '\\')
+                    escaped = true;
+                else if (c == '"')
+                    in_string = false;
+            } else if (c == '"') {
+                in_string = true;
+            } else if (c == '{') {
+                ++depth;
+            } else if (c == '}' && --depth == 0) {
+                closed_at = i;
+                break;
+            }
+        }
+        ASSERT_NE(closed_at, std::string::npos) << line;
+        const std::string rest = line.substr(closed_at + 1);
+        EXPECT_TRUE(rest.empty() || rest == ",") << line;
+    }
+    EXPECT_GT(objects, 0u);
+}
+
+/** @return @p out's count of non-overlapping @p needle matches. */
+std::size_t
+occurrences(const std::string &out, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (std::size_t at = out.find(needle); at != std::string::npos;
+         at = out.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/** A malloc, write, read and free of one block, all named @p op. */
+std::string
+chrome_trace_named(const std::string &op)
+{
+    TraceRecorder r;
+    r.record(ev(r, 1000, EventKind::kMalloc, 1, 4096, op));
+    r.record(ev(r, 2000, EventKind::kWrite, 1, 4096, op));
+    r.record(ev(r, 3000, EventKind::kRead, 1, 4096, op));
+    r.record(ev(r, 4000, EventKind::kFree, 1, 4096, op));
+    std::stringstream ss;
+    write_chrome_trace(r, ss);
+    return ss.str();
+}
+
+TEST(ChromeTrace, LongOpNameIsWrittenWhole)
+{
+    const std::string op = std::string(300, 'a') + "\"\\" +
+                           std::string(298, 'b');
+    ASSERT_EQ(op.size(), 600u);
+    const std::string out = chrome_trace_named(op);
+    const std::string escaped = json_escape(op);
+    EXPECT_EQ(occurrences(out, "\"name\":\"" + escaped + "\""), 2u)
+        << "malloc and free";
+    EXPECT_EQ(occurrences(out, "\"name\":\"write " + escaped + "\""),
+              1u);
+    EXPECT_EQ(occurrences(out, "\"name\":\"read " + escaped + "\""),
+              1u);
+    expect_objects_close(out);
+}
+
+TEST(ChromeTrace, QuotesAndBackslashesAreEscapedInEveryEvent)
+{
+    const std::string op = "say \"hi\" \\ to C:\\dir\\\"x\"";
+    const std::string escaped =
+        "say \\\"hi\\\" \\\\ to C:\\\\dir\\\\\\\"x\\\"";
+    ASSERT_EQ(json_escape(op), escaped);
+    const std::string out = chrome_trace_named(op);
+    EXPECT_EQ(occurrences(out, "\"name\":\"" + escaped + "\""), 2u);
+    EXPECT_EQ(occurrences(out, "write " + escaped + "\""), 1u);
+    EXPECT_EQ(occurrences(out, "read " + escaped + "\""), 1u);
+    expect_objects_close(out);
 }
 
 TEST(ChromeTrace, FileWriteAndBadPath)

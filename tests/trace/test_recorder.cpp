@@ -1,10 +1,12 @@
 /** @file Unit tests for TraceRecorder. */
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/check.h"
+#include "core/types.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
 
@@ -89,6 +91,77 @@ TEST(TraceRecorder, ClearKeepsInternedNames)
     r.clear();
     r.record(e);  // an id handed out before clear stays valid
     EXPECT_EQ(r.op_name(r.events()[0].op), "alloc.x");
+}
+
+TEST(TraceRecorder, EventsAreAReadOnlyRangeOfValues)
+{
+    TraceRecorder r;
+    r.record(event_at(10, EventKind::kMalloc, 7));
+    r.record(event_at(20, EventKind::kWrite, 7));
+    r.record(event_at(30, EventKind::kFree, 7));
+    const EventRange events = r.events();
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_FALSE(events.empty());
+    EXPECT_EQ(events.front().kind, EventKind::kMalloc);
+    EXPECT_EQ(events.back().time, 30u);
+    std::vector<TimeNs> times;
+    for (const MemoryEvent &e : events) {
+        EXPECT_EQ(e.block, 7u);
+        EXPECT_EQ(e.size, 512u);
+        times.push_back(e.time);
+    }
+    EXPECT_EQ(times, (std::vector<TimeNs>{10, 20, 30}));
+    EXPECT_TRUE(TraceRecorder().events().empty());
+}
+
+TEST(TraceRecorder, CapacityIsTheSmallestColumnCapacity)
+{
+    TraceRecorder r;
+    EXPECT_EQ(r.capacity(), 0u);
+    r.reserve(5);
+    EXPECT_GE(r.capacity(), 5u);
+    for (TimeNs t = 0; t < 5; ++t)
+        r.record(event_at(t));
+    EXPECT_EQ(r.capacity(), r.size()) << "the reserve held";
+}
+
+TEST(TraceRecorder, CopyThatRecordsLeavesTheOriginalUnchanged)
+{
+    TraceRecorder a;
+    a.record(event_at(10));
+    TraceRecorder b = a;
+    EXPECT_EQ(&a.columns(), &b.columns()) << "a copy shares the store";
+    b.record(event_at(20));
+    EXPECT_NE(&a.columns(), &b.columns());
+    EXPECT_EQ(a.size(), 1u);
+    EXPECT_EQ(b.size(), 2u);
+    a.record(event_at(15));
+    EXPECT_EQ(a.events().back().time, 15u);
+    EXPECT_EQ(b.events().back().time, 20u);
+}
+
+TEST(TraceRecorder, SharedColumnsNeverChange)
+{
+    TraceRecorder r;
+    r.record(event_at(10));
+    const std::shared_ptr<const EventColumns> shared = r.share();
+    EXPECT_EQ(shared.get(), &r.columns()) << "sharing copies nothing";
+
+    r.record(event_at(20));
+    EXPECT_NE(&r.columns(), shared.get()) << "the write copied first";
+    EXPECT_EQ(shared->time, (std::vector<TimeNs>{10}));
+    const EventColumns *recorded = &r.columns();
+    r.record(event_at(30));
+    EXPECT_EQ(&r.columns(), recorded)
+        << "an unshared store is written in place";
+
+    const std::shared_ptr<const EventColumns> again = r.share();
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    EXPECT_EQ(again->time, (std::vector<TimeNs>{10, 20, 30}));
+    r.reserve(8);
+    EXPECT_EQ(shared->time.size(), 1u);
+    EXPECT_EQ(again->time.size(), 3u);
 }
 
 TEST(TraceRecorder, CopiesOwnTheirNameTables)
