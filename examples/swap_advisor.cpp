@@ -2,9 +2,9 @@
  * @file
  * Swap advisor: the paper's future-work tool as a user workflow.
  * Run a workload into an api::Study with Eq. 1 planner options, and
- * read the swap-validation facet: the plan, its predicted savings,
- * and — because the facet always executes the plan on the shared
- * PCIe link — the measured numbers that expose the dedicated-link
+ * read the swap facets: the plan, its predicted savings, and — from
+ * the execution facet, which runs that same plan on the shared PCIe
+ * link — the measured numbers that expose the dedicated-link
  * fallacy, all computed once and cached.
  *
  * Build & run:  ./build/example_swap_advisor
@@ -14,6 +14,7 @@
 #include "api/study.h"
 #include "api/workload.h"
 #include "core/format.h"
+#include "core/types.h"
 
 using namespace pinpoint;
 
@@ -37,9 +38,13 @@ main()
                 format_bytes(study.result().usage.peak_total).c_str(),
                 format_bytes(study.device().dram_bytes).c_str());
 
-    // 2. The swap-validation facet: plan + shared-link execution.
-    const auto &v = study.swap_validation();
-    const auto &plan = v.plan;
+    // 2. The swap facets: the plan and its shared-link execution.
+    const auto &plan = study.swap_plan();
+    const auto &exec = study.swap_execution();
+    const TimeNs unpredicted =
+        exec.measured_stall > plan.predicted_overhead
+            ? exec.measured_stall - plan.predicted_overhead
+            : 0;
 
     std::printf("planner found %zu hideable swap windows\n",
                 plan.decisions.size());
@@ -53,8 +58,8 @@ main()
                 format_time(plan.predicted_overhead).c_str());
     std::printf("measured stall:    %s on the shared link "
                 "(+%s unpredicted)\n\n",
-                format_time(v.execution.measured_stall).c_str(),
-                format_time(v.unpredicted_stall()).c_str());
+                format_time(exec.measured_stall).c_str(),
+                format_time(unpredicted).c_str());
 
     // 3. Inspect the top schedule entries.
     std::printf("%-6s %10s %14s %14s %10s\n", "block", "size",

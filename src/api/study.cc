@@ -15,6 +15,7 @@
 #include "runtime/request_stream.h"
 #include "runtime/session.h"
 #include "sim/device_spec.h"
+#include "swap/executor.h"
 #include "swap/planner.h"
 #include "trace/recorder.h"
 
@@ -40,8 +41,8 @@ struct Study::Facets {
     OnceFlag swap_plan_once;
     swap::SwapPlanReport swap_plan;
 
-    OnceFlag swap_once;
-    runtime::SwapValidation swap_validation;
+    OnceFlag swap_execution_once;
+    swap::SwapExecutionResult swap_execution;
 
     OnceFlag relief_once;
     std::array<relief::ReliefReport, relief::kNumStrategies>
@@ -217,8 +218,6 @@ Study::swap_plan() const
         PP_CHECK(!result().trace.empty(),
                  "swap planning needs a recorded trace (run with "
                  "record_trace = true)");
-        // The shared fill rule keeps this plan identical to
-        // swap_validation().plan by construction.
         facets_->swap_plan =
             swap::SwapPlanner(
                 runtime::fill_swap_link(options_.swap, device_))
@@ -227,21 +226,29 @@ Study::swap_plan() const
     return facets_->swap_plan;
 }
 
-const runtime::SwapValidation &
-Study::swap_validation() const
+const swap::SwapExecutionResult &
+Study::swap_execution() const
 {
-    facets_->swap_once.call([&] {
-        facets_->swap_validation = runtime::validate_swap_plan(
-            result(), device_, options_.swap);
+    facets_->swap_execution_once.call([&] {
+        // Executes the cached plan itself, so the plan a caller
+        // prints and the schedule it exports are one object.
+        const swap::SwapPlanReport &plan = swap_plan();
+        facets_->swap_execution = swap::execute_plan(
+            result().view(), plan,
+            runtime::fill_link_bandwidth(options_.swap.link, device_));
     });
-    return facets_->swap_validation;
+    return facets_->swap_execution;
 }
 
 const std::array<relief::ReliefReport, relief::kNumStrategies> &
 Study::relief_all() const
 {
     facets_->relief_once.call([&] {
+        PP_CHECK(!result().trace.empty(),
+                 "relief planning needs a recorded trace (run with "
+                 "record_trace = true)");
         relief::StrategyOptions opts = options_.relief;
+        opts.link = runtime::fill_link_bandwidth(opts.link, device_);
         // Arm the peer mechanism from the spec's topology unless the
         // caller configured one explicitly — the one place the
         // devices axis reaches the relief planner.
@@ -254,8 +261,8 @@ Study::relief_all() const
         // steady-state p50 latency unless the caller set one.
         if (inf_ && opts.latency_budget_ns == 0)
             opts.latency_budget_ns = inf_->latency_p50;
-        facets_->relief_all = runtime::plan_relief_all(
-            result(), device_, std::move(opts));
+        facets_->relief_all =
+            relief::StrategyPlanner(opts).plan_all(result().view());
     });
     return facets_->relief_all;
 }

@@ -4,9 +4,11 @@
  * owns the runtime::SessionResult of a workload and exposes every
  * derived analysis the repo computes — the block timeline and
  * occupancy edges/peak, ATI samples and statistics, the occupation
- * breakdown, the iterative-pattern verdict, the shared-link swap
- * validation, and the three unified-relief reports — as *lazy,
- * computed-once, cached facets*.
+ * breakdown, the iterative-pattern verdict, the swap plan and its
+ * shared-link execution, and the unified-relief reports — as *lazy,
+ * computed-once, cached facets*. The Study is the one planning
+ * layer: its swap and relief facets call the swap and relief
+ * planners themselves, each once per run.
  *
  * Every facet is a projection of the result's single
  * analysis::TraceView (view()): the timeline, producer index, and
@@ -46,6 +48,7 @@
 #include "runtime/request_stream.h"
 #include "runtime/session.h"
 #include "sim/device_spec.h"
+#include "swap/executor.h"
 #include "swap/planner.h"
 #include "trace/recorder.h"
 
@@ -55,8 +58,8 @@ namespace api {
 /** Facet knobs fixed at Study construction. */
 struct StudyOptions {
     /**
-     * Swap-validation facet options. Zero link bandwidths (the
-     * default) are filled from the spec's device.
+     * Swap plan and execution facet options. Zero link bandwidths
+     * (the default) are filled from the spec's device.
      */
     swap::PlannerOptions swap;
     /** Relief facet options; zero link bandwidths filled likewise. */
@@ -268,20 +271,18 @@ class Study
     const analysis::IterationPattern &iteration_pattern() const;
 
     /**
-     * @return the Eq. 1 swap plan alone — no link execution.
-     * Identical by construction to swap_validation().plan, but
-     * skips the shared-link scheduling entirely, so plan-only
-     * consumers never pay for measurement.
+     * @return the Eq. 1 swap plan alone — no link execution, so
+     * plan-only consumers never pay for measurement.
      * @throws Error when the study has no trace.
      */
     const swap::SwapPlanReport &swap_plan() const;
 
     /**
-     * @return the Eq. 1 swap plan executed on the shared PCIe link
-     * (prediction and measurement side by side).
+     * @return swap_plan() executed on a fresh shared PCIe link: the
+     * measurement of the one cached plan, decision for decision.
      * @throws Error when the study has no trace.
      */
-    const runtime::SwapValidation &swap_validation() const;
+    const swap::SwapExecutionResult &swap_execution() const;
 
     /**
      * @return every relief report (swap-only, recompute-only,

@@ -199,6 +199,10 @@ WorkloadSpec::validate() const
     if (devices < 1)
         throw UsageError("--devices must be >= 1, got " +
                          std::to_string(devices));
+    if (devices > kMaxDevices)
+        throw UsageError("--devices must be <= " +
+                         std::to_string(kMaxDevices) + ", got " +
+                         std::to_string(devices));
     if (requests < 1)
         throw UsageError("--requests must be >= 1, got " +
                          std::to_string(requests));

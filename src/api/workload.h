@@ -27,6 +27,14 @@
 namespace pinpoint {
 namespace api {
 
+/**
+ * Largest data-parallel replica count a workload may ask for. The
+ * ring all-reduce stores 2(N-1)N link legs per iteration, so this
+ * one bound keeps a single --devices value from exhausting memory;
+ * the sweep's --devices list parser applies it too.
+ */
+inline constexpr int kMaxDevices = 256;
+
 /** Canonical description of one characterization run. */
 struct WorkloadSpec {
     /** Model registry name, e.g. "resnet50". */
@@ -115,11 +123,11 @@ struct WorkloadSpec {
     /**
      * Checks the spec describes a runnable workload: registered
      * model, device, and topology presets, positive batch,
-     * iterations >= 1, micro-batches >= 1, devices >= 1,
-     * requests >= 1, iterations >= 2 when devices > 1, and — in
-     * infer mode — no training-only axes (micro-batches and devices
-     * must stay 1). @throws UsageError
-     * with an actionable message otherwise.
+     * iterations >= 1, micro-batches >= 1, 1 <= devices <=
+     * kMaxDevices, requests >= 1, iterations >= 2 when devices > 1,
+     * and — in infer mode — no training-only axes (micro-batches and
+     * devices must stay 1). @throws UsageError with an actionable
+     * message otherwise.
      */
     void validate() const;
 

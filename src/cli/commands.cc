@@ -307,12 +307,12 @@ cmd_swap(const ParsedArgs &args, CommandIo &io)
     const bool validate = args.flag("validate");
 
     const api::Study study = api::Study::run(spec, opts);
-    // Plan-only invocations read the plan facet and never pay for
-    // link scheduling; --validate reads the validation facet, whose
-    // plan and execution are one object, so the printed plan and
-    // the exported per-decision rows stay aligned.
-    const swap::SwapPlanReport &plan =
-        validate ? study.swap_validation().plan : study.swap_plan();
+    // Plan-only invocations never pay for link scheduling;
+    // --validate executes the same cached plan, so the printed plan
+    // and the exported per-decision rows stay aligned.
+    const swap::SwapPlanReport &plan = study.swap_plan();
+    const swap::SwapExecutionResult *measured =
+        validate ? &study.swap_execution() : nullptr;
 
     oprintf(io.out, "swap plan for %s batch %lld on %s\n",
             spec.model.c_str(), static_cast<long long>(spec.batch),
@@ -326,9 +326,8 @@ cmd_swap(const ParsedArgs &args, CommandIo &io)
     oprintf(io.out, "  predicted stall:    %s\n",
             format_time(plan.predicted_overhead).c_str());
 
-    if (validate) {
-        const swap::SwapExecutionResult &exec =
-            study.swap_validation().execution;
+    if (measured) {
+        const swap::SwapExecutionResult &exec = *measured;
         oprintf(io.out, "validated on the shared PCIe link:\n");
         oprintf(io.out, "  new peak:           %s\n",
                 format_bytes(exec.new_peak_bytes).c_str());
@@ -353,8 +352,6 @@ cmd_swap(const ParsedArgs &args, CommandIo &io)
                         .c_str());
     }
 
-    const swap::SwapExecutionResult *measured =
-        validate ? &study.swap_validation().execution : nullptr;
     const std::string csv = args.value("csv", "");
     if (!csv.empty()) {
         std::ofstream os(csv);

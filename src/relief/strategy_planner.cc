@@ -139,7 +139,8 @@ enumerate_candidates(PlanContext &ctx, const analysis::TraceView &view,
         // A round trip that fits the gap but misses the safety
         // headroom has zero raw stall; offering it would make it
         // free and void the factor, so it is not an option at all
-        // (the swap planner rejects it too).
+        // (the swap planner rejects it too, unless allow_overhead
+        // makes it take every gap).
         c.swap_ok = !unsafe(e, options.safety_factor);
         c.hide_ratio = e.hide_ratio;
         c.swap_overhead = e.overhead;
@@ -367,22 +368,10 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
         swap::SwapPlanReport legs;
         legs.decisions.reserve(count);
         for (const auto &d : report.decisions) {
-            if (d.mechanism != mechanism)
-                continue;
-            swap::SwapDecision s;
-            s.block = d.block;
-            s.slot = d.slot;
-            s.tensor = d.tensor;
-            s.size = d.size;
-            s.gap_start = d.gap_start;
-            s.gap_end = d.gap_end;
-            s.gap = d.gap;
-            s.hide_ratio = d.hide_ratio;
-            s.overhead = d.overhead;
-            legs.decisions.push_back(std::move(s));
-            legs.total_swapped_bytes += d.size;
+            // Sliced to its swap::SwapDecision leg record.
+            if (d.mechanism == mechanism)
+                legs.decisions.push_back(d);
         }
-        legs.original_peak_bytes = report.original_peak_bytes;
         return legs;
     };
     sim::LinkScheduler host_link(options.link.d2h_bps,

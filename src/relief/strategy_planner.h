@@ -91,7 +91,9 @@ struct StrategyOptions {
     /**
      * Eq. 1 headroom required for a swap or peer offload to count
      * as hideable. One whose round trip fits its gap but misses
-     * this headroom is not offered at all, as in swap::SwapPlanner.
+     * this headroom is not offered at all. swap::SwapPlanner skips
+     * it too, unless allow_overhead is set: it then schedules it
+     * with zero overhead.
      */
     double safety_factor = 1.0;
     /** Ignore blocks smaller than this. */
@@ -132,32 +134,19 @@ struct StrategyOptions {
     }
 };
 
-/** One per-tensor relief assignment. */
-struct ReliefDecision {
+/**
+ * One per-tensor relief assignment: the swap::SwapDecision leg record
+ * (block, slot, size, gap, hide ratio, overhead) plus its mechanism.
+ * Swap and peer legs go to swap::schedule_plan as that record; for a
+ * recompute, `overhead` is the recompute cost and `hide_ratio` is 0.
+ */
+struct ReliefDecision : swap::SwapDecision {
     Mechanism mechanism = Mechanism::kSwap;
-    BlockId block = kInvalidBlock;
-    /**
-     * Timeline slot of the lifetime the planner found the gap in;
-     * the swap and peer legs are checked through it.
-     */
-    std::size_t slot = swap::kNoSlot;
-    TensorId tensor = kInvalidTensor;
-    std::size_t size = 0;
-    /** Access closing the gap start. */
-    TimeNs gap_start = 0;
-    /** Next access. */
-    TimeNs gap_end = 0;
-    /** gap_end - gap_start. */
-    TimeNs gap = 0;
-    /** Predicted overhead: swap/peer stall, or the recompute cost. */
-    TimeNs overhead = 0;
     /**
      * True when the decision's absence window contains the original
      * peak instant, i.e. it contributes to peak reduction.
      */
     bool covers_peak = false;
-    /** Swap and peer: gap / round_trip(size) on the priced link. */
-    double hide_ratio = 0.0;
     /** Recompute only: producing forward op re-run by the decision. */
     std::string producer;
     /** Recompute only: measured forward time of the producer. */

@@ -12,14 +12,11 @@
 #include "core/format.h"
 #include "core/types.h"
 #include "nn/models.h"
-#include "relief/strategy_planner.h"
 #include "runtime/engine.h"
 #include "runtime/plan_builder.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "sim/device_spec.h"
-#include "sim/link_scheduler.h"
-#include "swap/executor.h"
 #include "swap/planner.h"
 
 namespace pinpoint {
@@ -203,36 +200,6 @@ fill_swap_link(swap::PlannerOptions options,
 {
     options.link = fill_link_bandwidth(options.link, device);
     return options;
-}
-
-SwapValidation
-validate_swap_plan(const SessionResult &result,
-                   const sim::DeviceSpec &device,
-                   swap::PlannerOptions options)
-{
-    PP_CHECK(!result.trace.empty(),
-             "swap validation needs a recorded trace (run with "
-             "record_trace = true)");
-    options = fill_swap_link(std::move(options), device);
-    const analysis::TraceView &view = result.view();
-    SwapValidation v;
-    v.plan = swap::SwapPlanner(options).plan(view);
-    sim::LinkScheduler link(options.link.d2h_bps,
-                            options.link.h2d_bps);
-    v.execution = swap::execute_plan(view, v.plan, link);
-    return v;
-}
-
-std::array<relief::ReliefReport, relief::kNumStrategies>
-plan_relief_all(const SessionResult &result,
-                const sim::DeviceSpec &device,
-                relief::StrategyOptions options)
-{
-    PP_CHECK(!result.trace.empty(),
-             "relief planning needs a recorded trace (run with "
-             "record_trace = true)");
-    options.link = fill_link_bandwidth(options.link, device);
-    return relief::StrategyPlanner(options).plan_all(result.view());
 }
 
 }  // namespace runtime

@@ -16,14 +16,12 @@
 #include "core/once.h"
 #include "core/types.h"
 #include "nn/models.h"
-#include "relief/strategy_planner.h"
 #include "runtime/engine.h"
 #include "runtime/plan.h"
 #include "runtime/plan_builder.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
 #include "sim/device_spec.h"
-#include "swap/executor.h"
 #include "swap/planner.h"
 #include "trace/recorder.h"
 
@@ -127,10 +125,9 @@ struct SessionResult {
     /**
      * The run's shared analysis::TraceView: built from `trace` on
      * first call (one build per run, OnceFlag), then returned
-     * by reference forever after. Everything downstream —
-     * validate_swap_plan, plan_relief_all, every api::Study facet —
-     * routes through this one snapshot. Call only after the run is
-     * complete (the trace must be frozen).
+     * by reference forever after. Everything downstream — every
+     * api::Study facet — routes through this one snapshot. Call
+     * only after the run is complete (the trace must be frozen).
      * @throws Error when `trace` no longer holds the frozen events:
      * any record, clear, reserve or replacement after the first call.
      */
@@ -143,13 +140,6 @@ struct SessionResult {
 };
 
 /**
- * Runs the full pipeline: plan @p model at @p config.batch, execute
- * @p config.iterations iterations on a fresh simulated device, and
- * collect the trace plus summary statistics.
- *
- * @throws Error (or DeviceOomError) when the workload cannot run.
- */
-/**
  * @return a freshly constructed allocator of @p kind over @p device.
  * The one construction rule shared by run_training and
  * run_inference, so both session drivers price the same heap.
@@ -159,31 +149,15 @@ make_session_allocator(AllocatorKind kind, alloc::DeviceMemory &device,
                        sim::VirtualClock &clock,
                        const sim::CostModel &cost);
 
+/**
+ * Runs the full pipeline: plan @p model at @p config.batch, execute
+ * @p config.iterations iterations on a fresh simulated device, and
+ * collect the trace plus summary statistics.
+ *
+ * @throws Error (or DeviceOomError) when the workload cannot run.
+ */
 SessionResult run_training(const nn::Model &model,
                            const SessionConfig &config = {});
-
-/**
- * Planner prediction and shared-link executor measurement for one
- * recorded session, side by side. The closed loop the ROADMAP asks
- * for: a plan is only trusted once execution on the contended link
- * confirms it.
- */
-struct SwapValidation {
-    /** What the Eq. 1 planner predicted. */
-    swap::SwapPlanReport plan;
-    /** What executing the plan on the shared link measured. */
-    swap::SwapExecutionResult execution;
-
-    /** @return measured stall beyond the planner's prediction. */
-    TimeNs
-    unpredicted_stall() const
-    {
-        return execution.measured_stall > plan.predicted_overhead
-                   ? execution.measured_stall -
-                         plan.predicted_overhead
-                   : 0;
-    }
-};
 
 /**
  * @return @p link with unset (<= 0) bandwidths filled from
@@ -198,46 +172,11 @@ fill_link_bandwidth(analysis::LinkBandwidth link,
 
 /**
  * @return @p options with unset (<= 0) link bandwidths filled from
- * @p device. The one fill rule shared by validate_swap_plan and
- * api::Study::swap_plan, so a plan-only facet and a validated plan
- * can never price different links.
+ * @p device: fill_link_bandwidth applied to a swap planner's link.
  */
 swap::PlannerOptions
 fill_swap_link(swap::PlannerOptions options,
                const sim::DeviceSpec &device);
-
-/**
- * Validation step of the swap pipeline: plans swapping for
- * @p result's trace and executes the plan on a shared full-duplex
- * link with @p device's bandwidths. Both steps read
- * @p result.view()'s shared Timeline — one index build serves the
- * whole pipeline. When @p options carries zero link bandwidths (the
- * default-constructed state) they are filled from @p device.
- *
- * @throws Error when the session recorded no trace, or on
- * plan/trace mismatch.
- */
-SwapValidation validate_swap_plan(const SessionResult &result,
-                                  const sim::DeviceSpec &device,
-                                  swap::PlannerOptions options = {});
-
-/**
- * Unified-relief step of the pipeline: plans every strategy
- * (swap-only, recompute-only, peer-only, hybrid) for @p result's
- * trace from one shared trace analysis, and schedules each plan's
- * swap legs on a shared full-duplex link with @p device's
- * bandwidths (peer legs ride @p options' interconnect). When
- * @p options carries zero link bandwidths (the default-constructed
- * state) they are filled from @p device. Reports come in Strategy
- * enumerator order; peer-only is marked unavailable on
- * single-device topologies.
- *
- * @throws Error when the session recorded no trace.
- */
-std::array<relief::ReliefReport, relief::kNumStrategies>
-plan_relief_all(const SessionResult &result,
-                const sim::DeviceSpec &device,
-                relief::StrategyOptions options = {});
 
 }  // namespace runtime
 }  // namespace pinpoint

@@ -14,6 +14,8 @@
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
+#include "swap/executor.h"
+#include "swap/planner.h"
 #include "sweep/cache.h"
 #include "sweep/scenario.h"
 #include "sweep/thread_pool.h"
@@ -82,16 +84,16 @@ aggregate(const api::Study &study, bool swap_plan,
     if (swap_plan) {
         // Plan *and* execute on the shared link, so every row
         // carries the measured numbers next to the predicted ones.
-        const auto &v = study.swap_validation();
-        out.swap_decisions = v.plan.decisions.size();
-        out.swap_peak_reduction_bytes = v.plan.peak_reduction_bytes;
-        out.swap_total_bytes = v.plan.total_swapped_bytes;
+        const swap::SwapPlanReport &plan = study.swap_plan();
+        const swap::SwapExecutionResult &exec = study.swap_execution();
+        out.swap_decisions = plan.decisions.size();
+        out.swap_peak_reduction_bytes = plan.peak_reduction_bytes;
+        out.swap_total_bytes = plan.total_swapped_bytes;
         out.swap_measured_peak_reduction_bytes =
-            v.execution.measured_peak_reduction;
-        out.swap_predicted_stall_ns = v.plan.predicted_overhead;
-        out.swap_measured_stall_ns = v.execution.measured_stall;
-        out.swap_link_busy_fraction =
-            v.execution.link_busy_fraction;
+            exec.measured_peak_reduction;
+        out.swap_predicted_stall_ns = plan.predicted_overhead;
+        out.swap_measured_stall_ns = exec.measured_stall;
+        out.swap_link_busy_fraction = exec.link_busy_fraction;
 
         // Unified relief: plan every strategy from one shared
         // trace analysis and report the winner on the *measured*
@@ -333,12 +335,15 @@ run_sweep(const std::vector<Scenario> &scenarios,
     if (report.jobs == 1) {
         for (std::size_t k : pending)
             run_one(k);
-    } else {
+    } else if (!pending.empty()) {
         std::vector<std::size_t> order(pending.size());
         std::iota(order.begin(), order.end(), std::size_t{0});
         if (options.cost_order)
             order = submission_order(scenarios, pending, hints);
-        ThreadPool pool(report.jobs);
+        // A worker per pending scenario at most: report.jobs stays
+        // the requested count, but a warm cache starts no thread.
+        ThreadPool pool(static_cast<int>(std::min<std::size_t>(
+            static_cast<std::size_t>(report.jobs), pending.size())));
         for (std::size_t p : order)
             pool.submit([&, p] { run_one(pending[p]); });
         pool.wait();

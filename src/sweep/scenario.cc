@@ -187,9 +187,10 @@ parse_device_counts(const std::string &csv)
         std::int64_t count = 0;
         // Whole-token parse: "2x" is an error, never 2 devices.
         if (!parse_int64(field, count) || count < 1 ||
-            count > 1 << 16)
+            count > api::kMaxDevices)
             throw UsageError("bad device count '" + field +
-                             "' (need an integer >= 1)");
+                             "' (need an integer from 1 to " +
+                             std::to_string(api::kMaxDevices) + ")");
         out.push_back(static_cast<int>(count));
     }
     return out;

@@ -107,7 +107,7 @@ parse_allocators(const std::string &csv);
 
 /**
  * Parses a comma-separated list of data-parallel replica counts;
- * whole-token strict, each count must be >= 1.
+ * whole-token strict, each count in [1, api::kMaxDevices].
  * @throws UsageError.
  */
 std::vector<int> parse_device_counts(const std::string &csv);

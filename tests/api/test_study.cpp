@@ -12,12 +12,17 @@
 
 #include "analysis/ati.h"
 #include "analysis/breakdown.h"
+#include "analysis/swap_model.h"
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "api/study.h"
 #include "core/check.h"
+#include "nn/models.h"
 #include "relief/strategy_planner.h"
+#include "runtime/session.h"
 #include "sim/device_spec.h"
+#include "swap/executor.h"
+#include "swap/planner.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
 
@@ -76,37 +81,60 @@ TEST(Study, OccupancyFacetAgreesWithBreakdownPeak)
     EXPECT_FALSE(study.occupancy_edges().empty());
 }
 
-TEST(Study, SwapPlanFacetEqualsTheValidationPlan)
+TEST(Study, SwapExecutionExecutesTheCachedPlan)
 {
-    // Two studies so neither facet can serve the other from its
-    // cache: the plan-only facet (no link scheduling) must produce
-    // the exact plan the full validation facet produces.
-    const Study planned = Study::run(small_spec());
-    const Study validated = Study::run(small_spec());
-    const auto &plan = planned.swap_plan();
-    const auto &vplan = validated.swap_validation().plan;
-    EXPECT_EQ(plan.decisions.size(), vplan.decisions.size());
-    EXPECT_EQ(plan.original_peak_bytes, vplan.original_peak_bytes);
-    EXPECT_EQ(plan.peak_reduction_bytes, vplan.peak_reduction_bytes);
-    EXPECT_EQ(plan.predicted_overhead, vplan.predicted_overhead);
-    EXPECT_EQ(&planned.swap_plan(), &plan);
+    // The execution facet runs the plan facet's own object: one
+    // executed swap per planned decision, block for block, and the
+    // plan facet still answers with that same object.
+    const Study study = Study::run(small_spec());
+    const swap::SwapPlanReport &plan = study.swap_plan();
+    const swap::SwapExecutionResult &exec = study.swap_execution();
+    EXPECT_EQ(&study.swap_plan(), &plan);
+    ASSERT_EQ(exec.swaps.size(), plan.decisions.size());
+    EXPECT_EQ(exec.executed_decisions, plan.decisions.size());
+    EXPECT_EQ(exec.original_peak_bytes, plan.original_peak_bytes);
+    for (std::size_t i = 0; i < plan.decisions.size(); ++i)
+        EXPECT_EQ(exec.swaps[i].block, plan.decisions[i].block);
 }
 
-TEST(Study, SwapAndReliefFacetsEqualRuntimeHelpers)
+TEST(Study, SwapAndReliefFacetsEqualDirectPlanning)
 {
-    const Study study = Study::run(small_spec());
-    const auto direct =
-        runtime::validate_swap_plan(study.result(), study.device());
-    EXPECT_EQ(study.swap_validation().plan.decisions.size(),
-              direct.plan.decisions.size());
-    EXPECT_EQ(study.swap_validation().plan.peak_reduction_bytes,
-              direct.plan.peak_reduction_bytes);
-    EXPECT_EQ(study.swap_validation().execution.measured_stall,
-              direct.execution.measured_stall);
+    // resnet18 swaps under contention, so the measured stall the
+    // comparison covers is not zero.
+    WorkloadSpec spec = small_spec();
+    spec.model = "resnet18";
+    spec.batch = 16;
+    const Study study = Study::run(spec);
+    const analysis::TraceView &view = study.view();
+    const analysis::LinkBandwidth link{study.device().d2h_bw_bps,
+                                       study.device().h2d_bw_bps};
 
+    // The planners and the executor called directly on the device's
+    // link: the facets fill that link from the device themselves.
+    swap::PlannerOptions swap_options;
+    swap_options.link = link;
+    const swap::SwapPlanReport plan =
+        swap::SwapPlanner(swap_options).plan(view);
+    const swap::SwapExecutionResult exec =
+        swap::execute_plan(view, plan, link);
+    ASSERT_EQ(study.swap_plan().decisions.size(), plan.decisions.size());
+    EXPECT_GT(plan.decisions.size(), 0u);
+    EXPECT_EQ(study.swap_plan().peak_reduction_bytes,
+              plan.peak_reduction_bytes);
+    EXPECT_EQ(study.swap_plan().predicted_overhead,
+              plan.predicted_overhead);
+    EXPECT_GT(exec.measured_stall, 0u);
+    EXPECT_EQ(study.swap_execution().measured_stall, exec.measured_stall);
+    EXPECT_EQ(study.swap_execution().new_peak_bytes, exec.new_peak_bytes);
+    EXPECT_EQ(study.swap_execution().queue_delay, exec.queue_delay);
+
+    relief::StrategyOptions relief_options;
+    relief_options.link = link;
     const auto direct_relief =
-        runtime::plan_relief_all(study.result(), study.device());
+        relief::StrategyPlanner(relief_options).plan_all(view);
     for (int i = 0; i < relief::kNumStrategies; ++i) {
+        EXPECT_EQ(study.relief_all()[i].decisions.size(),
+                  direct_relief[i].decisions.size());
         EXPECT_EQ(study.relief_all()[i].peak_reduction_bytes,
                   direct_relief[i].peak_reduction_bytes);
         EXPECT_EQ(study.relief_all()[i].measured_overhead,
@@ -114,6 +142,17 @@ TEST(Study, SwapAndReliefFacetsEqualRuntimeHelpers)
         EXPECT_EQ(&study.relief(static_cast<relief::Strategy>(i)),
                   &study.relief_all()[i]);
     }
+}
+
+TEST(Study, PlanningFacetsNeedATrace)
+{
+    runtime::SessionConfig config = small_spec().session_config();
+    config.record_trace = false;
+    const Study study(small_spec(),
+                      runtime::run_training(nn::mlp(), config));
+    EXPECT_THROW(study.swap_plan(), Error);
+    EXPECT_THROW(study.swap_execution(), Error);
+    EXPECT_THROW(study.relief_all(), Error);
 }
 
 TEST(Study, FacetsAreComputedOnceAndCached)
@@ -124,7 +163,8 @@ TEST(Study, FacetsAreComputedOnceAndCached)
     EXPECT_EQ(&study.timeline(), &study.timeline());
     EXPECT_EQ(&study.atis(), &study.atis());
     EXPECT_EQ(&study.breakdown(), &study.breakdown());
-    EXPECT_EQ(&study.swap_validation(), &study.swap_validation());
+    EXPECT_EQ(&study.swap_plan(), &study.swap_plan());
+    EXPECT_EQ(&study.swap_execution(), &study.swap_execution());
     EXPECT_EQ(&study.relief_all(), &study.relief_all());
     EXPECT_EQ(&study.iteration_pattern(),
               &study.iteration_pattern());
@@ -142,9 +182,17 @@ TEST(Study, FacetsAreThreadSafe)
     for (std::size_t t = 0; t < seen.size(); ++t) {
         threads.emplace_back([&study, &seen, t] {
             // Touch every facet concurrently; record one address.
+            // Half the threads reach the plan through the execution
+            // facet that chains into it, half reach it first.
             study.timeline();
             study.breakdown();
-            study.swap_validation();
+            if (t % 2 == 0) {
+                study.swap_execution();
+                study.swap_plan();
+            } else {
+                study.swap_plan();
+                study.swap_execution();
+            }
             study.relief_all();
             seen[t] = &study.atis();
         });
@@ -212,11 +260,10 @@ TEST(Study, ReliefAndSwapResolveAReusedBlockIdPerLifetime)
 
     // Each lifetime's gap is planned and validated against its own
     // lifetime, exactly as when the second lifetime has its own id.
-    const runtime::SwapValidation &swap = reused.swap_validation();
-    ASSERT_EQ(swap.plan.decisions.size(), 2u);
-    EXPECT_EQ(swap.execution.executed_decisions, 2u);
-    EXPECT_EQ(swap.execution.new_peak_bytes,
-              renamed.swap_validation().execution.new_peak_bytes);
+    ASSERT_EQ(reused.swap_plan().decisions.size(), 2u);
+    EXPECT_EQ(reused.swap_execution().executed_decisions, 2u);
+    EXPECT_EQ(reused.swap_execution().new_peak_bytes,
+              renamed.swap_execution().new_peak_bytes);
 
     const auto &reports = reused.relief_all();
     const auto &expected = renamed.relief_all();
@@ -269,7 +316,7 @@ TEST(Study, DeviceOverloadHonorsCustomSpecs)
     EXPECT_EQ(study.device().d2h_bw_bps,
               sim::DeviceSpec::titan_x_pascal().d2h_bw_bps / 2);
     // Link-priced facets work — they never resolve spec.device.
-    EXPECT_GT(study.swap_validation().plan.original_peak_bytes, 0u);
+    EXPECT_GT(study.swap_plan().original_peak_bytes, 0u);
 }
 
 TEST(Study, FromTraceSupportsOfflineAnalysis)
@@ -297,8 +344,8 @@ TEST(Study, StudyOptionsReachTheFacets)
     const Study conservative = Study::run(small_spec());
     // A 1-byte threshold with overhead allowed can only widen the
     // plan relative to the defaults.
-    EXPECT_GE(aggressive.swap_validation().plan.decisions.size(),
-              conservative.swap_validation().plan.decisions.size());
+    EXPECT_GE(aggressive.swap_plan().decisions.size(),
+              conservative.swap_plan().decisions.size());
 }
 
 TEST(Study, RunValidatesTheSpec)

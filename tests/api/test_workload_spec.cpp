@@ -152,6 +152,15 @@ TEST(WorkloadSpec, RejectsBadDeviceCounts)
                  UsageError);
     EXPECT_THROW(WorkloadSpec::from_args({"--devices", "2.5"}),
                  UsageError);
+    // One bound for every surface; the spec is only parsed here,
+    // never run.
+    EXPECT_THROW(WorkloadSpec::from_args(
+                     {"--devices", std::to_string(kMaxDevices + 1)}),
+                 UsageError);
+    EXPECT_EQ(WorkloadSpec::from_args(
+                  {"--devices", std::to_string(kMaxDevices)})
+                  .devices,
+              kMaxDevices);
     const WorkloadSpec ok = WorkloadSpec::from_args(
         {"--devices", "4", "--topology", "nvlink"});
     EXPECT_EQ(ok.devices, 4);
@@ -172,6 +181,13 @@ TEST(WorkloadSpec, ValidateChecksRanges)
     spec.micro_batches = 1;
     spec.devices = 0;
     EXPECT_THROW(spec.validate(), UsageError);
+    // Two iterations, so only the device bound can reject it.
+    spec.iterations = 2;
+    spec.devices = kMaxDevices + 1;
+    EXPECT_THROW(spec.validate(), UsageError);
+    spec.devices = kMaxDevices;
+    EXPECT_NO_THROW(spec.validate());
+    spec.iterations = 1;
     spec.devices = 1;
     spec.topology = "infiniband";
     EXPECT_THROW(spec.validate(), UsageError);

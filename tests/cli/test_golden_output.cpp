@@ -63,6 +63,36 @@ TEST(GoldenOutput, SwapValidateMatchesThePreRefactorCli)
               golden("swap_resnet18_b16_i2_validate.txt"));
 }
 
+TEST(GoldenOutput, SwapValidateExportsMatchTheFixtures)
+{
+    // Every planned decision next to its shared-link schedule, CSV
+    // and JSON: the exports read one plan and its one execution.
+    const std::string csv =
+        testing::TempDir() + "pinpoint_golden_swap_validate.csv";
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_swap_validate.json";
+    run_out({"swap", "--model", "resnet18", "--batch", "16",
+             "--iterations", "2", "--validate", "--csv", csv, "--json",
+             json});
+    EXPECT_EQ(read_file(csv),
+              golden("swap_resnet18_b16_i2_validate.csv"));
+    EXPECT_EQ(read_file(json),
+              golden("swap_resnet18_b16_i2_validate.json"));
+    std::remove(csv.c_str());
+    std::remove(json.c_str());
+}
+
+TEST(GoldenOutput, ReliefCsvMatchesTheFixture)
+{
+    // The selected report's decisions, one swap-leg record each.
+    const std::string path =
+        testing::TempDir() + "pinpoint_golden_relief.csv";
+    run_out({"relief", "--model", "resnet18", "--batch", "16",
+             "--iterations", "2", "--csv", path});
+    EXPECT_EQ(read_file(path), golden("relief_resnet18_b16_i2.csv"));
+    std::remove(path.c_str());
+}
+
 TEST(GoldenOutput, ReliefMatchesThePreRefactorCli)
 {
     EXPECT_EQ(run_out({"relief", "--model", "resnet18", "--batch",

@@ -158,6 +158,8 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
          "--devices must be >= 1"},
         {{"characterize", "--devices", "two"},
          "--devices needs an integer, got 'two'"},
+        {{"characterize", "--model", "mlp", "--devices", "257"},
+         "--devices must be <= 256, got 257"},
         {{"relief", "--budget-ms", "-1", "--model", "mlp"},
          "--budget-ms must be a finite number >= 0"},
         {{"relief", "--budget-ms", "nan", "--model", "mlp"},
@@ -178,6 +180,7 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
         {{"sweep", "--device-presets", "h100"}, "unknown device"},
         {{"sweep", "--devices", "0"}, "bad device count '0'"},
         {{"sweep", "--devices", "2x"}, "bad device count '2x'"},
+        {{"sweep", "--devices", "1,257"}, "bad device count '257'"},
         {{"sweep", "--topologies", "infiniband"},
          "unknown topology"},
         {{"sweep", "--models", "mlp", "--shard", "0/2"},

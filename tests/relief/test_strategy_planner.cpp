@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "analysis/trace_view.h"
 #include "api/study.h"
@@ -543,55 +544,106 @@ TEST(StrategyPlanner, BudgetOfExactlyThePaidTotalKeepsEveryDecision)
     }
 }
 
+/** Expects every swap-leg field of @p a and @p b equal. */
+void
+expect_same_leg(const swap::SwapDecision &a, const swap::SwapDecision &b)
+{
+    EXPECT_EQ(a.block, b.block);
+    EXPECT_EQ(a.slot, b.slot);
+    EXPECT_EQ(a.tensor, b.tensor);
+    EXPECT_EQ(a.size, b.size);
+    EXPECT_EQ(a.gap_start, b.gap_start);
+    EXPECT_EQ(a.gap_end, b.gap_end);
+    EXPECT_EQ(a.gap, b.gap);
+    EXPECT_EQ(a.hide_ratio, b.hide_ratio);
+    EXPECT_EQ(a.overhead, b.overhead);
+}
+
 /**
- * The swap leg honours --safety-factor: at zero budget, swap-only
- * relief keeps exactly the swaps the Eq. 1 swap planner schedules
- * without overhead. A gap that fits the raw round trip but not the
- * headroom has zero stall, and must not slip in as a free decision.
+ * Swap-only relief is the Eq. 1 swap planner, decision by decision,
+ * on six workloads (training and serving). At zero budget it keeps
+ * exactly the swaps the planner schedules without overhead, so the
+ * swap leg honours --safety-factor: a gap that fits the raw round
+ * trip but not the headroom has zero stall, and must not slip in as
+ * a free decision. At an unlimited budget it keeps exactly what
+ * allow_overhead schedules, at factor 1.0 only: above it the planner
+ * takes such a gap with zero overhead on purpose (see
+ * OverheadSaturatesAtZeroUnderSafetyFactor in tests/swap).
  */
 TEST(StrategyPlanner, ZeroBudgetSwapsHonourTheSafetyFactor)
 {
-    const auto spec = sim::DeviceSpec::titan_x_pascal();
-    runtime::SessionConfig config;
-    config.batch = 16;
-    config.iterations = 3;
-    const auto result =
-        runtime::run_training(nn::build_model("resnet18"), config);
-    const analysis::TraceView &view = result.view();
-    const analysis::LinkBandwidth link{spec.d2h_bw_bps,
-                                       spec.h2d_bw_bps};
-
-    std::size_t decisions_at_1 = 0;
-    for (double factor : {1.0, 1.5, 4.0}) {
-        SCOPED_TRACE(factor);
-        StrategyOptions opts;
-        opts.link = link;
-        opts.safety_factor = factor;
-        opts.overhead_budget = 0;
-        const StrategyPlanner planner(opts);
-        const auto plan = planner.plan_all(view)[at(Strategy::kSwapOnly)];
-
-        swap::PlannerOptions swap_opts;
-        swap_opts.link = link;
-        swap_opts.safety_factor = factor;
-        swap_opts.min_block_bytes = opts.min_block_bytes;
-        const auto reference = swap::SwapPlanner(swap_opts).plan(view);
-
-        ASSERT_EQ(plan.decisions.size(), reference.decisions.size());
-        for (std::size_t i = 0; i < reference.decisions.size(); ++i) {
-            EXPECT_EQ(plan.decisions[i].block,
-                      reference.decisions[i].block);
-            EXPECT_EQ(plan.decisions[i].gap_start,
-                      reference.decisions[i].gap_start);
+    struct Case {
+        const char *model;
+        int batch;
+        bool serve;
+    };
+    for (const Case &c :
+         {Case{"resnet18", 16, false}, Case{"resnet152", 8, false},
+          Case{"vgg16", 8, false}, Case{"transformer", 8, false},
+          Case{"alexnet", 16, false}, Case{"resnet50", 8, true}}) {
+        SCOPED_TRACE(c.model);
+        api::WorkloadSpec spec;
+        spec.model = c.model;
+        spec.batch = c.batch;
+        spec.iterations = 3;
+        if (c.serve) {
+            spec.mode = runtime::SessionMode::kInfer;
+            spec.requests = 8;
         }
-        EXPECT_EQ(plan.peak_reduction_bytes,
-                  reference.peak_reduction_bytes);
-        EXPECT_EQ(plan.predicted_overhead, 0);
-        if (factor == 1.0)
-            decisions_at_1 = reference.decisions.size();
-        else
-            EXPECT_LT(reference.decisions.size(), decisions_at_1)
-                << "the factor never bites on this input";
+        const api::Study study = api::Study::run(spec);
+        const analysis::TraceView &view = study.view();
+        const analysis::LinkBandwidth link{study.device().d2h_bw_bps,
+                                           study.device().h2d_bw_bps};
+
+        struct Pair {
+            double factor;
+            bool allow_overhead;
+        };
+        std::size_t decisions_at_1 = 0;
+        for (const Pair &p : {Pair{1.0, false}, Pair{1.5, false},
+                              Pair{4.0, false}, Pair{1.0, true}}) {
+            SCOPED_TRACE(p.factor);
+            SCOPED_TRACE(p.allow_overhead ? "unlimited" : "budget 0");
+            StrategyOptions opts;
+            opts.link = link;
+            opts.safety_factor = p.factor;
+            opts.overhead_budget = p.allow_overhead ? kUnlimitedBudget : 0;
+            const auto reports = StrategyPlanner(opts).plan_all(view);
+            const ReliefReport &plan = reports[at(Strategy::kSwapOnly)];
+
+            swap::PlannerOptions swap_opts;
+            swap_opts.link = link;
+            swap_opts.safety_factor = p.factor;
+            swap_opts.min_block_bytes = opts.min_block_bytes;
+            swap_opts.allow_overhead = p.allow_overhead;
+            const auto reference = swap::SwapPlanner(swap_opts).plan(view);
+
+            ASSERT_EQ(plan.decisions.size(), reference.decisions.size());
+            for (std::size_t i = 0; i < reference.decisions.size(); ++i) {
+                SCOPED_TRACE(i);
+                EXPECT_EQ(plan.decisions[i].mechanism, Mechanism::kSwap);
+                expect_same_leg(plan.decisions[i],
+                                reference.decisions[i]);
+            }
+            EXPECT_EQ(plan.total_swapped_bytes,
+                      reference.total_swapped_bytes);
+            EXPECT_EQ(plan.peak_reduction_bytes,
+                      reference.peak_reduction_bytes);
+            EXPECT_EQ(plan.predicted_overhead,
+                      reference.predicted_overhead);
+            if (p.allow_overhead) {
+                EXPECT_GT(plan.predicted_overhead, 0u)
+                    << "no paid swap on this input";
+                continue;
+            }
+            EXPECT_EQ(plan.predicted_overhead, 0u);
+            if (p.factor == 1.0) {
+                decisions_at_1 = reference.decisions.size();
+            } else if (std::string(c.model) == "resnet18") {
+                EXPECT_LT(reference.decisions.size(), decisions_at_1)
+                    << "the factor never bites on this input";
+            }
+        }
     }
 }
 
@@ -660,15 +712,9 @@ TEST(StrategyPlanner, CombinedPeakMatchesTheOccupancyOracle)
                              static_cast<std::int64_t>(d.size)});
                         continue;
                     }
-                    swap::SwapDecision s;
-                    s.block = d.block;
-                    s.slot = d.slot;
-                    s.size = d.size;
-                    s.gap_start = d.gap_start;
-                    s.gap_end = d.gap_end;
                     (d.mechanism == Mechanism::kSwap ? swap_legs
                                                      : peer_legs)
-                        .decisions.push_back(s);
+                        .decisions.push_back(d);
                 }
                 sim::LinkScheduler host_link(opts.link.d2h_bps,
                                              opts.link.h2d_bps);

@@ -1,8 +1,6 @@
 /** @file Unit tests for the run_training session facade. */
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "alloc/device_memory.h"
 #include "core/check.h"
 #include "nn/models.h"
@@ -176,43 +174,6 @@ TEST(Session, FragmentationReportedFromDeviceHeap)
     const auto r = run_training(nn::mlp(), config);
     EXPECT_GE(r.device_fragmentation, 0.0);
     EXPECT_LE(r.device_fragmentation, 1.0);
-}
-
-TEST(Session, ValidateSwapPlanClosesTheLoop)
-{
-    SessionConfig config;
-    config.batch = 16;
-    config.iterations = 3;
-    const auto r = run_training(nn::resnet(18), config);
-
-    const auto v = validate_swap_plan(r, config.device);
-    EXPECT_EQ(v.execution.executed_decisions,
-              v.plan.decisions.size());
-    EXPECT_EQ(v.plan.original_peak_bytes,
-              v.execution.original_peak_bytes);
-    // Default options take the link from the device spec, so the
-    // validation matches an explicit plan over the same link.
-    swap::PlannerOptions opts;
-    opts.link = analysis::LinkBandwidth{config.device.d2h_bw_bps,
-                                        config.device.h2d_bw_bps};
-    const auto direct = swap::SwapPlanner(opts).plan(r.view());
-    EXPECT_EQ(v.plan.decisions.size(), direct.decisions.size());
-    EXPECT_EQ(v.plan.peak_reduction_bytes,
-              direct.peak_reduction_bytes);
-    EXPECT_EQ(v.unpredicted_stall(),
-              v.execution.measured_stall -
-                  std::min(v.execution.measured_stall,
-                           v.plan.predicted_overhead));
-}
-
-TEST(Session, ValidateSwapPlanNeedsATrace)
-{
-    SessionConfig config;
-    config.batch = 16;
-    config.iterations = 2;
-    config.record_trace = false;
-    const auto r = run_training(nn::mlp(), config);
-    EXPECT_THROW(validate_swap_plan(r, config.device), Error);
 }
 
 }  // namespace

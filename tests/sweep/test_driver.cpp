@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <mutex>
 #include <set>
 #include <vector>
@@ -167,6 +169,44 @@ TEST(SweepDriver, NonPositiveJobsClampToSerial)
     const auto report = run_sweep(one, options);
     EXPECT_EQ(report.jobs, 1);
     EXPECT_EQ(report.succeeded, 1u);
+}
+
+/** @return the threads this process runs now, from /proc. */
+std::size_t
+live_threads()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &task :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+TEST(SweepDriver, PoolStartsNoMoreWorkersThanPendingScenarios)
+{
+    if (!std::filesystem::exists("/proc/self/task"))
+        GTEST_SKIP() << "needs /proc/self/task to count threads";
+    SweepGrid grid;
+    grid.models = {"mlp"};
+    grid.batches = {8};
+    grid.allocators = {runtime::AllocatorKind::kCaching,
+                       runtime::AllocatorKind::kDirect};
+    grid.iterations = 2;
+    const std::vector<Scenario> scenarios = expand_grid(grid);
+
+    const std::size_t before = live_threads();
+    std::size_t most = 0;
+    SweepOptions options;
+    options.jobs = 16;
+    // on_result runs on a worker, under the driver's lock.
+    options.on_result = [&](const ScenarioResult &) {
+        most = std::max(most, live_threads());
+    };
+    const auto report = run_sweep(scenarios, options);
+    EXPECT_EQ(report.jobs, 16) << "the table prints the request";
+    EXPECT_EQ(report.succeeded, scenarios.size());
+    EXPECT_GT(most, before);
+    EXPECT_LE(most, before + scenarios.size());
 }
 
 TEST(SubmissionOrder, DescendingCostWithStableTies)

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
+#include "api/workload.h"
 #include "core/check.h"
 #include "nn/model_registry.h"
 #include "sweep/scenario.h"
@@ -189,6 +191,12 @@ TEST(Parsing, ParseDeviceCounts)
     EXPECT_THROW(parse_device_counts("two"), Error);
     // Partial numbers must be an error, never a silent truncation.
     EXPECT_THROW(parse_device_counts("2x"), Error);
+    // The workload spec's one bound, typed as a usage error.
+    EXPECT_EQ(parse_device_counts(std::to_string(api::kMaxDevices)),
+              (std::vector<int>{api::kMaxDevices}));
+    EXPECT_THROW(
+        parse_device_counts(std::to_string(api::kMaxDevices + 1)),
+        UsageError);
 }
 
 TEST(Parsing, ParseAllocators)
