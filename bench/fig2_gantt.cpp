@@ -75,9 +75,7 @@ main()
     }
 
     bench::section("ASCII Gantt (first five iterations)");
-    analysis::GanttOptions opts;
-    opts.max_rows = 32;
-    std::printf("%s", analysis::render_gantt(timeline, opts).c_str());
+    std::printf("%s", analysis::render_gantt(timeline, 32).c_str());
 
     bench::section("iterative pattern (paper: 'obvious iterative "
                    "memory access patterns')");

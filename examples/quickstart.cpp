@@ -35,11 +35,8 @@ main()
                 format_time(study.result().iteration_time).c_str());
 
     // 2. Fig. 2: Gantt chart of block lifetimes (timeline facet).
-    analysis::GanttOptions gantt;
-    gantt.max_rows = 24;
     std::printf("--- Gantt (Fig. 2) ---\n%s\n",
-                analysis::render_gantt(study.timeline(), gantt)
-                    .c_str());
+                analysis::render_gantt(study.timeline(), 24).c_str());
 
     // 3. Fig. 3: ATI distribution (ati facets).
     const auto &summary = study.ati_summary();

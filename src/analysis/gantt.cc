@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "analysis/timeline.h"
 #include "core/check.h"
@@ -11,70 +12,47 @@
 namespace pinpoint {
 namespace analysis {
 
-std::vector<const BlockLifetime *>
-gantt_rows(const Timeline &timeline, TimeNs from, TimeNs to)
-{
-    if (to == 0)
-        to = timeline.end();
-    std::vector<const BlockLifetime *> rows;
-    for (const auto &b : timeline.blocks()) {
-        const TimeNs free_t = b.freed ? b.free_time : timeline.end();
-        if (b.alloc_time <= to && free_t >= from)
-            rows.push_back(&b);
-    }
-    return rows;
-}
-
 std::string
-render_gantt(const Timeline &timeline, const GanttOptions &options)
+render_gantt(const Timeline &timeline, std::size_t max_rows)
 {
-    PP_CHECK(options.width >= 16, "gantt width too small");
-    const TimeNs from = options.from;
-    const TimeNs to = options.to != 0 ? options.to : timeline.end();
-    PP_CHECK(to > from, "empty gantt window");
+    constexpr int kWidth = 96;
+    const TimeNs to = timeline.end();
+    PP_CHECK(to > 0, "empty gantt window");
 
-    auto rows = gantt_rows(timeline, from, to);
+    std::vector<const BlockLifetime *> rows;
+    rows.reserve(timeline.blocks().size());
+    for (const BlockLifetime &b : timeline.blocks())
+        rows.push_back(&b);
     // Keep the largest blocks when over budget, then restore order.
-    if (rows.size() > options.max_rows) {
+    if (rows.size() > max_rows) {
         std::sort(rows.begin(), rows.end(),
                   [](const BlockLifetime *a, const BlockLifetime *b) {
                       return a->size > b->size;
                   });
-        rows.resize(options.max_rows);
+        rows.resize(max_rows);
     }
     std::sort(rows.begin(), rows.end(),
-              [&](const BlockLifetime *a, const BlockLifetime *b) {
-                  if (options.sort_by_ptr)
-                      return a->ptr < b->ptr;
-                  return a->alloc_time < b->alloc_time;
+              [](const BlockLifetime *a, const BlockLifetime *b) {
+                  return a->ptr < b->ptr;
               });
 
-    const double span = static_cast<double>(to - from);
+    const double span = static_cast<double>(to);
     const auto col = [&](TimeNs t) {
-        double frac = (static_cast<double>(t) -
-                       static_cast<double>(from)) /
-                      span;
-        frac = std::clamp(frac, 0.0, 1.0);
-        return static_cast<int>(frac *
-                                static_cast<double>(options.width - 1));
+        return static_cast<int>(static_cast<double>(t) / span *
+                                static_cast<double>(kWidth - 1));
     };
 
     std::ostringstream os;
-    os << "time window: " << format_time(from) << " .. "
-       << format_time(to) << "  (" << rows.size() << " blocks)\n";
+    os << "time window: " << format_time(0) << " .. " << format_time(to)
+       << "  (" << rows.size() << " blocks)\n";
     for (const auto *b : rows) {
-        std::string line(static_cast<std::size_t>(options.width), '.');
+        std::string line(static_cast<std::size_t>(kWidth), '.');
         const TimeNs free_t = b->freed ? b->free_time : to;
-        const int c0 = col(std::max(b->alloc_time, from));
-        const int c1 = col(std::min(free_t, to));
-        for (int c = c0; c <= c1; ++c)
+        for (int c = col(b->alloc_time); c <= col(free_t); ++c)
             line[static_cast<std::size_t>(c)] = '#';
         // Mark accesses inside the lifetime with '|'.
-        for (TimeNs a : timeline.accesses(*b)) {
-            if (a < from || a > to)
-                continue;
+        for (TimeNs a : timeline.accesses(*b))
             line[static_cast<std::size_t>(col(a))] = '|';
-        }
         os << line << "  " << pad(format_bytes(b->size), 10)
            << category_name(b->category) << "\n";
     }

@@ -1,47 +1,27 @@
 /**
  * @file
- * Gantt chart of block lifetimes (the paper's Fig. 2), as both raw
- * rows for plotting and an ASCII rendering for terminals.
+ * ASCII Gantt chart of block lifetimes (the paper's Fig. 2) for
+ * terminals.
  */
 #pragma once
 
+#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "analysis/timeline.h"
-#include "core/types.h"
 
 namespace pinpoint {
 namespace analysis {
 
-/** Rendering options for the ASCII Gantt. */
-struct GanttOptions {
-    /** Character columns of the time axis. */
-    int width = 96;
-    /** Maximum rows (largest blocks first beyond this). */
-    std::size_t max_rows = 48;
-    /** Clip window start (0 = trace start). */
-    TimeNs from = 0;
-    /** Clip window end (0 = trace end). */
-    TimeNs to = 0;
-    /** Sort rows by device address (true) or by alloc time. */
-    bool sort_by_ptr = true;
-};
-
 /**
- * @return the blocks of @p timeline overlapping [from, to] (0,0 =
- * everything), one row per rectangle of Fig. 2.
+ * Renders @p timeline as an ASCII Gantt over [0, end]: one line per
+ * block in address order, 96 columns of '#' spanning its lifetime
+ * and '|' at its accesses, annotated with size and category. Over
+ * @p max_rows blocks, the largest are kept.
+ *
+ * @throws Error when the timeline ends at time 0.
  */
-std::vector<const BlockLifetime *>
-gantt_rows(const Timeline &timeline, TimeNs from = 0, TimeNs to = 0);
-
-/**
- * Renders the timeline window as an ASCII Gantt: one line per block,
- * '#' spanning its lifetime, annotated with size and address.
- */
-std::string render_gantt(const Timeline &timeline,
-                         const GanttOptions &options = {});
+std::string render_gantt(const Timeline &timeline, std::size_t max_rows);
 
 }  // namespace analysis
 }  // namespace pinpoint
-

@@ -125,9 +125,7 @@ write_report(const TraceView &view, std::ostream &os,
 
     if (options.gantt) {
         heading(os, "gantt (Fig. 2)");
-        GanttOptions g;
-        g.max_rows = options.gantt_rows;
-        os << render_gantt(timeline, g);
+        os << render_gantt(timeline, 24);
     }
 }
 

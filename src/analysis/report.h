@@ -20,10 +20,8 @@ struct ReportOptions {
     std::string title = "training run";
     /** Link bandwidths for the Eq. 1 advice section. */
     LinkBandwidth link{6.4e9, 6.3e9};
-    /** Include the ASCII Gantt section. */
+    /** Include the ASCII Gantt section (24 rows). */
     bool gantt = true;
-    /** Gantt row budget. */
-    std::size_t gantt_rows = 24;
 };
 
 class TraceView;

@@ -139,33 +139,5 @@ violin(const std::vector<double> &values, int points)
     return v;
 }
 
-std::vector<HistogramBin>
-histogram(const std::vector<double> &values, int bins)
-{
-    PP_CHECK(!values.empty(), "histogram of an empty sample");
-    PP_CHECK(bins >= 1, "histogram needs at least one bin");
-    const auto [mn_it, mx_it] =
-        std::minmax_element(values.begin(), values.end());
-    const double mn = *mn_it;
-    double mx = *mx_it;
-    if (mx == mn)
-        mx = mn + 1.0;
-    const double width = (mx - mn) / static_cast<double>(bins);
-
-    std::vector<HistogramBin> out(static_cast<std::size_t>(bins));
-    for (int i = 0; i < bins; ++i) {
-        out[static_cast<std::size_t>(i)].lo =
-            mn + width * static_cast<double>(i);
-        out[static_cast<std::size_t>(i)].hi =
-            mn + width * static_cast<double>(i + 1);
-    }
-    for (double v : values) {
-        auto idx = static_cast<std::size_t>((v - mn) / width);
-        idx = std::min(idx, out.size() - 1);
-        ++out[idx].count;
-    }
-    return out;
-}
-
 }  // namespace analysis
 }  // namespace pinpoint

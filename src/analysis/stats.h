@@ -80,17 +80,6 @@ struct ViolinStats {
 /** Builds violin statistics (summary + KDE) for @p values. */
 ViolinStats violin(const std::vector<double> &values, int points = 64);
 
-/** One histogram bin: [lo, hi). */
-struct HistogramBin {
-    double lo = 0.0;
-    double hi = 0.0;
-    std::size_t count = 0;
-};
-
-/** Equal-width histogram of @p values with @p bins bins. */
-std::vector<HistogramBin> histogram(const std::vector<double> &values,
-                                    int bins);
-
 }  // namespace analysis
 }  // namespace pinpoint
 

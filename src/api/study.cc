@@ -164,12 +164,6 @@ Study::timeline() const
     return result().view().timeline();
 }
 
-const std::vector<analysis::OccupancyEdge> &
-Study::occupancy_edges() const
-{
-    return result().view().timeline().edges();
-}
-
 std::size_t
 Study::peak_occupancy_bytes() const
 {

@@ -251,10 +251,6 @@ class Study
      * the view's cached sub-index. */
     const analysis::Timeline &timeline() const;
 
-    /** @return the alloc/free occupancy edges of the timeline. */
-    const std::vector<analysis::OccupancyEdge> &
-    occupancy_edges() const;
-
     /** @return the peak of the running occupancy sum. */
     std::size_t peak_occupancy_bytes() const;
 

@@ -221,6 +221,11 @@ WorkloadSpec::validate() const
                 "1, got " +
                 std::to_string(devices));
     }
+    // Every micro-batch of an accumulated step has the same shape.
+    if (batch % micro_batches != 0)
+        throw UsageError("--batch " + std::to_string(batch) +
+                         " must be a multiple of --micro-batches " +
+                         std::to_string(micro_batches));
     // The all-reduce schedule is built on the steady-state
     // iteration, which a session measures from its second iteration.
     if (devices > 1 && iterations < 2)

@@ -28,10 +28,11 @@ namespace pinpoint {
 namespace api {
 
 /**
- * Largest data-parallel replica count a workload may ask for. The
- * ring all-reduce stores 2(N-1)N link legs per iteration, so this
- * one bound keeps a single --devices value from exhausting memory;
- * the sweep's --devices list parser applies it too.
+ * Largest data-parallel replica count a workload may ask for. Each
+ * iteration's ring all-reduce builds 2(N-1)N link legs (one
+ * collective is held at a time), so this one bound keeps a single
+ * --devices value from exhausting time and memory; the sweep's
+ * --devices list parser applies it too.
  */
 inline constexpr int kMaxDevices = 256;
 
@@ -123,11 +124,11 @@ struct WorkloadSpec {
     /**
      * Checks the spec describes a runnable workload: registered
      * model, device, and topology presets, positive batch,
-     * iterations >= 1, micro-batches >= 1, 1 <= devices <=
-     * kMaxDevices, requests >= 1, iterations >= 2 when devices > 1,
-     * and — in infer mode — no training-only axes (micro-batches and
-     * devices must stay 1). @throws UsageError with an actionable
-     * message otherwise.
+     * iterations >= 1, micro-batches >= 1 dividing the batch,
+     * 1 <= devices <= kMaxDevices, requests >= 1, iterations >= 2
+     * when devices > 1, and — in infer mode — no training-only axes
+     * (micro-batches and devices must stay 1). @throws UsageError
+     * with an actionable message otherwise.
      */
     void validate() const;
 

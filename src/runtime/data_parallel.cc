@@ -36,25 +36,18 @@ run_data_parallel(const nn::Model &model,
     // the all-reduce with backward compute is a later refinement;
     // fully-exposed is the conservative bound, matching how the
     // planners treat unhidden transfers.)
+    // Every iteration's traffic stays on the links, so the busy
+    // fraction below sums it; steady state = the last iteration,
+    // mirroring how run_training measures iteration_time.
     TimeNs now = 0;
-    const int iterations = config.session.iterations;
-    result.allreduces.reserve(
-        iterations > 0 ? static_cast<std::size_t>(iterations) : 0);
-    for (int i = 0; i < iterations; ++i) {
+    for (int i = 0; i < config.session.iterations; ++i) {
         now += result.compute_iteration_time;
-        sim::AllReduceResult ar =
+        const sim::AllReduceResult ar =
             topology.all_reduce(result.gradient_bytes, now);
         now = ar.finish;
-        result.allreduces.push_back(std::move(ar));
-    }
-
-    if (!result.allreduces.empty()) {
-        // Steady state = the last iteration, mirroring how
-        // run_training measures iteration_time.
-        const sim::AllReduceResult &last = result.allreduces.back();
-        result.allreduce_time = last.duration();
-        result.allreduce_ideal_time = last.ideal_ns;
-        result.allreduce_stall = last.stall_ns();
+        result.allreduce_time = ar.duration();
+        result.allreduce_ideal_time = ar.ideal_ns;
+        result.allreduce_stall = ar.stall_ns();
     }
     result.iteration_time =
         result.compute_iteration_time + result.allreduce_time;

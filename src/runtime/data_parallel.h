@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "core/types.h"
 #include "nn/models.h"
@@ -56,12 +55,14 @@ struct DataParallelResult {
     sim::InterconnectSpec interconnect;
     /** Gradient payload of one all-reduce (plan parameter bytes). */
     std::size_t gradient_bytes = 0;
-    /** One scheduled all-reduce per iteration, in order. */
-    std::vector<sim::AllReduceResult> allreduces;
 
     /** Per-replica compute time of one steady-state iteration. */
     TimeNs compute_iteration_time = 0;
-    /** Steady-state exposed all-reduce time per iteration. */
+    /**
+     * Steady-state exposed all-reduce time per iteration: the last
+     * iteration's collective, as run_training measures
+     * iteration_time.
+     */
     TimeNs allreduce_time = 0;
     /** Dedicated-ring all-reduce time (no queued traffic). */
     TimeNs allreduce_ideal_time = 0;

@@ -7,18 +7,6 @@
 namespace pinpoint {
 namespace runtime {
 
-const char *
-op_phase_name(OpPhase p)
-{
-    switch (p) {
-      case OpPhase::kDataLoad: return "data_load";
-      case OpPhase::kForward: return "forward";
-      case OpPhase::kBackward: return "backward";
-      case OpPhase::kOptimizer: return "optimizer";
-    }
-    PP_ASSERT(false, "unhandled op phase " << static_cast<int>(p));
-}
-
 const TensorMeta &
 Plan::tensor(TensorId id) const
 {

@@ -30,9 +30,6 @@ enum class OpPhase : std::uint8_t {
     kOptimizer,
 };
 
-/** @return canonical lowercase phase name. */
-const char *op_phase_name(OpPhase p);
-
 /** One executable step of a training iteration. */
 struct Op {
     /** Qualified name, e.g. "layer1.0.conv2.backward". */

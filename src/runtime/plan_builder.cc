@@ -21,7 +21,11 @@ namespace {
 using nn::LayerKind;
 using nn::NodeId;
 
-/** cuDNN-style workspace size heuristic for one conv call. */
+/**
+ * cuDNN-style workspace size heuristic for one conv call. These
+ * per-kernel scratch blocks are the short-lived, immediately-freed
+ * behaviors that dominate the paper's ATI mass.
+ */
 std::size_t
 workspace_bytes(std::size_t out_bytes)
 {
@@ -91,8 +95,6 @@ class Builder
         PP_CHECK(opt_.micro_batches == 1,
                  "inference plans are per-request; micro_batches "
                  "must be 1, got " << opt_.micro_batches);
-        PP_CHECK(!opt_.sgd_momentum,
-                 "inference plans carry no optimizer state");
         PP_CHECK(opt_.checkpoint_every == 0,
                  "activation checkpointing is a backward-pass "
                  "technique; inference plans do not support it");
@@ -172,7 +174,7 @@ class Builder
         return infos_[static_cast<std::size_t>(id)];
     }
 
-    /** Creates persistent tensors for params/buffers (+ momentum). */
+    /** Creates persistent tensors for params/buffers. */
     void
     create_parameters()
     {
@@ -183,28 +185,21 @@ class Builder
                 plan_.persistent.push_back(id);
                 param_ids_[static_cast<std::size_t>(node.id)].push_back(
                     {p, id});
-                if (p.trainable && opt_.sgd_momentum) {
-                    TensorId m =
-                        new_tensor(p.name + ".momentum", p.shape,
-                                   opt_.dtype, Category::kIntermediate);
-                    plan_.persistent.push_back(m);
-                    momentum_[id] = m;
-                }
             }
         }
     }
 
-    /** True when @p id's forward output is a fresh block (no alias). */
+    /**
+     * True when @p id's forward output is a fresh block (no alias).
+     * Flatten is a view and ReLU runs in place, so both alias their
+     * input.
+     */
     bool
     materializes(NodeId id) const
     {
-        const nn::Node &node = graph_.node(id);
-        if (node.kind == LayerKind::kInput ||
-            node.kind == LayerKind::kFlatten)
-            return false;
-        if (node.kind == LayerKind::kReLU && opt_.inplace_relu)
-            return false;
-        return true;
+        const LayerKind kind = graph_.node(id).kind;
+        return kind != LayerKind::kInput && kind != LayerKind::kFlatten &&
+               kind != LayerKind::kReLU;
     }
 
     /** Node whose tensor act_[id] actually belongs to. */
@@ -389,16 +384,16 @@ class Builder
             // memory behavior, exactly as in PyTorch.
             act_[idx] = in_act(node);
             return;
-          case LayerKind::kReLU:
-            if (opt_.inplace_relu) {
-                act_[idx] = in_act(node);
-                Op &op = push_op(node.name + ".forward",
-                                 OpPhase::kForward, ni.fwd_flops);
-                op.reads = {act_[idx]};
-                op.writes = {act_[idx]};
-                return;
-            }
-            break;
+          case LayerKind::kReLU: {
+            // In place, as torchvision's inplace=True: the output
+            // aliases the input block.
+            act_[idx] = in_act(node);
+            Op &op = push_op(node.name + ".forward", OpPhase::kForward,
+                             ni.fwd_flops);
+            op.reads = {act_[idx]};
+            op.writes = {act_[idx]};
+            return;
+          }
           case LayerKind::kDropout:
             if (inference_) {
                 // Eval-mode dropout is an identity: no kernel, no
@@ -417,9 +412,10 @@ class Builder
                                   opt_.dtype, Category::kIntermediate);
         act_[idx] = out;
 
-        if (node.kind == LayerKind::kLinear && opt_.decompose_linear) {
+        if (node.kind == LayerKind::kLinear) {
             // Fig. 1 of the paper: star (mat_mul) then plus (add_bias)
             // as two separate kernels on the same output block.
+            // Convolutions keep the fused-bias kernel cuDNN uses.
             auto params = all_params(node.id);
             Op &mm = push_op(node.name + ".mat_mul", OpPhase::kForward,
                              ni.fwd_flops);
@@ -449,22 +445,10 @@ class Builder
           case LayerKind::kConv2d: {
             for (TensorId p : all_params(node.id))
                 op.reads.push_back(p);
-            if (opt_.conv_workspace) {
-                const std::size_t ws =
-                    workspace_bytes(plan_.tensor(out).bytes());
-                TensorId w = new_tensor(
-                    node.name + ".workspace.fwd" + sfx(),
-                    Shape{static_cast<std::int64_t>(ws / 4)},
-                    DType::kF32, Category::kIntermediate);
-                op.allocs.push_back(w);
-                op.writes.push_back(w);
-            }
+            attach_workspace(op, node.name + ".workspace.fwd",
+                             plan_.tensor(out).bytes());
             break;
           }
-          case LayerKind::kLinear:
-            for (TensorId p : all_params(node.id))
-                op.reads.push_back(p);
-            break;
           case LayerKind::kBatchNorm2d: {
             for (TensorId p : all_params(node.id))
                 op.reads.push_back(p);
@@ -689,7 +673,7 @@ class Builder
             else
                 op.reads.push_back(wg);
             op.writes = {wg};
-            if (is_conv && opt_.conv_workspace)
+            if (is_conv)
                 attach_workspace(op, node.name + ".workspace.wgrad",
                                  plan_.tensor(in_act(node)).bytes());
         }
@@ -700,7 +684,7 @@ class Builder
             op.reads = {g, params[0]};
             op.allocs = {dx};
             op.writes = {dx};
-            if (is_conv && opt_.conv_workspace)
+            if (is_conv)
                 attach_workspace(op, node.name + ".workspace.dgrad",
                                  plan_.tensor(in_act(node)).bytes());
             add_contribution(node.inputs[0], dx);
@@ -799,23 +783,12 @@ class Builder
             }
             break;
           }
-          case LayerKind::kReLU: {
-            if (opt_.inplace_relu) {
-                // In-place backward: the gradient block is reused.
-                op.reads.push_back(act_[idx]);
-                op.writes.push_back(g);
-                add_contribution(node.inputs[0], g);
-                return;
-            }
+          case LayerKind::kReLU:
+            // In-place backward: the gradient block is reused.
             op.reads.push_back(act_[idx]);
-            if (needs_dx) {
-                TensorId dx = make_dx(node, 0, ".dx");
-                op.allocs.push_back(dx);
-                op.writes.push_back(dx);
-                add_contribution(node.inputs[0], dx);
-            }
-            break;
-          }
+            op.writes.push_back(g);
+            add_contribution(node.inputs[0], g);
+            return;
           case LayerKind::kDropout: {
             op.reads.push_back(mask_[idx]);
             if (needs_dx) {
@@ -927,11 +900,6 @@ class Builder
                              3.0 * static_cast<double>(p.shape.numel()));
             op.reads = {param, grad};
             op.writes = {param};
-            auto it = momentum_.find(param);
-            if (it != momentum_.end()) {
-                op.reads.push_back(it->second);
-                op.writes.push_back(it->second);
-            }
         }
     }
 
@@ -994,7 +962,6 @@ class Builder
     std::vector<std::vector<std::pair<nn::ParamSpec, TensorId>>>
         param_ids_;
     std::vector<std::pair<TensorId, TensorId>> opt_pairs_;
-    std::unordered_map<TensorId, TensorId> momentum_;
     TensorId x_ = kInvalidTensor;
     TensorId labels_ = kInvalidTensor;
     TensorId loss_ = kInvalidTensor;

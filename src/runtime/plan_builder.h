@@ -3,6 +3,12 @@
  * Lowers a model graph into a training Plan: forward ops, a reverse
  * autograd pass with gradient accumulation, and SGD optimizer steps,
  * followed by liveness analysis that places the frees.
+ *
+ * The lowering makes PyTorch's choices, not settable ones: ReLU runs
+ * in place (torchvision's inplace=True), every convolution kernel
+ * takes a cuDNN-style workspace block for its duration, Linear runs
+ * as the two kernels of the paper's Fig. 1 (mat_mul, then add_bias),
+ * and SGD keeps no momentum state.
  */
 #pragma once
 
@@ -19,26 +25,6 @@ namespace runtime {
 struct PlanOptions {
     /** Free blocks at last use (true PyTorch behavior) or iteration end. */
     FreePolicy free_policy = FreePolicy::kEager;
-    /**
-     * Model ReLU as in-place (torchvision's inplace=True): the output
-     * aliases the input block and backward reuses the gradient block.
-     */
-    bool inplace_relu = true;
-    /**
-     * Model cuDNN per-call convolution workspaces: each conv
-     * forward/backward allocates a scratch block for the duration of
-     * the kernel. These produce the short-lived, immediately-freed
-     * behaviors that dominate the paper's ATI mass.
-     */
-    bool conv_workspace = true;
-    /**
-     * Emit Linear layers as two kernels — mat_mul then add_bias —
-     * matching the paper's Fig. 1 operator decomposition (star and
-     * plus). Convolutions keep the fused-bias kernel cuDNN uses.
-     */
-    bool decompose_linear = true;
-    /** Add SGD momentum state (one persistent buffer per parameter). */
-    bool sgd_momentum = false;
     /**
      * Gradient accumulation: split the batch into this many
      * micro-batches, run forward+backward per micro-batch, and
@@ -76,7 +62,7 @@ Plan build_plan(const nn::Model &model, std::int64_t batch,
  * norms read their running stats without saving batch statistics.
  *
  * @throws Error when shape inference fails, or when @p options asks
- * for training-only lowering (micro-batches, momentum, checkpoints).
+ * for training-only lowering (micro-batches, checkpoints).
  */
 Plan build_inference_plan(const nn::Model &model, std::int64_t batch,
                           const PlanOptions &options = {});

@@ -5,7 +5,6 @@
 #include "analysis/swap_model.h"
 #include "core/check.h"
 #include "core/types.h"
-#include "sim/cost_model.h"
 #include "sim/pcie.h"
 
 namespace pinpoint {
@@ -17,14 +16,6 @@ LinkScheduler::LinkScheduler(double d2h_bps, double h2d_bps,
 {
     PP_CHECK(d2h_bps > 0.0 && h2d_bps > 0.0,
              "link scheduler needs positive bandwidths");
-}
-
-LinkScheduler
-LinkScheduler::from_measured(const CostModel &model)
-{
-    const BandwidthTest bw(model);
-    return LinkScheduler(bw.asymptotic_bps(CopyDir::kDeviceToHost),
-                         bw.asymptotic_bps(CopyDir::kHostToDevice));
 }
 
 LinkTransfer
@@ -81,15 +72,6 @@ LinkScheduler::busy_fraction(TimeNs window) const
     // so saturation is 2 * span of channel time.
     return static_cast<double>(busy_time_[0] + busy_time_[1]) /
            (2.0 * static_cast<double>(span));
-}
-
-void
-LinkScheduler::reset()
-{
-    busy_until_[0] = busy_until_[1] = 0;
-    busy_time_[0] = busy_time_[1] = 0;
-    bytes_moved_[0] = bytes_moved_[1] = 0;
-    transfer_count_ = 0;
 }
 
 }  // namespace sim

@@ -16,7 +16,6 @@
 #include <cstddef>
 
 #include "core/types.h"
-#include "sim/cost_model.h"
 #include "sim/pcie.h"
 
 namespace pinpoint {
@@ -66,13 +65,6 @@ class LinkScheduler
                   TimeNs latency_ns = 0);
 
     /**
-     * Builds a link from @p model using the paper's methodology:
-     * effective bandwidths come from the simulated `bandwidthTest`
-     * asymptote, not the spec sheet.
-     */
-    static LinkScheduler from_measured(const CostModel &model);
-
-    /**
      * Schedules a transfer of @p bytes in direction @p dir that is
      * ready at @p ready_time. @return the scheduled slot.
      */
@@ -103,9 +95,6 @@ class LinkScheduler
      * clamped up to the latest scheduled completion.
      */
     double busy_fraction(TimeNs window) const;
-
-    /** Forgets all scheduled traffic; bandwidths are kept. */
-    void reset();
 
   private:
     /** @return 0 for D2H, 1 for H2D. */

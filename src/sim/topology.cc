@@ -78,15 +78,6 @@ interconnect_names()
     return names;
 }
 
-std::string
-interconnect_preset_name(const InterconnectSpec &spec)
-{
-    for (const Preset &preset : kPresets)
-        if (preset.make().name == spec.name)
-            return preset.name;
-    return "";
-}
-
 TimeNs
 ring_all_reduce_ideal_ns(std::size_t bytes, int devices,
                          const InterconnectSpec &interconnect)
@@ -119,14 +110,6 @@ Topology::Topology(DeviceSpec device, int devices,
     }
 }
 
-Topology
-Topology::from_presets(const std::string &device_preset, int devices,
-                       const std::string &topology_preset)
-{
-    return Topology(device_spec_by_name(device_preset), devices,
-                    interconnect_by_name(topology_preset));
-}
-
 LinkScheduler &
 Topology::peer_link(int i)
 {
@@ -141,12 +124,6 @@ Topology::peer_link(int i) const
     PP_CHECK(i >= 0 && i < peer_link_count(),
              "peer link index out of range");
     return peer_links_[static_cast<std::size_t>(i)];
-}
-
-LinkScheduler
-Topology::make_host_link() const
-{
-    return LinkScheduler(device_.d2h_bw_bps, device_.h2d_bw_bps);
 }
 
 AllReduceResult
@@ -200,13 +177,6 @@ Topology::interconnect_busy_fraction(TimeNs window) const
     for (const LinkScheduler &link : peer_links_)
         sum += link.busy_fraction(window);
     return sum / static_cast<double>(peer_links_.size());
-}
-
-void
-Topology::reset_links()
-{
-    for (LinkScheduler &link : peer_links_)
-        link.reset();
 }
 
 }  // namespace sim

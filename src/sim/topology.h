@@ -61,12 +61,6 @@ InterconnectSpec interconnect_by_name(const std::string &name);
 /** @return the preset short names, in canonical order. */
 std::vector<std::string> interconnect_names();
 
-/**
- * @return the preset short name ("pcie", "nvlink") whose spec
- * matches @p spec by full name, or "" for custom specs.
- */
-std::string interconnect_preset_name(const InterconnectSpec &spec);
-
 /** One leg of a collective as scheduled on a ring edge. */
 struct CollectiveLeg {
     /** Lockstep step index, 0 .. 2*(N-1)-1. */
@@ -132,17 +126,6 @@ class Topology
     Topology(DeviceSpec device, int devices,
              InterconnectSpec interconnect);
 
-    /**
-     * Preset-name convenience: device_spec_by_name +
-     * interconnect_by_name. @throws UsageError for unknown names.
-     */
-    static Topology from_presets(const std::string &device_preset,
-                                 int devices,
-                                 const std::string &topology_preset);
-
-    /** @return the number of device replicas. */
-    int device_count() const { return devices_; }
-
     /** @return the replica device spec (homogeneous topology). */
     const DeviceSpec &device() const { return device_; }
 
@@ -166,14 +149,6 @@ class Topology
     const LinkScheduler &peer_link(int i) const;
 
     /**
-     * @return a fresh host-link scheduler with the replica device's
-     * measured PCIe bandwidths — the one construction site for host
-     * links, so swap validation and relief cannot price different
-     * links than the topology describes.
-     */
-    LinkScheduler make_host_link() const;
-
-    /**
      * Schedules a ring all-reduce of @p bytes, gradients ready on
      * every device at @p ready, onto the peer links. Traffic
      * already queued on an edge delays the colliding step and every
@@ -187,9 +162,6 @@ class Topology
      * [0, window): 0.0 idle, 1.0 saturated. 0.0 for one device.
      */
     double interconnect_busy_fraction(TimeNs window) const;
-
-    /** Forgets all peer-link traffic; bandwidths are kept. */
-    void reset_links();
 
   private:
     DeviceSpec device_;

@@ -121,8 +121,7 @@ class Emitter
 }  // namespace
 
 void
-write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
-                   const ChromeTraceOptions &options)
+write_chrome_trace(const TraceRecorder &recorder, std::ostream &os)
 {
     Emitter emit(os);
     emit.begin();
@@ -140,45 +139,38 @@ write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
     std::array<std::int64_t, kNumCategories> occupancy{};
     for (const MemoryEvent &e : recorder.events()) {
         const std::string &name = names[e.op];
-        const bool tracked = e.size >= options.min_block_bytes;
         const int lane = static_cast<int>(e.category);
         switch (e.kind) {
           case EventKind::kMalloc:
             occupancy[lane] += static_cast<std::int64_t>(e.size);
-            if (tracked)
-                emit.event("{\"ph\":\"b\",\"cat\":\"block\",\"id\":",
-                           e.block, ",\"pid\":1,\"tid\":", lane,
-                           ",\"ts\":", Micros{e.time},
-                           ",\"name\":\"", name,
-                           "\",\"args\":{\"size\":", e.size,
-                           ",\"ptr\":", e.ptr, "}}");
+            emit.event("{\"ph\":\"b\",\"cat\":\"block\",\"id\":",
+                       e.block, ",\"pid\":1,\"tid\":", lane,
+                       ",\"ts\":", Micros{e.time}, ",\"name\":\"", name,
+                       "\",\"args\":{\"size\":", e.size,
+                       ",\"ptr\":", e.ptr, "}}");
             break;
           case EventKind::kFree:
             occupancy[lane] -= static_cast<std::int64_t>(e.size);
-            if (tracked)
-                emit.event("{\"ph\":\"e\",\"cat\":\"block\",\"id\":",
-                           e.block, ",\"pid\":1,\"tid\":", lane,
-                           ",\"ts\":", Micros{e.time},
-                           ",\"name\":\"", name, "\"}");
+            emit.event("{\"ph\":\"e\",\"cat\":\"block\",\"id\":",
+                       e.block, ",\"pid\":1,\"tid\":", lane,
+                       ",\"ts\":", Micros{e.time}, ",\"name\":\"", name,
+                       "\"}");
             break;
           case EventKind::kRead:
           case EventKind::kWrite:
-            if (tracked && options.accesses)
-                emit.event("{\"ph\":\"i\",\"cat\":\"access\",\"pid\":1,"
-                           "\"tid\":",
-                           lane, ",\"ts\":", Micros{e.time},
-                           ",\"s\":\"t\",\"name\":\"",
-                           event_kind_name(e.kind), " ", name,
-                           "\",\"args\":{\"block\":", e.block, "}}");
-            break;
+            emit.event("{\"ph\":\"i\",\"cat\":\"access\",\"pid\":1,"
+                       "\"tid\":",
+                       lane, ",\"ts\":", Micros{e.time},
+                       ",\"s\":\"t\",\"name\":\"",
+                       event_kind_name(e.kind), " ", name,
+                       "\",\"args\":{\"block\":", e.block, "}}");
+            // An access moves no bytes: no counter sample.
+            continue;
         }
-        if (options.counters &&
-            (e.kind == EventKind::kMalloc ||
-             e.kind == EventKind::kFree))
-            emit.event("{\"ph\":\"C\",\"pid\":1,\"ts\":", Micros{e.time},
-                       ",\"name\":\"occupancy\",\"args\":{\"input\":",
-                       occupancy[0], ",\"parameter\":", occupancy[1],
-                       ",\"intermediate\":", occupancy[2], "}}");
+        emit.event("{\"ph\":\"C\",\"pid\":1,\"ts\":", Micros{e.time},
+                   ",\"name\":\"occupancy\",\"args\":{\"input\":",
+                   occupancy[0], ",\"parameter\":", occupancy[1],
+                   ",\"intermediate\":", occupancy[2], "}}");
     }
     emit.end();
     PP_CHECK(os.good(), "chrome trace write failed");
@@ -186,12 +178,11 @@ write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
 
 void
 write_chrome_trace_file(const TraceRecorder &recorder,
-                        const std::string &path,
-                        const ChromeTraceOptions &options)
+                        const std::string &path)
 {
     std::ofstream os(path);
     PP_CHECK(os.good(), "cannot open '" << path << "' for writing");
-    write_chrome_trace(recorder, os, options);
+    write_chrome_trace(recorder, os);
 }
 
 }  // namespace trace

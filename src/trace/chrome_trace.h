@@ -16,33 +16,22 @@
 namespace pinpoint {
 namespace trace {
 
-/** Export options. */
-struct ChromeTraceOptions {
-    /** Emit per-category occupancy counter events. */
-    bool counters = true;
-    /** Emit instant events for every read/write access. */
-    bool accesses = true;
-    /**
-     * Skip blocks smaller than this (keeps huge traces loadable;
-     * 0 keeps everything).
-     */
-    std::size_t min_block_bytes = 0;
-};
-
 /**
  * Escapes @p s for embedding inside a JSON string literal. Shared by
  * every JSON-emitting exporter (Chrome traces, sweep reports).
  */
 std::string json_escape(const std::string &s);
 
-/** Writes @p recorder as Chrome trace-event JSON to @p os. */
-void write_chrome_trace(const TraceRecorder &recorder, std::ostream &os,
-                        const ChromeTraceOptions &options = {});
+/**
+ * Writes @p recorder as Chrome trace-event JSON to @p os: every
+ * block's lifetime, every access as an instant, and the occupancy
+ * counters after every malloc and free.
+ */
+void write_chrome_trace(const TraceRecorder &recorder, std::ostream &os);
 
 /** Writes the JSON to @p path. @throws Error on I/O failure. */
 void write_chrome_trace_file(const TraceRecorder &recorder,
-                             const std::string &path,
-                             const ChromeTraceOptions &options = {});
+                             const std::string &path);
 
 }  // namespace trace
 }  // namespace pinpoint

@@ -116,30 +116,6 @@ TEST(Violin, CombinesSummaryAndDensity)
     EXPECT_EQ(v.density.size(), 16u);
 }
 
-TEST(Histogram, CountsFallIntoBins)
-{
-    const auto bins = histogram({0.0, 0.5, 1.0, 1.5, 2.0}, 2);
-    ASSERT_EQ(bins.size(), 2u);
-    EXPECT_EQ(bins[0].count + bins[1].count, 5u);
-    EXPECT_EQ(bins[0].count, 2u);  // 0, 0.5 in [0,1); 1.0 in [1,2]
-    EXPECT_EQ(bins[1].count, 3u);
-}
-
-TEST(Histogram, SingleValueSample)
-{
-    const auto bins = histogram({4.0, 4.0}, 3);
-    std::size_t total = 0;
-    for (const auto &b : bins)
-        total += b.count;
-    EXPECT_EQ(total, 2u);
-}
-
-TEST(Histogram, ValidatesArguments)
-{
-    EXPECT_THROW(histogram({}, 3), Error);
-    EXPECT_THROW(histogram({1.0}, 0), Error);
-}
-
 }  // namespace
 }  // namespace analysis
 }  // namespace pinpoint

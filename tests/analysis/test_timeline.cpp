@@ -345,38 +345,22 @@ TEST(Timeline, AccessGapsEqualASortedPerBlockWalk)
     }
 }
 
-TEST(Gantt, RowsOverlapWindow)
-{
-    TraceView view(two_block_trace());
-    const Timeline &t = view.timeline();
-    EXPECT_EQ(gantt_rows(t).size(), 2u);
-    EXPECT_EQ(gantt_rows(t, 50, 90).size(), 1u)
-        << "block 1 is dead before the window";
-}
-
 TEST(Gantt, RenderProducesOneLinePerBlock)
 {
     TraceView view(two_block_trace());
     const Timeline &t = view.timeline();
-    GanttOptions opts;
-    opts.width = 40;
-    const std::string out = render_gantt(t, opts);
+    const std::string out = render_gantt(t, 24);
     // Header + 2 block rows.
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
     EXPECT_NE(out.find('#'), std::string::npos);
 }
 
-TEST(Gantt, RenderValidatesOptions)
+TEST(Gantt, RenderRejectsAnEmptyWindow)
 {
-    TraceView view(two_block_trace());
-    const Timeline &t = view.timeline();
-    GanttOptions narrow;
-    narrow.width = 4;
-    EXPECT_THROW(render_gantt(t, narrow), Error);
-    GanttOptions inverted;
-    inverted.from = 100;
-    inverted.to = 50;
-    EXPECT_THROW(render_gantt(t, inverted), Error);
+    trace::TraceRecorder r;
+    r.record(ev(0, trace::EventKind::kMalloc, 1, 0x1000, 512));
+    TraceView view(r);
+    EXPECT_THROW(render_gantt(view.timeline(), 24), Error);
 }
 
 TEST(Gantt, MaxRowsKeepsLargestBlocks)
@@ -388,10 +372,7 @@ TEST(Gantt, MaxRowsKeepsLargestBlocks)
     }
     TraceView view(r);
     const Timeline &t = view.timeline();
-    GanttOptions opts;
-    opts.max_rows = 3;
-    opts.to = 100;
-    const std::string out = render_gantt(t, opts);
+    const std::string out = render_gantt(t, 3);
     EXPECT_NE(out.find("3 blocks"), std::string::npos);
     EXPECT_NE(out.find("5.0 KB"), std::string::npos)
         << "largest block (10*512) must be kept";

@@ -78,7 +78,7 @@ TEST(Study, OccupancyFacetAgreesWithBreakdownPeak)
     // and the breakdown replay — must land on the same bytes.
     EXPECT_EQ(study.peak_occupancy_bytes(),
               study.breakdown().peak_total);
-    EXPECT_FALSE(study.occupancy_edges().empty());
+    EXPECT_FALSE(study.timeline().edges().empty());
 }
 
 TEST(Study, SwapExecutionExecutesTheCachedPlan)

@@ -178,6 +178,13 @@ TEST(WorkloadSpec, ValidateChecksRanges)
     spec.iterations = 1;
     spec.micro_batches = 0;
     EXPECT_THROW(spec.validate(), UsageError);
+    // Every micro-batch has the same shape.
+    spec.batch = 8;
+    spec.micro_batches = 3;
+    EXPECT_THROW(spec.validate(), UsageError);
+    spec.micro_batches = 4;
+    EXPECT_NO_THROW(spec.validate());
+    spec.batch = 1;
     spec.micro_batches = 1;
     spec.devices = 0;
     EXPECT_THROW(spec.validate(), UsageError);

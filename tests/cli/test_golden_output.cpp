@@ -56,6 +56,27 @@ TEST(GoldenOutput, CharacterizeMatchesThePreRefactorCli)
               golden("characterize_mlp_b64_i2.txt"));
 }
 
+TEST(GoldenOutput, ConvNetCharacterizeMatchesTheFixture)
+{
+    // A conv net: the conv workspaces feed the ATI and lifetime
+    // sections, and the 24-row Gantt draws them.
+    EXPECT_EQ(run_out({"characterize", "--model", "resnet18", "--batch",
+                       "16", "--iterations", "2"}),
+              golden("characterize_resnet18_b16_i2.txt"));
+}
+
+TEST(GoldenOutput, ChromeTraceMatchesTheFixture)
+{
+    // Every block, access and counter event of the export.
+    const std::string path =
+        testing::TempDir() + "pinpoint_golden_chrome.json";
+    run_out({"characterize", "--model", "mlp", "--batch", "8",
+             "--iterations", "2", "--chrome", path});
+    EXPECT_EQ(read_file(path),
+              golden("characterize_mlp_b8_i2_chrome.json"));
+    std::remove(path.c_str());
+}
+
 TEST(GoldenOutput, SwapValidateMatchesThePreRefactorCli)
 {
     EXPECT_EQ(run_out({"swap", "--model", "resnet18", "--batch",

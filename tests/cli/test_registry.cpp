@@ -154,6 +154,12 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
          "--strategy peer needs a multi-device workload"},
         {{"relief", "--devices", "2", "--topology", "token-ring"},
          "unknown topology"},
+        {{"characterize", "--model", "mlp", "--batch", "8",
+          "--iterations", "2", "--micro-batches", "3"},
+         "--batch 8 must be a multiple of --micro-batches 3"},
+        {{"relief", "--model", "mlp", "--batch", "8",
+          "--micro-batches", "3"},
+         "--batch 8 must be a multiple of --micro-batches 3"},
         {{"characterize", "--devices", "0"},
          "--devices must be >= 1"},
         {{"characterize", "--devices", "two"},

@@ -40,12 +40,7 @@ TEST(DataParallel, SingleDeviceIsTheDegenerateCase)
     EXPECT_EQ(result.iteration_time, result.compute_iteration_time);
     EXPECT_DOUBLE_EQ(result.scaling_efficiency, 1.0);
     EXPECT_DOUBLE_EQ(result.interconnect_busy_fraction, 0.0);
-    // The collective is scheduled (one per iteration) but empty.
-    ASSERT_EQ(result.allreduces.size(), 3u);
-    for (const auto &ar : result.allreduces) {
-        EXPECT_TRUE(ar.legs.empty());
-        EXPECT_EQ(ar.duration(), 0);
-    }
+    EXPECT_EQ(result.allreduce_ideal_time, 0);
 }
 
 TEST(DataParallel, TheReplicaIsAnIndependentTrainingRun)
@@ -96,13 +91,6 @@ TEST(DataParallel, AllReducePaysForTheGradientBytes)
     EXPECT_EQ(result.gradient_bytes,
               result.session.plan.parameter_bytes());
     EXPECT_GT(result.gradient_bytes, 0u);
-    // One collective per iteration, each carrying the full payload.
-    ASSERT_EQ(result.allreduces.size(), 3u);
-    for (const auto &ar : result.allreduces) {
-        EXPECT_EQ(ar.devices, 4);
-        EXPECT_EQ(ar.bytes, result.gradient_bytes);
-        EXPECT_EQ(ar.legs.size(), 2u * 3u * 4u);
-    }
 
     // The lockstep schedule serializes collectives, so the steady
     // state matches the dedicated ring and the effective iteration
@@ -124,6 +112,13 @@ TEST(DataParallel, AllReducePaysForTheGradientBytes)
             static_cast<double>(result.iteration_time));
     EXPECT_GT(result.interconnect_busy_fraction, 0.0);
     EXPECT_LE(result.interconnect_busy_fraction, 1.0);
+    // The busy fraction counts all three iterations' collectives:
+    // each edge is busy for one dedicated ring per iteration, in one
+    // direction, over three effective iterations.
+    EXPECT_DOUBLE_EQ(
+        result.interconnect_busy_fraction,
+        static_cast<double>(3 * result.allreduce_ideal_time) /
+            (2.0 * static_cast<double>(3 * result.iteration_time)));
 }
 
 TEST(DataParallel, FasterInterconnectScalesBetter)

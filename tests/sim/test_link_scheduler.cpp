@@ -121,34 +121,6 @@ TEST(LinkScheduler, TracksBytesAndTransfersPerDirection)
               first.duration() + second.duration());
 }
 
-TEST(LinkScheduler, ResetForgetsTrafficKeepsBandwidth)
-{
-    LinkScheduler link(kBps, kBps);
-    link.submit(CopyDir::kDeviceToHost, kGB, 0);
-    link.reset();
-    EXPECT_EQ(link.transfer_count(), 0u);
-    EXPECT_EQ(link.busy_until(CopyDir::kDeviceToHost), 0u);
-    EXPECT_EQ(link.busy_time(CopyDir::kDeviceToHost), 0u);
-    EXPECT_EQ(link.bytes_moved(CopyDir::kDeviceToHost), 0u);
-    const auto t = link.submit(CopyDir::kDeviceToHost, kGB, 0);
-    EXPECT_EQ(t.start_time, 0u);
-    EXPECT_EQ(t.end_time, kNsPerSec);
-}
-
-TEST(LinkScheduler, FromMeasuredUsesBandwidthTestAsymptote)
-{
-    const CostModel model(DeviceSpec::titan_x_pascal());
-    const auto link = LinkScheduler::from_measured(model);
-    const BandwidthTest bw(model);
-    EXPECT_DOUBLE_EQ(link.bandwidth_bps(CopyDir::kDeviceToHost),
-                     bw.asymptotic_bps(CopyDir::kDeviceToHost));
-    EXPECT_DOUBLE_EQ(link.bandwidth_bps(CopyDir::kHostToDevice),
-                     bw.asymptotic_bps(CopyDir::kHostToDevice));
-    // Effective bandwidth includes setup latency: at or below spec.
-    EXPECT_LE(link.bandwidth_bps(CopyDir::kDeviceToHost),
-              DeviceSpec::titan_x_pascal().d2h_bw_bps);
-}
-
 TEST(LinkScheduler, RejectsNonPositiveBandwidth)
 {
     EXPECT_THROW(LinkScheduler(0.0, kBps), Error);

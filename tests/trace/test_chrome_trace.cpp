@@ -69,12 +69,6 @@ TEST(ChromeTrace, AccessesBecomeInstants)
     write_chrome_trace(small_trace(), ss);
     EXPECT_NE(ss.str().find("\"ph\":\"i\""), std::string::npos);
     EXPECT_NE(ss.str().find("write fc0.mat_mul"), std::string::npos);
-
-    ChromeTraceOptions no_access;
-    no_access.accesses = false;
-    std::stringstream ss2;
-    write_chrome_trace(small_trace(), ss2, no_access);
-    EXPECT_EQ(ss2.str().find("\"ph\":\"i\""), std::string::npos);
 }
 
 TEST(ChromeTrace, CountersTrackOccupancy)
@@ -86,18 +80,6 @@ TEST(ChromeTrace, CountersTrackOccupancy)
               std::string::npos);
     EXPECT_NE(ss.str().find("\"intermediate\":0"), std::string::npos)
         << "counter returns to zero after the free";
-}
-
-TEST(ChromeTrace, MinBlockFilterDropsSmallBlocksButNotCounters)
-{
-    ChromeTraceOptions opts;
-    opts.min_block_bytes = 1 << 20;
-    std::stringstream ss;
-    write_chrome_trace(small_trace(), ss, opts);
-    const std::string out = ss.str();
-    EXPECT_EQ(out.find("\"ph\":\"b\""), std::string::npos);
-    EXPECT_NE(out.find("\"ph\":\"C\""), std::string::npos)
-        << "counters still reflect the filtered blocks";
 }
 
 TEST(ChromeTrace, EscapesSpecialCharactersInOpNames)
