@@ -73,9 +73,6 @@ class DeviceMemory
     /** @return high-water mark of reserved bytes. */
     std::size_t peak_reserved_bytes() const { return peak_reserved_; }
 
-    /** @return number of live reservations (segments). */
-    std::size_t num_segments() const { return live_.size(); }
-
     /** @return total free bytes (capacity - reserved). */
     std::size_t free_bytes() const { return capacity_ - reserved_; }
 

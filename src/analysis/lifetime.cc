@@ -14,8 +14,6 @@ lifetime_report(const Timeline &timeline)
     LifetimeReport report;
     std::array<std::vector<double>, kNumCategories> lifetimes;
     std::array<std::vector<double>, kNumCategories> accesses;
-    std::array<double, kNumCategories> weighted_sum{};
-    std::array<double, kNumCategories> weight{};
 
     for (const auto &b : timeline.blocks()) {
         const int c = static_cast<int>(b.category);
@@ -27,10 +25,6 @@ lifetime_report(const Timeline &timeline)
         }
         const double life = to_us(b.free_time - b.alloc_time);
         lifetimes[static_cast<std::size_t>(c)].push_back(life);
-        weighted_sum[static_cast<std::size_t>(c)] +=
-            life * static_cast<double>(b.size);
-        weight[static_cast<std::size_t>(c)] +=
-            static_cast<double>(b.size);
     }
 
     for (int c = 0; c < kNumCategories; ++c) {
@@ -40,10 +34,6 @@ lifetime_report(const Timeline &timeline)
             summarize(std::move(lifetimes[static_cast<std::size_t>(c)]));
         cat.accesses =
             summarize(std::move(accesses[static_cast<std::size_t>(c)]));
-        if (weight[static_cast<std::size_t>(c)] > 0.0)
-            cat.mean_lifetime_weighted_us =
-                weighted_sum[static_cast<std::size_t>(c)] /
-                weight[static_cast<std::size_t>(c)];
     }
     return report;
 }

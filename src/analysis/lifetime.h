@@ -27,8 +27,6 @@ struct CategoryLifetime {
     SummaryStats lifetime_us;
     /** Accesses per block. */
     SummaryStats accesses;
-    /** Bytes-weighted mean lifetime in microseconds. */
-    double mean_lifetime_weighted_us = 0.0;
 };
 
 /** Per-category lifetime statistics of a trace. */

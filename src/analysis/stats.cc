@@ -78,8 +78,7 @@ Cdf::percentile(double p) const
 }
 
 std::vector<KdePoint>
-kernel_density(const std::vector<double> &values, int points,
-               double bandwidth)
+kernel_density(const std::vector<double> &values, int points)
 {
     PP_CHECK(!values.empty(), "KDE of an empty sample");
     PP_CHECK(points >= 2, "KDE needs at least 2 evaluation points");
@@ -89,25 +88,22 @@ kernel_density(const std::vector<double> &values, int points,
     const double mn = *mn_it;
     const double mx = *mx_it;
 
-    double h = bandwidth;
-    if (h <= 0.0) {
-        // Silverman's rule of thumb.
-        double mean = 0.0;
-        for (double v : values)
-            mean += v;
-        mean /= static_cast<double>(values.size());
-        double var = 0.0;
-        for (double v : values)
-            var += (v - mean) * (v - mean);
-        const double sd =
-            values.size() > 1
-                ? std::sqrt(var / static_cast<double>(values.size() - 1))
-                : 0.0;
-        h = 1.06 * sd *
-            std::pow(static_cast<double>(values.size()), -0.2);
-        if (h <= 0.0)
-            h = std::max(1.0, std::abs(mn) * 0.01);  // degenerate sample
-    }
+    // Silverman's rule of thumb.
+    double mean = 0.0;
+    for (double v : values)
+        mean += v;
+    mean /= static_cast<double>(values.size());
+    double var = 0.0;
+    for (double v : values)
+        var += (v - mean) * (v - mean);
+    const double sd =
+        values.size() > 1
+            ? std::sqrt(var / static_cast<double>(values.size() - 1))
+            : 0.0;
+    double h =
+        1.06 * sd * std::pow(static_cast<double>(values.size()), -0.2);
+    if (h <= 0.0)
+        h = std::max(1.0, std::abs(mn) * 0.01);  // degenerate sample
 
     const double lo = mn - 3.0 * h;
     const double hi = mx + 3.0 * h;

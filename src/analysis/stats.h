@@ -49,9 +49,6 @@ class Cdf
      */
     double percentile(double p) const;
 
-    /** @return the sorted sample. */
-    const std::vector<double> &sorted() const { return sorted_; }
-
   private:
     std::vector<double> sorted_;
 };
@@ -64,12 +61,11 @@ struct KdePoint {
 
 /**
  * Gaussian kernel density estimate over @p values at @p points
- * evenly spaced sample positions. @p bandwidth 0 selects Silverman's
- * rule of thumb.
+ * evenly spaced sample positions, with Silverman's rule-of-thumb
+ * bandwidth.
  */
 std::vector<KdePoint> kernel_density(const std::vector<double> &values,
-                                     int points = 64,
-                                     double bandwidth = 0.0);
+                                     int points = 64);
 
 /** The data behind one violin of the paper's Fig. 3b. */
 struct ViolinStats {

@@ -181,18 +181,13 @@ class Timeline
     std::size_t peak_bytes() const { return peak_bytes_; }
 
     /**
-     * @return the alloc/free edges of every block, sorted by
-     * edge_before — the frozen baseline that peak_with merges into.
-     */
-    const std::vector<OccupancyEdge> &edges() const { return edges_; }
-
-    /**
-     * @return the peak of the running occupancy sum over edges()
-     * plus @p extra, as if both were sorted together by
-     * edge_before. Sorts only @p extra and merges it into the
-     * frozen edges: O(n + k log k), with no copy of the n baseline
-     * edges. Equal keys carry equal deltas, so the merge visits the
-     * same running sums as one sort of the union would.
+     * @return the peak of the running occupancy sum over every
+     * block's alloc/free edges plus @p extra, as if both were
+     * sorted together by edge_before. Sorts only @p extra and
+     * merges it into the frozen edges: O(n + k log k), with no copy
+     * of the n baseline edges. Equal keys carry equal deltas, so
+     * the merge visits the same running sums as one sort of the
+     * union would.
      */
     std::size_t peak_with(std::vector<OccupancyEdge> extra) const;
 

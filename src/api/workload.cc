@@ -84,12 +84,6 @@ WorkloadSpec::flag_names()
 }
 
 WorkloadSpec
-WorkloadSpec::from_flags(const FlagView &get)
-{
-    return from_flags(get, WorkloadSpec());
-}
-
-WorkloadSpec
 WorkloadSpec::from_flags(const FlagView &get, const WorkloadSpec &base)
 {
     WorkloadSpec spec = base;
@@ -127,13 +121,6 @@ WorkloadSpec::from_flags(const FlagView &get, const WorkloadSpec &base)
 WorkloadSpec
 WorkloadSpec::from_args(const std::vector<std::string> &tokens)
 {
-    return from_args(tokens, WorkloadSpec());
-}
-
-WorkloadSpec
-WorkloadSpec::from_args(const std::vector<std::string> &tokens,
-                        const WorkloadSpec &base)
-{
     // The shared core walk (also behind cli::parse_args),
     // specialized to the workload flags — all of which take a
     // value — so the two surfaces' syntax rules cannot drift.
@@ -158,25 +145,18 @@ WorkloadSpec::from_args(const std::vector<std::string> &tokens,
             const auto it = values.find(name);
             return it == values.end() ? nullptr : &it->second;
         },
-        base);
+        WorkloadSpec());
 }
 
 WorkloadSpec
 WorkloadSpec::from_string(const std::string &text)
-{
-    return from_string(text, WorkloadSpec());
-}
-
-WorkloadSpec
-WorkloadSpec::from_string(const std::string &text,
-                          const WorkloadSpec &base)
 {
     std::vector<std::string> tokens;
     std::istringstream is(text);
     std::string token;
     while (is >> token)
         tokens.push_back(token);
-    return from_args(tokens, base);
+    return from_args(tokens);
 }
 
 void

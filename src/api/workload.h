@@ -92,8 +92,6 @@ struct WorkloadSpec {
      * or non-numeric numbers; the parsed spec is validated.
      */
     static WorkloadSpec from_string(const std::string &text);
-    static WorkloadSpec from_string(const std::string &text,
-                                    const WorkloadSpec &base);
 
     /**
      * Parses a "--flag value ..." token list in which *every* token
@@ -101,9 +99,6 @@ struct WorkloadSpec {
      */
     static WorkloadSpec
     from_args(const std::vector<std::string> &tokens);
-    static WorkloadSpec
-    from_args(const std::vector<std::string> &tokens,
-              const WorkloadSpec &base);
 
     /**
      * Generic form for callers with their own flag syntax layer
@@ -114,7 +109,6 @@ struct WorkloadSpec {
      */
     using FlagView =
         std::function<const std::string *(const std::string &name)>;
-    static WorkloadSpec from_flags(const FlagView &get);
     static WorkloadSpec from_flags(const FlagView &get,
                                    const WorkloadSpec &base);
 

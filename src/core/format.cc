@@ -50,12 +50,6 @@ to_us(TimeNs t)
     return static_cast<double>(t) / static_cast<double>(kNsPerUs);
 }
 
-double
-to_sec(TimeNs t)
-{
-    return static_cast<double>(t) / static_cast<double>(kNsPerSec);
-}
-
 std::string
 format_percent(double fraction)
 {

@@ -23,9 +23,6 @@ std::string format_time(TimeNs t);
 /** @return @p t expressed in (possibly fractional) microseconds. */
 double to_us(TimeNs t);
 
-/** @return @p t expressed in (possibly fractional) seconds. */
-double to_sec(TimeNs t);
-
 /** @return "42.3%" rendering of @p fraction (0.423). */
 std::string format_percent(double fraction);
 

@@ -1,5 +1,6 @@
 #include "core/shape.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/check.h"
@@ -34,9 +35,14 @@ Shape::dim(int i) const
 std::int64_t
 Shape::numel() const
 {
+    // A zero extent empties the shape however large the others are.
+    if (std::find(dims_.begin(), dims_.end(), 0) != dims_.end())
+        return 0;
     std::int64_t n = 1;
     for (auto d : dims_)
-        n *= d;
+        if (__builtin_mul_overflow(n, d, &n))
+            throw Error("element count of shape " + to_string() +
+                        " overflows a 64-bit integer");
     return n;
 }
 

@@ -37,7 +37,10 @@ class Shape
      */
     std::int64_t dim(int i) const;
 
-    /** @return total element count (1 for scalars, 0 if any dim is 0). */
+    /**
+     * @return total element count (1 for scalars, 0 if any dim is 0).
+     * @throws Error when the count does not fit in an int64.
+     */
     std::int64_t numel() const;
 
     /** @return the dimensions in order. */

@@ -32,7 +32,10 @@ struct TensorMeta {
     /** Storage-content category (input / parameter / intermediate). */
     Category category = Category::kIntermediate;
 
-    /** @return payload size in bytes (numel * element size). */
+    /**
+     * @return payload size in bytes (numel * element size).
+     * @throws Error when the size does not fit in a size_t.
+     */
     std::size_t bytes() const;
 };
 

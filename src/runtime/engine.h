@@ -96,9 +96,6 @@ class Engine
      */
     void run(int iterations);
 
-    /** @return iterations executed so far. */
-    int iterations_done() const { return iterations_done_; }
-
     /**
      * @return the number of events a fresh engine records over
      * run(@p iterations) and teardown(), so a caller can reserve

@@ -23,15 +23,6 @@ Plan::named(const std::string &name) const
 }
 
 std::size_t
-Plan::persistent_bytes() const
-{
-    std::size_t n = 0;
-    for (TensorId id : persistent)
-        n += tensor(id).bytes();
-    return n;
-}
-
-std::size_t
 Plan::parameter_bytes() const
 {
     std::size_t n = 0;

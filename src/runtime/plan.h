@@ -78,9 +78,6 @@ struct Plan {
     /** @return id of the tensor named @p name. @throws Error. */
     TensorId named(const std::string &name) const;
 
-    /** @return total bytes of persistent tensors. */
-    std::size_t persistent_bytes() const;
-
     /** @return total bytes of all parameter-category tensors. */
     std::size_t parameter_bytes() const;
 };

@@ -1,19 +1,10 @@
 #include "sim/clock.h"
 
-#include <cmath>
-
 #include "core/check.h"
 #include "core/types.h"
 
 namespace pinpoint {
 namespace sim {
-
-void
-VirtualClock::advance_us(double us)
-{
-    PP_CHECK(us >= 0.0, "cannot advance clock by negative time " << us);
-    now_ += static_cast<TimeNs>(std::llround(us * kNsPerUs));
-}
 
 void
 VirtualClock::advance_to(TimeNs t)

@@ -27,9 +27,6 @@ class VirtualClock
     /** Advances the clock by @p delta nanoseconds. */
     void advance(TimeNs delta) { now_ += delta; }
 
-    /** Advances the clock by (possibly fractional) microseconds. */
-    void advance_us(double us);
-
     /**
      * Moves the clock forward to @p t.
      * @throws Error if @p t is in the past (time must be monotonic).

@@ -46,13 +46,5 @@ CostModel::d2h_time(std::size_t bytes) const
            sec_to_ns(static_cast<double>(bytes) / spec_.d2h_bw_bps);
 }
 
-TimeNs
-CostModel::d2d_time(std::size_t bytes) const
-{
-    // A device-local copy reads and writes DRAM once each.
-    return spec_.launch_overhead_ns +
-           sec_to_ns(2.0 * static_cast<double>(bytes) / spec_.dram_bw_bps);
-}
-
 }  // namespace sim
 }  // namespace pinpoint

@@ -44,9 +44,6 @@ class CostModel
     /** Duration of a device-to-host pinned memcpy of @p bytes. */
     TimeNs d2h_time(std::size_t bytes) const;
 
-    /** Duration of a device-to-device copy of @p bytes. */
-    TimeNs d2d_time(std::size_t bytes) const;
-
     /** Duration of one cudaMalloc driver call. */
     TimeNs cuda_malloc_time() const { return spec_.cuda_malloc_ns; }
 

@@ -32,8 +32,6 @@ LinkScheduler::submit(CopyDir dir, std::size_t bytes,
                  analysis::transfer_ns(bytes, bps_[i]);
     busy_until_[i] = t.end_time;
     busy_time_[i] += t.duration();
-    bytes_moved_[i] += bytes;
-    ++transfer_count_;
     return t;
 }
 
@@ -53,12 +51,6 @@ TimeNs
 LinkScheduler::busy_time(CopyDir dir) const
 {
     return busy_time_[index(dir)];
-}
-
-std::size_t
-LinkScheduler::bytes_moved(CopyDir dir) const
-{
-    return bytes_moved_[index(dir)];
 }
 
 double

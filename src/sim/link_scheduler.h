@@ -83,12 +83,6 @@ class LinkScheduler
     /** @return total occupied time of direction @p dir. */
     TimeNs busy_time(CopyDir dir) const;
 
-    /** @return total bytes moved in direction @p dir. */
-    std::size_t bytes_moved(CopyDir dir) const;
-
-    /** @return number of transfers scheduled so far. */
-    std::size_t transfer_count() const { return transfer_count_; }
-
     /**
      * @return mean per-direction occupancy over [0, window): 0.0 is
      * an idle link, 1.0 both directions saturated. @p window is
@@ -107,8 +101,6 @@ class LinkScheduler
     TimeNs latency_ns_ = 0;
     TimeNs busy_until_[2] = {0, 0};
     TimeNs busy_time_[2] = {0, 0};
-    std::size_t bytes_moved_[2] = {0, 0};
-    std::size_t transfer_count_ = 0;
 };
 
 }  // namespace sim

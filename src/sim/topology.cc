@@ -110,22 +110,6 @@ Topology::Topology(DeviceSpec device, int devices,
     }
 }
 
-LinkScheduler &
-Topology::peer_link(int i)
-{
-    PP_CHECK(i >= 0 && i < peer_link_count(),
-             "peer link index out of range");
-    return peer_links_[static_cast<std::size_t>(i)];
-}
-
-const LinkScheduler &
-Topology::peer_link(int i) const
-{
-    PP_CHECK(i >= 0 && i < peer_link_count(),
-             "peer link index out of range");
-    return peer_links_[static_cast<std::size_t>(i)];
-}
-
 AllReduceResult
 Topology::all_reduce(std::size_t bytes, TimeNs ready)
 {

@@ -129,25 +129,6 @@ class Topology
     /** @return the replica device spec (homogeneous topology). */
     const DeviceSpec &device() const { return device_; }
 
-    /** @return the peer interconnect parameters. */
-    const InterconnectSpec &interconnect() const
-    {
-        return interconnect_;
-    }
-
-    /**
-     * @return the number of ring edges: 0 for a single device,
-     * N otherwise (edge i carries device i -> (i+1) % N traffic).
-     */
-    int peer_link_count() const
-    {
-        return devices_ > 1 ? devices_ : 0;
-    }
-
-    /** @return the stateful scheduler of ring edge @p i. */
-    LinkScheduler &peer_link(int i);
-    const LinkScheduler &peer_link(int i) const;
-
     /**
      * Schedules a ring all-reduce of @p bytes, gradients ready on
      * every device at @p ready, onto the peer links. Traffic

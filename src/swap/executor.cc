@@ -143,7 +143,6 @@ schedule_plan(const analysis::TraceView &view,
             (s.out_end - s.out_start) + (s.in_end - s.in_start);
         result.measured_stall += s.stall;
         result.queue_delay += s.queue_delay;
-        ++result.executed_decisions;
     }
 
     result.d2h_busy_time =

@@ -64,8 +64,6 @@ struct LinkSchedule {
     TimeNs measured_stall = 0;
     /** Total time decisions spent queued behind other transfers. */
     TimeNs queue_delay = 0;
-    /** Number of decisions executed. */
-    std::size_t executed_decisions = 0;
     /** Per-decision schedule, aligned with the plan's decisions. */
     std::vector<ExecutedSwap> swaps;
 };

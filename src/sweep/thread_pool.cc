@@ -1,7 +1,5 @@
 #include "sweep/thread_pool.h"
 
-#include <algorithm>
-
 #include "core/check.h"
 
 namespace pinpoint {
@@ -44,12 +42,6 @@ ThreadPool::wait()
     std::unique_lock<std::mutex> lock(mutex_);
     all_done_.wait(lock,
                    [this] { return queue_.empty() && in_flight_ == 0; });
-}
-
-int
-ThreadPool::default_threads()
-{
-    return std::max(1u, std::thread::hardware_concurrency());
 }
 
 void

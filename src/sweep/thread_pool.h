@@ -50,12 +50,6 @@ class ThreadPool
     /** @return number of worker threads. */
     int threads() const { return static_cast<int>(workers_.size()); }
 
-    /**
-     * @return a sensible default worker count for this machine
-     * (hardware_concurrency, at least 1).
-     */
-    static int default_threads();
-
   private:
     void worker_loop();
 

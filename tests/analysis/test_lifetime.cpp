@@ -54,30 +54,9 @@ TEST(Lifetime, SplitsByCategory)
     EXPECT_EQ(interm.blocks, 1u);
     EXPECT_DOUBLE_EQ(interm.lifetime_us.median, 40.0);
     EXPECT_DOUBLE_EQ(interm.accesses.median, 2.0);
-    EXPECT_DOUBLE_EQ(interm.mean_lifetime_weighted_us, 40.0);
 
     const auto &input = report.of(Category::kInput);
     EXPECT_DOUBLE_EQ(input.lifetime_us.median, 100.0);
-}
-
-TEST(Lifetime, BytesWeightedMeanFavorsBigBlocks)
-{
-    trace::TraceRecorder r;
-    // 1 KB block living 10 us; 1 MB block living 1000 us.
-    r.record(ev(0, trace::EventKind::kMalloc, 1, 1024,
-                Category::kIntermediate));
-    r.record(ev(10 * kNsPerUs, trace::EventKind::kFree, 1, 1024,
-                Category::kIntermediate));
-    r.record(ev(20 * kNsPerUs, trace::EventKind::kMalloc, 2,
-                1024 * 1024, Category::kIntermediate));
-    r.record(ev(1020 * kNsPerUs, trace::EventKind::kFree, 2,
-                1024 * 1024, Category::kIntermediate));
-
-    const auto report = lifetime_report(TraceView(r).timeline());
-    const auto &interm = report.of(Category::kIntermediate);
-    EXPECT_DOUBLE_EQ(interm.lifetime_us.median, 505.0);
-    EXPECT_GT(interm.mean_lifetime_weighted_us, 990.0)
-        << "the big block dominates the weighted mean";
 }
 
 TEST(Lifetime, EmptyTimeline)

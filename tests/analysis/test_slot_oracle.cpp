@@ -21,6 +21,7 @@
 #include "analysis/trace_view.h"
 #include "core/check.h"
 #include "support/block_id_walks.h"
+#include "support/occupancy_oracle.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
 
@@ -144,11 +145,10 @@ expect_equal_timelines(const TraceView &view)
         EXPECT_EQ(std::vector<TimeNs>(accesses.begin(), accesses.end()),
                   e.accesses);
     }
-    ASSERT_EQ(t->edges().size(), ref.edges.size());
-    for (std::size_t i = 0; i < ref.edges.size(); ++i) {
-        EXPECT_EQ(t->edges()[i].t, ref.edges[i].t);
-        EXPECT_EQ(t->edges()[i].delta, ref.edges[i].delta);
-    }
+    for (const OccupancyEdge &e : ref.edges)
+        EXPECT_EQ(t->live_bytes_at(e.t),
+                  test_support::occupancy_at(ref.edges, e.t))
+            << e.t;
     EXPECT_EQ(t->peak_time(), ref.peak_time);
     EXPECT_EQ(t->peak_bytes(), ref.peak_bytes);
     // On a trace whose Timeline builds, block s is slot s.

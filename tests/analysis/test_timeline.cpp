@@ -170,35 +170,7 @@ random_trace(std::uint64_t seed, bool shuffled_ids)
     return r;
 }
 
-/** @return the trace's alloc/free edges, fully sorted (the oracle). */
-std::vector<OccupancyEdge>
-sorted_edges_oracle(const trace::TraceRecorder &r)
-{
-    std::map<BlockId, std::size_t> size_of;
-    std::vector<OccupancyEdge> edges;
-    for (const auto &e : r.events()) {
-        if (e.kind == trace::EventKind::kMalloc) {
-            size_of[e.block] = e.size;
-            edges.push_back({e.time, static_cast<std::int64_t>(e.size)});
-        } else if (e.kind == trace::EventKind::kFree) {
-            edges.push_back(
-                {e.time, -static_cast<std::int64_t>(size_of[e.block])});
-        }
-    }
-    return test_support::sorted_edges(std::move(edges));
-}
-
-bool
-same_edges(const std::vector<OccupancyEdge> &a,
-           const std::vector<OccupancyEdge> &b)
-{
-    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                      [](const OccupancyEdge &x, const OccupancyEdge &y) {
-                          return x.t == y.t && x.delta == y.delta;
-                      });
-}
-
-TEST(Timeline, OnePassEdgesEqualAFullSort)
+TEST(Timeline, OccupancyProbesEqualAFullSort)
 {
     // Hand-built ties: at t=10 a free, two mallocs and another free
     // share the instant, recorded in an order that is not sorted.
@@ -212,18 +184,26 @@ TEST(Timeline, OnePassEdgesEqualAFullSort)
     r.record(ev(20, trace::EventKind::kFree, 3, 0x3000, 1024));
     TraceView view(r);
     const Timeline &t = view.timeline();
-    EXPECT_TRUE(same_edges(t.edges(), sorted_edges_oracle(r)));
+    EXPECT_EQ(t.live_bytes_at(0), 768u);
+    EXPECT_EQ(t.live_bytes_at(10), 1280u);
+    EXPECT_EQ(t.live_bytes_at(20), 256u);
     EXPECT_EQ(t.peak_bytes(), 1280u);
     EXPECT_EQ(t.peak_time(), 10u);
 
+    // The one-pass baseline answers every probe as the full sort of
+    // the recorder's edges does.
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {
         SCOPED_TRACE(seed);
         const auto trace = random_trace(seed, seed % 2 == 0);
         TraceView random_view(trace);
         const Timeline &rt = random_view.timeline();
-        EXPECT_TRUE(same_edges(rt.edges(), sorted_edges_oracle(trace)));
-        EXPECT_EQ(rt.peak_bytes(),
-                  test_support::peak_occupancy(rt.edges()));
+        const auto oracle = test_support::sorted_edges_oracle(trace);
+        for (const OccupancyEdge &e : oracle)
+            ASSERT_EQ(rt.live_bytes_at(e.t),
+                      test_support::occupancy_at(oracle, e.t))
+                << e.t;
+        EXPECT_EQ(rt.peak_bytes(), test_support::peak_occupancy(oracle));
+        EXPECT_EQ(rt.peak_with({}), rt.peak_bytes());
     }
 }
 
@@ -234,17 +214,18 @@ TEST(Timeline, PeakWithMatchesTheFullSortOracle)
         const auto trace = random_trace(seed, false);
         TraceView view(trace);
         const Timeline &t = view.timeline();
-        ASSERT_FALSE(t.edges().empty());
+        const auto baseline = test_support::sorted_edges_oracle(trace);
+        ASSERT_FALSE(baseline.empty());
         std::mt19937_64 rng(seed * 7919);
         const std::int64_t sizes[] = {256, 512, 1024, 4096, 70000};
 
         auto oracle = [&](const std::vector<OccupancyEdge> &extra) {
-            std::vector<OccupancyEdge> all = t.edges();
+            std::vector<OccupancyEdge> all = baseline;
             all.insert(all.end(), extra.begin(), extra.end());
             return test_support::peak_occupancy(std::move(all));
         };
         auto existing_time = [&] {
-            return t.edges()[rng() % t.edges().size()].t;
+            return baseline[rng() % baseline.size()].t;
         };
         auto any_time = [&] {
             // Spans before start() and after end() too.

@@ -31,7 +31,6 @@
 #include "support/trace_counts.h"
 #include "swap/planner.h"
 #include "trace/csv.h"
-#include "trace/slice.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -147,7 +146,7 @@ TEST(TraceView, FreezeSharesTheRecordersColumns)
     EXPECT_EQ(&second.columns(), &view.columns());
 }
 
-TEST(TraceView, OpNamesSurviveFreezeSliceAndCsv)
+TEST(TraceView, OpNamesSurviveFreezeAndCsv)
 {
     runtime::SessionConfig config;
     config.batch = 8;
@@ -169,27 +168,6 @@ TEST(TraceView, OpNamesSurviveFreezeSliceAndCsv)
         named += !view.op(i).empty();
     }
     EXPECT_EQ(named, rec.size()) << "the engine names every event";
-
-    // A slice without synthetic closes is a subsequence of the
-    // trace; each kept event keeps its name.
-    trace::SliceOptions keep;
-    keep.close_open_blocks = false;
-    const trace::TraceRecorder window =
-        trace::slice_iterations(rec, 1, 1, keep);
-    ASSERT_GT(window.size(), 0u);
-    std::size_t j = 0;
-    for (std::size_t i = 0; i < window.size(); ++i) {
-        const trace::MemoryEvent &w = window.events()[i];
-        while (j < rec.size() &&
-               (rec.events()[j].time != w.time ||
-                rec.events()[j].kind != w.kind ||
-                rec.events()[j].block != w.block ||
-                rec.events()[j].op_index != w.op_index))
-            ++j;
-        ASSERT_LT(j, rec.size()) << "slice event " << i;
-        EXPECT_EQ(name_of(window, i), name_of(rec, j));
-        ++j;
-    }
 
     // A CSV round trip re-interns every name.
     std::stringstream csv;
@@ -307,7 +285,8 @@ TEST(TraceView, TimelineProbesMatchBruteForce)
         EXPECT_EQ(t.live_at(probe).size(), brute_count) << probe;
     }
     EXPECT_EQ(t.peak_bytes(), t.live_bytes_at(t.peak_time()));
-    EXPECT_EQ(t.peak_bytes(), test_support::peak_occupancy(t.edges()));
+    EXPECT_EQ(t.peak_bytes(), test_support::peak_occupancy(
+                                  test_support::sorted_edges_oracle(r.trace)));
 }
 
 TEST(TraceView, SixteenThreadHammerSharesOneBuild)

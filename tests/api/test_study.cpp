@@ -21,6 +21,7 @@
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
 #include "sim/device_spec.h"
+#include "support/occupancy_oracle.h"
 #include "swap/executor.h"
 #include "swap/planner.h"
 #include "trace/event.h"
@@ -74,11 +75,14 @@ TEST(Study, FacetsEqualDirectComputation)
 TEST(Study, OccupancyFacetAgreesWithBreakdownPeak)
 {
     const Study study = Study::run(small_spec());
-    // Two independent peak computations — the occupancy-edge walk
-    // and the breakdown replay — must land on the same bytes.
+    // Three independent peak computations — the occupancy-edge
+    // walk, the breakdown replay and a full sort of the recorder's
+    // edges — must land on the same bytes.
     EXPECT_EQ(study.peak_occupancy_bytes(),
               study.breakdown().peak_total);
-    EXPECT_FALSE(study.timeline().edges().empty());
+    EXPECT_EQ(study.peak_occupancy_bytes(),
+              test_support::peak_occupancy(
+                  test_support::sorted_edges_oracle(study.trace())));
 }
 
 TEST(Study, SwapExecutionExecutesTheCachedPlan)
@@ -91,7 +95,6 @@ TEST(Study, SwapExecutionExecutesTheCachedPlan)
     const swap::SwapExecutionResult &exec = study.swap_execution();
     EXPECT_EQ(&study.swap_plan(), &plan);
     ASSERT_EQ(exec.swaps.size(), plan.decisions.size());
-    EXPECT_EQ(exec.executed_decisions, plan.decisions.size());
     EXPECT_EQ(exec.original_peak_bytes, plan.original_peak_bytes);
     for (std::size_t i = 0; i < plan.decisions.size(); ++i)
         EXPECT_EQ(exec.swaps[i].block, plan.decisions[i].block);
@@ -261,7 +264,7 @@ TEST(Study, ReliefAndSwapResolveAReusedBlockIdPerLifetime)
     // Each lifetime's gap is planned and validated against its own
     // lifetime, exactly as when the second lifetime has its own id.
     ASSERT_EQ(reused.swap_plan().decisions.size(), 2u);
-    EXPECT_EQ(reused.swap_execution().executed_decisions, 2u);
+    EXPECT_EQ(reused.swap_execution().swaps.size(), 2u);
     EXPECT_EQ(reused.swap_execution().new_peak_bytes,
               renamed.swap_execution().new_peak_bytes);
 

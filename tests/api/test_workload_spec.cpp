@@ -76,13 +76,17 @@ TEST(WorkloadSpec, FromArgsParsesFlagValuePairs)
     EXPECT_EQ(spec.micro_batches, 1);
 }
 
-TEST(WorkloadSpec, FromArgsBaseProvidesDefaults)
+TEST(WorkloadSpec, FromFlagsBaseProvidesDefaults)
 {
     WorkloadSpec base;
     base.model = "resnet50";
     base.batch = 64;
-    const WorkloadSpec spec =
-        WorkloadSpec::from_args({"--batch", "16"}, base);
+    const std::string batch = "16";
+    const WorkloadSpec spec = WorkloadSpec::from_flags(
+        [&](const std::string &name) -> const std::string * {
+            return name == "batch" ? &batch : nullptr;
+        },
+        base);
     EXPECT_EQ(spec.model, "resnet50");
     EXPECT_EQ(spec.batch, 16);
 }

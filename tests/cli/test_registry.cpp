@@ -219,6 +219,31 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
     }
 }
 
+TEST(ExitCodes, RuntimeFailuresExitOneWithTheirCause)
+{
+    struct Case {
+        std::vector<std::string> args;
+        const char *expect_in_err;
+    };
+    const Case cases[] = {
+        // The batch's activations do not fit the device.
+        {{"characterize", "--model", "mlp", "--batch", "1000000000",
+          "--iterations", "1", "--no-gantt"},
+         "out of memory"},
+        // 2^62 samples: the element count overflows an int64, which
+        // must fail by name instead of wrapping to a zero-byte tensor.
+        {{"characterize", "--model", "mlp", "--batch",
+          "4611686018427387904", "--iterations", "1", "--no-gantt"},
+         "overflows"},
+    };
+    for (const Case &c : cases) {
+        const CliRun r = run(c.args);
+        EXPECT_EQ(r.exit_code, kExitRuntimeError) << c.args[4];
+        EXPECT_NE(r.err.find(c.expect_in_err), std::string::npos)
+            << "missing '" << c.expect_in_err << "' in: " << r.err;
+    }
+}
+
 TEST(ExitCodes, HugeSloSaturatesAndKeepsItsHeader)
 {
     // 1e30 ms is 1e36 ns, past the TimeNs range. The flag saturates

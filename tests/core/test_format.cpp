@@ -45,7 +45,6 @@ TEST(FormatTime, MillisecondAndSecondRange)
 TEST(ToUs, ConvertsExactly)
 {
     EXPECT_DOUBLE_EQ(to_us(25000), 25.0);
-    EXPECT_DOUBLE_EQ(to_sec(kNsPerSec), 1.0);
 }
 
 TEST(FormatPercent, OneDecimal)

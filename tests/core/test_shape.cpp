@@ -1,6 +1,10 @@
 /** @file Unit tests for the Shape class. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "core/check.h"
 #include "core/shape.h"
 
@@ -47,6 +51,28 @@ TEST(Shape, ZeroDimensionGivesEmptyTensor)
 {
     Shape s{4, 0, 7};
     EXPECT_EQ(s.numel(), 0);
+    // Even when the other extents alone would overflow.
+    EXPECT_EQ((Shape{std::int64_t{1} << 62, 4, 0}).numel(), 0);
+}
+
+TEST(Shape, NumelOverflowThrowsInsteadOfWrapping)
+{
+    const std::int64_t huge = std::int64_t{1} << 62;
+    EXPECT_EQ((Shape{huge, 1}).numel(), huge);
+    EXPECT_THROW((Shape{huge, 2}).numel(), Error);
+    // 2^32 * 2^32 wraps to exactly 0 in 64 bits.
+    EXPECT_THROW((Shape{std::int64_t{1} << 32, std::int64_t{1} << 32})
+                     .numel(),
+                 Error);
+    try {
+        (void)Shape{huge, 3}.numel();
+        FAIL() << "no overflow reported";
+    } catch (const Error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("(4611686018427387904, 3)"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("overflows"), std::string::npos) << what;
+    }
 }
 
 TEST(Shape, AppendedAddsInnermostDim)

@@ -1,6 +1,10 @@
 /** @file Unit tests for TensorMeta. */
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
+#include "core/check.h"
 #include "core/tensor_meta.h"
 
 namespace pinpoint {
@@ -27,6 +31,20 @@ TEST(TensorMeta, EmptyTensorHasZeroBytes)
     TensorMeta t;
     t.shape = Shape{16, 0};
     EXPECT_EQ(t.bytes(), 0u);
+}
+
+TEST(TensorMeta, ByteOverflowThrowsInsteadOfWrapping)
+{
+    TensorMeta t;
+    // 2^62 elements fit an int64; 2^62 * 4 bytes do not fit a size_t.
+    t.shape = Shape{std::int64_t{1} << 62};
+    t.dtype = DType::kF32;
+    EXPECT_THROW(t.bytes(), Error);
+    t.dtype = DType::kF16;
+    EXPECT_EQ(t.bytes(), std::size_t{1} << 63);
+    // A numel overflow surfaces through bytes() as well.
+    t.shape = Shape{std::int64_t{1} << 62, 2};
+    EXPECT_THROW(t.bytes(), Error);
 }
 
 TEST(TensorMeta, DefaultCategoryIsIntermediate)

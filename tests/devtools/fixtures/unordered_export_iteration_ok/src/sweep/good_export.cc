@@ -1,5 +1,5 @@
-// Fixture: must analyze clean. The blessed idiom (trace/slice.cc):
-// collect the keys, sort, then emit in the sorted order.
+// Fixture: must analyze clean. The blessed idiom: collect the keys,
+// sort, then emit in the sorted order.
 #include <algorithm>
 #include <ostream>
 #include <string>

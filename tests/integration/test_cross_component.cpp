@@ -10,13 +10,11 @@
 
 #include "analysis/breakdown.h"
 #include "analysis/iteration.h"
-#include "analysis/report.h"
 #include "analysis/trace_view.h"
 #include "nn/models.h"
 #include "runtime/session.h"
 #include "trace/chrome_trace.h"
 #include "trace/csv.h"
-#include "trace/slice.h"
 
 namespace pinpoint {
 namespace {
@@ -93,23 +91,6 @@ TEST(CrossComponent, ChromeExportOfARealRunIsWellFormed)
         return n;
     };
     EXPECT_EQ(count_of("\"ph\":\"b\""), count_of("\"ph\":\"e\""));
-}
-
-TEST(CrossComponent, SliceThenReportWorks)
-{
-    runtime::SessionConfig config;
-    config.batch = 16;
-    config.iterations = 8;
-    const auto r = runtime::run_training(nn::mlp(), config);
-    const auto window = trace::slice_iterations(r.trace, 2, 6);
-    analysis::ReportOptions opts;
-    opts.title = "sliced window";
-    opts.gantt = false;
-    const std::string report =
-        analysis::report_string(analysis::TraceView(window), opts);
-    EXPECT_NE(report.find("identical: 100.0% of 5 iterations"),
-              std::string::npos)
-        << report;
 }
 
 TEST(CrossComponent, CsvRoundTripPreservesAnalyses)

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "analysis/trace_view.h"
 #include "api/study.h"
@@ -179,8 +180,8 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
     EXPECT_EQ(peer_only.swap_decisions, 0u);
     EXPECT_EQ(peer_only.recompute_decisions, 0u);
     // The peer legs run on the peer link's executor, not the host's.
-    EXPECT_EQ(peer_only.swap_schedule.executed_decisions, 0u);
-    EXPECT_EQ(peer_only.peer_schedule.executed_decisions, 1u);
+    EXPECT_EQ(peer_only.swap_schedule.swaps.size(), 0u);
+    EXPECT_EQ(peer_only.peer_schedule.swaps.size(), 1u);
 
     // Hybrid sees all three mechanisms and takes the free one over
     // the ~118 ms swap stall and the 1 us recompute.
@@ -359,12 +360,12 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             EXPECT_EQ(rec_only.swap_decisions, 0u);
             EXPECT_EQ(rec_only.peer_decisions, 0u);
             EXPECT_EQ(
-                rec_only.swap_schedule.executed_decisions, 0u);
+                rec_only.swap_schedule.swaps.size(), 0u);
             EXPECT_EQ(peer_only.swap_decisions, 0u);
             EXPECT_EQ(peer_only.recompute_decisions, 0u);
             EXPECT_EQ(
-                peer_only.swap_schedule.executed_decisions, 0u);
-            EXPECT_EQ(peer_only.peer_schedule.executed_decisions,
+                peer_only.swap_schedule.swaps.size(), 0u);
+            EXPECT_EQ(peer_only.peer_schedule.swaps.size(),
                       peer_only.peer_decisions);
             // Swap legs are link-scheduled: contention can only add
             // stall beyond the per-decision prediction.
@@ -393,7 +394,6 @@ expect_same_schedule(const swap::LinkSchedule &a,
     EXPECT_EQ(a.link_busy_fraction, b.link_busy_fraction);
     EXPECT_EQ(a.measured_stall, b.measured_stall);
     EXPECT_EQ(a.queue_delay, b.queue_delay);
-    EXPECT_EQ(a.executed_decisions, b.executed_decisions);
     ASSERT_EQ(a.swaps.size(), b.swaps.size());
     for (std::size_t i = 0; i < a.swaps.size(); ++i) {
         SCOPED_TRACE(i);
@@ -678,7 +678,8 @@ TEST(StrategyPlanner, CombinedPeakMatchesTheOccupancyOracle)
         SCOPED_TRACE(c.name);
         const api::Study study = api::Study::run(c.spec);
         const analysis::TraceView &view = study.view();
-        const analysis::Timeline &timeline = view.timeline();
+        const std::vector<analysis::OccupancyEdge> baseline =
+            test_support::sorted_edges_oracle(study.trace());
         StrategyOptions opts;
         opts.link = analysis::LinkBandwidth{study.device().d2h_bw_bps,
                                             study.device().h2d_bw_bps};
@@ -698,8 +699,7 @@ TEST(StrategyPlanner, CombinedPeakMatchesTheOccupancyOracle)
                 SCOPED_TRACE(strategy_name(report.strategy));
                 if (!report.available)
                     continue;
-                std::vector<analysis::OccupancyEdge> edges =
-                    timeline.edges();
+                std::vector<analysis::OccupancyEdge> edges = baseline;
                 swap::SwapPlanReport swap_legs;
                 swap::SwapPlanReport peer_legs;
                 for (const ReliefDecision &d : report.decisions) {

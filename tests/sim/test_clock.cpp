@@ -22,23 +22,6 @@ TEST(VirtualClock, AdvanceAccumulates)
     EXPECT_EQ(c.now(), 15u);
 }
 
-TEST(VirtualClock, AdvanceUsConvertsAndRounds)
-{
-    VirtualClock c;
-    c.advance_us(25.0);
-    EXPECT_EQ(c.now(), 25u * kNsPerUs);
-    c.advance_us(0.0004);  // rounds to 0 ns
-    EXPECT_EQ(c.now(), 25u * kNsPerUs);
-    c.advance_us(0.0006);  // rounds to 1 ns
-    EXPECT_EQ(c.now(), 25u * kNsPerUs + 1);
-}
-
-TEST(VirtualClock, AdvanceUsRejectsNegative)
-{
-    VirtualClock c;
-    EXPECT_THROW(c.advance_us(-1.0), Error);
-}
-
 TEST(VirtualClock, AdvanceToMonotonic)
 {
     VirtualClock c(100);

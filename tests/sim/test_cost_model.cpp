@@ -62,12 +62,6 @@ TEST(CostModel, D2hUsesItsOwnBandwidth)
     EXPECT_EQ(m.d2h_time(200000000), 50u + kNsPerSec);
 }
 
-TEST(CostModel, D2dReadsAndWritesDram)
-{
-    CostModel m(simple_spec());
-    EXPECT_EQ(m.d2d_time(1000), 100u + 2000u);
-}
-
 TEST(CostModel, DriverCallTimesComeFromSpec)
 {
     DeviceSpec s = simple_spec();

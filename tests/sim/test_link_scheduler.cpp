@@ -86,15 +86,14 @@ TEST(LinkScheduler, BusyFractionWindowClampsToScheduledTraffic)
     EXPECT_LE(link.busy_fraction(1), 1.0);
 }
 
-TEST(LinkScheduler, TracksBytesAndTransfersPerDirection)
+TEST(LinkScheduler, TracksTransfersPerDirection)
 {
     LinkScheduler link(kBps, 2 * kBps);
     const auto first = link.submit(CopyDir::kDeviceToHost, 100, 0);
     const auto second = link.submit(CopyDir::kDeviceToHost, 200, 0);
     const auto third = link.submit(CopyDir::kHostToDevice, 50, 0);
-    EXPECT_EQ(link.bytes_moved(CopyDir::kDeviceToHost), 300u);
-    EXPECT_EQ(link.bytes_moved(CopyDir::kHostToDevice), 50u);
-    EXPECT_EQ(link.transfer_count(), 3u);
+    EXPECT_EQ(link.busy_time(CopyDir::kDeviceToHost), 300u);
+    EXPECT_EQ(link.busy_time(CopyDir::kHostToDevice), third.duration());
     EXPECT_EQ(link.bandwidth_bps(CopyDir::kHostToDevice), 2 * kBps);
 
     // Each returned slot describes its own transfer: the second D2H

@@ -71,24 +71,6 @@ TEST(Topology, ConstructionValidates)
                  Error);
 }
 
-TEST(Topology, PeerLinkCountIsZeroForOneDeviceElseN)
-{
-    Topology one(DeviceSpec::tiny_test_device(), 1,
-                 test_interconnect());
-    EXPECT_EQ(one.peer_link_count(), 0);
-
-    Topology four(DeviceSpec::tiny_test_device(), 4,
-                  test_interconnect());
-    EXPECT_EQ(four.peer_link_count(), 4);
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_DOUBLE_EQ(
-            four.peer_link(i).bandwidth_bps(CopyDir::kDeviceToHost),
-            1e9);
-        EXPECT_EQ(four.peer_link(i).latency_ns(), 500);
-    }
-    EXPECT_THROW(four.peer_link(4), Error);
-}
-
 TEST(RingAllReduce, IdealMatchesHandComputation)
 {
     // 4 MB over 4 devices on a 1 GB/s, 500 ns link:

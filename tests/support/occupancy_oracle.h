@@ -1,19 +1,23 @@
 /**
  * @file
- * Test-only occupancy oracle: the what-if peak computed the plain
- * way, by one full sort of every edge. Library code answers the same
- * question with analysis::Timeline::peak_with, which merges a plan's
- * edges into the frozen sorted baseline; tests check it against this.
+ * Test-only occupancy oracle: a trace's alloc/free edges read
+ * straight from the recorder, and the what-if peak computed the
+ * plain way, by one full sort of every edge. Library code answers
+ * the same questions with analysis::Timeline, whose sorted baseline
+ * edges are private; tests check its probes against this.
  */
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
 #include "analysis/timeline.h"
+#include "core/types.h"
+#include "trace/recorder.h"
 
 namespace pinpoint {
 namespace test_support {
@@ -47,6 +51,38 @@ peak_occupancy(std::vector<analysis::OccupancyEdge> edges)
         best = std::max(best, cur);
     }
     return static_cast<std::size_t>(best);
+}
+
+/**
+ * @return the alloc/free edges of every block of @p r, fully sorted:
+ * the baseline Timeline keeps privately, rebuilt without it.
+ */
+inline std::vector<analysis::OccupancyEdge>
+sorted_edges_oracle(const trace::TraceRecorder &r)
+{
+    std::map<BlockId, std::size_t> size_of;
+    std::vector<analysis::OccupancyEdge> edges;
+    for (const auto &e : r.events()) {
+        if (e.kind == trace::EventKind::kMalloc) {
+            size_of[e.block] = e.size;
+            edges.push_back({e.time, static_cast<std::int64_t>(e.size)});
+        } else if (e.kind == trace::EventKind::kFree) {
+            edges.push_back(
+                {e.time, -static_cast<std::int64_t>(size_of[e.block])});
+        }
+    }
+    return sorted_edges(std::move(edges));
+}
+
+/** @return the occupancy after every edge of @p edges at or before @p t. */
+inline std::size_t
+occupancy_at(const std::vector<analysis::OccupancyEdge> &edges, TimeNs t)
+{
+    std::int64_t cur = 0;
+    for (const auto &e : edges)
+        if (e.t <= t)
+            cur += e.delta;
+    return static_cast<std::size_t>(cur);
 }
 
 }  // namespace test_support

@@ -54,7 +54,7 @@ TEST(SwapExecutor, HideableSwapReducesPeakWithNoStall)
     ASSERT_EQ(plan.decisions.size(), 1u);
 
     const auto exec = execute_plan(trace, plan, kLink);
-    EXPECT_EQ(exec.executed_decisions, 1u);
+    EXPECT_EQ(exec.swaps.size(), 1u);
     EXPECT_EQ(exec.measured_stall, 0u);
     EXPECT_EQ(exec.original_peak_bytes, (512ull + 64ull) << 20);
     // At the old peak instant the big block is off-device.
@@ -193,7 +193,9 @@ TEST(SwapExecutor, SharedSchedulerAccumulatesAcrossPlans)
     // first plan's traffic on the very same link.
     const auto second = execute_plan(trace, plan, link);
     EXPECT_GT(second.measured_stall, first.measured_stall);
-    EXPECT_EQ(link.transfer_count(), 4u);
+    EXPECT_EQ(second.swaps.size(), 1u);
+    EXPECT_EQ(link.busy_time(sim::CopyDir::kDeviceToHost),
+              first.d2h_busy_time + second.d2h_busy_time);
 }
 
 TEST(SwapExecutor, EmptyPlanChangesNothing)
@@ -201,7 +203,7 @@ TEST(SwapExecutor, EmptyPlanChangesNothing)
     const analysis::TraceView trace(gap_trace());
     SwapPlanReport empty;
     const auto exec = execute_plan(trace, empty, kLink);
-    EXPECT_EQ(exec.executed_decisions, 0u);
+    EXPECT_EQ(exec.swaps.size(), 0u);
     EXPECT_EQ(exec.new_peak_bytes, exec.original_peak_bytes);
     EXPECT_EQ(exec.measured_peak_reduction, 0u);
     EXPECT_EQ(exec.transfer_time, 0u);
@@ -280,7 +282,7 @@ TEST(SwapExecutor, ReusedBlockIdExecutesThroughItsSlots)
     EXPECT_EQ(plan.decisions[1].slot, 1u);
 
     const auto exec = execute_plan(view, plan, kLink);
-    EXPECT_EQ(exec.executed_decisions, 2u);
+    EXPECT_EQ(exec.swaps.size(), 2u);
     EXPECT_EQ(exec.measured_stall, 0u);
     EXPECT_EQ(exec.new_peak_bytes, big)
         << "each lifetime is still resident at its accesses";
@@ -342,7 +344,7 @@ TEST(SwapExecutor, EndToEndOnRealTrainingTrace)
     opts.link = kLink;
     const auto plan = SwapPlanner(opts).plan(result.view());
     const auto exec = execute_plan(result.view(), plan, kLink);
-    EXPECT_EQ(exec.executed_decisions, plan.decisions.size());
+    EXPECT_EQ(exec.swaps.size(), plan.decisions.size());
     // A hideable-only plan can still stall on a real trace: the
     // decisions overlap and contend for the one link. What must
     // hold is that every stall is link slip, never more than the

@@ -48,7 +48,6 @@ TEST(PlanExecuteAgreement, EveryZooModelRoundTrips)
         // Every plan() decision passes execute_plan validation.
         const auto exec =
             execute_plan(result.view(), plan, opts.link);
-        ASSERT_EQ(exec.executed_decisions, plan.decisions.size());
         ASSERT_EQ(exec.swaps.size(), plan.decisions.size());
         EXPECT_LE(exec.new_peak_bytes, exec.original_peak_bytes);
 

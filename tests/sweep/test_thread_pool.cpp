@@ -92,11 +92,6 @@ TEST(ThreadPool, RejectsNonPositiveThreadCount)
     EXPECT_THROW(ThreadPool(-4), Error);
 }
 
-TEST(ThreadPool, DefaultThreadsIsPositive)
-{
-    EXPECT_GE(ThreadPool::default_threads(), 1);
-}
-
 TEST(ThreadPool, ManyWorkersFewTasks)
 {
     std::atomic<int> done{0};
