@@ -471,16 +471,9 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
             ms_flag_ns(args, "slo-ms", /*min_ns=*/1);
     }
     relief::Strategy strategy = relief::Strategy::kHybrid;
-    if (args.has("strategy")) {
-        try {
-            strategy = relief::strategy_from_name(
-                args.value("strategy", "hybrid"));
-        } catch (const Error &) {
-            throw UsageError("--strategy must be swap, recompute, "
-                             "peer, or hybrid, got '" +
-                             args.value("strategy", "") + "'");
-        }
-    }
+    if (args.has("strategy"))
+        strategy = relief::strategy_from_name(
+            args.value("strategy", "hybrid"));
     // Catch the impossible selection before paying for the run: the
     // peer mechanism needs a peer to offload to.
     if (strategy == relief::Strategy::kPeerOnly && spec.devices < 2)

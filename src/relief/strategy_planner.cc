@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "analysis/producers.h"
@@ -9,6 +10,7 @@
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "core/check.h"
+#include "core/format.h"
 #include "core/types.h"
 #include "sim/link_scheduler.h"
 #include "swap/executor.h"
@@ -432,19 +434,17 @@ strategy_name(Strategy s)
 Strategy
 strategy_from_name(const std::string &name)
 {
-    if (name == "swap" || name == "swap-only")
-        return Strategy::kSwapOnly;
-    if (name == "recompute" || name == "recompute-only")
-        return Strategy::kRecomputeOnly;
-    if (name == "peer" || name == "peer-only" ||
-        name == "peer-offload")
-        return Strategy::kPeerOnly;
-    if (name == "hybrid")
-        return Strategy::kHybrid;
-    PP_CHECK(false,
-             "unknown relief strategy '"
-                 << name
-                 << "' (expected swap, recompute, peer, or hybrid)");
+    std::vector<std::string> known;
+    for (int i = 0; i < kNumStrategies; ++i) {
+        const auto s = static_cast<Strategy>(i);
+        if (name == strategy_name(s))
+            return s;
+        known.push_back(strategy_name(s));
+    }
+    // Strategy names are user input (the relief --strategy flag):
+    // one typed usage error with the allocator/mode/arrival wording.
+    throw UsageError("unknown strategy '" + name +
+                     "' (known: " + join_names(known) + ")");
 }
 
 const char *

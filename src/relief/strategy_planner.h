@@ -66,7 +66,8 @@ const char *strategy_name(Strategy s);
 
 /**
  * @return the strategy named @p name.
- * @throws Error for unknown names.
+ * @throws UsageError (strategy names are user input) for unknown
+ * names.
  */
 Strategy strategy_from_name(const std::string &name);
 

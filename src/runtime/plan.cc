@@ -14,14 +14,6 @@ Plan::tensor(TensorId id) const
     return tensors[static_cast<std::size_t>(id)];
 }
 
-TensorId
-Plan::named(const std::string &name) const
-{
-    auto it = by_name.find(name);
-    PP_CHECK(it != by_name.end(), "no tensor named '" << name << "'");
-    return it->second;
-}
-
 std::size_t
 Plan::parameter_bytes() const
 {

@@ -13,7 +13,6 @@
 
 #include <cstddef>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/tensor_meta.h"
@@ -63,20 +62,15 @@ struct Plan {
     std::string model_name;
     /** Batch size the plan was built for. */
     std::int64_t batch = 0;
-    /** Every logical tensor, indexed by TensorId. */
+    /** Every logical tensor, indexed by TensorId; names are unique. */
     std::vector<TensorMeta> tensors;
     /** Tensors that live across iterations (params, buffers, state). */
     std::vector<TensorId> persistent;
     /** The per-iteration op sequence. */
     std::vector<Op> iteration_ops;
-    /** Name → tensor id, e.g. "fc0.weight", "fc0.out", "fc0.out.grad". */
-    std::unordered_map<std::string, TensorId> by_name;
 
     /** @return metadata of tensor @p id. @throws Error if unknown. */
     const TensorMeta &tensor(TensorId id) const;
-
-    /** @return id of the tensor named @p name. @throws Error. */
-    TensorId named(const std::string &name) const;
 
     /** @return total bytes of all parameter-category tensors. */
     std::size_t parameter_bytes() const;

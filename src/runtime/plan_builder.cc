@@ -1,7 +1,11 @@
 #include "runtime/plan_builder.h"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
+#include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "core/check.h"
 #include "core/dtype.h"
@@ -34,13 +38,18 @@ workspace_bytes(std::size_t out_bytes)
     return std::clamp(out_bytes / 4, kMin, kMax);
 }
 
-/** Builds one Plan; single-use. */
+/**
+ * Builds one Plan; single-use. Training and serving share one walk:
+ * a serving plan is the training walk of one micro-batch without the
+ * loss, the backward pass and the optimizer.
+ */
 class Builder
 {
   public:
     Builder(const nn::Model &model, std::int64_t batch,
-            const PlanOptions &opt)
-        : model_(model), graph_(model.graph), batch_(batch), opt_(opt)
+            const PlanOptions &opt, bool inference)
+        : model_(model), graph_(model.graph), batch_(batch), opt_(opt),
+          inference_(inference)
     {
     }
 
@@ -48,9 +57,19 @@ class Builder
     build()
     {
         const int k = opt_.micro_batches;
+        if (inference_) {
+            PP_CHECK(k == 1, "inference plans are per-request; "
+                     "micro_batches must be 1, got " << k);
+            PP_CHECK(opt_.checkpoint_every == 0,
+                     "activation checkpointing is a backward-pass "
+                     "technique; inference plans do not support it");
+        }
         PP_CHECK(k >= 1, "micro_batches must be >= 1, got " << k);
         PP_CHECK(batch_ % k == 0, "batch " << batch_
                  << " is not divisible into " << k << " micro-batches");
+        const nn::Node &loss = graph_.nodes().back();
+        PP_CHECK(loss.kind == LayerKind::kSoftmaxCrossEntropy,
+                 "model must end in a softmax_ce loss");
         micro_batch_ = batch_ / k;
         infos_ = nn::infer(graph_, model_.input_shape(micro_batch_));
         plan_.model_name = model_.name;
@@ -59,69 +78,36 @@ class Builder
         const std::size_t n = graph_.size();
         param_ids_.assign(n, {});
         create_parameters();
-        if (opt_.checkpoint_every > 0)
+        const bool checkpointing = opt_.checkpoint_every > 0;
+        if (checkpointing)
             select_checkpoints();
         for (mb_ = 0; mb_ < k; ++mb_) {
             act_.assign(n, kInvalidTensor);
-            mask_.assign(n, kInvalidTensor);
+            aux_.assign(n, kInvalidTensor);
             save_stats_.assign(n, {});
             contrib_.assign(n, {});
             emit_data_load();
             for (const nn::Node &node : graph_.nodes())
                 emit_forward(node);
-            emit_loss_fetch();
-            if (opt_.checkpoint_every > 0)
+            emit_fetch(loss);
+            if (inference_)
+                break;  // serving runs no backward pass
+            if (checkpointing)
                 available_ = is_checkpoint_;
-            for (std::size_t i = graph_.size(); i-- > 0;) {
+            for (std::size_t i = n; i-- > 0;) {
                 const nn::Node &node = graph_.nodes()[i];
-                if (opt_.checkpoint_every > 0)
+                if (checkpointing)
                     ensure_saved_activations(node);
                 emit_backward(node);
             }
         }
+        // Serving made no parameter gradients, so this emits nothing.
         emit_optimizer();
         place_frees();
         return std::move(plan_);
     }
 
-    /**
-     * Forward-only serving lowering: one inference request per
-     * "iteration", no labels, no loss, no backward, no optimizer.
-     */
-    Plan
-    build_inference()
-    {
-        inference_ = true;
-        PP_CHECK(opt_.micro_batches == 1,
-                 "inference plans are per-request; micro_batches "
-                 "must be 1, got " << opt_.micro_batches);
-        PP_CHECK(opt_.checkpoint_every == 0,
-                 "activation checkpointing is a backward-pass "
-                 "technique; inference plans do not support it");
-        micro_batch_ = batch_;
-        infos_ = nn::infer(graph_, model_.input_shape(micro_batch_));
-        plan_.model_name = model_.name;
-        plan_.batch = batch_;
-
-        const std::size_t n = graph_.size();
-        param_ids_.assign(n, {});
-        create_parameters();
-        act_.assign(n, kInvalidTensor);
-        mask_.assign(n, kInvalidTensor);
-        save_stats_.assign(n, {});
-        contrib_.assign(n, {});
-        emit_data_load();
-        for (const nn::Node &node : graph_.nodes()) {
-            // Serving emits logits; the loss layer never runs.
-            if (node.kind == LayerKind::kSoftmaxCrossEntropy)
-                continue;
-            emit_forward(node);
-        }
-        emit_logits_fetch();
-        place_frees();
-        return std::move(plan_);
-    }
-
+  private:
     /** Name suffix distinguishing per-micro-batch transients. */
     std::string
     sfx() const
@@ -134,7 +120,6 @@ class Builder
         return out;
     }
 
-  private:
     TensorId
     new_tensor(const std::string &name, Shape shape, DType dtype,
                Category cat)
@@ -145,10 +130,17 @@ class Builder
         t.shape = std::move(shape);
         t.dtype = dtype;
         t.category = cat;
-        auto [it, inserted] = plan_.by_name.emplace(name, t.id);
-        PP_CHECK(inserted, "duplicate tensor name '" << name << "'");
         plan_.tensors.push_back(std::move(t));
         return plan_.tensors.back().id;
+    }
+
+    /** Makes @p op allocate and write the fresh tensor @p id. */
+    static TensorId
+    attach(Op &op, TensorId id)
+    {
+        op.allocs.push_back(id);
+        op.writes.push_back(id);
+        return id;
     }
 
     Op &
@@ -305,70 +297,44 @@ class Builder
             recompute_for(owner_of(node.id));
     }
 
+    /** The host uploads the batch (and, in training, its labels). */
     void
     emit_data_load()
     {
-        const Shape in_shape = model_.input_shape(micro_batch_);
-        x_ = new_tensor("input.x" + sfx(), in_shape, opt_.dtype,
-                        Category::kInput);
-        if (inference_) {
-            // Serving requests carry no labels: the host uploads the
-            // request batch alone.
-            act_[static_cast<std::size_t>(graph_.input())] = x_;
-            Op &op = push_op("data.h2d", OpPhase::kDataLoad, 0.0);
-            op.allocs = {x_};
-            op.writes = {x_};
-            op.h2d_bytes = plan_.tensor(x_).bytes();
-            return;
+        std::vector<TensorId> loaded = {
+            new_tensor("input.x" + sfx(), model_.input_shape(micro_batch_),
+                       opt_.dtype, Category::kInput)};
+        act_[static_cast<std::size_t>(graph_.input())] = loaded[0];
+        // Serving requests carry no labels. In training there is one
+        // label per classification row of the loss input: (N) for
+        // classifiers, (N, S) for per-token LM losses.
+        if (!inference_) {
+            std::vector<std::int64_t> label_dims =
+                info(graph_.nodes().back().inputs[0]).out_shape.dims();
+            label_dims.pop_back();
+            labels_ = new_tensor("input.labels" + sfx(),
+                                 Shape(std::move(label_dims)),
+                                 DType::kI64, Category::kInput);
+            loaded.push_back(labels_);
         }
-        // Labels: one per classification row of the loss input —
-        // (N) for classifiers, (N, S) for per-token LM losses.
-        const nn::Node &loss = graph_.nodes().back();
-        PP_CHECK(loss.kind == LayerKind::kSoftmaxCrossEntropy,
-                 "model must end in a softmax_ce loss");
-        const Shape &logits = info(loss.inputs[0]).out_shape;
-        std::vector<std::int64_t> label_dims = logits.dims();
-        label_dims.pop_back();
-        labels_ = new_tensor("input.labels" + sfx(),
-                             Shape(std::move(label_dims)), DType::kI64,
-                             Category::kInput);
-        act_[static_cast<std::size_t>(graph_.input())] = x_;
-
         Op &op = push_op("data.h2d", OpPhase::kDataLoad, 0.0);
-        op.allocs = {x_, labels_};
-        op.writes = {x_, labels_};
-        op.h2d_bytes = plan_.tensor(x_).bytes() +
-                       plan_.tensor(labels_).bytes();
+        for (TensorId id : loaded)
+            op.h2d_bytes += plan_.tensor(attach(op, id)).bytes();
     }
 
-    /** @return tensor ids of trainable params of @p node, in order. */
-    std::vector<TensorId>
-    trainable_params(NodeId id) const
+    /** @return the weight: the first parameter of @p node. */
+    TensorId
+    weight(const nn::Node &node) const
     {
-        std::vector<TensorId> out;
-        for (const auto &[spec, tid] :
-             param_ids_[static_cast<std::size_t>(id)])
-            if (spec.trainable)
-                out.push_back(tid);
-        return out;
-    }
-
-    /** @return tensor ids of all params/buffers of @p node. */
-    std::vector<TensorId>
-    all_params(NodeId id) const
-    {
-        std::vector<TensorId> out;
-        for (const auto &[spec, tid] :
-             param_ids_[static_cast<std::size_t>(id)])
-            out.push_back(tid);
-        return out;
+        return param_ids_[static_cast<std::size_t>(node.id)]
+            .front()
+            .second;
     }
 
     TensorId
-    in_act(const nn::Node &node, int i = 0) const
+    in_act(const nn::Node &node, std::size_t i = 0) const
     {
-        return act_[static_cast<std::size_t>(
-            node.inputs[static_cast<std::size_t>(i)])];
+        return act_[static_cast<std::size_t>(node.inputs[i])];
     }
 
     void
@@ -402,6 +368,10 @@ class Builder
                 return;
             }
             break;
+          case LayerKind::kSoftmaxCrossEntropy:
+            if (inference_)
+                return;  // serving fetches the logits instead
+            break;
           default:
             break;
         }
@@ -411,23 +381,23 @@ class Builder
                                   ni.out_shape,
                                   opt_.dtype, Category::kIntermediate);
         act_[idx] = out;
+        const auto &params = param_ids_[idx];
 
         if (node.kind == LayerKind::kLinear) {
             // Fig. 1 of the paper: star (mat_mul) then plus (add_bias)
             // as two separate kernels on the same output block.
             // Convolutions keep the fused-bias kernel cuDNN uses.
-            auto params = all_params(node.id);
             Op &mm = push_op(node.name + ".mat_mul", OpPhase::kForward,
                              ni.fwd_flops);
             mm.allocs = {out};
-            mm.reads = {in_act(node), params[0]};
+            mm.reads = {in_act(node), params[0].second};
             mm.writes = {out};
             if (params.size() > 1) {
                 Op &ab = push_op(node.name + ".add_bias",
                                  OpPhase::kForward,
                                  static_cast<double>(
                                      ni.out_shape.numel()));
-                ab.reads = {params[1]};
+                ab.reads = {params[1].second};
                 ab.writes = {out};
             }
             return;
@@ -440,81 +410,34 @@ class Builder
         for (NodeId in : node.inputs)
             op.reads.push_back(act_[static_cast<std::size_t>(in)]);
         op.writes = {out};
+        // The kernel reads the node's parameters and buffers;
+        // training-mode BN also updates its running stats (the
+        // buffers) in place, while eval mode only reads them.
+        for (const auto &[spec, tid] : params) {
+            op.reads.push_back(tid);
+            if (!spec.trainable && !inference_)
+                op.writes.push_back(tid);
+        }
 
         switch (node.kind) {
-          case LayerKind::kConv2d: {
-            for (TensorId p : all_params(node.id))
-                op.reads.push_back(p);
+          case LayerKind::kConv2d:
             attach_workspace(op, node.name + ".workspace.fwd",
                              plan_.tensor(out).bytes());
             break;
-          }
-          case LayerKind::kBatchNorm2d: {
-            for (TensorId p : all_params(node.id))
-                op.reads.push_back(p);
-            if (inference_)
-                break;  // eval mode: read running stats, save nothing
-            // Training-mode BN updates running stats in place and
-            // saves per-channel mean/invstd for backward.
-            const auto &params = param_ids_[idx];
-            for (const auto &[spec, tid] : params) {
-                if (!spec.trainable)
-                    op.writes.push_back(tid);
-            }
-            const std::int64_t c = ni.out_shape.dim(1);
-            TensorId sm =
-                new_tensor(node.name + ".save_mean" + sfx(), Shape{c},
-                           DType::kF32, Category::kIntermediate);
-            TensorId sv =
-                new_tensor(node.name + ".save_invstd" + sfx(),
-                           Shape{c},
-                           DType::kF32, Category::kIntermediate);
-            save_stats_[idx] = {sm, sv};
-            op.allocs.push_back(sm);
-            op.allocs.push_back(sv);
-            op.writes.push_back(sm);
-            op.writes.push_back(sv);
+          case LayerKind::kBatchNorm2d:
+          case LayerKind::kLayerNorm:
+            // Eval mode saves no statistics: there is no backward.
+            if (!inference_)
+                save_stats(op, node);
             break;
-          }
-          case LayerKind::kDropout: {
-            TensorId m =
-                new_tensor(node.name + ".mask" + sfx(), ni.out_shape,
-                           DType::kU8, Category::kIntermediate);
-            mask_[idx] = m;
-            op.allocs.push_back(m);
-            op.writes.push_back(m);
+          case LayerKind::kDropout:
+            aux_[idx] = attach(
+                op, new_tensor(node.name + ".mask" + sfx(), ni.out_shape,
+                               DType::kU8, Category::kIntermediate));
             break;
-          }
           case LayerKind::kSoftmaxCrossEntropy:
             op.reads.push_back(labels_);
-            loss_ = out;
             break;
-          case LayerKind::kEmbedding:
-            for (TensorId p : all_params(node.id))
-                op.reads.push_back(p);
-            break;
-          case LayerKind::kLayerNorm: {
-            for (TensorId p : all_params(node.id))
-                op.reads.push_back(p);
-            if (inference_)
-                break;  // eval mode: no saved stats without backward
-            // Saved per-row mean/invstd for backward.
-            std::vector<std::int64_t> rows = ni.out_shape.dims();
-            rows.pop_back();
-            TensorId sm = new_tensor(node.name + ".save_mean" + sfx(),
-                                     Shape(rows), DType::kF32,
-                                     Category::kIntermediate);
-            TensorId sv =
-                new_tensor(node.name + ".save_invstd" + sfx(),
-                           Shape(rows), DType::kF32,
-                           Category::kIntermediate);
-            save_stats_[idx] = {sm, sv};
-            op.allocs.push_back(sm);
-            op.allocs.push_back(sv);
-            op.writes.push_back(sm);
-            op.writes.push_back(sv);
-            break;
-          }
           case LayerKind::kSelfAttention: {
             // The (N, heads, S, S) attention probabilities are
             // materialized and saved for backward — the seq^2 term
@@ -522,13 +445,11 @@ class Builder
             const auto &a =
                 std::get<nn::SelfAttentionAttrs>(node.attrs);
             const Shape &q = info(node.inputs[0]).out_shape;
-            TensorId probs = new_tensor(
-                node.name + ".probs" + sfx(),
-                Shape{q.dim(0), a.heads, q.dim(1), q.dim(1)},
-                opt_.dtype, Category::kIntermediate);
-            mask_[idx] = probs;  // reuse the per-node aux-tensor slot
-            op.allocs.push_back(probs);
-            op.writes.push_back(probs);
+            aux_[idx] = attach(
+                op, new_tensor(node.name + ".probs" + sfx(),
+                               Shape{q.dim(0), a.heads, q.dim(1),
+                                     q.dim(1)},
+                               opt_.dtype, Category::kIntermediate));
             break;
           }
           default:
@@ -536,29 +457,42 @@ class Builder
         }
     }
 
-    /** Serving counterpart of emit_loss_fetch: the host reads the
-     * logits of the layer feeding the (skipped) loss. */
+    /**
+     * Saves @p node's batch mean/invstd for backward: per channel
+     * for BatchNorm, per row for LayerNorm.
+     */
     void
-    emit_logits_fetch()
+    save_stats(Op &op, const nn::Node &node)
     {
-        const nn::Node &loss = graph_.nodes().back();
-        PP_CHECK(loss.kind == LayerKind::kSoftmaxCrossEntropy,
-                 "model must end in a softmax_ce loss");
-        const TensorId logits =
-            act_[static_cast<std::size_t>(loss.inputs[0])];
-        PP_CHECK(logits != kInvalidTensor,
-                 "model produced no logits activation");
-        Op &op = push_op("logits.item", OpPhase::kForward, 0.0);
-        op.reads = {logits};
+        const Shape &out = info(node.id).out_shape;
+        std::vector<std::int64_t> dims = out.dims();
+        if (node.kind == LayerKind::kBatchNorm2d)
+            dims = {out.dim(1)};
+        else
+            dims.pop_back();
+        const Shape shape(std::move(dims));
+        auto &[mean, invstd] =
+            save_stats_[static_cast<std::size_t>(node.id)];
+        mean = attach(op, new_tensor(node.name + ".save_mean" + sfx(),
+                                     shape, DType::kF32,
+                                     Category::kIntermediate));
+        invstd = attach(op,
+                        new_tensor(node.name + ".save_invstd" + sfx(),
+                                   shape, DType::kF32,
+                                   Category::kIntermediate));
     }
 
+    /**
+     * The host reads one result per step: the loss in training, the
+     * logits feeding the (skipped) loss when serving.
+     */
     void
-    emit_loss_fetch()
+    emit_fetch(const nn::Node &loss)
     {
-        PP_CHECK(loss_ != kInvalidTensor,
-                 "model has no softmax_ce loss node");
-        Op &op = push_op("loss.item", OpPhase::kForward, 0.0);
-        op.reads = {loss_};
+        const NodeId fetched = inference_ ? loss.inputs[0] : loss.id;
+        Op &op = push_op(inference_ ? "logits.item" : "loss.item",
+                         OpPhase::kForward, 0.0);
+        op.reads = {act_[static_cast<std::size_t>(fetched)]};
     }
 
     /** Resolves the fully-accumulated output gradient of @p node. */
@@ -579,10 +513,8 @@ class Builder
         Op &op = push_op(node.name + ".grad_accum", OpPhase::kBackward,
                          static_cast<double>(shape.numel()) *
                              static_cast<double>(c.size() - 1));
-        op.allocs = {g};
         op.reads = c;
-        op.writes = {g};
-        return g;
+        return attach(op, g);
     }
 
     void
@@ -594,10 +526,25 @@ class Builder
     }
 
     /**
+     * Makes @p op produce @p node's gradient toward input @p i and
+     * hands it to that input; the input data needs none.
+     */
+    void
+    emit_dx(Op &op, const nn::Node &node, std::size_t i = 0,
+            const std::string &tag = ".dx")
+    {
+        const NodeId in = node.inputs[i];
+        if (is_graph_input(in))
+            return;
+        add_contribution(
+            in, attach(op, new_tensor(node.name + tag + sfx(),
+                                      info(in).out_shape, opt_.dtype,
+                                      Category::kIntermediate)));
+    }
+
+    /**
      * Returns the grads of node params, creating them on the first
-     * micro-batch; (id, fresh) — fresh grads are allocated by the
-     * backward op, existing ones are accumulated into (read+write),
-     * as PyTorch's AccumulateGrad does under gradient accumulation.
+     * micro-batch; (id, fresh) — see write_grad.
      */
     std::vector<std::pair<TensorId, bool>>
     make_param_grads(const nn::Node &node)
@@ -621,18 +568,28 @@ class Builder
         return out;
     }
 
+    /**
+     * Makes @p op write a param gradient of make_param_grads: a
+     * fresh one is allocated, an existing one is accumulated into
+     * (read + write), as PyTorch's AccumulateGrad does under
+     * gradient accumulation.
+     */
+    static void
+    write_grad(Op &op, std::pair<TensorId, bool> grad)
+    {
+        (grad.second ? op.allocs : op.reads).push_back(grad.first);
+        op.writes.push_back(grad.first);
+    }
+
     /** Attaches a fresh conv workspace block to @p op. */
     void
     attach_workspace(Op &op, const std::string &name,
                      std::size_t basis_bytes)
     {
         const std::size_t ws = workspace_bytes(basis_bytes);
-        TensorId w =
-            new_tensor(name + sfx(),
-                       Shape{static_cast<std::int64_t>(ws / 4)},
-                       DType::kF32, Category::kIntermediate);
-        op.allocs.push_back(w);
-        op.writes.push_back(w);
+        attach(op, new_tensor(name + sfx(),
+                              Shape{static_cast<std::int64_t>(ws / 4)},
+                              DType::kF32, Category::kIntermediate));
     }
 
     /**
@@ -641,13 +598,12 @@ class Builder
      * (g x saved input), and data gradient (g x weight).
      */
     void
-    emit_matmul_like_backward(const nn::Node &node, TensorId g,
-                              bool needs_dx)
+    emit_matmul_like_backward(const nn::Node &node, TensorId g)
     {
         const nn::NodeInfo &ni = info(node.id);
         const bool is_conv = node.kind == LayerKind::kConv2d;
-        auto params = trainable_params(node.id);
-        auto grads = make_param_grads(node);
+        const std::size_t in_bytes = plan_.tensor(in_act(node)).bytes();
+        const auto grads = make_param_grads(node);
         PP_ASSERT(!grads.empty(), "conv/linear without weight");
 
         if (grads.size() > 1) {
@@ -656,50 +612,26 @@ class Builder
                              static_cast<double>(
                                  ni.out_shape.numel()));
             op.reads = {g};
-            const auto [bg, fresh] = grads[1];
-            if (fresh)
-                op.allocs.push_back(bg);
-            else
-                op.reads.push_back(bg);
-            op.writes = {bg};
+            write_grad(op, grads[1]);
         }
         {
             Op &op = push_op(node.name + ".backward.wgrad",
                              OpPhase::kBackward, ni.bwd_flops / 2.0);
             op.reads = {g, in_act(node)};
-            const auto [wg, fresh] = grads[0];
-            if (fresh)
-                op.allocs.push_back(wg);
-            else
-                op.reads.push_back(wg);
-            op.writes = {wg};
+            write_grad(op, grads[0]);
             if (is_conv)
                 attach_workspace(op, node.name + ".workspace.wgrad",
-                                 plan_.tensor(in_act(node)).bytes());
+                                 in_bytes);
         }
-        if (needs_dx) {
+        if (!is_graph_input(node.inputs[0])) {
             Op &op = push_op(node.name + ".backward.dgrad",
                              OpPhase::kBackward, ni.bwd_flops / 2.0);
-            TensorId dx = make_dx(node, 0, ".dx");
-            op.reads = {g, params[0]};
-            op.allocs = {dx};
-            op.writes = {dx};
+            op.reads = {g, weight(node)};
+            emit_dx(op, node);
             if (is_conv)
                 attach_workspace(op, node.name + ".workspace.dgrad",
-                                 plan_.tensor(in_act(node)).bytes());
-            add_contribution(node.inputs[0], dx);
+                                 in_bytes);
         }
-    }
-
-    /** Allocates the grad-contribution tensor toward @p node's input. */
-    TensorId
-    make_dx(const nn::Node &node, int input_idx, const char *tag)
-    {
-        const NodeId in =
-            node.inputs[static_cast<std::size_t>(input_idx)];
-        const Shape &shape = info(in).out_shape;
-        return new_tensor(node.name + tag + sfx(), shape, opt_.dtype,
-                          Category::kIntermediate);
     }
 
     void
@@ -712,14 +644,10 @@ class Builder
             return;
           case LayerKind::kSoftmaxCrossEntropy: {
             // Gradient seed: d(loss)/d(logits).
-            const NodeId logits = node.inputs[0];
-            TensorId gl = make_dx(node, 0, ".dx");
             Op &op = push_op(node.name + ".backward",
                              OpPhase::kBackward, ni.bwd_flops);
             op.reads = {in_act(node), labels_};
-            op.allocs = {gl};
-            op.writes = {gl};
-            add_contribution(logits, gl);
+            emit_dx(op, node);
             return;
           }
           case LayerKind::kFlatten: {
@@ -746,11 +674,10 @@ class Builder
         if (contrib_[idx].empty())
             return;  // nothing consumed this node's output
         TensorId g = resolve_grad(node);
-        const bool needs_dx = !is_graph_input(node.inputs[0]);
 
         if (node.kind == LayerKind::kConv2d ||
             node.kind == LayerKind::kLinear) {
-            emit_matmul_like_backward(node, g, needs_dx);
+            emit_matmul_like_backward(node, g);
             return;
         }
 
@@ -759,28 +686,14 @@ class Builder
         op.reads = {g};
 
         switch (node.kind) {
-          case LayerKind::kBatchNorm2d: {
-            op.reads.push_back(in_act(node));
-            auto params = trainable_params(node.id);
-            if (!params.empty())
-                op.reads.push_back(params[0]);
-            const auto &[sm, sv] = save_stats_[idx];
-            op.reads.push_back(sm);
-            op.reads.push_back(sv);
-            auto grads = make_param_grads(node);
-            for (const auto &[pg, fresh] : grads) {
-                if (fresh)
-                    op.allocs.push_back(pg);
-                else
-                    op.reads.push_back(pg);
-                op.writes.push_back(pg);
-            }
-            if (needs_dx) {
-                TensorId dx = make_dx(node, 0, ".dx");
-                op.allocs.push_back(dx);
-                op.writes.push_back(dx);
-                add_contribution(node.inputs[0], dx);
-            }
+          case LayerKind::kBatchNorm2d:
+          case LayerKind::kLayerNorm: {
+            const auto &[mean, invstd] = save_stats_[idx];
+            op.reads.insert(op.reads.end(),
+                            {in_act(node), weight(node), mean, invstd});
+            for (const auto &grad : make_param_grads(node))
+                write_grad(op, grad);
+            emit_dx(op, node);
             break;
           }
           case LayerKind::kReLU:
@@ -789,102 +702,41 @@ class Builder
             op.writes.push_back(g);
             add_contribution(node.inputs[0], g);
             return;
-          case LayerKind::kDropout: {
-            op.reads.push_back(mask_[idx]);
-            if (needs_dx) {
-                TensorId dx = make_dx(node, 0, ".dx");
-                op.allocs.push_back(dx);
-                op.writes.push_back(dx);
-                add_contribution(node.inputs[0], dx);
-            }
+          case LayerKind::kDropout:
+            op.reads.push_back(aux_[idx]);
+            emit_dx(op, node);
             break;
-          }
-          case LayerKind::kEmbedding: {
+          case LayerKind::kEmbedding:
             // Indices get no gradient; only the table does (dense
             // grad, as torch.nn.Embedding without sparse=True).
-            auto grads = make_param_grads(node);
-            for (const auto &[pg, fresh] : grads) {
-                if (fresh)
-                    op.allocs.push_back(pg);
-                else
-                    op.reads.push_back(pg);
-                op.writes.push_back(pg);
-            }
+            for (const auto &grad : make_param_grads(node))
+                write_grad(op, grad);
             break;
-          }
-          case LayerKind::kLayerNorm: {
-            op.reads.push_back(in_act(node));
-            auto params = trainable_params(node.id);
-            if (!params.empty())
-                op.reads.push_back(params[0]);
-            const auto &[sm, sv] = save_stats_[idx];
-            op.reads.push_back(sm);
-            op.reads.push_back(sv);
-            auto grads = make_param_grads(node);
-            for (const auto &[pg, fresh] : grads) {
-                if (fresh)
-                    op.allocs.push_back(pg);
-                else
-                    op.reads.push_back(pg);
-                op.writes.push_back(pg);
-            }
-            if (needs_dx) {
-                TensorId dx = make_dx(node, 0, ".dx");
-                op.allocs.push_back(dx);
-                op.writes.push_back(dx);
-                add_contribution(node.inputs[0], dx);
-            }
-            break;
-          }
           case LayerKind::kSelfAttention: {
             // Reads Q, K, V and the saved probabilities; produces a
             // gradient per projection input.
-            for (int i = 0; i < 3; ++i)
-                op.reads.push_back(in_act(node, i));
-            op.reads.push_back(mask_[idx]);
             const char *tags[3] = {".dq", ".dk", ".dv"};
-            for (int i = 0; i < 3; ++i) {
-                if (is_graph_input(node.inputs[
-                        static_cast<std::size_t>(i)]))
-                    continue;
-                TensorId dx = make_dx(node, i, tags[i]);
-                op.allocs.push_back(dx);
-                op.writes.push_back(dx);
-                add_contribution(
-                    node.inputs[static_cast<std::size_t>(i)], dx);
-            }
+            for (std::size_t i = 0; i < 3; ++i)
+                op.reads.push_back(in_act(node, i));
+            op.reads.push_back(aux_[idx]);
+            for (std::size_t i = 0; i < 3; ++i)
+                emit_dx(op, node, i, tags[i]);
             break;
           }
           case LayerKind::kMaxPool2d:
           case LayerKind::kAvgPool2d:
           case LayerKind::kAdaptiveAvgPool2d:
           case LayerKind::kGELU:
-          case LayerKind::kLRN: {
+          case LayerKind::kLRN:
             op.reads.push_back(in_act(node));
             op.reads.push_back(act_[idx]);
-            if (needs_dx) {
-                TensorId dx = make_dx(node, 0, ".dx");
-                op.allocs.push_back(dx);
-                op.writes.push_back(dx);
-                add_contribution(node.inputs[0], dx);
-            }
+            emit_dx(op, node);
             break;
-          }
-          case LayerKind::kConcat: {
+          case LayerKind::kConcat:
             // Split: one materialized slice gradient per branch.
-            for (std::size_t i = 0; i < node.inputs.size(); ++i) {
-                const NodeId in = node.inputs[i];
-                if (is_graph_input(in))
-                    continue;
-                TensorId dx = make_dx(
-                    node, static_cast<int>(i),
-                    (".dx" + std::to_string(i)).c_str());
-                op.allocs.push_back(dx);
-                op.writes.push_back(dx);
-                add_contribution(in, dx);
-            }
+            for (std::size_t i = 0; i < node.inputs.size(); ++i)
+                emit_dx(op, node, i, ".dx" + std::to_string(i));
             break;
-          }
           default:
             PP_ASSERT(false, "unhandled backward for kind "
                       << nn::layer_kind_name(node.kind));
@@ -940,13 +792,13 @@ class Builder
     const nn::Graph &graph_;
     std::int64_t batch_;
     PlanOptions opt_;
+    /** Forward-only serving lowering: no loss, backward or optimizer. */
+    bool inference_;
     std::vector<nn::NodeInfo> infos_;
     Plan plan_;
     std::int64_t micro_batch_ = 0;
     int mb_ = 0;
     bool recompute_pass_ = false;
-    /** Forward-only serving lowering (build_inference). */
-    bool inference_ = false;
     /** Checkpointed (kept) activations, per node. */
     std::vector<bool> is_checkpoint_;
     /** Activations currently valid during the backward sweep. */
@@ -955,17 +807,26 @@ class Builder
     std::unordered_map<TensorId, TensorId> param_grad_;
 
     std::vector<TensorId> act_;
-    std::vector<TensorId> mask_;
-    /** Per-BN-node (save_mean, save_invstd) ids, set during forward. */
+    /** Per-node saved aux tensor: dropout mask, attention probs. */
+    std::vector<TensorId> aux_;
+    /** Per-norm-node (save_mean, save_invstd) ids, set in forward. */
     std::vector<std::pair<TensorId, TensorId>> save_stats_;
     std::vector<std::vector<TensorId>> contrib_;
     std::vector<std::vector<std::pair<nn::ParamSpec, TensorId>>>
         param_ids_;
     std::vector<std::pair<TensorId, TensorId>> opt_pairs_;
-    TensorId x_ = kInvalidTensor;
     TensorId labels_ = kInvalidTensor;
-    TensorId loss_ = kInvalidTensor;
 };
+
+Plan
+lower(const nn::Model &model, std::int64_t batch,
+      const PlanOptions &options, bool inference)
+{
+    PP_CHECK(batch > 0, "batch must be positive, got " << batch);
+    Plan plan = Builder(model, batch, options, inference).build();
+    validate_plan(plan);
+    return plan;
+}
 
 }  // namespace
 
@@ -973,19 +834,14 @@ Plan
 build_plan(const nn::Model &model, std::int64_t batch,
            const PlanOptions &options)
 {
-    PP_CHECK(batch > 0, "batch must be positive, got " << batch);
-    Plan plan = Builder(model, batch, options).build();
-    validate_plan(plan);
-    return plan;
+    return lower(model, batch, options, /*inference=*/false);
 }
 
 Plan
 build_inference_plan(const nn::Model &model, std::int64_t batch,
                      const PlanOptions &options)
 {
-    PP_CHECK(batch > 0, "batch must be positive, got " << batch);
-    Plan plan = Builder(model, batch, options).build_inference();
-    validate_plan(plan);
+    Plan plan = lower(model, batch, options, /*inference=*/true);
     // The serving invariant the analyses and relief lean on: an
     // inference plan is forward-only, with parameters resident.
     for (const Op &op : plan.iteration_ops)
@@ -1004,6 +860,10 @@ validate_plan(const Plan &plan)
     std::unordered_set<TensorId> live(persistent.begin(),
                                       persistent.end());
     std::unordered_set<TensorId> ever_allocated;
+    std::unordered_set<std::string_view> names;
+    for (const TensorMeta &t : plan.tensors)
+        PP_ASSERT(names.insert(t.name).second,
+                  "duplicate tensor name '" << t.name << "'");
 
     for (const Op &op : plan.iteration_ops) {
         for (TensorId id : op.allocs) {

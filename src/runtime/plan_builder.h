@@ -1,8 +1,10 @@
 /**
  * @file
- * Lowers a model graph into a training Plan: forward ops, a reverse
- * autograd pass with gradient accumulation, and SGD optimizer steps,
- * followed by liveness analysis that places the frees.
+ * Lowers a model graph into a Plan: forward ops, a reverse autograd
+ * pass with gradient accumulation, and SGD optimizer steps, followed
+ * by liveness analysis that places the frees. Training and serving
+ * plans come from one walk; a serving plan stops after the forward
+ * pass and skips the loss.
  *
  * The lowering makes PyTorch's choices, not settable ones: ReLU runs
  * in place (torchvision's inplace=True), every convolution kernel
@@ -68,11 +70,12 @@ Plan build_inference_plan(const nn::Model &model, std::int64_t batch,
                           const PlanOptions &options = {});
 
 /**
- * Validates plan well-formedness: every transient tensor is allocated
- * exactly once, never used before its alloc or after its free, and
- * freed exactly once; persistent tensors are never allocated or freed
- * by iteration ops. Aborts (PP_ASSERT) on violation — used in tests
- * and after every build in debug runs.
+ * Validates plan well-formedness: tensor names are unique, every
+ * transient tensor is allocated exactly once, never used before its
+ * alloc or after its free, and freed exactly once; persistent tensors
+ * are never allocated or freed by iteration ops. Aborts (PP_ASSERT)
+ * on violation. build_plan and build_inference_plan run it on every
+ * plan they return.
  */
 void validate_plan(const Plan &plan);
 

@@ -1,10 +1,7 @@
 #include "runtime/request_stream.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "alloc/allocator.h"
-#include "alloc/device_memory.h"
 #include "core/check.h"
 #include "core/format.h"
 #include "core/hash.h"
@@ -14,7 +11,6 @@
 #include "runtime/plan_builder.h"
 #include "runtime/session.h"
 #include "sim/clock.h"
-#include "sim/cost_model.h"
 
 namespace pinpoint {
 namespace runtime {
@@ -137,30 +133,15 @@ run_inference(const nn::Model &model, const InferenceConfig &config)
     SessionResult &session = result.session;
     session.plan = build_inference_plan(model, config.session.batch,
                                         config.session.plan);
+    result.requests.reserve(static_cast<std::size_t>(config.requests));
 
-    alloc::DeviceMemory device(config.session.device.dram_bytes);
-    sim::VirtualClock clock;
-    sim::CostModel cost(config.session.device);
-
-    std::unique_ptr<alloc::Allocator> allocator =
-        make_session_allocator(config.session.allocator, device, clock,
-                               cost);
-
-    {
-        EngineOptions engine_options = config.session.engine;
-        // A request stream has no iteration boundary: every event is
-        // labeled iteration 0 and the analyses see one continuous
-        // steady-state span.
-        engine_options.continuous_trace = true;
-        Engine engine(session.plan, *allocator, clock, cost,
-                      config.session.record_trace ? &session.trace
-                                                  : nullptr,
-                      engine_options);
-        if (config.session.record_trace)
-            session.trace.reserve(engine.trace_events(config.requests));
-        result.requests.reserve(
-            static_cast<std::size_t>(config.requests));
-
+    SessionConfig session_config = config.session;
+    // A request stream has no iteration boundary: every event is
+    // labeled iteration 0 and the analyses see one continuous
+    // steady-state span.
+    session_config.engine.continuous_trace = true;
+    run_session(session, session_config, config.requests,
+                [&](Engine &engine, sim::VirtualClock &clock) {
         // Request 0: the cold start (weight upload + init + first
         // service).
         RequestRecord first;
@@ -194,15 +175,8 @@ run_inference(const nn::Model &model, const InferenceConfig &config)
             record.completion = clock.now();
             result.requests.push_back(record);
         }
-
-        session.usage = engine.usage();
-        session.end_time = clock.now();
-        session.device_fragmentation = device.external_fragmentation();
-        engine.teardown();
-        session.alloc_stats = allocator->stats();
         session.iteration_time = period;
-    }
-    session.peak_reserved_bytes = device.peak_reserved_bytes();
+    });
 
     // Latency percentiles over the steady-state window: drop the
     // cold-start request whenever a warm one exists.

@@ -1,5 +1,6 @@
 #include "runtime/session.h"
 
+#include <functional>
 #include <memory>
 
 #include "alloc/allocator.h"
@@ -116,12 +117,11 @@ make_session_allocator(AllocatorKind kind, alloc::DeviceMemory &device,
                                                    arena);
 }
 
-SessionResult
-run_training(const nn::Model &model, const SessionConfig &config)
+void
+run_session(SessionResult &result, const SessionConfig &config,
+            int runs,
+            const std::function<void(Engine &, sim::VirtualClock &)> &drive)
 {
-    SessionResult result;
-    result.plan = build_plan(model, config.batch, config.plan);
-
     alloc::DeviceMemory device(config.device.dram_bytes);
     sim::VirtualClock clock;
     sim::CostModel cost(config.device);
@@ -134,8 +134,26 @@ run_training(const nn::Model &model, const SessionConfig &config)
                       config.record_trace ? &result.trace : nullptr,
                       config.engine);
         if (config.record_trace)
-            result.trace.reserve(
-                engine.trace_events(config.iterations));
+            result.trace.reserve(engine.trace_events(runs));
+        drive(engine, clock);
+        result.usage = engine.usage();
+        result.end_time = clock.now();
+        // Heap-layout fragmentation is meaningful while the workload
+        // still holds its blocks, i.e. before teardown.
+        result.device_fragmentation = device.external_fragmentation();
+        engine.teardown();
+        result.alloc_stats = allocator->stats();
+    }
+    result.peak_reserved_bytes = device.peak_reserved_bytes();
+}
+
+SessionResult
+run_training(const nn::Model &model, const SessionConfig &config)
+{
+    SessionResult result;
+    result.plan = build_plan(model, config.batch, config.plan);
+    run_session(result, config, config.iterations,
+                [&](Engine &engine, sim::VirtualClock &clock) {
         if (config.iterations > 1) {
             // Measure steady-state iteration time over the last
             // iterations (the first one pays cold-cache costs).
@@ -146,15 +164,7 @@ run_training(const nn::Model &model, const SessionConfig &config)
         } else {
             engine.run(config.iterations);
         }
-        result.usage = engine.usage();
-        result.end_time = clock.now();
-        // Heap-layout fragmentation is meaningful while the workload
-        // still holds its blocks, i.e. before teardown.
-        result.device_fragmentation = device.external_fragmentation();
-        engine.teardown();
-        result.alloc_stats = allocator->stats();
-    }
-    result.peak_reserved_bytes = device.peak_reserved_bytes();
+    });
     return result;
 }
 

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -148,6 +149,19 @@ std::unique_ptr<alloc::Allocator>
 make_session_allocator(AllocatorKind kind, alloc::DeviceMemory &device,
                        sim::VirtualClock &clock,
                        const sim::CostModel &cost);
+
+/**
+ * The scaffold run_training and run_inference share: executes
+ * @p result.plan on a fresh simulated device of @p config (clock,
+ * cost model, allocator, and a trace reserved for @p runs plan
+ * runs), lets @p drive run the engine (the part training and serving
+ * differ in), then fills @p result's usage, end time,
+ * fragmentation, allocator stats (after teardown) and peak reserved
+ * bytes.
+ */
+void run_session(
+    SessionResult &result, const SessionConfig &config, int runs,
+    const std::function<void(Engine &, sim::VirtualClock &)> &drive);
 
 /**
  * Runs the full pipeline: plan @p model at @p config.batch, execute

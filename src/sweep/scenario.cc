@@ -6,8 +6,6 @@
 #include "core/parse.h"
 #include "nn/model_registry.h"
 #include "runtime/session.h"
-#include "sim/device_spec.h"
-#include "sim/topology.h"
 
 namespace pinpoint {
 namespace sweep {
@@ -15,78 +13,35 @@ namespace sweep {
 std::vector<Scenario>
 expand_grid(const SweepGrid &grid)
 {
-    // Grid axes are user input (CLI flags, config files): reject
-    // bad values with typed UsageErrors. The name lookups throw
-    // the shared "unknown X (known: ...)" messages themselves, so
-    // the grid surface and the single-workload surface
-    // (api::WorkloadSpec::validate) cannot drift apart.
-    std::vector<std::string> models =
+    const std::vector<std::string> models =
         grid.models.empty() ? nn::default_zoo_names() : grid.models;
-    for (const auto &m : models)
-        nn::require_model(m);
-
-    std::vector<std::int64_t> batches = grid.batches;
-    if (batches.empty())
-        batches = {16, 32, 64};
-    for (std::int64_t b : batches)
-        if (b < 1)
-            throw UsageError("batch must be positive, got " +
-                             std::to_string(b));
-
-    std::vector<runtime::AllocatorKind> allocators = grid.allocators;
-    if (allocators.empty())
-        allocators = {runtime::AllocatorKind::kCaching,
-                      runtime::AllocatorKind::kDirect,
-                      runtime::AllocatorKind::kBuddy};
-
-    std::vector<std::string> device_presets =
+    const std::vector<std::int64_t> batches =
+        grid.batches.empty() ? std::vector<std::int64_t>{16, 32, 64}
+                             : grid.batches;
+    const std::vector<runtime::AllocatorKind> allocators =
+        grid.allocators.empty()
+            ? std::vector<runtime::AllocatorKind>{
+                  runtime::AllocatorKind::kCaching,
+                  runtime::AllocatorKind::kDirect,
+                  runtime::AllocatorKind::kBuddy}
+            : grid.allocators;
+    const std::vector<std::string> device_presets =
         grid.device_presets.empty()
             ? std::vector<std::string>{"titan-x"}
             : grid.device_presets;
-    for (const auto &d : device_presets)
-        sim::device_spec_by_name(d);  // throws typed UsageError
-
-    std::vector<int> device_counts = grid.device_counts;
-    if (device_counts.empty())
-        device_counts = {1};
-    for (int n : device_counts)
-        if (n < 1)
-            throw UsageError("device count must be >= 1, got " +
-                             std::to_string(n));
-
-    std::vector<std::string> topologies =
+    const std::vector<int> device_counts =
+        grid.device_counts.empty() ? std::vector<int>{1}
+                                   : grid.device_counts;
+    const std::vector<std::string> topologies =
         grid.topologies.empty() ? std::vector<std::string>{"pcie"}
                                 : grid.topologies;
-    for (const auto &t : topologies)
-        sim::interconnect_by_name(t);  // throws typed UsageError
-
-    std::vector<runtime::SessionMode> modes = grid.modes;
-    if (modes.empty())
-        modes = {runtime::SessionMode::kTrain};
-
-    std::vector<DType> dtypes = grid.dtypes;
-    if (dtypes.empty())
-        dtypes = {DType::kF32};
-
-    if (grid.iterations < 1)
-        throw UsageError("iterations must be >= 1, got " +
-                         std::to_string(grid.iterations));
-    if (grid.requests < 1)
-        throw UsageError("requests must be >= 1, got " +
-                         std::to_string(grid.requests));
-    for (int n : device_counts)
-        if (n > 1 && grid.iterations < 2)
-            throw UsageError("multi-device counts need iterations >= "
-                             "2 (the all-reduce is timed on the "
-                             "steady-state iteration), got " +
-                             std::to_string(grid.iterations));
-    for (runtime::SessionMode mode : modes)
-        if (mode == runtime::SessionMode::kInfer)
-            for (int n : device_counts)
-                if (n > 1)
-                    throw UsageError(
-                        "mode infer is single-device; drop the "
-                        "multi-device counts from --device-counts");
+    const std::vector<runtime::SessionMode> modes =
+        grid.modes.empty() ? std::vector<runtime::SessionMode>{
+                                 runtime::SessionMode::kTrain}
+                           : grid.modes;
+    const std::vector<DType> dtypes =
+        grid.dtypes.empty() ? std::vector<DType>{DType::kF32}
+                            : grid.dtypes;
 
     std::vector<Scenario> scenarios;
     scenarios.reserve(models.size() * batches.size() *
@@ -113,6 +68,11 @@ expand_grid(const SweepGrid &grid)
                                     s.iterations = grid.iterations;
                                     s.requests = grid.requests;
                                     s.arrival = grid.arrival;
+                                    // Grid axes are user input: the
+                                    // one workload validator throws
+                                    // its typed, flag-naming
+                                    // UsageErrors for every axis.
+                                    s.validate();
                                     scenarios.push_back(std::move(s));
                                 }
     return scenarios;

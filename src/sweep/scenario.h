@@ -70,10 +70,9 @@ struct SweepGrid {
  * single-element axis (replicas, topologies, modes, dtypes) expands
  * to the exact scenario list (and ids) the grid produced before
  * that axis existed.
- * @throws UsageError (grid axes are user input) for unknown model,
- * device, or topology names, non-positive batches or replica
- * counts, iterations < 1, requests < 1, or an infer mode combined
- * with multi-device replica counts.
+ * @throws UsageError (grid axes are user input) with
+ * api::WorkloadSpec::validate's message for the first expanded
+ * scenario that is not a runnable workload.
  */
 std::vector<Scenario> expand_grid(const SweepGrid &grid);
 

@@ -149,7 +149,10 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
         {{"relief", "--min-block", "-1", "--model", "mlp"},
          "--min-block must be between 0 and 1048576 MiB"},
         {{"relief", "--strategy", "magic", "--model", "mlp"},
-         "--strategy must be swap, recompute, peer, or hybrid"},
+         "unknown strategy 'magic' (known: swap, recompute, peer, "
+         "hybrid)"},
+        {{"relief", "--strategy", "swap-only", "--model", "mlp"},
+         "unknown strategy 'swap-only'"},
         {{"relief", "--strategy", "peer", "--model", "mlp"},
          "--strategy peer needs a multi-device workload"},
         {{"relief", "--devices", "2", "--topology", "token-ring"},
@@ -189,6 +192,9 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
         {{"sweep", "--devices", "1,257"}, "bad device count '257'"},
         {{"sweep", "--topologies", "infiniband"},
          "unknown topology"},
+        {{"sweep", "--models", "mlp", "--devices", "2", "--modes",
+          "infer"},
+         "--devices must be 1, got 2"},
         {{"sweep", "--models", "mlp", "--shard", "0/2"},
          "--shard requires --cache-dir"},
         {{"sweep", "--models", "mlp", "--shard", "0/2", "--cache-dir",

@@ -6,10 +6,14 @@
 #include "core/check.h"
 #include "nn/models.h"
 #include "runtime/plan_builder.h"
+#include "support/plan_lookup.h"
 
 namespace pinpoint {
 namespace runtime {
 namespace {
+
+using test_support::has_tensor;
+using test_support::tensor_named;
 
 TEST(PlanBuilder, MlpPlanStructure)
 {
@@ -19,9 +23,9 @@ TEST(PlanBuilder, MlpPlanStructure)
 
     // Persistent tensors: W0, b0, W1, b1.
     EXPECT_EQ(plan.persistent.size(), 4u);
-    EXPECT_EQ(plan.tensor(plan.named("fc0.weight")).shape,
+    EXPECT_EQ(plan.tensor(tensor_named(plan, "fc0.weight")).shape,
               (Shape{12288, 2}));
-    EXPECT_EQ(plan.tensor(plan.named("fc0.bias")).shape,
+    EXPECT_EQ(plan.tensor(tensor_named(plan, "fc0.bias")).shape,
               (Shape{12288}));
     for (TensorId id : plan.persistent)
         EXPECT_EQ(plan.tensor(id).category, Category::kParameter);
@@ -63,9 +67,9 @@ TEST(PlanBuilder, DataLoadCarriesInputBytes)
     const std::size_t x_bytes = 64 * 2 * 4;
     const std::size_t label_bytes = 64 * 8;
     EXPECT_EQ(load.h2d_bytes, x_bytes + label_bytes);
-    EXPECT_EQ(plan.tensor(plan.named("input.x")).category,
+    EXPECT_EQ(plan.tensor(tensor_named(plan, "input.x")).category,
               Category::kInput);
-    EXPECT_EQ(plan.tensor(plan.named("input.labels")).dtype,
+    EXPECT_EQ(plan.tensor(tensor_named(plan, "input.labels")).dtype,
               DType::kI64);
 }
 
@@ -114,7 +118,7 @@ TEST(PlanBuilder, IterationEndPolicyDefersAllFrees)
 TEST(PlanBuilder, InplaceReluAddsNoActivationTensor)
 {
     const Plan plan = build_plan(nn::mlp(), 64);
-    EXPECT_FALSE(plan.by_name.count("relu0.out"));
+    EXPECT_FALSE(has_tensor(plan, "relu0.out"));
 }
 
 TEST(PlanBuilder, ConvWorkspacesToggle)
@@ -174,10 +178,9 @@ TEST(PlanBuilder, RejectsNonPositiveBatch)
     EXPECT_THROW(build_plan(nn::mlp(), -1), Error);
 }
 
-TEST(Plan, NamedLookupThrowsOnUnknown)
+TEST(Plan, TensorLookupThrowsOnUnknownId)
 {
     const Plan plan = build_plan(nn::mlp(), 8);
-    EXPECT_THROW(plan.named("no.such.tensor"), Error);
     EXPECT_THROW(plan.tensor(99999), Error);
 }
 
