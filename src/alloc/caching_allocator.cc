@@ -284,22 +284,6 @@ CachingAllocator::empty_cache()
     release_cached_segments();
 }
 
-std::vector<SegmentInfo>
-CachingAllocator::segments() const
-{
-    std::vector<SegmentInfo> out;
-    for (const auto &[base, head] : segments_) {
-        SegmentInfo seg;
-        seg.base = base;
-        seg.size = head->segment_size;
-        seg.is_small_pool = head->is_small_pool;
-        for (const Node *n = head; n; n = n->next)
-            seg.blocks.push_back({n->ptr, n->size, n->allocated});
-        out.push_back(std::move(seg));
-    }
-    return out;
-}
-
 void
 CachingAllocator::check_invariants() const
 {

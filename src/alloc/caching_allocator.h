@@ -25,21 +25,6 @@
 namespace pinpoint {
 namespace alloc {
 
-/** Introspection record of one block within a segment. */
-struct SegmentBlockInfo {
-    DevPtr ptr;
-    std::size_t size;
-    bool allocated;
-};
-
-/** Introspection record of one device segment owned by the cache. */
-struct SegmentInfo {
-    DevPtr base;
-    std::size_t size;
-    bool is_small_pool;
-    std::vector<SegmentBlockInfo> blocks;
-};
-
 /**
  * Caching allocator. Allocation requests are rounded and served from
  * per-pool best-fit free lists; only misses touch the (slow) device
@@ -91,9 +76,6 @@ class CachingAllocator : public Allocator
 
     /** @return device segment size used to back a block of @p size. */
     static std::size_t allocation_size(std::size_t size);
-
-    /** @return snapshot of all cached segments and their blocks. */
-    std::vector<SegmentInfo> segments() const;
 
     /**
      * Validates internal invariants (segment coverage, link

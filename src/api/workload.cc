@@ -192,12 +192,12 @@ WorkloadSpec::validate() const
         // and the serving driver is single-device.
         if (micro_batches != 1)
             throw UsageError(
-                "--mode infer runs one request per plan; "
+                "infer mode runs one request per plan; "
                 "--micro-batches must be 1, got " +
                 std::to_string(micro_batches));
         if (devices != 1)
             throw UsageError(
-                "--mode infer is single-device; --devices must be "
+                "infer mode is single-device; --devices must be "
                 "1, got " +
                 std::to_string(devices));
     }

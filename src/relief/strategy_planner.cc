@@ -1,6 +1,7 @@
 #include "relief/strategy_planner.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,49 +21,41 @@ namespace pinpoint {
 namespace relief {
 namespace {
 
+/** Every Mechanism, in preference order: on full ties the earliest
+ * wins, so pure and hybrid selections stay comparable. */
+constexpr std::array<Mechanism, 3> kMechanisms = {
+    Mechanism::kSwap, Mechanism::kRecompute, Mechanism::kPeer};
+
+/** @return the slot of @p m in a per-Mechanism array. */
+constexpr std::size_t
+index_of(Mechanism m)
+{
+    return static_cast<std::size_t>(m);
+}
+
+/** How one mechanism would relieve one candidate. */
+struct Option {
+    /** The mechanism may take the candidate at all. */
+    bool ok = false;
+    /** Predicted stall (swap, peer) or producer re-run (recompute). */
+    TimeNs overhead = 0;
+    /** The block is off the device at the original peak instant. */
+    bool covers_peak = false;
+    /** Swap and peer: gap / round trip; 0 for recompute. */
+    double hide_ratio = 0.0;
+};
+
 /** One (block, access-gap) relief candidate with every option. */
 struct Candidate {
     const analysis::BlockLifetime *block = nullptr;
-    /** Timeline slot of @p block: the decisions carry it. */
+    /** Timeline slot of @p block: the decisions carry it, and it is
+     * the block's slot in the producer index. */
     std::size_t slot = 0;
     TimeNs gap_start = 0;
     TimeNs gap_end = 0;
-    TimeNs gap = 0;
-    // Swap option.
-    bool swap_ok = false;
-    TimeNs swap_overhead = 0;
-    bool swap_covers = false;
-    double hide_ratio = 0.0;
-    // Recompute option.
-    bool rec_ok = false;
-    TimeNs rec_cost = 0;
-    bool rec_covers = false;
-    const analysis::Producer *producer = nullptr;
-    // Peer-offload option (multi-device topologies only).
-    bool peer_ok = false;
-    TimeNs peer_overhead = 0;
-    bool peer_covers = false;
-    double peer_hide_ratio = 0.0;
+    /** One option per Mechanism, indexed by index_of(). */
+    std::array<Option, kMechanisms.size()> options;
 };
-
-/** The option of a candidate for one mechanism. */
-struct Choice {
-    Mechanism mechanism = Mechanism::kSwap;
-    TimeNs overhead = 0;
-    bool covers_peak = false;
-};
-
-/** @return @p c's option for mechanism @p m. */
-Choice
-option(const Candidate &c, Mechanism m)
-{
-    switch (m) {
-      case Mechanism::kSwap: return {m, c.swap_overhead, c.swap_covers};
-      case Mechanism::kRecompute: return {m, c.rec_cost, c.rec_covers};
-      case Mechanism::kPeer: return {m, c.peer_overhead, c.peer_covers};
-    }
-    return {};
-}
 
 /**
  * Aggregate outcome of one selection, for strategy comparison. The
@@ -85,30 +78,36 @@ struct PlanContext {
     const analysis::Timeline &timeline;
     const analysis::ProducerIndex &producers;
     std::vector<Candidate> candidates;
-    TimeNs peak_time = 0;
-    std::size_t original_peak = 0;
 
     explicit PlanContext(const analysis::TraceView &view)
         : timeline(view.timeline()), producers(view.producers())
     {
-        peak_time = timeline.peak_time();
-        original_peak = timeline.peak_bytes();
     }
 };
 
 /**
- * @return true when @p e fits its gap without stall yet misses the
- * @p safety_factor headroom: neither hideable nor priced.
+ * The option of moving @p c's block out over @p link and back within
+ * its gap: the Eq. 1 evaluation shared with swap::SwapPlanner. A
+ * round trip that fits its gap but misses the safety headroom has
+ * zero raw stall; offering it would make it free and void the
+ * factor, so it is not an option at all (the swap planner rejects it
+ * too, unless allow_overhead makes it take every gap).
  */
-bool
-unsafe(const swap::GapEvaluation &e, double safety_factor)
+Option
+transfer_option(const Candidate &c, TimeNs peak_time,
+                const analysis::LinkBandwidth &link, double safety_factor,
+                TimeNs latency_ns)
 {
-    return e.hide_ratio < safety_factor && e.overhead == 0;
+    const swap::GapEvaluation e = swap::evaluate_swap_gap(
+        c.block->size, c.gap_start, c.gap_end, peak_time, link,
+        safety_factor, latency_ns);
+    return {e.hideable || e.overhead > 0, e.overhead, e.covers_peak,
+            e.hide_ratio};
 }
 
 /**
- * Enumerates every (block, gap) candidate with both options priced:
- * the Eq. 1 swap evaluation (shared with swap::SwapPlanner) and the
+ * Enumerates every (block, gap) candidate with every option priced:
+ * the Eq. 1 swap and peer evaluations and the
  * measured-forward-time recompute. Emits the candidates in the
  * (gap_start, block) order of analysis::access_gaps — unique per
  * candidate, and the order of a report's decisions — so no
@@ -118,107 +117,85 @@ void
 enumerate_candidates(PlanContext &ctx, const analysis::TraceView &view,
                      const StrategyOptions &options)
 {
+    // Peer legs ride the interconnect's symmetric bandwidth plus its
+    // per-transfer latency; only priceable when the topology has a
+    // peer to offload to.
+    const analysis::LinkBandwidth peer_link{
+        options.interconnect.peer_bw_bps,
+        options.interconnect.peer_bw_bps};
+    const TimeNs peak_time = ctx.timeline.peak_time();
     const std::vector<analysis::AccessGap> gaps =
         analysis::access_gaps(view, options.min_block_bytes);
     ctx.candidates.reserve(gaps.size());
     for (const analysis::AccessGap &g : gaps) {
-        const analysis::BlockLifetime &b = ctx.timeline.blocks()[g.slot];
-        // Block s of the Timeline is slot s of the producer index.
-        const analysis::Producer &prod = ctx.producers[g.slot];
-        Candidate c;
-        c.block = &b;
+        Candidate &c = ctx.candidates.emplace_back();
+        c.block = &ctx.timeline.blocks()[g.slot];
         c.slot = g.slot;
         c.gap_start = g.start;
         c.gap_end = g.end;
-        c.gap = g.end - g.start;
-
-        // Swap option: the same evaluation the swap planner uses
-        // (hide ratio, saturating overhead, transfer-adjusted
-        // residency window for the peak credit).
-        const swap::GapEvaluation e = swap::evaluate_swap_gap(
-            b.size, g.start, g.end, options.link,
-            options.safety_factor);
-        // A round trip that fits the gap but misses the safety
-        // headroom has zero raw stall; offering it would make it
-        // free and void the factor, so it is not an option at all
-        // (the swap planner rejects it too, unless allow_overhead
-        // makes it take every gap).
-        c.swap_ok = !unsafe(e, options.safety_factor);
-        c.hide_ratio = e.hide_ratio;
-        c.swap_overhead = e.overhead;
-        c.swap_covers =
-            e.out_done <= ctx.peak_time && ctx.peak_time < e.in_start;
+        c.options[index_of(Mechanism::kSwap)] = transfer_option(
+            c, peak_time, options.link, options.safety_factor, 0);
+        if (options.peer_available())
+            c.options[index_of(Mechanism::kPeer)] = transfer_option(
+                c, peak_time, peer_link, options.safety_factor,
+                options.interconnect.latency_ns);
 
         // Recompute option: only for blocks whose priceable forward
         // producer's re-run fits inside the gap; the block is live
         // again while the producer replays, so the absence window
         // ends at gap_end - cost.
-        if (prod.forward_ns > 0 && prod.forward_ns < c.gap) {
-            const TimeNs cost = prod.forward_ns;
-            c.rec_ok = true;
-            c.rec_cost = cost;
-            c.rec_covers = g.start <= ctx.peak_time &&
-                           ctx.peak_time < g.end - cost;
-            c.producer = &prod;
-        }
-
-        // Peer option: the same gap evaluation as swap, but on the
-        // interconnect's symmetric bandwidth plus its per-transfer
-        // latency; only priceable when the topology has a peer to
-        // offload to.
-        if (options.peer_available()) {
-            const analysis::LinkBandwidth peer_link{
-                options.interconnect.peer_bw_bps,
-                options.interconnect.peer_bw_bps};
-            const swap::GapEvaluation pe = swap::evaluate_swap_gap(
-                b.size, g.start, g.end, peer_link,
-                options.safety_factor, options.interconnect.latency_ns);
-            c.peer_ok = !unsafe(pe, options.safety_factor);
-            c.peer_hide_ratio = pe.hide_ratio;
-            c.peer_overhead = pe.overhead;
-            c.peer_covers = pe.out_done <= ctx.peak_time &&
-                            ctx.peak_time < pe.in_start;
-        }
-        ctx.candidates.push_back(c);
+        const TimeNs cost = ctx.producers[g.slot].forward_ns;
+        if (cost > 0 && cost < g.end - g.start)
+            c.options[index_of(Mechanism::kRecompute)] = {
+                true, cost,
+                g.start <= peak_time && peak_time < g.end - cost,
+                0.0};
     }
 }
 
-/** Which mechanisms a selection may assign. */
-struct AllowedMechanisms {
-    bool swap = false;
-    bool recompute = false;
-    bool peer = false;
-};
+/** @return true when strategy @p s may assign mechanism @p m. */
+bool
+allows(Strategy s, Mechanism m)
+{
+    switch (s) {
+      case Strategy::kSwapOnly: return m == Mechanism::kSwap;
+      case Strategy::kRecomputeOnly: return m == Mechanism::kRecompute;
+      case Strategy::kPeerOnly: return m == Mechanism::kPeer;
+      case Strategy::kHybrid: return true;
+    }
+    return false;
+}
 
 /**
- * Greedy selection over the candidates with the given mechanisms
- * allowed. Zero-overhead options (hideable swaps and offloads) are
- * always taken; overhead-bearing options are ranked by
+ * Greedy selection over the candidates with the mechanisms of
+ * @p strategy allowed. Zero-overhead options (hideable swaps and
+ * offloads) are always taken; overhead-bearing options are ranked by
  * bytes-freed-per-ns and taken while they fit the budget and, when
  * @p latency_cap is set (> 0), their single-decision stall stays
  * within the per-request latency SLO.
  */
 Selection
-select(const std::vector<Candidate> &candidates,
-       const AllowedMechanisms &allow, TimeNs budget,
-       TimeNs latency_cap)
+select(const std::vector<Candidate> &candidates, Strategy strategy,
+       TimeNs budget, TimeNs latency_cap)
 {
     Selection sel;
     sel.picks.resize(candidates.size());
-    auto take = [&](std::size_t i, const Choice &choice) {
-        const std::size_t size = candidates[i].block->size;
-        sel.picks[i] = choice.mechanism;
+    auto take = [&](std::size_t i, Mechanism m) {
+        const Candidate &c = candidates[i];
+        const Option &o = c.options[index_of(m)];
+        sel.picks[i] = m;
         ++sel.chosen;
-        sel.overhead += choice.overhead;
-        sel.total_bytes += size;
-        if (choice.covers_peak)
-            sel.peak_reduction += size;
+        sel.overhead += o.overhead;
+        sel.total_bytes += c.block->size;
+        if (o.covers_peak)
+            sel.peak_reduction += c.block->size;
     };
 
     /** An overhead-bearing choice the SLO admits. */
     struct Paid {
         std::size_t index = 0;
-        Choice choice;
+        Mechanism mechanism = Mechanism::kSwap;
+        TimeNs overhead = 0;
         /** Bytes freed per ns of overhead: the greedy rank. */
         double score = 0.0;
     };
@@ -231,41 +208,38 @@ select(const std::vector<Candidate> &candidates,
         // Every allowed option of this candidate, in mechanism
         // preference order: a later option replaces the incumbent
         // only when it covers the peak and the incumbent does not,
-        // or at equal coverage with strictly lower overhead — so on
-        // full ties the earliest mechanism wins and pure and hybrid
-        // selections stay comparable.
-        std::optional<Choice> best;
-        auto consider = [&](Mechanism m) {
-            const Choice o = option(c, m);
-            if (best && o.covers_peak == best->covers_peak &&
-                o.overhead >= best->overhead)
-                return;
-            if (best && o.covers_peak != best->covers_peak &&
-                !o.covers_peak)
-                return;
-            best = o;
-        };
-        if (allow.swap && c.swap_ok)
-            consider(Mechanism::kSwap);
-        if (allow.recompute && c.rec_ok)
-            consider(Mechanism::kRecompute);
-        if (allow.peer && c.peer_ok)
-            consider(Mechanism::kPeer);
+        // or at equal coverage with strictly lower overhead.
+        std::optional<Mechanism> best;
+        for (Mechanism m : kMechanisms) {
+            const Option &o = c.options[index_of(m)];
+            if (!o.ok || !allows(strategy, m))
+                continue;
+            if (best) {
+                const Option &b = c.options[index_of(*best)];
+                const bool wins = o.covers_peak == b.covers_peak
+                                      ? o.overhead < b.overhead
+                                      : o.covers_peak;
+                if (!wins)
+                    continue;
+            }
+            best = m;
+        }
         if (!best)
             continue;
-        if (best->overhead == 0) {
+        const TimeNs overhead = c.options[index_of(*best)].overhead;
+        if (overhead == 0) {
             take(i, *best);
             continue;
         }
         // A serving SLO caps each decision alone: one stall lands
         // inside one request window, not across an iteration.
-        if (latency_cap > 0 && best->overhead > latency_cap)
+        if (latency_cap > 0 && overhead > latency_cap)
             continue;
-        paid.push_back({i, *best,
+        paid.push_back({i, *best, overhead,
                         static_cast<double>(c.block->size) /
-                            static_cast<double>(best->overhead)});
-        if (all_fit && best->overhead <= budget - admissible)
-            admissible += best->overhead;
+                            static_cast<double>(overhead)});
+        if (all_fit && overhead <= budget - admissible)
+            admissible += overhead;
         else
             all_fit = false;
     }
@@ -277,7 +251,7 @@ select(const std::vector<Candidate> &candidates,
     // nearly-spent budget, so the scan continues past the first miss.
     if (all_fit) {
         for (const auto &p : paid)
-            take(p.index, p.choice);
+            take(p.index, p.mechanism);
         return sel;
     }
     std::sort(paid.begin(), paid.end(),
@@ -291,8 +265,8 @@ select(const std::vector<Candidate> &candidates,
                   return ca.gap_start < cb.gap_start;
               });
     for (const auto &p : paid) {
-        if (p.choice.overhead <= budget - sel.overhead)
-            take(p.index, p.choice);
+        if (p.overhead <= budget - sel.overhead)
+            take(p.index, p.mechanism);
     }
     return sel;
 }
@@ -315,51 +289,49 @@ better(const Selection &a, const Selection &b)
  */
 ReliefReport
 assemble(const PlanContext &ctx, const StrategyOptions &options,
-         const analysis::TraceView &view, Strategy strategy,
-         const Selection &sel)
+         const analysis::TraceView &view, const Selection &sel)
 {
     ReliefReport report;
-    report.strategy = strategy;
-    report.original_peak_bytes = ctx.original_peak;
+    report.original_peak_bytes = ctx.timeline.peak_bytes();
 
     report.decisions.reserve(sel.chosen);
     for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
         if (!sel.picks[i])
             continue;
         const Candidate &c = ctx.candidates[i];
-        const Choice choice = option(c, *sel.picks[i]);
+        const Mechanism m = *sel.picks[i];
+        const Option &o = c.options[index_of(m)];
         ReliefDecision &d = report.decisions.emplace_back();
-        d.mechanism = choice.mechanism;
+        d.mechanism = m;
         d.block = c.block->block;
         d.slot = c.slot;
         d.tensor = c.block->tensor;
         d.size = c.block->size;
         d.gap_start = c.gap_start;
         d.gap_end = c.gap_end;
-        d.gap = c.gap;
-        d.overhead = choice.overhead;
-        d.covers_peak = choice.covers_peak;
-        switch (choice.mechanism) {
+        d.gap = c.gap_end - c.gap_start;
+        d.hide_ratio = o.hide_ratio;
+        d.overhead = o.overhead;
+        d.covers_peak = o.covers_peak;
+        switch (m) {
           case Mechanism::kSwap:
-            d.hide_ratio = c.hide_ratio;
             ++report.swap_decisions;
-            report.total_swapped_bytes += c.block->size;
+            report.total_swapped_bytes += d.size;
             break;
           case Mechanism::kRecompute:
-            d.producer = view.op_name(c.producer->op);
-            d.recompute_cost = c.rec_cost;
+            d.producer = view.op_name(ctx.producers[c.slot].op);
+            d.recompute_cost = o.overhead;
             ++report.recompute_decisions;
-            report.total_recomputed_bytes += c.block->size;
+            report.total_recomputed_bytes += d.size;
             break;
           case Mechanism::kPeer:
-            d.hide_ratio = c.peer_hide_ratio;
             ++report.peer_decisions;
-            report.total_peer_bytes += c.block->size;
+            report.total_peer_bytes += d.size;
             break;
         }
-        report.predicted_overhead += choice.overhead;
-        if (choice.covers_peak)
-            report.peak_reduction_bytes += c.block->size;
+        report.predicted_overhead += o.overhead;
+        if (o.covers_peak)
+            report.peak_reduction_bytes += d.size;
     }
 
     // Swap legs contend on the shared host link, peer legs on the
@@ -467,24 +439,6 @@ StrategyPlanner::StrategyPlanner(StrategyOptions options)
              "safety_factor must be >= 1.0");
 }
 
-namespace {
-
-/** The peer-only report on a topology with no peer: empty, marked
- * unavailable so comparisons skip it instead of reading its zero
- * overhead as a free win. */
-ReliefReport
-unavailable_report(const PlanContext &ctx, Strategy strategy)
-{
-    ReliefReport report;
-    report.strategy = strategy;
-    report.available = false;
-    report.original_peak_bytes = ctx.original_peak;
-    report.new_peak_bytes = ctx.original_peak;
-    return report;
-}
-
-}  // namespace
-
 std::array<ReliefReport, kNumStrategies>
 StrategyPlanner::plan_all(const analysis::TraceView &view) const
 {
@@ -493,54 +447,42 @@ StrategyPlanner::plan_all(const analysis::TraceView &view) const
     // instead of recomputing them.
     PlanContext ctx(view);
     enumerate_candidates(ctx, view, options_);
-    const TimeNs budget = options_.overhead_budget;
-    const TimeNs cap = options_.latency_budget_ns;
+    std::array<Selection, kNumStrategies> selections;
+    for (std::size_t i = 0; i < selections.size(); ++i)
+        selections[i] =
+            select(ctx.candidates, static_cast<Strategy>(i),
+                   options_.overhead_budget, options_.latency_budget_ns);
+    auto selection = [&](Strategy s) -> const Selection & {
+        return selections[static_cast<std::size_t>(s)];
+    };
+    // Without a peer, no candidate has a peer option: the peer-only
+    // selection is empty, and its report is marked unavailable so
+    // comparisons skip it instead of reading its zero overhead as a
+    // free win.
     const bool peer = options_.peer_available();
-    const Selection swap_only =
-        select(ctx.candidates, {true, false, false}, budget, cap);
-    const Selection rec_only =
-        select(ctx.candidates, {false, true, false}, budget, cap);
-    const Selection peer_only =
-        peer ? select(ctx.candidates, {false, false, true}, budget,
-                      cap)
-             : Selection{};
-    const Selection united =
-        select(ctx.candidates, {true, true, peer}, budget, cap);
-    // The hybrid guard: adopt a pure selection that beats the
-    // union. An adopted pure selection was already assembled, so the
-    // hybrid report is a copy of it, not a second link schedule.
-    Strategy hybrid = Strategy::kHybrid;
-    const Selection *best = &united;
-    auto adopt = [&](const Selection &pure, Strategy strategy) {
-        if (better(pure, *best)) {
-            best = &pure;
-            hybrid = strategy;
-        }
-    };
-    adopt(swap_only, Strategy::kSwapOnly);
-    adopt(rec_only, Strategy::kRecomputeOnly);
-    if (peer)
-        adopt(peer_only, Strategy::kPeerOnly);
 
-    std::array<ReliefReport, kNumStrategies> reports;
-    auto slot = [&](Strategy s) -> ReliefReport & {
-        return reports[static_cast<std::size_t>(s)];
-    };
-    slot(Strategy::kSwapOnly) = assemble(
-        ctx, options_, view, Strategy::kSwapOnly, swap_only);
-    slot(Strategy::kRecomputeOnly) = assemble(
-        ctx, options_, view, Strategy::kRecomputeOnly, rec_only);
-    slot(Strategy::kPeerOnly) =
-        peer ? assemble(ctx, options_, view, Strategy::kPeerOnly,
-                        peer_only)
-             : unavailable_report(ctx, Strategy::kPeerOnly);
-    if (hybrid == Strategy::kHybrid) {
-        slot(Strategy::kHybrid) = assemble(
-            ctx, options_, view, Strategy::kHybrid, united);
-    } else {
-        slot(Strategy::kHybrid) = slot(hybrid);
-        slot(Strategy::kHybrid).strategy = Strategy::kHybrid;
+    // The hybrid guard: adopt a pure selection that beats the union.
+    Strategy hybrid = Strategy::kHybrid;
+    for (Strategy pure : {Strategy::kSwapOnly, Strategy::kRecomputeOnly,
+                          Strategy::kPeerOnly}) {
+        if ((pure != Strategy::kPeerOnly || peer) &&
+            better(selection(pure), selection(hybrid)))
+            hybrid = pure;
     }
+
+    // An adopted pure selection was already assembled, so the hybrid
+    // report is a copy of it, not a second link schedule.
+    std::array<ReliefReport, kNumStrategies> reports;
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        const auto s = static_cast<Strategy>(i);
+        if (s == Strategy::kHybrid && hybrid != Strategy::kHybrid)
+            reports[i] = reports[static_cast<std::size_t>(hybrid)];
+        else
+            reports[i] = assemble(ctx, options_, view, selection(s));
+        reports[i].strategy = s;
+    }
+    reports[static_cast<std::size_t>(Strategy::kPeerOnly)].available =
+        peer;
     return reports;
 }
 

@@ -91,10 +91,11 @@ struct StrategyOptions {
     analysis::LinkBandwidth link;
     /**
      * Eq. 1 headroom required for a swap or peer offload to count
-     * as hideable. One whose round trip fits its gap but misses
-     * this headroom is not offered at all. swap::SwapPlanner skips
-     * it too, unless allow_overhead is set: it then schedules it
-     * with zero overhead.
+     * as hideable (swap::GapEvaluation::hideable). One whose round
+     * trip fits its gap but misses this headroom has no stall and
+     * is not offered at all. swap::SwapPlanner skips it too, unless
+     * allow_overhead is set: it then schedules it with zero
+     * overhead.
      */
     double safety_factor = 1.0;
     /** Ignore blocks smaller than this. */

@@ -12,7 +12,7 @@ namespace swap {
 
 GapEvaluation
 evaluate_swap_gap(std::size_t size, TimeNs gap_start, TimeNs gap_end,
-                  const analysis::LinkBandwidth &link,
+                  TimeNs peak_time, const analysis::LinkBandwidth &link,
                   double safety_factor, TimeNs latency_ns)
 {
     const TimeNs out_time =
@@ -24,15 +24,16 @@ evaluate_swap_gap(std::size_t size, TimeNs gap_start, TimeNs gap_end,
     GapEvaluation e;
     e.hide_ratio =
         static_cast<double>(gap) / static_cast<double>(needed);
+    e.hideable = e.hide_ratio >= safety_factor;
     // A safety_factor > 1 can reject a gap that still fits the raw
     // round trip (needed <= gap); overhead must saturate at zero
     // there, not wrap the unsigned TimeNs.
-    const bool hideable = e.hide_ratio >= safety_factor;
-    e.overhead = (hideable || needed <= gap) ? 0 : needed - gap;
-    e.out_done = gap_start + out_time;
-    e.in_start = gap_end > in_time ? gap_end - in_time : 0;
-    if (e.in_start < e.out_done)
-        e.in_start = e.out_done;
+    e.overhead = (e.hideable || needed <= gap) ? 0 : needed - gap;
+    // The executor only evicts between swap-out completion and
+    // swap-in start; a window the two legs overlap holds no instant.
+    const TimeNs out_done = gap_start + out_time;
+    const TimeNs in_start = gap_end > in_time ? gap_end - in_time : 0;
+    e.covers_peak = out_done <= peak_time && peak_time < in_start;
     return e;
 }
 
@@ -57,11 +58,10 @@ SwapPlanner::plan(const analysis::TraceView &view) const
     for (const analysis::AccessGap &g :
          analysis::access_gaps(view, options_.min_block_bytes)) {
         const analysis::BlockLifetime &b = timeline.blocks()[g.slot];
-        const GapEvaluation e =
-            evaluate_swap_gap(b.size, g.start, g.end, options_.link,
-                              options_.safety_factor);
-        const bool hideable = e.hide_ratio >= options_.safety_factor;
-        if (!hideable && !options_.allow_overhead)
+        const GapEvaluation e = evaluate_swap_gap(
+            b.size, g.start, g.end, peak_time, options_.link,
+            options_.safety_factor);
+        if (!e.hideable && !options_.allow_overhead)
             continue;
         SwapDecision d;
         d.block = b.block;
@@ -75,11 +75,7 @@ SwapPlanner::plan(const analysis::TraceView &view) const
         d.overhead = e.overhead;
         report.predicted_overhead += d.overhead;
         report.total_swapped_bytes += b.size;
-        // The executor only evicts between swap-out completion and
-        // swap-in start; credit the peak only when it falls inside
-        // that transfer-adjusted residency window, not anywhere in
-        // the raw gap.
-        if (e.out_done <= peak_time && peak_time < e.in_start)
+        if (e.covers_peak)
             report.peak_reduction_bytes += b.size;
         report.decisions.push_back(d);
     }

@@ -40,35 +40,39 @@ struct PlannerOptions {
 };
 
 /**
- * Eq. 1 evaluation of one access gap of a block. One shared
- * implementation backs both the swap planner and the unified relief
- * planner, so the two can never drift apart on the hide bound,
+ * Eq. 1 evaluation of one access gap of a block: the hide verdict,
+ * the stall and the peak credit. One shared implementation backs
+ * both the swap planner and the swap and peer options of the unified
+ * relief planner, so they can never drift apart on the hide bound,
  * overhead saturation, or the residency window (the bug class PR 2
  * fixed by sharing analysis::transfer_ns).
  */
 struct GapEvaluation {
-    /** gap / round_trip(size); >= safety factor when hideable. */
+    /** gap / round_trip(size). */
     double hide_ratio = 0.0;
+    /** hide_ratio >= the safety factor: the round trip hides. */
+    bool hideable = false;
     /** Saturating stall: 0 when the raw round trip fits the gap. */
     TimeNs overhead = 0;
     /**
-     * Transfer-adjusted residency window [out_done, in_start): the
-     * block is off the device only after the swap-out completes and
-     * before the swap-in starts.
+     * The block is off the device at the peak instant: the peak falls
+     * in the transfer-adjusted residency window, from swap-out
+     * completion up to (not including) swap-in start, rather than
+     * anywhere in the raw gap.
      */
-    TimeNs out_done = 0;
-    TimeNs in_start = 0;
+    bool covers_peak = false;
 };
 
 /**
  * Evaluates swapping a @p size-byte block out and back inside the
- * access gap [gap_start, gap_end] over @p link. @p latency_ns is
- * the link's fixed per-transfer setup cost, charged once per leg:
- * 0 for the host PCIe link (folded into the measured asymptote),
- * the interconnect latency for peer-offload legs.
+ * access gap [gap_start, gap_end] over @p link, crediting the peak
+ * at @p peak_time. @p latency_ns is the link's fixed per-transfer
+ * setup cost, charged once per leg: 0 for the host PCIe link (folded
+ * into the measured asymptote), the interconnect latency for
+ * peer-offload legs.
  */
 GapEvaluation evaluate_swap_gap(std::size_t size, TimeNs gap_start,
-                                TimeNs gap_end,
+                                TimeNs gap_end, TimeNs peak_time,
                                 const analysis::LinkBandwidth &link,
                                 double safety_factor,
                                 TimeNs latency_ns = 0);

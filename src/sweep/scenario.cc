@@ -121,8 +121,9 @@ parse_batches(const std::string &csv)
     for (const auto &field : split_list(csv)) {
         std::int64_t batch = 0;
         // Whole-token parse: "12abc" is an error, never batch 12.
-        if (!parse_int64(field, batch))
-            throw UsageError("bad batch size '" + field + "'");
+        if (!parse_int64(field, batch) || batch < 1)
+            throw UsageError("bad batch size '" + field +
+                             "' (need an integer >= 1)");
         out.push_back(batch);
     }
     return out;

@@ -92,7 +92,8 @@ std::vector<std::size_t> shard_indices(std::size_t total, int shard,
 std::vector<std::string> split_list(const std::string &csv);
 
 /**
- * Parses a comma-separated list of batch sizes; whole-token strict.
+ * Parses a comma-separated list of batch sizes; whole-token strict,
+ * each size >= 1.
  * @throws UsageError.
  */
 std::vector<std::int64_t> parse_batches(const std::string &csv);

@@ -122,10 +122,22 @@ TEST(GoldenOutput, ReliefMatchesThePreRefactorCli)
               golden("relief_resnet18_b16_i2_budget50.txt"));
 }
 
+TEST(GoldenOutput, ReliefSafetyFactorMatchesTheFixture)
+{
+    // At factor 1.5 the swap and peer options of gaps that fit the
+    // round trip but miss the headroom are not offered: swap-only
+    // takes 579 decisions here, against 596 at factor 1.0.
+    EXPECT_EQ(run_out({"relief", "--model", "resnet18", "--batch",
+                       "16", "--iterations", "2", "--safety-factor",
+                       "1.5", "--min-block", "1"}),
+              golden("relief_resnet18_b16_i2_sf15_minblock1.txt"));
+}
+
 TEST(GoldenOutput, ReliefJsonMatchesTheFixtures)
 {
-    // Every decision of three plans, byte for byte: unbudgeted swap
-    // and recompute legs, peer legs on a second link, and a serving
+    // Every decision of four plans, byte for byte: unbudgeted swap
+    // and recompute legs, peer legs on a second link (in the hybrid,
+    // and alone as the peer-only strategy over PCIe), and a serving
     // stream under a per-request SLO.
     struct Case {
         std::vector<std::string> args;
@@ -136,9 +148,13 @@ TEST(GoldenOutput, ReliefJsonMatchesTheFixtures)
         "--iterations", "2"};
     std::vector<std::string> dp2 = train;
     dp2.insert(dp2.end(), {"--devices", "2", "--topology", "nvlink"});
+    std::vector<std::string> peer = train;
+    peer.insert(peer.end(), {"--devices", "2", "--topology", "pcie",
+                             "--strategy", "peer"});
     for (const Case &c :
          {Case{train, "relief_resnet18_b16_i2.json"},
           Case{dp2, "relief_resnet18_b16_i2_dp2_nvlink.json"},
+          Case{peer, "relief_resnet18_b16_i2_dp2_pcie_peer.json"},
           Case{{"relief", "--model", "resnet18", "--batch", "16",
                 "--mode", "infer", "--requests", "8", "--slo-ms", "50"},
                "relief_resnet18_b16_infer_r8_slo50.json"}}) {

@@ -185,6 +185,10 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
         {{"sweep", "--jobs", "0"}, "--jobs must be >= 1"},
         {{"sweep", "--batches", "16,huge"}, "bad batch size"},
         {{"sweep", "--batches", "12abc"}, "bad batch size '12abc'"},
+        // The grid parser rejects a zero batch itself instead of
+        // naming the single-workload --batch flag.
+        {{"sweep", "--models", "mlp", "--batches", "0"},
+         "bad batch size '0' (need an integer >= 1)"},
         {{"sweep", "--models", "nosuchmodel"}, "unknown model"},
         {{"sweep", "--device-presets", "h100"}, "unknown device"},
         {{"sweep", "--devices", "0"}, "bad device count '0'"},
@@ -194,7 +198,13 @@ TEST(ExitCodes, MalformedFlagsExitTwoWithADescriptiveError)
          "unknown topology"},
         {{"sweep", "--models", "mlp", "--devices", "2", "--modes",
           "infer"},
-         "--devices must be 1, got 2"},
+         "infer mode is single-device; --devices must be 1, got 2"},
+        {{"sweep", "--models", "mlp", "--modes", "train,infer",
+          "--devices", "1,2"},
+         "infer mode is single-device; --devices must be 1, got 2"},
+        {{"characterize", "--mode", "infer", "--micro-batches", "2"},
+         "infer mode runs one request per plan; --micro-batches must "
+         "be 1, got 2"},
         {{"sweep", "--models", "mlp", "--shard", "0/2"},
          "--shard requires --cache-dir"},
         {{"sweep", "--models", "mlp", "--shard", "0/2", "--cache-dir",

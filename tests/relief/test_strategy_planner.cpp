@@ -230,6 +230,32 @@ TEST(StrategyPlanner, ZeroBudgetKeepsOnlyHideableSwaps)
     }
 }
 
+TEST(StrategyPlanner, HeadroomMissIsNoTransferOption)
+{
+    // A gap of 1.25 round trips with no priceable producer: at factor
+    // 1.5 the swap fits without stall but misses the headroom, so it
+    // is not offered at any budget (swap::SwapPlanner takes it at
+    // zero overhead only under allow_overhead); at factor 1.0 it is
+    // a free swap.
+    StrategyOptions opts = slow_link_options();
+    const std::size_t size = 64 * kMB;
+    const TimeNs needed = analysis::min_interval_for(size, opts.link);
+    trace::TraceRecorder r;
+    r.record(ev(r, 0, trace::EventKind::kMalloc, 1, size));
+    r.record(ev(r, 10, trace::EventKind::kWrite, 1, size));
+    r.record(ev(r, 10 + needed * 5 / 4, trace::EventKind::kRead, 1, size));
+    const analysis::TraceView view(r);
+
+    opts.safety_factor = 1.5;
+    for (const ReliefReport &rep : StrategyPlanner(opts).plan_all(view))
+        EXPECT_TRUE(rep.decisions.empty()) << strategy_name(rep.strategy);
+    opts.safety_factor = 1.0;
+    const ReliefReport swap_only =
+        StrategyPlanner(opts).plan_all(view)[at(Strategy::kSwapOnly)];
+    ASSERT_EQ(swap_only.decisions.size(), 1u);
+    EXPECT_EQ(swap_only.decisions[0].overhead, 0u);
+}
+
 TEST(StrategyPlanner, ReportAccountingIsConsistent)
 {
     StrategyPlanner planner(slow_link_options());
