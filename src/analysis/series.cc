@@ -65,9 +65,9 @@ occupancy_series(const TraceView &view, std::size_t max_points)
         std::vector<OccupancyPoint> thin;
         const std::size_t step = series.size() / max_points + 1;
         for (std::size_t i = 0; i < series.size(); i += step) {
+            thin.push_back(series[i]);
             if (i < peak_idx && peak_idx < i + step)
                 thin.push_back(series[peak_idx]);
-            thin.push_back(series[i]);
         }
         if (thin.empty() || thin.back().time != series.back().time)
             thin.push_back(series.back());

@@ -1,5 +1,6 @@
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
+#include "core/sorted_runs.h"
 #include "core/types.h"
 #include "trace/event.h"
 
@@ -79,7 +80,7 @@ Timeline::peak_with(std::vector<OccupancyEdge> extra) const
     // maximum (clamped at 0) is peak_bytes_.
     if (extra.empty())
         return peak_bytes_;
-    std::sort(extra.begin(), extra.end(), edge_before);
+    merge_sorted_runs(extra, edge_before);
     // Running occupancy at any point of the merge is the baseline
     // prefix so far plus the extra deltas merged so far (shift).
     std::int64_t best = 0;

@@ -125,7 +125,8 @@ edge_before(const OccupancyEdge &a, const OccupancyEdge &b)
  * occupancy edges and their prefix sums, so the point probes
  * (live_bytes_at, peak_time, peak_bytes) answer in O(log n) / O(1)
  * instead of rescanning every block, and a what-if peak (peak_with)
- * merges a plan's k edges into them in O(n + k log k).
+ * merges a plan's k edges, given as r sorted runs, into them in
+ * O(n + k log r).
  */
 class Timeline
 {
@@ -183,11 +184,15 @@ class Timeline
     /**
      * @return the peak of the running occupancy sum over every
      * block's alloc/free edges plus @p extra, as if both were
-     * sorted together by edge_before. Sorts only @p extra and
-     * merges it into the frozen edges: O(n + k log k), with no copy
-     * of the n baseline edges. Equal keys carry equal deltas, so
-     * the merge visits the same running sums as one sort of the
-     * union would.
+     * sorted together by edge_before. @p extra may come in any
+     * order: its maximal sorted runs are merged pairwise, so k
+     * edges in r runs cost O(k log r) (O(k) when already sorted,
+     * O(k log k) when shuffled), and the result is merged into the
+     * frozen edges without a copy of the n baseline edges: O(n + k
+     * log r) in all. Callers pass few runs — a link schedule's
+     * residency edges are two, swap-outs in D2H order then swap-ins
+     * in H2D order. Equal keys carry equal deltas, so the merge
+     * visits the same running sums as one sort of the union would.
      */
     std::size_t peak_with(std::vector<OccupancyEdge> extra) const;
 

@@ -9,6 +9,7 @@
 #include "analysis/timeline.h"
 #include "api/workload.h"
 #include "core/check.h"
+#include "core/format.h"
 #include "core/once.h"
 #include "relief/strategy_planner.h"
 #include "runtime/data_parallel.h"
@@ -183,8 +184,21 @@ const analysis::SummaryStats &
 Study::ati_summary() const
 {
     facets_->ati_summary_once.call([&] {
-        facets_->ati_summary = analysis::summarize(
-            analysis::ati_microseconds(atis()));
+        // The intervals alone, as consecutive differences of each
+        // lifetime's access list: the same multiset compute_atis
+        // yields (one chain per slot), without building its samples.
+        const analysis::Timeline &timeline = result().view().timeline();
+        std::size_t count = 0;
+        for (const analysis::BlockLifetime &b : timeline.blocks())
+            count += b.access_count > 0 ? b.access_count - 1 : 0;
+        std::vector<double> intervals;
+        intervals.reserve(count);
+        for (const analysis::BlockLifetime &b : timeline.blocks()) {
+            const analysis::AccessList accesses = timeline.accesses(b);
+            for (std::size_t k = 1; k < accesses.size(); ++k)
+                intervals.push_back(to_us(accesses[k] - accesses[k - 1]));
+        }
+        facets_->ati_summary = analysis::summarize(std::move(intervals));
     });
     return facets_->ati_summary;
 }

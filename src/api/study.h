@@ -257,7 +257,14 @@ class Study
     /** @return every ATI sample, in trace order. */
     const std::vector<analysis::AtiSample> &atis() const;
 
-    /** @return summary statistics of the ATIs in microseconds. */
+    /**
+     * @return summary statistics of the ATIs in microseconds, equal
+     * in every field to summarizing atis(): the intervals come from
+     * the view's shared Timeline, so the sample vector is never
+     * built for them.
+     * @throws Error, as every Timeline-backed facet, when the trace
+     * is inconsistent (e.g. a read before its block's malloc).
+     */
     const analysis::SummaryStats &ati_summary() const;
 
     /** @return the occupation breakdown at peak (Figs. 5-7). */

@@ -65,7 +65,8 @@ struct Candidate {
 struct Selection {
     /** Mechanism chosen per candidate (same index), if any. */
     std::vector<std::optional<Mechanism>> picks;
-    std::size_t chosen = 0;
+    /** Candidates chosen per Mechanism, indexed by index_of(). */
+    std::array<std::size_t, kMechanisms.size()> chosen = {};
     std::size_t peak_reduction = 0;
     TimeNs overhead = 0;
     std::size_t total_bytes = 0;
@@ -184,7 +185,7 @@ select(const std::vector<Candidate> &candidates, Strategy strategy,
         const Candidate &c = candidates[i];
         const Option &o = c.options[index_of(m)];
         sel.picks[i] = m;
-        ++sel.chosen;
+        ++sel.chosen[index_of(m)];
         sel.overhead += o.overhead;
         sel.total_bytes += c.block->size;
         if (o.covers_peak)
@@ -294,7 +295,27 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     ReliefReport report;
     report.original_peak_bytes = ctx.timeline.peak_bytes();
 
-    report.decisions.reserve(sel.chosen);
+    // One walk over the picks fills the decisions and, alongside,
+    // what the links and the what-if peak need: each swap and peer
+    // leg where it stands in the report (the reserve keeps it
+    // there), and each recompute absence window, whose starts come
+    // in decision (so gap-start) order and whose ends are sorted
+    // once below.
+    const auto chosen = [&](Mechanism m) {
+        return sel.chosen[index_of(m)];
+    };
+    const std::size_t total = chosen(Mechanism::kSwap) +
+                              chosen(Mechanism::kRecompute) +
+                              chosen(Mechanism::kPeer);
+    report.decisions.reserve(total);
+    std::vector<const swap::SwapDecision *> swap_legs;
+    swap_legs.reserve(chosen(Mechanism::kSwap));
+    std::vector<const swap::SwapDecision *> peer_legs;
+    peer_legs.reserve(chosen(Mechanism::kPeer));
+    std::vector<analysis::OccupancyEdge> edges;
+    edges.reserve(2 * total);
+    std::vector<analysis::OccupancyEdge> recompute_ends;
+    recompute_ends.reserve(chosen(Mechanism::kRecompute));
     for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
         if (!sel.picks[i])
             continue;
@@ -313,70 +334,60 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
         d.hide_ratio = o.hide_ratio;
         d.overhead = o.overhead;
         d.covers_peak = o.covers_peak;
+        const auto size = static_cast<std::int64_t>(d.size);
         switch (m) {
           case Mechanism::kSwap:
             ++report.swap_decisions;
             report.total_swapped_bytes += d.size;
+            swap_legs.push_back(&d);
             break;
           case Mechanism::kRecompute:
             d.producer = view.op_name(ctx.producers[c.slot].op);
             d.recompute_cost = o.overhead;
             ++report.recompute_decisions;
             report.total_recomputed_bytes += d.size;
+            edges.push_back({d.gap_start, -size});
+            recompute_ends.push_back(
+                {d.gap_end - d.recompute_cost, size});
+            report.measured_overhead += d.recompute_cost;
             break;
           case Mechanism::kPeer:
             ++report.peer_decisions;
             report.total_peer_bytes += d.size;
+            peer_legs.push_back(&d);
             break;
         }
         report.predicted_overhead += o.overhead;
         if (o.covers_peak)
             report.peak_reduction_bytes += d.size;
     }
+    std::sort(recompute_ends.begin(), recompute_ends.end(),
+              analysis::edge_before);
+    edges.insert(edges.end(), recompute_ends.begin(),
+                 recompute_ends.end());
 
     // Swap legs contend on the shared host link, peer legs on the
     // interconnect (a distinct link, so offloads do not steal swap
     // bandwidth); the recompute legs occupy the compute stream and
     // leave both links untouched.
-    auto leg_plan = [&](Mechanism mechanism, std::size_t count) {
-        swap::SwapPlanReport legs;
-        legs.decisions.reserve(count);
-        for (const auto &d : report.decisions) {
-            // Sliced to its swap::SwapDecision leg record.
-            if (d.mechanism == mechanism)
-                legs.decisions.push_back(d);
-        }
-        return legs;
-    };
     sim::LinkScheduler host_link(options.link.d2h_bps,
                                  options.link.h2d_bps);
-    report.swap_schedule = swap::schedule_plan(
-        view, leg_plan(Mechanism::kSwap, report.swap_decisions),
-        host_link);
-    if (report.peer_decisions > 0) {
+    report.swap_schedule =
+        swap::schedule_plan(view, swap_legs, host_link);
+    if (!peer_legs.empty()) {
         sim::LinkScheduler peer_link(
             options.interconnect.peer_bw_bps,
             options.interconnect.peer_bw_bps,
             options.interconnect.latency_ns);
-        report.peer_schedule = swap::schedule_plan(
-            view, leg_plan(Mechanism::kPeer, report.peer_decisions),
-            peer_link);
+        report.peer_schedule =
+            swap::schedule_plan(view, peer_legs, peer_link);
     }
 
     // Combined occupancy: baseline lifetimes, minus the *scheduled*
     // swap/peer residency windows, minus the compute-adjusted
-    // recompute absence windows — one what-if peak for the report.
-    std::vector<analysis::OccupancyEdge> edges;
-    edges.reserve(report.decisions.size() * 2);
-    for (const auto &d : report.decisions) {
-        if (d.mechanism != Mechanism::kRecompute)
-            continue;
-        edges.push_back(
-            {d.gap_start, -static_cast<std::int64_t>(d.size)});
-        edges.push_back({d.gap_end - d.recompute_cost,
-                         static_cast<std::int64_t>(d.size)});
-        report.measured_overhead += d.recompute_cost;
-    }
+    // recompute absence windows — one what-if peak for the report,
+    // over few sorted runs: the recompute starts and ends, then each
+    // link schedule's swap-out and swap-in runs.
     swap::append_residency_edges(report.swap_schedule, edges);
     swap::append_residency_edges(report.peer_schedule, edges);
     report.measured_overhead += report.swap_schedule.measured_stall +

@@ -64,8 +64,13 @@ struct LinkSchedule {
     TimeNs measured_stall = 0;
     /** Total time decisions spent queued behind other transfers. */
     TimeNs queue_delay = 0;
-    /** Per-decision schedule, aligned with the plan's decisions. */
+    /** Per-decision schedule, aligned with the scheduled legs. */
     std::vector<ExecutedSwap> swaps;
+    /**
+     * Indices into swaps in host-to-device queue order: their
+     * in_start times never decrease along it.
+     */
+    std::vector<std::size_t> h2d_order;
 };
 
 /** Measured outcome of executing a swap plan over a trace. */
@@ -79,15 +84,18 @@ struct SwapExecutionResult : LinkSchedule {
 };
 
 /**
- * Times every copy of @p plan on the shared link @p scheduler (which
- * may already carry traffic; state accumulates across calls). Reads
- * @p view's shared Timeline — validating a plan never rebuilds the
- * index the planner used — and computes no peak: a caller combining
- * several links' schedules makes one what-if peak over all of them.
+ * Times every copy of @p legs on the shared link @p scheduler (which
+ * may already carry traffic; state accumulates across calls). The
+ * legs are read where they live — a relief plan passes its swap or
+ * peer decisions without copying them into a SwapPlanReport — and
+ * the schedule's swaps are aligned with them. Reads @p view's shared
+ * Timeline — validating a plan never rebuilds the index the planner
+ * used — and computes no peak: a caller combining several links'
+ * schedules makes one what-if peak over all of them.
  *
  * Swap-outs enter the D2H queue in (gap_start, block) order, taken
- * as given when the plan is already in it, as both planners emit
- * it; swap-ins enter the H2D queue ordered by their ideal start
+ * as given when the legs are already in it, as both planners emit
+ * them; swap-ins enter the H2D queue ordered by their ideal start
  * (gap_end - transfer time, clamped to the swap-out completion). A
  * swap-in finishing past its gap end is a measured stall.
  *
@@ -96,21 +104,24 @@ struct SwapExecutionResult : LinkSchedule {
  * between two of its accesses.
  */
 LinkSchedule schedule_plan(const analysis::TraceView &view,
-                           const SwapPlanReport &plan,
+                           const std::vector<const SwapDecision *> &legs,
                            sim::LinkScheduler &scheduler);
 
 /**
  * Appends @p schedule's residency edges to @p edges: each swapped
  * block leaves the device once its *scheduled* swap-out completes
- * and returns when its *scheduled* swap-in starts.
+ * and returns when its *scheduled* swap-in starts. The edges come
+ * as two runs for Timeline::peak_with to merge: every swap-out in
+ * the legs' order (D2H queue order when the legs are in
+ * (gap_start, block) order), then every swap-in in H2D queue order.
  */
 void append_residency_edges(const LinkSchedule &schedule,
                             std::vector<analysis::OccupancyEdge> &edges);
 
 /**
- * Executes @p plan against @p view's trace: schedule_plan on
- * @p scheduler, then one Timeline::peak_with over the schedule's
- * residency edges.
+ * Executes @p plan against @p view's trace: schedule_plan of its
+ * decisions on @p scheduler, then one Timeline::peak_with over the
+ * schedule's residency edges.
  *
  * @throws Error as schedule_plan.
  */

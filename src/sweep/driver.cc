@@ -73,9 +73,9 @@ aggregate(const api::Study &study, bool swap_plan,
     out.latency_max_ns = study.latency_max();
 
     out.event_count = r.trace.size();
-    out.ati_count = study.atis().size();
-    if (!study.atis().empty()) {
-        const auto &stats = study.ati_summary();
+    const auto &stats = study.ati_summary();
+    out.ati_count = stats.count;
+    if (stats.count > 0) {
         out.ati_median_us = stats.median;
         out.ati_p90_us = stats.p90;
         out.ati_max_us = stats.max;

@@ -66,6 +66,10 @@ TEST(Series, ThinningKeepsThePeak)
     const auto thin = occupancy_series(r.view(), 32);
     EXPECT_LE(thin.size(), 34u);
     EXPECT_LT(thin.size(), full.size());
+    // The peak sample sits between its bucket's first sample and the
+    // next bucket's: the thinned series still runs forward in time.
+    for (std::size_t i = 1; i < thin.size(); ++i)
+        EXPECT_LE(thin[i - 1].time, thin[i].time) << i;
 
     const auto peak_of = [](const std::vector<OccupancyPoint> &s) {
         std::size_t best = 0;

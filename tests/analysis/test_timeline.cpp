@@ -272,6 +272,61 @@ TEST(Timeline, PeakWithMatchesTheFullSortOracle)
     }
 }
 
+TEST(Timeline, PeakWithMergesSortedRuns)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        const auto trace = random_trace(seed, false);
+        TraceView view(trace);
+        const Timeline &t = view.timeline();
+        const auto baseline = test_support::sorted_edges_oracle(trace);
+        std::mt19937_64 rng(seed * 104729);
+        const std::int64_t sizes[] = {256, 512, 1024, 4096, 70000};
+        auto oracle = [&](const std::vector<OccupancyEdge> &extra) {
+            std::vector<OccupancyEdge> all = baseline;
+            all.insert(all.end(), extra.begin(), extra.end());
+            return test_support::peak_occupancy(std::move(all));
+        };
+
+        // A pool of edges in tie groups: each group shares one time
+        // (an existing edge time half of the time) and mixes deltas
+        // of both signs, so equal times carry different deltas.
+        std::vector<OccupancyEdge> pool;
+        for (int group = 0; group < 60; ++group) {
+            const TimeNs at = rng() % 2
+                                  ? baseline[rng() % baseline.size()].t
+                                  : t.start() + rng() % (t.end() + 20);
+            for (int k = 0; k < 1 + static_cast<int>(rng() % 4); ++k)
+                pool.push_back({at, (rng() % 2 ? 1 : -1) *
+                                        sizes[rng() % 5]});
+        }
+
+        for (std::size_t runs : {1u, 2u, 6u}) {
+            SCOPED_TRACE(runs);
+            // Each edge joins a random run; each run is sorted and
+            // the runs are concatenated, so a tie group splits
+            // across runs as often as it stays inside one.
+            std::vector<std::vector<OccupancyEdge>> parts(runs);
+            for (const OccupancyEdge &e : pool)
+                parts[rng() % runs].push_back(e);
+            std::vector<OccupancyEdge> extra;
+            for (auto &part : parts) {
+                std::sort(part.begin(), part.end(), edge_before);
+                extra.insert(extra.end(), part.begin(), part.end());
+            }
+            std::size_t descents = 0;
+            for (std::size_t i = 1; i < extra.size(); ++i)
+                descents += edge_before(extra[i], extra[i - 1]) ? 1 : 0;
+            EXPECT_LT(descents, runs);
+            EXPECT_EQ(t.peak_with(extra), oracle(extra));
+        }
+
+        std::vector<OccupancyEdge> shuffled = pool;
+        std::shuffle(shuffled.begin(), shuffled.end(), rng);
+        EXPECT_EQ(t.peak_with(shuffled), oracle(shuffled));
+    }
+}
+
 TEST(Timeline, AccessGapsEqualASortedPerBlockWalk)
 {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) {

@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -24,6 +25,9 @@
 #include "support/occupancy_oracle.h"
 #include "swap/executor.h"
 #include "swap/planner.h"
+#include "sweep/driver.h"
+#include "sweep/scenario.h"
+#include "trace/csv.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
 
@@ -336,6 +340,77 @@ TEST(Study, FromTraceSupportsOfflineAnalysis)
     // The synthetic spec is marked: offline traces never
     // masquerade as a named workload.
     EXPECT_EQ(offline.spec().model, "");
+}
+
+/** Every SummaryStats field of @p got equals @p want's, exactly. */
+void
+expect_same_summary(const analysis::SummaryStats &got,
+                    const analysis::SummaryStats &want)
+{
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.min, want.min);
+    EXPECT_EQ(got.max, want.max);
+    EXPECT_EQ(got.mean, want.mean);
+    EXPECT_EQ(got.stddev, want.stddev);
+    EXPECT_EQ(got.median, want.median);
+    EXPECT_EQ(got.p25, want.p25);
+    EXPECT_EQ(got.p75, want.p75);
+    EXPECT_EQ(got.p90, want.p90);
+    EXPECT_EQ(got.p95, want.p95);
+    EXPECT_EQ(got.p99, want.p99);
+}
+
+TEST(Study, AtiSummaryEqualsSummarizingTheSamples)
+{
+    WorkloadSpec serving = small_spec();
+    serving.mode = runtime::SessionMode::kInfer;
+    serving.requests = 16;
+    for (const WorkloadSpec &spec : {small_spec(), serving}) {
+        SCOPED_TRACE(spec.to_string());
+        const Study study = Study::run(spec);
+        const analysis::TraceView fresh(study.trace());
+        const auto samples = analysis::compute_atis(fresh);
+        ASSERT_FALSE(samples.empty());
+        expect_same_summary(
+            study.ati_summary(),
+            analysis::summarize(analysis::ati_microseconds(samples)));
+
+        // A trace reloaded from its CSV export summarizes the same.
+        std::stringstream csv;
+        trace::write_csv(study.trace(), csv);
+        const Study offline = Study::from_trace(
+            trace::read_csv(csv), sim::DeviceSpec::titan_x_pascal());
+        expect_same_summary(offline.ati_summary(), study.ati_summary());
+
+        // The sweep row counts the samples it no longer builds.
+        sweep::Scenario scenario;
+        static_cast<WorkloadSpec &>(scenario) = spec;
+        const sweep::ScenarioResult row = sweep::run_scenario(scenario);
+        ASSERT_EQ(row.status, sweep::ScenarioStatus::kOk) << row.error;
+        EXPECT_EQ(row.ati_count, study.atis().size());
+        EXPECT_EQ(row.ati_median_us, study.ati_summary().median);
+    }
+}
+
+TEST(Study, AtiSummaryRejectsAReadBeforeItsMalloc)
+{
+    trace::TraceRecorder r;
+    trace::MemoryEvent e;
+    e.block = 9;
+    e.size = 512;
+    e.kind = trace::EventKind::kRead;
+    r.record(e);
+    e.time = 10;
+    e.kind = trace::EventKind::kMalloc;
+    r.record(e);
+    e.time = 20;
+    e.kind = trace::EventKind::kRead;
+    r.record(e);
+    const Study study = Study::from_trace(
+        std::move(r), sim::DeviceSpec::titan_x_pascal());
+    // The same typed error as every Timeline-backed facet.
+    EXPECT_THROW(study.ati_summary(), Error);
+    EXPECT_THROW(study.timeline(), Error);
 }
 
 TEST(Study, StudyOptionsReachTheFacets)

@@ -10,6 +10,7 @@
 #include "core/check.h"
 #include "nn/models.h"
 #include "runtime/session.h"
+#include "support/occupancy_oracle.h"
 #include "swap/executor.h"
 
 namespace pinpoint {
@@ -331,6 +332,106 @@ TEST(SwapExecutor, ShuffledPlanGetsTheSortedSchedule)
         EXPECT_EQ(a.stall, b.stall);
         EXPECT_EQ(a.queue_delay, b.queue_delay);
     }
+}
+
+/**
+ * A seeded random trace of MiB-sized blocks, each read a few times
+ * at random instants between its malloc and its free: many
+ * overlapping gaps, so a slow link saturates.
+ */
+trace::TraceRecorder
+random_gap_trace(std::mt19937_64 &rng)
+{
+    struct Event {
+        TimeNs t;
+        std::size_t seq;
+        trace::MemoryEvent e;
+    };
+    std::vector<Event> events;
+    for (BlockId b = 1; b <= 24; ++b) {
+        const std::size_t size = (1 + rng() % 8) << 20;
+        std::vector<TimeNs> times(2 + rng() % 5);
+        for (TimeNs &t : times)
+            t = (rng() % 400) * kNsPerMs / 4;
+        std::sort(times.begin(), times.end());
+        const TimeNs alloc = times.front() / 2;
+        events.push_back({alloc, events.size(),
+                          ev(alloc, trace::EventKind::kMalloc, b, size)});
+        for (TimeNs t : times)
+            events.push_back(
+                {t + 1, events.size(),
+                 ev(t + 1, trace::EventKind::kRead, b, size)});
+        events.push_back(
+            {times.back() + 2, events.size(),
+             ev(times.back() + 2, trace::EventKind::kFree, b, size)});
+    }
+    std::sort(events.begin(), events.end(),
+              [](const Event &a, const Event &b) {
+                  return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+              });
+    trace::TraceRecorder r;
+    for (const Event &e : events)
+        r.record(e.e);
+    return r;
+}
+
+TEST(SwapExecutor, ResidencyEdgesAreASwapOutRunThenASwapInRun)
+{
+    // Swap-outs drain fast, so each swap-in is ready near its ideal
+    // start, out of gap-start order; at about 10 ms per MiB, the
+    // swap-ins then queue on the host-to-device channel.
+    const analysis::LinkBandwidth slow{1e10, 1e8};
+    std::size_t reordered = 0;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        std::mt19937_64 rng(seed);
+        const trace::TraceRecorder r = random_gap_trace(rng);
+        const analysis::TraceView view(r);
+        PlannerOptions opts;
+        opts.link = slow;
+        opts.min_block_bytes = 0;
+        opts.allow_overhead = true;
+        const SwapPlanReport all = SwapPlanner(opts).plan(view);
+        // A random subset keeps the planner's (gap_start, block) order.
+        SwapPlanReport plan;
+        for (const SwapDecision &d : all.decisions)
+            if (rng() % 3 != 0)
+                plan.decisions.push_back(d);
+        ASSERT_GT(plan.decisions.size(), 10u);
+
+        const SwapExecutionResult exec = execute_plan(view, plan, slow);
+        EXPECT_GT(exec.queue_delay, 0u) << "the link must saturate";
+        ASSERT_EQ(exec.h2d_order.size(), exec.swaps.size());
+        if (!std::is_sorted(exec.h2d_order.begin(), exec.h2d_order.end()))
+            ++reordered;
+
+        std::vector<analysis::OccupancyEdge> edges;
+        append_residency_edges(exec, edges);
+        const std::size_t windows = static_cast<std::size_t>(
+            std::count_if(exec.swaps.begin(), exec.swaps.end(),
+                          [](const ExecutedSwap &s) {
+                              return s.in_start > s.out_end;
+                          }));
+        ASSERT_EQ(edges.size(), 2 * windows);
+        ASSERT_GT(windows, 0u);
+        for (std::size_t i = 0; i < edges.size(); ++i) {
+            SCOPED_TRACE(i);
+            EXPECT_EQ(edges[i].delta < 0, i < windows);
+            if (i != 0 && i != windows) {
+                EXPECT_FALSE(
+                    analysis::edge_before(edges[i], edges[i - 1]));
+            }
+        }
+
+        std::vector<analysis::OccupancyEdge> all_edges =
+            test_support::sorted_edges_oracle(r);
+        all_edges.insert(all_edges.end(), edges.begin(), edges.end());
+        EXPECT_EQ(exec.new_peak_bytes,
+                  test_support::peak_occupancy(std::move(all_edges)));
+    }
+    // The saturated link reorders the swap-ins in more than half the
+    // plans, so the H2D run is not the decision order.
+    EXPECT_GT(reordered, 10u);
 }
 
 TEST(SwapExecutor, EndToEndOnRealTrainingTrace)
