@@ -63,13 +63,12 @@ detect_iteration_pattern(const TraceView &view)
     IterationPattern p;
 
     // Malloc-size sequence of non-setup events, plus the iteration
-    // label of each allocation. The view's per-kind offsets make
-    // this a walk over the mallocs only, not the whole trace.
+    // label of each allocation.
     std::vector<std::size_t> sizes;
     std::map<std::uint32_t, std::vector<std::size_t>> per_iteration;
-    for (std::size_t i :
-         view.indices_of(trace::EventKind::kMalloc)) {
-        if (view.iteration(i) == trace::kSetupIteration)
+    for (std::size_t i = 0; i < view.size(); ++i) {
+        if (view.kind(i) != trace::EventKind::kMalloc ||
+            view.iteration(i) == trace::kSetupIteration)
             continue;
         sizes.push_back(view.event_size(i));
         per_iteration[view.iteration(i)].push_back(

@@ -71,16 +71,16 @@ index_producers(const TraceView &view)
         }
     }
 
-    // Pass 2 — each block's first qualifying write (the view's
-    // per-kind offsets restrict the walk to the write rows). Only
+    // Pass 2 — each block's first qualifying write. Only
     // intermediate-category blocks materialized by a forward op can
     // be re-derived by a re-run: parameters and host inputs have no
     // in-iteration producer to replay.
     ProducerIndex producers(view.slot_count());
     // Per op name: -1 not yet classified, else is_forward_op.
     std::vector<std::int8_t> forward(view.op_count(), -1);
-    for (std::size_t i : view.indices_of(trace::EventKind::kWrite)) {
-        if (view.op_index(i) < 0)
+    for (std::size_t i = 0; i < n; ++i) {
+        if (view.kind(i) != trace::EventKind::kWrite ||
+            view.op_index(i) < 0)
             continue;
         Producer &p = producers[view.slot(i)];
         if (p.forward_ns != 0)

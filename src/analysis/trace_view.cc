@@ -40,7 +40,7 @@ TraceView::freeze()
     std::uint32_t slots = 0;
     slot_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-        by_kind_[static_cast<std::size_t>(kind[i])].push_back(i);
+        ++kind_count_[static_cast<std::size_t>(kind[i])];
         const auto entry = chain_of.try_emplace(block[i]);
         if (entry.second)
             entry.first = slots++;
@@ -185,10 +185,8 @@ TraceView::producers() const
         producers_ = std::make_unique<const ProducerIndex>(
             index_producers(*this));
         producer_builds_.fetch_add(1, std::memory_order_relaxed);
-        // Pass 1 walks every event; pass 2 only the write rows.
-        events_walked_.fetch_add(
-            size() + count(trace::EventKind::kWrite),
-            std::memory_order_relaxed);
+        // Two passes over every event: op spans, then the writes.
+        events_walked_.fetch_add(2 * size(), std::memory_order_relaxed);
     });
     return *producers_;
 }

@@ -97,7 +97,7 @@ class TraceView
   public:
     /**
      * Freezes @p recorder's events: shares its event columns and
-     * builds the slot column and the per-kind lists. O(n); the
+     * builds the slot column and the per-kind counts. O(n); the
      * recorder is not retained.
      */
     explicit TraceView(const trace::TraceRecorder &recorder);
@@ -168,23 +168,14 @@ class TraceView
     /** @return the size of the op name table (ids 0 .. op_count()-1). */
     std::size_t op_count() const { return op_names_.size(); }
 
-    // --- per-kind counts and offsets ------------------------------
-    // Replaces TraceRecorder::count (O(n) rescan per call) and the
-    // per-call copies of TraceRecorder::filter for analysis code.
+    // --- per-kind counts ------------------------------------------
+    // Replaces TraceRecorder::count (O(n) rescan per call); a walk
+    // over one kind reads the kind column.
 
     /** @return count of events of kind @p k. O(1). */
     std::size_t count(trace::EventKind k) const
     {
-        return by_kind_[static_cast<std::size_t>(k)].size();
-    }
-
-    /**
-     * @return the event indices of kind @p k, in trace order — the
-     * zero-copy replacement for TraceRecorder::filter-by-kind.
-     */
-    const std::vector<std::size_t> &indices_of(trace::EventKind k) const
-    {
-        return by_kind_[static_cast<std::size_t>(k)];
+        return kind_count_[static_cast<std::size_t>(k)];
     }
 
     // --- lazy cached sub-indices ----------------------------------
@@ -208,7 +199,7 @@ class TraceView
     TraceViewStats build_stats() const;
 
   private:
-    /** Fills slot_, slot_count_ and by_kind_: the freeze's walk. */
+    /** Fills slot_, slot_count_ and kind_count_: the freeze's walk. */
     void freeze();
 
     std::unique_ptr<const Timeline> build_timeline() const;
@@ -220,9 +211,8 @@ class TraceView
     std::size_t slot_count_ = 0;
     /** The recorder's name table, indexed by OpId. */
     std::vector<std::string> op_names_;
-    /** Event indices per kind, in trace order. */
-    std::array<std::vector<std::size_t>, trace::kNumEventKinds>
-        by_kind_{};
+    /** Events per kind, indexed by EventKind. */
+    std::array<std::size_t, trace::kNumEventKinds> kind_count_{};
 
     // Lazy sub-indices. A failed build (inconsistent trace) leaves
     // the slot empty and the accessor rethrows on the next call.

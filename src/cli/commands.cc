@@ -14,6 +14,7 @@
 #include "analysis/report.h"
 #include "analysis/series.h"
 #include "analysis/swap_model.h"
+#include "analysis/trace_view.h"
 #include "api/study.h"
 #include "api/workload.h"
 #include "cli/command.h"
@@ -230,7 +231,8 @@ write_swap_csv(const swap::SwapPlanReport &plan,
     for (std::size_t i = 0; i < plan.decisions.size(); ++i) {
         const auto &d = plan.decisions[i];
         os << d.block << ',' << d.tensor << ',' << d.size << ','
-           << d.gap_start << ',' << d.gap_end << ',' << d.gap << ','
+           << d.gap_start << ',' << d.gap_end << ','
+           << d.gap_end - d.gap_start << ','
            << format_fixed6(d.hide_ratio) << ',' << d.overhead;
         if (exec) {
             const auto &s = exec->swaps[i];
@@ -333,11 +335,13 @@ cmd_swap(const ParsedArgs &args, CommandIo &io)
                 format_bytes(exec.new_peak_bytes).c_str());
         oprintf(io.out, "  measured savings:   %s\n",
                 format_bytes(exec.measured_peak_reduction).c_str());
+        // Every decision crosses the link once each way.
         oprintf(io.out, "  bytes moved:        %s out + %s in\n",
-                format_bytes(exec.d2h_bytes).c_str(),
-                format_bytes(exec.h2d_bytes).c_str());
+                format_bytes(plan.total_swapped_bytes).c_str(),
+                format_bytes(plan.total_swapped_bytes).c_str());
         oprintf(io.out, "  link busy:          %s (%.1f%% of trace)\n",
-                format_time(exec.transfer_time).c_str(),
+                format_time(exec.d2h_busy_time + exec.h2d_busy_time)
+                    .c_str(),
                 100.0 * exec.link_busy_fraction);
         oprintf(io.out, "  queue delay:        %s\n",
                 format_time(exec.queue_delay).c_str());
@@ -375,9 +379,10 @@ cmd_swap(const ParsedArgs &args, CommandIo &io)
 // relief
 // ----------------------------------------------------------------
 
-/** Writes the per-decision relief schedule as CSV. */
+/** Writes the relief schedule as CSV; @p report was planned on @p view. */
 void
-write_relief_csv(const relief::ReliefReport &report, std::ostream &os)
+write_relief_csv(const analysis::TraceView &view,
+                 const relief::ReliefReport &report, std::ostream &os)
 {
     os << "mechanism,block,tensor,size_bytes,gap_start_ns,"
           "gap_end_ns,gap_ns,overhead_ns,covers_peak,hide_ratio,"
@@ -385,17 +390,21 @@ write_relief_csv(const relief::ReliefReport &report, std::ostream &os)
     for (const auto &d : report.decisions) {
         os << relief::mechanism_name(d.mechanism) << ',' << d.block
            << ',' << d.tensor << ',' << d.size << ',' << d.gap_start
-           << ',' << d.gap_end << ',' << d.gap << ',' << d.overhead
-           << ',' << (d.covers_peak ? 1 : 0) << ','
-           << format_fixed6(d.hide_ratio) << ',' << d.producer << ','
-           << d.recompute_cost << "\n";
+           << ',' << d.gap_end << ',' << d.gap_end - d.gap_start << ','
+           << d.overhead << ',' << (d.covers_peak ? 1 : 0) << ','
+           << format_fixed6(d.hide_ratio) << ','
+           << view.op_name(d.producer) << ','
+           << (d.mechanism == relief::Mechanism::kRecompute ? d.overhead
+                                                            : 0)
+           << "\n";
     }
 }
 
-/** Writes the relief plan and its scheduled execution as JSON. */
+/** Writes the relief plan and its execution as JSON (planned on @p view). */
 void
 write_relief_json(const api::WorkloadSpec &spec,
                   const sim::DeviceSpec &device,
+                  const analysis::TraceView &view,
                   const relief::ReliefReport &report, std::ostream &os)
 {
     os << "{\n  \"model\": \"" << trace::json_escape(spec.model)
@@ -440,8 +449,8 @@ write_relief_json(const api::WorkloadSpec &spec,
                << format_fixed6(d.hide_ratio);
         else
             os << ", \"producer\": \""
-               << trace::json_escape(d.producer)
-               << "\", \"recompute_cost_ns\": " << d.recompute_cost;
+               << trace::json_escape(view.op_name(d.producer))
+               << "\", \"recompute_cost_ns\": " << d.overhead;
         os << "}" << (i + 1 < report.decisions.size() ? "," : "")
            << "\n";
     }
@@ -560,7 +569,7 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
     if (!csv.empty()) {
         std::ofstream os(csv);
         PP_CHECK(os.good(), "cannot open '" << csv << "'");
-        write_relief_csv(selected, os);
+        write_relief_csv(study.view(), selected, os);
         oprintf(io.out, "wrote relief schedule CSV to %s\n",
                 csv.c_str());
     }
@@ -568,7 +577,8 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
     if (!json.empty()) {
         std::ofstream os(json);
         PP_CHECK(os.good(), "cannot open '" << json << "'");
-        write_relief_json(spec, study.device(), selected, os);
+        write_relief_json(spec, study.device(), study.view(), selected,
+                          os);
         oprintf(io.out, "wrote relief schedule JSON to %s\n",
                 json.c_str());
     }

@@ -330,7 +330,6 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
         d.size = c.block->size;
         d.gap_start = c.gap_start;
         d.gap_end = c.gap_end;
-        d.gap = c.gap_end - c.gap_start;
         d.hide_ratio = o.hide_ratio;
         d.overhead = o.overhead;
         d.covers_peak = o.covers_peak;
@@ -342,14 +341,12 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
             swap_legs.push_back(&d);
             break;
           case Mechanism::kRecompute:
-            d.producer = view.op_name(ctx.producers[c.slot].op);
-            d.recompute_cost = o.overhead;
+            d.producer = ctx.producers[c.slot].op;
             ++report.recompute_decisions;
             report.total_recomputed_bytes += d.size;
             edges.push_back({d.gap_start, -size});
-            recompute_ends.push_back(
-                {d.gap_end - d.recompute_cost, size});
-            report.measured_overhead += d.recompute_cost;
+            recompute_ends.push_back({d.gap_end - d.overhead, size});
+            report.measured_overhead += d.overhead;
             break;
           case Mechanism::kPeer:
             ++report.peer_decisions;
@@ -388,8 +385,10 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     // recompute absence windows — one what-if peak for the report,
     // over few sorted runs: the recompute starts and ends, then each
     // link schedule's swap-out and swap-in runs.
-    swap::append_residency_edges(report.swap_schedule, edges);
-    swap::append_residency_edges(report.peer_schedule, edges);
+    swap::append_residency_edges(report.swap_schedule, swap_legs,
+                                 edges);
+    swap::append_residency_edges(report.peer_schedule, peer_legs,
+                                 edges);
     report.measured_overhead += report.swap_schedule.measured_stall +
                                 report.peer_schedule.measured_stall;
     report.new_peak_bytes = ctx.timeline.peak_with(std::move(edges));

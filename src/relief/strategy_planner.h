@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/producers.h"
 #include "analysis/swap_model.h"
 #include "analysis/trace_view.h"
 #include "core/types.h"
@@ -140,7 +141,9 @@ struct StrategyOptions {
  * One per-tensor relief assignment: the swap::SwapDecision leg record
  * (block, slot, size, gap, hide ratio, overhead) plus its mechanism.
  * Swap and peer legs go to swap::schedule_plan as that record; for a
- * recompute, `overhead` is the recompute cost and `hide_ratio` is 0.
+ * recompute, `overhead` is the recompute cost (the producer's
+ * measured forward time) and `hide_ratio` is 0. A plain record:
+ * nothing in it owns memory.
  */
 struct ReliefDecision : swap::SwapDecision {
     Mechanism mechanism = Mechanism::kSwap;
@@ -149,10 +152,12 @@ struct ReliefDecision : swap::SwapDecision {
      * peak instant, i.e. it contributes to peak reduction.
      */
     bool covers_peak = false;
-    /** Recompute only: producing forward op re-run by the decision. */
-    std::string producer;
-    /** Recompute only: measured forward time of the producer. */
-    TimeNs recompute_cost = 0;
+    /**
+     * Recompute only: the forward op re-run, as an op id of the view
+     * the report was planned on (TraceView::op_name names it); 0,
+     * the empty name, for swap and peer decisions.
+     */
+    decltype(analysis::Producer::op) producer = 0;
 };
 
 /** Unified planner output: the plan plus its scheduled execution. */

@@ -96,8 +96,6 @@ schedule_plan(const analysis::TraceView &view,
         const auto out = scheduler.submit(
             sim::CopyDir::kDeviceToHost, d.size, d.gap_start);
         auto &s = result.swaps[i];
-        s.block = d.block;
-        s.size = d.size;
         s.out_start = out.start_time;
         s.out_end = out.end_time;
         s.queue_delay += out.queue_delay();
@@ -153,11 +151,6 @@ schedule_plan(const analysis::TraceView &view,
         if (in.end_time > d.gap_end)
             s.stall = in.end_time - d.gap_end;
         result.h2d_order.push_back(q.index);
-
-        result.d2h_bytes += d.size;
-        result.h2d_bytes += d.size;
-        result.transfer_time +=
-            (s.out_end - s.out_start) + (s.in_end - s.in_start);
         result.measured_stall += s.stall;
         result.queue_delay += s.queue_delay;
     }
@@ -182,23 +175,29 @@ schedule_plan(const analysis::TraceView &view,
 
 void
 append_residency_edges(const LinkSchedule &schedule,
+                       const std::vector<const SwapDecision *> &legs,
                        std::vector<analysis::OccupancyEdge> &edges)
 {
+    PP_ASSERT(legs.size() == schedule.swaps.size(),
+              "schedule of " << schedule.swaps.size()
+                             << " swaps read with " << legs.size()
+                             << " legs");
     // Scheduled, not ideal, edges: contention shrinks the
     // off-device window, and a window it closes adds none. Two
     // runs: the swap-outs complete in D2H queue order (the legs'
     // order whenever it is gap-start order), the swap-ins start in
     // H2D queue order.
-    for (const ExecutedSwap &s : schedule.swaps) {
+    for (std::size_t i = 0; i < legs.size(); ++i) {
+        const ExecutedSwap &s = schedule.swaps[i];
         if (s.in_start > s.out_end)
             edges.push_back(
-                {s.out_end, -static_cast<std::int64_t>(s.size)});
+                {s.out_end, -static_cast<std::int64_t>(legs[i]->size)});
     }
     for (std::size_t i : schedule.h2d_order) {
         const ExecutedSwap &s = schedule.swaps[i];
         if (s.in_start > s.out_end)
             edges.push_back(
-                {s.in_start, static_cast<std::int64_t>(s.size)});
+                {s.in_start, static_cast<std::int64_t>(legs[i]->size)});
     }
 }
 
@@ -218,13 +217,12 @@ execute_plan(const analysis::TraceView &view,
     // index and Timeline::peak_with merges the two.
     std::vector<analysis::OccupancyEdge> edges;
     edges.reserve(result.swaps.size() * 2);
-    append_residency_edges(result, edges);
+    append_residency_edges(result, legs, edges);
     const analysis::Timeline &timeline = view.timeline();
-    result.original_peak_bytes = timeline.peak_bytes();
     result.new_peak_bytes = timeline.peak_with(std::move(edges));
     result.measured_peak_reduction =
-        result.original_peak_bytes > result.new_peak_bytes
-            ? result.original_peak_bytes - result.new_peak_bytes
+        timeline.peak_bytes() > result.new_peak_bytes
+            ? timeline.peak_bytes() - result.new_peak_bytes
             : 0;
     return result;
 }

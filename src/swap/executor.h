@@ -2,7 +2,7 @@
  * @file
  * Swap executor: replays a recorded trace with a swap plan applied
  * and measures what actually happens — residency-adjusted peak
- * occupancy, bytes moved over the PCIe link, and the stalls
+ * occupancy, busy time on the PCIe link, and the stalls
  * non-hideable or link-contended swaps add. Used to validate the
  * planner's predictions inside the simulation instead of trusting
  * the cost model twice.
@@ -27,10 +27,8 @@
 namespace pinpoint {
 namespace swap {
 
-/** Scheduled outcome of one decision (same order as the plan). */
+/** Link times of one leg (aligned with the legs, which hold its size). */
 struct ExecutedSwap {
-    BlockId block = kInvalidBlock;
-    std::size_t size = 0;
     /** Scheduled device-to-host copy. */
     TimeNs out_start = 0;
     TimeNs out_end = 0;
@@ -43,14 +41,12 @@ struct ExecutedSwap {
     TimeNs queue_delay = 0;
 };
 
-/** Link schedule of a swap plan: every copy timed, no peak. */
+/**
+ * Link schedule of a swap plan: every copy timed, no peak. Each leg
+ * crosses once each way: the bytes moved either way are the legs'
+ * total size, and the busy time is d2h_busy_time + h2d_busy_time.
+ */
 struct LinkSchedule {
-    /** Total bytes copied device-to-host. */
-    std::size_t d2h_bytes = 0;
-    /** Total bytes copied host-to-device. */
-    std::size_t h2d_bytes = 0;
-    /** Link busy time for all transfers (both directions). */
-    TimeNs transfer_time = 0;
     /** Busy time this plan added to the device-to-host channel. */
     TimeNs d2h_busy_time = 0;
     /** Busy time this plan added to the host-to-device channel. */
@@ -75,11 +71,9 @@ struct LinkSchedule {
 
 /** Measured outcome of executing a swap plan over a trace. */
 struct SwapExecutionResult : LinkSchedule {
-    /** Peak live bytes of the unmodified trace. */
-    std::size_t original_peak_bytes = 0;
     /** Peak device-resident bytes with the plan applied. */
     std::size_t new_peak_bytes = 0;
-    /** original - new (saturating at 0). */
+    /** The plan's original peak - new (saturating at 0). */
     std::size_t measured_peak_reduction = 0;
 };
 
@@ -109,13 +103,15 @@ LinkSchedule schedule_plan(const analysis::TraceView &view,
 
 /**
  * Appends @p schedule's residency edges to @p edges: each swapped
- * block leaves the device once its *scheduled* swap-out completes
- * and returns when its *scheduled* swap-in starts. The edges come
- * as two runs for Timeline::peak_with to merge: every swap-out in
- * the legs' order (D2H queue order when the legs are in
- * (gap_start, block) order), then every swap-in in H2D queue order.
+ * block of @p legs (the legs @p schedule was made from) leaves the
+ * device once its *scheduled* swap-out completes and returns when
+ * its *scheduled* swap-in starts. The edges come as two runs for
+ * Timeline::peak_with to merge: every swap-out in the legs' order
+ * (D2H queue order when the legs are in (gap_start, block) order),
+ * then every swap-in in H2D queue order.
  */
 void append_residency_edges(const LinkSchedule &schedule,
+                            const std::vector<const SwapDecision *> &legs,
                             std::vector<analysis::OccupancyEdge> &edges);
 
 /**

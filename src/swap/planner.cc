@@ -70,7 +70,6 @@ SwapPlanner::plan(const analysis::TraceView &view) const
         d.size = b.size;
         d.gap_start = g.start;
         d.gap_end = g.end;
-        d.gap = g.end - g.start;
         d.hide_ratio = e.hide_ratio;
         d.overhead = e.overhead;
         report.predicted_overhead += d.overhead;

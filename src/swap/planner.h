@@ -81,7 +81,7 @@ GapEvaluation evaluate_swap_gap(std::size_t size, TimeNs gap_start,
 inline constexpr std::size_t kNoSlot =
     std::numeric_limits<std::size_t>::max();
 
-/** One scheduled swap-out/swap-in pair for a block's access gap. */
+/** One swap-out/swap-in pair for the block's gap [gap_start, gap_end]. */
 struct SwapDecision {
     BlockId block = kInvalidBlock;
     /**
@@ -96,8 +96,6 @@ struct SwapDecision {
     TimeNs gap_start = 0;
     /** Next access: swap-in must complete by here. */
     TimeNs gap_end = 0;
-    /** gap_end - gap_start. */
-    TimeNs gap = 0;
     /** gap / round_trip(size); >= safety factor when hideable. */
     double hide_ratio = 0.0;
     /** Stall this decision adds (0 for hideable swaps). */

@@ -11,7 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "analysis/trace_view.h"
@@ -26,12 +29,18 @@
 #include "support/occupancy_oracle.h"
 #include "swap/executor.h"
 #include "swap/planner.h"
+#include "trace/csv.h"
 
 namespace pinpoint {
 namespace relief {
 namespace {
 
 constexpr std::size_t kMB = 1024 * 1024;
+
+// A decision is a plain record: the producer is an op id, named
+// through the view the report was planned on, not a copied string.
+static_assert(std::is_trivially_copyable_v<ReliefDecision>);
+static_assert(sizeof(ReliefDecision) <= 72);
 
 /** Per-Strategy arrays are read by enumerator, never by position
  * (the PR 6 bug class; enforced repo-wide by pinpoint_analyze). */
@@ -205,7 +214,7 @@ TEST(StrategyPlanner, HybridPicksRecomputeWhenCheaperThanSwapStall)
     EXPECT_GT(swap_only.predicted_overhead, 100 * kNsPerMs);
     ASSERT_EQ(hybrid.decisions.size(), 1u);
     EXPECT_EQ(hybrid.decisions[0].mechanism, Mechanism::kRecompute);
-    EXPECT_EQ(hybrid.decisions[0].producer, "f.forward");
+    EXPECT_EQ(r.op_name(hybrid.decisions[0].producer), "f.forward");
     EXPECT_EQ(hybrid.predicted_overhead, kNsPerUs);
     EXPECT_EQ(hybrid.peak_reduction_bytes, 64 * kMB);
     EXPECT_GE(hybrid.peak_reduction_bytes,
@@ -412,9 +421,6 @@ void
 expect_same_schedule(const swap::LinkSchedule &a,
                      const swap::LinkSchedule &b)
 {
-    EXPECT_EQ(a.d2h_bytes, b.d2h_bytes);
-    EXPECT_EQ(a.h2d_bytes, b.h2d_bytes);
-    EXPECT_EQ(a.transfer_time, b.transfer_time);
     EXPECT_EQ(a.d2h_busy_time, b.d2h_busy_time);
     EXPECT_EQ(a.h2d_busy_time, b.h2d_busy_time);
     EXPECT_EQ(a.link_busy_fraction, b.link_busy_fraction);
@@ -423,8 +429,6 @@ expect_same_schedule(const swap::LinkSchedule &a,
     ASSERT_EQ(a.swaps.size(), b.swaps.size());
     for (std::size_t i = 0; i < a.swaps.size(); ++i) {
         SCOPED_TRACE(i);
-        EXPECT_EQ(a.swaps[i].block, b.swaps[i].block);
-        EXPECT_EQ(a.swaps[i].size, b.swaps[i].size);
         EXPECT_EQ(a.swaps[i].out_start, b.swaps[i].out_start);
         EXPECT_EQ(a.swaps[i].out_end, b.swaps[i].out_end);
         EXPECT_EQ(a.swaps[i].in_start, b.swaps[i].in_start);
@@ -448,12 +452,10 @@ expect_same_decisions(const std::vector<ReliefDecision> &a,
         EXPECT_EQ(a[i].size, b[i].size);
         EXPECT_EQ(a[i].gap_start, b[i].gap_start);
         EXPECT_EQ(a[i].gap_end, b[i].gap_end);
-        EXPECT_EQ(a[i].gap, b[i].gap);
         EXPECT_EQ(a[i].overhead, b[i].overhead);
         EXPECT_EQ(a[i].covers_peak, b[i].covers_peak);
         EXPECT_EQ(a[i].hide_ratio, b[i].hide_ratio);
         EXPECT_EQ(a[i].producer, b[i].producer);
-        EXPECT_EQ(a[i].recompute_cost, b[i].recompute_cost);
     }
 }
 
@@ -580,7 +582,6 @@ expect_same_leg(const swap::SwapDecision &a, const swap::SwapDecision &b)
     EXPECT_EQ(a.size, b.size);
     EXPECT_EQ(a.gap_start, b.gap_start);
     EXPECT_EQ(a.gap_end, b.gap_end);
-    EXPECT_EQ(a.gap, b.gap);
     EXPECT_EQ(a.hide_ratio, b.hide_ratio);
     EXPECT_EQ(a.overhead, b.overhead);
 }
@@ -734,7 +735,7 @@ TEST(StrategyPlanner, CombinedPeakMatchesTheOccupancyOracle)
                             {d.gap_start,
                              -static_cast<std::int64_t>(d.size)});
                         edges.push_back(
-                            {d.gap_end - d.recompute_cost,
+                            {d.gap_end - d.overhead,
                              static_cast<std::int64_t>(d.size)});
                         continue;
                     }
@@ -760,17 +761,20 @@ TEST(StrategyPlanner, CombinedPeakMatchesTheOccupancyOracle)
                           peer_legs.decisions.size());
                 legs_checked += swap_legs.decisions.size() +
                                 peer_legs.decisions.size();
-                for (const swap::LinkSchedule *leg :
-                     {&report.swap_schedule, &report.peer_schedule}) {
-                    for (const swap::ExecutedSwap &s : leg->swaps) {
+                const std::pair<const swap::LinkSchedule *,
+                                const swap::SwapPlanReport *>
+                    links[] = {{&report.swap_schedule, &swap_legs},
+                               {&report.peer_schedule, &peer_legs}};
+                for (const auto &[leg, plan] : links) {
+                    ASSERT_EQ(leg->swaps.size(), plan->decisions.size());
+                    for (std::size_t i = 0; i < leg->swaps.size(); ++i) {
+                        const swap::ExecutedSwap &s = leg->swaps[i];
+                        const auto size = static_cast<std::int64_t>(
+                            plan->decisions[i].size);
                         if (s.in_start <= s.out_end)
                             continue;
-                        edges.push_back(
-                            {s.out_end,
-                             -static_cast<std::int64_t>(s.size)});
-                        edges.push_back(
-                            {s.in_start,
-                             static_cast<std::int64_t>(s.size)});
+                        edges.push_back({s.out_end, -size});
+                        edges.push_back({s.in_start, size});
                     }
                 }
                 EXPECT_EQ(report.new_peak_bytes,
@@ -779,6 +783,50 @@ TEST(StrategyPlanner, CombinedPeakMatchesTheOccupancyOracle)
         }
         EXPECT_GT(legs_checked, 0u) << "no link leg was scheduled";
     }
+}
+
+/**
+ * A decision's producer is an id into its own view's name table. A
+ * training study and its CSV reload intern the op names in different
+ * orders, so naming a decision through the other study's view would
+ * print the wrong op; through its own, both name the same producer.
+ */
+TEST(StrategyPlanner, ProducersAreNamedThroughTheirOwnView)
+{
+    api::WorkloadSpec spec;
+    spec.model = "resnet18";
+    spec.batch = 16;
+    spec.iterations = 2;
+    api::StudyOptions options;
+    options.relief.min_block_bytes = 8 * kMB;
+    const api::Study live = api::Study::run(spec, options);
+    std::stringstream csv;
+    trace::write_csv(live.trace(), csv);
+    const api::Study reloaded = api::Study::from_trace(
+        trace::read_csv(csv), live.device(), options);
+
+    const ReliefReport &a = live.relief(Strategy::kRecomputeOnly);
+    const ReliefReport &b = reloaded.relief(Strategy::kRecomputeOnly);
+    ASSERT_EQ(a.decisions.size(), b.decisions.size());
+    ASSERT_GT(a.recompute_decisions, 0u);
+    std::size_t renumbered = 0;
+    for (std::size_t i = 0; i < a.decisions.size(); ++i) {
+        SCOPED_TRACE(i);
+        const ReliefDecision &x = a.decisions[i];
+        const ReliefDecision &y = b.decisions[i];
+        ASSERT_EQ(x.mechanism, Mechanism::kRecompute);
+        ASSERT_EQ(y.mechanism, Mechanism::kRecompute);
+        EXPECT_EQ(x.gap_start, y.gap_start);
+        EXPECT_EQ(x.overhead, y.overhead);
+        EXPECT_FALSE(live.view().op_name(x.producer).empty());
+        EXPECT_EQ(live.view().op_name(x.producer),
+                  reloaded.view().op_name(y.producer));
+        if (x.producer != y.producer)
+            ++renumbered;
+    }
+    EXPECT_GT(renumbered, 0u)
+        << "the two name tables agree, so naming through the wrong "
+           "view would pass unnoticed";
 }
 
 }  // namespace

@@ -57,14 +57,14 @@ TEST(SwapExecutor, HideableSwapReducesPeakWithNoStall)
     const auto exec = execute_plan(trace, plan, kLink);
     EXPECT_EQ(exec.swaps.size(), 1u);
     EXPECT_EQ(exec.measured_stall, 0u);
-    EXPECT_EQ(exec.original_peak_bytes, (512ull + 64ull) << 20);
+    EXPECT_EQ(plan.original_peak_bytes, (512ull + 64ull) << 20);
     // At the old peak instant the big block is off-device.
     EXPECT_EQ(exec.new_peak_bytes, 512ull << 20)
         << "peak moves to the big block's resident phase";
     EXPECT_EQ(exec.measured_peak_reduction, 64ull << 20);
-    EXPECT_EQ(exec.d2h_bytes, 512ull << 20);
-    EXPECT_EQ(exec.h2d_bytes, 512ull << 20);
-    EXPECT_GT(exec.transfer_time, 100 * kNsPerMs);
+    // The one leg moves its bytes out and back in.
+    EXPECT_EQ(plan.total_swapped_bytes, 512ull << 20);
+    EXPECT_GT(exec.d2h_busy_time + exec.h2d_busy_time, 100 * kNsPerMs);
 }
 
 TEST(SwapExecutor, ExecutorConfirmsPlannerPeakPrediction)
@@ -77,9 +77,9 @@ TEST(SwapExecutor, ExecutorConfirmsPlannerPeakPrediction)
     // The planner predicted reduction at the original peak instant;
     // the executor's measured reduction must be at least that once
     // transfer edges are accounted for.
-    EXPECT_EQ(plan.original_peak_bytes, exec.original_peak_bytes);
+    EXPECT_EQ(plan.original_peak_bytes, trace.timeline().peak_bytes());
     EXPECT_GE(exec.measured_peak_reduction, 0u);
-    EXPECT_LE(exec.new_peak_bytes, exec.original_peak_bytes);
+    EXPECT_LE(exec.new_peak_bytes, plan.original_peak_bytes);
 }
 
 TEST(SwapExecutor, NonHideableSwapMeasuresStall)
@@ -205,9 +205,9 @@ TEST(SwapExecutor, EmptyPlanChangesNothing)
     SwapPlanReport empty;
     const auto exec = execute_plan(trace, empty, kLink);
     EXPECT_EQ(exec.swaps.size(), 0u);
-    EXPECT_EQ(exec.new_peak_bytes, exec.original_peak_bytes);
+    EXPECT_EQ(exec.new_peak_bytes, trace.timeline().peak_bytes());
     EXPECT_EQ(exec.measured_peak_reduction, 0u);
-    EXPECT_EQ(exec.transfer_time, 0u);
+    EXPECT_EQ(exec.d2h_busy_time + exec.h2d_busy_time, 0u);
 }
 
 /** Expects executing @p d alone to throw an Error naming @p what. */
@@ -324,7 +324,6 @@ TEST(SwapExecutor, ShuffledPlanGetsTheSortedSchedule)
         SCOPED_TRACE(i);
         const ExecutedSwap &a = exec.swaps[i];
         const ExecutedSwap &b = sorted.swaps[from[i]];
-        EXPECT_EQ(a.block, b.block);
         EXPECT_EQ(a.out_start, b.out_start);
         EXPECT_EQ(a.out_end, b.out_end);
         EXPECT_EQ(a.in_start, b.in_start);
@@ -405,8 +404,11 @@ TEST(SwapExecutor, ResidencyEdgesAreASwapOutRunThenASwapInRun)
         if (!std::is_sorted(exec.h2d_order.begin(), exec.h2d_order.end()))
             ++reordered;
 
+        std::vector<const SwapDecision *> legs;
+        for (const SwapDecision &d : plan.decisions)
+            legs.push_back(&d);
         std::vector<analysis::OccupancyEdge> edges;
-        append_residency_edges(exec, edges);
+        append_residency_edges(exec, legs, edges);
         const std::size_t windows = static_cast<std::size_t>(
             std::count_if(exec.swaps.begin(), exec.swaps.end(),
                           [](const ExecutedSwap &s) {
@@ -434,6 +436,72 @@ TEST(SwapExecutor, ResidencyEdgesAreASwapOutRunThenASwapInRun)
     EXPECT_GT(reordered, 10u);
 }
 
+/**
+ * What the swap command prints about a schedule comes from the legs
+ * and the link: bytes moved are the plan's total each way, busy time
+ * is the two channels' sum, and each residency edge carries its
+ * leg's size. Checked on a link that already carries another plan's
+ * traffic, which the second schedule must not count.
+ */
+TEST(SwapExecutor, ScheduleTotalsComeFromTheLegsAndTheLink)
+{
+    const analysis::LinkBandwidth slow{1e10, 1e8};
+    std::mt19937_64 rng(7);
+    const trace::TraceRecorder r = random_gap_trace(rng);
+    const analysis::TraceView view(r);
+    PlannerOptions opts;
+    opts.link = slow;
+    opts.min_block_bytes = 0;
+    opts.allow_overhead = true;
+    const SwapPlanReport plan = SwapPlanner(opts).plan(view);
+    ASSERT_GT(plan.decisions.size(), 10u);
+
+    sim::LinkScheduler link(slow.d2h_bps, slow.h2d_bps);
+    const SwapExecutionResult first = execute_plan(view, plan, link);
+    const SwapExecutionResult exec = execute_plan(view, plan, link);
+    ASSERT_EQ(exec.swaps.size(), plan.decisions.size());
+    EXPECT_GT(exec.queue_delay, first.queue_delay)
+        << "the second plan must queue behind the first";
+
+    TimeNs busy = 0;
+    std::size_t bytes = 0;
+    std::vector<analysis::OccupancyEdge> expected =
+        test_support::sorted_edges_oracle(r);
+    for (std::size_t i = 0; i < exec.swaps.size(); ++i) {
+        const ExecutedSwap &s = exec.swaps[i];
+        const auto size =
+            static_cast<std::int64_t>(plan.decisions[i].size);
+        busy += (s.out_end - s.out_start) + (s.in_end - s.in_start);
+        bytes += plan.decisions[i].size;
+        if (s.in_start > s.out_end) {
+            expected.push_back({s.out_end, -size});
+            expected.push_back({s.in_start, size});
+        }
+    }
+    EXPECT_EQ(exec.d2h_busy_time + exec.h2d_busy_time, busy);
+    EXPECT_EQ(link.busy_time(sim::CopyDir::kDeviceToHost) +
+                  link.busy_time(sim::CopyDir::kHostToDevice),
+              first.d2h_busy_time + first.h2d_busy_time + busy);
+    EXPECT_EQ(plan.total_swapped_bytes, bytes);
+
+    std::vector<const SwapDecision *> legs;
+    for (const SwapDecision &d : plan.decisions)
+        legs.push_back(&d);
+    std::vector<analysis::OccupancyEdge> edges =
+        test_support::sorted_edges_oracle(r);
+    append_residency_edges(exec, legs, edges);
+    expected = test_support::sorted_edges(std::move(expected));
+    edges = test_support::sorted_edges(std::move(edges));
+    ASSERT_EQ(edges.size(), expected.size());
+    for (std::size_t i = 0; i < edges.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(edges[i].t, expected[i].t);
+        EXPECT_EQ(edges[i].delta, expected[i].delta);
+    }
+    EXPECT_EQ(exec.new_peak_bytes,
+              test_support::peak_occupancy(std::move(expected)));
+}
+
 TEST(SwapExecutor, EndToEndOnRealTrainingTrace)
 {
     runtime::SessionConfig config;
@@ -452,7 +520,7 @@ TEST(SwapExecutor, EndToEndOnRealTrainingTrace)
     // time spent queued.
     EXPECT_GE(exec.measured_stall, plan.predicted_overhead);
     EXPECT_LE(exec.measured_stall, exec.queue_delay);
-    EXPECT_LE(exec.new_peak_bytes, exec.original_peak_bytes);
+    EXPECT_LE(exec.new_peak_bytes, plan.original_peak_bytes);
     EXPECT_GE(exec.link_busy_fraction, 0.0);
     EXPECT_LE(exec.link_busy_fraction, 1.0);
     if (!plan.decisions.empty()) {

@@ -49,7 +49,7 @@ TEST(PlanExecuteAgreement, EveryZooModelRoundTrips)
         const auto exec =
             execute_plan(result.view(), plan, opts.link);
         ASSERT_EQ(exec.swaps.size(), plan.decisions.size());
-        EXPECT_LE(exec.new_peak_bytes, exec.original_peak_bytes);
+        EXPECT_LE(exec.new_peak_bytes, plan.original_peak_bytes);
 
         // Contended execution never under-reports the dedicated
         // model: hideable-only plans predicted zero overhead, so
