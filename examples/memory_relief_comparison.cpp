@@ -118,13 +118,15 @@ main()
             const auto &rep = reports[i];
             if (!rep.available)
                 continue;
+            const auto swapped =
+                relief::totals_of(rep, relief::Mechanism::kSwap);
+            const auto recomputed =
+                relief::totals_of(rep, relief::Mechanism::kRecompute);
             char note[96];
             std::snprintf(note, sizeof(note),
                           "%s moved, %s recomputed, +%s",
-                          format_bytes(rep.total_swapped_bytes)
-                              .c_str(),
-                          format_bytes(rep.total_recomputed_bytes)
-                              .c_str(),
+                          format_bytes(swapped.bytes).c_str(),
+                          format_bytes(recomputed.bytes).c_str(),
                           format_time(rep.measured_overhead).c_str());
             rows.push_back({kLabels[i], rep.new_peak_bytes,
                             study.result().iteration_time, note});

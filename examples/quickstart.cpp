@@ -41,9 +41,9 @@ main()
     // 3. Fig. 3: ATI distribution (ati facets).
     const auto &summary = study.ati_summary();
     std::printf("--- ATI distribution (Fig. 3) ---\n");
-    std::printf("count=%zu median=%.1fus p90=%.1fus p99=%.1fus\n\n",
+    std::printf("count=%zu median=%.1fus p90=%.1fus max=%.1fus\n\n",
                 summary.count, summary.median, summary.p90,
-                summary.p99);
+                summary.max);
 
     // 4. Figs. 5-7: occupation breakdown at peak (breakdown facet).
     const auto &breakdown = study.breakdown();

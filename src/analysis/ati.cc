@@ -4,6 +4,7 @@
 #include <map>
 
 #include "analysis/stats.h"
+#include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "core/format.h"
 #include "core/types.h"
@@ -11,6 +12,30 @@
 
 namespace pinpoint {
 namespace analysis {
+
+AtiStats
+ati_stats(const Timeline &timeline)
+{
+    std::size_t count = 0;
+    for (const BlockLifetime &b : timeline.blocks())
+        count += b.access_count > 0 ? b.access_count - 1 : 0;
+    AtiStats out;
+    if (count == 0)
+        return out;
+    std::vector<double> intervals;
+    intervals.reserve(count);
+    for (const BlockLifetime &b : timeline.blocks()) {
+        const AccessList accesses = timeline.accesses(b);
+        for (std::size_t k = 1; k < accesses.size(); ++k)
+            intervals.push_back(to_us(accesses[k] - accesses[k - 1]));
+    }
+    const std::vector<double> q = select_quantiles(intervals, {0.5, 0.9});
+    out.count = count;
+    out.median = q[0];
+    out.p90 = q[1];
+    out.max = *std::max_element(intervals.begin(), intervals.end());
+    return out;
+}
 
 std::vector<AtiSample>
 compute_atis(const TraceView &view, const AtiOptions &options)

@@ -45,7 +45,28 @@ struct AtiOptions {
     bool include_alloc_free = false;
 };
 
+class Timeline;
 class TraceView;
+
+/** The ATI statistics the report and the sweep print (Fig. 3). */
+struct AtiStats {
+    /** Number of ATI samples. */
+    std::size_t count = 0;
+    /** Median, 90th percentile and maximum, in microseconds; 0
+     * when there are no samples. */
+    double median = 0.0;
+    double p90 = 0.0;
+    double max = 0.0;
+};
+
+/**
+ * @return the ATI statistics of @p timeline's trace: the intervals
+ * are the consecutive differences of each lifetime's access list,
+ * the multiset compute_atis() yields (one chain per slot), and each
+ * field equals summarize(ati_microseconds(compute_atis(view)))'s
+ * bit for bit. No sample is built and nothing is fully sorted.
+ */
+AtiStats ati_stats(const Timeline &timeline);
 
 /**
  * Computes every ATI sample of @p view's trace, ordered by the

@@ -1,5 +1,9 @@
 #include "analysis/lifetime.h"
 
+#include <array>
+#include <cstddef>
+#include <vector>
+
 #include "analysis/stats.h"
 #include "analysis/timeline.h"
 #include "core/format.h"
@@ -13,27 +17,22 @@ lifetime_report(const Timeline &timeline)
 {
     LifetimeReport report;
     std::array<std::vector<double>, kNumCategories> lifetimes;
-    std::array<std::vector<double>, kNumCategories> accesses;
 
     for (const auto &b : timeline.blocks()) {
-        const int c = static_cast<int>(b.category);
-        accesses[static_cast<std::size_t>(c)].push_back(
-            static_cast<double>(b.access_count));
+        const auto c = static_cast<std::size_t>(b.category);
         if (!b.freed) {
-            ++report.by_category[static_cast<std::size_t>(c)].unfreed;
+            ++report.by_category[c].unfreed;
             continue;
         }
-        const double life = to_us(b.free_time - b.alloc_time);
-        lifetimes[static_cast<std::size_t>(c)].push_back(life);
+        lifetimes[c].push_back(to_us(b.free_time - b.alloc_time));
     }
 
-    for (int c = 0; c < kNumCategories; ++c) {
-        auto &cat = report.by_category[static_cast<std::size_t>(c)];
-        cat.blocks = lifetimes[static_cast<std::size_t>(c)].size();
-        cat.lifetime_us =
-            summarize(std::move(lifetimes[static_cast<std::size_t>(c)]));
-        cat.accesses =
-            summarize(std::move(accesses[static_cast<std::size_t>(c)]));
+    for (std::size_t c = 0; c < lifetimes.size(); ++c) {
+        auto &cat = report.by_category[c];
+        cat.blocks = lifetimes[c].size();
+        if (cat.blocks > 0)
+            cat.median_lifetime_us =
+                select_quantiles(lifetimes[c], {0.5})[0];
     }
     return report;
 }

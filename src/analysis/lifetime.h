@@ -9,8 +9,8 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 
-#include "analysis/stats.h"
 #include "analysis/timeline.h"
 #include "core/types.h"
 
@@ -23,10 +23,9 @@ struct CategoryLifetime {
     std::size_t blocks = 0;
     /** Blocks never freed inside the trace (persistent). */
     std::size_t unfreed = 0;
-    /** Lifetime summary in microseconds (freed blocks). */
-    SummaryStats lifetime_us;
-    /** Accesses per block. */
-    SummaryStats accesses;
+    /** Median lifetime of the freed blocks in microseconds (0 when
+     * none was freed). */
+    double median_lifetime_us = 0.0;
 };
 
 /** Per-category lifetime statistics of a trace. */

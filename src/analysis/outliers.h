@@ -27,6 +27,15 @@ struct OutlierCriteria {
 std::vector<AtiSample> sift_outliers(const std::vector<AtiSample> &atis,
                                      const OutlierCriteria &criteria);
 
+class TraceView;
+
+/**
+ * @return sift_outliers(compute_atis(@p view), @p criteria), from
+ * one walk over @p view that builds only the samples it returns.
+ */
+std::vector<AtiSample> sift_outliers(const TraceView &view,
+                                     const OutlierCriteria &criteria);
+
 /** An outlier annotated with its Eq. 1 swap headroom. */
 struct SwapCandidate {
     AtiSample sample;

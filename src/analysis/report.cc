@@ -9,7 +9,6 @@
 #include "analysis/iteration.h"
 #include "analysis/lifetime.h"
 #include "analysis/outliers.h"
-#include "analysis/stats.h"
 #include "analysis/swap_model.h"
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
@@ -61,11 +60,10 @@ write_report(const TraceView &view, std::ostream &os,
        << pattern.iterations << " iterations\n";
 
     heading(os, "access time intervals (Fig. 3)");
-    const auto atis = compute_atis(view);
-    if (atis.empty()) {
+    const AtiStats s = ati_stats(timeline);
+    if (s.count == 0) {
         os << "no ATI samples (trace too short)\n";
     } else {
-        const auto s = summarize(ati_microseconds(atis));
         os << s.count << " samples: median "
            << format_time(static_cast<TimeNs>(s.median * kNsPerUs))
            << ", p90 "
@@ -102,13 +100,13 @@ write_report(const TraceView &view, std::ostream &os,
         if (l.blocks > 0) {
             os << ", median life "
                << format_time(static_cast<TimeNs>(
-                      l.lifetime_us.median * kNsPerUs));
+                      l.median_lifetime_us * kNsPerUs));
         }
         os << "\n";
     }
 
     heading(os, "outliers & swap advice (Fig. 4, Eq. 1)");
-    const auto outliers = sift_outliers(atis, OutlierCriteria{});
+    const auto outliers = sift_outliers(view, OutlierCriteria{});
     if (outliers.empty()) {
         os << "no huge-ATI/huge-size outliers at the paper's "
               "thresholds (>0.8 s, >600 MB)\n";

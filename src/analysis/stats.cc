@@ -9,19 +9,42 @@ namespace pinpoint {
 namespace analysis {
 namespace {
 
+/**
+ * Where the p-quantile of n order statistics falls: between the
+ * lo-th and hi-th, frac of the way. The one place summarize() and
+ * select_quantiles() derive it, so their quantiles agree bit for bit.
+ */
+struct QuantilePos {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+
+    QuantilePos(std::size_t n, double p)
+    {
+        PP_CHECK(n > 0, "quantile of an empty sample");
+        PP_CHECK(p >= 0.0 && p <= 1.0, "quantile p out of [0,1]: " << p);
+        const double pos = p * static_cast<double>(n - 1);
+        lo = static_cast<std::size_t>(pos);
+        hi = std::min(lo + 1, n - 1);
+        frac = pos - static_cast<double>(lo);
+    }
+
+    /** @return the quantile from the lo-th and hi-th statistics. */
+    double
+    at(double a, double b) const
+    {
+        return a * (1.0 - frac) + b * frac;
+    }
+};
+
 /** Linear-interpolated quantile of a sorted sample. */
 double
 quantile_sorted(const std::vector<double> &sorted, double p)
 {
-    PP_CHECK(!sorted.empty(), "quantile of an empty sample");
-    PP_CHECK(p >= 0.0 && p <= 1.0, "quantile p out of [0,1]: " << p);
+    const QuantilePos q(sorted.size(), p);
     if (sorted.size() == 1)
         return sorted[0];
-    const double pos = p * static_cast<double>(sorted.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+    return q.at(sorted[q.lo], sorted[q.hi]);
 }
 
 }  // namespace
@@ -53,6 +76,39 @@ summarize(std::vector<double> values)
     s.p95 = quantile_sorted(values, 0.95);
     s.p99 = quantile_sorted(values, 0.99);
     return s;
+}
+
+std::vector<double>
+select_quantiles(std::vector<double> &values,
+                 std::initializer_list<double> ps)
+{
+    std::vector<double> out;
+    out.reserve(ps.size());
+    // values[0, placed) are the placed smallest elements, in no
+    // particular order: nothing from placed on is smaller.
+    std::size_t placed = 0;
+    for (double p : ps) {
+        const QuantilePos q(values.size(), p);
+        PP_CHECK(q.lo + 1 >= placed,
+                 "select_quantiles needs ascending p, got " << p);
+        if (values.size() == 1) {
+            out.push_back(values[0]);
+            continue;
+        }
+        const auto lo = values.begin() + static_cast<std::ptrdiff_t>(q.lo);
+        if (q.lo >= placed) {
+            std::nth_element(values.begin() +
+                                 static_cast<std::ptrdiff_t>(placed),
+                             lo, values.end());
+            placed = q.lo + 1;
+        }
+        // Everything above the lo-th statistic is no smaller than
+        // it, so the hi-th is their minimum.
+        const double b =
+            q.hi == q.lo ? *lo : *std::min_element(lo + 1, values.end());
+        out.push_back(q.at(*lo, b));
+    }
+    return out;
 }
 
 Cdf::Cdf(std::vector<double> values)

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstddef>
+#include <initializer_list>
 #include <vector>
 
 namespace pinpoint {
@@ -29,6 +30,19 @@ struct SummaryStats {
 
 /** @return summary statistics of @p values (may be unsorted). */
 SummaryStats summarize(std::vector<double> values);
+
+/**
+ * @return the quantiles of @p values at the ascending probabilities
+ * @p ps, each bit-identical to summarize()'s (linear interpolation
+ * between the order statistics around p * (n - 1)), found by
+ * selection instead of a full sort: one std::nth_element per
+ * quantile over the part of @p values the previous one left above
+ * it, plus a min over that part. Reorders @p values.
+ * @throws Error when @p values is empty or a p is outside [0, 1]
+ * or below its predecessor.
+ */
+std::vector<double> select_quantiles(std::vector<double> &values,
+                                     std::initializer_list<double> ps);
 
 /**
  * Empirical cumulative distribution function over a sample, the form

@@ -5,11 +5,9 @@
 #include "analysis/ati.h"
 #include "analysis/breakdown.h"
 #include "analysis/iteration.h"
-#include "analysis/stats.h"
 #include "analysis/timeline.h"
 #include "api/workload.h"
 #include "core/check.h"
-#include "core/format.h"
 #include "core/once.h"
 #include "relief/strategy_planner.h"
 #include "runtime/data_parallel.h"
@@ -34,7 +32,7 @@ struct Study::Facets {
     std::vector<analysis::AtiSample> atis;
 
     OnceFlag ati_summary_once;
-    analysis::SummaryStats ati_summary;
+    analysis::AtiStats ati_summary;
 
     OnceFlag breakdown_once;
     analysis::BreakdownResult breakdown;
@@ -180,25 +178,12 @@ Study::atis() const
     return facets_->atis;
 }
 
-const analysis::SummaryStats &
+const analysis::AtiStats &
 Study::ati_summary() const
 {
     facets_->ati_summary_once.call([&] {
-        // The intervals alone, as consecutive differences of each
-        // lifetime's access list: the same multiset compute_atis
-        // yields (one chain per slot), without building its samples.
-        const analysis::Timeline &timeline = result().view().timeline();
-        std::size_t count = 0;
-        for (const analysis::BlockLifetime &b : timeline.blocks())
-            count += b.access_count > 0 ? b.access_count - 1 : 0;
-        std::vector<double> intervals;
-        intervals.reserve(count);
-        for (const analysis::BlockLifetime &b : timeline.blocks()) {
-            const analysis::AccessList accesses = timeline.accesses(b);
-            for (std::size_t k = 1; k < accesses.size(); ++k)
-                intervals.push_back(to_us(accesses[k] - accesses[k - 1]));
-        }
-        facets_->ati_summary = analysis::summarize(std::move(intervals));
+        facets_->ati_summary =
+            analysis::ati_stats(result().view().timeline());
     });
     return facets_->ati_summary;
 }

@@ -39,7 +39,6 @@
 #include "analysis/ati.h"
 #include "analysis/breakdown.h"
 #include "analysis/iteration.h"
-#include "analysis/stats.h"
 #include "analysis/timeline.h"
 #include "api/workload.h"
 #include "core/types.h"
@@ -258,14 +257,14 @@ class Study
     const std::vector<analysis::AtiSample> &atis() const;
 
     /**
-     * @return summary statistics of the ATIs in microseconds, equal
-     * in every field to summarizing atis(): the intervals come from
-     * the view's shared Timeline, so the sample vector is never
-     * built for them.
+     * @return the ATI count, median, p90 and max in microseconds,
+     * equal to summarizing atis() in each of them
+     * (analysis::ati_stats): the intervals come from the view's
+     * shared Timeline, so the sample vector is never built for them.
      * @throws Error, as every Timeline-backed facet, when the trace
      * is inconsistent (e.g. a read before its block's malloc).
      */
-    const analysis::SummaryStats &ati_summary() const;
+    const analysis::AtiStats &ati_summary() const;
 
     /** @return the occupation breakdown at peak (Figs. 5-7). */
     const analysis::BreakdownResult &breakdown() const;

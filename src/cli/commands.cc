@@ -22,6 +22,7 @@
 #include "core/check.h"
 #include "core/format.h"
 #include "core/parse.h"
+#include "core/row_writer.h"
 #include "core/types.h"
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
@@ -222,26 +223,28 @@ write_swap_csv(const swap::SwapPlanReport &plan,
                const swap::SwapExecutionResult *exec,
                std::ostream &os)
 {
-    os << "block,tensor,size_bytes,gap_start_ns,gap_end_ns,gap_ns,"
-          "hide_ratio,predicted_overhead_ns";
+    RowWriter w(os);
+    w << "block,tensor,size_bytes,gap_start_ns,gap_end_ns,gap_ns,"
+         "hide_ratio,predicted_overhead_ns";
     if (exec)
-        os << ",out_start_ns,out_end_ns,in_start_ns,in_end_ns,"
-              "queue_delay_ns,measured_stall_ns";
-    os << "\n";
+        w << ",out_start_ns,out_end_ns,in_start_ns,in_end_ns,"
+             "queue_delay_ns,measured_stall_ns";
+    w << "\n";
     for (std::size_t i = 0; i < plan.decisions.size(); ++i) {
         const auto &d = plan.decisions[i];
-        os << d.block << ',' << d.tensor << ',' << d.size << ','
-           << d.gap_start << ',' << d.gap_end << ','
-           << d.gap_end - d.gap_start << ','
-           << format_fixed6(d.hide_ratio) << ',' << d.overhead;
+        w << d.block << ',' << d.tensor << ',' << d.size << ','
+          << d.gap_start << ',' << d.gap_end << ','
+          << d.gap_end - d.gap_start << ',' << Fixed6{d.hide_ratio}
+          << ',' << d.overhead;
         if (exec) {
             const auto &s = exec->swaps[i];
-            os << ',' << s.out_start << ',' << s.out_end << ','
-               << s.in_start << ',' << s.in_end << ','
-               << s.queue_delay << ',' << s.stall;
+            w << ',' << s.out_start << ',' << s.out_end << ','
+              << s.in_start << ',' << s.in_end << ',' << s.queue_delay
+              << ',' << s.stall;
         }
-        os << "\n";
+        w << "\n";
     }
+    w.flush();
 }
 
 /** Writes the plan (and measured execution, when present) as JSON. */
@@ -252,49 +255,51 @@ write_swap_json(const api::WorkloadSpec &spec,
                 const swap::SwapExecutionResult *exec,
                 std::ostream &os)
 {
-    os << "{\n  \"model\": \"" << trace::json_escape(spec.model)
-       << "\", \"batch\": " << spec.batch << ", \"device\": \""
-       << trace::json_escape(device.name) << "\",\n"
-       << "  \"plan\": {\"decisions\": " << plan.decisions.size()
-       << ", \"original_peak_bytes\": " << plan.original_peak_bytes
-       << ", \"peak_reduction_bytes\": " << plan.peak_reduction_bytes
-       << ", \"total_swapped_bytes\": " << plan.total_swapped_bytes
-       << ", \"predicted_overhead_ns\": " << plan.predicted_overhead
-       << "},\n  \"decisions\": [\n";
+    RowWriter w(os);
+    w << "{\n  \"model\": \"" << trace::json_escape(spec.model)
+      << "\", \"batch\": " << spec.batch << ", \"device\": \""
+      << trace::json_escape(device.name) << "\",\n"
+      << "  \"plan\": {\"decisions\": " << plan.decisions.size()
+      << ", \"original_peak_bytes\": " << plan.original_peak_bytes
+      << ", \"peak_reduction_bytes\": " << plan.peak_reduction_bytes
+      << ", \"total_swapped_bytes\": " << plan.total_swapped_bytes
+      << ", \"predicted_overhead_ns\": " << plan.predicted_overhead
+      << "},\n  \"decisions\": [\n";
     for (std::size_t i = 0; i < plan.decisions.size(); ++i) {
         const auto &d = plan.decisions[i];
-        os << "    {\"block\": " << d.block
-           << ", \"size_bytes\": " << d.size
-           << ", \"gap_start_ns\": " << d.gap_start
-           << ", \"gap_end_ns\": " << d.gap_end
-           << ", \"hide_ratio\": " << format_fixed6(d.hide_ratio)
-           << ", \"predicted_overhead_ns\": " << d.overhead;
+        w << "    {\"block\": " << d.block
+          << ", \"size_bytes\": " << d.size
+          << ", \"gap_start_ns\": " << d.gap_start
+          << ", \"gap_end_ns\": " << d.gap_end
+          << ", \"hide_ratio\": " << Fixed6{d.hide_ratio}
+          << ", \"predicted_overhead_ns\": " << d.overhead;
         if (exec) {
             const auto &s = exec->swaps[i];
-            os << ", \"out_start_ns\": " << s.out_start
-               << ", \"out_end_ns\": " << s.out_end
-               << ", \"in_start_ns\": " << s.in_start
-               << ", \"in_end_ns\": " << s.in_end
-               << ", \"queue_delay_ns\": " << s.queue_delay
-               << ", \"measured_stall_ns\": " << s.stall;
+            w << ", \"out_start_ns\": " << s.out_start
+              << ", \"out_end_ns\": " << s.out_end
+              << ", \"in_start_ns\": " << s.in_start
+              << ", \"in_end_ns\": " << s.in_end
+              << ", \"queue_delay_ns\": " << s.queue_delay
+              << ", \"measured_stall_ns\": " << s.stall;
         }
-        os << "}" << (i + 1 < plan.decisions.size() ? "," : "")
-           << "\n";
+        w << "}" << (i + 1 < plan.decisions.size() ? "," : "")
+          << "\n";
     }
-    os << "  ]";
+    w << "  ]";
     if (exec) {
-        os << ",\n  \"execution\": {\"new_peak_bytes\": "
-           << exec->new_peak_bytes
-           << ", \"measured_peak_reduction_bytes\": "
-           << exec->measured_peak_reduction
-           << ", \"measured_stall_ns\": " << exec->measured_stall
-           << ", \"queue_delay_ns\": " << exec->queue_delay
-           << ", \"d2h_busy_ns\": " << exec->d2h_busy_time
-           << ", \"h2d_busy_ns\": " << exec->h2d_busy_time
-           << ", \"link_busy_fraction\": "
-           << format_fixed6(exec->link_busy_fraction) << "}";
+        w << ",\n  \"execution\": {\"new_peak_bytes\": "
+          << exec->new_peak_bytes
+          << ", \"measured_peak_reduction_bytes\": "
+          << exec->measured_peak_reduction
+          << ", \"measured_stall_ns\": " << exec->measured_stall
+          << ", \"queue_delay_ns\": " << exec->queue_delay
+          << ", \"d2h_busy_ns\": " << exec->d2h_busy_time
+          << ", \"h2d_busy_ns\": " << exec->h2d_busy_time
+          << ", \"link_busy_fraction\": "
+          << Fixed6{exec->link_busy_fraction} << "}";
     }
-    os << "\n}\n";
+    w << "\n}\n";
+    w.flush();
 }
 
 int
@@ -384,20 +389,22 @@ void
 write_relief_csv(const analysis::TraceView &view,
                  const relief::ReliefReport &report, std::ostream &os)
 {
-    os << "mechanism,block,tensor,size_bytes,gap_start_ns,"
-          "gap_end_ns,gap_ns,overhead_ns,covers_peak,hide_ratio,"
-          "producer,recompute_cost_ns\n";
+    RowWriter w(os);
+    w << "mechanism,block,tensor,size_bytes,gap_start_ns,"
+         "gap_end_ns,gap_ns,overhead_ns,covers_peak,hide_ratio,"
+         "producer,recompute_cost_ns\n";
     for (const auto &d : report.decisions) {
-        os << relief::mechanism_name(d.mechanism) << ',' << d.block
-           << ',' << d.tensor << ',' << d.size << ',' << d.gap_start
-           << ',' << d.gap_end << ',' << d.gap_end - d.gap_start << ','
-           << d.overhead << ',' << (d.covers_peak ? 1 : 0) << ','
-           << format_fixed6(d.hide_ratio) << ','
-           << view.op_name(d.producer) << ','
-           << (d.mechanism == relief::Mechanism::kRecompute ? d.overhead
-                                                            : 0)
-           << "\n";
+        w << relief::mechanism_name(d.mechanism) << ',' << d.block
+          << ',' << d.tensor << ',' << d.size << ',' << d.gap_start
+          << ',' << d.gap_end << ',' << d.gap_end - d.gap_start << ','
+          << d.overhead << ',' << (d.covers_peak ? 1 : 0) << ','
+          << Fixed6{d.hide_ratio} << ',' << view.op_name(d.producer)
+          << ','
+          << (d.mechanism == relief::Mechanism::kRecompute ? d.overhead
+                                                           : 0)
+          << "\n";
     }
+    w.flush();
 }
 
 /** Writes the relief plan and its execution as JSON (planned on @p view). */
@@ -407,54 +414,65 @@ write_relief_json(const api::WorkloadSpec &spec,
                   const analysis::TraceView &view,
                   const relief::ReliefReport &report, std::ostream &os)
 {
-    os << "{\n  \"model\": \"" << trace::json_escape(spec.model)
-       << "\", \"batch\": " << spec.batch << ", \"device\": \""
-       << trace::json_escape(device.name) << "\", \"strategy\": \""
-       << relief::strategy_name(report.strategy) << "\",\n"
-       << "  \"plan\": {\"decisions\": " << report.decisions.size()
-       << ", \"swap_decisions\": " << report.swap_decisions
-       << ", \"recompute_decisions\": " << report.recompute_decisions
-       << ", \"peer_decisions\": " << report.peer_decisions
-       << ", \"original_peak_bytes\": " << report.original_peak_bytes
-       << ", \"peak_reduction_bytes\": "
-       << report.peak_reduction_bytes
-       << ", \"predicted_overhead_ns\": " << report.predicted_overhead
-       << "},\n  \"execution\": {\"new_peak_bytes\": "
-       << report.new_peak_bytes
-       << ", \"measured_peak_reduction_bytes\": "
-       << report.measured_peak_reduction
-       << ", \"measured_overhead_ns\": " << report.measured_overhead
-       << ", \"swap_stall_ns\": "
-       << report.swap_schedule.measured_stall
-       << ", \"peer_stall_ns\": "
-       << report.peer_schedule.measured_stall
-       << ", \"link_busy_fraction\": "
-       << format_fixed6(report.swap_schedule.link_busy_fraction)
-       << "},\n  \"decisions\": [\n";
+    using relief::Mechanism;
+    RowWriter w(os);
+    w << "{\n  \"model\": \"" << trace::json_escape(spec.model)
+      << "\", \"batch\": " << spec.batch << ", \"device\": \""
+      << trace::json_escape(device.name) << "\", \"strategy\": \""
+      << relief::strategy_name(report.strategy) << "\",\n"
+      << "  \"plan\": {\"decisions\": " << report.decisions.size()
+      << ", \"swap_decisions\": "
+      << relief::totals_of(report, Mechanism::kSwap).decisions
+      << ", \"recompute_decisions\": "
+      << relief::totals_of(report, Mechanism::kRecompute).decisions
+      << ", \"peer_decisions\": "
+      << relief::totals_of(report, Mechanism::kPeer).decisions
+      << ", \"original_peak_bytes\": " << report.original_peak_bytes
+      << ", \"peak_reduction_bytes\": "
+      << report.peak_reduction_bytes
+      << ", \"predicted_overhead_ns\": " << report.predicted_overhead
+      << "},\n  \"execution\": {\"new_peak_bytes\": "
+      << report.new_peak_bytes
+      << ", \"measured_peak_reduction_bytes\": "
+      << report.measured_peak_reduction
+      << ", \"measured_overhead_ns\": " << report.measured_overhead
+      << ", \"swap_stall_ns\": "
+      << report.swap_schedule.measured_stall
+      << ", \"peer_stall_ns\": "
+      << report.peer_schedule.measured_stall
+      << ", \"link_busy_fraction\": "
+      << Fixed6{report.swap_schedule.link_busy_fraction}
+      << "},\n  \"decisions\": [\n";
+    // Each producer name is escaped once, on its first recompute
+    // (the empty name stays empty).
+    std::vector<std::string> producers(view.op_count());
     for (std::size_t i = 0; i < report.decisions.size(); ++i) {
         const auto &d = report.decisions[i];
-        os << "    {\"mechanism\": \""
-           << relief::mechanism_name(d.mechanism)
-           << "\", \"block\": " << d.block
-           << ", \"size_bytes\": " << d.size
-           << ", \"gap_start_ns\": " << d.gap_start
-           << ", \"gap_end_ns\": " << d.gap_end
-           << ", \"overhead_ns\": " << d.overhead
-           << ", \"covers_peak\": "
-           << (d.covers_peak ? "true" : "false");
+        w << "    {\"mechanism\": \""
+          << relief::mechanism_name(d.mechanism)
+          << "\", \"block\": " << d.block
+          << ", \"size_bytes\": " << d.size
+          << ", \"gap_start_ns\": " << d.gap_start
+          << ", \"gap_end_ns\": " << d.gap_end
+          << ", \"overhead_ns\": " << d.overhead
+          << ", \"covers_peak\": "
+          << (d.covers_peak ? "true" : "false");
         // Swap and peer decisions are transfers (a hide ratio);
         // recompute decisions name the producer they re-run.
-        if (d.mechanism != relief::Mechanism::kRecompute)
-            os << ", \"hide_ratio\": "
-               << format_fixed6(d.hide_ratio);
-        else
-            os << ", \"producer\": \""
-               << trace::json_escape(view.op_name(d.producer))
-               << "\", \"recompute_cost_ns\": " << d.overhead;
-        os << "}" << (i + 1 < report.decisions.size() ? "," : "")
-           << "\n";
+        if (d.mechanism != Mechanism::kRecompute) {
+            w << ", \"hide_ratio\": " << Fixed6{d.hide_ratio};
+        } else {
+            std::string &name = producers[d.producer];
+            if (name.empty())
+                name = trace::json_escape(view.op_name(d.producer));
+            w << ", \"producer\": \"" << name
+              << "\", \"recompute_cost_ns\": " << d.overhead;
+        }
+        w << "}" << (i + 1 < report.decisions.size() ? "," : "")
+          << "\n";
     }
-    os << "  ]\n}\n";
+    w << "  ]\n}\n";
+    w.flush();
 }
 
 int
@@ -533,14 +551,20 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
                   << relief::strategy_name(strategy));
     const relief::ReliefReport &selected = *selected_report;
 
+    const relief::MechanismTotals swapped =
+        relief::totals_of(selected, relief::Mechanism::kSwap);
+    const relief::MechanismTotals recomputed =
+        relief::totals_of(selected, relief::Mechanism::kRecompute);
+    const relief::MechanismTotals to_peer =
+        relief::totals_of(selected, relief::Mechanism::kPeer);
     oprintf(io.out,
             "\nselected %s: %zu decisions (%zu swap, %zu "
             "recompute",
             relief::strategy_name(strategy),
-            selected.decisions.size(), selected.swap_decisions,
-            selected.recompute_decisions);
+            selected.decisions.size(), swapped.decisions,
+            recomputed.decisions);
     if (spec.devices > 1)
-        oprintf(io.out, ", %zu peer", selected.peer_decisions);
+        oprintf(io.out, ", %zu peer", to_peer.decisions);
     oprintf(io.out, ")\n");
     oprintf(io.out, "  original peak:      %s\n",
             format_bytes(selected.original_peak_bytes).c_str());
@@ -549,12 +573,12 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
     oprintf(io.out, "  new peak (sched.):  %s\n",
             format_bytes(selected.new_peak_bytes).c_str());
     oprintf(io.out, "  bytes swapped:      %s\n",
-            format_bytes(selected.total_swapped_bytes).c_str());
+            format_bytes(swapped.bytes).c_str());
     oprintf(io.out, "  bytes recomputed:   %s\n",
-            format_bytes(selected.total_recomputed_bytes).c_str());
+            format_bytes(recomputed.bytes).c_str());
     if (spec.devices > 1)
         oprintf(io.out, "  bytes to peer:      %s\n",
-                format_bytes(selected.total_peer_bytes).c_str());
+                format_bytes(to_peer.bytes).c_str());
     // Peer stall is 0 on single-device studies, so the sum prints
     // the same bytes there as the host-only stall always did.
     oprintf(io.out,

@@ -1,9 +1,11 @@
 #include "core/parse.h"
 
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cstdlib>
-#include <limits>
+#include <string_view>
+#include <system_error>
 
 #include "core/check.h"
 
@@ -11,24 +13,18 @@ namespace pinpoint {
 namespace {
 
 /**
- * Common strtoX wrapper: the token parses iff it is non-empty, the
- * converter consumed every character, and no range error occurred.
- * strtoX itself skips leading whitespace and accepts a '+' sign —
- * both are rejected up front so " 5" and "+5" fail like "5 " does
- * and the whole-token contract holds symmetrically.
+ * The whole-token integer parse: std::from_chars skips no space and
+ * takes no '+' (and no '-' for an unsigned T), and the token must
+ * be in range and used up.
  */
-template <typename T, typename Convert>
+template <typename T>
 bool
-parse_whole(const std::string &text, T &out, Convert convert)
+parse_whole_integer(std::string_view text, T &out)
 {
-    if (text.empty() ||
-        std::isspace(static_cast<unsigned char>(text.front())) ||
-        text.front() == '+')
-        return false;
-    errno = 0;
-    char *end = nullptr;
-    const auto value = convert(text.c_str(), &end);
-    if (errno == ERANGE || end != text.c_str() + text.size())
+    T value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (ec != std::errc() || ptr != end)
         return false;
     out = value;
     return true;
@@ -37,52 +33,40 @@ parse_whole(const std::string &text, T &out, Convert convert)
 }  // namespace
 
 bool
-parse_int64(const std::string &text, std::int64_t &out)
+parse_int64(std::string_view text, std::int64_t &out)
 {
-    long long value = 0;
-    if (!parse_whole(text, value, [](const char *s, char **end) {
-            return std::strtoll(s, end, 10);
-        }))
-        return false;
-    out = static_cast<std::int64_t>(value);
-    return true;
+    return parse_whole_integer(text, out);
 }
 
 bool
-parse_uint64(const std::string &text, std::uint64_t &out)
+parse_uint64(std::string_view text, std::uint64_t &out)
 {
-    // strtoull accepts a leading '-' and wraps the negation into
-    // the unsigned range; a trace field "-1" must fail, not parse
-    // as 2^64-1.
-    if (!text.empty() && text.front() == '-')
-        return false;
-    unsigned long long value = 0;
-    if (!parse_whole(text, value, [](const char *s, char **end) {
-            return std::strtoull(s, end, 10);
-        }))
-        return false;
-    out = static_cast<std::uint64_t>(value);
-    return true;
+    return parse_whole_integer(text, out);
 }
 
 bool
-parse_int(const std::string &text, int &out)
+parse_int(std::string_view text, int &out)
 {
-    std::int64_t value = 0;
-    if (!parse_int64(text, value) ||
-        value < std::numeric_limits<int>::min() ||
-        value > std::numeric_limits<int>::max())
-        return false;
-    out = static_cast<int>(value);
-    return true;
+    return parse_whole_integer(text, out);
 }
 
 bool
 parse_double(const std::string &text, double &out)
 {
-    return parse_whole(text, out, [](const char *s, char **end) {
-        return std::strtod(s, end);
-    });
+    // strtod skips leading space and takes a '+' sign: both are
+    // rejected up front, so " 5" and "+5" fail like "5 " does, as
+    // they do for the integer parses.
+    if (text.empty() ||
+        std::isspace(static_cast<unsigned char>(text.front())) ||
+        text.front() == '+')
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (errno == ERANGE || end != text.c_str() + text.size())
+        return false;
+    out = value;
+    return true;
 }
 
 bool

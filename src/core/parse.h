@@ -11,22 +11,26 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace pinpoint {
 
+// The integer parses take any contiguous text (a CSV field is a
+// view into its line) and convert with std::from_chars: no leading
+// space or '+', and no '-' for the unsigned one.
+
 /** @return true and sets @p out when @p text is a whole int64. */
-bool parse_int64(const std::string &text, std::int64_t &out);
+bool parse_int64(std::string_view text, std::int64_t &out);
 
 /**
- * @return true and sets @p out when @p text is a whole uint64.
- * Rejects '-' up front: strtoull would silently wrap "-1" to
- * 18446744073709551615.
+ * @return true and sets @p out when @p text is a whole uint64. "-1"
+ * fails; it never wraps to 18446744073709551615.
  */
-bool parse_uint64(const std::string &text, std::uint64_t &out);
+bool parse_uint64(std::string_view text, std::uint64_t &out);
 
 /** @return true and sets @p out when @p text is a whole int. */
-bool parse_int(const std::string &text, int &out);
+bool parse_int(std::string_view text, int &out);
 
 /** @return true and sets @p out when @p text is a whole double. */
 bool parse_double(const std::string &text, double &out);

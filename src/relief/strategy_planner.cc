@@ -336,21 +336,15 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
         const auto size = static_cast<std::int64_t>(d.size);
         switch (m) {
           case Mechanism::kSwap:
-            ++report.swap_decisions;
-            report.total_swapped_bytes += d.size;
             swap_legs.push_back(&d);
             break;
           case Mechanism::kRecompute:
             d.producer = ctx.producers[c.slot].op;
-            ++report.recompute_decisions;
-            report.total_recomputed_bytes += d.size;
             edges.push_back({d.gap_start, -size});
             recompute_ends.push_back({d.gap_end - d.overhead, size});
             report.measured_overhead += d.overhead;
             break;
           case Mechanism::kPeer:
-            ++report.peer_decisions;
-            report.total_peer_bytes += d.size;
             peer_legs.push_back(&d);
             break;
         }
@@ -438,6 +432,19 @@ mechanism_name(Mechanism m)
       case Mechanism::kPeer: return "peer";
     }
     return "unknown";
+}
+
+MechanismTotals
+totals_of(const ReliefReport &report, Mechanism m)
+{
+    MechanismTotals t;
+    for (const ReliefDecision &d : report.decisions) {
+        if (d.mechanism != m)
+            continue;
+        ++t.decisions;
+        t.bytes += d.size;
+    }
+    return t;
 }
 
 StrategyPlanner::StrategyPlanner(StrategyOptions options)

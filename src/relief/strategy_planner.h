@@ -171,16 +171,11 @@ struct ReliefReport {
      * strategy comparisons and "winner" aggregations must skip it.
      */
     bool available = true;
-    /** Selected decisions, in (gap_start, block) order. */
+    /**
+     * Selected decisions, in (gap_start, block) order; totals_of()
+     * counts them per mechanism.
+     */
     std::vector<ReliefDecision> decisions;
-    /** Decisions assigned to each mechanism. */
-    std::size_t swap_decisions = 0;
-    std::size_t recompute_decisions = 0;
-    std::size_t peer_decisions = 0;
-    /** Sum of sizes per mechanism. */
-    std::size_t total_swapped_bytes = 0;
-    std::size_t total_recomputed_bytes = 0;
-    std::size_t total_peer_bytes = 0;
     /** Peak live bytes of the original trace. */
     std::size_t original_peak_bytes = 0;
     /** Predicted bytes absent from the device at the peak instant. */
@@ -207,6 +202,15 @@ struct ReliefReport {
     /** Peer-link schedule of the peer-assigned decisions. */
     swap::LinkSchedule peer_schedule;
 };
+
+/** How many decisions of a plan one mechanism takes, and their bytes. */
+struct MechanismTotals {
+    std::size_t decisions = 0;
+    std::size_t bytes = 0;
+};
+
+/** @return the count and size sum of @p report's @p m decisions. */
+MechanismTotals totals_of(const ReliefReport &report, Mechanism m);
 
 /**
  * Plans relief strategies for recorded traces. Stateless and

@@ -1,14 +1,14 @@
 #include "trace/csv.h"
 
-#include <algorithm>
-#include <charconv>
+#include <array>
 #include <fstream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "core/check.h"
 #include "core/parse.h"
+#include "core/row_writer.h"
 #include "core/types.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
@@ -20,28 +20,29 @@ namespace {
 const char kHeader[] =
     "time_ns,kind,block,ptr,size,tensor,category,iteration,op_index,op";
 
+/** A trace row has this many comma-separated fields. */
+constexpr std::size_t kFields = 10;
+
 /**
- * Splits one CSV line into @p fields; the op field (last) may not
- * contain commas. @p fields is reused from line to line, so steady-
- * state splitting allocates nothing.
+ * Splits one CSV line into @p fields, views into @p line; the op
+ * field (last) may not contain commas.
+ * @return the line's field count, which may exceed kFields (only
+ * the first kFields are stored).
  */
-void
-split_line(const std::string &line, std::vector<std::string> &fields)
+std::size_t
+split_line(std::string_view line,
+           std::array<std::string_view, kFields> &fields)
 {
     std::size_t n = 0;
-    std::size_t start = 0;
     for (;;) {
-        const std::size_t comma = line.find(',', start);
-        const std::size_t end =
-            comma == std::string::npos ? line.size() : comma;
-        if (n == fields.size())
-            fields.emplace_back();
-        fields[n++].assign(line, start, end - start);
-        if (comma == std::string::npos)
-            break;
-        start = comma + 1;
+        const std::size_t comma = line.find(',');
+        if (n < kFields)
+            fields[n] = line.substr(0, comma);
+        ++n;
+        if (comma == std::string_view::npos)
+            return n;
+        line.remove_prefix(comma + 1);
     }
-    fields.resize(n);
 }
 
 /**
@@ -51,7 +52,7 @@ split_line(const std::string &line, std::vector<std::string> &fields)
  */
 template <typename Enum, typename NameFn>
 Enum
-parse_name_field(const std::string &text, int count, NameFn name,
+parse_name_field(std::string_view text, int count, NameFn name,
                  std::size_t lineno, const char *field)
 {
     for (int k = 0; k < count; ++k)
@@ -68,7 +69,7 @@ parse_name_field(const std::string &text, int count, NameFn name,
  * wrong data instead of failing the load.
  */
 std::uint64_t
-parse_u64_field(const std::string &text, std::size_t lineno,
+parse_u64_field(std::string_view text, std::size_t lineno,
                 const char *field)
 {
     std::uint64_t value = 0;
@@ -79,7 +80,7 @@ parse_u64_field(const std::string &text, std::size_t lineno,
 }
 
 std::uint32_t
-parse_u32_field(const std::string &text, std::size_t lineno,
+parse_u32_field(std::string_view text, std::size_t lineno,
                 const char *field)
 {
     const std::uint64_t value = parse_u64_field(text, lineno, field);
@@ -90,7 +91,7 @@ parse_u32_field(const std::string &text, std::size_t lineno,
 }
 
 std::int32_t
-parse_i32_field(const std::string &text, std::size_t lineno,
+parse_i32_field(std::string_view text, std::size_t lineno,
                 const char *field)
 {
     int value = 0;
@@ -100,74 +101,6 @@ parse_i32_field(const std::string &text, std::size_t lineno,
     return static_cast<std::int32_t>(value);
 }
 
-/**
- * Row formatter: fields are formatted with std::to_chars straight
- * into one buffer, and the buffer reaches the stream in large
- * chunks, not one insertion per field.
- */
-class RowWriter
-{
-  public:
-    explicit RowWriter(std::ostream &os) : os_(os), buf_(1 << 16)
-    {
-        pos_ = buf_.data();
-    }
-
-    /** Makes room for a row of up to @p bytes. */
-    void
-    reserve(std::size_t bytes)
-    {
-        if (static_cast<std::size_t>(buf_.data() + buf_.size() - pos_) >=
-            bytes)
-            return;
-        flush();
-        if (buf_.size() < bytes) {
-            buf_.resize(bytes);  // a row longer than the buffer
-            pos_ = buf_.data();
-        }
-    }
-
-    template <typename T>
-    void
-    num(T value)
-    {
-        pos_ = std::to_chars(pos_, buf_.data() + buf_.size(), value).ptr;
-    }
-
-    void
-    text(const std::string &s)
-    {
-        pos_ = std::copy(s.begin(), s.end(), pos_);
-    }
-
-    void
-    text(const char *s)
-    {
-        while (*s)
-            *pos_++ = *s++;
-    }
-
-    void put(char c) { *pos_++ = c; }
-
-    void
-    flush()
-    {
-        os_.write(buf_.data(), pos_ - buf_.data());
-        pos_ = buf_.data();
-    }
-
-  private:
-    std::ostream &os_;
-    std::vector<char> buf_;
-    char *pos_ = nullptr;
-};
-
-/**
- * Longest row without its op name: eight numbers of at most 20
- * characters, the kind and category names, ten separators.
- */
-constexpr std::size_t kMaxFixedRow = 8 * 20 + 2 * 16 + 10;
-
 }  // namespace
 
 void
@@ -175,35 +108,16 @@ write_csv(const TraceRecorder &recorder, std::ostream &os)
 {
     const std::vector<std::string> &names = recorder.op_names();
     RowWriter w(os);
-    w.reserve(sizeof kHeader);
-    w.text(kHeader);
-    w.put('\n');
+    w << kHeader << '\n';
     for (const auto &e : recorder.events()) {
-        const std::string &op = names[e.op];
-        w.reserve(kMaxFixedRow + op.size());
-        w.num(e.time);
-        w.put(',');
-        w.text(event_kind_name(e.kind));
-        w.put(',');
-        w.num(e.block);
-        w.put(',');
-        w.num(e.ptr);
-        w.put(',');
-        w.num(e.size);
-        w.put(',');
+        w << e.time << ',' << event_kind_name(e.kind) << ',' << e.block
+          << ',' << e.ptr << ',' << e.size << ',';
         if (e.tensor == kInvalidTensor)
-            w.put('-');
+            w << '-';
         else
-            w.num(e.tensor);
-        w.put(',');
-        w.text(category_name(e.category));
-        w.put(',');
-        w.num(e.iteration);
-        w.put(',');
-        w.num(e.op_index);
-        w.put(',');
-        w.text(op);
-        w.put('\n');
+            w << e.tensor;
+        w << ',' << category_name(e.category) << ',' << e.iteration
+          << ',' << e.op_index << ',' << names[e.op] << '\n';
     }
     w.flush();
 }
@@ -230,17 +144,18 @@ read_csv(std::istream &is)
              "unexpected trace header '" << line << "'");
 
     std::size_t lineno = 1;
-    std::vector<std::string> f;
+    std::array<std::string_view, kFields> f;
+    OpId op = 0;
     while (std::getline(is, line)) {
         ++lineno;
         if (!line.empty() && line.back() == '\r')
             line.pop_back();
         if (line.empty())
             continue;
-        split_line(line, f);
-        PP_CHECK(f.size() == 10,
-                 "line " << lineno << ": expected 10 fields, got "
-                         << f.size());
+        const std::size_t fields = split_line(line, f);
+        PP_CHECK(fields == kFields,
+                 "line " << lineno << ": expected " << kFields
+                         << " fields, got " << fields);
         MemoryEvent e;
         e.time = parse_u64_field(f[0], lineno, "time_ns");
         e.kind = parse_name_field<EventKind>(f[1], kNumEventKinds,
@@ -256,7 +171,11 @@ read_csv(std::istream &is)
             f[6], kNumCategories, category_name, lineno, "category");
         e.iteration = parse_u32_field(f[7], lineno, "iteration");
         e.op_index = parse_i32_field(f[8], lineno, "op_index");
-        e.op = recorder.intern(f[9]);
+        // Runs of rows share their op (an op's reads, writes and
+        // frees follow one another): intern only a new name.
+        if (f[9] != recorder.op_name(op))
+            op = recorder.intern(f[9]);
+        e.op = op;
         recorder.record(e);
     }
     return recorder;

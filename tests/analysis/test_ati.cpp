@@ -1,8 +1,14 @@
 /** @file Unit tests for ATI extraction. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "analysis/ati.h"
+#include "analysis/stats.h"
+#include "analysis/timeline.h"
 #include "analysis/trace_view.h"
+#include "support/random_trace.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -124,6 +130,60 @@ TEST(Ati, EmptyTraceYieldsNoSamples)
 {
     trace::TraceRecorder r;
     EXPECT_TRUE(compute_atis(TraceView(r)).empty());
+}
+
+/** Expects ati_stats of @p r equal to summarizing its samples. */
+void
+expect_stats_match_samples(const trace::TraceRecorder &r)
+{
+    const TraceView view(r);
+    const AtiStats got = ati_stats(view.timeline());
+    const SummaryStats want =
+        summarize(ati_microseconds(compute_atis(view)));
+    EXPECT_EQ(got.count, want.count);
+    EXPECT_EQ(got.median, want.median);
+    EXPECT_EQ(got.p90, want.p90);
+    EXPECT_EQ(got.max, want.max);
+}
+
+TEST(Ati, StatsOfNoOneAndTwoSamples)
+{
+    trace::TraceRecorder none;
+    none.record(ev(0, trace::EventKind::kMalloc, 1));
+    none.record(ev(10, trace::EventKind::kWrite, 1));
+    none.record(ev(20, trace::EventKind::kFree, 1));
+    expect_stats_match_samples(none);
+    EXPECT_EQ(ati_stats(TraceView(none).timeline()).count, 0u);
+
+    trace::TraceRecorder one = none;
+    one.record(ev(30, trace::EventKind::kMalloc, 2));
+    one.record(ev(40, trace::EventKind::kWrite, 2));
+    one.record(ev(1040, trace::EventKind::kRead, 2));
+    expect_stats_match_samples(one);
+    const AtiStats s = ati_stats(TraceView(one).timeline());
+    EXPECT_EQ(s.count, 1u);
+    EXPECT_EQ(s.median, 1.0);
+    EXPECT_EQ(s.max, 1.0);
+
+    trace::TraceRecorder two = one;
+    two.record(ev(4040, trace::EventKind::kRead, 2));
+    expect_stats_match_samples(two);
+    // An even count interpolates: (1 us + 3 us) / 2.
+    EXPECT_EQ(ati_stats(TraceView(two).timeline()).median, 2.0);
+}
+
+TEST(Ati, StatsMatchSummarizingRandomTraces)
+{
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        SCOPED_TRACE(seed);
+        // Short traces give a handful of samples (odd and even
+        // counts), long ones thousands; a 1 ns tick makes most
+        // intervals tie.
+        const std::size_t steps = seed % 3 == 0 ? 2000 : 5 + seed;
+        const TimeNs tick = seed % 2 ? 1 : 977;
+        expect_stats_match_samples(
+            test_support::random_trace(seed, steps, {256, 4096}, tick));
+    }
 }
 
 TEST(Ati, AttributionGroupsByOpPrefix)

@@ -27,7 +27,7 @@ TEST(Lifetime, SplitsByCategory)
     // Parameter: lives to the end (persistent).
     r.record(ev(0, trace::EventKind::kMalloc, 1, 100,
                 Category::kParameter));
-    // Intermediate: 40 us life, 2 accesses.
+    // Intermediate: 40 us life.
     r.record(ev(10 * kNsPerUs, trace::EventKind::kMalloc, 2, 200,
                 Category::kIntermediate));
     r.record(ev(20 * kNsPerUs, trace::EventKind::kWrite, 2, 200,
@@ -52,11 +52,10 @@ TEST(Lifetime, SplitsByCategory)
 
     const auto &interm = report.of(Category::kIntermediate);
     EXPECT_EQ(interm.blocks, 1u);
-    EXPECT_DOUBLE_EQ(interm.lifetime_us.median, 40.0);
-    EXPECT_DOUBLE_EQ(interm.accesses.median, 2.0);
+    EXPECT_DOUBLE_EQ(interm.median_lifetime_us, 40.0);
 
     const auto &input = report.of(Category::kInput);
-    EXPECT_DOUBLE_EQ(input.lifetime_us.median, 100.0);
+    EXPECT_DOUBLE_EQ(input.median_lifetime_us, 100.0);
 }
 
 TEST(Lifetime, EmptyTimeline)

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 #include "analysis/stats.h"
 #include "core/check.h"
@@ -31,6 +34,46 @@ TEST(Summarize, EmptyAndSingleton)
     EXPECT_DOUBLE_EQ(s.median, 7.5);
     EXPECT_DOUBLE_EQ(s.stddev, 0.0);
     EXPECT_DOUBLE_EQ(s.p99, 7.5);
+}
+
+TEST(SelectQuantiles, MatchesSummarizeBitForBit)
+{
+    // Odd and even counts from 1 up, samples with few distinct
+    // values (long runs of ties) and with many.
+    std::mt19937_64 rng(0x5e1ec7);
+    for (int round = 0; round < 400; ++round) {
+        const std::size_t n = 1 + rng() % 65;
+        const std::uint64_t distinct = round % 2 ? 1 + rng() % 4 : 1u << 30;
+        std::vector<double> values;
+        for (std::size_t i = 0; i < n; ++i)
+            values.push_back(static_cast<double>(rng() % distinct) / 7.0);
+        SCOPED_TRACE(::testing::Message() << "round " << round << ", n "
+                                          << n);
+        const SummaryStats want = summarize(values);
+        const std::vector<double> got = select_quantiles(
+            values, {0.0, 0.25, 0.5, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0});
+        ASSERT_EQ(got.size(), 9u);
+        EXPECT_EQ(got[0], want.min);
+        EXPECT_EQ(got[1], want.p25);
+        EXPECT_EQ(got[2], want.median);
+        EXPECT_EQ(got[3], want.median);
+        EXPECT_EQ(got[4], want.p75);
+        EXPECT_EQ(got[5], want.p90);
+        EXPECT_EQ(got[6], want.p95);
+        EXPECT_EQ(got[7], want.p99);
+        EXPECT_EQ(got[8], want.max);
+        // Selection only reorders the sample.
+        EXPECT_EQ(summarize(values).mean, want.mean);
+    }
+}
+
+TEST(SelectQuantiles, RejectsEmptySamplesAndDescendingP)
+{
+    std::vector<double> empty;
+    EXPECT_THROW(select_quantiles(empty, {0.5}), Error);
+    std::vector<double> values = {3.0, 1.0, 2.0, 5.0, 4.0};
+    EXPECT_THROW(select_quantiles(values, {0.9, 0.1}), Error);
+    EXPECT_THROW(select_quantiles(values, {1.5}), Error);
 }
 
 TEST(Cdf, FractionBelowCountsInclusive)

@@ -159,7 +159,7 @@ TEST(RecomputeRelief, PlansGapAtMeasuredForwardCost)
     EXPECT_EQ(trace.op_name(d.producer), "conv1.forward");
     EXPECT_EQ(d.overhead, 100u);
     EXPECT_EQ(plan.predicted_overhead, 100u);
-    EXPECT_EQ(plan.total_recomputed_bytes, 64 * kMB);
+    EXPECT_EQ(totals_of(plan, Mechanism::kRecompute).bytes, 64 * kMB);
 }
 
 TEST(RecomputeRelief, ZeroGapProducesNoDecision)

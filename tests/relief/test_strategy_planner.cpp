@@ -184,10 +184,11 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
     EXPECT_EQ(d.overhead, 0);
     EXPECT_EQ(peer_only.predicted_overhead, 0);
     EXPECT_EQ(peer_only.peak_reduction_bytes, 64 * kMB);
-    EXPECT_EQ(peer_only.peer_decisions, 1u);
-    EXPECT_EQ(peer_only.total_peer_bytes, 64 * kMB);
-    EXPECT_EQ(peer_only.swap_decisions, 0u);
-    EXPECT_EQ(peer_only.recompute_decisions, 0u);
+    EXPECT_EQ(totals_of(peer_only, Mechanism::kPeer).decisions, 1u);
+    EXPECT_EQ(totals_of(peer_only, Mechanism::kPeer).bytes, 64 * kMB);
+    EXPECT_EQ(totals_of(peer_only, Mechanism::kSwap).decisions, 0u);
+    EXPECT_EQ(totals_of(peer_only, Mechanism::kRecompute).decisions,
+              0u);
     // The peer legs run on the peer link's executor, not the host's.
     EXPECT_EQ(peer_only.swap_schedule.swaps.size(), 0u);
     EXPECT_EQ(peer_only.peer_schedule.swaps.size(), 1u);
@@ -270,7 +271,11 @@ TEST(StrategyPlanner, ReportAccountingIsConsistent)
     StrategyPlanner planner(slow_link_options());
     const analysis::TraceView view(recompute_cheaper_trace());
     const auto rep = planner.plan_all(view)[at(Strategy::kHybrid)];
-    EXPECT_EQ(rep.swap_decisions + rep.recompute_decisions,
+    const MechanismTotals swaps = totals_of(rep, Mechanism::kSwap);
+    const MechanismTotals recomputes =
+        totals_of(rep, Mechanism::kRecompute);
+    EXPECT_GT(recomputes.decisions, 0u);
+    EXPECT_EQ(swaps.decisions + recomputes.decisions,
               rep.decisions.size());
     std::size_t swapped = 0, recomputed = 0;
     TimeNs overhead = 0;
@@ -279,8 +284,8 @@ TEST(StrategyPlanner, ReportAccountingIsConsistent)
             d.size;
         overhead += d.overhead;
     }
-    EXPECT_EQ(swapped, rep.total_swapped_bytes);
-    EXPECT_EQ(recomputed, rep.total_recomputed_bytes);
+    EXPECT_EQ(swapped, swaps.bytes);
+    EXPECT_EQ(recomputed, recomputes.bytes);
     EXPECT_EQ(overhead, rep.predicted_overhead);
     // Bytes absent at the original peak instant bound the global
     // peak drop: relieving the peak can surface a second ridge
@@ -392,16 +397,21 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
                        "without a measured overhead advantage";
             }
             // Pure plans only touch their own mechanism and link.
-            EXPECT_EQ(rec_only.swap_decisions, 0u);
-            EXPECT_EQ(rec_only.peer_decisions, 0u);
+            EXPECT_EQ(totals_of(rec_only, Mechanism::kSwap).decisions,
+                      0u);
+            EXPECT_EQ(totals_of(rec_only, Mechanism::kPeer).decisions,
+                      0u);
             EXPECT_EQ(
                 rec_only.swap_schedule.swaps.size(), 0u);
-            EXPECT_EQ(peer_only.swap_decisions, 0u);
-            EXPECT_EQ(peer_only.recompute_decisions, 0u);
+            EXPECT_EQ(totals_of(peer_only, Mechanism::kSwap).decisions,
+                      0u);
+            EXPECT_EQ(
+                totals_of(peer_only, Mechanism::kRecompute).decisions,
+                0u);
             EXPECT_EQ(
                 peer_only.swap_schedule.swaps.size(), 0u);
             EXPECT_EQ(peer_only.peer_schedule.swaps.size(),
-                      peer_only.peer_decisions);
+                      totals_of(peer_only, Mechanism::kPeer).decisions);
             // Swap legs are link-scheduled: contention can only add
             // stall beyond the per-decision prediction.
             TimeNs swap_leg_overhead = 0;
@@ -465,12 +475,6 @@ expect_same_report(const ReliefReport &a, const ReliefReport &b)
 {
     EXPECT_EQ(a.available, b.available);
     expect_same_decisions(a.decisions, b.decisions);
-    EXPECT_EQ(a.swap_decisions, b.swap_decisions);
-    EXPECT_EQ(a.recompute_decisions, b.recompute_decisions);
-    EXPECT_EQ(a.peer_decisions, b.peer_decisions);
-    EXPECT_EQ(a.total_swapped_bytes, b.total_swapped_bytes);
-    EXPECT_EQ(a.total_recomputed_bytes, b.total_recomputed_bytes);
-    EXPECT_EQ(a.total_peer_bytes, b.total_peer_bytes);
     EXPECT_EQ(a.original_peak_bytes, b.original_peak_bytes);
     EXPECT_EQ(a.peak_reduction_bytes, b.peak_reduction_bytes);
     EXPECT_EQ(a.predicted_overhead, b.predicted_overhead);
@@ -652,7 +656,7 @@ TEST(StrategyPlanner, ZeroBudgetSwapsHonourTheSafetyFactor)
                 expect_same_leg(plan.decisions[i],
                                 reference.decisions[i]);
             }
-            EXPECT_EQ(plan.total_swapped_bytes,
+            EXPECT_EQ(totals_of(plan, Mechanism::kSwap).bytes,
                       reference.total_swapped_bytes);
             EXPECT_EQ(plan.peak_reduction_bytes,
                       reference.peak_reduction_bytes);
@@ -808,7 +812,7 @@ TEST(StrategyPlanner, ProducersAreNamedThroughTheirOwnView)
     const ReliefReport &a = live.relief(Strategy::kRecomputeOnly);
     const ReliefReport &b = reloaded.relief(Strategy::kRecomputeOnly);
     ASSERT_EQ(a.decisions.size(), b.decisions.size());
-    ASSERT_GT(a.recompute_decisions, 0u);
+    ASSERT_GT(totals_of(a, Mechanism::kRecompute).decisions, 0u);
     std::size_t renumbered = 0;
     for (std::size_t i = 0; i < a.decisions.size(); ++i) {
         SCOPED_TRACE(i);

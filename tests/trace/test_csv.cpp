@@ -127,6 +127,52 @@ TEST(TraceCsv, RejectsMalformedRows)
     EXPECT_THROW(read_csv(bad_kind), Error);
 }
 
+/** @return the read_csv error for one data row, or "no error". */
+std::string
+csv_row_error(const std::string &row)
+{
+    std::stringstream ss(
+        "time_ns,kind,block,ptr,size,tensor,category,iteration,"
+        "op_index,op\n" +
+        row + "\n");
+    try {
+        read_csv(ss);
+    } catch (const Error &e) {
+        return e.what();
+    }
+    return "no error";
+}
+
+TEST(TraceCsv, RejectsEveryMalformedNumber)
+{
+    EXPECT_EQ(csv_row_error("1,malloc,2,3,4,5,parameter,0,-1,x"),
+              "no error");
+    // One bad token per numeric field, each named in the error.
+    const struct {
+        const char *row;
+        const char *field;
+    } cases[] = {
+        {"abc,malloc,2,3,4,5,parameter,0,-1,x", "time_ns 'abc'"},
+        {"+1,malloc,2,3,4,5,parameter,0,-1,x", "time_ns '+1'"},
+        {"1,malloc, 2,3,4,5,parameter,0,-1,x", "block ' 2'"},
+        {"1,malloc,2,-3,4,5,parameter,0,-1,x", "ptr '-3'"},
+        {"1,malloc,2,3,4 ,5,parameter,0,-1,x", "size '4 '"},
+        {"1,malloc,2,3,4,12abc,parameter,0,-1,x", "tensor '12abc'"},
+        {"1,malloc,2,3,4,5,parameter,4294967296,-1,x",
+         "iteration '4294967296' out of range"},
+        {"1,malloc,2,3,4,5,parameter,0,2147483648,x",
+         "op_index '2147483648'"},
+        {"18446744073709551616,malloc,2,3,4,5,parameter,0,-1,x",
+         "time_ns '18446744073709551616'"},
+    };
+    for (const auto &c : cases) {
+        SCOPED_TRACE(c.row);
+        const std::string error = csv_row_error(c.row);
+        EXPECT_NE(error.find("line 2"), std::string::npos) << error;
+        EXPECT_NE(error.find(c.field), std::string::npos) << error;
+    }
+}
+
 TEST(TraceCsv, RoundTripsExtremeValues)
 {
     constexpr std::uint64_t kMax =
@@ -178,6 +224,31 @@ TEST(TraceCsv, RoundTripsExtremeValues)
         EXPECT_EQ(a.op_index, b.op_index);
         EXPECT_EQ(original.op_name(a.op), parsed.op_name(b.op));
     }
+}
+
+TEST(TraceCsv, RoundTripsAnOpNameLongerThanTheWriteBuffer)
+{
+    // The writer buffers 64 KiB at a time; a longer field is written
+    // whole, between the buffered fields around it.
+    TraceRecorder original = sample_trace();
+    MemoryEvent e = original.events()[original.size() - 1];
+    e.time += 1;
+    e.kind = EventKind::kMalloc;
+    e.block = 4;
+    const std::string name(100000, 'n');
+    e.op = original.intern(name);
+    original.record(e);
+
+    std::stringstream ss;
+    write_csv(original, ss);
+    const TraceRecorder parsed = read_csv(ss);
+    ASSERT_EQ(parsed.size(), original.size());
+    EXPECT_EQ(parsed.op_name(parsed.events()[original.size() - 1].op),
+              name);
+    EXPECT_EQ(parsed.events()[original.size() - 1].time, e.time);
+    std::stringstream again;
+    write_csv(parsed, again);
+    EXPECT_EQ(again.str(), ss.str());
 }
 
 TEST(TraceCsv, NameErrorsReportTheLine)
