@@ -7,9 +7,41 @@
 #include "sim/cost_model.h"
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 namespace pinpoint {
 namespace alloc {
+namespace {
+
+using FreeList = std::vector<std::size_t>;
+
+/** @return where @p offset is, or would go, in descending @p fl. */
+FreeList::iterator
+position(FreeList &fl, std::size_t offset)
+{
+    return std::lower_bound(fl.begin(), fl.end(), offset,
+                            std::greater<>());
+}
+
+void
+insert_free(FreeList &fl, std::size_t offset)
+{
+    fl.insert(position(fl, offset), offset);
+}
+
+/** Removes @p offset from @p fl; @return whether it was there. */
+bool
+erase_free(FreeList &fl, std::size_t offset)
+{
+    const auto it = position(fl, offset);
+    if (it == fl.end() || *it != offset)
+        return false;
+    fl.erase(it);
+    return true;
+}
+
+}  // namespace
 
 std::size_t
 BuddyAllocator::round_pow2(std::size_t bytes)
@@ -49,7 +81,7 @@ BuddyAllocator::BuddyAllocator(DeviceMemory &device,
     stats_.peak_reserved_bytes = arena_size_;
 
     free_lists_.resize(static_cast<std::size_t>(max_order_) + 1);
-    free_lists_[static_cast<std::size_t>(max_order_)].insert(0);
+    free_lists_[static_cast<std::size_t>(max_order_)].push_back(0);
 }
 
 BuddyAllocator::~BuddyAllocator()
@@ -101,13 +133,13 @@ BuddyAllocator::allocate(std::size_t bytes)
     }
 
     auto &from = free_lists_[static_cast<std::size_t>(found)];
-    std::size_t offset = *from.begin();
-    from.erase(from.begin());
+    const std::size_t offset = from.back();
+    from.pop_back();
     // Split down to the requested order, freeing the upper halves.
     for (int o = found; o > order; --o) {
         const std::size_t half = std::size_t(1) << (o - 1);
-        free_lists_[static_cast<std::size_t>(o - 1)].insert(offset +
-                                                            half);
+        insert_free(free_lists_[static_cast<std::size_t>(o - 1)],
+                    offset + half);
         ++stats_.split_count;
     }
 
@@ -141,16 +173,14 @@ BuddyAllocator::deallocate(BlockId id)
     while (order < max_order_) {
         const std::size_t buddy =
             offset ^ (std::size_t(1) << order);
-        auto &fl = free_lists_[static_cast<std::size_t>(order)];
-        auto bit = fl.find(buddy);
-        if (bit == fl.end())
+        if (!erase_free(free_lists_[static_cast<std::size_t>(order)],
+                        buddy))
             break;
-        fl.erase(bit);
         offset = std::min(offset, buddy);
         ++order;
         ++stats_.merge_count;
     }
-    free_lists_[static_cast<std::size_t>(order)].insert(offset);
+    insert_free(free_lists_[static_cast<std::size_t>(order)], offset);
 
     stats_.allocated_bytes -= size;
     ++stats_.free_count;
@@ -167,6 +197,10 @@ BuddyAllocator::check_invariants() const
     for (int o = kMinOrder; o <= max_order_; ++o) {
         const auto &fl = free_lists_[static_cast<std::size_t>(o)];
         const std::size_t size = std::size_t(1) << o;
+        PP_ASSERT(std::adjacent_find(fl.begin(), fl.end(),
+                                     std::less_equal<>()) == fl.end(),
+                  "free list at order " << o
+                                        << " is not strictly descending");
         for (std::size_t offset : fl) {
             PP_ASSERT(offset % size == 0,
                       "misaligned free block at order " << o);
@@ -174,7 +208,8 @@ BuddyAllocator::check_invariants() const
                       "free block escapes the arena");
             if (o < max_order_) {
                 const std::size_t buddy = offset ^ size;
-                PP_ASSERT(!fl.count(buddy),
+                PP_ASSERT(!std::binary_search(fl.begin(), fl.end(),
+                                              buddy, std::greater<>()),
                           "unmerged free buddies at order " << o);
             }
             free_bytes += size;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <set>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -85,8 +84,11 @@ class BuddyAllocator : public Allocator
     std::size_t arena_size_ = 0;
     int max_order_ = 0;
 
-    /** Free block offsets per order. */
-    std::vector<std::set<std::size_t>> free_lists_;
+    /**
+     * Free block offsets per order, each list in descending order,
+     * so the lowest offset, the one allocate() takes, is its back.
+     */
+    std::vector<std::vector<std::size_t>> free_lists_;
     /** Arena placement of one block; order < 0 once freed. */
     struct Placement {
         std::size_t offset = 0;

@@ -68,14 +68,12 @@ CachingAllocator::pool_of(const Node &node) const
 CachingAllocator::Node *
 CachingAllocator::take_free_node(Pool &pool, std::size_t rounded)
 {
-    Node key;
-    key.size = rounded;
-    key.ptr = 0;
-    auto it = pool.lower_bound(&key);
+    const auto it = std::lower_bound(pool.begin(), pool.end(),
+                                     PoolEntry{rounded, 0, nullptr});
     if (it == pool.end())
         return nullptr;
-    Node *node = *it;
-    spare_pool_nodes_.push_back(pool.extract(it));
+    Node *node = it->node;
+    pool.erase(it);
     return node;
 }
 
@@ -83,20 +81,31 @@ void
 CachingAllocator::pool_insert(Node *node)
 {
     Pool &pool = pool_of(*node);
-    if (spare_pool_nodes_.empty()) {
-        pool.insert(node);
-        return;
-    }
-    Pool::node_type handle = std::move(spare_pool_nodes_.back());
-    spare_pool_nodes_.pop_back();
-    handle.value() = node;
-    pool.insert(std::move(handle));
+    const PoolEntry entry{node->size, node->ptr, node};
+    pool.insert(std::lower_bound(pool.begin(), pool.end(), entry),
+                entry);
 }
 
 void
 CachingAllocator::pool_erase(Node *node)
 {
-    spare_pool_nodes_.push_back(pool_of(*node).extract(node));
+    Pool &pool = pool_of(*node);
+    const auto it = std::lower_bound(pool.begin(), pool.end(),
+                                     PoolEntry{node->size, node->ptr,
+                                               node});
+    PP_ASSERT(it != pool.end() && it->node == node,
+              "erasing a node that is not pooled");
+    pool.erase(it);
+}
+
+bool
+CachingAllocator::pooled(const Node &node) const
+{
+    const Pool &pool = pool_of(node);
+    const auto it = std::lower_bound(pool.begin(), pool.end(),
+                                     PoolEntry{node.size, node.ptr,
+                                               nullptr});
+    return it != pool.end() && it->node == &node;
 }
 
 CachingAllocator::Node *
@@ -256,16 +265,18 @@ CachingAllocator::release_cached_segments()
 {
     std::size_t released = 0;
     for (Pool *pool : {&small_pool_, &large_pool_}) {
-        for (auto it = pool->begin(); it != pool->end();) {
-            Node *node = *it;
+        // Compacts in place, so the kept entries stay in best-fit
+        // order.
+        auto kept = pool->begin();
+        for (const PoolEntry &entry : *pool) {
+            Node *node = entry.node;
             const bool whole_segment =
                 !node->prev && !node->next &&
                 node->size == node->segment_size;
             if (!whole_segment) {
-                ++it;
+                *kept++ = entry;
                 continue;
             }
-            spare_pool_nodes_.push_back(pool->extract(it++));
             device_.free(node->segment_base);
             clock_.advance(cost_.cuda_free_time());
             released += node->size;
@@ -274,6 +285,7 @@ CachingAllocator::release_cached_segments()
             segments_.erase(node->segment_base);
             retire_node(node);
         }
+        pool->erase(kept, pool->end());
     }
     return released;
 }
@@ -316,14 +328,19 @@ CachingAllocator::check_invariants() const
             } else {
                 ++free_nodes;
             }
-            const bool in_pool =
-                pool_of(*node).count(const_cast<Node *>(node)) > 0;
-            PP_ASSERT(node->allocated != in_pool,
+            PP_ASSERT(node->allocated != pooled(*node),
                       "free-pool membership must equal !allocated");
         }
         PP_ASSERT(covered == head->segment_size,
                   "segment nodes do not cover the segment");
     }
+    for (const Pool *pool : {&small_pool_, &large_pool_})
+        PP_ASSERT(std::adjacent_find(pool->begin(), pool->end(),
+                                     [](const PoolEntry &a,
+                                        const PoolEntry &b) {
+                                         return !(a < b);
+                                     }) == pool->end(),
+                  "a pool is not in strict (size, ptr) order");
     // Every pooled node was reached from a segment, so no spare
     // (recycled) node is still pooled or linked.
     PP_ASSERT(free_nodes == small_pool_.size() + large_pool_.size(),

@@ -13,7 +13,6 @@
 #include <cstddef>
 #include <deque>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -97,17 +96,29 @@ class CachingAllocator : public Allocator
         std::size_t segment_size = 0;
     };
 
-    struct NodeLess {
+    /**
+     * A free node's pool entry. Its key is kept inline, so a search
+     * compares entries of one array and dereferences no node.
+     */
+    struct PoolEntry {
+        std::size_t size = 0;
+        DevPtr ptr = kNullDevPtr;
+        Node *node = nullptr;
+
+        /** Best-fit order: smallest size, then lowest address. */
         bool
-        operator()(const Node *a, const Node *b) const
+        operator<(const PoolEntry &o) const
         {
-            if (a->size != b->size)
-                return a->size < b->size;
-            return a->ptr < b->ptr;
+            return size != o.size ? size < o.size : ptr < o.ptr;
         }
     };
 
-    using Pool = std::set<Node *, NodeLess>;
+    /**
+     * Free nodes sorted by (size, ptr). A pool holds tens to a few
+     * hundred entries, so shifting on insert and erase costs less
+     * than a tree's node per entry and pointer chase per compare.
+     */
+    using Pool = std::vector<PoolEntry>;
 
     /** Selects the pool for a rounded size. */
     Pool &pool_for(std::size_t rounded);
@@ -119,11 +130,14 @@ class CachingAllocator : public Allocator
     /** Best-fit lookup; removes and returns the node, or nullptr. */
     Node *take_free_node(Pool &pool, std::size_t rounded);
 
-    /** Adds @p node to its pool, reusing a spare set node. */
+    /** Adds @p node to its pool. */
     void pool_insert(Node *node);
 
-    /** Removes @p node from its pool, keeping the set node spare. */
+    /** Removes @p node from its pool. */
     void pool_erase(Node *node);
+
+    /** @return whether @p node is in its pool. */
+    bool pooled(const Node &node) const;
 
     /** @return a fresh node, recycled when one is spare. */
     Node *new_node();
@@ -154,13 +168,12 @@ class CachingAllocator : public Allocator
     Pool large_pool_;
     /**
      * Owns every node, live or spare; a deque so node addresses stay
-     * put as it grows. Split and merge recycle nodes and pool set
-     * nodes through the spare lists, so a warm cache allocates
-     * nothing per allocate or deallocate.
+     * put as it grows. Split and merge recycle nodes through the
+     * spare list, so a warm cache allocates nothing per allocate or
+     * deallocate.
      */
     std::deque<Node> node_store_;
     std::vector<Node *> spare_nodes_;
-    std::vector<Pool::node_type> spare_pool_nodes_;
     /** Segment head node by segment base (one entry per cudaMalloc). */
     std::map<DevPtr, Node *> segments_;
     /** Node of each block id (ids are dense); nullptr once freed. */

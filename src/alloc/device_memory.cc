@@ -21,7 +21,7 @@ DeviceMemory::DeviceMemory(std::size_t capacity)
     : capacity_(align_up(capacity, kSegmentAlignment))
 {
     PP_CHECK(capacity > 0, "device capacity must be positive");
-    free_regions_.emplace(kBaseAddress, capacity_);
+    free_regions_.push_back({kBaseAddress, capacity_});
 }
 
 DevPtr
@@ -32,14 +32,16 @@ DeviceMemory::allocate(std::size_t bytes)
 
     // First fit in address order, like a simple driver heap.
     for (auto it = free_regions_.begin(); it != free_regions_.end(); ++it) {
-        if (it->second < size)
+        if (it->size < size)
             continue;
-        const DevPtr ptr = it->first;
-        const std::size_t region = it->second;
-        free_regions_.erase(it);
-        if (region > size)
-            free_regions_.emplace(ptr + size, region - size);
-        live_.emplace(ptr, size);
+        const DevPtr ptr = it->ptr;
+        if (it->size > size) {
+            it->ptr += size;
+            it->size -= size;
+        } else {
+            free_regions_.erase(it);
+        }
+        live_.try_emplace(ptr).first = size;
         reserved_ += size;
         peak_reserved_ = std::max(peak_reserved_, reserved_);
         return ptr;
@@ -56,38 +58,46 @@ DeviceMemory::allocate(std::size_t bytes)
 void
 DeviceMemory::free(DevPtr ptr)
 {
-    auto it = live_.find(ptr);
-    PP_CHECK(it != live_.end(),
+    const std::size_t *live = live_.find(ptr);
+    PP_CHECK(live != nullptr,
              "free of unknown device pointer 0x" << std::hex << ptr);
-    const std::size_t size = it->second;
-    live_.erase(it);
+    const std::size_t size = *live;
+    live_.erase(ptr);
     reserved_ -= size;
 
-    // Insert and coalesce with address-adjacent free neighbors.
-    auto [ins, ok] = free_regions_.emplace(ptr, size);
-    PP_ASSERT(ok, "double-free of device pointer");
-    if (ins != free_regions_.begin()) {
-        auto prev = std::prev(ins);
-        if (prev->first + prev->second == ins->first) {
-            prev->second += ins->second;
-            free_regions_.erase(ins);
-            ins = prev;
+    // Coalesce with the address-adjacent free neighbors, or insert.
+    const auto next = std::lower_bound(
+        free_regions_.begin(), free_regions_.end(), ptr,
+        [](const Region &r, DevPtr p) { return r.ptr < p; });
+    PP_ASSERT(next == free_regions_.end() || next->ptr > ptr,
+              "double-free of device pointer");
+    const bool joins_next =
+        next != free_regions_.end() && ptr + size == next->ptr;
+    if (next != free_regions_.begin()) {
+        Region &prev = *std::prev(next);
+        if (prev.ptr + prev.size == ptr) {
+            prev.size += size;
+            if (joins_next) {
+                prev.size += next->size;
+                free_regions_.erase(next);
+            }
+            return;
         }
     }
-    auto next = std::next(ins);
-    if (next != free_regions_.end() &&
-        ins->first + ins->second == next->first) {
-        ins->second += next->second;
-        free_regions_.erase(next);
+    if (joins_next) {
+        next->ptr = ptr;
+        next->size += size;
+        return;
     }
+    free_regions_.insert(next, Region{ptr, size});
 }
 
 std::size_t
 DeviceMemory::largest_free_region() const
 {
     std::size_t best = 0;
-    for (const auto &[ptr, size] : free_regions_)
-        best = std::max(best, size);
+    for (const Region &r : free_regions_)
+        best = std::max(best, r.size);
     return best;
 }
 
@@ -104,10 +114,10 @@ DeviceMemory::external_fragmentation() const
 std::size_t
 DeviceMemory::reservation_size(DevPtr ptr) const
 {
-    auto it = live_.find(ptr);
-    PP_CHECK(it != live_.end(),
+    const std::size_t *live = live_.find(ptr);
+    PP_CHECK(live != nullptr,
              "unknown device pointer 0x" << std::hex << ptr);
-    return it->second;
+    return *live;
 }
 
 }  // namespace alloc

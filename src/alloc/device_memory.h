@@ -5,10 +5,11 @@
 #pragma once
 
 #include <cstddef>
-#include <map>
 #include <string>
+#include <vector>
 
 #include "core/check.h"
+#include "core/flat_table.h"
 #include "core/types.h"
 
 namespace pinpoint {
@@ -96,10 +97,20 @@ class DeviceMemory
     std::size_t capacity_;
     std::size_t reserved_ = 0;
     std::size_t peak_reserved_ = 0;
-    /** Free regions keyed by base address → size. */
-    std::map<DevPtr, std::size_t> free_regions_;
+    /** A free address range. */
+    struct Region {
+        DevPtr ptr = kNullDevPtr;
+        std::size_t size = 0;
+    };
+
+    /**
+     * Free regions in address order, coalesced (no two adjacent).
+     * First fit scans them in order, so an array is what the scan
+     * wants, and a split or merge edits an entry in place.
+     */
+    std::vector<Region> free_regions_;
     /** Live reservations keyed by base address → size. */
-    std::map<DevPtr, std::size_t> live_;
+    FlatTable<DevPtr, std::size_t> live_;
 };
 
 }  // namespace alloc

@@ -12,6 +12,7 @@
 #include "analysis/timeline.h"
 #include "core/check.h"
 #include "core/flat_table.h"
+#include "core/huge_pages.h"
 #include "core/types.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
@@ -38,6 +39,7 @@ TraceView::freeze()
     // A free closes the chain, so the table holds only live ids.
     FlatTable<BlockId, std::uint32_t> chain_of;
     std::uint32_t slots = 0;
+    reserve_huge(slot_, n);
     slot_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
         ++kind_count_[static_cast<std::size_t>(kind[i])];
@@ -72,13 +74,13 @@ TraceView::build_timeline() const
     // guarantees is time order; only runs of equal timestamps still
     // need their (delta) order, so there is no full sort.
     std::vector<OccupancyEdge> &edges = t->edges_;
-    edges.reserve(count(trace::EventKind::kMalloc) +
-                  count(trace::EventKind::kFree));
+    reserve_huge(edges, count(trace::EventKind::kMalloc) +
+                            count(trace::EventKind::kFree));
     // Slots open in event order, so while every chain so far began
     // with a malloc, block s is slot s: an event whose slot has no
     // block yet opened its chain without a malloc.
     std::vector<BlockLifetime> &blocks = t->blocks_;
-    blocks.reserve(slot_count_);
+    reserve_huge(blocks, slot_count_);
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t slot = slot_[i];
         const bool open = slot < blocks.size();
@@ -126,6 +128,7 @@ TraceView::build_timeline() const
         cursor[b] = total;
         total += blocks[b].access_count;
     }
+    reserve_huge(t->accesses_, total);
     t->accesses_.resize(total);
     for (std::size_t i = 0; i < n; ++i) {
         if (c.kind[i] == trace::EventKind::kRead ||
@@ -147,7 +150,7 @@ TraceView::build_timeline() const
     }
 
     // Prefix sums answer live_bytes_at/peak in O(log n)/O(1).
-    t->prefix_.reserve(edges.size() + 1);
+    reserve_huge(t->prefix_, edges.size() + 1);
     std::int64_t cur = 0;
     std::int64_t best = -1;
     TimeNs best_t = t->start_;

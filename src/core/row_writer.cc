@@ -9,7 +9,10 @@ namespace {
 /** Buffer size: one stream write per this many bytes of rows. */
 constexpr std::size_t kChunkBytes = 1 << 16;
 
-/** Longest "%.6f" rendering of a double: DBL_MAX has 309 digits. */
+/**
+ * Longest "%.6f" (and so "%.3f") rendering of a double: DBL_MAX has
+ * 309 digits.
+ */
 constexpr std::size_t kMaxFixed6 = 330;
 
 }  // namespace
@@ -25,6 +28,15 @@ RowWriter::operator<<(Fixed6 v)
 {
     room(kMaxFixed6);
     pos_ = std::to_chars(pos_, end_, v.value, std::chars_format::fixed, 6)
+               .ptr;
+    return *this;
+}
+
+RowWriter &
+RowWriter::operator<<(Fixed3 v)
+{
+    room(kMaxFixed6);
+    pos_ = std::to_chars(pos_, end_, v.value, std::chars_format::fixed, 3)
                .ptr;
     return *this;
 }

@@ -1,7 +1,7 @@
 /**
  * @file
  * Buffered row writer of the deterministic text exports (trace CSV,
- * swap and relief schedules): numbers are formatted with
+ * Chrome trace, swap and relief schedules): numbers are formatted with
  * std::to_chars straight into one buffer, and the buffer reaches the
  * stream in large chunks, not one stream insertion per field.
  */
@@ -22,10 +22,16 @@ struct Fixed6 {
     double value;
 };
 
+/** A double RowWriter prints as "%.3f" does. */
+struct Fixed3 {
+    double value;
+};
+
 /**
  * Appends fields to a chunk buffer with `<<` and writes the buffer
  * to a stream when full. Integers print in decimal, characters and
- * text verbatim, and a double only through Fixed6, so no field can
+ * text verbatim, and a double only through Fixed6 or Fixed3, so no
+ * field can
  * pick up stream formatting state. Every append makes its own room
  * first, so a field of any length is written whole. Call flush()
  * after the last row: bytes still buffered at destruction are
@@ -64,6 +70,7 @@ class RowWriter
     }
 
     RowWriter &operator<<(Fixed6 v);
+    RowWriter &operator<<(Fixed3 v);
 
     /** Writes every buffered byte to the stream. */
     void flush();

@@ -47,6 +47,22 @@ Engine::Engine(const Plan &plan, alloc::Allocator &allocator,
     }
     bound_.resize(plan_.tensors.size() +
                   (staging_tensor_ != kInvalidTensor ? 1 : 0));
+    // Sizes and op durations never change while the engine runs, so
+    // each is derived once here rather than once per event.
+    bytes_.reserve(bound_.size());
+    for (const TensorMeta &t : plan_.tensors)
+        bytes_.push_back(t.bytes());
+    if (staging_tensor_ != kInvalidTensor)
+        bytes_.push_back(staging_meta_.bytes());
+    op_time_.reserve(plan_.iteration_ops.size());
+    for (const Op &op : plan_.iteration_ops) {
+        if (op.phase == OpPhase::kDataLoad) {
+            op_time_.push_back(cost_.h2d_time(op.h2d_bytes));
+            continue;
+        }
+        op_time_.push_back(cost_.kernel_time(
+            op.flops, plan_bytes(op.reads), plan_bytes(op.writes)));
+    }
     // Without a recorder every id stays 0: nothing is recorded.
     op_ids_.resize(plan_.iteration_ops.size());
     tensor_op_ids_.resize(plan_.tensors.size());
@@ -85,6 +101,18 @@ Engine::slot_of(TensorId id) const
     PP_ASSERT(id < plan_.tensors.size(), "tensor id " << id
                                          << " out of range");
     return static_cast<std::size_t>(id);
+}
+
+std::size_t
+Engine::plan_bytes(const std::vector<TensorId> &ids) const
+{
+    std::size_t sum = 0;
+    for (TensorId id : ids) {
+        PP_CHECK(id < plan_.tensors.size(),
+                 "tensor id " << id << " out of range");
+        sum += bytes_[static_cast<std::size_t>(id)];
+    }
+    return sum;
 }
 
 std::size_t
@@ -136,10 +164,11 @@ alloc::Block &
 Engine::bind(TensorId id)
 {
     const TensorMeta &m = meta_of(id);
-    alloc::Block &bound = bound_[slot_of(id)];
+    const std::size_t slot = slot_of(id);
+    alloc::Block &bound = bound_[slot];
     PP_ASSERT(bound.id == kInvalidBlock,
               "tensor " << m.name << " is already bound");
-    const alloc::Block b = allocator_.allocate(m.bytes());
+    const alloc::Block b = allocator_.allocate(bytes_[slot]);
     bound = b;
     note_alloc(m, b);
     if (recorder_) {
@@ -244,7 +273,7 @@ Engine::setup()
         // Initialization kernel (e.g. kaiming_uniform_) writes the
         // parameter once.
         clock_.advance(cost_.kernel_time(
-            static_cast<double>(meta.shape.numel()), 0, meta.bytes()));
+            static_cast<double>(meta.shape.numel()), 0, bytes_[id]));
         record_access(trace::EventKind::kWrite, id, -1,
                       op_ids(id).init);
     }
@@ -282,20 +311,7 @@ Engine::execute_op(const Op &op, std::int32_t op_index)
         bind(id);
     for (TensorId id : op.reads)
         record_access(trace::EventKind::kRead, id, op_index, name);
-
-    std::size_t read_bytes = 0;
-    std::size_t write_bytes = 0;
-    for (TensorId id : op.reads)
-        read_bytes += plan_.tensor(id).bytes();
-    for (TensorId id : op.writes)
-        write_bytes += plan_.tensor(id).bytes();
-
-    if (op.phase == OpPhase::kDataLoad)
-        clock_.advance(cost_.h2d_time(op.h2d_bytes));
-    else
-        clock_.advance(cost_.kernel_time(op.flops, read_bytes,
-                                         write_bytes));
-
+    clock_.advance(op_time_[static_cast<std::size_t>(op_index)]);
     for (TensorId id : op.writes)
         record_access(trace::EventKind::kWrite, id, op_index, name);
     for (TensorId id : op.frees)

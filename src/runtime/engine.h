@@ -79,6 +79,8 @@ class Engine
      * @param clock simulated clock shared with the allocator.
      * @param cost kernel/copy cost model.
      * @param recorder trace sink; nullptr disables event recording.
+     * @throws Error when an op's cost cannot be modeled (negative
+     * flops) or a tensor's size does not fit in a size_t.
      */
     Engine(const Plan &plan, alloc::Allocator &allocator,
            sim::VirtualClock &clock, const sim::CostModel &cost,
@@ -124,6 +126,8 @@ class Engine
     /** @return the bound_ index of @p id (staging: the last one). */
     std::size_t slot_of(TensorId id) const;
     const TensorMeta &meta_of(TensorId id) const;
+    /** @return the summed bytes of plan tensors @p ids. */
+    std::size_t plan_bytes(const std::vector<TensorId> &ids) const;
     const TensorOpIds &op_ids(TensorId id) const;
 
     void setup();
@@ -155,6 +159,13 @@ class Engine
      * buffer in the last slot; id kInvalidBlock while unbound.
      */
     std::vector<alloc::Block> bound_;
+    /** Payload bytes of each tensor, by the same slots as bound_. */
+    std::vector<std::size_t> bytes_;
+    /**
+     * Duration of each iteration op, by op index: its kernel's
+     * roofline time, or its host-to-device copy for a data load.
+     */
+    std::vector<TimeNs> op_time_;
     /** Synthetic tensor id for the staging buffer (the exported id). */
     TensorId staging_tensor_ = kInvalidTensor;
     TensorMeta staging_meta_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/check.h"
+#include "core/huge_pages.h"
 #include "core/types.h"
 #include "trace/event.h"
 
@@ -144,7 +145,8 @@ TraceRecorder::clear()
 void
 TraceRecorder::reserve(std::size_t n)
 {
-    for_each_column(writable(), [n](auto &column) { column.reserve(n); });
+    for_each_column(writable(),
+                    [n](auto &column) { reserve_huge(column, n); });
 }
 
 EventColumns &

@@ -166,7 +166,10 @@ class TraceRecorder
     /** Drops all recorded events; interned names stay valid. */
     void clear();
 
-    /** Pre-allocates capacity for @p n events. */
+    /**
+     * Pre-allocates capacity for @p n events, with a huge-page hint
+     * on each column (core/huge_pages.h).
+     */
     void reserve(std::size_t n);
 
   private:

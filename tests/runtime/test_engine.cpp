@@ -1,11 +1,16 @@
 /** @file Unit tests for the training engine. */
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
 #include "alloc/caching_allocator.h"
 #include "alloc/device_memory.h"
 #include "analysis/breakdown.h"
 #include "analysis/trace_view.h"
 #include "core/check.h"
+#include "core/dtype.h"
 #include "nn/models.h"
 #include "runtime/engine.h"
 #include "runtime/plan_builder.h"
@@ -213,6 +218,97 @@ TEST_F(EngineTest, PerIterationEventCountIsStable)
     for (std::size_t i = 1; i < counts.size(); ++i)
         EXPECT_EQ(counts[i], counts[0])
             << "iteration " << i << " emitted a different event count";
+}
+
+/** @return tensor @p id's bytes from its shape and dtype alone. */
+std::size_t
+shape_bytes(const Plan &plan, TensorId id)
+{
+    const TensorMeta &t = plan.tensors[static_cast<std::size_t>(id)];
+    return static_cast<std::size_t>(t.shape.numel()) *
+           dtype_size(t.dtype);
+}
+
+/**
+ * Runs @p plan for two iterations and checks every op that reads and
+ * writes: its writes are recorded its kernel's duration after its
+ * reads, the duration priced here from the plan's flops and tensor
+ * shapes, not taken from the engine. @return the ops checked.
+ */
+std::size_t
+expect_kernel_gaps(const Plan &plan)
+{
+    alloc::DeviceMemory device(12ull * 1024 * 1024 * 1024);
+    sim::VirtualClock clock;
+    const sim::CostModel cost(sim::DeviceSpec::titan_x_pascal());
+    alloc::CachingAllocator alloc(device, clock, cost);
+    trace::TraceRecorder trace;
+    Engine engine(plan, alloc, clock, cost, &trace);
+    engine.run(2);
+
+    const std::size_t ops = plan.iteration_ops.size();
+    constexpr TimeNs kUnseen = -1;
+    std::vector<TimeNs> read_at(2 * ops, kUnseen);
+    std::vector<TimeNs> write_at(2 * ops, kUnseen);
+    for (const trace::MemoryEvent &e : trace.events()) {
+        if (e.op_index < 0)
+            continue;
+        const std::size_t at =
+            e.iteration * ops + static_cast<std::size_t>(e.op_index);
+        if (e.kind == trace::EventKind::kRead)
+            read_at[at] = e.time;
+        else if (e.kind == trace::EventKind::kWrite)
+            write_at[at] = e.time;
+    }
+
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < ops; ++i) {
+        const Op &op = plan.iteration_ops[i];
+        if (op.reads.empty() || op.writes.empty())
+            continue;
+        TimeNs expected = 0;
+        if (op.phase == OpPhase::kDataLoad) {
+            expected = cost.h2d_time(op.h2d_bytes);
+        } else {
+            std::size_t read_bytes = 0;
+            std::size_t write_bytes = 0;
+            for (TensorId id : op.reads)
+                read_bytes += shape_bytes(plan, id);
+            for (TensorId id : op.writes)
+                write_bytes += shape_bytes(plan, id);
+            expected = cost.kernel_time(op.flops, read_bytes, write_bytes);
+        }
+        for (std::size_t iteration = 0; iteration < 2; ++iteration) {
+            const std::size_t at = iteration * ops + i;
+            EXPECT_NE(read_at[at], kUnseen) << op.name;
+            EXPECT_EQ(write_at[at] - read_at[at], expected)
+                << op.name << " in iteration " << iteration;
+        }
+        ++checked;
+    }
+    return checked;
+}
+
+TEST(EngineKernelTime, WritesFollowReadsByTheKernelTime)
+{
+    const nn::Model resnet18 = nn::resnet(18);
+    for (const Plan &plan :
+         {build_plan(nn::mlp(), 32), build_plan(resnet18, 4),
+          build_inference_plan(resnet18, 4)})
+        EXPECT_GT(expect_kernel_gaps(plan), 10u) << plan.model_name;
+}
+
+TEST_F(EngineTest, NegativeFlopsThrowAtConstruction)
+{
+    for (Op &op : plan_.iteration_ops) {
+        if (op.phase != OpPhase::kDataLoad) {
+            op.flops = -1.0;
+            break;
+        }
+    }
+    EXPECT_THROW(Engine(plan_, alloc_, clock_, cost_, &trace_), Error);
+    EXPECT_TRUE(trace_.empty());
+    EXPECT_EQ(alloc_.live_blocks(), 0u);
 }
 
 }  // namespace
