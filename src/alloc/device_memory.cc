@@ -3,6 +3,7 @@
 #include "core/types.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 namespace pinpoint {
@@ -58,11 +59,10 @@ DeviceMemory::allocate(std::size_t bytes)
 void
 DeviceMemory::free(DevPtr ptr)
 {
-    const std::size_t *live = live_.find(ptr);
-    PP_CHECK(live != nullptr,
+    const std::optional<std::size_t> live = live_.erase(ptr);
+    PP_CHECK(live.has_value(),
              "free of unknown device pointer 0x" << std::hex << ptr);
     const std::size_t size = *live;
-    live_.erase(ptr);
     reserved_ -= size;
 
     // Coalesce with the address-adjacent free neighbors, or insert.

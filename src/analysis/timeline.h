@@ -24,25 +24,31 @@ namespace analysis {
 
 class TraceView;
 
-/** One block's life: the rectangle of the paper's Gantt chart. */
+/**
+ * One block's life: the rectangle of the paper's Gantt chart. The
+ * fields are ordered widest first, so that the Timeline's entry per
+ * block packs into 64 bytes.
+ */
 struct BlockLifetime {
     BlockId block = kInvalidBlock;
     DevPtr ptr = kNullDevPtr;
     std::size_t size = 0;
-    Category category = Category::kIntermediate;
     TensorId tensor = kInvalidTensor;
-    /** Iteration in which the block was allocated. */
-    std::uint32_t alloc_iteration = 0;
     TimeNs alloc_time = 0;
     /** Free timestamp; meaningful only when freed is true. */
     TimeNs free_time = 0;
-    bool freed = false;
+    /** Iteration in which the block was allocated. */
+    std::uint32_t alloc_iteration = 0;
     /**
      * The block's read/write timestamps are Timeline::accesses()
      * entries [first_access, first_access + access_count), in order.
+     * 32 bits suffice: TraceView refuses traces of 2^32 events or
+     * more.
      */
-    std::size_t first_access = 0;
-    std::size_t access_count = 0;
+    std::uint32_t first_access = 0;
+    std::uint32_t access_count = 0;
+    Category category = Category::kIntermediate;
+    bool freed = false;
 
     /** @return lifetime width; for unfreed blocks, up to @p end. */
     TimeNs lifetime(TimeNs end) const
@@ -50,6 +56,9 @@ struct BlockLifetime {
         return (freed ? free_time : end) - alloc_time;
     }
 };
+
+static_assert(sizeof(BlockLifetime) == 64,
+              "BlockLifetime must stay packed into 64 bytes");
 
 /**
  * One block's read/write timestamps, in order: a view into the

@@ -33,8 +33,8 @@ TraceView::freeze()
     const std::size_t n = size();
     PP_CHECK(n <= std::numeric_limits<std::uint32_t>::max(),
              "trace of " << n << " events exceeds the slot column");
-    const std::vector<BlockId> &block = columns_->block;
-    const std::vector<trace::EventKind> &kind = columns_->kind;
+    const trace::Column<BlockId> &block = columns_->block;
+    const trace::Column<trace::EventKind> &kind = columns_->kind;
     // The trace's one BlockId lookup: id → its open chain's slot.
     // A free closes the chain, so the table holds only live ids.
     FlatTable<BlockId, std::uint32_t> chain_of;
@@ -119,21 +119,22 @@ TraceView::build_timeline() const
         }
     }
 
-    // Access lists: one flat array, block after block, filled in
-    // event order so each block's run is time-ordered.
-    std::vector<std::size_t> cursor(blocks.size());
-    std::size_t total = 0;
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-        blocks[b].first_access = total;
-        cursor[b] = total;
-        total += blocks[b].access_count;
+    // Access lists: one flat array, block after block. Each block's
+    // first_access starts at the end of its run and counts down as
+    // a backward walk over the events fills the run from its last
+    // access, so the run is time-ordered and ends at its start.
+    // freeze() keeps n below 2^32, so the 32-bit indices cannot wrap.
+    std::uint32_t total = 0;
+    for (BlockLifetime &b : blocks) {
+        total += b.access_count;
+        b.first_access = total;
     }
     reserve_huge(t->accesses_, total);
     t->accesses_.resize(total);
-    for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t i = n; i-- > 0;) {
         if (c.kind[i] == trace::EventKind::kRead ||
             c.kind[i] == trace::EventKind::kWrite)
-            t->accesses_[cursor[slot_[i]]++] = c.time[i];
+            t->accesses_[--blocks[slot_[i]].first_access] = c.time[i];
     }
 
     for (std::size_t lo = 0; lo < edges.size();) {

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -63,13 +64,17 @@ class FlatTable
         return {e.value, inserted};
     }
 
-    /** Removes @p key, if present. */
-    void
+    /**
+     * Removes @p key, if present, in the one probe that finds it.
+     * @return the removed value, or nothing when @p key was absent.
+     */
+    std::optional<Value>
     erase(Key key)
     {
         std::size_t hole = index_of(key);
         if (!entries_[hole].used)
-            return;
+            return std::nullopt;
+        std::optional<Value> removed(std::move(entries_[hole].value));
         const std::size_t mask = entries_.size() - 1;
         // Backward-shift deletion: an entry of the probe run after
         // the hole moves into it when the hole lies between the
@@ -85,6 +90,7 @@ class FlatTable
         }
         entries_[hole].used = false;
         --size_;
+        return removed;
     }
 
     /** @return the value of @p key, or nullptr when absent. */

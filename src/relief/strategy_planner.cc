@@ -479,11 +479,23 @@ StrategyPlanner::plan_all(const analysis::TraceView &view) const
     const bool peer = options_.peer_available();
 
     // The hybrid guard: adopt a pure selection that beats the union.
+    constexpr Strategy kPure[] = {Strategy::kSwapOnly,
+                                  Strategy::kRecomputeOnly,
+                                  Strategy::kPeerOnly};
+    auto comparable = [peer](Strategy pure) {
+        return pure != Strategy::kPeerOnly || peer;
+    };
     Strategy hybrid = Strategy::kHybrid;
-    for (Strategy pure : {Strategy::kSwapOnly, Strategy::kRecomputeOnly,
-                          Strategy::kPeerOnly}) {
-        if ((pure != Strategy::kPeerOnly || peer) &&
-            better(selection(pure), selection(hybrid)))
+    for (Strategy pure : kPure) {
+        if (comparable(pure) && better(selection(pure), selection(hybrid)))
+            hybrid = pure;
+    }
+    // A union that picks exactly what one pure selection picks (a
+    // serving trace often offers nothing but swaps) assembles into
+    // the same report, so it takes that one too.
+    for (Strategy pure : kPure) {
+        if (hybrid == Strategy::kHybrid && comparable(pure) &&
+            selection(pure).picks == selection(Strategy::kHybrid).picks)
             hybrid = pure;
     }
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
+#include <cstdlib>
+#include <cstring>
 #include <memory>
+#include <new>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/check.h"
@@ -26,24 +29,34 @@ empty_columns()
     return empty;
 }
 
-/** Calls @p f on every column of @p columns, in field order. */
-template <typename Columns, typename F>
-void
-for_each_column(Columns &columns, F f)
-{
-    f(columns.time);
-    f(columns.kind);
-    f(columns.block);
-    f(columns.ptr);
-    f(columns.size);
-    f(columns.tensor);
-    f(columns.category);
-    f(columns.iteration);
-    f(columns.op_index);
-    f(columns.op);
-}
+/** Events a growing store makes room for at its first append. */
+constexpr std::size_t kFirstCapacity = 64;
+
+/** Bytes of one event across the ten columns. */
+constexpr std::size_t kEventBytes =
+    sizeof(TimeNs) + sizeof(BlockId) + sizeof(DevPtr) +
+    sizeof(std::size_t) + sizeof(TensorId) + sizeof(std::uint32_t) +
+    sizeof(std::int32_t) + sizeof(OpId) + sizeof(EventKind) +
+    sizeof(Category);
 
 }  // namespace
+
+EventColumns::EventColumns()
+    : time(&length_), kind(&length_), block(&length_), ptr(&length_),
+      size(&length_), tensor(&length_), category(&length_),
+      iteration(&length_), op_index(&length_), op(&length_)
+{
+}
+
+EventColumns::EventColumns(const EventColumns &other) : EventColumns()
+{
+    length_ = other.length_;
+    if (other.capacity_ != 0) {
+        block_.reset(allocate(nullptr, other.capacity_));
+        capacity_ = other.capacity_;
+        lay_out(other.block_.get(), other.capacity_);
+    }
+}
 
 MemoryEvent
 EventColumns::event(std::size_t i) const
@@ -62,29 +75,112 @@ EventColumns::event(std::size_t i) const
     return e;
 }
 
+void
+EventColumns::reserve(std::size_t n)
+{
+    if (n <= capacity_)
+        return;
+    resize_block(n);
+    advise_huge_pages(block_.get(), n * kEventBytes);
+}
+
+void
+EventColumns::grow()
+{
+    resize_block(std::max(2 * capacity_, kFirstCapacity));
+}
+
+std::byte *
+EventColumns::allocate(std::byte *block, std::size_t capacity)
+{
+    void *fresh = std::realloc(block, capacity * kEventBytes);
+    if (fresh == nullptr)
+        throw std::bad_alloc();
+    return static_cast<std::byte *>(fresh);
+}
+
+void
+EventColumns::resize_block(std::size_t capacity)
+{
+    // realloc keeps the old bytes at the front of the new block (a
+    // large block's pages move without a copy or a fresh fault), so
+    // the columns move up within it. The old bytes that no column
+    // holds now stay resident for the events that will fill them;
+    // release_spare() hands back what a frozen store will not fill.
+    std::byte *block = allocate(block_.get(), capacity);
+    (void)block_.release();
+    block_.reset(block);
+    const std::size_t from_capacity = capacity_;
+    capacity_ = capacity;
+    lay_out(block, from_capacity);
+}
+
+void
+EventColumns::lay_out(const std::byte *from, std::size_t from_capacity)
+{
+    // Each column starts at capacity_ times the bytes per event of
+    // the columns before it. They lie widest first, so each starts
+    // aligned for its type, and they are laid out last first, so a
+    // column moving up within one block never lands on one that has
+    // not moved yet.
+    std::byte *to = block_.get();
+    std::size_t offset = kEventBytes;
+    auto lay = [&](auto *&data) {
+        using T = std::remove_reference_t<decltype(*data)>;
+        static_assert(std::is_trivially_copyable_v<T>);
+        offset -= sizeof(T);
+        std::byte *target = to + capacity_ * offset;
+        const std::byte *source = from + from_capacity * offset;
+        if (length_ != 0 && source != target)
+            std::memmove(target, source, length_ * sizeof(T));
+        data = reinterpret_cast<T *>(target);
+    };
+    lay(category.data_);
+    lay(kind.data_);
+    lay(op.data_);
+    lay(op_index.data_);
+    lay(iteration.data_);
+    lay(tensor.data_);
+    lay(size.data_);
+    lay(ptr.data_);
+    lay(block.data_);
+    lay(time.data_);
+}
+
+void
+EventColumns::release_spare()
+{
+    if (length_ == capacity_)
+        return;
+    auto release = [this](auto *data) {
+        discard_pages(data + length_,
+                      (capacity_ - length_) * sizeof(*data));
+    };
+    release(time.data_);
+    release(kind.data_);
+    release(block.data_);
+    release(ptr.data_);
+    release(size.data_);
+    release(tensor.data_);
+    release(category.data_);
+    release(iteration.data_);
+    release(op_index.data_);
+    release(op.data_);
+}
+
 TraceRecorder::TraceRecorder() : names_{std::string()}, ids_{{"", 0}} {}
 
 void
 TraceRecorder::record(const MemoryEvent &event)
 {
-    const std::vector<TimeNs> &times = columns().time;
+    const Column<TimeNs> &times = columns().time;
     PP_CHECK(times.empty() || event.time >= times.back(),
              "events must be recorded in time order: got "
                  << event.time << " after " << times.back());
     PP_CHECK(event.op < names_.size(),
              "event op id " << event.op << " is not interned in this "
                             << "recorder");
-    EventColumns &c = writable();
-    c.time.push_back(event.time);
-    c.kind.push_back(event.kind);
-    c.block.push_back(event.block);
-    c.ptr.push_back(event.ptr);
-    c.size.push_back(event.size);
-    c.tensor.push_back(event.tensor);
-    c.category.push_back(event.category);
-    c.iteration.push_back(event.iteration);
-    c.op_index.push_back(event.op_index);
-    c.op.push_back(event.op);
+    writable().append(event);
 }
 
 OpId
@@ -119,17 +215,16 @@ TraceRecorder::share() const
 {
     if (!columns_)
         return empty_columns();
+    // The frozen store never grows, so whatever of its spare room a
+    // growth left resident goes back to the kernel. The values stay.
+    columns_->release_spare();
     return columns_;
 }
 
 std::size_t
 TraceRecorder::capacity() const
 {
-    std::size_t least = std::numeric_limits<std::size_t>::max();
-    for_each_column(columns(), [&least](const auto &column) {
-        least = std::min(least, column.capacity());
-    });
-    return least;
+    return columns().capacity();
 }
 
 void
@@ -137,7 +232,7 @@ TraceRecorder::clear()
 {
     // A shared store belongs to its readers now: start a new one.
     if (columns_.use_count() == 1)
-        for_each_column(*columns_, [](auto &column) { column.clear(); });
+        columns_->clear();
     else
         columns_.reset();
 }
@@ -145,8 +240,7 @@ TraceRecorder::clear()
 void
 TraceRecorder::reserve(std::size_t n)
 {
-    for_each_column(writable(),
-                    [n](auto &column) { reserve_huge(column, n); });
+    writable().reserve(n);
 }
 
 EventColumns &

@@ -1,11 +1,17 @@
 /**
  * @file
- * Trace recorder: accumulates MemoryEvents during a training run.
+ * Trace recorder: accumulates MemoryEvents during a run. Each trace
+ * is one EventColumns block, a column per MemoryEvent field with one
+ * length and one capacity, so a record is one capacity check, one
+ * store per field and one length bump; readers see the columns
+ * through read-only Column views, or event by event as an
+ * EventRange.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
 #include <iterator>
 #include <memory>
 #include <string>
@@ -20,25 +26,132 @@ namespace pinpoint {
 namespace trace {
 
 /**
- * The events of one trace in columnar storage: one vector per
- * MemoryEvent field, all of one length, event i at index i of each.
- * A TraceRecorder appends to them; a frozen analysis::TraceView
- * shares them read-only.
+ * Read-only view of one field of every event in an EventColumns
+ * store: event i's value at index i. Its length is the store's.
  */
-struct EventColumns {
-    std::vector<TimeNs> time;
-    std::vector<EventKind> kind;
-    std::vector<BlockId> block;
-    std::vector<DevPtr> ptr;
-    std::vector<std::size_t> size;
-    std::vector<TensorId> tensor;
-    std::vector<Category> category;
-    std::vector<std::uint32_t> iteration;
-    std::vector<std::int32_t> op_index;
-    std::vector<OpId> op;
+template <typename T>
+class Column
+{
+  public:
+    std::size_t size() const { return *length_; }
+    bool empty() const { return *length_ == 0; }
+    const T &operator[](std::size_t i) const { return data_[i]; }
+    const T &front() const { return data_[0]; }
+    const T &back() const { return data_[*length_ - 1]; }
+    const T *data() const { return data_; }
+    const T *begin() const { return data_; }
+    const T *end() const { return data_ + *length_; }
+
+  private:
+    friend class EventColumns;
+
+    explicit Column(const std::size_t *length) : length_(length) {}
+
+    T *data_ = nullptr;
+    const std::size_t *length_;
+};
+
+/**
+ * The events of one trace in columnar storage: one column per
+ * MemoryEvent field, event i at index i of each. The ten columns lie
+ * back to back in one allocation (8-byte fields first, then 4-byte,
+ * then 1-byte) that shares one length and one capacity, so
+ * appending an event is one capacity check, ten stores and one
+ * length bump. Only a TraceRecorder writes the store; a frozen
+ * analysis::TraceView shares it read-only.
+ */
+class EventColumns
+{
+  public:
+    Column<TimeNs> time;
+    Column<EventKind> kind;
+    Column<BlockId> block;
+    Column<DevPtr> ptr;
+    Column<std::size_t> size;
+    Column<TensorId> tensor;
+    Column<Category> category;
+    Column<std::uint32_t> iteration;
+    Column<std::int32_t> op_index;
+    Column<OpId> op;
+
+    EventColumns();
+    /** Copies @p other whole, at its capacity. */
+    EventColumns(const EventColumns &other);
+    EventColumns &operator=(const EventColumns &) = delete;
 
     /** @return event @p i, assembled from the columns. */
     MemoryEvent event(std::size_t i) const;
+
+    /** @return the events the block holds without growing. */
+    std::size_t capacity() const { return capacity_; }
+
+  private:
+    friend class TraceRecorder;
+
+    /** Frees a block from std::realloc. */
+    struct FreeBlock {
+        void operator()(std::byte *block) const { std::free(block); }
+    };
+
+    /** Appends @p e, doubling the block when it is full. */
+    void
+    append(const MemoryEvent &e)
+    {
+        const std::size_t i = length_;
+        if (i == capacity_)
+            grow();
+        time.data_[i] = e.time;
+        kind.data_[i] = e.kind;
+        block.data_[i] = e.block;
+        ptr.data_[i] = e.ptr;
+        size.data_[i] = e.size;
+        tensor.data_[i] = e.tensor;
+        category.data_[i] = e.category;
+        iteration.data_[i] = e.iteration;
+        op_index.data_[i] = e.op_index;
+        op.data_[i] = e.op;
+        length_ = i + 1;
+    }
+
+    /**
+     * Makes room for @p n events: the block is resized once, to
+     * exactly @p n, with a huge-page hint (core/huge_pages.h).
+     */
+    void reserve(std::size_t n);
+
+    /** Drops every event; the block stays. */
+    void clear() { length_ = 0; }
+
+    /**
+     * Hands the whole pages of every column's room past length_ back
+     * to the kernel (core/huge_pages.h): a growth leaves some of them
+     * resident, which only later appends would use.
+     */
+    void release_spare();
+
+    /**
+     * @return @p block (null for none) resized by std::realloc to
+     * @p capacity events. @throws std::bad_alloc when that fails.
+     */
+    static std::byte *allocate(std::byte *block, std::size_t capacity);
+
+    /** Resizes the block to @p capacity events, keeping the events. */
+    void resize_block(std::size_t capacity);
+
+    /** Doubles the block (and makes the first one). */
+    void grow();
+
+    /**
+     * Points the columns at their places in this store's block of
+     * capacity_ events and moves the first length_ values of each
+     * there from block @p from of @p from_capacity events, which may
+     * be this block, holding the columns at their old places.
+     */
+    void lay_out(const std::byte *from, std::size_t from_capacity);
+
+    std::size_t length_ = 0;
+    std::size_t capacity_ = 0;
+    std::unique_ptr<std::byte, FreeBlock> block_;
 };
 
 /**
@@ -150,7 +263,8 @@ class TraceRecorder
 
     /**
      * @return the event columns for a frozen reader. Nothing this
-     * recorder does afterwards changes what the handle sees.
+     * recorder does afterwards changes what the handle sees. The
+     * store's spare room goes back to the kernel first.
      */
     std::shared_ptr<const EventColumns> share() const;
 
@@ -160,15 +274,15 @@ class TraceRecorder
     /** @return true when nothing was recorded. */
     bool empty() const { return size() == 0; }
 
-    /** @return the smallest reserved capacity of any column. */
+    /** @return the events the store holds without growing. */
     std::size_t capacity() const;
 
     /** Drops all recorded events; interned names stay valid. */
     void clear();
 
     /**
-     * Pre-allocates capacity for @p n events, with a huge-page hint
-     * on each column (core/huge_pages.h).
+     * Pre-allocates capacity for @p n events in one block, with a
+     * huge-page hint on it (core/huge_pages.h).
      */
     void reserve(std::size_t n);
 

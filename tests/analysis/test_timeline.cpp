@@ -13,6 +13,7 @@
 #include "analysis/trace_view.h"
 #include "core/check.h"
 #include "support/occupancy_oracle.h"
+#include "support/random_trace.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -324,6 +325,53 @@ TEST(Timeline, PeakWithMergesSortedRuns)
         std::vector<OccupancyEdge> shuffled = pool;
         std::shuffle(shuffled.begin(), shuffled.end(), rng);
         EXPECT_EQ(t.peak_with(shuffled), oracle(shuffled));
+    }
+}
+
+/**
+ * Every block's access list against a re-walk of the recorder's raw
+ * columns: a block id opens a chain on its first event after a free
+ * (chains number in the order they open, as slots do), and each read
+ * or write joins its chain's list in trace order. The lists lie
+ * block after block in the one flat array.
+ */
+TEST(Timeline, AccessListsEqualARewalkOfTheColumns)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+        SCOPED_TRACE(seed);
+        // Ids come back after their free and times tie often.
+        const trace::TraceRecorder trace = test_support::random_trace(
+            seed, 200 * seed, {256, 512, 4096}, 2);
+        TraceView view(trace);
+        const trace::EventColumns &c = trace.columns();
+        std::map<BlockId, std::size_t> open;
+        std::vector<std::vector<TimeNs>> expected;
+        for (std::size_t i = 0; i < c.time.size(); ++i) {
+            auto chain = open.find(c.block[i]);
+            if (chain == open.end()) {
+                chain = open.emplace(c.block[i], expected.size()).first;
+                expected.emplace_back();
+            }
+            if (c.kind[i] == trace::EventKind::kRead ||
+                c.kind[i] == trace::EventKind::kWrite)
+                expected[chain->second].push_back(c.time[i]);
+            else if (c.kind[i] == trace::EventKind::kFree)
+                open.erase(chain);
+        }
+
+        const Timeline &t = view.timeline();
+        ASSERT_EQ(t.blocks().size(), expected.size());
+        std::size_t next = 0;
+        for (std::size_t s = 0; s < expected.size(); ++s) {
+            SCOPED_TRACE(s);
+            const BlockLifetime &b = t.blocks()[s];
+            EXPECT_EQ(b.first_access, next);
+            EXPECT_EQ(b.access_count, expected[s].size());
+            next += b.access_count;
+            const AccessList list = t.accesses(b);
+            EXPECT_EQ(std::vector<TimeNs>(list.begin(), list.end()),
+                      expected[s]);
+        }
     }
 }
 

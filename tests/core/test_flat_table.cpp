@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <unordered_map>
 #include <vector>
@@ -22,9 +23,9 @@ TEST(FlatTable, InsertFindErase)
     EXPECT_FALSE(table.try_emplace(5).second);
     ASSERT_NE(table.find(5), nullptr);
     EXPECT_EQ(*table.find(5), 7);
-    table.erase(6);  // absent: no effect
+    EXPECT_EQ(table.erase(6), std::nullopt);  // absent: no effect
     EXPECT_EQ(table.size(), 1u);
-    table.erase(5);
+    EXPECT_EQ(table.erase(5), 7) << "erase returns the removed value";
     EXPECT_EQ(table.find(5), nullptr);
     EXPECT_EQ(table.size(), 0u);
 }
@@ -55,10 +56,17 @@ TEST(FlatTable, RandomOpsMatchUnorderedMap)
                 ref[key] = step;
                 break;
               }
-              case 1:
-                table.erase(key);
-                ref.erase(key);
+              case 1: {
+                const auto it = ref.find(key);
+                const std::optional<std::uint64_t> removed =
+                    table.erase(key);
+                ASSERT_EQ(removed.has_value(), it != ref.end());
+                if (removed) {
+                    ASSERT_EQ(*removed, it->second);
+                    ref.erase(it);
+                }
                 break;
+              }
               default: {
                 const std::uint64_t *found = table.find(key);
                 const auto it = ref.find(key);

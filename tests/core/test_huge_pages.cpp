@@ -1,4 +1,4 @@
-/** @file Unit tests for the huge-page hint helpers. */
+/** @file Unit tests for the huge-page hint and page discard helpers. */
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -44,6 +44,47 @@ TEST(HugePageRange, UnalignedStartKeepsOnlyWholePages)
     EXPECT_EQ(straddle.bytes, kHuge);
     // Over one huge page in size yet holding no whole one.
     EXPECT_EQ(huge_page_range(4 * kHuge + 1, kHuge + 8).bytes, 0u);
+}
+
+TEST(WholePages, RoundsInwardToThePageSize)
+{
+    constexpr std::uintptr_t kPage = kPageBytes;
+    EXPECT_EQ(whole_pages(8 * kPage, kPage - 1, kPage).bytes, 0u);
+    const AddressRange exact = whole_pages(8 * kPage, 2 * kPage, kPage);
+    EXPECT_EQ(exact.begin, 8 * kPage);
+    EXPECT_EQ(exact.bytes, 2 * kPage);
+    const AddressRange inner = whole_pages(8 * kPage + 1, 3 * kPage, kPage);
+    EXPECT_EQ(inner.begin, 9 * kPage);
+    EXPECT_EQ(inner.bytes, 2 * kPage);
+    EXPECT_EQ(huge_page_range(4 * kHuge + 1, 2 * kHuge).begin,
+              whole_pages(4 * kHuge + 1, 2 * kHuge, kHuge).begin);
+}
+
+TEST(DiscardPages, TouchesOnlyTheWholePagesInside)
+{
+    // Eight pages' worth of bytes from an unaligned start: the
+    // partial pages at both ends must keep their values.
+    std::vector<unsigned char> buffer(10 * kPageBytes, 0xab);
+    unsigned char *start = buffer.data() + 100;
+    const std::size_t bytes = 8 * kPageBytes;
+    const AddressRange inside = whole_pages(
+        reinterpret_cast<std::uintptr_t>(start), bytes, kPageBytes);
+    ASSERT_GE(inside.bytes, 7 * kPageBytes);
+    discard_pages(start, bytes);
+    for (std::size_t i = 0; i < buffer.size(); ++i) {
+        const auto at = reinterpret_cast<std::uintptr_t>(&buffer[i]);
+        if (at >= inside.begin && at < inside.begin + inside.bytes) {
+#if defined(__linux__)
+            ASSERT_EQ(buffer[i], 0) << "a discarded page reads as zero";
+#endif
+        } else {
+            ASSERT_EQ(buffer[i], 0xab) << i;
+        }
+    }
+    // Written again, a discarded page holds what was written.
+    buffer.assign(buffer.size(), 0x5c);
+    EXPECT_EQ(buffer[5 * kPageBytes], 0x5c);
+    discard_pages(start, 0);  // nothing whole inside: a no-op
 }
 
 TEST(ReserveHuge, ReservesAndKeepsTheContents)

@@ -20,6 +20,7 @@
 #include "analysis/trace_view.h"
 #include "api/study.h"
 #include "core/check.h"
+#include "core/dtype.h"
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
@@ -525,6 +526,46 @@ TEST(StrategyPlanner, HybridReusesTheAdoptedPureReport)
                                        ? Mechanism::kSwap
                                        : Mechanism::kRecompute);
         expect_same_report(hybrid, pure);
+    }
+}
+
+/**
+ * When no pure selection beats the union but one picks exactly what
+ * it picks, the hybrid report is that pure report too. Both serving
+ * studies of the benchmark's serve-stream workload are such cases:
+ * their hybrid plans swap and nothing else, and equal the swap-only
+ * report field by field, bar the strategy.
+ */
+TEST(StrategyPlanner, ServingHybridIsTheSwapOnlyReport)
+{
+    struct Case {
+        const char *model;
+        int batch;
+        DType dtype;
+    };
+    for (const Case &c : {Case{"resnet50", 8, DType::kF32},
+                          Case{"transformer", 32, DType::kF16}}) {
+        SCOPED_TRACE(c.model);
+        api::WorkloadSpec spec;
+        spec.model = c.model;
+        spec.batch = c.batch;
+        spec.dtype = c.dtype;
+        spec.mode = runtime::SessionMode::kInfer;
+        spec.requests = 64;
+        // The relief command's defaults: 8 MiB minimum block, and
+        // the stream's p50 latency as the per-request SLO.
+        api::StudyOptions options;
+        options.relief.min_block_bytes = 8 * kMB;
+        const api::Study study = api::Study::run(spec, options);
+        const auto all = study.relief_all();
+        const ReliefReport &hybrid = all[at(Strategy::kHybrid)];
+        const ReliefReport &swap = all[at(Strategy::kSwapOnly)];
+        EXPECT_EQ(hybrid.strategy, Strategy::kHybrid);
+        EXPECT_EQ(swap.strategy, Strategy::kSwapOnly);
+        ASSERT_FALSE(hybrid.decisions.empty());
+        for (const auto &d : hybrid.decisions)
+            ASSERT_EQ(d.mechanism, Mechanism::kSwap);
+        expect_same_report(hybrid, swap);
     }
 }
 

@@ -26,12 +26,12 @@ namespace test_support {
  * @p sizes, and some mallocs reuse a freed block id, which must
  * start a fresh ATI chain.
  */
-inline trace::TraceRecorder
-random_trace(std::uint64_t seed, std::size_t steps,
-             const std::vector<std::size_t> &sizes, TimeNs tick)
+inline std::vector<trace::MemoryEvent>
+random_events(std::uint64_t seed, std::size_t steps,
+              const std::vector<std::size_t> &sizes, TimeNs tick)
 {
     std::mt19937_64 rng(seed);
-    trace::TraceRecorder r;
+    std::vector<trace::MemoryEvent> events;
     std::vector<BlockId> live;
     std::vector<std::size_t> live_size;
     std::vector<BlockId> freed;
@@ -68,8 +68,20 @@ random_trace(std::uint64_t seed, std::size_t steps,
                                 static_cast<std::ptrdiff_t>(k));
             }
         }
-        r.record(e);
+        events.push_back(e);
     }
+    return events;
+}
+
+/** @return random_events(...) recorded into a fresh recorder. */
+inline trace::TraceRecorder
+random_trace(std::uint64_t seed, std::size_t steps,
+             const std::vector<std::size_t> &sizes, TimeNs tick)
+{
+    trace::TraceRecorder r;
+    for (const trace::MemoryEvent &e :
+         random_events(seed, steps, sizes, tick))
+        r.record(e);
     return r;
 }
 

@@ -1,12 +1,17 @@
 /** @file Unit tests for TraceRecorder. */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/check.h"
 #include "core/types.h"
+#include "support/random_trace.h"
+#include "trace/csv.h"
 #include "trace/event.h"
 #include "trace/recorder.h"
 
@@ -23,6 +28,54 @@ event_at(TimeNs t, EventKind kind = EventKind::kRead,
     e.kind = kind;
     e.block = block;
     e.size = 512;
+    return e;
+}
+
+/** @return the values of @p column, for comparing with a vector. */
+template <typename T>
+std::vector<T>
+values(const Column<T> &column)
+{
+    return std::vector<T>(column.begin(), column.end());
+}
+
+/** Expects @p events to hold exactly @p oracle, field by field. */
+template <typename Events>
+void
+expect_events(const Events &events, const std::vector<MemoryEvent> &oracle)
+{
+    ASSERT_EQ(events.size(), oracle.size());
+    for (std::size_t i = 0; i < oracle.size(); ++i) {
+        SCOPED_TRACE(i);
+        const MemoryEvent e = events[i];
+        const MemoryEvent &o = oracle[i];
+        ASSERT_EQ(e.time, o.time);
+        ASSERT_EQ(e.kind, o.kind);
+        ASSERT_EQ(e.block, o.block);
+        ASSERT_EQ(e.ptr, o.ptr);
+        ASSERT_EQ(e.size, o.size);
+        ASSERT_EQ(e.tensor, o.tensor);
+        ASSERT_EQ(e.category, o.category);
+        ASSERT_EQ(e.iteration, o.iteration);
+        ASSERT_EQ(e.op_index, o.op_index);
+        ASSERT_EQ(e.op, o.op);
+    }
+}
+
+/** @return event @p i of a trace whose every field differs by @p i. */
+MemoryEvent
+distinct_event(std::size_t i)
+{
+    MemoryEvent e;
+    e.time = 10 * i;
+    e.kind = static_cast<EventKind>(i % kNumEventKinds);
+    e.block = i + 1;
+    e.ptr = 0x1000 + 256 * i;
+    e.size = 512 + i;
+    e.tensor = i % 7 == 0 ? kInvalidTensor : 3 * i;
+    e.category = static_cast<Category>(i % kNumCategories);
+    e.iteration = static_cast<std::uint32_t>(i / 5);
+    e.op_index = static_cast<std::int32_t>(i % 11) - 1;
     return e;
 }
 
@@ -114,7 +167,7 @@ TEST(TraceRecorder, EventsAreAReadOnlyRangeOfValues)
     EXPECT_TRUE(TraceRecorder().events().empty());
 }
 
-TEST(TraceRecorder, CapacityIsTheSmallestColumnCapacity)
+TEST(TraceRecorder, ReserveHoldsExactlyItsEvents)
 {
     TraceRecorder r;
     EXPECT_EQ(r.capacity(), 0u);
@@ -123,6 +176,142 @@ TEST(TraceRecorder, CapacityIsTheSmallestColumnCapacity)
     for (TimeNs t = 0; t < 5; ++t)
         r.record(event_at(t));
     EXPECT_EQ(r.capacity(), r.size()) << "the reserve held";
+
+    // One block for every column: a reserve of n holds n events of
+    // each, past the first growth size and past a huge page.
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 1000u, 50000u}) {
+        SCOPED_TRACE(n);
+        TraceRecorder big;
+        big.reserve(n);
+        std::vector<MemoryEvent> oracle;
+        for (std::size_t i = 0; i < n; ++i) {
+            oracle.push_back(distinct_event(i));
+            big.record(oracle.back());
+        }
+        EXPECT_EQ(big.capacity(), big.size());
+        expect_events(big.events(), oracle);
+    }
+}
+
+TEST(TraceRecorder, RecordsAcrossTheFirstGrowthBoundaries)
+{
+    TraceRecorder r;
+    std::vector<MemoryEvent> oracle;
+    std::size_t growths = 0;
+    std::size_t capacity = r.capacity();
+    // Each growth moves every column but the first up within the
+    // block, by more than a page past the first few thousand events.
+    for (std::size_t i = 0; i < 20000; ++i) {
+        oracle.push_back(distinct_event(i));
+        r.record(oracle.back());
+        ASSERT_EQ(r.size(), i + 1);
+        ASSERT_GE(r.capacity(), r.size());
+        if (r.capacity() != capacity) {
+            // Every column moved to the new block intact.
+            ++growths;
+            capacity = r.capacity();
+            expect_events(r.events(), oracle);
+        }
+    }
+    EXPECT_GE(growths, 9u);
+    expect_events(r.events(), oracle);
+
+    // Sharing hands the spare room's pages back; the values stay,
+    // and once the view is gone the recorder fills that room again.
+    const EventColumns *store = &r.columns();
+    {
+        const std::shared_ptr<const EventColumns> frozen = r.share();
+        expect_events(EventRange(*frozen), oracle);
+    }
+    for (std::size_t i = 20000; i < 30000; ++i) {
+        oracle.push_back(distinct_event(i));
+        r.record(oracle.back());
+    }
+    EXPECT_EQ(&r.columns(), store) << "no view holds it: no copy";
+    expect_events(r.events(), oracle);
+}
+
+TEST(TraceRecorder, FrozenStoreKeepsItsLengthAndValues)
+{
+    TraceRecorder r;
+    r.reserve(100);
+    std::vector<MemoryEvent> oracle;
+    for (std::size_t i = 0; i < 70; ++i) {
+        oracle.push_back(distinct_event(i));
+        r.record(oracle.back());
+    }
+    const std::shared_ptr<const EventColumns> frozen = r.share();
+    const std::vector<MemoryEvent> at_freeze = oracle;
+    // Past the reserve, so the recorder's copy grows too.
+    for (std::size_t i = 70; i < 500; ++i) {
+        oracle.push_back(distinct_event(i));
+        r.record(oracle.back());
+    }
+    expect_events(EventRange(*frozen), at_freeze);
+    EXPECT_EQ(frozen->time.size(), 70u);
+    EXPECT_EQ(frozen->op_index.size(), 70u);
+    expect_events(r.events(), oracle);
+}
+
+TEST(TraceRecorder, ClearThenRecordReusesTheBlock)
+{
+    TraceRecorder r;
+    for (std::size_t i = 0; i < 300; ++i)
+        r.record(distinct_event(i));
+    const std::size_t capacity = r.capacity();
+    r.clear();
+    EXPECT_TRUE(r.empty());
+    EXPECT_TRUE(r.columns().category.empty());
+    EXPECT_EQ(r.capacity(), capacity) << "clear keeps the block";
+    std::vector<MemoryEvent> oracle;
+    for (std::size_t i = 0; i < 10; ++i) {
+        oracle.push_back(distinct_event(i + 1000));
+        oracle.back().time = i;  // earlier than before the clear
+        r.record(oracle.back());
+    }
+    expect_events(r.events(), oracle);
+    EXPECT_EQ(r.capacity(), capacity);
+}
+
+TEST(TraceRecorder, SeededTracesMatchAVectorOracle)
+{
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+        SCOPED_TRACE(seed);
+        // From below the first growth size to several doublings.
+        const std::size_t steps = 1 + seed * seed * 3;
+        std::vector<MemoryEvent> oracle = test_support::random_events(
+            seed, steps, {256, 4096, 1u << 20}, 7);
+        // random_events leaves the bookkeeping fields at their
+        // defaults: fill them so that every column is exercised.
+        TraceRecorder r;
+        std::mt19937_64 rng(seed);
+        const OpId ops[] = {0, r.intern("fc0.forward"),
+                            r.intern("fc0.backward")};
+        for (MemoryEvent &e : oracle) {
+            e.ptr = rng();
+            e.tensor = rng() % 4 == 0 ? kInvalidTensor : rng() % 1000;
+            e.category = static_cast<Category>(rng() % kNumCategories);
+            e.iteration = static_cast<std::uint32_t>(rng() % 3);
+            e.op_index = static_cast<std::int32_t>(rng() % 50) - 1;
+            e.op = ops[rng() % 3];
+            r.record(e);
+        }
+        expect_events(r.events(), oracle);
+
+        // read_csv records without a reserve, so it grows the block;
+        // it numbers op names in their order of appearance.
+        std::stringstream csv;
+        write_csv(r, csv);
+        const TraceRecorder back = read_csv(csv);
+        std::vector<MemoryEvent> reread(back.events().begin(),
+                                        back.events().end());
+        ASSERT_EQ(reread.size(), oracle.size());
+        for (std::size_t i = 0; i < reread.size(); ++i) {
+            ASSERT_EQ(back.op_name(reread[i].op), r.op_name(oracle[i].op));
+            reread[i].op = oracle[i].op;
+        }
+        expect_events(reread, oracle);
+    }
 }
 
 TEST(TraceRecorder, CopyThatRecordsLeavesTheOriginalUnchanged)
@@ -149,7 +338,7 @@ TEST(TraceRecorder, SharedColumnsNeverChange)
 
     r.record(event_at(20));
     EXPECT_NE(&r.columns(), shared.get()) << "the write copied first";
-    EXPECT_EQ(shared->time, (std::vector<TimeNs>{10}));
+    EXPECT_EQ(values(shared->time), (std::vector<TimeNs>{10}));
     const EventColumns *recorded = &r.columns();
     r.record(event_at(30));
     EXPECT_EQ(&r.columns(), recorded)
@@ -158,7 +347,7 @@ TEST(TraceRecorder, SharedColumnsNeverChange)
     const std::shared_ptr<const EventColumns> again = r.share();
     r.clear();
     EXPECT_TRUE(r.empty());
-    EXPECT_EQ(again->time, (std::vector<TimeNs>{10, 20, 30}));
+    EXPECT_EQ(values(again->time), (std::vector<TimeNs>{10, 20, 30}));
     r.reserve(8);
     EXPECT_EQ(shared->time.size(), 1u);
     EXPECT_EQ(again->time.size(), 3u);
