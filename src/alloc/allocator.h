@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/types.h"
 
@@ -73,6 +74,25 @@ struct AllocatorStats {
 };
 
 /**
+ * The state of an allocator as a sequence of values. Two states
+ * whose keys are equal answer every later sequence of calls with the
+ * same placements and clock costs; their block ids differ only by
+ * the difference of their next ids.
+ */
+using StateKey = std::vector<std::uint64_t>;
+
+/**
+ * Adds to @p stats what one more run of a span of calls adds: a span
+ * that took an allocator from @p from to @p to, replayed from a
+ * state with the same key. Every counter advances by its difference.
+ * @throws Error unless the span freed every block it allocated, ends
+ * with the bytes allocated and reserved it began with, and @p stats
+ * already holds the span's high-water marks, so a repeat moves none.
+ */
+void repeat_stats(AllocatorStats &stats, const AllocatorStats &from,
+                  const AllocatorStats &to);
+
+/**
  * Device memory allocator interface. Implementations advance the
  * simulated clock by the modeled cost of each operation so that
  * allocation behavior shows up in the timeline exactly like it does
@@ -106,6 +126,28 @@ class Allocator
 
     /** @return number of currently live blocks. */
     virtual std::size_t live_blocks() const = 0;
+
+    /**
+     * Appends every value that decides this allocator's future
+     * placements and clock costs: its free space, its live blocks
+     * with their ids, and its device's state. Equal keys before and
+     * after a span of calls mean the span left the state as it found
+     * it. The next block id and the counters stay out, and so does
+     * the clock, which an allocator only advances and never reads.
+     */
+    virtual void append_state_key(StateKey &key) const = 0;
+
+    /**
+     * Skips a repeat of a span of calls this allocator already ran
+     * from a state with the key it has now: a span that allocated
+     * and freed `to.alloc_count - from.alloc_count` blocks and took
+     * the stats from @p from to @p to. The ids advance past that many
+     * dead blocks and the stats as repeat_stats() says. The rest of
+     * the state stays, so the span must have ended with the key it
+     * began with.
+     */
+    virtual void fast_forward(const AllocatorStats &from,
+                              const AllocatorStats &to) = 0;
 };
 
 }  // namespace alloc

@@ -1,6 +1,7 @@
 #include "alloc/allocator.h"
 #include "alloc/buddy_allocator.h"
 #include "alloc/device_memory.h"
+#include "alloc/live_ids.h"
 #include "core/check.h"
 #include "core/types.h"
 #include "sim/clock.h"
@@ -148,7 +149,7 @@ BuddyAllocator::allocate(std::size_t bytes)
     pub.ptr = arena_base_ + offset;
     pub.size = std::size_t(1) << order;
     pub.requested = bytes;
-    blocks_.push_back({offset, order});
+    blocks_.push_back({offset, order, live_.add(pub.id)});
 
     ++stats_.alloc_count;
     ++stats_.cache_hit_count;  // arena ops never touch the driver
@@ -168,6 +169,10 @@ BuddyAllocator::deallocate(BlockId id)
     int order = blocks_[id].order;
     const std::size_t size = std::size_t(1) << order;
     blocks_[id].order = -1;
+    const BlockId moved = live_.remove(blocks_[id].slot);
+    if (moved != kInvalidBlock)
+        blocks_[moved].slot = blocks_[id].slot;
+    blocks_[id].slot = LiveIds::kNoSlot;
 
     // Coalesce with free buddies as far up as possible.
     while (order < max_order_) {
@@ -185,6 +190,30 @@ BuddyAllocator::deallocate(BlockId id)
     stats_.allocated_bytes -= size;
     ++stats_.free_count;
     clock_.advance(kOpCostNs);
+}
+
+void
+BuddyAllocator::append_state_key(StateKey &key) const
+{
+    device_.append_state_key(key);
+    for (const FreeList &fl : free_lists_) {
+        key.push_back(fl.size());
+        key.insert(key.end(), fl.begin(), fl.end());
+    }
+    key.push_back(live_.ids().size());
+    for (BlockId id : live_.ids()) {
+        key.push_back(id);
+        key.push_back(blocks_[id].offset);
+        key.push_back(static_cast<std::uint64_t>(blocks_[id].order));
+    }
+}
+
+void
+BuddyAllocator::fast_forward(const AllocatorStats &from,
+                             const AllocatorStats &to)
+{
+    repeat_stats(stats_, from, to);
+    blocks_.resize(stats_.alloc_count);
 }
 
 void
@@ -217,15 +246,21 @@ BuddyAllocator::check_invariants() const
     }
     std::size_t live_bytes = 0;
     std::size_t live = 0;
-    for (const Placement &p : blocks_) {
+    for (BlockId id = 0; id < blocks_.size(); ++id) {
+        const Placement &p = blocks_[id];
+        PP_ASSERT((p.order >= 0) == (p.slot != LiveIds::kNoSlot),
+                  "a block's live slot disagrees with its order");
         if (p.order < 0)
             continue;
+        PP_ASSERT(live_.ids()[p.slot] == id,
+                  "a live block's slot holds another id");
         const std::size_t size = std::size_t(1) << p.order;
         PP_ASSERT(p.offset % size == 0, "misaligned live block");
         live_bytes += size;
         ++live;
     }
-    PP_ASSERT(live == live_blocks(), "live block table drifted");
+    PP_ASSERT(live == live_blocks() && live == live_.ids().size(),
+              "live block table drifted");
     PP_ASSERT(free_bytes + live_bytes == arena_size_,
               "arena bytes unaccounted: free " << free_bytes
               << " + live " << live_bytes << " != " << arena_size_);

@@ -15,6 +15,7 @@
 
 #include "alloc/allocator.h"
 #include "alloc/device_memory.h"
+#include "alloc/live_ids.h"
 #include "core/types.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
@@ -56,6 +57,14 @@ class BuddyAllocator : public Allocator
         return stats_.alloc_count - stats_.free_count;
     }
 
+    /**
+     * Appends the device's state, each order's free list, and each
+     * live block's id, offset and order.
+     */
+    void append_state_key(StateKey &key) const override;
+    void fast_forward(const AllocatorStats &from,
+                      const AllocatorStats &to) override;
+
     /** @return the arena size in bytes. */
     std::size_t arena_bytes() const { return arena_size_; }
 
@@ -93,9 +102,12 @@ class BuddyAllocator : public Allocator
     struct Placement {
         std::size_t offset = 0;
         int order = -1;
+        /** Slot in live_ while the block is live. */
+        std::uint32_t slot = LiveIds::kNoSlot;
     };
     /** Placement of every block by id (ids are dense). */
     std::vector<Placement> blocks_;
+    LiveIds live_;
 
     static constexpr TimeNs kOpCostNs = 300;
 };

@@ -204,9 +204,10 @@ CachingAllocator::allocate(std::size_t bytes)
     }
     maybe_split(node, rounded);
     node->allocated = true;
+    node->id = live_nodes_.size();
 
     Block b;
-    b.id = live_nodes_.size();
+    b.id = node->id;
     b.ptr = node->ptr;
     b.size = node->size;
     b.requested = bytes;
@@ -297,6 +298,30 @@ CachingAllocator::empty_cache()
 }
 
 void
+CachingAllocator::append_state_key(StateKey &key) const
+{
+    device_.append_state_key(key);
+    key.push_back(segments_.size());
+    for (const auto &[base, head] : segments_) {
+        key.push_back(head->segment_size);
+        key.push_back(head->is_small_pool);
+        for (const Node *node = head; node; node = node->next) {
+            key.push_back(node->ptr);
+            key.push_back(node->size);
+            key.push_back(node->allocated ? node->id : kInvalidBlock);
+        }
+    }
+}
+
+void
+CachingAllocator::fast_forward(const AllocatorStats &from,
+                               const AllocatorStats &to)
+{
+    repeat_stats(stats_, from, to);
+    live_nodes_.resize(stats_.alloc_count, nullptr);
+}
+
+void
 CachingAllocator::check_invariants() const
 {
     std::size_t allocated = 0;
@@ -350,10 +375,13 @@ CachingAllocator::check_invariants() const
               "node store holds a node that is neither linked nor "
               "spare");
     std::size_t live = 0;
-    for (const Node *node : live_nodes_) {
+    for (BlockId id = 0; id < live_nodes_.size(); ++id) {
+        const Node *node = live_nodes_[id];
         if (!node)
             continue;
         PP_ASSERT(node->allocated, "live block maps to a free node");
+        PP_ASSERT(node->id == id,
+                  "a live node carries another block's id");
         ++live;
     }
     PP_ASSERT(live == allocated_nodes && live == live_blocks(),

@@ -70,6 +70,15 @@ class CachingAllocator : public Allocator
     /** Releases every completely-free cached segment to the device. */
     void empty_cache() override;
 
+    /**
+     * Appends the device's state, then each segment in address order
+     * (its size and pool, then each node's ptr, size and, when it is
+     * allocated, block id).
+     */
+    void append_state_key(StateKey &key) const override;
+    void fast_forward(const AllocatorStats &from,
+                      const AllocatorStats &to) override;
+
     /** @return rounded block size for a request of @p bytes. */
     static std::size_t round_size(std::size_t bytes);
 
@@ -90,6 +99,8 @@ class CachingAllocator : public Allocator
         std::size_t size = 0;
         bool allocated = false;
         bool is_small_pool = false;
+        /** Block id while allocated. */
+        BlockId id = kInvalidBlock;
         Node *prev = nullptr;  ///< address-adjacent neighbor, same segment
         Node *next = nullptr;
         DevPtr segment_base = kNullDevPtr;

@@ -1,3 +1,4 @@
+#include "alloc/allocator.h"
 #include "alloc/device_memory.h"
 #include "core/check.h"
 #include "core/types.h"
@@ -118,6 +119,21 @@ DeviceMemory::reservation_size(DevPtr ptr) const
     PP_CHECK(live != nullptr,
              "unknown device pointer 0x" << std::hex << ptr);
     return *live;
+}
+
+void
+DeviceMemory::append_state_key(StateKey &key) const
+{
+    key.push_back(free_regions_.size());
+    for (const Region &r : free_regions_) {
+        key.push_back(r.ptr);
+        key.push_back(r.size);
+    }
+    key.push_back(live_.size());
+    live_.for_each([&key](DevPtr ptr, std::size_t size) {
+        key.push_back(ptr);
+        key.push_back(size);
+    });
 }
 
 }  // namespace alloc

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "alloc/allocator.h"
 #include "core/check.h"
 #include "core/flat_table.h"
 #include "core/types.h"
@@ -89,6 +90,13 @@ class DeviceMemory
 
     /** @return size of the live reservation based at @p ptr. */
     std::size_t reservation_size(DevPtr ptr) const;
+
+    /**
+     * Appends the free regions and the live reservations to @p key
+     * (Allocator::append_state_key): all that decides where later
+     * reservations go and which frees succeed.
+     */
+    void append_state_key(StateKey &key) const;
 
     /** Base address of the simulated heap (for display/tests). */
     static constexpr DevPtr kBaseAddress = 0x7f00'0000'0000ull;

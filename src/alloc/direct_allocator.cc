@@ -1,6 +1,7 @@
 #include "alloc/allocator.h"
 #include "alloc/device_memory.h"
 #include "alloc/direct_allocator.h"
+#include "alloc/live_ids.h"
 #include "core/check.h"
 #include "core/types.h"
 #include "sim/clock.h"
@@ -29,7 +30,7 @@ DirectAllocator::allocate(std::size_t bytes)
     b.ptr = ptr;
     b.size = device_.reservation_size(ptr);
     b.requested = bytes;
-    blocks_.push_back(b);
+    blocks_.push_back({b.ptr, b.size, live_.add(b.id)});
 
     ++stats_.alloc_count;
     ++stats_.device_alloc_count;
@@ -45,16 +46,39 @@ DirectAllocator::allocate(std::size_t bytes)
 void
 DirectAllocator::deallocate(BlockId id)
 {
-    PP_CHECK(id < blocks_.size() && blocks_[id].id == id,
+    PP_CHECK(id < blocks_.size() && blocks_[id].slot != LiveIds::kNoSlot,
              "deallocate of unknown block " << id);
-    Block &b = blocks_[id];
+    Entry &b = blocks_[id];
     clock_.advance(cost_.cuda_free_time());
     device_.free(b.ptr);
     stats_.allocated_bytes -= b.size;
     stats_.reserved_bytes -= b.size;
     ++stats_.free_count;
     ++stats_.device_free_count;
-    b.id = kInvalidBlock;
+    const BlockId moved = live_.remove(b.slot);
+    if (moved != kInvalidBlock)
+        blocks_[moved].slot = b.slot;
+    b.slot = LiveIds::kNoSlot;
+}
+
+void
+DirectAllocator::append_state_key(StateKey &key) const
+{
+    // The device holds each live block's ptr and size.
+    device_.append_state_key(key);
+    key.push_back(live_.ids().size());
+    for (BlockId id : live_.ids()) {
+        key.push_back(id);
+        key.push_back(blocks_[id].ptr);
+    }
+}
+
+void
+DirectAllocator::fast_forward(const AllocatorStats &from,
+                              const AllocatorStats &to)
+{
+    repeat_stats(stats_, from, to);
+    blocks_.resize(stats_.alloc_count);
 }
 
 }  // namespace alloc

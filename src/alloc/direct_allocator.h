@@ -8,6 +8,7 @@
 
 #include "alloc/allocator.h"
 #include "alloc/device_memory.h"
+#include "alloc/live_ids.h"
 #include "core/types.h"
 #include "sim/clock.h"
 #include "sim/cost_model.h"
@@ -42,13 +43,27 @@ class DirectAllocator : public Allocator
         return stats_.alloc_count - stats_.free_count;
     }
 
+    /** Appends the device's state and each live block's id. */
+    void append_state_key(StateKey &key) const override;
+    void fast_forward(const AllocatorStats &from,
+                      const AllocatorStats &to) override;
+
   private:
+    /** One block's reservation. */
+    struct Entry {
+        DevPtr ptr = kNullDevPtr;
+        std::size_t size = 0;
+        /** Slot in live_ while the block is live. */
+        std::uint32_t slot = LiveIds::kNoSlot;
+    };
+
     DeviceMemory &device_;
     sim::VirtualClock &clock_;
     const sim::CostModel &cost_;
     AllocatorStats stats_;
-    /** Every block by id (ids are dense); id kInvalidBlock once freed. */
-    std::vector<Block> blocks_;
+    /** Every block by id (ids are dense). */
+    std::vector<Entry> blocks_;
+    LiveIds live_;
 };
 
 }  // namespace alloc

@@ -104,6 +104,19 @@ class FlatTable
     /** @return number of keys. */
     std::size_t size() const { return size_; }
 
+    /**
+     * Calls @p visit(key, value) for every key in slot order, which
+     * depends on the order keys arrived in as well as on the keys.
+     */
+    template <typename Visit>
+    void
+    for_each(Visit &&visit) const
+    {
+        for (const Entry &e : entries_)
+            if (e.used)
+                visit(e.key, e.value);
+    }
+
   private:
     struct Entry {
         Key key = 0;

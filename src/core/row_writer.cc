@@ -54,6 +54,17 @@ RowWriter::long_text(std::string_view s)
 }
 
 void
+RowWriter::make_room(std::size_t bytes)
+{
+    flush();
+    if (bytes > buf_.size()) {
+        buf_.resize(bytes);
+        pos_ = buf_.data();
+        end_ = buf_.data() + buf_.size();
+    }
+}
+
+void
 RowWriter::flush()
 {
     os_.write(buf_.data(), pos_ - buf_.data());

@@ -319,6 +319,17 @@ Engine::execute_op(const Op &op, std::int32_t op_index)
 }
 
 void
+Engine::state_key(alloc::StateKey &key) const
+{
+    key.clear();
+    allocator_.append_state_key(key);
+    // The allocator's key maps each live id to its ptr and size.
+    for (const alloc::Block &b : bound_)
+        key.push_back(b.id);
+    key.insert(key.end(), usage_.current.begin(), usage_.current.end());
+}
+
+void
 Engine::run_iteration()
 {
     current_iteration_ =
@@ -329,10 +340,59 @@ Engine::run_iteration()
         iterations_done_ % options_.iterations_per_epoch == 0) {
         stage_dataset(false);
     }
+    // The op sequence is the same every iteration, so an iteration
+    // that begins in the state the template began and ended in does
+    // what the template did. The key is rebuilt at every boundary:
+    // a caller may touch the allocator between run() calls.
+    state_key(key_);
+    if (template_.closed && key_ == template_.key)
+        repeat_template();
+    else
+        execute_iteration();
+    ++iterations_done_;
+}
+
+void
+Engine::execute_iteration()
+{
+    Template &t = template_;
+    t.closed = false;
+    t.key.swap(key_);
+    t.start = clock_.now();
+    t.from = allocator_.stats();
+    const std::size_t first_event = recorder_ ? recorder_->size() : 0;
     for (std::size_t i = 0; i < plan_.iteration_ops.size(); ++i)
         execute_op(plan_.iteration_ops[i],
                    static_cast<std::int32_t>(i));
-    ++iterations_done_;
+    // A trailing kernel may record no event, so the clock, not the
+    // last event, gives the duration.
+    t.duration = clock_.now() - t.start;
+    t.to = allocator_.stats();
+    state_key(key_);
+    t.closed = key_ == t.key;
+    t.events.reset();
+    if (t.closed && recorder_)
+        t.events.emplace(recorder_->columns(), first_event,
+                         recorder_->size());
+    ++executed_iterations_;
+}
+
+void
+Engine::repeat_template()
+{
+    const Template &t = template_;
+    if (recorder_) {
+        // The template's blocks got ids from t.from.alloc_count on;
+        // this repeat's get them from the allocator's next id.
+        trace::EventShift shift;
+        shift.time = clock_.now() - t.start;
+        shift.first_block = t.from.alloc_count;
+        shift.block = allocator_.stats().alloc_count - t.from.alloc_count;
+        shift.iteration = current_iteration_;
+        recorder_->append(*t.events, shift);
+    }
+    allocator_.fast_forward(t.from, t.to);
+    clock_.advance(t.duration);
 }
 
 void

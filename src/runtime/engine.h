@@ -5,12 +5,23 @@
  * component that stands in for "PyTorch running on the GPU" — every
  * malloc/free/read/write it performs is recorded exactly the way the
  * paper's instrumented runtime records them.
+ *
+ * Every iteration runs the same ops, so what one does depends only
+ * on the state it begins in: the allocator's state key
+ * (alloc::Allocator::append_state_key), the block bound to each
+ * tensor and the bytes live per category. The engine executes
+ * iterations until one ends in the state it began in; an iteration
+ * that begins in that state again is not executed but appended as a
+ * copy of it, moved in time and block ids, while the allocator skips
+ * ahead (alloc::Allocator::fast_forward). The trace, stats, usage
+ * and clock are those executing it would give.
  */
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -109,6 +120,12 @@ class Engine
     const MemoryUsage &usage() const { return usage_; }
 
     /**
+     * @return how many of the iterations run so far went through
+     * the allocator; the rest repeated an earlier one.
+     */
+    int executed_iterations() const { return executed_iterations_; }
+
+    /**
      * Releases every transient and persistent block the engine still
      * holds (also called by the destructor).
      */
@@ -130,10 +147,39 @@ class Engine
     std::size_t plan_bytes(const std::vector<TensorId> &ids) const;
     const TensorOpIds &op_ids(TensorId id) const;
 
+    /**
+     * The last executed iteration, which a later iteration that
+     * begins in the same state repeats.
+     */
+    struct Template {
+        /** Whether it ended in the state it began in. */
+        bool closed = false;
+        /** The state it began in (state_key()). */
+        alloc::StateKey key;
+        /** Clock when it began, and how far it moved the clock. */
+        TimeNs start = 0;
+        TimeNs duration = 0;
+        /** Allocator stats when it began and when it ended. */
+        alloc::AllocatorStats from;
+        alloc::AllocatorStats to;
+        /** Its events, when it is closed and there is a recorder. */
+        std::optional<trace::EventColumns> events;
+    };
+
     void setup();
     void stage_dataset(bool initial);
     void run_iteration();
     void execute_op(const Op &op, std::int32_t op_index);
+    /**
+     * Replaces @p key with every value that decides what the next
+     * iteration does: the allocator's state key, then the block
+     * bound to each tensor slot, then the bytes live per category.
+     */
+    void state_key(alloc::StateKey &key) const;
+    /** Runs the iteration through the allocator; it is the template. */
+    void execute_iteration();
+    /** Appends a copy of the template instead of executing it. */
+    void repeat_template();
 
     alloc::Block &bind(TensorId id);
     void release(TensorId id);
@@ -152,6 +198,10 @@ class Engine
 
     bool setup_done_ = false;
     int iterations_done_ = 0;
+    int executed_iterations_ = 0;
+    Template template_;
+    /** The state key of the iteration about to run. */
+    alloc::StateKey key_;
     std::uint32_t current_iteration_ = kSetupIteration;
     MemoryUsage usage_;
     /**

@@ -1,6 +1,9 @@
 #include "trace/csv.h"
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <ostream>
 #include <string_view>
@@ -101,23 +104,80 @@ parse_i32_field(std::string_view text, std::size_t lineno,
     return static_cast<std::int32_t>(value);
 }
 
+/** Copies @p s to @p out; @return the end. */
+char *
+put_text(char *out, std::string_view s)
+{
+    std::memcpy(out, s.data(), s.size());
+    return out + s.size();
+}
+
 }  // namespace
 
 void
 write_csv(const TraceRecorder &recorder, std::ostream &os)
 {
+    std::array<std::string_view, kNumEventKinds> kinds;
+    for (int k = 0; k < kNumEventKinds; ++k)
+        kinds[k] = event_kind_name(static_cast<EventKind>(k));
+    std::array<std::string_view, kNumCategories> categories;
+    for (int k = 0; k < kNumCategories; ++k)
+        categories[k] = category_name(static_cast<Category>(k));
+    std::size_t longest_names = 0;
+    for (std::string_view name : kinds)
+        longest_names = std::max(longest_names, name.size());
+    for (std::string_view name : categories)
+        longest_names = std::max(longest_names, name.size());
+    // Seven integers, the two names and ten separators, before the
+    // op name.
+    const std::size_t row_bytes =
+        7 * RowWriter::kMaxInteger + 2 * longest_names + 10;
+
     const std::vector<std::string> &names = recorder.op_names();
+    // Raw column pointers: the digits go out through a char pointer,
+    // which may alias anything, so views would be reloaded per field.
+    const EventColumns &c = recorder.columns();
+    const TimeNs *time = c.time.data();
+    const EventKind *kind = c.kind.data();
+    const BlockId *block = c.block.data();
+    const DevPtr *ptr = c.ptr.data();
+    const std::size_t *size = c.size.data();
+    const TensorId *tensor = c.tensor.data();
+    const Category *category = c.category.data();
+    const std::uint32_t *iteration = c.iteration.data();
+    const std::int32_t *op_index = c.op_index.data();
+    const OpId *op = c.op.data();
+    const std::size_t rows = c.time.size();
     RowWriter w(os);
     w << kHeader << '\n';
-    for (const auto &e : recorder.events()) {
-        w << e.time << ',' << event_kind_name(e.kind) << ',' << e.block
-          << ',' << e.ptr << ',' << e.size << ',';
-        if (e.tensor == kInvalidTensor)
-            w << '-';
+    for (std::size_t i = 0; i < rows; ++i) {
+        const std::string_view name = names[op[i]];
+        char *out = w.begin_row(row_bytes + name.size());
+        out = format_decimal(out, time[i]);
+        *out++ = ',';
+        out = put_text(out, kinds[static_cast<std::size_t>(kind[i])]);
+        *out++ = ',';
+        out = format_decimal(out, block[i]);
+        *out++ = ',';
+        out = format_decimal(out, ptr[i]);
+        *out++ = ',';
+        out = format_decimal(out, size[i]);
+        *out++ = ',';
+        if (tensor[i] == kInvalidTensor)
+            *out++ = '-';
         else
-            w << e.tensor;
-        w << ',' << category_name(e.category) << ',' << e.iteration
-          << ',' << e.op_index << ',' << names[e.op] << '\n';
+            out = format_decimal(out, tensor[i]);
+        *out++ = ',';
+        out = put_text(
+            out, categories[static_cast<std::size_t>(category[i])]);
+        *out++ = ',';
+        out = format_decimal(out, iteration[i]);
+        *out++ = ',';
+        out = format_decimal(out, op_index[i]);
+        *out++ = ',';
+        out = put_text(out, name);
+        *out++ = '\n';
+        w.end_row(out);
     }
     w.flush();
 }

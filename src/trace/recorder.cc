@@ -58,6 +58,36 @@ EventColumns::EventColumns(const EventColumns &other) : EventColumns()
     }
 }
 
+EventColumns::EventColumns(const EventColumns &other, std::size_t begin,
+                           std::size_t end)
+    : EventColumns()
+{
+    PP_CHECK(begin <= end && end <= other.length_,
+             "event range [" << begin << ", " << end
+                             << ") is not in a store of "
+                             << other.length_);
+    if (begin == end)
+        return;
+    block_.reset(allocate(nullptr, end - begin));
+    capacity_ = end - begin;
+    // With length_ still 0 this only points the columns.
+    lay_out(other.block_.get(), other.capacity_);
+    auto copy = [&](auto *to, const auto *from) {
+        std::memcpy(to, from + begin, (end - begin) * sizeof(*from));
+    };
+    copy(time.data_, other.time.data_);
+    copy(kind.data_, other.kind.data_);
+    copy(block.data_, other.block.data_);
+    copy(ptr.data_, other.ptr.data_);
+    copy(size.data_, other.size.data_);
+    copy(tensor.data_, other.tensor.data_);
+    copy(category.data_, other.category.data_);
+    copy(iteration.data_, other.iteration.data_);
+    copy(op_index.data_, other.op_index.data_);
+    copy(op.data_, other.op.data_);
+    length_ = end - begin;
+}
+
 MemoryEvent
 EventColumns::event(std::size_t i) const
 {
@@ -82,6 +112,39 @@ EventColumns::reserve(std::size_t n)
         return;
     resize_block(n);
     advise_huge_pages(block_.get(), n * kEventBytes);
+}
+
+void
+EventColumns::append(const EventColumns &from, const EventShift &shift)
+{
+    // Read before growing: @p from may be this store.
+    const std::size_t n = from.length_;
+    const std::size_t at = length_;
+    if (at + n > capacity_) {
+        std::size_t capacity = capacity_;
+        while (capacity < at + n)
+            capacity = std::max(2 * capacity, kFirstCapacity);
+        resize_block(capacity);
+    }
+    for (std::size_t i = 0; i < n; ++i)
+        time.data_[at + i] = from.time.data_[i] + shift.time;
+    for (std::size_t i = 0; i < n; ++i) {
+        const BlockId b = from.block.data_[i];
+        const bool moves = b >= shift.first_block && b != kInvalidBlock;
+        block.data_[at + i] = moves ? b + shift.block : b;
+    }
+    std::fill_n(iteration.data_ + at, n, shift.iteration);
+    auto copy = [&](auto *to, const auto *in) {
+        std::memcpy(to + at, in, n * sizeof(*in));
+    };
+    copy(kind.data_, from.kind.data_);
+    copy(ptr.data_, from.ptr.data_);
+    copy(size.data_, from.size.data_);
+    copy(tensor.data_, from.tensor.data_);
+    copy(category.data_, from.category.data_);
+    copy(op_index.data_, from.op_index.data_);
+    copy(op.data_, from.op.data_);
+    length_ = at + n;
 }
 
 void
@@ -181,6 +244,23 @@ TraceRecorder::record(const MemoryEvent &event)
              "event op id " << event.op << " is not interned in this "
                             << "recorder");
     writable().append(event);
+}
+
+void
+TraceRecorder::append(const EventColumns &from, const EventShift &shift)
+{
+    if (from.time.empty())
+        return;
+    const Column<TimeNs> &times = columns().time;
+    const TimeNs first = from.time.front() + shift.time;
+    PP_CHECK(times.empty() || first >= times.back(),
+             "events must be recorded in time order: got "
+                 << first << " after " << times.back());
+    const OpId max_op = *std::max_element(from.op.begin(), from.op.end());
+    PP_CHECK(max_op < names_.size(),
+             "event op id " << max_op << " is not interned in this "
+                            << "recorder");
+    writable().append(from, shift);
 }
 
 OpId

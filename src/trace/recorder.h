@@ -3,9 +3,9 @@
  * Trace recorder: accumulates MemoryEvents during a run. Each trace
  * is one EventColumns block, a column per MemoryEvent field with one
  * length and one capacity, so a record is one capacity check, one
- * store per field and one length bump; readers see the columns
- * through read-only Column views, or event by event as an
- * EventRange.
+ * store per field and one length bump, and a repeated iteration is
+ * appended whole, shifted (append); readers see the columns through
+ * read-only Column views, or event by event as an EventRange.
  */
 #pragma once
 
@@ -52,6 +52,19 @@ class Column
 };
 
 /**
+ * How TraceRecorder::append places a copied run of events later in a
+ * trace: every time moves by `time`, every block id from
+ * `first_block` up moves by `block`, and every event gets iteration
+ * label `iteration`. The other fields are copied as they are.
+ */
+struct EventShift {
+    TimeNs time = 0;
+    BlockId first_block = 0;
+    BlockId block = 0;
+    std::uint32_t iteration = 0;
+};
+
+/**
  * The events of one trace in columnar storage: one column per
  * MemoryEvent field, event i at index i of each. The ten columns lie
  * back to back in one allocation (8-byte fields first, then 4-byte,
@@ -77,6 +90,12 @@ class EventColumns
     EventColumns();
     /** Copies @p other whole, at its capacity. */
     EventColumns(const EventColumns &other);
+    /**
+     * Copies events [@p begin, @p end) of @p other into a store of
+     * exactly that capacity.
+     */
+    EventColumns(const EventColumns &other, std::size_t begin,
+                 std::size_t end);
     EventColumns &operator=(const EventColumns &) = delete;
 
     /** @return event @p i, assembled from the columns. */
@@ -112,6 +131,13 @@ class EventColumns
         op.data_[i] = e.op;
         length_ = i + 1;
     }
+
+    /**
+     * Appends every event of @p from, moved by @p shift. The block
+     * grows to the capacity as many appends of one event would give
+     * it, in one step. @p from may be this store.
+     */
+    void append(const EventColumns &from, const EventShift &shift);
 
     /**
      * Makes room for @p n events: the block is resized once, to
@@ -239,6 +265,15 @@ class TraceRecorder
      * @p event.op is not an id of this recorder.
      */
     void record(const MemoryEvent &event);
+
+    /**
+     * Appends every event of @p from, moved by @p shift (EventShift),
+     * in one step: a whole iteration of a repeating run.
+     * @throws Error if the first moved event precedes the last
+     * recorded one, or an op id of @p from is not an id of this
+     * recorder.
+     */
+    void append(const EventColumns &from, const EventShift &shift);
 
     /**
      * @return the id of op name @p name, adding it to the table on

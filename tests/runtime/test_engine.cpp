@@ -3,8 +3,13 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "alloc/allocator.h"
+#include "alloc/buddy_allocator.h"
 #include "alloc/caching_allocator.h"
 #include "alloc/device_memory.h"
 #include "analysis/breakdown.h"
@@ -14,6 +19,7 @@
 #include "nn/models.h"
 #include "runtime/engine.h"
 #include "runtime/plan_builder.h"
+#include "runtime/session.h"
 #include "support/trace_counts.h"
 
 namespace pinpoint {
@@ -309,6 +315,347 @@ TEST_F(EngineTest, NegativeFlopsThrowAtConstruction)
     EXPECT_THROW(Engine(plan_, alloc_, clock_, cost_, &trace_), Error);
     EXPECT_TRUE(trace_.empty());
     EXPECT_EQ(alloc_.live_blocks(), 0u);
+}
+
+/**
+ * Forwards every call to another allocator, but its state key
+ * carries a count of the keys asked for, so no two keys are equal
+ * and an engine over it executes every iteration.
+ */
+class NeverRepeating : public alloc::Allocator
+{
+  public:
+    explicit NeverRepeating(alloc::Allocator &inner) : inner_(inner) {}
+
+    alloc::Block allocate(std::size_t bytes) override
+    {
+        return inner_.allocate(bytes);
+    }
+    void deallocate(BlockId id) override { inner_.deallocate(id); }
+    const alloc::AllocatorStats &stats() const override
+    {
+        return inner_.stats();
+    }
+    std::string name() const override { return inner_.name(); }
+    void empty_cache() override { inner_.empty_cache(); }
+    std::size_t live_blocks() const override
+    {
+        return inner_.live_blocks();
+    }
+    void append_state_key(alloc::StateKey &key) const override
+    {
+        inner_.append_state_key(key);
+        key.push_back(keys_++);
+    }
+    void fast_forward(const alloc::AllocatorStats &,
+                      const alloc::AllocatorStats &) override
+    {
+        ADD_FAILURE() << "an engine fast-forwarded a key that never "
+                         "repeats";
+    }
+
+  private:
+    alloc::Allocator &inner_;
+    mutable std::uint64_t keys_ = 0;
+};
+
+/** What one engine run produced. */
+struct Outcome {
+    trace::TraceRecorder trace;
+    alloc::AllocatorStats stats;
+    MemoryUsage usage;
+    TimeNs end_time = 0;
+    std::size_t peak_reserved_bytes = 0;
+    double fragmentation = 0.0;
+    int executed = 0;
+};
+
+/**
+ * Runs @p plan on a fresh Titan X over an allocator of @p kind,
+ * wrapped in NeverRepeating when @p independent, lets @p drive run
+ * the engine, then tears it down.
+ */
+Outcome
+run_engine(const Plan &plan, AllocatorKind kind, bool independent,
+           const EngineOptions &options,
+           const std::function<void(Engine &, sim::VirtualClock &,
+                                    alloc::Allocator &)> &drive)
+{
+    const sim::DeviceSpec spec = sim::DeviceSpec::titan_x_pascal();
+    alloc::DeviceMemory device(spec.dram_bytes);
+    sim::VirtualClock clock;
+    const sim::CostModel cost(spec);
+    std::unique_ptr<alloc::Allocator> inner =
+        make_session_allocator(kind, device, clock, cost);
+    NeverRepeating never(*inner);
+    alloc::Allocator &allocator =
+        independent ? static_cast<alloc::Allocator &>(never) : *inner;
+    Outcome out;
+    {
+        Engine engine(plan, allocator, clock, cost, &out.trace, options);
+        drive(engine, clock, allocator);
+        out.usage = engine.usage();
+        out.end_time = clock.now();
+        out.fragmentation = device.external_fragmentation();
+        out.executed = engine.executed_iterations();
+        engine.teardown();
+    }
+    out.stats = allocator.stats();
+    out.peak_reserved_bytes = device.peak_reserved_bytes();
+    return out;
+}
+
+template <typename T>
+bool
+same_column(const trace::Column<T> &a, const trace::Column<T> &b)
+{
+    return a.size() == b.size() &&
+           std::equal(a.begin(), a.end(), b.begin());
+}
+
+/** Expects @p tiled and @p executed to hold the same bytes. */
+void
+expect_same(const Outcome &tiled, const Outcome &executed)
+{
+    const trace::EventColumns &a = tiled.trace.columns();
+    const trace::EventColumns &b = executed.trace.columns();
+    EXPECT_EQ(a.time.size(), b.time.size());
+    EXPECT_TRUE(same_column(a.time, b.time));
+    EXPECT_TRUE(same_column(a.kind, b.kind));
+    EXPECT_TRUE(same_column(a.block, b.block));
+    EXPECT_TRUE(same_column(a.ptr, b.ptr));
+    EXPECT_TRUE(same_column(a.size, b.size));
+    EXPECT_TRUE(same_column(a.tensor, b.tensor));
+    EXPECT_TRUE(same_column(a.category, b.category));
+    EXPECT_TRUE(same_column(a.iteration, b.iteration));
+    EXPECT_TRUE(same_column(a.op_index, b.op_index));
+    EXPECT_TRUE(same_column(a.op, b.op));
+    EXPECT_EQ(tiled.trace.op_names(), executed.trace.op_names());
+
+    const alloc::AllocatorStats &s = tiled.stats;
+    const alloc::AllocatorStats &t = executed.stats;
+    EXPECT_EQ(s.allocated_bytes, t.allocated_bytes);
+    EXPECT_EQ(s.reserved_bytes, t.reserved_bytes);
+    EXPECT_EQ(s.peak_allocated_bytes, t.peak_allocated_bytes);
+    EXPECT_EQ(s.peak_reserved_bytes, t.peak_reserved_bytes);
+    EXPECT_EQ(s.alloc_count, t.alloc_count);
+    EXPECT_EQ(s.free_count, t.free_count);
+    EXPECT_EQ(s.device_alloc_count, t.device_alloc_count);
+    EXPECT_EQ(s.device_free_count, t.device_free_count);
+    EXPECT_EQ(s.cache_hit_count, t.cache_hit_count);
+    EXPECT_EQ(s.split_count, t.split_count);
+    EXPECT_EQ(s.merge_count, t.merge_count);
+
+    EXPECT_EQ(tiled.usage.current, executed.usage.current);
+    EXPECT_EQ(tiled.usage.peak, executed.usage.peak);
+    EXPECT_EQ(tiled.usage.peak_total, executed.usage.peak_total);
+    EXPECT_EQ(tiled.usage.at_peak, executed.usage.at_peak);
+    EXPECT_EQ(tiled.end_time, executed.end_time);
+    EXPECT_EQ(tiled.peak_reserved_bytes, executed.peak_reserved_bytes);
+    EXPECT_EQ(tiled.fragmentation, executed.fragmentation);
+}
+
+/** Runs @p iterations training iterations in one call. */
+void
+train(Engine &engine, int iterations)
+{
+    engine.run(iterations);
+}
+
+/**
+ * Serves @p requests one run(1) each, idling between bursts of four
+ * the way a bursty request stream does.
+ */
+void
+serve(Engine &engine, sim::VirtualClock &clock, int requests)
+{
+    for (int r = 0; r < requests; ++r) {
+        if (r > 0 && r % 4 == 0)
+            clock.advance(3 * kNsPerMs + static_cast<TimeNs>(r) * 1000);
+        engine.run(1);
+    }
+}
+
+TEST(EngineTiling, TrainingEqualsIndependentExecution)
+{
+    const Plan plan = build_plan(nn::resnet(18), 16);
+    for (int k = 0; k < kNumAllocatorKinds; ++k) {
+        const auto kind = static_cast<AllocatorKind>(k);
+        SCOPED_TRACE(allocator_kind_name(kind));
+        const auto drive = [](Engine &engine, sim::VirtualClock &,
+                              alloc::Allocator &) { train(engine, 20); };
+        const Outcome tiled = run_engine(plan, kind, false, {}, drive);
+        const Outcome executed = run_engine(plan, kind, true, {}, drive);
+        EXPECT_EQ(executed.executed, 20);
+        EXPECT_LT(tiled.executed, 20);
+        expect_same(tiled, executed);
+    }
+}
+
+TEST(EngineTiling, ServingEqualsIndependentExecution)
+{
+    const Plan plan = build_inference_plan(nn::resnet(50), 8);
+    EngineOptions options;
+    options.continuous_trace = true;
+    for (int k = 0; k < kNumAllocatorKinds; ++k) {
+        const auto kind = static_cast<AllocatorKind>(k);
+        SCOPED_TRACE(allocator_kind_name(kind));
+        const auto drive = [](Engine &engine, sim::VirtualClock &clock,
+                              alloc::Allocator &) {
+            serve(engine, clock, 256);
+        };
+        const Outcome tiled = run_engine(plan, kind, false, options, drive);
+        const Outcome executed =
+            run_engine(plan, kind, true, options, drive);
+        EXPECT_EQ(executed.executed, 256);
+        expect_same(tiled, executed);
+    }
+}
+
+TEST(EngineTiling, StagingEpochsEqualIndependentExecution)
+{
+    const Plan plan = build_plan(nn::mlp(), 32);
+    EngineOptions options;
+    options.staging_buffer_bytes = 64 * 1024 * 1024;
+    options.iterations_per_epoch = 3;
+    for (int k = 0; k < kNumAllocatorKinds; ++k) {
+        const auto kind = static_cast<AllocatorKind>(k);
+        SCOPED_TRACE(allocator_kind_name(kind));
+        const auto drive = [](Engine &engine, sim::VirtualClock &,
+                              alloc::Allocator &) { train(engine, 10); };
+        expect_same(run_engine(plan, kind, false, options, drive),
+                    run_engine(plan, kind, true, options, drive));
+    }
+}
+
+TEST(EngineTiling, CallerTouchingTheAllocatorBetweenRuns)
+{
+    // A block held across runs, then freed and the cache emptied:
+    // every boundary's key reflects it, so nothing stale is tiled.
+    const Plan plan = build_plan(nn::resnet(18), 16);
+    for (int k = 0; k < kNumAllocatorKinds; ++k) {
+        const auto kind = static_cast<AllocatorKind>(k);
+        SCOPED_TRACE(allocator_kind_name(kind));
+        const auto drive = [](Engine &engine, sim::VirtualClock &,
+                              alloc::Allocator &allocator) {
+            // An emptied cache makes the next iteration regrow it,
+            // so that iteration does not end in the state it began
+            // in; emptying the cache again brings that state back,
+            // and the iteration must run, not repeat.
+            engine.run(3);
+            allocator.empty_cache();
+            engine.run(1);
+            allocator.empty_cache();
+            engine.run(3);
+            const alloc::Block held = allocator.allocate(3 << 20);
+            engine.run(4);
+            allocator.deallocate(held.id);
+            allocator.empty_cache();
+            engine.run(4);
+            allocator.deallocate(allocator.allocate(5 << 20).id);
+            engine.run(4);
+        };
+        expect_same(run_engine(plan, kind, false, {}, drive),
+                    run_engine(plan, kind, true, {}, drive));
+    }
+}
+
+TEST(EngineTiling, TrailingKernelWithoutEvents)
+{
+    // The last op reads and writes nothing, so the clock moves past
+    // the iteration's last event: a repeat must move it as far.
+    Plan plan = build_plan(nn::mlp(), 32);
+    Op tail;
+    tail.name = "tail.kernel";
+    tail.flops = 1e9;
+    plan.iteration_ops.push_back(tail);
+    for (int k = 0; k < kNumAllocatorKinds; ++k) {
+        const auto kind = static_cast<AllocatorKind>(k);
+        SCOPED_TRACE(allocator_kind_name(kind));
+        const auto drive = [](Engine &engine, sim::VirtualClock &,
+                              alloc::Allocator &) { train(engine, 6); };
+        const Outcome tiled = run_engine(plan, kind, false, {}, drive);
+        EXPECT_LT(tiled.executed, 6);
+        expect_same(tiled, run_engine(plan, kind, true, {}, drive));
+    }
+}
+
+TEST(EngineTiling, ExecutesOnlyUntilTheStateRepeats)
+{
+    // Caching: the first iteration grows the cache and the second
+    // leaves it as it found it; every later one repeats the second.
+    const Plan train_plan = build_plan(nn::resnet(18), 16);
+    const Outcome trained = run_engine(
+        train_plan, AllocatorKind::kCaching, false, {},
+        [](Engine &engine, sim::VirtualClock &, alloc::Allocator &) {
+            train(engine, 20);
+        });
+    EXPECT_EQ(trained.executed, 2);
+
+    EngineOptions options;
+    options.continuous_trace = true;
+    const Outcome served = run_engine(
+        build_inference_plan(nn::resnet(50), 8), AllocatorKind::kCaching,
+        false, options,
+        [](Engine &engine, sim::VirtualClock &clock, alloc::Allocator &) {
+            serve(engine, clock, 1024);
+        });
+    EXPECT_EQ(served.executed, 2);
+}
+
+TEST(EngineTiling, AllocatorInvariantsHoldAfterTiledRuns)
+{
+    const Plan plan = build_plan(nn::resnet(18), 16);
+    const sim::DeviceSpec spec = sim::DeviceSpec::titan_x_pascal();
+    const sim::CostModel cost(spec);
+    {
+        alloc::DeviceMemory device(spec.dram_bytes);
+        sim::VirtualClock clock;
+        alloc::CachingAllocator caching(device, clock, cost);
+        Engine engine(plan, caching, clock, cost, nullptr);
+        engine.run(20);
+        EXPECT_LT(engine.executed_iterations(), 20);
+        caching.check_invariants();
+        engine.teardown();
+        caching.check_invariants();
+        EXPECT_EQ(caching.stats().alloc_count,
+                  caching.stats().free_count);
+    }
+    {
+        alloc::DeviceMemory device(spec.dram_bytes);
+        sim::VirtualClock clock;
+        alloc::BuddyAllocator buddy(device, clock, cost,
+                                    spec.dram_bytes / 2);
+        Engine engine(plan, buddy, clock, cost, nullptr);
+        engine.run(20);
+        EXPECT_LT(engine.executed_iterations(), 20);
+        buddy.check_invariants();
+        engine.teardown();
+        buddy.check_invariants();
+        EXPECT_EQ(buddy.live_blocks(), 0u);
+    }
+}
+
+TEST(EngineTiling, SplitRunsEqualOneRun)
+{
+    const Plan plan = build_plan(nn::resnet(18), 16);
+    for (int k = 0; k < kNumAllocatorKinds; ++k) {
+        const auto kind = static_cast<AllocatorKind>(k);
+        SCOPED_TRACE(allocator_kind_name(kind));
+        const Outcome split = run_engine(
+            plan, kind, false, {},
+            [](Engine &engine, sim::VirtualClock &, alloc::Allocator &) {
+                engine.run(5);
+                engine.run(1);
+                engine.run(14);
+            });
+        const Outcome whole = run_engine(
+            plan, kind, false, {},
+            [](Engine &engine, sim::VirtualClock &, alloc::Allocator &) {
+                engine.run(20);
+            });
+        expect_same(split, whole);
+    }
 }
 
 }  // namespace

@@ -365,6 +365,132 @@ TEST(TraceRecorder, CopiesOwnTheirNameTables)
     EXPECT_EQ(a.intern("y"), y);  // same first-intern order
 }
 
+/** @return @p e moved as TraceRecorder::append moves it. */
+MemoryEvent
+shifted(MemoryEvent e, const EventShift &shift)
+{
+    e.time += shift.time;
+    if (e.block >= shift.first_block && e.block != kInvalidBlock)
+        e.block += shift.block;
+    e.iteration = shift.iteration;
+    return e;
+}
+
+TEST(TraceRecorder, AppendMovesTimesNewBlocksAndTheLabel)
+{
+    TraceRecorder source;
+    std::vector<MemoryEvent> events;
+    for (std::size_t i = 0; i < 40; ++i) {
+        events.push_back(distinct_event(i));
+        if (i == 7)
+            events.back().block = kInvalidBlock;
+        source.record(events.back());
+    }
+    const EventColumns run(source.columns(), 10, 40);
+    EXPECT_EQ(run.capacity(), 30u);
+    expect_events(EventRange(run),
+                  std::vector<MemoryEvent>(events.begin() + 10,
+                                           events.end()));
+
+    EventShift shift;
+    shift.time = 1000;
+    shift.first_block = 20;  // blocks 11..19 stay, 20.. move
+    shift.block = 500;
+    shift.iteration = 9;
+    TraceRecorder r;
+    std::vector<MemoryEvent> oracle;
+    for (std::size_t i = 0; i < 3; ++i) {
+        oracle.push_back(distinct_event(i));
+        r.record(oracle.back());
+    }
+    for (int copies = 0; copies < 2; ++copies) {
+        r.append(run, shift);
+        for (std::size_t i = 10; i < 40; ++i)
+            oracle.push_back(shifted(events[i], shift));
+        shift.time += 400;
+    }
+    expect_events(r.events(), oracle);
+    // An empty run appends nothing.
+    r.append(EventColumns(), shift);
+    EXPECT_EQ(r.size(), oracle.size());
+}
+
+TEST(TraceRecorder, AppendGrowsLikeRecordAndKeepsAnExactReserve)
+{
+    TraceRecorder source;
+    for (std::size_t i = 0; i < 100; ++i)
+        source.record(distinct_event(i));
+    const EventColumns run(source.columns(), 0, 100);
+
+    TraceRecorder grown;
+    TraceRecorder recorded;
+    for (int copies = 0; copies < 30; ++copies) {
+        EventShift shift;
+        shift.time = 1000 * static_cast<TimeNs>(copies);
+        grown.append(run, shift);
+        for (std::size_t i = 0; i < 100; ++i)
+            recorded.record(shifted(distinct_event(i), shift));
+        ASSERT_EQ(grown.capacity(), recorded.capacity());
+    }
+    expect_events(grown.events(), std::vector<MemoryEvent>(
+                                      recorded.events().begin(),
+                                      recorded.events().end()));
+
+    TraceRecorder exact;
+    exact.reserve(3000);
+    for (int copies = 0; copies < 30; ++copies) {
+        EventShift shift;
+        shift.time = 1000 * static_cast<TimeNs>(copies);
+        exact.append(run, shift);
+    }
+    EXPECT_EQ(exact.capacity(), exact.size());
+}
+
+TEST(TraceRecorder, AppendFromItsOwnStoreSurvivesGrowth)
+{
+    TraceRecorder r;
+    std::vector<MemoryEvent> oracle;
+    for (std::size_t i = 0; i < 64; ++i) {
+        oracle.push_back(distinct_event(i));
+        r.record(oracle.back());
+    }
+    ASSERT_EQ(r.capacity(), r.size());
+    EventShift shift;
+    shift.time = 10000;
+    r.append(r.columns(), shift);
+    for (std::size_t i = 0; i < 64; ++i)
+        oracle.push_back(shifted(distinct_event(i), shift));
+    expect_events(r.events(), oracle);
+}
+
+TEST(TraceRecorder, AppendChecksTimeOrderAndOpIds)
+{
+    TraceRecorder source;
+    source.record(event_at(10));
+    source.record(event_at(20));
+    const EventColumns run(source.columns(), 0, 2);
+
+    TraceRecorder r;
+    r.record(event_at(15));
+    EventShift shift;
+    EXPECT_THROW(r.append(run, shift), Error) << "10 is before 15";
+    EXPECT_EQ(r.size(), 1u);
+    shift.time = 5;
+    r.append(run, shift);
+    EXPECT_EQ(r.size(), 3u);
+
+    TraceRecorder named;
+    MemoryEvent e = event_at(30);
+    e.op = named.intern("conv");
+    named.record(e);
+    const EventColumns foreign(named.columns(), 0, 1);
+    EXPECT_THROW(r.append(foreign, {}), Error)
+        << "op 1 is not interned in r";
+    r.intern("x");
+    r.append(foreign, {});
+    EXPECT_EQ(r.size(), 4u);
+}
+
 }  // namespace
 }  // namespace trace
 }  // namespace pinpoint
