@@ -103,6 +103,53 @@ TEST(GoldenOutput, SwapValidateExportsMatchTheFixtures)
     std::remove(json.c_str());
 }
 
+TEST(GoldenOutput, OverheadSwapValidateMatchesTheFixtures)
+{
+    // --allow-overhead keeps the gaps too short to hide, so the plan
+    // carries non-zero predicted overheads; at factor 1.5 the gaps
+    // that fit the round trip but miss the headroom are kept with
+    // zero overhead. The summary, and every decision next to its
+    // schedule.
+    const std::vector<std::string> args = {
+        "swap", "--model", "resnet18", "--batch", "16", "--iterations",
+        "2", "--allow-overhead", "--safety-factor", "1.5", "--validate"};
+    EXPECT_EQ(run_out(args),
+              golden("swap_resnet18_b16_i2_overhead_sf15_validate.txt"));
+    const std::string csv =
+        testing::TempDir() + "pinpoint_golden_swap_overhead.csv";
+    const std::string json =
+        testing::TempDir() + "pinpoint_golden_swap_overhead.json";
+    std::vector<std::string> exported = args;
+    exported.insert(exported.end(), {"--csv", csv, "--json", json});
+    run_out(exported);
+    EXPECT_EQ(read_file(csv),
+              golden("swap_resnet18_b16_i2_overhead_sf15_validate.csv"));
+    EXPECT_EQ(read_file(json),
+              golden("swap_resnet18_b16_i2_overhead_sf15_validate.json"));
+    std::remove(csv.c_str());
+    std::remove(json.c_str());
+}
+
+TEST(GoldenOutput, DataParallelCharacterizeMatchesTheFixture)
+{
+    // The data-parallel section: compute and all-reduce times, the
+    // effective iteration, the stall and the scaling efficiency.
+    EXPECT_EQ(run_out({"characterize", "--model", "resnet18", "--batch",
+                       "16", "--iterations", "2", "--devices", "2",
+                       "--topology", "nvlink"}),
+              golden("characterize_resnet18_b16_i2_dp2_nvlink.txt"));
+}
+
+TEST(GoldenOutput, DataParallelReliefMatchesTheFixture)
+{
+    // The strategy table with the peer row, and the selected
+    // report's per-mechanism counts and bytes, peer included.
+    EXPECT_EQ(run_out({"relief", "--model", "resnet18", "--batch",
+                       "16", "--iterations", "2", "--devices", "2",
+                       "--topology", "nvlink"}),
+              golden("relief_resnet18_b16_i2_dp2_nvlink.txt"));
+}
+
 TEST(GoldenOutput, ReliefCsvMatchesTheFixture)
 {
     // The selected report's decisions, one swap-leg record each.
