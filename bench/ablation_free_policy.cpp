@@ -33,7 +33,7 @@ run_one(const char *label, const nn::Model &model, std::int64_t batch,
         const auto r = runtime::run_training(model, config);
         const auto b = analysis::occupation_breakdown(r.view());
         std::printf("%-26s %14s %14s %12s\n", label,
-                    format_bytes(b.peak_total).c_str(),
+                    format_bytes(b.peak_total()).c_str(),
                     format_bytes(
                         b.at_peak[static_cast<int>(
                             Category::kIntermediate)])

@@ -33,7 +33,7 @@ run_one(const char *label, const nn::Model &model, std::int64_t batch,
     const auto b = analysis::occupation_breakdown(r.view());
     std::printf(
         "%-22s %5s %12s %12s %12s %12s\n", label, dtype_name(dtype),
-        format_bytes(b.peak_total).c_str(),
+        format_bytes(b.peak_total()).c_str(),
         format_bytes(b.at_peak[static_cast<int>(Category::kInput)])
             .c_str(),
         format_bytes(

@@ -30,7 +30,7 @@ sweep(const char *label, const nn::Model &model, std::int64_t batch)
         const auto r = runtime::run_training(model, config);
         const auto b = analysis::occupation_breakdown(r.view());
         std::printf("%-18s %5d %12s %12s %12s\n", label, every,
-                    format_bytes(b.peak_total).c_str(),
+                    format_bytes(b.peak_total()).c_str(),
                     format_bytes(
                         b.at_peak[static_cast<int>(
                             Category::kIntermediate)])

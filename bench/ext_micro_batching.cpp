@@ -30,7 +30,7 @@ sweep(const char *label, const nn::Model &model, std::int64_t batch)
         const auto b = analysis::occupation_breakdown(r.view());
         std::printf(
             "%-18s %4d %12s %12s %12s\n", label, k,
-            format_bytes(b.peak_total).c_str(),
+            format_bytes(b.peak_total()).c_str(),
             format_bytes(
                 b.at_peak[static_cast<int>(Category::kIntermediate)])
                 .c_str(),

@@ -9,6 +9,8 @@
 #include <cstdio>
 
 #include "analysis/swap_model.h"
+#include "analysis/timeline.h"
+#include "analysis/trace_view.h"
 #include "bench_util.h"
 #include "core/format.h"
 #include "nn/models.h"
@@ -19,15 +21,18 @@ using namespace pinpoint;
 
 namespace {
 
+/** Plans swapping for @p view's trace with @p opts; prints one row. */
 void
-report(const char *title, const swap::SwapPlanReport &r)
+report(const char *title, const analysis::TraceView &view,
+       const swap::PlannerOptions &opts)
 {
+    const swap::SwapPlanReport r = swap::SwapPlanner(opts).plan(view);
+    const swap::PlanTotals totals = swap::totals_of(r);
     std::printf("%-34s %9zu %14s %14s %14s %12s\n", title,
-                r.decisions.size(),
-                format_bytes(r.total_swapped_bytes).c_str(),
-                format_bytes(r.original_peak_bytes).c_str(),
+                r.decisions.size(), format_bytes(totals.bytes).c_str(),
+                format_bytes(view.timeline().peak_bytes()).c_str(),
                 format_bytes(r.peak_reduction_bytes).c_str(),
-                format_time(r.predicted_overhead).c_str());
+                format_time(totals.overhead).c_str());
 }
 
 }  // namespace
@@ -54,18 +59,15 @@ main()
 
         swap::PlannerOptions opts;
         opts.link = link;
-        report("mlp+staging (hideable only)",
-               swap::SwapPlanner(opts).plan(result.view()));
+        report("mlp+staging (hideable only)", result.view(), opts);
 
         opts.safety_factor = 2.0;
-        report("mlp+staging (safety 2.0)",
-               swap::SwapPlanner(opts).plan(result.view()));
+        report("mlp+staging (safety 2.0)", result.view(), opts);
 
         opts.safety_factor = 1.0;
         opts.allow_overhead = true;
         opts.min_block_bytes = 16 * 1024 * 1024;
-        report("mlp+staging (aggressive >=16MB)",
-               swap::SwapPlanner(opts).plan(result.view()));
+        report("mlp+staging (aggressive >=16MB)", result.view(), opts);
     }
 
     {
@@ -77,13 +79,11 @@ main()
 
         swap::PlannerOptions opts;
         opts.link = link;
-        report("resnet18 (hideable only)",
-               swap::SwapPlanner(opts).plan(result.view()));
+        report("resnet18 (hideable only)", result.view(), opts);
 
         opts.allow_overhead = true;
         opts.min_block_bytes = 64 * 1024 * 1024;
-        report("resnet18 (aggressive >=64MB)",
-               swap::SwapPlanner(opts).plan(result.view()));
+        report("resnet18 (aggressive >=64MB)", result.view(), opts);
     }
 
     std::printf("\ntakeaway (matches the paper): kernel-scale ATIs "

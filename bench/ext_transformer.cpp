@@ -50,7 +50,7 @@ main()
             std::printf(
                 "%6lld %12s %10s %10s %10s %14s\n",
                 static_cast<long long>(seq),
-                format_bytes(b.peak_total).c_str(),
+                format_bytes(b.peak_total()).c_str(),
                 format_percent(b.fraction(Category::kInput)).c_str(),
                 format_percent(b.fraction(Category::kParameter))
                     .c_str(),

@@ -57,7 +57,7 @@ main()
             if (!hygiene_checked) {
                 const auto direct = analysis::occupation_breakdown(
                     study.view());
-                PP_CHECK(direct.peak_total == b.peak_total &&
+                PP_CHECK(direct.peak_total() == b.peak_total() &&
                              direct.at_peak == b.at_peak,
                          "Study breakdown facet diverged from "
                          "direct replay");
@@ -79,7 +79,7 @@ main()
             std::printf("%-16s %6lld %12s | %18s %18s %18s\n",
                         model.name.c_str(),
                         static_cast<long long>(w.batch),
-                        format_bytes(b.peak_total).c_str(),
+                        format_bytes(b.peak_total()).c_str(),
                         cell(Category::kInput).c_str(),
                         cell(Category::kParameter).c_str(),
                         cell(Category::kIntermediate).c_str());

@@ -45,7 +45,7 @@ main()
         // cached facet must equal a direct replay.
         if (batch == 16)
             PP_CHECK(analysis::occupation_breakdown(study.view())
-                             .peak_total == b.peak_total,
+                             .peak_total() == b.peak_total(),
                      "Study breakdown facet diverged from direct "
                      "replay");
         // The breakdown never builds the shared Timeline.
@@ -54,7 +54,7 @@ main()
         std::printf(
             "%6lld %12s %12s %12s %12s\n",
             static_cast<long long>(batch),
-            format_bytes(b.peak_total).c_str(),
+            format_bytes(b.peak_total()).c_str(),
             format_bytes(b.at_peak[static_cast<int>(Category::kInput)])
                 .c_str(),
             format_bytes(

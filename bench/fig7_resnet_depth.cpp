@@ -57,7 +57,7 @@ main()
                     "%-10s %6lld %12s %10s %10s %10s\n",
                     model.name.c_str(),
                     static_cast<long long>(batch),
-                    format_bytes(b.peak_total).c_str(),
+                    format_bytes(b.peak_total()).c_str(),
                     format_percent(b.fraction(Category::kInput))
                         .c_str(),
                     format_percent(b.fraction(Category::kParameter))

@@ -62,7 +62,6 @@ main(int argc, char **argv)
 
         std::size_t save[relief::kNumStrategies];
         TimeNs overhead[relief::kNumStrategies];
-        std::size_t original_peak = 0;
         const auto &reports = study.relief_all();
         // The PR 5 invariant, enforced per scenario: planning all
         // three strategies and scheduling their swap legs costs
@@ -82,8 +81,9 @@ main(int argc, char **argv)
                                     .plan_all(study.view());
             for (int i = 0; i < relief::kNumStrategies; ++i)
                 PP_CHECK(
-                    direct[i].peak_reduction_bytes ==
-                            reports[i].peak_reduction_bytes &&
+                    relief::totals_of(direct[i]).covered_bytes ==
+                            relief::totals_of(reports[i])
+                                .covered_bytes &&
                         direct[i].measured_overhead ==
                             reports[i].measured_overhead,
                     "Study relief facet diverged from direct "
@@ -95,9 +95,8 @@ main(int argc, char **argv)
         // of "slot 2" silently becomes the (unavailable here)
         // peer-only report.
         for (int i = 0; i < relief::kNumStrategies; ++i) {
-            save[i] = reports[i].peak_reduction_bytes;
+            save[i] = relief::totals_of(reports[i]).covered_bytes;
             overhead[i] = reports[i].measured_overhead;
-            original_peak = reports[i].original_peak_bytes;
         }
         const auto at = [](relief::Strategy s) {
             return static_cast<std::size_t>(s);
@@ -109,7 +108,7 @@ main(int argc, char **argv)
         std::printf(
             "%-18s %10s | %9s %11s | %9s %11s | %9s %11s\n",
             entry.name.c_str(),
-            format_bytes(original_peak).c_str(),
+            format_bytes(study.peak_occupancy_bytes()).c_str(),
             format_bytes(save[swap_i]).c_str(),
             format_time(overhead[swap_i]).c_str(),
             format_bytes(save[rec_i]).c_str(),

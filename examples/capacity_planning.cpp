@@ -100,7 +100,7 @@ plan(const nn::Model &model, const sim::DeviceSpec &device)
     std::printf("%-14s max batch %5lld  peak %10s  "
                 "(interm %s, params %s)\n",
                 model.name.c_str(), static_cast<long long>(batch),
-                format_bytes(b.peak_total).c_str(),
+                format_bytes(b.peak_total()).c_str(),
                 format_percent(b.fraction(Category::kIntermediate))
                     .c_str(),
                 format_percent(b.fraction(Category::kParameter))

@@ -52,7 +52,7 @@ run_config(const char *label, runtime::SessionConfig config,
     const auto r =
         runtime::run_training(nn::mobilenet_v1(), config);
     const auto b = analysis::occupation_breakdown(r.view());
-    return {label, b.peak_total, r.iteration_time, note};
+    return {label, b.peak_total(), r.iteration_time, note};
 }
 
 }  // namespace

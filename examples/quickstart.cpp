@@ -48,7 +48,7 @@ main()
     // 4. Figs. 5-7: occupation breakdown at peak (breakdown facet).
     const auto &breakdown = study.breakdown();
     std::printf("--- Occupation breakdown at peak (%s total) ---\n",
-                format_bytes(breakdown.peak_total).c_str());
+                format_bytes(breakdown.peak_total()).c_str());
     for (int c = 0; c < kNumCategories; ++c) {
         const auto cat = static_cast<Category>(c);
         std::printf("%-13s %10s  %s\n", category_name(cat),

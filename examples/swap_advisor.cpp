@@ -15,6 +15,7 @@
 #include "api/workload.h"
 #include "core/format.h"
 #include "core/types.h"
+#include "swap/planner.h"
 
 using namespace pinpoint;
 
@@ -41,21 +42,22 @@ main()
     // 2. The swap facets: the plan and its shared-link execution.
     const auto &plan = study.swap_plan();
     const auto &exec = study.swap_execution();
-    const TimeNs unpredicted =
-        exec.measured_stall > plan.predicted_overhead
-            ? exec.measured_stall - plan.predicted_overhead
-            : 0;
+    const TimeNs predicted = swap::totals_of(plan).overhead;
+    const std::size_t original_peak = study.peak_occupancy_bytes();
+    const TimeNs unpredicted = exec.measured_stall > predicted
+                                   ? exec.measured_stall - predicted
+                                   : 0;
 
     std::printf("planner found %zu hideable swap windows\n",
                 plan.decisions.size());
     std::printf("peak footprint:    %s\n",
-                format_bytes(plan.original_peak_bytes).c_str());
+                format_bytes(original_peak).c_str());
     std::printf("peak reduction:    %s (%.1f%%)\n",
                 format_bytes(plan.peak_reduction_bytes).c_str(),
                 100.0 * static_cast<double>(plan.peak_reduction_bytes) /
-                    static_cast<double>(plan.original_peak_bytes));
+                    static_cast<double>(original_peak));
     std::printf("predicted stall:   %s\n",
-                format_time(plan.predicted_overhead).c_str());
+                format_time(predicted).c_str());
     std::printf("measured stall:    %s on the shared link "
                 "(+%s unpredicted)\n\n",
                 format_time(exec.measured_stall).c_str(),

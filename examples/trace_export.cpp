@@ -52,7 +52,7 @@ main(int argc, char **argv)
 
     const auto &b = offline.breakdown();
     std::printf("peak occupancy: %s (intermediates %s)\n",
-                format_bytes(b.peak_total).c_str(),
+                format_bytes(b.peak_total()).c_str(),
                 format_percent(b.fraction(Category::kIntermediate))
                     .c_str());
 
@@ -69,8 +69,8 @@ main(int argc, char **argv)
     identical = identical &&
                 offline.ati_summary().count ==
                     study.ati_summary().count &&
-                offline.breakdown().peak_total ==
-                    study.breakdown().peak_total;
+                offline.breakdown().peak_total() ==
+                    study.breakdown().peak_total();
     std::printf("round-trip check: %s\n",
                 identical ? "identical" : "MISMATCH");
     return identical ? 0 : 1;

@@ -14,10 +14,10 @@ namespace analysis {
 double
 BreakdownResult::fraction(Category c) const
 {
-    if (peak_total == 0)
+    if (peak_total() == 0)
         return 0.0;
     return static_cast<double>(at_peak[static_cast<int>(c)]) /
-           static_cast<double>(peak_total);
+           static_cast<double>(peak_total());
 }
 
 BreakdownResult
@@ -26,6 +26,7 @@ occupation_breakdown(const TraceView &view)
     BreakdownResult r;
     std::array<std::size_t, kNumCategories> current{};
     std::size_t total = 0;
+    std::size_t peak = 0;
     // Category and size of each slot's block, captured at malloc.
     struct Live {
         Category category = Category::kIntermediate;
@@ -47,8 +48,8 @@ occupation_breakdown(const TraceView &view)
                 r.peak_per_category[static_cast<int>(b.category)];
             peak_cat = std::max(peak_cat,
                                 current[static_cast<int>(b.category)]);
-            if (total > r.peak_total) {
-                r.peak_total = total;
+            if (total > peak) {
+                peak = total;
                 r.peak_time = view.time(i);
                 r.at_peak = current;
             }

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstddef>
+#include <numeric>
 
 #include "core/types.h"
 
@@ -17,14 +18,18 @@ class TraceView;
 
 /** Peak-occupancy breakdown of one training run. */
 struct BreakdownResult {
-    /** Peak of total live bytes across the trace. */
-    std::size_t peak_total = 0;
-    /** Time at which the peak occurred. */
+    /** Time at which the peak of total live bytes occurred. */
     TimeNs peak_time = 0;
     /** Live bytes per Category at the peak instant. */
     std::array<std::size_t, kNumCategories> at_peak{};
     /** Independent per-category high-water marks. */
     std::array<std::size_t, kNumCategories> peak_per_category{};
+
+    /** @return the peak of total live bytes: the sum of at_peak. */
+    std::size_t peak_total() const
+    {
+        return std::accumulate(at_peak.begin(), at_peak.end(), std::size_t{0});
+    }
 
     /** @return fraction of the peak held by @p c. */
     double fraction(Category c) const;

@@ -81,7 +81,7 @@ write_report(const TraceView &view, std::ostream &os,
 
     heading(os, "occupation breakdown (Figs. 5-7)");
     const auto b = occupation_breakdown(view);
-    os << "peak " << format_bytes(b.peak_total) << " at "
+    os << "peak " << format_bytes(b.peak_total()) << " at "
        << format_time(b.peak_time) << "\n";
     for (int c = 0; c < kNumCategories; ++c) {
         const auto cat = static_cast<Category>(c);

@@ -178,10 +178,10 @@ class Study
     /** @return replica count (1 for single-device studies). */
     int devices() const { return dp_ ? dp_->devices : 1; }
 
-    /** @return compute / effective iteration time; 1.0 when not DP. */
+    /** @return DataParallelResult::scaling_efficiency; 1.0 if not DP. */
     double scaling_efficiency() const
     {
-        return dp_ ? dp_->scaling_efficiency : 1.0;
+        return dp_ ? dp_->scaling_efficiency() : 1.0;
     }
 
     /** @return mean peer-link occupancy; 0.0 when not DP. */
@@ -196,10 +196,10 @@ class Study
         return dp_ ? dp_->allreduce_time : 0;
     }
 
-    /** @return steady-state all-reduce queueing slip; 0 when not DP. */
+    /** @return DataParallelResult::allreduce_stall; 0 when not DP. */
     TimeNs allreduce_stall() const
     {
-        return dp_ ? dp_->allreduce_stall : 0;
+        return dp_ ? dp_->allreduce_stall() : 0;
     }
 
     // --- serving surface ------------------------------------------
@@ -250,7 +250,7 @@ class Study
      * the view's cached sub-index. */
     const analysis::Timeline &timeline() const;
 
-    /** @return the peak of the running occupancy sum. */
+    /** @return the occupancy peak: the original peak of every plan. */
     std::size_t peak_occupancy_bytes() const;
 
     /** @return every ATI sample, in trace order. */
@@ -274,7 +274,8 @@ class Study
 
     /**
      * @return the Eq. 1 swap plan alone — no link execution, so
-     * plan-only consumers never pay for measurement.
+     * plan-only consumers never pay for measurement; swap::totals_of
+     * sums it.
      * @throws Error when the study has no trace.
      */
     const swap::SwapPlanReport &swap_plan() const;
@@ -294,7 +295,7 @@ class Study
      * topology; on single-device studies the peer-only report is
      * marked unavailable. On serving studies the per-request
      * latency SLO defaults to the stream's steady-state p50 latency
-     * unless the caller configured one.
+     * unless the caller configured one. relief::totals_of sums each.
      * @throws Error when the study has no trace.
      */
     const std::array<relief::ReliefReport, relief::kNumStrategies> &

@@ -97,6 +97,31 @@ ms_flag_ns(const ParsedArgs &args, const std::string &name, TimeNs min_ns)
     return ns >= static_cast<double>(kMax) ? kMax : static_cast<TimeNs>(ns);
 }
 
+/** Prints one "  label value" summary row, values at column 22. */
+void
+row(CommandIo &io, const char *label, const std::string &value)
+{
+    oprintf(io.out, "  %-19s %s\n", label, value.c_str());
+}
+
+/**
+ * Writes the export --@p flag asks for, if any, through @p write and
+ * names it on @p io.out as @p what.
+ */
+template <class Write>
+void
+export_file(const ParsedArgs &args, const char *flag, const char *what,
+            CommandIo &io, Write write)
+{
+    const std::string path = args.value(flag, "");
+    if (path.empty())
+        return;
+    std::ofstream os(path);
+    PP_CHECK(os.good(), "cannot open '" << path << "'");
+    write(os);
+    oprintf(io.out, "wrote %s to %s\n", what, path.c_str());
+}
+
 /** @return the validated --min-block threshold in bytes. */
 std::size_t
 min_block_bytes_from(const ParsedArgs &args)
@@ -142,21 +167,18 @@ cmd_characterize(const ParsedArgs &args, CommandIo &io)
         oprintf(io.out, "\ndata-parallel topology: %d x %s over %s\n",
                 dp.devices, study.device().name.c_str(),
                 dp.interconnect.name.c_str());
-        oprintf(io.out, "  gradient bytes:     %s per iteration\n",
-                format_bytes(dp.gradient_bytes).c_str());
-        oprintf(io.out, "  compute iteration:  %s\n",
-                format_time(dp.compute_iteration_time).c_str());
-        oprintf(io.out,
-                "  all-reduce:         %s (ideal %s, stall %s)\n",
-                format_time(dp.allreduce_time).c_str(),
-                format_time(dp.allreduce_ideal_time).c_str(),
-                format_time(dp.allreduce_stall).c_str());
-        oprintf(io.out, "  effective iteration: %s\n",
-                format_time(dp.iteration_time).c_str());
-        oprintf(io.out, "  interconnect busy:  %.1f%%\n",
-                100.0 * dp.interconnect_busy_fraction);
+        row(io, "gradient bytes:",
+            format_bytes(dp.gradient_bytes) + " per iteration");
+        row(io, "compute iteration:", format_time(dp.compute_iteration_time));
+        row(io, "all-reduce:",
+            format_time(dp.allreduce_time) + " (ideal " +
+                format_time(dp.allreduce_ideal_time) + ", stall " +
+                format_time(dp.allreduce_stall()) + ")");
+        row(io, "effective iteration:", format_time(dp.iteration_time()));
+        row(io, "interconnect busy:",
+            format_percent(dp.interconnect_busy_fraction));
         oprintf(io.out, "  scaling efficiency: %.3f\n",
-                dp.scaling_efficiency);
+                dp.scaling_efficiency());
     }
 
     if (study.inference()) {
@@ -170,14 +192,10 @@ cmd_characterize(const ParsedArgs &args, CommandIo &io)
                 study.requests(),
                 runtime::arrival_kind_name(inf.arrival),
                 static_cast<unsigned long long>(inf.seed));
-        oprintf(io.out, "  latency p50:        %s\n",
-                format_time(study.latency_p50()).c_str());
-        oprintf(io.out, "  latency p90:        %s\n",
-                format_time(study.latency_p90()).c_str());
-        oprintf(io.out, "  latency p99:        %s\n",
-                format_time(study.latency_p99()).c_str());
-        oprintf(io.out, "  latency max:        %s\n",
-                format_time(study.latency_max()).c_str());
+        row(io, "latency p50:", format_time(study.latency_p50()));
+        row(io, "latency p90:", format_time(study.latency_p90()));
+        row(io, "latency p99:", format_time(study.latency_p99()));
+        row(io, "latency max:", format_time(study.latency_max()));
         if (inf.session.end_time > 0)
             oprintf(io.out,
                     "  throughput:         %.1f requests/s\n",
@@ -198,15 +216,11 @@ cmd_characterize(const ParsedArgs &args, CommandIo &io)
                 "chrome://tracing)\n",
                 chrome.c_str());
     }
-    const std::string series = args.value("series", "");
-    if (!series.empty()) {
-        std::ofstream os(series);
-        PP_CHECK(os.good(), "cannot open '" << series << "'");
-        analysis::write_series_csv(
-            analysis::occupancy_series(study.view()), os);
-        oprintf(io.out, "wrote occupancy series to %s\n",
-                series.c_str());
-    }
+    export_file(args, "series", "occupancy series", io,
+                [&](std::ostream &os) {
+                    analysis::write_series_csv(
+                        analysis::occupancy_series(study.view()), os);
+                });
     return kExitOk;
 }
 
@@ -247,23 +261,22 @@ write_swap_csv(const swap::SwapPlanReport &plan,
     w.flush();
 }
 
-/** Writes the plan (and measured execution, when present) as JSON. */
+/** Writes @p study's swap plan (and @p exec, when present) as JSON. */
 void
-write_swap_json(const api::WorkloadSpec &spec,
-                const sim::DeviceSpec &device,
-                const swap::SwapPlanReport &plan,
-                const swap::SwapExecutionResult *exec,
-                std::ostream &os)
+write_swap_json(const api::Study &study,
+                const swap::SwapExecutionResult *exec, std::ostream &os)
 {
+    const swap::SwapPlanReport &plan = study.swap_plan();
+    const swap::PlanTotals totals = swap::totals_of(plan);
     RowWriter w(os);
-    w << "{\n  \"model\": \"" << trace::json_escape(spec.model)
-      << "\", \"batch\": " << spec.batch << ", \"device\": \""
-      << trace::json_escape(device.name) << "\",\n"
+    w << "{\n  \"model\": \"" << trace::json_escape(study.spec().model)
+      << "\", \"batch\": " << study.spec().batch << ", \"device\": \""
+      << trace::json_escape(study.device().name) << "\",\n"
       << "  \"plan\": {\"decisions\": " << plan.decisions.size()
-      << ", \"original_peak_bytes\": " << plan.original_peak_bytes
+      << ", \"original_peak_bytes\": " << study.peak_occupancy_bytes()
       << ", \"peak_reduction_bytes\": " << plan.peak_reduction_bytes
-      << ", \"total_swapped_bytes\": " << plan.total_swapped_bytes
-      << ", \"predicted_overhead_ns\": " << plan.predicted_overhead
+      << ", \"total_swapped_bytes\": " << totals.bytes
+      << ", \"predicted_overhead_ns\": " << totals.overhead
       << "},\n  \"decisions\": [\n";
     for (std::size_t i = 0; i < plan.decisions.size(); ++i) {
         const auto &d = plan.decisions[i];
@@ -290,7 +303,8 @@ write_swap_json(const api::WorkloadSpec &spec,
         w << ",\n  \"execution\": {\"new_peak_bytes\": "
           << exec->new_peak_bytes
           << ", \"measured_peak_reduction_bytes\": "
-          << exec->measured_peak_reduction
+          << swap::peak_saving(study.peak_occupancy_bytes(),
+                               exec->new_peak_bytes)
           << ", \"measured_stall_ns\": " << exec->measured_stall
           << ", \"queue_delay_ns\": " << exec->queue_delay
           << ", \"d2h_busy_ns\": " << exec->d2h_busy_time
@@ -320,63 +334,47 @@ cmd_swap(const ParsedArgs &args, CommandIo &io)
     const swap::SwapPlanReport &plan = study.swap_plan();
     const swap::SwapExecutionResult *measured =
         validate ? &study.swap_execution() : nullptr;
+    const swap::PlanTotals totals = swap::totals_of(plan);
 
     oprintf(io.out, "swap plan for %s batch %lld on %s\n",
             spec.model.c_str(), static_cast<long long>(spec.batch),
             study.device().name.c_str());
-    oprintf(io.out, "  decisions:          %zu\n",
-            plan.decisions.size());
-    oprintf(io.out, "  original peak:      %s\n",
-            format_bytes(plan.original_peak_bytes).c_str());
-    oprintf(io.out, "  predicted savings:  %s\n",
-            format_bytes(plan.peak_reduction_bytes).c_str());
-    oprintf(io.out, "  predicted stall:    %s\n",
-            format_time(plan.predicted_overhead).c_str());
+    const std::size_t original_peak = study.peak_occupancy_bytes();
+    row(io, "decisions:", std::to_string(plan.decisions.size()));
+    row(io, "original peak:", format_bytes(original_peak));
+    row(io, "predicted savings:", format_bytes(plan.peak_reduction_bytes));
+    row(io, "predicted stall:", format_time(totals.overhead));
 
     if (measured) {
         const swap::SwapExecutionResult &exec = *measured;
         oprintf(io.out, "validated on the shared PCIe link:\n");
-        oprintf(io.out, "  new peak:           %s\n",
-                format_bytes(exec.new_peak_bytes).c_str());
-        oprintf(io.out, "  measured savings:   %s\n",
-                format_bytes(exec.measured_peak_reduction).c_str());
+        row(io, "new peak:", format_bytes(exec.new_peak_bytes));
+        row(io, "measured savings:",
+            format_bytes(
+                swap::peak_saving(original_peak, exec.new_peak_bytes)));
         // Every decision crosses the link once each way.
-        oprintf(io.out, "  bytes moved:        %s out + %s in\n",
-                format_bytes(plan.total_swapped_bytes).c_str(),
-                format_bytes(plan.total_swapped_bytes).c_str());
-        oprintf(io.out, "  link busy:          %s (%.1f%% of trace)\n",
-                format_time(exec.d2h_busy_time + exec.h2d_busy_time)
-                    .c_str(),
-                100.0 * exec.link_busy_fraction);
-        oprintf(io.out, "  queue delay:        %s\n",
-                format_time(exec.queue_delay).c_str());
-        oprintf(io.out, "  measured stall:     %s\n",
-                format_time(exec.measured_stall).c_str());
-        if (exec.measured_stall > plan.predicted_overhead)
-            oprintf(io.out,
-                    "  contention stall:   %s beyond the "
-                    "dedicated-link prediction\n",
-                    format_time(exec.measured_stall -
-                                plan.predicted_overhead)
-                        .c_str());
+        row(io, "bytes moved:",
+            format_bytes(totals.bytes) + " out + " +
+                format_bytes(totals.bytes) + " in");
+        row(io, "link busy:",
+            format_time(exec.d2h_busy_time + exec.h2d_busy_time) + " (" +
+                format_percent(exec.link_busy_fraction) + " of trace)");
+        row(io, "queue delay:", format_time(exec.queue_delay));
+        row(io, "measured stall:", format_time(exec.measured_stall));
+        if (exec.measured_stall > totals.overhead)
+            row(io, "contention stall:",
+                format_time(exec.measured_stall - totals.overhead) +
+                    " beyond the dedicated-link prediction");
     }
 
-    const std::string csv = args.value("csv", "");
-    if (!csv.empty()) {
-        std::ofstream os(csv);
-        PP_CHECK(os.good(), "cannot open '" << csv << "'");
-        write_swap_csv(plan, measured, os);
-        oprintf(io.out, "wrote swap schedule CSV to %s\n",
-                csv.c_str());
-    }
-    const std::string json = args.value("json", "");
-    if (!json.empty()) {
-        std::ofstream os(json);
-        PP_CHECK(os.good(), "cannot open '" << json << "'");
-        write_swap_json(spec, study.device(), plan, measured, os);
-        oprintf(io.out, "wrote swap schedule JSON to %s\n",
-                json.c_str());
-    }
+    export_file(args, "csv", "swap schedule CSV", io,
+                [&](std::ostream &os) {
+                    write_swap_csv(plan, measured, os);
+                });
+    export_file(args, "json", "swap schedule JSON", io,
+                [&](std::ostream &os) {
+                    write_swap_json(study, measured, os);
+                });
     return kExitOk;
 }
 
@@ -407,18 +405,19 @@ write_relief_csv(const analysis::TraceView &view,
     w.flush();
 }
 
-/** Writes the relief plan and its execution as JSON (planned on @p view). */
+/** Writes @p report, planned on @p study's trace, as JSON. */
 void
-write_relief_json(const api::WorkloadSpec &spec,
-                  const sim::DeviceSpec &device,
-                  const analysis::TraceView &view,
+write_relief_json(const api::Study &study,
                   const relief::ReliefReport &report, std::ostream &os)
 {
     using relief::Mechanism;
+    const analysis::TraceView &view = study.view();
+    const relief::MechanismTotals all = relief::totals_of(report);
     RowWriter w(os);
-    w << "{\n  \"model\": \"" << trace::json_escape(spec.model)
-      << "\", \"batch\": " << spec.batch << ", \"device\": \""
-      << trace::json_escape(device.name) << "\", \"strategy\": \""
+    w << "{\n  \"model\": \"" << trace::json_escape(study.spec().model)
+      << "\", \"batch\": " << study.spec().batch << ", \"device\": \""
+      << trace::json_escape(study.device().name)
+      << "\", \"strategy\": \""
       << relief::strategy_name(report.strategy) << "\",\n"
       << "  \"plan\": {\"decisions\": " << report.decisions.size()
       << ", \"swap_decisions\": "
@@ -427,10 +426,9 @@ write_relief_json(const api::WorkloadSpec &spec,
       << relief::totals_of(report, Mechanism::kRecompute).decisions
       << ", \"peer_decisions\": "
       << relief::totals_of(report, Mechanism::kPeer).decisions
-      << ", \"original_peak_bytes\": " << report.original_peak_bytes
-      << ", \"peak_reduction_bytes\": "
-      << report.peak_reduction_bytes
-      << ", \"predicted_overhead_ns\": " << report.predicted_overhead
+      << ", \"original_peak_bytes\": " << study.peak_occupancy_bytes()
+      << ", \"peak_reduction_bytes\": " << all.covered_bytes
+      << ", \"predicted_overhead_ns\": " << all.overhead
       << "},\n  \"execution\": {\"new_peak_bytes\": "
       << report.new_peak_bytes
       << ", \"measured_peak_reduction_bytes\": "
@@ -535,11 +533,11 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
         // zeros (and change single-device bytes).
         if (!rep.available)
             continue;
+        const relief::MechanismTotals all = relief::totals_of(rep);
         oprintf(io.out, "%-12s %10zu %12s %12s %12s %12s%s\n",
-                relief::strategy_name(rep.strategy),
-                rep.decisions.size(),
-                format_bytes(rep.peak_reduction_bytes).c_str(),
-                format_time(rep.predicted_overhead).c_str(),
+                relief::strategy_name(rep.strategy), all.decisions,
+                format_bytes(all.covered_bytes).c_str(),
+                format_time(all.overhead).c_str(),
                 format_bytes(rep.measured_peak_reduction).c_str(),
                 format_time(rep.measured_overhead).c_str(),
                 rep.strategy == strategy ? "  <-- selected" : "");
@@ -551,12 +549,11 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
                   << relief::strategy_name(strategy));
     const relief::ReliefReport &selected = *selected_report;
 
-    const relief::MechanismTotals swapped =
-        relief::totals_of(selected, relief::Mechanism::kSwap);
-    const relief::MechanismTotals recomputed =
-        relief::totals_of(selected, relief::Mechanism::kRecompute);
-    const relief::MechanismTotals to_peer =
-        relief::totals_of(selected, relief::Mechanism::kPeer);
+    using relief::Mechanism;
+    const auto swapped = relief::totals_of(selected, Mechanism::kSwap);
+    const auto recomputed =
+        relief::totals_of(selected, Mechanism::kRecompute);
+    const auto to_peer = relief::totals_of(selected, Mechanism::kPeer);
     oprintf(io.out,
             "\nselected %s: %zu decisions (%zu swap, %zu "
             "recompute",
@@ -566,46 +563,30 @@ cmd_relief(const ParsedArgs &args, CommandIo &io)
     if (spec.devices > 1)
         oprintf(io.out, ", %zu peer", to_peer.decisions);
     oprintf(io.out, ")\n");
-    oprintf(io.out, "  original peak:      %s\n",
-            format_bytes(selected.original_peak_bytes).c_str());
-    oprintf(io.out, "  predicted savings:  %s\n",
-            format_bytes(selected.peak_reduction_bytes).c_str());
-    oprintf(io.out, "  new peak (sched.):  %s\n",
-            format_bytes(selected.new_peak_bytes).c_str());
-    oprintf(io.out, "  bytes swapped:      %s\n",
-            format_bytes(swapped.bytes).c_str());
-    oprintf(io.out, "  bytes recomputed:   %s\n",
-            format_bytes(recomputed.bytes).c_str());
+    row(io, "original peak:", format_bytes(study.peak_occupancy_bytes()));
+    row(io, "predicted savings:",
+        format_bytes(relief::totals_of(selected).covered_bytes));
+    row(io, "new peak (sched.):", format_bytes(selected.new_peak_bytes));
+    row(io, "bytes swapped:", format_bytes(swapped.bytes));
+    row(io, "bytes recomputed:", format_bytes(recomputed.bytes));
     if (spec.devices > 1)
-        oprintf(io.out, "  bytes to peer:      %s\n",
-                format_bytes(to_peer.bytes).c_str());
+        row(io, "bytes to peer:", format_bytes(to_peer.bytes));
     // Peer stall is 0 on single-device studies, so the sum prints
     // the same bytes there as the host-only stall always did.
-    oprintf(io.out,
-            "  measured overhead:  %s (%s link stall + "
-            "recompute)\n",
-            format_time(selected.measured_overhead).c_str(),
+    row(io, "measured overhead:",
+        format_time(selected.measured_overhead) + " (" +
             format_time(selected.swap_schedule.measured_stall +
-                        selected.peer_schedule.measured_stall)
-                .c_str());
+                        selected.peer_schedule.measured_stall) +
+            " link stall + recompute)");
 
-    const std::string csv = args.value("csv", "");
-    if (!csv.empty()) {
-        std::ofstream os(csv);
-        PP_CHECK(os.good(), "cannot open '" << csv << "'");
-        write_relief_csv(study.view(), selected, os);
-        oprintf(io.out, "wrote relief schedule CSV to %s\n",
-                csv.c_str());
-    }
-    const std::string json = args.value("json", "");
-    if (!json.empty()) {
-        std::ofstream os(json);
-        PP_CHECK(os.good(), "cannot open '" << json << "'");
-        write_relief_json(spec, study.device(), study.view(), selected,
-                          os);
-        oprintf(io.out, "wrote relief schedule JSON to %s\n",
-                json.c_str());
-    }
+    export_file(args, "csv", "relief schedule CSV", io,
+                [&](std::ostream &os) {
+                    write_relief_csv(study.view(), selected, os);
+                });
+    export_file(args, "json", "relief schedule JSON", io,
+                [&](std::ostream &os) {
+                    write_relief_json(study, selected, os);
+                });
     return kExitOk;
 }
 

@@ -57,6 +57,16 @@ struct Candidate {
     std::array<Option, kMechanisms.size()> options;
 };
 
+/** Adds one decision of @p size bytes to @p t. */
+void
+add(MechanismTotals &t, std::size_t size, TimeNs overhead, bool covers_peak)
+{
+    ++t.decisions;
+    t.bytes += size;
+    t.covered_bytes += covers_peak ? size : 0;
+    t.overhead += overhead;
+}
+
 /**
  * Aggregate outcome of one selection, for strategy comparison. The
  * selection marks candidates in place of listing them, so assembly
@@ -67,9 +77,8 @@ struct Selection {
     std::vector<std::optional<Mechanism>> picks;
     /** Candidates chosen per Mechanism, indexed by index_of(). */
     std::array<std::size_t, kMechanisms.size()> chosen = {};
-    std::size_t peak_reduction = 0;
-    TimeNs overhead = 0;
-    std::size_t total_bytes = 0;
+    /** The sums a report of these picks has (totals_of). */
+    MechanismTotals totals;
 };
 
 /** Everything plan_all() derives from a trace, strategy-agnostic. */
@@ -186,10 +195,7 @@ select(const std::vector<Candidate> &candidates, Strategy strategy,
         const Option &o = c.options[index_of(m)];
         sel.picks[i] = m;
         ++sel.chosen[index_of(m)];
-        sel.overhead += o.overhead;
-        sel.total_bytes += c.block->size;
-        if (o.covers_peak)
-            sel.peak_reduction += c.block->size;
+        add(sel.totals, c.block->size, o.overhead, o.covers_peak);
     };
 
     /** An overhead-bearing choice the SLO admits. */
@@ -266,7 +272,7 @@ select(const std::vector<Candidate> &candidates, Strategy strategy,
                   return ca.gap_start < cb.gap_start;
               });
     for (const auto &p : paid) {
-        if (p.overhead <= budget - sel.overhead)
+        if (p.overhead <= budget - sel.totals.overhead)
             take(p.index, p.mechanism);
     }
     return sel;
@@ -276,11 +282,11 @@ select(const std::vector<Candidate> &candidates, Strategy strategy,
 bool
 better(const Selection &a, const Selection &b)
 {
-    if (a.peak_reduction != b.peak_reduction)
-        return a.peak_reduction > b.peak_reduction;
-    if (a.overhead != b.overhead)
-        return a.overhead < b.overhead;
-    return a.total_bytes > b.total_bytes;
+    if (a.totals.covered_bytes != b.totals.covered_bytes)
+        return a.totals.covered_bytes > b.totals.covered_bytes;
+    if (a.totals.overhead != b.totals.overhead)
+        return a.totals.overhead < b.totals.overhead;
+    return a.totals.bytes > b.totals.bytes;
 }
 
 /**
@@ -293,7 +299,6 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
          const analysis::TraceView &view, const Selection &sel)
 {
     ReliefReport report;
-    report.original_peak_bytes = ctx.timeline.peak_bytes();
 
     // One walk over the picks fills the decisions and, alongside,
     // what the links and the what-if peak need: each swap and peer
@@ -304,16 +309,13 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     const auto chosen = [&](Mechanism m) {
         return sel.chosen[index_of(m)];
     };
-    const std::size_t total = chosen(Mechanism::kSwap) +
-                              chosen(Mechanism::kRecompute) +
-                              chosen(Mechanism::kPeer);
-    report.decisions.reserve(total);
+    report.decisions.reserve(sel.totals.decisions);
     std::vector<const swap::SwapDecision *> swap_legs;
     swap_legs.reserve(chosen(Mechanism::kSwap));
     std::vector<const swap::SwapDecision *> peer_legs;
     peer_legs.reserve(chosen(Mechanism::kPeer));
     std::vector<analysis::OccupancyEdge> edges;
-    edges.reserve(2 * total);
+    edges.reserve(2 * sel.totals.decisions);
     std::vector<analysis::OccupancyEdge> recompute_ends;
     recompute_ends.reserve(chosen(Mechanism::kRecompute));
     for (std::size_t i = 0; i < ctx.candidates.size(); ++i) {
@@ -348,9 +350,6 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
             peer_legs.push_back(&d);
             break;
         }
-        report.predicted_overhead += o.overhead;
-        if (o.covers_peak)
-            report.peak_reduction_bytes += d.size;
     }
     std::sort(recompute_ends.begin(), recompute_ends.end(),
               analysis::edge_before);
@@ -386,10 +385,8 @@ assemble(const PlanContext &ctx, const StrategyOptions &options,
     report.measured_overhead += report.swap_schedule.measured_stall +
                                 report.peer_schedule.measured_stall;
     report.new_peak_bytes = ctx.timeline.peak_with(std::move(edges));
-    report.measured_peak_reduction =
-        report.original_peak_bytes > report.new_peak_bytes
-            ? report.original_peak_bytes - report.new_peak_bytes
-            : 0;
+    report.measured_peak_reduction = swap::peak_saving(
+        ctx.timeline.peak_bytes(), report.new_peak_bytes);
     return report;
 }
 
@@ -435,14 +432,12 @@ mechanism_name(Mechanism m)
 }
 
 MechanismTotals
-totals_of(const ReliefReport &report, Mechanism m)
+totals_of(const ReliefReport &report, std::optional<Mechanism> m)
 {
     MechanismTotals t;
     for (const ReliefDecision &d : report.decisions) {
-        if (d.mechanism != m)
-            continue;
-        ++t.decisions;
-        t.bytes += d.size;
+        if (!m || d.mechanism == *m)
+            add(t, d.size, d.overhead, d.covers_peak);
     }
     return t;
 }

@@ -37,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -167,21 +168,15 @@ struct ReliefReport {
     /**
      * False when the strategy's mechanism cannot be priced at all —
      * peer offload on a single-device topology. An unavailable
-     * report carries the original peak and zeros everywhere else;
+     * report has no decisions and keeps the original peak;
      * strategy comparisons and "winner" aggregations must skip it.
      */
     bool available = true;
     /**
      * Selected decisions, in (gap_start, block) order; totals_of()
-     * counts them per mechanism.
+     * sums them, per mechanism or over all.
      */
     std::vector<ReliefDecision> decisions;
-    /** Peak live bytes of the original trace. */
-    std::size_t original_peak_bytes = 0;
-    /** Predicted bytes absent from the device at the peak instant. */
-    std::size_t peak_reduction_bytes = 0;
-    /** Sum of per-decision predicted overheads (<= budget). */
-    TimeNs predicted_overhead = 0;
 
     // --- scheduled execution (swap legs on the shared link) -------
     /**
@@ -189,7 +184,7 @@ struct ReliefReport {
      * link-scheduled swap and peer legs and the recompute windows.
      */
     std::size_t new_peak_bytes = 0;
-    /** original - new (saturating at 0). */
+    /** swap::peak_saving(original peak, new_peak_bytes). */
     std::size_t measured_peak_reduction = 0;
     /**
      * Link-scheduled swap and peer stalls plus the recompute costs:
@@ -203,14 +198,19 @@ struct ReliefReport {
     swap::LinkSchedule peer_schedule;
 };
 
-/** How many decisions of a plan one mechanism takes, and their bytes. */
+/** Sums over some of a plan's decisions. */
 struct MechanismTotals {
     std::size_t decisions = 0;
     std::size_t bytes = 0;
+    /** Bytes off the device at the original peak instant. */
+    std::size_t covered_bytes = 0;
+    /** Predicted overhead (within the budget, over all decisions). */
+    TimeNs overhead = 0;
 };
 
-/** @return the count and size sum of @p report's @p m decisions. */
-MechanismTotals totals_of(const ReliefReport &report, Mechanism m);
+/** @return the sums over @p report's @p m decisions, or all of them. */
+MechanismTotals totals_of(const ReliefReport &report,
+                          std::optional<Mechanism> m = std::nullopt);
 
 /**
  * Plans relief strategies for recorded traces. Stateless and

@@ -47,17 +47,9 @@ run_data_parallel(const nn::Model &model,
         now = ar.finish;
         result.allreduce_time = ar.duration();
         result.allreduce_ideal_time = ar.ideal_ns;
-        result.allreduce_stall = ar.stall_ns();
     }
-    result.iteration_time =
-        result.compute_iteration_time + result.allreduce_time;
     result.interconnect_busy_fraction =
         topology.interconnect_busy_fraction(now);
-    result.scaling_efficiency =
-        result.iteration_time > 0
-            ? static_cast<double>(result.compute_iteration_time) /
-                  static_cast<double>(result.iteration_time)
-            : 1.0;
     return result;
 }
 

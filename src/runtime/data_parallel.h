@@ -16,6 +16,7 @@
  */
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 
 #include "core/types.h"
@@ -66,18 +67,28 @@ struct DataParallelResult {
     TimeNs allreduce_time = 0;
     /** Dedicated-ring all-reduce time (no queued traffic). */
     TimeNs allreduce_ideal_time = 0;
-    /** Steady-state all-reduce slip past the dedicated ring. */
-    TimeNs allreduce_stall = 0;
-    /** Effective iteration time: compute + exposed all-reduce. */
-    TimeNs iteration_time = 0;
     /** Mean peer-link occupancy over the synchronized timeline. */
     double interconnect_busy_fraction = 0.0;
-    /**
-     * Data-parallel scaling efficiency: the fraction of the
-     * effective iteration spent computing, i.e. speedup / devices
-     * under perfect input sharding. 1.0 for a single device.
-     */
-    double scaling_efficiency = 1.0;
+
+    /** @return the effective iteration: compute + exposed all-reduce. */
+    TimeNs iteration_time() const
+    {
+        return compute_iteration_time + allreduce_time;
+    }
+    /** @return the steady-state all-reduce slip past the ideal ring. */
+    TimeNs allreduce_stall() const
+    {
+        return allreduce_time - std::min(allreduce_time, allreduce_ideal_time);
+    }
+    /** @return compute / effective iteration (speedup / devices under
+     * perfect input sharding); 1.0 when the iteration takes no time. */
+    double scaling_efficiency() const
+    {
+        const TimeNs t = iteration_time();
+        return t > 0 ? static_cast<double>(compute_iteration_time) /
+                           static_cast<double>(t)
+                     : 1.0;
+    }
 };
 
 /**

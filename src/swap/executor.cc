@@ -218,12 +218,7 @@ execute_plan(const analysis::TraceView &view,
     std::vector<analysis::OccupancyEdge> edges;
     edges.reserve(result.swaps.size() * 2);
     append_residency_edges(result, legs, edges);
-    const analysis::Timeline &timeline = view.timeline();
-    result.new_peak_bytes = timeline.peak_with(std::move(edges));
-    result.measured_peak_reduction =
-        timeline.peak_bytes() > result.new_peak_bytes
-            ? timeline.peak_bytes() - result.new_peak_bytes
-            : 0;
+    result.new_peak_bytes = view.timeline().peak_with(std::move(edges));
     return result;
 }
 

@@ -73,9 +73,14 @@ struct LinkSchedule {
 struct SwapExecutionResult : LinkSchedule {
     /** Peak device-resident bytes with the plan applied. */
     std::size_t new_peak_bytes = 0;
-    /** The plan's original peak - new (saturating at 0). */
-    std::size_t measured_peak_reduction = 0;
 };
+
+/** @return the peak bytes a plan saved: 0 unless it lowered the peak. */
+constexpr std::size_t
+peak_saving(std::size_t original_peak, std::size_t new_peak)
+{
+    return original_peak > new_peak ? original_peak - new_peak : 0;
+}
 
 /**
  * Times every copy of @p legs on the shared link @p scheduler (which

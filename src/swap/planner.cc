@@ -37,6 +37,15 @@ evaluate_swap_gap(std::size_t size, TimeNs gap_start, TimeNs gap_end,
     return e;
 }
 
+PlanTotals
+totals_of(const SwapPlanReport &plan)
+{
+    PlanTotals t;
+    for (const SwapDecision &d : plan.decisions)
+        t = {t.bytes + d.size, t.overhead + d.overhead};
+    return t;
+}
+
 SwapPlanner::SwapPlanner(PlannerOptions options)
     : options_(std::move(options))
 {
@@ -53,7 +62,6 @@ SwapPlanner::plan(const analysis::TraceView &view) const
     SwapPlanReport report;
 
     const TimeNs peak_time = timeline.peak_time();
-    report.original_peak_bytes = timeline.peak_bytes();
 
     for (const analysis::AccessGap &g :
          analysis::access_gaps(view, options_.min_block_bytes)) {
@@ -72,8 +80,6 @@ SwapPlanner::plan(const analysis::TraceView &view) const
         d.gap_end = g.end;
         d.hide_ratio = e.hide_ratio;
         d.overhead = e.overhead;
-        report.predicted_overhead += d.overhead;
-        report.total_swapped_bytes += b.size;
         if (e.covers_peak)
             report.peak_reduction_bytes += b.size;
         report.decisions.push_back(d);

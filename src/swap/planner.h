@@ -102,23 +102,28 @@ struct SwapDecision {
     TimeNs overhead = 0;
 };
 
-/** Planner output. */
+/** Planner output; totals_of sums its decisions. */
 struct SwapPlanReport {
     /** In (gap_start, block) order. */
     std::vector<SwapDecision> decisions;
-    /** Sum of sizes over scheduled decisions (gap-bytes moved out). */
-    std::size_t total_swapped_bytes = 0;
-    /** Peak live bytes of the original trace. */
-    std::size_t original_peak_bytes = 0;
     /**
      * Bytes absent from the device at the original peak instant,
      * using the executor's residency window (swap-out completion to
      * swap-in start) rather than the raw access gap.
      */
     std::size_t peak_reduction_bytes = 0;
-    /** Sum of per-decision stalls (0 unless allow_overhead). */
-    TimeNs predicted_overhead = 0;
 };
+
+/** Sums over a swap plan's decisions. */
+struct PlanTotals {
+    /** Bytes moved out, and back in. */
+    std::size_t bytes = 0;
+    /** Predicted stall (0 unless allow_overhead). */
+    TimeNs overhead = 0;
+};
+
+/** @return the size and overhead sums of @p plan's decisions. */
+PlanTotals totals_of(const SwapPlanReport &plan);
 
 /**
  * Plans swapping for a recorded trace. Stateless; one instance can

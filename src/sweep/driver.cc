@@ -86,12 +86,13 @@ aggregate(const api::Study &study, bool swap_plan,
         // carries the measured numbers next to the predicted ones.
         const swap::SwapPlanReport &plan = study.swap_plan();
         const swap::SwapExecutionResult &exec = study.swap_execution();
+        const swap::PlanTotals totals = swap::totals_of(plan);
         out.swap_decisions = plan.decisions.size();
         out.swap_peak_reduction_bytes = plan.peak_reduction_bytes;
-        out.swap_total_bytes = plan.total_swapped_bytes;
-        out.swap_measured_peak_reduction_bytes =
-            exec.measured_peak_reduction;
-        out.swap_predicted_stall_ns = plan.predicted_overhead;
+        out.swap_total_bytes = totals.bytes;
+        out.swap_measured_peak_reduction_bytes = swap::peak_saving(
+            study.peak_occupancy_bytes(), exec.new_peak_bytes);
+        out.swap_predicted_stall_ns = totals.overhead;
         out.swap_measured_stall_ns = exec.measured_stall;
         out.swap_link_busy_fraction = exec.link_busy_fraction;
 

@@ -37,7 +37,7 @@ TEST(Breakdown, PeakSnapshotSplitsByCategory)
                 Category::kIntermediate));
 
     const auto b = occupation_breakdown(TraceView(r));
-    EXPECT_EQ(b.peak_total, 450u);
+    EXPECT_EQ(b.peak_total(), 450u);
     EXPECT_EQ(b.peak_time, 20u);
     EXPECT_EQ(b.at_peak[static_cast<int>(Category::kParameter)],
               100u);
@@ -62,7 +62,7 @@ TEST(Breakdown, PerCategoryPeaksAreIndependent)
     // Input peaked at 200 even though the global peak holds none.
     EXPECT_EQ(b.peak_per_category[static_cast<int>(Category::kInput)],
               200u);
-    EXPECT_EQ(b.peak_total, 200u);
+    EXPECT_EQ(b.peak_total(), 200u);
     EXPECT_EQ(b.at_peak[static_cast<int>(Category::kIntermediate)],
               0u);
 }
@@ -77,13 +77,13 @@ TEST(Breakdown, ReadsAndWritesDoNotChangeOccupancy)
     r.record(ev(9, trace::EventKind::kRead, 1, 128,
                 Category::kInput));
     const auto b = occupation_breakdown(TraceView(r));
-    EXPECT_EQ(b.peak_total, 128u);
+    EXPECT_EQ(b.peak_total(), 128u);
 }
 
 TEST(Breakdown, EmptyTrace)
 {
     const auto b = occupation_breakdown(TraceView(trace::TraceRecorder{}));
-    EXPECT_EQ(b.peak_total, 0u);
+    EXPECT_EQ(b.peak_total(), 0u);
     EXPECT_DOUBLE_EQ(b.fraction(Category::kInput), 0.0);
 }
 

@@ -79,7 +79,7 @@ TEST(Series, ThinningKeepsThePeak)
     };
     EXPECT_EQ(peak_of(thin), peak_of(full));
     EXPECT_EQ(peak_of(full),
-              occupation_breakdown(r.view()).peak_total);
+              occupation_breakdown(r.view()).peak_total());
 }
 
 TEST(Series, CsvRendering)

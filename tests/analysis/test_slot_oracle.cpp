@@ -187,7 +187,7 @@ expect_equal_breakdowns(const TraceView &view)
     ASSERT_EQ(error, ref_error);
     if (!error.empty())
         return;
-    EXPECT_EQ(got.peak_total, ref.peak_total);
+    EXPECT_EQ(got.peak_total(), ref.peak_total());
     EXPECT_EQ(got.peak_time, ref.peak_time);
     EXPECT_EQ(got.at_peak, ref.at_peak);
     EXPECT_EQ(got.peak_per_category, ref.peak_per_category);

@@ -367,8 +367,8 @@ TEST(TraceView, SharedViewEqualsFreshViewsAcrossTheZoo)
         EXPECT_EQ(splan.decisions.size(), fplan.decisions.size());
         EXPECT_EQ(splan.peak_reduction_bytes,
                   fplan.peak_reduction_bytes);
-        EXPECT_EQ(splan.predicted_overhead,
-                  fplan.predicted_overhead);
+        EXPECT_EQ(swap::totals_of(splan).overhead,
+                  swap::totals_of(fplan).overhead);
         const auto sexec =
             swap::execute_plan(shared, splan, sopts.link);
         const auto fexec =
@@ -384,8 +384,8 @@ TEST(TraceView, SharedViewEqualsFreshViewsAcrossTheZoo)
         const auto frel =
             relief::StrategyPlanner(ropts).plan_all(fresh);
         for (int i = 0; i < relief::kNumStrategies; ++i) {
-            EXPECT_EQ(srel[i].peak_reduction_bytes,
-                      frel[i].peak_reduction_bytes);
+            EXPECT_EQ(relief::totals_of(srel[i]).covered_bytes,
+                      relief::totals_of(frel[i]).covered_bytes);
             EXPECT_EQ(srel[i].measured_overhead,
                       frel[i].measured_overhead);
             EXPECT_EQ(srel[i].decisions.size(),

@@ -72,8 +72,8 @@ TEST(Study, FacetsEqualDirectComputation)
 
     const auto direct_breakdown =
         analysis::occupation_breakdown(fresh);
-    EXPECT_EQ(study.breakdown().peak_total,
-              direct_breakdown.peak_total);
+    EXPECT_EQ(study.breakdown().peak_total(),
+              direct_breakdown.peak_total());
     EXPECT_EQ(study.breakdown().at_peak, direct_breakdown.at_peak);
 }
 
@@ -84,7 +84,7 @@ TEST(Study, OccupancyFacetAgreesWithBreakdownPeak)
     // walk, the breakdown replay and a full sort of the recorder's
     // edges — must land on the same bytes.
     EXPECT_EQ(study.peak_occupancy_bytes(),
-              study.breakdown().peak_total);
+              study.breakdown().peak_total());
     EXPECT_EQ(study.peak_occupancy_bytes(),
               test_support::peak_occupancy(
                   test_support::sorted_edges_oracle(study.trace())));
@@ -101,9 +101,10 @@ TEST(Study, SwapExecutionExecutesTheCachedPlan)
     const swap::SwapExecutionResult &exec = study.swap_execution();
     EXPECT_EQ(&study.swap_plan(), &plan);
     ASSERT_EQ(exec.swaps.size(), plan.decisions.size());
-    ASSERT_LE(exec.new_peak_bytes, plan.original_peak_bytes);
-    EXPECT_EQ(exec.measured_peak_reduction,
-              plan.original_peak_bytes - exec.new_peak_bytes);
+    const std::size_t original_peak = study.peak_occupancy_bytes();
+    ASSERT_LE(exec.new_peak_bytes, original_peak);
+    EXPECT_EQ(swap::peak_saving(original_peak, exec.new_peak_bytes),
+              original_peak - exec.new_peak_bytes);
     for (std::size_t i = 0; i < plan.decisions.size(); ++i) {
         const swap::SwapDecision &d = plan.decisions[i];
         const swap::ExecutedSwap &s = exec.swaps[i];
@@ -137,8 +138,8 @@ TEST(Study, SwapAndReliefFacetsEqualDirectPlanning)
     EXPECT_GT(plan.decisions.size(), 0u);
     EXPECT_EQ(study.swap_plan().peak_reduction_bytes,
               plan.peak_reduction_bytes);
-    EXPECT_EQ(study.swap_plan().predicted_overhead,
-              plan.predicted_overhead);
+    EXPECT_EQ(swap::totals_of(study.swap_plan()).overhead,
+              swap::totals_of(plan).overhead);
     EXPECT_GT(exec.measured_stall, 0u);
     EXPECT_EQ(study.swap_execution().measured_stall, exec.measured_stall);
     EXPECT_EQ(study.swap_execution().new_peak_bytes, exec.new_peak_bytes);
@@ -151,8 +152,8 @@ TEST(Study, SwapAndReliefFacetsEqualDirectPlanning)
     for (int i = 0; i < relief::kNumStrategies; ++i) {
         EXPECT_EQ(study.relief_all()[i].decisions.size(),
                   direct_relief[i].decisions.size());
-        EXPECT_EQ(study.relief_all()[i].peak_reduction_bytes,
-                  direct_relief[i].peak_reduction_bytes);
+        EXPECT_EQ(relief::totals_of(study.relief_all()[i]).covered_bytes,
+                  relief::totals_of(direct_relief[i]).covered_bytes);
         EXPECT_EQ(study.relief_all()[i].measured_overhead,
                   direct_relief[i].measured_overhead);
         EXPECT_EQ(&study.relief(static_cast<relief::Strategy>(i)),
@@ -334,7 +335,8 @@ TEST(Study, DeviceOverloadHonorsCustomSpecs)
     EXPECT_EQ(study.device().d2h_bw_bps,
               sim::DeviceSpec::titan_x_pascal().d2h_bw_bps / 2);
     // Link-priced facets work — they never resolve spec.device.
-    EXPECT_GT(study.swap_plan().original_peak_bytes, 0u);
+    EXPECT_NO_THROW(study.swap_plan());
+    EXPECT_GT(study.peak_occupancy_bytes(), 0u);
 }
 
 TEST(Study, FromTraceSupportsOfflineAnalysis)
@@ -344,8 +346,8 @@ TEST(Study, FromTraceSupportsOfflineAnalysis)
     const Study offline = Study::from_trace(
         std::move(copy), sim::DeviceSpec::titan_x_pascal());
     EXPECT_EQ(offline.atis().size(), recorded.atis().size());
-    EXPECT_EQ(offline.breakdown().peak_total,
-              recorded.breakdown().peak_total);
+    EXPECT_EQ(offline.breakdown().peak_total(),
+              recorded.breakdown().peak_total());
     EXPECT_EQ(offline.device().name,
               sim::DeviceSpec::titan_x_pascal().name);
     // The synthetic spec is marked: offline traces never
@@ -476,7 +478,7 @@ TEST(Study, DataParallelStudyProjectsTheSimulatedReplica)
     EXPECT_GT(study.scaling_efficiency(), 0.0);
     EXPECT_LT(study.scaling_efficiency(), 1.0);
     EXPECT_DOUBLE_EQ(study.scaling_efficiency(),
-                     dp.scaling_efficiency);
+                     dp.scaling_efficiency());
     EXPECT_GT(study.interconnect_busy_fraction(), 0.0);
 
     // The relief facet is armed with the topology: the peer-only

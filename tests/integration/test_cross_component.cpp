@@ -55,7 +55,7 @@ TEST(CrossComponent, TransformerTrainsAndBreaksDownSanely)
     const auto r =
         runtime::run_training(nn::transformer_encoder(cfg), config);
     const auto b = analysis::occupation_breakdown(r.view());
-    EXPECT_GT(b.peak_total, 0u);
+    EXPECT_GT(b.peak_total(), 0u);
     EXPECT_GT(b.fraction(Category::kIntermediate), 0.3);
     // The attention probs tensor exists with the right size.
     bool found_probs = false;
@@ -105,7 +105,7 @@ TEST(CrossComponent, CsvRoundTripPreservesAnalyses)
     const auto reloaded = trace::read_csv(ss);
     const auto a = analysis::occupation_breakdown(r.view());
     const auto b = analysis::occupation_breakdown(analysis::TraceView(reloaded));
-    EXPECT_EQ(a.peak_total, b.peak_total);
+    EXPECT_EQ(a.peak_total(), b.peak_total());
     EXPECT_EQ(a.at_peak, b.at_peak);
     EXPECT_EQ(a.peak_time, b.peak_time);
 }

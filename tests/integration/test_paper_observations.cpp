@@ -212,9 +212,9 @@ TEST(PaperObservations, TraceIsSelfConsistentAcrossAllocators)
     // but within the rounding slack.
     const auto bc = analysis::occupation_breakdown(caching.view());
     const auto bd = analysis::occupation_breakdown(direct.view());
-    EXPECT_NEAR(static_cast<double>(bc.peak_total),
-                static_cast<double>(bd.peak_total),
-                0.05 * static_cast<double>(bd.peak_total));
+    EXPECT_NEAR(static_cast<double>(bc.peak_total()),
+                static_cast<double>(bd.peak_total()),
+                0.05 * static_cast<double>(bd.peak_total()));
 }
 
 }  // namespace

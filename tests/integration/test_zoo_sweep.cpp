@@ -73,8 +73,8 @@ TEST_P(ZooSweep, TrainingRunSatisfiesInvariants)
     //    engine's live accounting agrees with the trace replay.
     const auto b = analysis::occupation_breakdown(r.view());
     EXPECT_EQ(b.at_peak[0] + b.at_peak[1] + b.at_peak[2],
-              b.peak_total);
-    EXPECT_EQ(r.usage.peak_total, b.peak_total);
+              b.peak_total());
+    EXPECT_EQ(r.usage.peak_total, b.peak_total());
 
     // 5. Parameter bytes at peak >= the model's parameter payload
     //    (rounding can only add).

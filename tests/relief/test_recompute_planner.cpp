@@ -158,7 +158,7 @@ TEST(RecomputeRelief, PlansGapAtMeasuredForwardCost)
     // The view names ops with its recorder's ids.
     EXPECT_EQ(trace.op_name(d.producer), "conv1.forward");
     EXPECT_EQ(d.overhead, 100u);
-    EXPECT_EQ(plan.predicted_overhead, 100u);
+    EXPECT_EQ(totals_of(plan).overhead, 100u);
     EXPECT_EQ(totals_of(plan, Mechanism::kRecompute).bytes, 64 * kMB);
 }
 
@@ -229,8 +229,9 @@ TEST(RecomputeRelief, PeakCreditUsesComputeAdjustedWindow)
 
     const auto plan = recompute_plan(r);
     ASSERT_EQ(plan.decisions.size(), 1u);
-    EXPECT_EQ(plan.original_peak_bytes, act + spike + kMB);
-    EXPECT_EQ(plan.peak_reduction_bytes, act);
+    EXPECT_EQ(analysis::TraceView(r).timeline().peak_bytes(),
+              act + spike + kMB);
+    EXPECT_EQ(totals_of(plan).covered_bytes, act);
 }
 
 }  // namespace

@@ -150,10 +150,10 @@ TEST(StrategyPlanner, PeerUnavailableOnASingleDevice)
     const auto rep = planner.plan_all(r)[at(Strategy::kPeerOnly)];
     EXPECT_FALSE(rep.available);
     EXPECT_TRUE(rep.decisions.empty());
-    EXPECT_EQ(rep.peak_reduction_bytes, 0u);
+    EXPECT_EQ(totals_of(rep).covered_bytes, 0u);
     EXPECT_EQ(rep.measured_peak_reduction, 0u);
-    EXPECT_EQ(rep.new_peak_bytes, rep.original_peak_bytes);
-    EXPECT_EQ(rep.predicted_overhead, 0);
+    EXPECT_EQ(rep.new_peak_bytes, r.timeline().peak_bytes());
+    EXPECT_EQ(totals_of(rep).overhead, 0);
     EXPECT_EQ(rep.measured_overhead, 0);
 
     // plan_all carries the same unavailable report in enum order.
@@ -183,8 +183,8 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
     // a link the swap mechanism cannot have (the host link stalls).
     EXPECT_GT(d.hide_ratio, 1.0);
     EXPECT_EQ(d.overhead, 0);
-    EXPECT_EQ(peer_only.predicted_overhead, 0);
-    EXPECT_EQ(peer_only.peak_reduction_bytes, 64 * kMB);
+    EXPECT_EQ(totals_of(peer_only).overhead, 0);
+    EXPECT_EQ(totals_of(peer_only).covered_bytes, 64 * kMB);
     EXPECT_EQ(totals_of(peer_only, Mechanism::kPeer).decisions, 1u);
     EXPECT_EQ(totals_of(peer_only, Mechanism::kPeer).bytes, 64 * kMB);
     EXPECT_EQ(totals_of(peer_only, Mechanism::kSwap).decisions, 0u);
@@ -199,8 +199,8 @@ TEST(StrategyPlanner, PeerOffloadIsPricedOnThePeerLink)
     const auto hybrid = planner.plan_all(r)[at(Strategy::kHybrid)];
     ASSERT_EQ(hybrid.decisions.size(), 1u);
     EXPECT_EQ(hybrid.decisions[0].mechanism, Mechanism::kPeer);
-    EXPECT_EQ(hybrid.predicted_overhead, 0);
-    EXPECT_EQ(hybrid.peak_reduction_bytes, 64 * kMB);
+    EXPECT_EQ(totals_of(hybrid).overhead, 0);
+    EXPECT_EQ(totals_of(hybrid).covered_bytes, 64 * kMB);
 }
 
 TEST(StrategyPlanner, HybridPicksRecomputeWhenCheaperThanSwapStall)
@@ -213,14 +213,14 @@ TEST(StrategyPlanner, HybridPicksRecomputeWhenCheaperThanSwapStall)
 
     // The swap option stalls ~118 ms; recomputing costs 1 us.
     ASSERT_EQ(swap_only.decisions.size(), 1u);
-    EXPECT_GT(swap_only.predicted_overhead, 100 * kNsPerMs);
+    EXPECT_GT(totals_of(swap_only).overhead, 100 * kNsPerMs);
     ASSERT_EQ(hybrid.decisions.size(), 1u);
     EXPECT_EQ(hybrid.decisions[0].mechanism, Mechanism::kRecompute);
     EXPECT_EQ(r.op_name(hybrid.decisions[0].producer), "f.forward");
-    EXPECT_EQ(hybrid.predicted_overhead, kNsPerUs);
-    EXPECT_EQ(hybrid.peak_reduction_bytes, 64 * kMB);
-    EXPECT_GE(hybrid.peak_reduction_bytes,
-              swap_only.peak_reduction_bytes);
+    EXPECT_EQ(totals_of(hybrid).overhead, kNsPerUs);
+    EXPECT_EQ(totals_of(hybrid).covered_bytes, 64 * kMB);
+    EXPECT_GE(totals_of(hybrid).covered_bytes,
+              totals_of(swap_only).covered_bytes);
 }
 
 TEST(StrategyPlanner, ZeroBudgetKeepsOnlyHideableSwaps)
@@ -237,7 +237,7 @@ TEST(StrategyPlanner, ZeroBudgetKeepsOnlyHideableSwaps)
         const auto rep = planner.plan_all(r)[at(s)];
         EXPECT_TRUE(rep.decisions.empty())
             << strategy_name(s) << " spent overhead with zero budget";
-        EXPECT_EQ(rep.predicted_overhead, 0u);
+        EXPECT_EQ(totals_of(rep).overhead, 0u);
     }
 }
 
@@ -287,15 +287,80 @@ TEST(StrategyPlanner, ReportAccountingIsConsistent)
     }
     EXPECT_EQ(swapped, swaps.bytes);
     EXPECT_EQ(recomputed, recomputes.bytes);
-    EXPECT_EQ(overhead, rep.predicted_overhead);
+    EXPECT_EQ(overhead, totals_of(rep).overhead);
     // Bytes absent at the original peak instant bound the global
     // peak drop: relieving the peak can surface a second ridge
     // elsewhere, so measured <= predicted, never more.
     EXPECT_GT(rep.measured_peak_reduction, 0u);
-    EXPECT_LE(rep.measured_peak_reduction, rep.peak_reduction_bytes);
+    EXPECT_LE(rep.measured_peak_reduction,
+              totals_of(rep).covered_bytes);
     // No swap legs here, so no link stall: the scheduled overhead is
     // exactly the predicted recompute cost.
-    EXPECT_EQ(rep.measured_overhead, rep.predicted_overhead);
+    EXPECT_EQ(rep.measured_overhead, totals_of(rep).overhead);
+}
+
+TEST(StrategyPlanner, TotalsSumTheDecisions)
+{
+    // A hand-built report with every mechanism, decisions on and off
+    // the peak, free and paid: each total is the hand sum.
+    const auto decision = [](Mechanism m, std::size_t size,
+                             TimeNs overhead, bool covers_peak) {
+        ReliefDecision d;
+        d.mechanism = m;
+        d.size = size;
+        d.overhead = overhead;
+        d.covers_peak = covers_peak;
+        return d;
+    };
+    ReliefReport rep;
+    rep.decisions = {decision(Mechanism::kSwap, 10, 0, true),
+                     decision(Mechanism::kSwap, 20, 7, false),
+                     decision(Mechanism::kRecompute, 40, 3, true),
+                     decision(Mechanism::kPeer, 80, 0, false),
+                     decision(Mechanism::kPeer, 160, 5, true),
+                     decision(Mechanism::kRecompute, 320, 11, false),
+                     decision(Mechanism::kSwap, 640, 0, false)};
+    struct Expected {
+        Mechanism mechanism;
+        std::size_t decisions;
+        std::size_t bytes;
+        std::size_t covered_bytes;
+        TimeNs overhead;
+    };
+    for (const Expected &e :
+         {Expected{Mechanism::kSwap, 3, 670, 10, 7},
+          Expected{Mechanism::kRecompute, 2, 360, 40, 14},
+          Expected{Mechanism::kPeer, 2, 240, 160, 5}}) {
+        SCOPED_TRACE(mechanism_name(e.mechanism));
+        const MechanismTotals t = totals_of(rep, e.mechanism);
+        EXPECT_EQ(t.decisions, e.decisions);
+        EXPECT_EQ(t.bytes, e.bytes);
+        EXPECT_EQ(t.covered_bytes, e.covered_bytes);
+        EXPECT_EQ(t.overhead, e.overhead);
+    }
+    const MechanismTotals all = totals_of(rep);
+    EXPECT_EQ(all.decisions, 7u);
+    EXPECT_EQ(all.bytes, 1270u);
+    EXPECT_EQ(all.covered_bytes, 210u);
+    EXPECT_EQ(all.overhead, 26u);
+
+    // The unavailable peer-only report of a single-device plan sums
+    // to zeros, over all its decisions and per mechanism.
+    const analysis::TraceView view(recompute_cheaper_trace());
+    const ReliefReport unavailable = StrategyPlanner(slow_link_options())
+                                         .plan_all(view)[at(
+                                             Strategy::kPeerOnly)];
+    ASSERT_FALSE(unavailable.available);
+    std::vector<MechanismTotals> sums = {totals_of(unavailable)};
+    for (Mechanism m :
+         {Mechanism::kSwap, Mechanism::kRecompute, Mechanism::kPeer})
+        sums.push_back(totals_of(unavailable, m));
+    for (const MechanismTotals &t : sums) {
+        EXPECT_EQ(t.decisions, 0u);
+        EXPECT_EQ(t.bytes, 0u);
+        EXPECT_EQ(t.covered_bytes, 0u);
+        EXPECT_EQ(t.overhead, 0u);
+    }
 }
 
 TEST(StrategyPlanner, PlansAreDeterministic)
@@ -316,7 +381,8 @@ TEST(StrategyPlanner, PlansAreDeterministic)
             EXPECT_EQ(a.decisions[i].overhead,
                       b.decisions[i].overhead);
         }
-        EXPECT_EQ(a.peak_reduction_bytes, b.peak_reduction_bytes);
+        EXPECT_EQ(totals_of(a).covered_bytes,
+                  totals_of(b).covered_bytes);
         EXPECT_EQ(a.new_peak_bytes, b.new_peak_bytes);
     }
 }
@@ -361,25 +427,25 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             ASSERT_TRUE(peer_only.available);
 
             if (budget != kUnlimitedBudget) {
-                EXPECT_LE(swap_only.predicted_overhead, budget);
-                EXPECT_LE(rec_only.predicted_overhead, budget);
-                EXPECT_LE(peer_only.predicted_overhead, budget);
-                EXPECT_LE(hybrid.predicted_overhead, budget);
+                EXPECT_LE(totals_of(swap_only).overhead, budget);
+                EXPECT_LE(totals_of(rec_only).overhead, budget);
+                EXPECT_LE(totals_of(peer_only).overhead, budget);
+                EXPECT_LE(totals_of(hybrid).overhead, budget);
             }
-            EXPECT_GE(hybrid.peak_reduction_bytes,
-                      std::max({swap_only.peak_reduction_bytes,
-                                rec_only.peak_reduction_bytes,
-                                peer_only.peak_reduction_bytes}))
+            EXPECT_GE(totals_of(hybrid).covered_bytes,
+                      std::max({totals_of(swap_only).covered_bytes,
+                                totals_of(rec_only).covered_bytes,
+                                totals_of(peer_only).covered_bytes}))
                 << "hybrid lost to a pure strategy at equal budget";
             // Predicted dominance ties break on overhead: at equal
             // reduction the hybrid never pays more than a pure
             // strategy would.
             for (const ReliefReport *pure :
                  {&swap_only, &rec_only, &peer_only}) {
-                if (hybrid.peak_reduction_bytes ==
-                    pure->peak_reduction_bytes) {
-                    EXPECT_LE(hybrid.predicted_overhead,
-                              pure->predicted_overhead)
+                if (totals_of(hybrid).covered_bytes ==
+                    totals_of(*pure).covered_bytes) {
+                    EXPECT_LE(totals_of(hybrid).overhead,
+                              totals_of(*pure).overhead)
                         << strategy_name(pure->strategy);
                 }
             }
@@ -392,8 +458,8 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             // out ahead of the mix.
             if (peer_only.measured_overhead >=
                 hybrid.measured_overhead) {
-                EXPECT_LE(peer_only.peak_reduction_bytes,
-                          hybrid.peak_reduction_bytes)
+                EXPECT_LE(totals_of(peer_only).covered_bytes,
+                          totals_of(hybrid).covered_bytes)
                     << "peer offload beat hybrid at equal budget "
                        "without a measured overhead advantage";
             }
@@ -422,8 +488,8 @@ TEST(StrategyPlanner, HybridDominatesPureStrategiesZooWide)
             EXPECT_GE(hybrid.swap_schedule.measured_stall,
                       swap_leg_overhead);
             // Predicted reduction never exceeds the original peak.
-            EXPECT_LE(hybrid.peak_reduction_bytes,
-                      hybrid.original_peak_bytes);
+            EXPECT_LE(totals_of(hybrid).covered_bytes,
+                      result.view().timeline().peak_bytes());
         }
     }
 }
@@ -476,9 +542,8 @@ expect_same_report(const ReliefReport &a, const ReliefReport &b)
 {
     EXPECT_EQ(a.available, b.available);
     expect_same_decisions(a.decisions, b.decisions);
-    EXPECT_EQ(a.original_peak_bytes, b.original_peak_bytes);
-    EXPECT_EQ(a.peak_reduction_bytes, b.peak_reduction_bytes);
-    EXPECT_EQ(a.predicted_overhead, b.predicted_overhead);
+    EXPECT_EQ(totals_of(a).covered_bytes, totals_of(b).covered_bytes);
+    EXPECT_EQ(totals_of(a).overhead, totals_of(b).overhead);
     EXPECT_EQ(a.new_peak_bytes, b.new_peak_bytes);
     EXPECT_EQ(a.measured_peak_reduction, b.measured_peak_reduction);
     EXPECT_EQ(a.measured_overhead, b.measured_overhead);
@@ -597,7 +662,7 @@ TEST(StrategyPlanner, BudgetOfExactlyThePaidTotalKeepsEveryDecision)
     for (Strategy s : {Strategy::kSwapOnly, Strategy::kRecomputeOnly}) {
         SCOPED_TRACE(strategy_name(s));
         const ReliefReport &all = unlimited[at(s)];
-        const TimeNs total = all.predicted_overhead;
+        const TimeNs total = totals_of(all).overhead;
         ASSERT_GT(paid(all), 0);
         ASSERT_GT(total, 0u);
 
@@ -609,7 +674,7 @@ TEST(StrategyPlanner, BudgetOfExactlyThePaidTotalKeepsEveryDecision)
         const auto short_by_one =
             StrategyPlanner(opts).plan_all(result.view());
         const ReliefReport &ranked = short_by_one[at(s)];
-        EXPECT_LE(ranked.predicted_overhead, total - 1);
+        EXPECT_LE(totals_of(ranked).overhead, total - 1);
         EXPECT_LT(paid(ranked), paid(all));
         EXPECT_EQ(ranked.decisions.size() - paid(ranked),
                   all.decisions.size() - paid(all))
@@ -698,17 +763,17 @@ TEST(StrategyPlanner, ZeroBudgetSwapsHonourTheSafetyFactor)
                                 reference.decisions[i]);
             }
             EXPECT_EQ(totals_of(plan, Mechanism::kSwap).bytes,
-                      reference.total_swapped_bytes);
-            EXPECT_EQ(plan.peak_reduction_bytes,
+                      swap::totals_of(reference).bytes);
+            EXPECT_EQ(totals_of(plan).covered_bytes,
                       reference.peak_reduction_bytes);
-            EXPECT_EQ(plan.predicted_overhead,
-                      reference.predicted_overhead);
+            EXPECT_EQ(totals_of(plan).overhead,
+                      swap::totals_of(reference).overhead);
             if (p.allow_overhead) {
-                EXPECT_GT(plan.predicted_overhead, 0u)
+                EXPECT_GT(totals_of(plan).overhead, 0u)
                     << "no paid swap on this input";
                 continue;
             }
-            EXPECT_EQ(plan.predicted_overhead, 0u);
+            EXPECT_EQ(totals_of(plan).overhead, 0u);
             if (p.factor == 1.0) {
                 decisions_at_1 = reference.decisions.size();
             } else if (std::string(c.model) == "resnet18") {

@@ -85,7 +85,7 @@ TEST(Checkpointing, ReducesPeakAtRecomputeCost)
         const auto r =
             run_training(nn::mobilenet_v1(), config);
         return std::pair(
-            analysis::occupation_breakdown(r.view()).peak_total,
+            analysis::occupation_breakdown(r.view()).peak_total(),
             r.iteration_time);
     };
     const auto [peak0, time0] = run(0);

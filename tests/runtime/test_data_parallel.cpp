@@ -7,10 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/check.h"
+#include "core/types.h"
 #include "nn/model_registry.h"
 #include "runtime/data_parallel.h"
 #include "runtime/session.h"
+#include "sim/topology.h"
 #include "trace/event.h"
 
 namespace pinpoint {
@@ -36,9 +40,9 @@ TEST(DataParallel, SingleDeviceIsTheDegenerateCase)
         mlp_config(1, sim::InterconnectSpec::pcie_p2p()));
     EXPECT_EQ(result.devices, 1);
     EXPECT_EQ(result.allreduce_time, 0);
-    EXPECT_EQ(result.allreduce_stall, 0);
-    EXPECT_EQ(result.iteration_time, result.compute_iteration_time);
-    EXPECT_DOUBLE_EQ(result.scaling_efficiency, 1.0);
+    EXPECT_EQ(result.allreduce_stall(), 0);
+    EXPECT_EQ(result.iteration_time(), result.compute_iteration_time);
+    EXPECT_DOUBLE_EQ(result.scaling_efficiency(), 1.0);
     EXPECT_DOUBLE_EQ(result.interconnect_busy_fraction, 0.0);
     EXPECT_EQ(result.allreduce_ideal_time, 0);
 }
@@ -99,17 +103,17 @@ TEST(DataParallel, AllReducePaysForTheGradientBytes)
     EXPECT_EQ(result.allreduce_ideal_time,
               sim::ring_all_reduce_ideal_ns(result.gradient_bytes, 4,
                                             pcie));
-    EXPECT_EQ(result.allreduce_stall, 0);
-    EXPECT_EQ(result.iteration_time,
+    EXPECT_EQ(result.allreduce_stall(), 0);
+    EXPECT_EQ(result.iteration_time(),
               result.compute_iteration_time + result.allreduce_time);
 
     // Efficiency is the computing fraction of the iteration.
-    EXPECT_GT(result.scaling_efficiency, 0.0);
-    EXPECT_LT(result.scaling_efficiency, 1.0);
+    EXPECT_GT(result.scaling_efficiency(), 0.0);
+    EXPECT_LT(result.scaling_efficiency(), 1.0);
     EXPECT_DOUBLE_EQ(
-        result.scaling_efficiency,
+        result.scaling_efficiency(),
         static_cast<double>(result.compute_iteration_time) /
-            static_cast<double>(result.iteration_time));
+            static_cast<double>(result.iteration_time()));
     EXPECT_GT(result.interconnect_busy_fraction, 0.0);
     EXPECT_LE(result.interconnect_busy_fraction, 1.0);
     // The busy fraction counts all three iterations' collectives:
@@ -118,7 +122,56 @@ TEST(DataParallel, AllReducePaysForTheGradientBytes)
     EXPECT_DOUBLE_EQ(
         result.interconnect_busy_fraction,
         static_cast<double>(3 * result.allreduce_ideal_time) /
-            (2.0 * static_cast<double>(3 * result.iteration_time)));
+            (2.0 * static_cast<double>(3 * result.iteration_time())));
+}
+
+TEST(DataParallel, DerivedTimesFollowTheScheduledCollectives)
+{
+    // The derived times against a replay of the lockstep schedule:
+    // the effective iteration is compute plus the last collective,
+    // the stall is that collective's, and the efficiency is the
+    // computing fraction of the effective iteration.
+    const nn::Model model = nn::build_model("mlp");
+    for (const auto &[devices, interconnect] :
+         {std::pair{2, sim::InterconnectSpec::nvlink()},
+          std::pair{4, sim::InterconnectSpec::pcie_p2p()}}) {
+        SCOPED_TRACE(devices);
+        const DataParallelConfig config =
+            mlp_config(devices, interconnect);
+        const auto result = run_data_parallel(model, config);
+        sim::Topology topology(config.session.device, devices,
+                               interconnect);
+        TimeNs now = 0;
+        sim::AllReduceResult last;
+        for (int i = 0; i < config.session.iterations; ++i) {
+            now += result.compute_iteration_time;
+            last = topology.all_reduce(result.gradient_bytes, now);
+            now = last.finish;
+        }
+        const TimeNs iteration =
+            result.compute_iteration_time + last.duration();
+        EXPECT_EQ(result.allreduce_time, last.duration());
+        EXPECT_EQ(result.allreduce_ideal_time, last.ideal_ns);
+        EXPECT_EQ(result.allreduce_stall(), last.stall_ns());
+        EXPECT_EQ(result.iteration_time(), iteration);
+        EXPECT_DOUBLE_EQ(
+            result.scaling_efficiency(),
+            static_cast<double>(result.compute_iteration_time) /
+                static_cast<double>(iteration));
+    }
+
+    // The stall saturates at 0 below the dedicated ring, and a
+    // result without time is fully efficient.
+    DataParallelResult slipped;
+    slipped.allreduce_ideal_time = 100;
+    slipped.allreduce_time = 150;
+    EXPECT_EQ(slipped.allreduce_stall(), 50);
+    slipped.allreduce_time = 90;
+    EXPECT_EQ(slipped.allreduce_stall(), 0);
+    const DataParallelResult empty;
+    EXPECT_EQ(empty.iteration_time(), 0);
+    EXPECT_EQ(empty.allreduce_stall(), 0);
+    EXPECT_DOUBLE_EQ(empty.scaling_efficiency(), 1.0);
 }
 
 TEST(DataParallel, FasterInterconnectScalesBetter)
@@ -133,7 +186,7 @@ TEST(DataParallel, FasterInterconnectScalesBetter)
     EXPECT_EQ(pcie.compute_iteration_time,
               nvlink.compute_iteration_time);
     EXPECT_LT(nvlink.allreduce_time, pcie.allreduce_time);
-    EXPECT_GT(nvlink.scaling_efficiency, pcie.scaling_efficiency);
+    EXPECT_GT(nvlink.scaling_efficiency(), pcie.scaling_efficiency());
 }
 
 TEST(DataParallel, EfficiencyDegradesWithTheRingLength)
@@ -146,7 +199,7 @@ TEST(DataParallel, EfficiencyDegradesWithTheRingLength)
     const auto eight = run_data_parallel(
         model, mlp_config(8, sim::InterconnectSpec::pcie_p2p()));
     EXPECT_GT(eight.allreduce_time, two.allreduce_time);
-    EXPECT_LT(eight.scaling_efficiency, two.scaling_efficiency);
+    EXPECT_LT(eight.scaling_efficiency(), two.scaling_efficiency());
 }
 
 TEST(DataParallel, RejectsNonPositiveDeviceCounts)

@@ -103,7 +103,7 @@ TEST_F(EngineTest, UsageMatchesTraceBreakdown)
     Engine engine(plan_, alloc_, clock_, cost_, &trace_);
     engine.run(3);
     const auto breakdown = analysis::occupation_breakdown(analysis::TraceView(trace_));
-    EXPECT_EQ(engine.usage().peak_total, breakdown.peak_total);
+    EXPECT_EQ(engine.usage().peak_total, breakdown.peak_total());
     for (int c = 0; c < kNumCategories; ++c)
         EXPECT_EQ(engine.usage().at_peak[c], breakdown.at_peak[c]);
 }

@@ -167,6 +167,7 @@ reference_breakdown(const analysis::TraceView &view)
     analysis::BreakdownResult r;
     std::array<std::size_t, kNumCategories> current{};
     std::size_t total = 0;
+    std::size_t peak = 0;
     std::unordered_map<BlockId, std::pair<Category, std::size_t>> live;
     for (std::size_t i = 0; i < view.size(); ++i) {
         if (view.kind(i) == trace::EventKind::kMalloc) {
@@ -181,8 +182,8 @@ reference_breakdown(const analysis::TraceView &view)
                 r.peak_per_category[static_cast<int>(category)];
             peak_cat = std::max(peak_cat,
                                 current[static_cast<int>(category)]);
-            if (total > r.peak_total) {
-                r.peak_total = total;
+            if (total > peak) {
+                peak = total;
                 r.peak_time = view.time(i);
                 r.at_peak = current;
             }

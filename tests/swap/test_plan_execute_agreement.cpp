@@ -49,12 +49,13 @@ TEST(PlanExecuteAgreement, EveryZooModelRoundTrips)
         const auto exec =
             execute_plan(result.view(), plan, opts.link);
         ASSERT_EQ(exec.swaps.size(), plan.decisions.size());
-        EXPECT_LE(exec.new_peak_bytes, plan.original_peak_bytes);
+        EXPECT_LE(exec.new_peak_bytes,
+                  result.view().timeline().peak_bytes());
 
         // Contended execution never under-reports the dedicated
         // model: hideable-only plans predicted zero overhead, so
         // any measured stall is pure link contention.
-        EXPECT_GE(exec.measured_stall, plan.predicted_overhead);
+        EXPECT_GE(exec.measured_stall, totals_of(plan).overhead);
         EXPECT_LE(exec.measured_stall, exec.queue_delay);
 
         // Hideable decisions are stall-free on an uncontended link
@@ -105,11 +106,11 @@ TEST(PlanExecuteAgreement, OverheadPlansAgreeUncontended)
             << "block " << d.block;
         solo_stall_sum += alone.measured_stall;
     }
-    EXPECT_EQ(solo_stall_sum, plan.predicted_overhead);
+    EXPECT_EQ(solo_stall_sum, totals_of(plan).overhead);
 
     // And the contended run is bounded below by that prediction.
     const auto exec = execute_plan(result.view(), plan, opts.link);
-    EXPECT_GE(exec.measured_stall, plan.predicted_overhead);
+    EXPECT_GE(exec.measured_stall, totals_of(plan).overhead);
 }
 
 }  // namespace

@@ -1,6 +1,9 @@
 /** @file Unit tests for the automatic swap planner. */
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
+
 #include "analysis/swap_model.h"
 #include "core/check.h"
 #include "analysis/trace_view.h"
@@ -55,8 +58,8 @@ TEST(SwapPlanner, SchedulesTheOutlier)
     EXPECT_EQ(d.gap_end, 840211 * kNsPerUs);
     EXPECT_GT(d.hide_ratio, 1.0);
     EXPECT_EQ(d.overhead, 0u);
-    EXPECT_EQ(plan.predicted_overhead, 0u);
-    EXPECT_EQ(plan.total_swapped_bytes, 1200ull * 1024 * 1024);
+    EXPECT_EQ(totals_of(plan).overhead, 0u);
+    EXPECT_EQ(totals_of(plan).bytes, 1200ull * 1024 * 1024);
 }
 
 TEST(SwapPlanner, PeakReductionCountsResidencyWindowGaps)
@@ -76,8 +79,9 @@ TEST(SwapPlanner, PeakReductionCountsResidencyWindowGaps)
     r.record(ev(840300 * kNsPerUs, trace::EventKind::kFree, 1, big));
 
     SwapPlanner planner(default_options());
-    const auto plan = planner.plan(analysis::TraceView(r));
-    EXPECT_EQ(plan.original_peak_bytes, big + small);
+    const analysis::TraceView view(r);
+    const auto plan = planner.plan(view);
+    EXPECT_EQ(view.timeline().peak_bytes(), big + small);
     EXPECT_EQ(plan.peak_reduction_bytes, big)
         << "the big block is off-device at the peak instant";
 }
@@ -98,9 +102,9 @@ TEST(SwapPlanner, NoPeakReductionWhilePeakSitsInsideTransfer)
     r.record(ev(840211 * kNsPerUs, trace::EventKind::kRead, 1, big));
     r.record(ev(840300 * kNsPerUs, trace::EventKind::kFree, 1, big));
 
-    const auto plan =
-        SwapPlanner(default_options()).plan(analysis::TraceView(r));
-    EXPECT_EQ(plan.original_peak_bytes, big + small);
+    const analysis::TraceView view(r);
+    const auto plan = SwapPlanner(default_options()).plan(view);
+    EXPECT_EQ(view.timeline().peak_bytes(), big + small);
     EXPECT_EQ(plan.peak_reduction_bytes, 0u)
         << "the swap-out has not completed at the peak instant";
 }
@@ -108,10 +112,11 @@ TEST(SwapPlanner, NoPeakReductionWhilePeakSitsInsideTransfer)
 TEST(SwapPlanner, NoPeakReductionWhenPeakIsOutsideGaps)
 {
     SwapPlanner planner(default_options());
-    const auto plan = planner.plan(analysis::TraceView(outlier_trace()));
+    const analysis::TraceView view(outlier_trace());
+    const auto plan = planner.plan(view);
     // Single-block trace: the peak is the alloc instant, which
     // precedes the first access, so nothing is off-device there.
-    EXPECT_EQ(plan.original_peak_bytes, 1200ull * 1024 * 1024);
+    EXPECT_EQ(view.timeline().peak_bytes(), 1200ull * 1024 * 1024);
     EXPECT_EQ(plan.peak_reduction_bytes, 0u);
 }
 
@@ -151,7 +156,7 @@ TEST(SwapPlanner, AllowOverheadSchedulesWithStall)
     const TimeNs needed = analysis::min_interval_for(size, kLink);
     EXPECT_EQ(plan.decisions[0].overhead,
               needed - (10 * kNsPerMs - 10));
-    EXPECT_EQ(plan.predicted_overhead, plan.decisions[0].overhead);
+    EXPECT_EQ(totals_of(plan).overhead, plan.decisions[0].overhead);
 }
 
 TEST(SwapPlanner, OverheadSaturatesAtZeroUnderSafetyFactor)
@@ -160,7 +165,7 @@ TEST(SwapPlanner, OverheadSaturatesAtZeroUnderSafetyFactor)
     // round trip fits (needed <= gap). With allow_overhead the
     // decision is still scheduled and its overhead must clamp to 0
     // — the seed computed needed - gap, wrapping the unsigned
-    // TimeNs to ~2^64 and corrupting predicted_overhead.
+    // TimeNs to ~2^64 and corrupting the predicted overhead.
     trace::TraceRecorder r;
     const std::size_t size = 100ull * 1024 * 1024;
     const TimeNs needed = analysis::min_interval_for(size, kLink);
@@ -175,7 +180,7 @@ TEST(SwapPlanner, OverheadSaturatesAtZeroUnderSafetyFactor)
     const auto plan = SwapPlanner(opts).plan(analysis::TraceView(r));
     ASSERT_EQ(plan.decisions.size(), 1u);
     EXPECT_EQ(plan.decisions[0].overhead, 0u);
-    EXPECT_EQ(plan.predicted_overhead, 0u);
+    EXPECT_EQ(totals_of(plan).overhead, 0u);
 }
 
 TEST(SwapPlanner, SafetyFactorTightensTheBound)
@@ -303,7 +308,26 @@ TEST(SwapPlanner, AllowOverheadTakesAHeadroomMissAtZeroOverhead)
     ASSERT_EQ(plan.decisions.size(), 1u);
     EXPECT_EQ(plan.decisions[0].overhead, 0u);
     EXPECT_NEAR(plan.decisions[0].hide_ratio, 1.25, 1e-6);
-    EXPECT_EQ(plan.predicted_overhead, 0u);
+    EXPECT_EQ(totals_of(plan).overhead, 0u);
+}
+
+TEST(SwapPlanner, TotalsSumTheDecisions)
+{
+    // A hand-built plan of free and paid decisions: the totals are
+    // the hand sums; an empty plan sums to zeros.
+    SwapPlanReport plan;
+    for (const auto &[size, overhead] :
+         {std::pair<std::size_t, TimeNs>{10, 0}, {20, 7}, {40, 0},
+          {80, 11}}) {
+        SwapDecision d;
+        d.size = size;
+        d.overhead = overhead;
+        plan.decisions.push_back(d);
+    }
+    EXPECT_EQ(totals_of(plan).bytes, 150u);
+    EXPECT_EQ(totals_of(plan).overhead, 18u);
+    EXPECT_EQ(totals_of(SwapPlanReport{}).bytes, 0u);
+    EXPECT_EQ(totals_of(SwapPlanReport{}).overhead, 0u);
 }
 
 TEST(SwapPlanner, MultipleGapsYieldMultipleDecisions)
@@ -317,7 +341,7 @@ TEST(SwapPlanner, MultipleGapsYieldMultipleDecisions)
     const auto plan =
         SwapPlanner(default_options()).plan(analysis::TraceView(r));
     EXPECT_EQ(plan.decisions.size(), 2u);
-    EXPECT_EQ(plan.total_swapped_bytes, 2 * size);
+    EXPECT_EQ(totals_of(plan).bytes, 2 * size);
     // Decisions come out sorted by gap start.
     EXPECT_LT(plan.decisions[0].gap_start,
               plan.decisions[1].gap_start);
