@@ -9,34 +9,6 @@ namespace pinpoint {
 namespace analysis {
 namespace {
 
-/**
- * Where the p-quantile of n order statistics falls: between the
- * lo-th and hi-th, frac of the way. The one place summarize() and
- * select_quantiles() derive it, so their quantiles agree bit for bit.
- */
-struct QuantilePos {
-    std::size_t lo = 0;
-    std::size_t hi = 0;
-    double frac = 0.0;
-
-    QuantilePos(std::size_t n, double p)
-    {
-        PP_CHECK(n > 0, "quantile of an empty sample");
-        PP_CHECK(p >= 0.0 && p <= 1.0, "quantile p out of [0,1]: " << p);
-        const double pos = p * static_cast<double>(n - 1);
-        lo = static_cast<std::size_t>(pos);
-        hi = std::min(lo + 1, n - 1);
-        frac = pos - static_cast<double>(lo);
-    }
-
-    /** @return the quantile from the lo-th and hi-th statistics. */
-    double
-    at(double a, double b) const
-    {
-        return a * (1.0 - frac) + b * frac;
-    }
-};
-
 /** Linear-interpolated quantile of a sorted sample. */
 double
 quantile_sorted(const std::vector<double> &sorted, double p)
@@ -48,6 +20,16 @@ quantile_sorted(const std::vector<double> &sorted, double p)
 }
 
 }  // namespace
+
+QuantilePos::QuantilePos(std::size_t n, double p)
+{
+    PP_CHECK(n > 0, "quantile of an empty sample");
+    PP_CHECK(p >= 0.0 && p <= 1.0, "quantile p out of [0,1]: " << p);
+    const double pos = p * static_cast<double>(n - 1);
+    lo = static_cast<std::size_t>(pos);
+    hi = std::min(lo + 1, n - 1);
+    frac = pos - static_cast<double>(lo);
+}
 
 SummaryStats
 summarize(std::vector<double> values)

@@ -28,6 +28,27 @@ struct SummaryStats {
     double p99 = 0.0;
 };
 
+/**
+ * Where the p-quantile of n order statistics falls: between the
+ * lo-th and hi-th (0-based), frac of the way. The one place every
+ * quantile here derives it, so they agree bit for bit.
+ */
+struct QuantilePos {
+    std::size_t lo = 0;
+    std::size_t hi = 0;
+    double frac = 0.0;
+
+    /** @throws Error when @p n is 0 or @p p is outside [0, 1]. */
+    QuantilePos(std::size_t n, double p);
+
+    /** @return the quantile from the lo-th and hi-th statistics. */
+    double
+    at(double a, double b) const
+    {
+        return a * (1.0 - frac) + b * frac;
+    }
+};
+
 /** @return summary statistics of @p values (may be unsorted). */
 SummaryStats summarize(std::vector<double> values);
 

@@ -124,6 +124,17 @@ edge_before(const OccupancyEdge &a, const OccupancyEdge &b)
 }
 
 /**
+ * Blocks [first, first + count) of a Timeline that repeat its blocks
+ * [source, source + count) moved in time and id: the same sizes,
+ * tensors, categories and access intervals (a TraceView tile).
+ */
+struct BlockTile {
+    std::uint32_t source = 0;
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
+};
+
+/**
  * Per-block view of a trace. Immutable; construction is one pass
  * over the time-ordered events (only runs of equal timestamps are
  * sorted) and happens exactly once per TraceView,
@@ -205,6 +216,24 @@ class Timeline
      */
     std::size_t peak_with(std::vector<OccupancyEdge> extra) const;
 
+    /** @return every block's alloc and free edge, sorted. */
+    const std::vector<OccupancyEdge> &edges() const { return edges_; }
+
+    /**
+     * @return the occupancy after each prefix of edges(): entry i
+     * sums the first i edges' deltas.
+     */
+    const std::vector<std::int64_t> &prefix() const { return prefix_; }
+
+    /**
+     * @return the runs of blocks that repeat earlier ones, in slot
+     * order; empty for a trace without tiles.
+     */
+    const std::vector<BlockTile> &block_tiles() const
+    {
+        return block_tiles_;
+    }
+
   private:
     /** Built exclusively by TraceView::timeline(). */
     Timeline() = default;
@@ -221,6 +250,7 @@ class Timeline
     std::vector<std::int64_t> prefix_;
     TimeNs peak_time_ = 0;
     std::size_t peak_bytes_ = 0;
+    std::vector<BlockTile> block_tiles_;
 };
 
 /** One access gap of one block lifetime. */

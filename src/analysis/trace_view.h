@@ -28,6 +28,17 @@
  * breakdown, occupancy series, producer index) keeps its state in a
  * flat vector indexed by slot.
  *
+ * Tiles. A trace the engine tiled lists the runs of events that copy
+ * an earlier run, shifted (trace::Tile). The freeze walks the trace
+ * but not those copies: it checks that each copy opens its chains as
+ * its source did — every chain the source opens closes inside it,
+ * the chains it only reads and writes are open at the copy's start
+ * on the same slots, and no moved id is live there — and then gives
+ * the copy's events their slots by shift. Each index then walks only
+ * what the freeze walked and emits a tile's entries from its
+ * source's (for_each_run), with the bytes a walk of every event
+ * would give. A tile that fails a check is walked.
+ *
  * Invariants:
  *   - A TraceView never mutates after construction; every accessor
  *     is const and safe to call from many threads concurrently.
@@ -75,16 +86,70 @@ struct TraceViewStats {
     /** Iteration-pattern detections. */
     std::size_t pattern_builds = 0;
     /**
-     * Events scanned across the freeze and every sub-index
-     * build (the freeze itself contributes one full walk).
+     * Events scanned across the freeze and every sub-index build:
+     * each contributes one walk of the events it does not emit by
+     * shift (the producer index two).
      */
     std::size_t events_walked = 0;
+    /**
+     * Events whose entries the freeze and the sub-index builds
+     * emitted by shift from a tile's source instead of walking
+     * them; with events_walked, the walks every build would make
+     * without tiles.
+     */
+    std::size_t events_tiled = 0;
 
     /** @return total sub-index builds. */
     std::size_t index_builds() const
     {
         return timeline_builds + producer_builds + pattern_builds;
     }
+};
+
+/**
+ * A run of events whose index entries are its source's, shifted: a
+ * trace::Tile the freeze proved repeats its source chain for chain.
+ */
+struct ViewTile {
+    /** Its events, [begin, end). */
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    /** Its source's index in TraceView::tile_sources(). */
+    std::size_t source = 0;
+    trace::EventShift shift;
+    /**
+     * The slot of the first chain it opens: its source's first_slot
+     * moves here, and a chain opened before the source keeps its
+     * slot.
+     */
+    std::uint32_t first_slot = 0;
+};
+
+/**
+ * A walked run of events that ViewTiles copy. Every chain it opens
+ * closes inside it, and it only reads and writes the chains open
+ * before it, so the chains open after it are those open before it.
+ */
+struct TileSource {
+    /** Its events, [begin, end). */
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    /** The chains it opens: slots [first_slot, end_slot). */
+    std::uint32_t first_slot = 0;
+    std::uint32_t end_slot = 0;
+    /**
+     * Mallocs and frees before it, and before its end: its
+     * occupancy edges' places in the trace's edge order.
+     */
+    std::size_t first_edge = 0;
+    std::size_t end_edge = 0;
+    /** Its events per kind, indexed by EventKind. */
+    std::array<std::size_t, trace::kNumEventKinds> kinds{};
+    /**
+     * Its reads and writes of chains opened before it, by event
+     * index, in order: each tile repeats them on the same slots.
+     */
+    std::vector<std::size_t> outside;
 };
 
 /**
@@ -150,6 +215,61 @@ class TraceView
     /** @return the number of slots: one per block-id chain. */
     std::size_t slot_count() const { return slot_count_; }
 
+    // --- tiles (see the file comment) -----------------------------
+
+    /** @return the runs indexed by shift, in trace order. */
+    const std::vector<ViewTile> &tiles() const { return tiles_; }
+
+    /** @return the runs the tiles copy, in trace order. */
+    const std::vector<TileSource> &tile_sources() const
+    {
+        return sources_;
+    }
+
+    /** @return the slot in @p tile of its source's slot @p slot. */
+    std::uint32_t
+    tile_slot(const ViewTile &tile, std::uint32_t slot) const
+    {
+        const std::uint32_t first = sources_[tile.source].first_slot;
+        return slot < first ? slot : slot - first + tile.first_slot;
+    }
+
+    /** The source argument of a walked run that no tile copies. */
+    static constexpr std::size_t kNoSource = ~std::size_t{0};
+
+    /**
+     * Visits the events in order as an index builds from them:
+     * @p walk(begin, end, source) for each run to walk, where
+     * `source` is the run's index in tile_sources() or kNoSource,
+     * and @p emit(tile) for each tile. A source is walked, whole,
+     * before its first tile. An untiled trace is one walk.
+     */
+    template <typename Walk, typename Emit>
+    void
+    for_each_run(Walk &&walk, Emit &&emit) const
+    {
+        std::size_t at = 0;
+        std::size_t next = 0;
+        const auto walk_to = [&](std::size_t to) {
+            for (; next < sources_.size() && sources_[next].begin < to;
+                 ++next) {
+                const TileSource &s = sources_[next];
+                if (at < s.begin)
+                    walk(at, s.begin, kNoSource);
+                walk(s.begin, s.end, next);
+                at = s.end;
+            }
+            if (at < to)
+                walk(at, to, kNoSource);
+        };
+        for (const ViewTile &tile : tiles_) {
+            walk_to(tile.begin);
+            emit(tile);
+            at = tile.end;
+        }
+        walk_to(size());
+    }
+
     /** @return the interned op name id of event @p i. */
     trace::OpId op_id(std::size_t i) const { return columns_->op[i]; }
 
@@ -199,8 +319,14 @@ class TraceView
     TraceViewStats build_stats() const;
 
   private:
-    /** Fills slot_, slot_count_ and kind_count_: the freeze's walk. */
+    /**
+     * Fills slot_, slot_count_, kind_count_, tiles_ and sources_:
+     * the freeze's walk.
+     */
     void freeze();
+
+    /** Counts a build's walked and tiled events (build_stats()). */
+    void count_events(std::size_t per_event) const;
 
     std::unique_ptr<const Timeline> build_timeline() const;
 
@@ -213,6 +339,10 @@ class TraceView
     std::vector<std::string> op_names_;
     /** Events per kind, indexed by EventKind. */
     std::array<std::size_t, trace::kNumEventKinds> kind_count_{};
+    std::vector<ViewTile> tiles_;
+    std::vector<TileSource> sources_;
+    /** Events in tiles_. */
+    std::size_t tiled_events_ = 0;
 
     // Lazy sub-indices. A failed build (inconsistent trace) leaves
     // the slot empty and the accessor rethrows on the next call.
@@ -227,6 +357,7 @@ class TraceView
     mutable std::atomic<std::size_t> producer_builds_{0};
     mutable std::atomic<std::size_t> pattern_builds_{0};
     mutable std::atomic<std::size_t> events_walked_{0};
+    mutable std::atomic<std::size_t> events_tiled_{0};
 };
 
 }  // namespace analysis

@@ -343,9 +343,11 @@ Engine::run_iteration()
     // The op sequence is the same every iteration, so an iteration
     // that begins in the state the template began and ended in does
     // what the template did. The key is rebuilt at every boundary:
-    // a caller may touch the allocator between run() calls.
+    // a caller may touch the allocator between run() calls, or clear
+    // the recorder that holds the template's events.
     state_key(key_);
-    if (template_.closed && key_ == template_.key)
+    if (template_.closed && key_ == template_.key &&
+        (!recorder_ || recorder_->epoch() == template_.epoch))
         repeat_template();
     else
         execute_iteration();
@@ -360,7 +362,8 @@ Engine::execute_iteration()
     t.key.swap(key_);
     t.start = clock_.now();
     t.from = allocator_.stats();
-    const std::size_t first_event = recorder_ ? recorder_->size() : 0;
+    t.first_event = recorder_ ? recorder_->size() : 0;
+    t.epoch = recorder_ ? recorder_->epoch() : 0;
     for (std::size_t i = 0; i < plan_.iteration_ops.size(); ++i)
         execute_op(plan_.iteration_ops[i],
                    static_cast<std::int32_t>(i));
@@ -370,10 +373,7 @@ Engine::execute_iteration()
     t.to = allocator_.stats();
     state_key(key_);
     t.closed = key_ == t.key;
-    t.events.reset();
-    if (t.closed && recorder_)
-        t.events.emplace(recorder_->columns(), first_event,
-                         recorder_->size());
+    t.end_event = recorder_ ? recorder_->size() : 0;
     ++executed_iterations_;
 }
 
@@ -389,7 +389,7 @@ Engine::repeat_template()
         shift.first_block = t.from.alloc_count;
         shift.block = allocator_.stats().alloc_count - t.from.alloc_count;
         shift.iteration = current_iteration_;
-        recorder_->append(*t.events, shift);
+        recorder_->repeat(t.first_event, t.end_event, shift);
     }
     allocator_.fast_forward(t.from, t.to);
     clock_.advance(t.duration);

@@ -12,7 +12,8 @@
  * tensor and the bytes live per category. The engine executes
  * iterations until one ends in the state it began in; an iteration
  * that begins in that state again is not executed but appended as a
- * copy of it, moved in time and block ids, while the allocator skips
+ * copy of it, moved in time and block ids (trace::TraceRecorder::
+ * repeat, which lists the copy as a tile), while the allocator skips
  * ahead (alloc::Allocator::fast_forward). The trace, stats, usage
  * and clock are those executing it would give.
  */
@@ -21,7 +22,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "alloc/allocator.h"
@@ -162,8 +162,13 @@ class Engine
         /** Allocator stats when it began and when it ended. */
         alloc::AllocatorStats from;
         alloc::AllocatorStats to;
-        /** Its events, when it is closed and there is a recorder. */
-        std::optional<trace::EventColumns> events;
+        /**
+         * Its events in the recorder, [first_event, end_event),
+         * recorded under the recorder's epoch `epoch`.
+         */
+        std::size_t first_event = 0;
+        std::size_t end_event = 0;
+        std::uint64_t epoch = 0;
     };
 
     void setup();

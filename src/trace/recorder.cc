@@ -1,6 +1,7 @@
 #include "trace/recorder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
@@ -39,6 +40,14 @@ constexpr std::size_t kEventBytes =
     sizeof(std::int32_t) + sizeof(OpId) + sizeof(EventKind) +
     sizeof(Category);
 
+/** @return an epoch no recorder has had before. */
+std::uint64_t
+next_epoch()
+{
+    static std::atomic<std::uint64_t> epochs{0};
+    return epochs.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 EventColumns::EventColumns()
@@ -48,44 +57,16 @@ EventColumns::EventColumns()
 {
 }
 
-EventColumns::EventColumns(const EventColumns &other) : EventColumns()
+EventColumns::EventColumns(const EventColumns &other)
+    : EventColumns()
 {
+    tiles_ = other.tiles_;
     length_ = other.length_;
     if (other.capacity_ != 0) {
         block_.reset(allocate(nullptr, other.capacity_));
         capacity_ = other.capacity_;
         lay_out(other.block_.get(), other.capacity_);
     }
-}
-
-EventColumns::EventColumns(const EventColumns &other, std::size_t begin,
-                           std::size_t end)
-    : EventColumns()
-{
-    PP_CHECK(begin <= end && end <= other.length_,
-             "event range [" << begin << ", " << end
-                             << ") is not in a store of "
-                             << other.length_);
-    if (begin == end)
-        return;
-    block_.reset(allocate(nullptr, end - begin));
-    capacity_ = end - begin;
-    // With length_ still 0 this only points the columns.
-    lay_out(other.block_.get(), other.capacity_);
-    auto copy = [&](auto *to, const auto *from) {
-        std::memcpy(to, from + begin, (end - begin) * sizeof(*from));
-    };
-    copy(time.data_, other.time.data_);
-    copy(kind.data_, other.kind.data_);
-    copy(block.data_, other.block.data_);
-    copy(ptr.data_, other.ptr.data_);
-    copy(size.data_, other.size.data_);
-    copy(tensor.data_, other.tensor.data_);
-    copy(category.data_, other.category.data_);
-    copy(iteration.data_, other.iteration.data_);
-    copy(op_index.data_, other.op_index.data_);
-    copy(op.data_, other.op.data_);
-    length_ = end - begin;
 }
 
 MemoryEvent
@@ -115,10 +96,10 @@ EventColumns::reserve(std::size_t n)
 }
 
 void
-EventColumns::append(const EventColumns &from, const EventShift &shift)
+EventColumns::repeat(std::size_t begin, std::size_t end,
+                     const EventShift &shift)
 {
-    // Read before growing: @p from may be this store.
-    const std::size_t n = from.length_;
+    const std::size_t n = end - begin;
     const std::size_t at = length_;
     if (at + n > capacity_) {
         std::size_t capacity = capacity_;
@@ -126,25 +107,34 @@ EventColumns::append(const EventColumns &from, const EventShift &shift)
             capacity = std::max(2 * capacity, kFirstCapacity);
         resize_block(capacity);
     }
+    // The source ends at or before `at`, so it and the copy never
+    // overlap.
     for (std::size_t i = 0; i < n; ++i)
-        time.data_[at + i] = from.time.data_[i] + shift.time;
+        time.data_[at + i] = time.data_[begin + i] + shift.time;
     for (std::size_t i = 0; i < n; ++i) {
-        const BlockId b = from.block.data_[i];
+        const BlockId b = block.data_[begin + i];
         const bool moves = b >= shift.first_block && b != kInvalidBlock;
         block.data_[at + i] = moves ? b + shift.block : b;
     }
     std::fill_n(iteration.data_ + at, n, shift.iteration);
-    auto copy = [&](auto *to, const auto *in) {
-        std::memcpy(to + at, in, n * sizeof(*in));
+    auto copy = [&](auto *data) {
+        std::memcpy(data + at, data + begin, n * sizeof(*data));
     };
-    copy(kind.data_, from.kind.data_);
-    copy(ptr.data_, from.ptr.data_);
-    copy(size.data_, from.size.data_);
-    copy(tensor.data_, from.tensor.data_);
-    copy(category.data_, from.category.data_);
-    copy(op_index.data_, from.op_index.data_);
-    copy(op.data_, from.op.data_);
+    copy(kind.data_);
+    copy(ptr.data_);
+    copy(size.data_);
+    copy(tensor.data_);
+    copy(category.data_);
+    copy(op_index.data_);
+    copy(op.data_);
     length_ = at + n;
+    // A copy of a copy is not listed: a tile's source is always
+    // events that were recorded one by one.
+    const auto after = std::partition_point(
+        tiles_.begin(), tiles_.end(),
+        [&](const Tile &t) { return t.begin + t.count <= begin; });
+    if (after == tiles_.end() || after->begin >= end)
+        tiles_.push_back({begin, at, n, shift});
 }
 
 void
@@ -231,7 +221,10 @@ EventColumns::release_spare()
     release(op.data_);
 }
 
-TraceRecorder::TraceRecorder() : names_{std::string()}, ids_{{"", 0}} {}
+TraceRecorder::TraceRecorder()
+    : names_{std::string()}, ids_{{"", 0}}, epoch_(next_epoch())
+{
+}
 
 void
 TraceRecorder::record(const MemoryEvent &event)
@@ -247,20 +240,21 @@ TraceRecorder::record(const MemoryEvent &event)
 }
 
 void
-TraceRecorder::append(const EventColumns &from, const EventShift &shift)
+TraceRecorder::repeat(std::size_t begin, std::size_t end,
+                      const EventShift &shift)
 {
-    if (from.time.empty())
-        return;
     const Column<TimeNs> &times = columns().time;
-    const TimeNs first = from.time.front() + shift.time;
-    PP_CHECK(times.empty() || first >= times.back(),
+    PP_CHECK(begin <= end && end <= times.size(),
+             "event range [" << begin << ", " << end
+                             << ") is not in a trace of "
+                             << times.size());
+    if (begin == end)
+        return;
+    const TimeNs first = times[begin] + shift.time;
+    PP_CHECK(first >= times.back(),
              "events must be recorded in time order: got "
                  << first << " after " << times.back());
-    const OpId max_op = *std::max_element(from.op.begin(), from.op.end());
-    PP_CHECK(max_op < names_.size(),
-             "event op id " << max_op << " is not interned in this "
-                            << "recorder");
-    writable().append(from, shift);
+    writable().repeat(begin, end, shift);
 }
 
 OpId
@@ -310,6 +304,7 @@ TraceRecorder::capacity() const
 void
 TraceRecorder::clear()
 {
+    epoch_ = next_epoch();
     // A shared store belongs to its readers now: start a new one.
     if (columns_.use_count() == 1)
         columns_->clear();

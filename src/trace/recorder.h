@@ -4,7 +4,8 @@
  * is one EventColumns block, a column per MemoryEvent field with one
  * length and one capacity, so a record is one capacity check, one
  * store per field and one length bump, and a repeated iteration is
- * appended whole, shifted (append); readers see the columns through
+ * copied whole from the trace's own earlier events, shifted, and
+ * listed as a Tile (repeat); readers see the columns through
  * read-only Column views, or event by event as an EventRange.
  */
 #pragma once
@@ -52,7 +53,7 @@ class Column
 };
 
 /**
- * How TraceRecorder::append places a copied run of events later in a
+ * How TraceRecorder::repeat places a copied run of events later in a
  * trace: every time moves by `time`, every block id from
  * `first_block` up moves by `block`, and every event gets iteration
  * label `iteration`. The other fields are copied as they are.
@@ -62,6 +63,19 @@ struct EventShift {
     BlockId first_block = 0;
     BlockId block = 0;
     std::uint32_t iteration = 0;
+};
+
+/**
+ * A run of events that is a shifted copy of earlier events of the
+ * same trace: events [begin, begin + count) are events [source,
+ * source + count) moved by `shift`. TraceRecorder::repeat makes the
+ * copy and the tile together, so a tile always describes its events.
+ */
+struct Tile {
+    std::size_t source = 0;
+    std::size_t begin = 0;
+    std::size_t count = 0;
+    EventShift shift;
 };
 
 /**
@@ -88,14 +102,8 @@ class EventColumns
     Column<OpId> op;
 
     EventColumns();
-    /** Copies @p other whole, at its capacity. */
+    /** Copies @p other whole, at its capacity, with its tiles. */
     EventColumns(const EventColumns &other);
-    /**
-     * Copies events [@p begin, @p end) of @p other into a store of
-     * exactly that capacity.
-     */
-    EventColumns(const EventColumns &other, std::size_t begin,
-                 std::size_t end);
     EventColumns &operator=(const EventColumns &) = delete;
 
     /** @return event @p i, assembled from the columns. */
@@ -103,6 +111,13 @@ class EventColumns
 
     /** @return the events the block holds without growing. */
     std::size_t capacity() const { return capacity_; }
+
+    /**
+     * @return the runs of events that copy earlier ones, in trace
+     * order: no two overlap, and no tile's source overlaps a tile.
+     * Empty for a trace that was only ever record()ed.
+     */
+    const std::vector<Tile> &tiles() const { return tiles_; }
 
   private:
     friend class TraceRecorder;
@@ -133,11 +148,13 @@ class EventColumns
     }
 
     /**
-     * Appends every event of @p from, moved by @p shift. The block
-     * grows to the capacity as many appends of one event would give
-     * it, in one step. @p from may be this store.
+     * Appends events [@p begin, @p end) of this store, moved by
+     * @p shift, and lists them as a tile unless the source overlaps
+     * a tile. The block grows to the capacity as many appends of one
+     * event would give it, in one step.
      */
-    void append(const EventColumns &from, const EventShift &shift);
+    void repeat(std::size_t begin, std::size_t end,
+                const EventShift &shift);
 
     /**
      * Makes room for @p n events: the block is resized once, to
@@ -145,8 +162,13 @@ class EventColumns
      */
     void reserve(std::size_t n);
 
-    /** Drops every event; the block stays. */
-    void clear() { length_ = 0; }
+    /** Drops every event and tile; the block stays. */
+    void
+    clear()
+    {
+        length_ = 0;
+        tiles_.clear();
+    }
 
     /**
      * Hands the whole pages of every column's room past length_ back
@@ -178,6 +200,7 @@ class EventColumns
     std::size_t length_ = 0;
     std::size_t capacity_ = 0;
     std::unique_ptr<std::byte, FreeBlock> block_;
+    std::vector<Tile> tiles_;
 };
 
 /**
@@ -267,13 +290,15 @@ class TraceRecorder
     void record(const MemoryEvent &event);
 
     /**
-     * Appends every event of @p from, moved by @p shift (EventShift),
-     * in one step: a whole iteration of a repeating run.
-     * @throws Error if the first moved event precedes the last
-     * recorded one, or an op id of @p from is not an id of this
-     * recorder.
+     * Appends a copy of this trace's own events [@p begin, @p end),
+     * moved by @p shift (EventShift), in one step: a whole iteration
+     * of a repeating run. The copy is listed in columns().tiles()
+     * unless its source overlaps a tile.
+     * @throws Error if the range is not in the trace, or its first
+     * moved event precedes the last recorded one.
      */
-    void append(const EventColumns &from, const EventShift &shift);
+    void repeat(std::size_t begin, std::size_t end,
+                const EventShift &shift);
 
     /**
      * @return the id of op name @p name, adding it to the table on
@@ -316,6 +341,14 @@ class TraceRecorder
     void clear();
 
     /**
+     * @return a number that identifies this trace's events: a new
+     * recorder and every clear() take one no other recorder has had,
+     * and a copy keeps it. While it is unchanged, every event
+     * recorded under it is still in the trace at its index.
+     */
+    std::uint64_t epoch() const { return epoch_; }
+
+    /**
      * Pre-allocates capacity for @p n events in one block, with a
      * huge-page hint on it (core/huge_pages.h).
      */
@@ -333,6 +366,7 @@ class TraceRecorder
     std::unordered_map<std::string, OpId> ids_;
     /** Scratch lookup key of intern(). */
     std::string key_;
+    std::uint64_t epoch_;
 };
 
 }  // namespace trace

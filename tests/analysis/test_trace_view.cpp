@@ -11,6 +11,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -24,6 +25,7 @@
 #include "analysis/series.h"
 #include "analysis/trace_view.h"
 #include "core/check.h"
+#include "core/types.h"
 #include "nn/model_registry.h"
 #include "relief/strategy_planner.h"
 #include "runtime/session.h"
@@ -31,6 +33,8 @@
 #include "support/trace_counts.h"
 #include "swap/planner.h"
 #include "trace/csv.h"
+#include "trace/event.h"
+#include "trace/recorder.h"
 
 namespace pinpoint {
 namespace analysis {
@@ -223,6 +227,44 @@ TEST(TraceView, SubIndicesAreLazyAndBuiltOnce)
     // The freeze, the Timeline and the pattern walk the events once
     // each; the producer index walks them twice.
     EXPECT_EQ(s.events_walked, 5 * view.size());
+    EXPECT_EQ(s.events_tiled, 0u) << "a recorded trace has no tiles";
+}
+
+TEST(TraceView, TiledEventsAreCountedApartFromWalkedOnes)
+{
+    // A weight, then an iteration that allocates, writes and frees a
+    // block while reading the weight, copied three times.
+    trace::TraceRecorder r;
+    r.record(ev(0, trace::EventKind::kMalloc, 1, 4096));
+    r.record(ev(1, trace::EventKind::kMalloc, 2, 64));
+    r.record(ev(2, trace::EventKind::kWrite, 2, 64));
+    r.record(ev(3, trace::EventKind::kRead, 1, 4096));
+    r.record(ev(4, trace::EventKind::kFree, 2, 64));
+    trace::EventShift shift;
+    shift.first_block = 2;
+    for (std::uint32_t copy = 1; copy <= 3; ++copy) {
+        shift.time = 10 * copy;
+        shift.block = copy;
+        shift.iteration = copy;
+        r.repeat(1, 5, shift);
+    }
+    r.record(ev(50, trace::EventKind::kFree, 1, 4096));
+    ASSERT_EQ(r.size(), 18u);
+
+    const TraceView view(r);
+    ASSERT_EQ(view.tiles().size(), 3u);
+    // The freeze walks the weight, the iteration and the last free,
+    // and gives the three copies their slots by shift.
+    auto s = view.build_stats();
+    EXPECT_EQ(s.events_walked, 6u);
+    EXPECT_EQ(s.events_tiled, 12u);
+
+    (void)view.timeline();
+    (void)view.producers();
+    (void)view.iteration_pattern();
+    s = view.build_stats();
+    EXPECT_EQ(s.events_walked, 5u * 6u);
+    EXPECT_EQ(s.events_tiled, 5u * 12u);
 }
 
 TEST(TraceView, EmptyTraceBehaves)

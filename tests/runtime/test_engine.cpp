@@ -20,6 +20,7 @@
 #include "runtime/engine.h"
 #include "runtime/plan_builder.h"
 #include "runtime/session.h"
+#include "support/engine_runs.h"
 #include "support/trace_counts.h"
 
 namespace pinpoint {
@@ -317,93 +318,10 @@ TEST_F(EngineTest, NegativeFlopsThrowAtConstruction)
     EXPECT_EQ(alloc_.live_blocks(), 0u);
 }
 
-/**
- * Forwards every call to another allocator, but its state key
- * carries a count of the keys asked for, so no two keys are equal
- * and an engine over it executes every iteration.
- */
-class NeverRepeating : public alloc::Allocator
-{
-  public:
-    explicit NeverRepeating(alloc::Allocator &inner) : inner_(inner) {}
-
-    alloc::Block allocate(std::size_t bytes) override
-    {
-        return inner_.allocate(bytes);
-    }
-    void deallocate(BlockId id) override { inner_.deallocate(id); }
-    const alloc::AllocatorStats &stats() const override
-    {
-        return inner_.stats();
-    }
-    std::string name() const override { return inner_.name(); }
-    void empty_cache() override { inner_.empty_cache(); }
-    std::size_t live_blocks() const override
-    {
-        return inner_.live_blocks();
-    }
-    void append_state_key(alloc::StateKey &key) const override
-    {
-        inner_.append_state_key(key);
-        key.push_back(keys_++);
-    }
-    void fast_forward(const alloc::AllocatorStats &,
-                      const alloc::AllocatorStats &) override
-    {
-        ADD_FAILURE() << "an engine fast-forwarded a key that never "
-                         "repeats";
-    }
-
-  private:
-    alloc::Allocator &inner_;
-    mutable std::uint64_t keys_ = 0;
-};
-
-/** What one engine run produced. */
-struct Outcome {
-    trace::TraceRecorder trace;
-    alloc::AllocatorStats stats;
-    MemoryUsage usage;
-    TimeNs end_time = 0;
-    std::size_t peak_reserved_bytes = 0;
-    double fragmentation = 0.0;
-    int executed = 0;
-};
-
-/**
- * Runs @p plan on a fresh Titan X over an allocator of @p kind,
- * wrapped in NeverRepeating when @p independent, lets @p drive run
- * the engine, then tears it down.
- */
-Outcome
-run_engine(const Plan &plan, AllocatorKind kind, bool independent,
-           const EngineOptions &options,
-           const std::function<void(Engine &, sim::VirtualClock &,
-                                    alloc::Allocator &)> &drive)
-{
-    const sim::DeviceSpec spec = sim::DeviceSpec::titan_x_pascal();
-    alloc::DeviceMemory device(spec.dram_bytes);
-    sim::VirtualClock clock;
-    const sim::CostModel cost(spec);
-    std::unique_ptr<alloc::Allocator> inner =
-        make_session_allocator(kind, device, clock, cost);
-    NeverRepeating never(*inner);
-    alloc::Allocator &allocator =
-        independent ? static_cast<alloc::Allocator &>(never) : *inner;
-    Outcome out;
-    {
-        Engine engine(plan, allocator, clock, cost, &out.trace, options);
-        drive(engine, clock, allocator);
-        out.usage = engine.usage();
-        out.end_time = clock.now();
-        out.fragmentation = device.external_fragmentation();
-        out.executed = engine.executed_iterations();
-        engine.teardown();
-    }
-    out.stats = allocator.stats();
-    out.peak_reserved_bytes = device.peak_reserved_bytes();
-    return out;
-}
+using test_support::NeverRepeating;
+using test_support::Outcome;
+using test_support::run_engine;
+using test_support::serve;
 
 template <typename T>
 bool
@@ -413,12 +331,13 @@ same_column(const trace::Column<T> &a, const trace::Column<T> &b)
            std::equal(a.begin(), a.end(), b.begin());
 }
 
-/** Expects @p tiled and @p executed to hold the same bytes. */
+/** Expects traces @p tiled and @p executed to hold the same events. */
 void
-expect_same(const Outcome &tiled, const Outcome &executed)
+expect_same_trace(const trace::TraceRecorder &tiled,
+                  const trace::TraceRecorder &executed)
 {
-    const trace::EventColumns &a = tiled.trace.columns();
-    const trace::EventColumns &b = executed.trace.columns();
+    const trace::EventColumns &a = tiled.columns();
+    const trace::EventColumns &b = executed.columns();
     EXPECT_EQ(a.time.size(), b.time.size());
     EXPECT_TRUE(same_column(a.time, b.time));
     EXPECT_TRUE(same_column(a.kind, b.kind));
@@ -430,7 +349,14 @@ expect_same(const Outcome &tiled, const Outcome &executed)
     EXPECT_TRUE(same_column(a.iteration, b.iteration));
     EXPECT_TRUE(same_column(a.op_index, b.op_index));
     EXPECT_TRUE(same_column(a.op, b.op));
-    EXPECT_EQ(tiled.trace.op_names(), executed.trace.op_names());
+    EXPECT_EQ(tiled.op_names(), executed.op_names());
+}
+
+/** Expects @p tiled and @p executed to hold the same bytes. */
+void
+expect_same(const Outcome &tiled, const Outcome &executed)
+{
+    expect_same_trace(tiled.trace, executed.trace);
 
     const alloc::AllocatorStats &s = tiled.stats;
     const alloc::AllocatorStats &t = executed.stats;
@@ -460,20 +386,6 @@ void
 train(Engine &engine, int iterations)
 {
     engine.run(iterations);
-}
-
-/**
- * Serves @p requests one run(1) each, idling between bursts of four
- * the way a bursty request stream does.
- */
-void
-serve(Engine &engine, sim::VirtualClock &clock, int requests)
-{
-    for (int r = 0; r < requests; ++r) {
-        if (r > 0 && r % 4 == 0)
-            clock.advance(3 * kNsPerMs + static_cast<TimeNs>(r) * 1000);
-        engine.run(1);
-    }
 }
 
 TEST(EngineTiling, TrainingEqualsIndependentExecution)
@@ -558,6 +470,41 @@ TEST(EngineTiling, CallerTouchingTheAllocatorBetweenRuns)
         expect_same(run_engine(plan, kind, false, {}, drive),
                     run_engine(plan, kind, true, {}, drive));
     }
+}
+
+TEST(EngineTiling, ClearedRecorderMakesTheNextIterationExecute)
+{
+    // The template's events are a range of the recorder: once clear()
+    // drops them, the next iteration executes instead of copying
+    // events that are gone, and the trace equals one where every
+    // iteration executes.
+    const Plan plan = build_plan(nn::resnet(18), 16);
+    const sim::DeviceSpec spec = sim::DeviceSpec::titan_x_pascal();
+    const sim::CostModel cost(spec);
+    trace::TraceRecorder traces[2];
+    int executed_after_clear[2] = {};
+    for (int independent = 0; independent < 2; ++independent) {
+        alloc::DeviceMemory device(spec.dram_bytes);
+        sim::VirtualClock clock;
+        alloc::CachingAllocator caching(device, clock, cost);
+        NeverRepeating never(caching);
+        alloc::Allocator &allocator =
+            independent ? static_cast<alloc::Allocator &>(never) : caching;
+        trace::TraceRecorder &trace = traces[independent];
+        Engine engine(plan, allocator, clock, cost, &trace);
+        engine.run(4);
+        const int before = engine.executed_iterations();
+        trace.clear();
+        engine.run(4);
+        executed_after_clear[independent] =
+            engine.executed_iterations() - before;
+        engine.teardown();
+    }
+    EXPECT_EQ(executed_after_clear[1], 4);
+    EXPECT_EQ(executed_after_clear[0], 1)
+        << "one iteration re-records the template, the rest copy it";
+    EXPECT_FALSE(traces[0].columns().tiles().empty());
+    expect_same_trace(traces[0], traces[1]);
 }
 
 TEST(EngineTiling, TrailingKernelWithoutEvents)

@@ -365,7 +365,7 @@ TEST(TraceRecorder, CopiesOwnTheirNameTables)
     EXPECT_EQ(a.intern("y"), y);  // same first-intern order
 }
 
-/** @return @p e moved as TraceRecorder::append moves it. */
+/** @return @p e moved as TraceRecorder::repeat moves it. */
 MemoryEvent
 shifted(MemoryEvent e, const EventShift &shift)
 {
@@ -376,58 +376,127 @@ shifted(MemoryEvent e, const EventShift &shift)
     return e;
 }
 
-TEST(TraceRecorder, AppendMovesTimesNewBlocksAndTheLabel)
+/** Expects @p tile to be {source, begin, count, shift}. */
+void
+expect_tile(const Tile &tile, std::size_t source, std::size_t begin,
+            std::size_t count, const EventShift &shift)
 {
-    TraceRecorder source;
-    std::vector<MemoryEvent> events;
+    EXPECT_EQ(tile.source, source);
+    EXPECT_EQ(tile.begin, begin);
+    EXPECT_EQ(tile.count, count);
+    EXPECT_EQ(tile.shift.time, shift.time);
+    EXPECT_EQ(tile.shift.first_block, shift.first_block);
+    EXPECT_EQ(tile.shift.block, shift.block);
+    EXPECT_EQ(tile.shift.iteration, shift.iteration);
+}
+
+TEST(TraceRecorder, RepeatMovesTimesNewBlocksAndTheLabel)
+{
+    TraceRecorder r;
+    std::vector<MemoryEvent> oracle;
     for (std::size_t i = 0; i < 40; ++i) {
-        events.push_back(distinct_event(i));
+        oracle.push_back(distinct_event(i));
         if (i == 7)
-            events.back().block = kInvalidBlock;
-        source.record(events.back());
+            oracle.back().block = kInvalidBlock;
+        r.record(oracle.back());
     }
-    const EventColumns run(source.columns(), 10, 40);
-    EXPECT_EQ(run.capacity(), 30u);
-    expect_events(EventRange(run),
-                  std::vector<MemoryEvent>(events.begin() + 10,
-                                           events.end()));
+    const std::vector<MemoryEvent> events = oracle;
 
     EventShift shift;
     shift.time = 1000;
     shift.first_block = 20;  // blocks 11..19 stay, 20.. move
     shift.block = 500;
     shift.iteration = 9;
-    TraceRecorder r;
-    std::vector<MemoryEvent> oracle;
-    for (std::size_t i = 0; i < 3; ++i) {
-        oracle.push_back(distinct_event(i));
-        r.record(oracle.back());
-    }
+    std::vector<EventShift> shifts;
     for (int copies = 0; copies < 2; ++copies) {
-        r.append(run, shift);
+        r.repeat(10, 40, shift);
         for (std::size_t i = 10; i < 40; ++i)
             oracle.push_back(shifted(events[i], shift));
+        shifts.push_back(shift);
         shift.time += 400;
     }
     expect_events(r.events(), oracle);
-    // An empty run appends nothing.
-    r.append(EventColumns(), shift);
+    const std::vector<Tile> &tiles = r.columns().tiles();
+    ASSERT_EQ(tiles.size(), 2u);
+    expect_tile(tiles[0], 10, 40, 30, shifts[0]);
+    expect_tile(tiles[1], 10, 70, 30, shifts[1]);
+    // An empty range appends nothing and lists no tile.
+    r.repeat(40, 40, shift);
     EXPECT_EQ(r.size(), oracle.size());
+    EXPECT_EQ(r.columns().tiles().size(), 2u);
 }
 
-TEST(TraceRecorder, AppendGrowsLikeRecordAndKeepsAnExactReserve)
+TEST(TraceRecorder, RepeatListsOnlyCopiesOfRecordedEvents)
 {
-    TraceRecorder source;
-    for (std::size_t i = 0; i < 100; ++i)
-        source.record(distinct_event(i));
-    const EventColumns run(source.columns(), 0, 100);
+    TraceRecorder r;
+    std::vector<MemoryEvent> oracle;
+    for (std::size_t i = 0; i < 10; ++i) {
+        oracle.push_back(distinct_event(i));
+        r.record(oracle.back());
+    }
+    const auto repeat = [&](std::size_t begin, std::size_t end,
+                            TimeNs time) {
+        EventShift shift;
+        shift.time = time;
+        const std::vector<MemoryEvent> source(oracle.begin() + begin,
+                                              oracle.begin() + end);
+        r.repeat(begin, end, shift);
+        for (const MemoryEvent &e : source)
+            oracle.push_back(shifted(e, shift));
+        return shift;
+    };
+    const EventShift first = repeat(0, 10, 100);  // events 10..19
+    // A source that overlaps a tile is copied but not listed.
+    repeat(5, 15, 200);
+    repeat(19, 20, 400);
+    expect_events(r.events(), oracle);
+    ASSERT_EQ(r.columns().tiles().size(), 1u);
+    expect_tile(r.columns().tiles()[0], 0, 10, 10, first);
+    // A source before the first tile is listed.
+    const EventShift second = repeat(2, 9, 600);
+    expect_events(r.events(), oracle);
+    ASSERT_EQ(r.columns().tiles().size(), 2u);
+    expect_tile(r.columns().tiles()[1], 2, 31, 7, second);
 
+    // A copy keeps the tiles; clear() drops them.
+    const TraceRecorder copy = r;
+    EXPECT_EQ(copy.columns().tiles().size(), 2u);
+    const std::shared_ptr<const EventColumns> shared = r.share();
+    r.record(event_at(10000));
+    EXPECT_EQ(r.columns().tiles().size(), 2u);
+    r.clear();
+    EXPECT_TRUE(r.columns().tiles().empty());
+    EXPECT_EQ(shared->tiles().size(), 2u);
+    EXPECT_EQ(copy.columns().tiles().size(), 2u);
+}
+
+TEST(TraceRecorder, EpochChangesOnClearAndStaysWithACopy)
+{
+    TraceRecorder r;
+    TraceRecorder other;
+    EXPECT_NE(r.epoch(), other.epoch());
+    r.record(event_at(1));
+    const std::uint64_t before = r.epoch();
+    EXPECT_EQ(TraceRecorder(r).epoch(), before);
+    r.record(event_at(2));
+    EXPECT_EQ(r.epoch(), before) << "recording keeps the events";
+    r.clear();
+    EXPECT_NE(r.epoch(), before);
+    EXPECT_NE(r.epoch(), other.epoch());
+}
+
+TEST(TraceRecorder, RepeatGrowsLikeRecordAndKeepsAnExactReserve)
+{
     TraceRecorder grown;
     TraceRecorder recorded;
-    for (int copies = 0; copies < 30; ++copies) {
+    for (std::size_t i = 0; i < 100; ++i) {
+        grown.record(distinct_event(i));
+        recorded.record(distinct_event(i));
+    }
+    for (int copies = 1; copies < 30; ++copies) {
         EventShift shift;
         shift.time = 1000 * static_cast<TimeNs>(copies);
-        grown.append(run, shift);
+        grown.repeat(0, 100, shift);
         for (std::size_t i = 0; i < 100; ++i)
             recorded.record(shifted(distinct_event(i), shift));
         ASSERT_EQ(grown.capacity(), recorded.capacity());
@@ -438,15 +507,18 @@ TEST(TraceRecorder, AppendGrowsLikeRecordAndKeepsAnExactReserve)
 
     TraceRecorder exact;
     exact.reserve(3000);
-    for (int copies = 0; copies < 30; ++copies) {
+    for (std::size_t i = 0; i < 100; ++i)
+        exact.record(distinct_event(i));
+    for (int copies = 1; copies < 30; ++copies) {
         EventShift shift;
         shift.time = 1000 * static_cast<TimeNs>(copies);
-        exact.append(run, shift);
+        exact.repeat(0, 100, shift);
     }
+    EXPECT_EQ(exact.size(), 3000u);
     EXPECT_EQ(exact.capacity(), exact.size());
 }
 
-TEST(TraceRecorder, AppendFromItsOwnStoreSurvivesGrowth)
+TEST(TraceRecorder, RepeatFromItsOwnStoreSurvivesGrowth)
 {
     TraceRecorder r;
     std::vector<MemoryEvent> oracle;
@@ -457,38 +529,30 @@ TEST(TraceRecorder, AppendFromItsOwnStoreSurvivesGrowth)
     ASSERT_EQ(r.capacity(), r.size());
     EventShift shift;
     shift.time = 10000;
-    r.append(r.columns(), shift);
+    r.repeat(0, 64, shift);
     for (std::size_t i = 0; i < 64; ++i)
         oracle.push_back(shifted(distinct_event(i), shift));
     expect_events(r.events(), oracle);
 }
 
-TEST(TraceRecorder, AppendChecksTimeOrderAndOpIds)
+TEST(TraceRecorder, RepeatChecksTheRangeAndTimeOrder)
 {
-    TraceRecorder source;
-    source.record(event_at(10));
-    source.record(event_at(20));
-    const EventColumns run(source.columns(), 0, 2);
-
     TraceRecorder r;
-    r.record(event_at(15));
+    r.record(event_at(10));
+    r.record(event_at(20));
     EventShift shift;
-    EXPECT_THROW(r.append(run, shift), Error) << "10 is before 15";
-    EXPECT_EQ(r.size(), 1u);
     shift.time = 5;
-    r.append(run, shift);
-    EXPECT_EQ(r.size(), 3u);
-
-    TraceRecorder named;
-    MemoryEvent e = event_at(30);
-    e.op = named.intern("conv");
-    named.record(e);
-    const EventColumns foreign(named.columns(), 0, 1);
-    EXPECT_THROW(r.append(foreign, {}), Error)
-        << "op 1 is not interned in r";
-    r.intern("x");
-    r.append(foreign, {});
+    EXPECT_THROW(r.repeat(0, 2, shift), Error) << "15 is before 20";
+    EXPECT_EQ(r.size(), 2u);
+    shift.time = 10;
+    r.repeat(0, 2, shift);
     EXPECT_EQ(r.size(), 4u);
+
+    EXPECT_THROW(r.repeat(3, 5, shift), Error) << "past the last event";
+    EXPECT_THROW(r.repeat(3, 2, shift), Error) << "an inverted range";
+    EXPECT_EQ(r.size(), 4u);
+    const TraceRecorder empty;
+    EXPECT_THROW(TraceRecorder(empty).repeat(0, 1, shift), Error);
 }
 
 }  // namespace
