@@ -26,10 +26,11 @@ struct WeightedNs {
 
 /**
  * Order statistics of a sample held as plain values, each once, and
- * weighted values, each `weight` times, asked in ascending rank. Each
- * is a three-way quickselect over the plain values the previous one
- * left above it (expected linear time); the weighted values are
- * sorted once and counted by binary search.
+ * weighted values, each `weight` times. Each is a three-way
+ * quickselect (expected linear time) over the plain values the
+ * previous answer left above it, or, for a rank below the previous
+ * one's, over them all; the weighted values are sorted once and
+ * counted by binary search.
  */
 class WeightedSelect
 {
@@ -48,12 +49,21 @@ class WeightedSelect
             below_.push_back(below_.back() + w.weight);
     }
 
-    /** @return the @p k-th smallest (0-based) value; @p k ascends. */
+    /** @return the @p k-th smallest (0-based) value. */
     TimeNs
     nth(std::size_t k)
     {
+        // Ranks [asked_rank_, rank_) hold the last answer. Below
+        // them, start over: the plain values were only reordered.
+        if (asked_ && k < asked_rank_)
+            asked_ = false;
         if (asked_ && k < rank_)
             return last_;
+        if (!asked_) {
+            first_ = 0;
+            rank_ = 0;
+        }
+        asked_rank_ = k;
         // The plain values in [lo, hi) are those above `low` (when
         // bounded) and below `high`; `base` values of the sample are
         // at or under `low`.
@@ -145,26 +155,29 @@ class WeightedSelect
     /** below_[i]: the weight of weighted_[0, i). */
     std::vector<std::size_t> below_;
     /**
-     * After the first answer: plain_[0, first_) are the plain values
-     * at or below last_, and rank_ values of the sample are.
+     * After an answer: last_ is the value of rank asked_rank_,
+     * plain_[0, first_) are the plain values at or below it, and
+     * rank_ values of the sample are.
      */
     bool asked_ = false;
+    std::size_t asked_rank_ = 0;
     std::size_t first_ = 0;
     std::size_t rank_ = 0;
     TimeNs last_ = 0;
 };
 
-/**
- * ati_stats of a Timeline with block tiles: a tile's blocks repeat
- * its source's intervals, so those enter the selection once, with
- * the count of their copies as a weight; every other interval
- * enters on its own. The selection runs on ns, and ns to us is
- * monotone, so the order statistics, and the quantiles interpolated
- * from them, are those of the flat sample.
- */
+}  // namespace
+
 AtiStats
-tiled_ati_stats(const Timeline &timeline)
+ati_stats(const Timeline &timeline)
 {
+    // A tile's blocks repeat its source's intervals, so those enter
+    // the selection once, with the count of their copies as a weight;
+    // every other interval enters on its own (a trace without tiles
+    // has only those). The selection runs on ns, and ns to us is
+    // monotone, so the order statistics, and the quantiles
+    // interpolated from them, are those of the flat sample.
+    //
     // Runs of blocks by weight: 0 for a copy, 1 + its copies for a
     // source; the blocks between weigh 1.
     struct Run {
@@ -232,34 +245,6 @@ tiled_ati_stats(const Timeline &timeline)
     out.median = quantile(0.5);
     out.p90 = quantile(0.9);
     out.max = to_us(max);
-    return out;
-}
-
-}  // namespace
-
-AtiStats
-ati_stats(const Timeline &timeline)
-{
-    if (!timeline.block_tiles().empty())
-        return tiled_ati_stats(timeline);
-    std::size_t count = 0;
-    for (const BlockLifetime &b : timeline.blocks())
-        count += b.access_count > 0 ? b.access_count - 1 : 0;
-    AtiStats out;
-    if (count == 0)
-        return out;
-    std::vector<double> intervals;
-    intervals.reserve(count);
-    for (const BlockLifetime &b : timeline.blocks()) {
-        const AccessList accesses = timeline.accesses(b);
-        for (std::size_t k = 1; k < accesses.size(); ++k)
-            intervals.push_back(to_us(accesses[k] - accesses[k - 1]));
-    }
-    const std::vector<double> q = select_quantiles(intervals, {0.5, 0.9});
-    out.count = count;
-    out.median = q[0];
-    out.p90 = q[1];
-    out.max = *std::max_element(intervals.begin(), intervals.end());
     return out;
 }
 

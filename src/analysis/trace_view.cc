@@ -334,9 +334,9 @@ TraceView::build_timeline() const
     };
     // A source's edges away from its first and last instants form
     // runs of equal times of their own: its core, edges [lo, hi).
-    // Each tile's core is its source's, moved, so it sorts, sums and
-    // peaks as the source's did. The edges at a tile's ends may tie
-    // with its neighbours' and are sorted with them.
+    // Each tile's core is its source's, moved, so it is sorted as
+    // the source's was. The edges at a tile's ends may tie with its
+    // neighbours' and are sorted with them.
     const auto core_of = [&](const TileSource &s) {
         std::size_t lo = s.first_edge;
         std::size_t hi = s.end_edge;
@@ -461,84 +461,33 @@ TraceView::build_timeline() const
                 accesses[at[slot]++] = time + shift.time;
         });
 
-    struct Core {
-        /** The tile's core, edges [begin, end). */
-        std::size_t begin = 0;
-        std::size_t end = 0;
-        /** Where its source's core begins, and the source's index. */
-        std::size_t source = 0;
-        std::size_t source_index = 0;
-    };
-    std::vector<Core> cores;
+    // The sources' cores are sorted; so are their copies. Sort the
+    // rest: the walked runs and the ties at each tile's ends.
+    std::size_t edge = 0;
     for (std::size_t k = 0; k < tiles_.size(); ++k) {
         const TileSource &s = sources_[tiles_[k].source];
         const auto core = core_of(s);
         if (core.first == core.second)
             continue;
         const std::size_t moved = tile_edges[k] - s.first_edge;
-        cores.push_back({core.first + moved, core.second + moved, core.first,
-                         tiles_[k].source});
-    }
-    std::size_t edge = 0;
-    for (const Core &core : cores) {
-        sort_runs(edge, core.begin);
-        edge = core.end;
+        sort_runs(edge, core.first + moved);
+        edge = core.second + moved;
     }
     sort_runs(edge, edges.size());
 
     // Prefix sums answer live_bytes_at/peak in O(log n)/O(1).
-    std::vector<std::int64_t> &prefix = t->prefix_;
-    reserve_huge(prefix, edges.size() + 1);
+    reserve_huge(t->prefix_, edges.size() + 1);
     std::int64_t cur = 0;
     std::int64_t best = -1;
     TimeNs best_t = t->start_;
-    const auto sum = [&](std::size_t from, std::size_t to) {
-        for (std::size_t e = from; e < to; ++e) {
-            cur += edges[e].delta;
-            prefix.push_back(cur);
-            if (cur > best) {
-                best = cur;
-                best_t = edges[e].t;
-            }
+    for (const auto &e : edges) {
+        cur += e.delta;
+        t->prefix_.push_back(cur);
+        if (cur > best) {
+            best = cur;
+            best_t = e.t;
         }
-    };
-    // Per source, its core's occupancy over the occupancy before it
-    // after each edge, the highest, and the first edge that reaches
-    // it.
-    struct CorePeak {
-        std::vector<std::int64_t> rise;
-        std::int64_t top = 0;
-        std::size_t at = 0;
-    };
-    std::vector<CorePeak> peaks(sources_.size());
-    edge = 0;
-    for (const Core &core : cores) {
-        sum(edge, core.begin);
-        CorePeak &peak = peaks[core.source_index];
-        if (peak.rise.empty()) {
-            const std::int64_t base = prefix[core.source];
-            const std::size_t length = core.end - core.begin;
-            for (std::size_t j = 1; j <= length; ++j)
-                peak.rise.push_back(prefix[core.source + j] - base);
-            peak.at = static_cast<std::size_t>(
-                std::max_element(peak.rise.begin(), peak.rise.end()) -
-                peak.rise.begin());
-            peak.top = peak.rise[peak.at];
-        }
-        // Copied whole, then raised: a tight loop the compiler can
-        // vectorize, unlike a push_back per edge.
-        const std::size_t first = prefix.size();
-        prefix.insert(prefix.end(), peak.rise.begin(), peak.rise.end());
-        for (std::size_t e = first; e < prefix.size(); ++e)
-            prefix[e] += cur;
-        if (cur + peak.top > best) {
-            best = cur + peak.top;
-            best_t = edges[core.begin + peak.at].t;
-        }
-        cur += peak.rise.back();
-        edge = core.end;
     }
-    sum(edge, edges.size());
     t->peak_time_ = best_t;
     t->peak_bytes_ = best > 0 ? static_cast<std::size_t>(best) : 0;
     return t;

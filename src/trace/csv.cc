@@ -5,9 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -114,109 +112,6 @@ put_text(char *out, std::string_view s)
     return out + s.size();
 }
 
-/**
- * Reads a stream line by line in fixed-size chunks, without
- * getline's per-character work: memchr finds each line's end, and a
- * line is a view into the chunk, or, when it crosses the chunk's end,
- * into a carried copy. A line drops its \n and one trailing \r (files
- * written on other platforms); a last line without a \n still counts.
- */
-class LineReader
-{
-  public:
-    explicit LineReader(std::istream &is) : is_(is), chunk_(kChunk) {}
-
-    /** @return whether there was another line; sets @p line to it. */
-    bool
-    next(std::string_view &line)
-    {
-        if (carried_) {
-            carry_.clear();
-            carried_ = false;
-        }
-        for (;;) {
-            if (at_ == end_ && !fill()) {
-                if (carry_.empty())
-                    return false;
-                return take_carry(line);
-            }
-            const auto *newline = static_cast<const char *>(std::memchr(
-                at_, '\n', static_cast<std::size_t>(end_ - at_)));
-            if (newline == nullptr) {
-                carry_.append(at_, end_);
-                at_ = end_;
-                continue;
-            }
-            const char *const from = at_;
-            at_ = newline + 1;
-            if (!carry_.empty()) {
-                carry_.append(from, newline);
-                return take_carry(line);
-            }
-            line = std::string_view(from, static_cast<std::size_t>(
-                                              newline - from));
-            drop_cr(line);
-            return true;
-        }
-    }
-
-  private:
-    static constexpr std::size_t kChunk = 64 * 1024;
-
-    bool
-    fill()
-    {
-        is_.read(chunk_.data(), static_cast<std::streamsize>(kChunk));
-        at_ = chunk_.data();
-        end_ = at_ + is_.gcount();
-        return at_ != end_;
-    }
-
-    bool
-    take_carry(std::string_view &line)
-    {
-        carried_ = true;
-        line = carry_;
-        drop_cr(line);
-        return true;
-    }
-
-    static void
-    drop_cr(std::string_view &line)
-    {
-        if (!line.empty() && line.back() == '\r')
-            line.remove_suffix(1);
-    }
-
-    std::istream &is_;
-    std::vector<char> chunk_;
-    const char *at_ = nullptr;
-    const char *end_ = nullptr;
-    /** A line that crossed a chunk's end; carried_: handed out. */
-    std::string carry_;
-    bool carried_ = false;
-};
-
-/**
- * @return the non-empty lines from @p is's position on, with @p is
- * back at that position after, or 0 when @p is cannot tell its
- * position.
- */
-std::size_t
-count_rows(std::istream &is)
-{
-    const std::istream::pos_type start = is.tellg();
-    if (start == std::istream::pos_type(-1))
-        return 0;
-    std::size_t rows = 0;
-    LineReader lines(is);
-    for (std::string_view line; lines.next(line);)
-        rows += !line.empty();
-    is.clear();
-    is.seekg(start);
-    return is.good() ? rows : 0;
-}
-
 }  // namespace
 
 void
@@ -300,22 +195,21 @@ TraceRecorder
 read_csv(std::istream &is)
 {
     TraceRecorder recorder;
-    // One pass to count the rows sizes the columns once: the block
-    // neither grows by doubling nor ends with room to spare.
-    const std::size_t rows = count_rows(is);
-    if (rows > 1)
-        recorder.reserve(rows - 1);
-    LineReader lines(is);
-    std::string_view line;
-    PP_CHECK(lines.next(line), "empty trace input");
+    std::string line;
+    PP_CHECK(std::getline(is, line), "empty trace input");
+    // Tolerate trailing \r from files written on other platforms.
+    if (!line.empty() && line.back() == '\r')
+        line.pop_back();
     PP_CHECK(line == kHeader,
              "unexpected trace header '" << line << "'");
 
     std::size_t lineno = 1;
     std::array<std::string_view, kFields> f;
     OpId op = 0;
-    while (lines.next(line)) {
+    while (std::getline(is, line)) {
         ++lineno;
+        if (!line.empty() && line.back() == '\r')
+            line.pop_back();
         if (line.empty())
             continue;
         const std::size_t fields = split_line(line, f);

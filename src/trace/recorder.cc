@@ -9,6 +9,7 @@
 #include <new>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -224,6 +225,33 @@ EventColumns::release_spare()
 TraceRecorder::TraceRecorder()
     : names_{std::string()}, ids_{{"", 0}}, epoch_(next_epoch())
 {
+}
+
+TraceRecorder::TraceRecorder(TraceRecorder &&other) noexcept
+    : columns_(std::move(other.columns_)), names_(std::move(other.names_)),
+      ids_(std::move(other.ids_)), key_(std::move(other.key_)),
+      epoch_(other.epoch_)
+{
+    other.epoch_ = next_epoch();
+}
+
+TraceRecorder &
+TraceRecorder::operator=(const TraceRecorder &other)
+{
+    TraceRecorder copy(other);
+    return *this = std::move(copy);
+}
+
+TraceRecorder &
+TraceRecorder::operator=(TraceRecorder &&other) noexcept
+{
+    columns_ = std::move(other.columns_);
+    names_ = std::move(other.names_);
+    ids_ = std::move(other.ids_);
+    key_ = std::move(other.key_);
+    epoch_ = next_epoch();
+    other.epoch_ = next_epoch();
+    return *this;
 }
 
 void

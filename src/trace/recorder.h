@@ -282,6 +282,17 @@ class TraceRecorder
     /** An empty trace whose name table holds only id 0 (""). */
     TraceRecorder();
 
+    /** A copy and a move keep the source's epoch(). */
+    TraceRecorder(const TraceRecorder &other) = default;
+    /** The moved-from recorder holds no events: it takes a new epoch. */
+    TraceRecorder(TraceRecorder &&other) noexcept;
+    /**
+     * Assignment changes the events at this recorder's indices, so it
+     * takes a new epoch(); so does a moved-from @p other.
+     */
+    TraceRecorder &operator=(const TraceRecorder &other);
+    TraceRecorder &operator=(TraceRecorder &&other) noexcept;
+
     /**
      * Appends @p event.
      * @throws Error if @p event.time precedes the previous event, or
@@ -342,9 +353,10 @@ class TraceRecorder
 
     /**
      * @return a number that identifies this trace's events: a new
-     * recorder and every clear() take one no other recorder has had,
-     * and a copy keeps it. While it is unchanged, every event
-     * recorded under it is still in the trace at its index.
+     * recorder, every clear() and every assignment take one no other
+     * recorder has had, and a copy keeps it. While it is unchanged,
+     * every event recorded under it is still in the trace at its
+     * index.
      */
     std::uint64_t epoch() const { return epoch_; }
 

@@ -20,6 +20,7 @@
 #include "analysis/ati.h"
 #include "analysis/iteration.h"
 #include "analysis/producers.h"
+#include "analysis/stats.h"
 #include "analysis/timeline.h"
 #include "analysis/trace_view.h"
 #include "core/check.h"
@@ -139,6 +140,13 @@ expect_same_indices(const TraceView &tiled, const TraceView &flat)
     EXPECT_EQ(u.median, v.median);
     EXPECT_EQ(u.p90, v.p90);
     EXPECT_EQ(u.max, v.max);
+    // Both paths run one selection; summarizing every sample checks
+    // it against a sort.
+    const SummaryStats w = summarize(ati_microseconds(compute_atis(flat)));
+    EXPECT_EQ(v.count, w.count);
+    EXPECT_EQ(v.median, w.median);
+    EXPECT_EQ(v.p90, w.p90);
+    EXPECT_EQ(v.max, w.max);
 
     expect_same_gaps(tiled, flat, 0);
     expect_same_gaps(tiled, flat, 1 << 20);

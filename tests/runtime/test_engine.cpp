@@ -507,6 +507,43 @@ TEST(EngineTiling, ClearedRecorderMakesTheNextIterationExecute)
     expect_same_trace(traces[0], traces[1]);
 }
 
+TEST(EngineTiling, ReassignedRecorderMakesTheNextIterationExecute)
+{
+    // Assigning an older copy to the recorder drops the template's
+    // events as clear() does, though the older events stay at their
+    // indices: the next iteration executes instead of repeating a
+    // range that is gone.
+    const Plan plan = build_plan(nn::resnet(18), 16);
+    const sim::DeviceSpec spec = sim::DeviceSpec::titan_x_pascal();
+    const sim::CostModel cost(spec);
+    trace::TraceRecorder traces[2];
+    int executed_after_assign[2] = {};
+    for (int independent = 0; independent < 2; ++independent) {
+        alloc::DeviceMemory device(spec.dram_bytes);
+        sim::VirtualClock clock;
+        alloc::CachingAllocator caching(device, clock, cost);
+        NeverRepeating never(caching);
+        alloc::Allocator &allocator =
+            independent ? static_cast<alloc::Allocator &>(never) : caching;
+        trace::TraceRecorder &trace = traces[independent];
+        Engine engine(plan, allocator, clock, cost, &trace);
+        engine.run(1);
+        const trace::TraceRecorder older = trace;
+        engine.run(4);
+        const int before = engine.executed_iterations();
+        trace = older;
+        engine.run(4);
+        executed_after_assign[independent] =
+            engine.executed_iterations() - before;
+        engine.teardown();
+    }
+    EXPECT_EQ(executed_after_assign[1], 4);
+    EXPECT_EQ(executed_after_assign[0], 1)
+        << "one iteration re-records the template, the rest copy it";
+    EXPECT_FALSE(traces[0].columns().tiles().empty());
+    expect_same_trace(traces[0], traces[1]);
+}
+
 TEST(EngineTiling, TrailingKernelWithoutEvents)
 {
     // The last op reads and writes nothing, so the clock moves past

@@ -3,12 +3,9 @@
 
 #include <cstdint>
 #include <fstream>
-#include <istream>
 #include <limits>
 #include <sstream>
-#include <streambuf>
 #include <string>
-#include <utility>
 
 #include "core/check.h"
 #include "nn/model_registry.h"
@@ -336,54 +333,6 @@ TEST(TraceCsv, FileRoundTripOfARealTrainingTrace)
               result.trace.op_name(result.trace.events().front().op));
     EXPECT_EQ(parsed.events().back().time,
               result.trace.events().back().time);
-}
-
-/** A stream buffer over a string that cannot seek, like a pipe's. */
-class PipeBuffer : public std::streambuf
-{
-  public:
-    explicit PipeBuffer(std::string text) : text_(std::move(text))
-    {
-        setg(text_.data(), text_.data(), text_.data() + text_.size());
-    }
-
-  private:
-    std::string text_;
-};
-
-TEST(TraceCsv, ReadSizesTheColumnsToTheRows)
-{
-    runtime::SessionConfig config;
-    config.batch = 16;
-    config.iterations = 2;
-    const auto result = runtime::run_training(nn::mlp(), config);
-    const std::string path =
-        ::testing::TempDir() + "/pinpoint_sized_trace.csv";
-    write_csv_file(result.trace, path);
-    const TraceRecorder parsed = read_csv_file(path);
-    ASSERT_EQ(parsed.size(), result.trace.size());
-    EXPECT_EQ(parsed.capacity(), parsed.size());
-
-    // CR LF endings and blank lines are not rows.
-    std::stringstream crlf(
-        "time_ns,kind,block,ptr,size,tensor,category,iteration,"
-        "op_index,op\r\n"
-        "1,malloc,2,3,512,-,input,0,-1,alloc.x\r\n"
-        "\r\n\n"
-        "2,free,2,3,512,-,input,0,-1,alloc.x");
-    const TraceRecorder two = read_csv(crlf);
-    ASSERT_EQ(two.size(), 2u);
-    EXPECT_EQ(two.capacity(), 2u);
-
-    // A stream that cannot seek back is read in one pass, unsized.
-    std::ostringstream csv;
-    write_csv(result.trace, csv);
-    PipeBuffer pipe(csv.str());
-    std::istream is(&pipe);
-    const TraceRecorder piped = read_csv(is);
-    ASSERT_EQ(piped.size(), result.trace.size());
-    for (std::size_t i = 0; i < piped.size(); ++i)
-        ASSERT_EQ(piped.events()[i].time, result.trace.events()[i].time);
 }
 
 TEST(TraceCsv, MissingFileThrows)

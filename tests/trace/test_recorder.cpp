@@ -6,6 +6,7 @@
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -483,6 +484,33 @@ TEST(TraceRecorder, EpochChangesOnClearAndStaysWithACopy)
     r.clear();
     EXPECT_NE(r.epoch(), before);
     EXPECT_NE(r.epoch(), other.epoch());
+}
+
+TEST(TraceRecorder, EpochChangesOnAssignmentAndLeavesAMovedFromRecorder)
+{
+    TraceRecorder r;
+    r.record(event_at(1));
+    const TraceRecorder older = r;
+    r.record(event_at(2));
+    std::uint64_t before = r.epoch();
+    r = older;
+    EXPECT_NE(r.epoch(), before) << "the events at r's indices changed";
+    EXPECT_NE(r.epoch(), older.epoch());
+    EXPECT_EQ(r.size(), 1u);
+
+    before = r.epoch();
+    TraceRecorder moved(std::move(r));
+    EXPECT_EQ(moved.epoch(), before) << "a move keeps the events";
+    EXPECT_NE(r.epoch(), before) << "the moved-from recorder has none";
+
+    before = moved.epoch();
+    TraceRecorder target;
+    const std::uint64_t target_before = target.epoch();
+    target = std::move(moved);
+    EXPECT_NE(target.epoch(), before);
+    EXPECT_NE(target.epoch(), target_before);
+    EXPECT_NE(moved.epoch(), before);
+    EXPECT_EQ(target.size(), 1u);
 }
 
 TEST(TraceRecorder, RepeatGrowsLikeRecordAndKeepsAnExactReserve)
